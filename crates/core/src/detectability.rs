@@ -6,15 +6,22 @@
 //! iff `hᵢ'` lies in the column span of the original FCM — the observed
 //! counters then admit an alternative benign explanation, so no residual
 //! appears no matter how the detector is tuned.
+//!
+//! [`SpanOracle`] answers that span question for every caller — the
+//! single-query functions here, the deviation audit, and the degraded
+//! pipeline's masked re-audits — from one sparse Cholesky factor of the
+//! FCM's deduplicated column basis.
 
 use crate::error::FocesError;
 use crate::rbg::Rbg;
 use crate::Fcm;
 use foces_dataplane::RuleRef;
-use foces_linalg::{in_column_span, DEFAULT_TOL};
+use foces_linalg::{CsrMatrix, DEFAULT_TOL};
+use foces_sparse::{SparseFactor, SymbolicCholesky};
 use std::collections::BTreeSet;
 
-/// Builds the 0/1 column vector for a (deviated) rule history.
+/// FCM row indices of a (deviated) rule history: the support of its 0/1
+/// column.
 ///
 /// # Errors
 ///
@@ -23,18 +30,143 @@ use std::collections::BTreeSet;
 /// history was traced from (e.g. `foces audit` against a plane that
 /// churned since the FCM snapshot). Callers surface this as a finding,
 /// not a panic.
-pub(crate) fn history_column(fcm: &Fcm, history: &[RuleRef]) -> Result<Vec<f64>, FocesError> {
-    let mut col = vec![0.0; fcm.rule_count()];
-    for r in history {
-        let row = fcm.rule_row(*r).ok_or(FocesError::UnknownRule(*r))?;
-        col[row] = 1.0;
+pub(crate) fn history_rows(fcm: &Fcm, history: &[RuleRef]) -> Result<Vec<usize>, FocesError> {
+    history
+        .iter()
+        .map(|r| fcm.rule_row(*r).ok_or(FocesError::UnknownRule(*r)))
+        .collect()
+}
+
+/// The Theorem 1 span oracle of one FCM: answers `v ∈ span(H)` for any
+/// number of query vectors without densifying `H`.
+///
+/// Construction keeps one column per distinct rule set
+/// ([`Fcm::column_groups`]; duplicates add nothing to the span) as the
+/// basis `B`, and factors its Gram `BᵀB` with the fill-reducing sparse
+/// Cholesky, dropping the pivots of columns that are dependent on the ones
+/// eliminated before them ([`SparseFactor::factor_dropping`]). A query is
+/// the least-squares residual `‖v − B·G⁻¹Bᵀv‖`, accepted as in-span when
+/// it is at most `DEFAULT_TOL·max(‖v‖, 1)`.
+///
+/// Cost: the basis, Gram and factor are near-linear in the FCM's nonzeros
+/// for network FCMs (FatTree(6) per-destination: 972 basis columns, about
+/// 9 k nonzeros in L, a few ms); each query is two triangular solves plus
+/// two sparse products, `O(nnz(L) + nnz(B))`.
+///
+/// # Example
+///
+/// ```
+/// use foces::{testkit, SpanOracle};
+///
+/// let fcm = testkit::paper_fig3_fcm();
+/// let oracle = SpanOracle::new(&fcm);
+/// // Fig. 3 / Eq. (8): (1,1,0,1,1,1) = h₁ − h₂ + h₃ stays in the span.
+/// assert!(oracle.contains(&[1., 1., 0., 1., 1., 1.]));
+/// assert!(oracle.contains_rows(&[0, 1, 3, 4, 5]));
+/// assert!(!oracle.contains_rows(&[0]));
+/// ```
+#[derive(Debug, Clone)]
+pub struct SpanOracle {
+    /// Deduplicated basis columns, rules × groups.
+    basis: CsrMatrix,
+    /// Pivot-dropping factor of `basisᵀ·basis`.
+    factor: SparseFactor,
+}
+
+impl SpanOracle {
+    /// Builds the oracle for `fcm`'s column span.
+    pub fn new(fcm: &Fcm) -> Self {
+        let basis = fcm.sparse().select_columns(&fcm.column_groups().basis);
+        let gram = basis.gram_csr();
+        let factor = SparseFactor::factor_dropping(&SymbolicCholesky::analyze(&gram), &gram)
+            .expect("a Gram matrix is square");
+        SpanOracle { basis, factor }
     }
-    Ok(col)
+
+    /// Whether `v` lies in the FCM's column span.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len()` differs from the FCM's rule count.
+    pub fn contains(&self, v: &[f64]) -> bool {
+        assert_eq!(v.len(), self.basis.rows(), "span query length mismatch");
+        let btv = self
+            .basis
+            .transpose_matvec(v)
+            .expect("length checked above");
+        self.accepts(v, btv)
+    }
+
+    /// Whether the 0/1 vector with support `rows` (a rule history's FCM
+    /// rows; repeats count once) lies in the span. `Bᵀv` is summed from the
+    /// basis rows at the support alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row index is not below the FCM's rule count.
+    pub fn contains_rows(&self, rows: &[usize]) -> bool {
+        let mut v = vec![0.0; self.basis.rows()];
+        let mut btv = vec![0.0; self.basis.cols()];
+        for &i in rows {
+            if v[i] == 0.0 {
+                v[i] = 1.0;
+                for (c, b) in self.basis.row_iter(i) {
+                    btv[c] += b;
+                }
+            }
+        }
+        self.accepts(&v, btv)
+    }
+
+    /// The acceptance rule: `‖v − B·x‖ ≤ DEFAULT_TOL·max(‖v‖, 1)` for the
+    /// least-squares `x` of `Gx = Bᵀv`. A residual over the bound gets one
+    /// refinement step (the corrected semi-normal equations) before it is
+    /// called out of span, so the normal equations' squared conditioning
+    /// cannot turn an in-span vector into a false "detectable".
+    fn accepts(&self, v: &[f64], btv: Vec<f64>) -> bool {
+        let bound = DEFAULT_TOL * norm(v).max(1.0);
+        let mut x = self
+            .factor
+            .solve(&btv)
+            .expect("Bᵀv has one entry per basis column");
+        let mut r = self.residual(v, &x);
+        if norm(&r) <= bound {
+            return true;
+        }
+        let btr = self
+            .basis
+            .transpose_matvec(&r)
+            .expect("residual has one entry per row");
+        let dx = self
+            .factor
+            .solve(&btr)
+            .expect("Bᵀr has one entry per basis column");
+        for (xi, di) in x.iter_mut().zip(&dx) {
+            *xi += di;
+        }
+        r = self.residual(v, &x);
+        norm(&r) <= bound
+    }
+
+    fn residual(&self, v: &[f64], x: &[f64]) -> Vec<f64> {
+        let bx = self
+            .basis
+            .matvec(x)
+            .expect("x has one entry per basis column");
+        v.iter().zip(&bx).map(|(a, b)| a - b).collect()
+    }
+}
+
+fn norm(v: &[f64]) -> f64 {
+    v.iter().map(|x| x * x).sum::<f64>().sqrt()
 }
 
 /// Theorem 1 oracle: `true` iff the anomaly that rewrites some flow's rule
 /// history to `deviated_history` is **undetectable** — the deviated column
 /// lies in the span of the FCM's columns.
+///
+/// Builds a [`SpanOracle`] per call; callers with many queries against one
+/// FCM should build the oracle once and ask it directly.
 ///
 /// # Errors
 ///
@@ -54,8 +186,8 @@ pub(crate) fn history_column(fcm: &Fcm, history: &[RuleRef]) -> Result<Vec<f64>,
 /// # Ok::<(), foces::FocesError>(())
 /// ```
 pub fn undetectable_by_rank(fcm: &Fcm, deviated_history: &[RuleRef]) -> Result<bool, FocesError> {
-    let col = history_column(fcm, deviated_history)?;
-    Ok(in_column_span(&fcm.dense(), &col, DEFAULT_TOL))
+    let rows = history_rows(fcm, deviated_history)?;
+    Ok(SpanOracle::new(fcm).contains_rows(&rows))
 }
 
 /// Convenience inverse of [`undetectable_by_rank`].

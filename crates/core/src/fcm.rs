@@ -15,8 +15,7 @@ use std::fmt;
 ///
 /// The matrix is stored in CSR form — real FCMs are enormous but have one
 /// nonzero per hop per flow, far below 1 % density — and densified only on
-/// demand ([`Fcm::dense`]) for the detectability oracle and small test
-/// instances. Construction from a controller view runs the ATPG tracer
+/// demand ([`Fcm::dense`]) for small test instances. Construction from a controller view runs the ATPG tracer
 /// ([`foces_atpg::trace_flows`]) to enumerate logical flows.
 ///
 /// # Example
@@ -116,8 +115,9 @@ impl Fcm {
 
     /// Materializes the FCM densely (rules × flows). The matrix is kept in
     /// CSR form internally — real FCMs are huge but sparse — so this is an
-    /// O(rules·flows) conversion intended for the detectability oracle and
-    /// for small/test instances, not for the per-round solver path.
+    /// O(rules·flows) conversion intended for small/test instances (the
+    /// dense rank reference the sparse [`crate::SpanOracle`] is tested
+    /// against), not for the per-round solver path.
     pub fn dense(&self) -> DenseMatrix {
         self.sparse.to_dense()
     }

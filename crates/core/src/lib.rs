@@ -31,7 +31,7 @@
 //! compromised switch ([`localize`], the paper's future work).
 //!
 //! The theory lives in [`rbg`] and the detectability oracle
-//! ([`is_detectable`] / [`undetectable_by_rank`]): an anomaly is
+//! ([`SpanOracle`], [`is_detectable`] / [`undetectable_by_rank`]): an anomaly is
 //! undetectable iff the deviated flow column stays inside the FCM's column
 //! span (Theorem 1), which reduces to a loop in a per-switch rule bipartite
 //! graph (Theorem 2).
@@ -89,7 +89,7 @@ pub use coverage::{
     CoverageFinding, CoverageKind, CoverageReport, CoverageSeverity, LooClass, ShardCoverage,
     SwitchCoverage,
 };
-pub use detectability::{is_detectable, rbg_loop_exists, undetectable_by_rank};
+pub use detectability::{is_detectable, rbg_loop_exists, undetectable_by_rank, SpanOracle};
 pub use detector::{Detector, IndexStatistic, Verdict};
 pub use error::FocesError;
 pub use fcm::{ColumnGroups, Fcm, MaskedFcm};

@@ -61,7 +61,7 @@ pub use error::LinalgError;
 pub use factor::FactorCache;
 pub use lstsq::{lstsq, lstsq_sparse, LstsqMethod, LstsqSolution};
 pub use qr::Qr;
-pub use rank::{in_column_span, rank, SpanTester};
+pub use rank::{in_column_span, rank};
 pub use sparse::{CglsOutcome, CsrMatrix, Triplet};
 
 /// Numeric tolerance used throughout the crate when deciding whether a pivot

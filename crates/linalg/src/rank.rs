@@ -77,6 +77,10 @@ pub fn rank(a: &DenseMatrix, tol: f64) -> usize {
 /// forwarding anomaly is **undetectable** by the flow-counter equation
 /// system.
 ///
+/// Two dense rank factorizations per query: this is the small-matrix
+/// reference the sparse `foces::SpanOracle` is tested against, not a path
+/// for real FCMs.
+///
 /// # Panics
 ///
 /// Panics if `v.len() != a.rows()` — span membership is only defined for
@@ -108,113 +112,6 @@ pub fn in_column_span(a: &DenseMatrix, v: &[f64], tol: f64) -> bool {
         .push_col(v)
         .expect("length checked above, push_col cannot fail");
     rank(&augmented, tol) == base_rank
-}
-
-/// A reusable column-span membership tester: orthonormalizes a matrix's
-/// columns once (modified Gram–Schmidt, skipping dependent columns), then
-/// answers `v ∈ span(A)` queries in `O(rows · rank)` each.
-///
-/// The FOCES detectability audit asks thousands of span queries against
-/// the *same* FCM; recomputing a rank factorization per query (as the
-/// plain [`in_column_span`] does) is quadratically wasteful.
-///
-/// # Example
-///
-/// ```
-/// use foces_linalg::{DenseMatrix, SpanTester, DEFAULT_TOL};
-///
-/// # fn main() -> Result<(), foces_linalg::LinalgError> {
-/// let a = DenseMatrix::from_rows(&[&[1., 0.], &[0., 1.], &[1., 1.]])?;
-/// let tester = SpanTester::new(&a, DEFAULT_TOL);
-/// assert_eq!(tester.rank(), 2);
-/// assert!(tester.contains(&[2., 3., 5.]));
-/// assert!(!tester.contains(&[1., 0., 0.]));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct SpanTester {
-    /// Orthonormal basis vectors of the column space, each of length `rows`.
-    basis: Vec<Vec<f64>>,
-    rows: usize,
-    tol: f64,
-}
-
-impl SpanTester {
-    /// Builds the tester from a matrix's columns.
-    pub fn new(a: &DenseMatrix, tol: f64) -> Self {
-        let mut tester = SpanTester::empty(a.rows(), tol);
-        for j in 0..a.cols() {
-            tester.absorb(a.col(j));
-        }
-        tester
-    }
-
-    /// An empty tester over `rows`-dimensional vectors; grow it with
-    /// [`SpanTester::absorb`]. Lets callers with huge sparse matrices feed
-    /// columns one at a time without densifying the whole matrix.
-    pub fn empty(rows: usize, tol: f64) -> Self {
-        SpanTester {
-            basis: Vec::new(),
-            rows,
-            tol,
-        }
-    }
-
-    /// Number of independent columns absorbed so far.
-    pub fn rank(&self) -> usize {
-        self.basis.len()
-    }
-
-    /// Projects `v` out of the current basis in place, returning the
-    /// residual norm (and leaving the residual in `v`).
-    fn project_out(&self, v: &mut [f64]) -> f64 {
-        for q in &self.basis {
-            let dot: f64 = q.iter().zip(v.iter()).map(|(a, b)| a * b).sum();
-            for (vi, qi) in v.iter_mut().zip(q) {
-                *vi -= dot * qi;
-            }
-        }
-        v.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Whether `v` lies in the span (residual below `tol` relative to the
-    /// vector's own norm, or absolutely for near-zero vectors).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len()` differs from the matrix's row count.
-    pub fn contains(&self, v: &[f64]) -> bool {
-        assert_eq!(v.len(), self.rows, "span query length mismatch");
-        let norm: f64 = v.iter().map(|x| x * x).sum::<f64>().sqrt();
-        let mut work = v.to_vec();
-        let residual = self.project_out(&mut work);
-        residual <= self.tol * norm.max(1.0)
-    }
-
-    /// Absorbs a new generator column into the basis (no-op if dependent).
-    /// Lets the audit grow the span as flows are added.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len()` differs from the matrix's row count.
-    pub fn absorb(&mut self, v: &[f64]) {
-        assert_eq!(v.len(), self.rows, "span absorb length mismatch");
-        let norm: f64 = v.iter().map(|x| x * x).sum::<f64>().sqrt();
-        let mut work = v.to_vec();
-        let residual = self.project_out(&mut work);
-        if residual > self.tol * norm.max(1.0) {
-            // Re-orthogonalize once (classic MGS twice-is-enough) for
-            // numerical hygiene, then normalize.
-            let r2 = self.project_out(&mut work);
-            if r2 > 0.0 {
-                for x in &mut work {
-                    *x /= r2;
-                }
-                self.basis.push(work);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -303,51 +200,6 @@ mod tests {
     fn span_test_panics_on_length_mismatch() {
         let a = DenseMatrix::identity(2);
         in_column_span(&a, &[1.0; 3], DEFAULT_TOL);
-    }
-
-    #[test]
-    fn span_tester_agrees_with_rank_test() {
-        let h = DenseMatrix::from_rows(&[
-            &[1., 0., 0.],
-            &[1., 0., 0.],
-            &[1., 1., 0.],
-            &[0., 0., 1.],
-            &[0., 0., 1.],
-            &[1., 1., 1.],
-        ])
-        .unwrap();
-        let tester = SpanTester::new(&h, DEFAULT_TOL);
-        assert_eq!(tester.rank(), rank(&h, DEFAULT_TOL));
-        // Fig. 3 deviated column: in span.
-        let dev = [1., 1., 0., 1., 1., 1.];
-        assert_eq!(tester.contains(&dev), in_column_span(&h, &dev, DEFAULT_TOL));
-        assert!(tester.contains(&dev));
-        // Arbitrary off-span vector.
-        let off = [1., 0., 0., 0., 0., 0.];
-        assert_eq!(tester.contains(&off), in_column_span(&h, &off, DEFAULT_TOL));
-        assert!(!tester.contains(&off));
-        // Zero vector is always in the span.
-        assert!(tester.contains(&[0.0; 6]));
-    }
-
-    #[test]
-    fn span_tester_absorb_grows_the_space() {
-        let a = DenseMatrix::from_rows(&[&[1., 0.], &[0., 1.], &[0., 0.]]).unwrap();
-        let mut tester = SpanTester::new(&a, DEFAULT_TOL);
-        assert!(!tester.contains(&[0., 0., 1.]));
-        tester.absorb(&[0., 0., 2.]);
-        assert_eq!(tester.rank(), 3);
-        assert!(tester.contains(&[5., -3., 7.]));
-        // Absorbing a dependent vector is a no-op.
-        tester.absorb(&[1., 1., 1.]);
-        assert_eq!(tester.rank(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn span_tester_validates_query_length() {
-        let a = DenseMatrix::identity(2);
-        SpanTester::new(&a, DEFAULT_TOL).contains(&[1.0; 3]);
     }
 
     #[test]

@@ -19,11 +19,10 @@
 
 use foces::{
     audit_deviations, BackendKind, Detector, DeviationCandidate, Fcm, FocesError,
-    IncrementalSolver, MaskedFcm, RankBudget, SolvePath, Verdict,
+    IncrementalSolver, MaskedFcm, RankBudget, SolvePath, SpanOracle, Verdict,
 };
 use foces_controlplane::ControllerView;
 use foces_dataplane::RuleRef;
-use foces_linalg::{SpanTester, DEFAULT_TOL};
 use foces_net::SwitchId;
 use std::collections::HashMap;
 
@@ -407,24 +406,25 @@ impl DegradedPipeline {
         if sub.rule_count() == 0 {
             return 0.0; // no equations left: every deviation is invisible
         }
-        let mut tester = SpanTester::empty(sub.rule_count(), DEFAULT_TOL);
-        for j in 0..sub.flow_count() {
-            tester.absorb(&sub.column(j));
+        let oracle = SpanOracle::new(sub);
+        // Parent row -> masked row, for projecting deviated histories.
+        let mut masked_row = vec![None; self.fcm.rule_count()];
+        for (i, &parent) in masked.parent_rows().iter().enumerate() {
+            masked_row[parent] = Some(i);
         }
         let mut detectable = 0usize;
         for c in &self.candidates {
             if quarantined.get(c.flow).copied().unwrap_or(false) {
                 continue;
             }
-            // Parent-space 0/1 column of the deviated history, then the
-            // mask's projection onto the observed rows.
-            let mut col = vec![0.0; self.fcm.rule_count()];
-            for r in &c.deviated_history {
-                if let Some(row) = self.fcm.rule_row(*r) {
-                    col[row] = 1.0;
-                }
-            }
-            if !tester.contains(&masked.project(&col)) {
+            // The deviated history's 0/1 column, projected onto the
+            // observed rows.
+            let rows: Vec<usize> = c
+                .deviated_history
+                .iter()
+                .filter_map(|r| self.fcm.rule_row(*r).and_then(|row| masked_row[row]))
+                .collect();
+            if !oracle.contains_rows(&rows) {
                 detectable += 1;
             }
         }

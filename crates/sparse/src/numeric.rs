@@ -14,6 +14,9 @@ pub struct SparseFactor {
     colptr: Vec<usize>,
     rowidx: Vec<usize>,
     values: Vec<f64>,
+    /// `skip[k]`: permuted pivot `k` was dropped as dependent (only
+    /// [`SparseFactor::factor_dropping`] sets any).
+    skip: Vec<bool>,
 }
 
 impl SparseFactor {
@@ -30,6 +33,32 @@ impl SparseFactor {
     ///   scale-aware tolerance — same classification as the dense
     ///   `Cholesky::factor`, so callers can keep their fallback ladders.
     pub fn factor(sym: &SymbolicCholesky, gram: &CsrMatrix) -> Result<Self, LinalgError> {
+        Self::factor_impl(sym, gram, false)
+    }
+
+    /// Factors a possibly singular Gram `BᵀB`, dropping dependent pivots
+    /// instead of failing.
+    ///
+    /// Pivot `k`'s value is the squared residual of column `k` against the
+    /// kept columns eliminated before it, so a pivot at or below the
+    /// scale-aware tolerance is the Gram–Schmidt rejection test: column
+    /// `k` is dependent and is excluded from every later row and from the
+    /// solves, which then return 0 at its position. The kept columns span
+    /// the same space as all of them, and [`SparseFactor::solve`] returns
+    /// a least-squares coefficient vector over them.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::NotSquare`] on shape mismatch with the analysis.
+    pub fn factor_dropping(sym: &SymbolicCholesky, gram: &CsrMatrix) -> Result<Self, LinalgError> {
+        Self::factor_impl(sym, gram, true)
+    }
+
+    fn factor_impl(
+        sym: &SymbolicCholesky,
+        gram: &CsrMatrix,
+        drop_dependent: bool,
+    ) -> Result<Self, LinalgError> {
         let n = sym.n;
         if gram.rows() != n || gram.cols() != n {
             return Err(LinalgError::NotSquare {
@@ -56,6 +85,7 @@ impl SparseFactor {
         let mut w = vec![NONE; n];
         let mut s = vec![0usize; n];
         let mut x = vec![0.0f64; n];
+        let mut skip = vec![false; n];
         for k in 0..n {
             let row = &rowidx_in[rowptr[k]..rowptr[k + 1]];
             let vals = &rowval_in[rowptr[k]..rowptr[k + 1]];
@@ -76,7 +106,12 @@ impl SparseFactor {
             // Up-looking solve against the already-built columns, in the
             // topological order ereach produced.
             for &j in &s[top..] {
-                let lkj = x[j] / values[colptr[j]];
+                // A dropped column contributes nothing: its L entries stay 0.
+                let lkj = if skip[j] {
+                    0.0
+                } else {
+                    x[j] / values[colptr[j]]
+                };
                 x[j] = 0.0;
                 for p in colptr[j] + 1..fill[j] {
                     x[rowidx[p]] -= values[p] * lkj;
@@ -87,10 +122,17 @@ impl SparseFactor {
                 values[p] = lkj;
                 fill[j] = p + 1;
             }
-            if d <= tol {
-                return Err(LinalgError::NotPositiveDefinite { pivot: k, value: d });
-            }
             rowidx[colptr[k]] = k;
+            if d <= tol {
+                if !drop_dependent {
+                    return Err(LinalgError::NotPositiveDefinite { pivot: k, value: d });
+                }
+                // Row k's entries stay in L but only ever meet x[k] = 0:
+                // every later step and both solves skip pivot k.
+                skip[k] = true;
+                values[colptr[k]] = 1.0;
+                continue;
+            }
             values[colptr[k]] = d.sqrt();
         }
         Ok(SparseFactor {
@@ -99,6 +141,7 @@ impl SparseFactor {
             colptr,
             rowidx,
             values,
+            skip,
         })
     }
 
@@ -122,7 +165,19 @@ impl SparseFactor {
         self.values.len()
     }
 
-    /// Solves `A x = rhs` via `P`, forward, backward, `Pᵀ`.
+    /// Original indices of the pivots [`SparseFactor::factor_dropping`]
+    /// dropped as dependent, in elimination order (empty for
+    /// [`SparseFactor::factor`]).
+    pub fn dropped(&self) -> Vec<usize> {
+        (0..self.n)
+            .filter(|&k| self.skip[k])
+            .map(|k| self.perm[k])
+            .collect()
+    }
+
+    /// Solves `A x = rhs` via `P`, forward, backward, `Pᵀ`. After
+    /// [`SparseFactor::factor_dropping`] the solve runs on the kept pivots
+    /// only and returns 0 at every dropped position.
     ///
     /// # Errors
     ///
@@ -139,6 +194,10 @@ impl SparseFactor {
         let mut x: Vec<f64> = (0..n).map(|k| rhs[self.perm[k]]).collect();
         // Forward: L y = b̃ (column-oriented; diagonal is entry 0).
         for j in 0..n {
+            if self.skip[j] {
+                x[j] = 0.0;
+                continue;
+            }
             let xj = x[j] / self.values[self.colptr[j]];
             x[j] = xj;
             if xj != 0.0 {
@@ -149,6 +208,9 @@ impl SparseFactor {
         }
         // Backward: Lᵀ z = y (gather per column, descending).
         for j in (0..n).rev() {
+            if self.skip[j] {
+                continue; // left at 0 by the forward pass
+            }
             let mut acc = x[j];
             for p in self.colptr[j] + 1..self.colptr[j + 1] {
                 acc -= self.values[p] * x[self.rowidx[p]];
@@ -167,6 +229,7 @@ impl SparseFactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ordering::invert_permutation;
     use foces_linalg::{Cholesky, CsrMatrix, DenseMatrix, Triplet};
 
     fn spd_from_rect(rows: usize, cols: usize, seed: u64) -> (CsrMatrix, CsrMatrix) {
@@ -260,6 +323,87 @@ mod tests {
         let gram = h.gram_csr();
         let err = SparseFactor::factor_fresh(&gram).unwrap_err();
         assert!(matches!(err, LinalgError::NotPositiveDefinite { .. }));
+    }
+
+    /// Appends one column `col[a] + col[b]` to `base` per listed pair;
+    /// returns the matrix and the appended columns' indices.
+    fn with_dependent(base: &CsrMatrix, combos: &[(usize, usize)]) -> (CsrMatrix, Vec<usize>) {
+        let d = base.to_dense();
+        let mut out = d.clone();
+        let mut dependent = Vec::new();
+        for &(a, b) in combos {
+            let col: Vec<f64> = (0..d.rows()).map(|i| d.get(i, a) + d.get(i, b)).collect();
+            out.push_col(&col).unwrap();
+            dependent.push(out.cols() - 1);
+        }
+        (CsrMatrix::from_dense(&out), dependent)
+    }
+
+    #[test]
+    fn dropping_factor_drops_exactly_the_dependent_columns_in_order() {
+        let (h, _) = spd_from_rect(30, 8, 5);
+        let (b, dependent) = with_dependent(&h, &[(0, 1), (2, 5), (3, 3)]);
+        let gram = b.gram_csr();
+        let sym = SymbolicCholesky::analyze(&gram);
+        let f = SparseFactor::factor_dropping(&sym, &gram).unwrap();
+        // Which member of a dependent set goes is decided by the
+        // elimination order: whichever column of {a, b, a+b} is eliminated
+        // last is the one that lies in the span of the others.
+        let pos = invert_permutation(&sym.perm);
+        let mut expected: Vec<usize> = [(0usize, 1usize), (2, 5), (3, 3)]
+            .iter()
+            .zip(&dependent)
+            .map(|(&(a, c), &t)| {
+                let mut members = vec![a, c, t];
+                members.dedup();
+                *members.iter().max_by_key(|&&m| pos[m]).unwrap()
+            })
+            .collect();
+        expected.sort_by_key(|&m| pos[m]);
+        assert_eq!(f.dropped(), expected);
+    }
+
+    #[test]
+    fn dropped_positions_solve_to_zero_and_kept_ones_solve_least_squares() {
+        let (h, _) = spd_from_rect(30, 8, 9);
+        let (b, _) = with_dependent(&h, &[(1, 4), (6, 7)]);
+        let gram = b.gram_csr();
+        let f = SparseFactor::factor_dropping(&SymbolicCholesky::analyze(&gram), &gram).unwrap();
+        assert_eq!(f.dropped().len(), 2);
+        let v: Vec<f64> = (0..30).map(|i| ((i * 7) % 5) as f64 - 2.0).collect();
+        let x = f.solve(&b.transpose_matvec(&v).unwrap()).unwrap();
+        for d in f.dropped() {
+            assert_eq!(x[d], 0.0);
+        }
+        // The kept columns are a basis of span(B), so B·x is the
+        // least-squares projection of v: its residual is orthogonal to B.
+        let bx = b.matvec(&x).unwrap();
+        let r: Vec<f64> = v.iter().zip(&bx).map(|(a, b)| a - b).collect();
+        for c in b.transpose_matvec(&r).unwrap() {
+            assert!(c.abs() < 1e-9, "residual not orthogonal: {c}");
+        }
+    }
+
+    #[test]
+    fn plain_factor_still_rejects_the_gram_the_dropping_factor_accepts() {
+        let (h, _) = spd_from_rect(20, 5, 2);
+        let (b, _) = with_dependent(&h, &[(0, 2)]);
+        let gram = b.gram_csr();
+        let sym = SymbolicCholesky::analyze(&gram);
+        let err = SparseFactor::factor(&sym, &gram).unwrap_err();
+        assert!(matches!(err, LinalgError::NotPositiveDefinite { .. }));
+        let f = SparseFactor::factor_dropping(&sym, &gram).unwrap();
+        assert_eq!(f.dropped().len(), 1);
+    }
+
+    #[test]
+    fn dropping_factor_of_a_full_rank_gram_equals_the_plain_one() {
+        let (_, gram) = spd_from_rect(40, 12, 3);
+        let sym = SymbolicCholesky::analyze(&gram);
+        let plain = SparseFactor::factor(&sym, &gram).unwrap();
+        let dropping = SparseFactor::factor_dropping(&sym, &gram).unwrap();
+        assert!(dropping.dropped().is_empty());
+        assert_eq!(plain.values, dropping.values);
     }
 
     #[test]

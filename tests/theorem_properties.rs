@@ -7,20 +7,66 @@
 //! * **Theorem 2 (necessary direction)** — every rank-undetectable
 //!   deviation exhibits a loop in some switch's rule bipartite graph.
 //! * **Theorem 3** — whatever the baseline detects, slicing detects.
+//! * **Span oracle parity** — the sparse [`SpanOracle`] answers every span
+//!   query exactly as the dense rank reference
+//!   [`foces_linalg::in_column_span`] does, on degenerate random matrices
+//!   and on single-switch-masked real systems.
 
 use foces::{
-    audit_deviations, is_detectable, rbg_loop_exists, undetectable_by_rank, Detector, Fcm,
-    SlicedFcm,
+    audit_deviations, is_detectable, rbg_loop_exists, testkit, Detector, Fcm, SlicedFcm, SpanOracle,
 };
 use foces_controlplane::{provision, uniform_flows, RuleGranularity};
 use foces_dataplane::{
     inject_random_anomaly, pair_header, Action, AnomalyKind, DataPlane, LossModel, RuleRef,
 };
-use foces_net::generators::{bcube, dcell, fattree};
+use foces_linalg::{in_column_span, DenseMatrix, DEFAULT_TOL};
+use foces_net::generators::{bcube, dcell, fattree, ring};
 use foces_net::Node;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+/// The 0/1 column of a rule history over `fcm`'s rows.
+fn history_column(fcm: &Fcm, history: &[RuleRef]) -> Vec<f64> {
+    let mut col = vec![0.0; fcm.rule_count()];
+    for r in history {
+        col[fcm.rule_row(*r).expect("history within the FCM")] = 1.0;
+    }
+    col
+}
+
+/// A random 0/1 matrix built to make the oracle drop pivots. Rows fall
+/// into a few random blocks and most columns are unions of blocks, so two
+/// disjoint unions sum to a third; the rest are duplicates of earlier
+/// columns, zero columns, or unstructured random columns.
+fn degenerate_matrix(rows: usize, cols: usize, rng: &mut StdRng) -> DenseMatrix {
+    let blocks = rng.gen_range(2..rows.min(5) + 1);
+    let block_of: Vec<usize> = (0..rows).map(|_| rng.gen_range(0..blocks)).collect();
+    let mut m = DenseMatrix::zeros(rows, cols);
+    for j in 0..cols {
+        match rng.gen_range(0..6) {
+            0 if j > 0 => {
+                let src = rng.gen_range(0..j);
+                for i in 0..rows {
+                    m.set(i, j, m.get(i, src));
+                }
+            }
+            1 => {} // zero column
+            2 => {
+                for i in 0..rows {
+                    m.set(i, j, f64::from(u8::from(rng.gen_bool(0.4))));
+                }
+            }
+            _ => {
+                let picked: Vec<bool> = (0..blocks).map(|_| rng.gen_bool(0.5)).collect();
+                for (i, &b) in block_of.iter().enumerate() {
+                    m.set(i, j, f64::from(u8::from(picked[b])));
+                }
+            }
+        }
+    }
+    m
+}
 
 /// Traces a concrete header through the **live** data plane, returning the
 /// matched rules and whether the walk ended at the intended host without
@@ -143,6 +189,82 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The sparse oracle agrees with the dense rank test on random 0/1
+    /// matrices full of duplicate, zero and dependent columns, for the
+    /// matrix's own columns, sums and differences of them, and random
+    /// vectors.
+    #[test]
+    fn span_oracle_matches_dense_reference_on_degenerate_matrices(
+        rows in 3usize..12,
+        cols in 1usize..12,
+        seed in 0u64..10_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let h = degenerate_matrix(rows, cols, &mut rng);
+        let oracle = SpanOracle::new(&testkit::fcm_from_dense(&h));
+        let mut queries: Vec<Vec<f64>> = (0..cols).map(|j| h.col(j).to_vec()).collect();
+        for _ in 0..6 {
+            let (a, b) = (rng.gen_range(0..cols), rng.gen_range(0..cols));
+            queries.push(h.col(a).iter().zip(h.col(b)).map(|(x, y)| 2.0 * x - y).collect());
+            queries.push((0..rows).map(|_| f64::from(u8::from(rng.gen_bool(0.5)))).collect());
+        }
+        for v in &queries {
+            prop_assert_eq!(
+                oracle.contains(v),
+                in_column_span(&h, v, DEFAULT_TOL),
+                "query {:?} against {:?}",
+                v,
+                h
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(9))]
+
+    /// The sparse oracle agrees with the dense rank test on the systems the
+    /// degraded pipeline builds: one switch's rows masked out of a
+    /// per-destination FatTree(4), BCube(1,4) or ring, queried with the
+    /// audit's projected deviation columns and a random 0/1 vector.
+    #[test]
+    fn span_oracle_matches_dense_reference_on_masked_systems(
+        topo_idx in 0usize..3,
+        switch_seed in 0usize..1000,
+        seed in 0u64..1000,
+    ) {
+        let topo = match topo_idx {
+            0 => fattree(4),
+            1 => bcube(1, 4),
+            _ => ring(6),
+        };
+        let flows = uniform_flows(&topo, 1000.0);
+        let dep = provision(topo, &flows, RuleGranularity::PerDestination).unwrap();
+        let fcm = Fcm::from_view(&dep.view);
+        let victim = fcm.rules()[switch_seed % fcm.rule_count()].switch;
+        let observed: Vec<bool> = fcm.rules().iter().map(|r| r.switch != victim).collect();
+        let masked = fcm.mask_rows(&observed);
+        let oracle = SpanOracle::new(masked.fcm());
+        let dense = masked.fcm().dense();
+        let audit = audit_deviations(&dep.view, &fcm, 40);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut queries: Vec<Vec<f64>> = audit
+            .detectable
+            .iter()
+            .chain(&audit.undetectable)
+            .filter(|_| rng.gen_bool(0.25))
+            .map(|c| masked.project(&history_column(&fcm, &c.deviated_history)))
+            .collect();
+        queries.push((0..dense.rows()).map(|_| f64::from(u8::from(rng.gen_bool(0.1)))).collect());
+        for v in &queries {
+            prop_assert_eq!(oracle.contains(v), in_column_span(&dense, v, DEFAULT_TOL));
+        }
+    }
+}
+
 #[test]
 fn theorem2_undetectable_implies_rbg_loop_on_paper_topologies() {
     // Exhaustively audit single-hop deviations (capped) on the evaluation
@@ -153,8 +275,11 @@ fn theorem2_undetectable_implies_rbg_loop_on_paper_topologies() {
         let dep = provision(topo, &flows, RuleGranularity::PerDestination).unwrap();
         let fcm = Fcm::from_view(&dep.view);
         let audit = audit_deviations(&dep.view, &fcm, 400);
+        let dense = fcm.dense();
         for c in &audit.undetectable {
-            assert!(undetectable_by_rank(&fcm, &c.deviated_history).unwrap());
+            // The dense rank reference, not the oracle the audit used.
+            let col = history_column(&fcm, &c.deviated_history);
+            assert!(in_column_span(&dense, &col, DEFAULT_TOL));
             assert!(
                 rbg_loop_exists(&fcm, &c.deviated_history),
                 "undetectable deviation without an RBG loop: {c:?}"
