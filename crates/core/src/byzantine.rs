@@ -40,12 +40,16 @@
 //! forwarding anomaly leaves honest upstream/downstream rows inconsistent,
 //! so removal does not clear the alarm — that distinction is what the
 //! runtime reports as an *unresolved Byzantine alarm*.
+//!
+//! [`LiarLifecycle`] strings the three parts together, with counter
+//! quarantine and re-probe release, once for every detection driver.
 
-use crate::{Detector, Fcm, FocesError};
+use crate::{AlarmState, Detector, Fcm, FocesError, Verdict};
 use foces_dataplane::RuleRef;
 use foces_linalg::{CsrMatrix, FactorCache, LinalgError};
 use foces_net::SwitchId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 
 /// Tuning for [`SuspicionTracker`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -632,6 +636,301 @@ pub fn k_resilient_verdict(
     })
 }
 
+/// Byzantine-resilience tunables: suspicion scoring, leave-one-switch-out
+/// liar localization, counter quarantine, and k-resilient verdict probes.
+/// Off by default — a driver then behaves exactly as it always has.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ByzantineConfig {
+    /// Master switch for the whole layer.
+    pub enabled: bool,
+    /// Suspicion accumulation tuning (decay, implication threshold).
+    pub suspicion: SuspicionConfig,
+    /// How many of the most-suspicious switches each leave-one-out pass
+    /// cross-validates.
+    pub max_candidates: usize,
+    /// Quarantine depth of the k-resilience probe run on alarm-raise
+    /// epochs (0 disables the probe).
+    pub resilience_k: usize,
+    /// Quiet scored epochs before a quarantined switch is re-probed for
+    /// release (its counters are re-admitted only if the system stays
+    /// consistent with them).
+    pub reprobe_after: u32,
+}
+
+impl Default for ByzantineConfig {
+    fn default() -> Self {
+        ByzantineConfig {
+            enabled: false,
+            suspicion: SuspicionConfig::default(),
+            max_candidates: 4,
+            resilience_k: 2,
+            reprobe_after: 4,
+        }
+    }
+}
+
+/// What one detection round hands [`LiarLifecycle::after_verdict`].
+#[derive(Debug, Clone, Copy)]
+pub struct LiarRound<'a> {
+    /// The detector that produced the verdict.
+    pub detector: &'a Detector,
+    /// The solved system: the full FCM, or one shard's sub-FCM.
+    pub fcm: &'a Fcm,
+    /// Counters in `fcm` row order.
+    pub counters: &'a [f64],
+    /// The round's observed mask, with quarantined rows withheld.
+    pub observed: &'a [bool],
+    /// The observed mask before [`LiarLifecycle::withhold`].
+    pub collected: &'a [bool],
+    /// The rules whose residuals the verdict carries, in solve order;
+    /// empty when the round is not scorable.
+    pub scored: &'a [RuleRef],
+    /// The round's verdict (`None` on a blind round).
+    pub verdict: Option<&'a Verdict>,
+    /// The alarm state after this round was observed.
+    pub alarm: AlarmState,
+    /// This round raised the alarm.
+    pub raised: bool,
+    /// This round cleared the alarm.
+    pub cleared: bool,
+    /// The switches this round may nominate or re-probe (`None`: all).
+    pub scope: Option<&'a BTreeSet<SwitchId>>,
+}
+
+/// Per-round increments of the Byzantine counters every driver's metrics
+/// carry under the same names.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LiarCounts {
+    /// Rounds that fed the suspicion tracker (0 or 1).
+    pub suspicion_rounds: u64,
+    /// Leave-one-out candidate evaluations.
+    pub loo_solves: u64,
+    /// Rank-one factor downdates those evaluations spent.
+    pub loo_downdates: u64,
+    /// Liars localized (0 or 1).
+    pub liars_localized: u64,
+    /// Switches put under quarantine (0 or 1).
+    pub switch_quarantines: u64,
+    /// Quarantines lifted by a clean re-probe (0 or 1).
+    pub quarantine_releases: u64,
+    /// Entries into the unresolved-Byzantine state (0 or 1).
+    pub unresolved_byzantine: u64,
+    /// k-resilience probes run (0 or 1).
+    pub resilience_probes: u64,
+    /// Probes whose verdict flipped (0 or 1).
+    pub resilience_flips: u64,
+}
+
+/// What [`LiarLifecycle::after_verdict`] decided this round.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LiarOutcome {
+    /// The liar leave-one-out localized (quarantined from the next round).
+    pub localized: Option<SwitchId>,
+    /// The switch a clean re-probe released from quarantine.
+    pub released: Option<SwitchId>,
+    /// The k-resilience probe (alarm-raise rounds only).
+    pub resilience: Option<ResilienceReport>,
+    /// Counter increments for the driver's metrics.
+    pub counts: LiarCounts,
+}
+
+/// The liar lifecycle: suspicion → leave-one-out → k-resilience →
+/// quarantine and re-probe. Each round a driver calls
+/// [`LiarLifecycle::withhold`] before solving, then
+/// [`LiarLifecycle::after_verdict`]. Re-probes rotate through the
+/// quarantined set in ascending order, so a switch that keeps lying cannot
+/// starve the release of one that has confessed.
+#[derive(Debug, Clone, Default)]
+pub struct LiarLifecycle {
+    config: ByzantineConfig,
+    suspicion: SuspicionTracker,
+    /// Switches whose counters are withheld from every solve.
+    quarantined: BTreeSet<SwitchId>,
+    /// Consecutive quiet scored rounds since the last re-probe attempt.
+    quiet_streak: u32,
+    /// Alarm is up but leave-one-out could not pin a single liar.
+    unresolved: bool,
+    /// The switch the most recent re-probe tried.
+    last_probed: Option<SwitchId>,
+}
+
+impl LiarLifecycle {
+    /// A lifecycle with nobody suspected or quarantined.
+    pub fn new(config: ByzantineConfig) -> Self {
+        LiarLifecycle {
+            config,
+            suspicion: SuspicionTracker::new(config.suspicion),
+            ..LiarLifecycle::default()
+        }
+    }
+
+    /// Whether the Byzantine layer is on ([`ByzantineConfig::enabled`]).
+    pub fn enabled(&self) -> bool {
+        self.config.enabled
+    }
+
+    /// The residual-attribution scores (empty while the layer is off).
+    pub fn suspicion(&self) -> &SuspicionTracker {
+        &self.suspicion
+    }
+
+    /// Switches currently under counter quarantine, ascending.
+    pub fn quarantined(&self) -> &BTreeSet<SwitchId> {
+        &self.quarantined
+    }
+
+    /// Whether the alarm is up with no single switch explaining it.
+    pub fn unresolved(&self) -> bool {
+        self.unresolved
+    }
+
+    /// Clears the observed bit of every row a quarantined switch owns, which
+    /// routes the round through the sound row-masked path.
+    pub fn withhold(&self, rules: &[RuleRef], observed: &mut [bool]) {
+        if !self.config.enabled || self.quarantined.is_empty() {
+            return;
+        }
+        for (o, r) in observed.iter_mut().zip(rules) {
+            if self.quarantined.contains(&r.switch) {
+                *o = false;
+            }
+        }
+    }
+
+    /// Runs the lifecycle on one round's verdict.
+    ///
+    /// # Errors
+    ///
+    /// Propagates solver failures from leave-one-out, the k-resilience
+    /// probe and the re-probe solve.
+    pub fn after_verdict(&mut self, round: &LiarRound<'_>) -> Result<LiarOutcome, FocesError> {
+        let mut out = LiarOutcome::default();
+        let anomalous = round.verdict.is_some_and(|v| v.anomalous);
+        let scorable = !round.scored.is_empty();
+        if let (true, Some(v)) = (scorable, round.verdict) {
+            if round.scored.len() == v.solve.residual.len() {
+                self.suspicion
+                    .observe(round.scored, &v.solve.residual, v.anomalous);
+                out.counts.suspicion_rounds = 1;
+            }
+        }
+        // While the alarm is up, cross-validate the top suspects by leaving
+        // each one's equations out (factor downdates, no cold
+        // refactorization). Exactly one consistent removal = the liar.
+        if scorable && anomalous && round.alarm == AlarmState::Alarmed {
+            let candidates = self.ranked_in(round.scope, self.config.max_candidates);
+            if !candidates.is_empty() {
+                let threshold = round.detector.threshold();
+                let report = if round.observed.iter().all(|&o| o) {
+                    cross_validate(round.fcm, round.counters, threshold, &candidates)?
+                } else {
+                    let masked = round.fcm.mask_rows(round.observed);
+                    let sub = masked.project(round.counters);
+                    cross_validate(masked.fcm(), &sub, threshold, &candidates)?
+                };
+                out.counts.loo_solves = report.outcomes.len() as u64;
+                out.counts.loo_downdates = report.downdates as u64;
+                if let Some(liar) = report.localized {
+                    out.localized = Some(liar);
+                    self.quarantined.insert(liar);
+                    self.suspicion.clear(liar);
+                    out.counts.liars_localized = 1;
+                    out.counts.switch_quarantines = 1;
+                    self.unresolved = false;
+                } else if report.base_anomalous {
+                    // No single removal explains the conflict: a real
+                    // forwarding anomaly (possibly covered for), not a pure
+                    // counter-fake.
+                    out.counts.unresolved_byzantine = u64::from(!self.unresolved);
+                    self.unresolved = true;
+                }
+            }
+        }
+        // On the raise round, probe whether the verdict survives silencing
+        // the top suspects (k-resilience).
+        if scorable && round.raised && self.config.resilience_k > 0 {
+            let ranked = self.ranked_in(round.scope, usize::MAX);
+            if !ranked.is_empty() {
+                let report = k_resilient_verdict(
+                    round.detector,
+                    round.fcm,
+                    round.counters,
+                    round.observed,
+                    &ranked,
+                    self.config.resilience_k,
+                )?;
+                out.counts.resilience_probes = 1;
+                out.counts.resilience_flips = u64::from(report.flips_at.is_some());
+                out.resilience = Some(report);
+            }
+        }
+        // Liveness: after a quiet streak, tentatively re-admit one
+        // quarantined switch's rows and release it if the system stays
+        // consistent (e.g. the switch confessed / was repaired).
+        if !self.quarantined.is_empty() && round.verdict.is_some() {
+            self.quiet_streak = if anomalous { 0 } else { self.quiet_streak + 1 };
+            if self.quiet_streak >= self.config.reprobe_after {
+                if let Some(candidate) = self.next_probe(round.scope) {
+                    self.quiet_streak = 0;
+                    self.last_probed = Some(candidate);
+                    if self.reprobe(round, candidate)? {
+                        self.quarantined.remove(&candidate);
+                        self.suspicion.clear(candidate);
+                        out.counts.quarantine_releases = 1;
+                        out.released = Some(candidate);
+                    }
+                }
+            }
+        }
+        if round.cleared {
+            self.unresolved = false;
+        }
+        Ok(out)
+    }
+
+    /// Up to `limit` suspects in `scope`, most suspicious first.
+    fn ranked_in(&self, scope: Option<&BTreeSet<SwitchId>>, limit: usize) -> Vec<SwitchId> {
+        let ranked = self.suspicion.ranked().into_iter().map(|(s, _)| s);
+        ranked.filter(|s| in_scope(scope, s)).take(limit).collect()
+    }
+
+    /// The next quarantined switch in `scope` after the one probed last,
+    /// wrapping around to the lowest id.
+    fn next_probe(&self, scope: Option<&BTreeSet<SwitchId>>) -> Option<SwitchId> {
+        let after = self.last_probed.map_or(Bound::Unbounded, Bound::Excluded);
+        self.quarantined
+            .range((after, Bound::Unbounded))
+            .chain(&self.quarantined)
+            .copied()
+            .find(|s| in_scope(scope, s))
+    }
+
+    /// Whether the system stays consistent with `candidate`'s rows
+    /// re-admitted as they were collected.
+    fn reprobe(&self, round: &LiarRound<'_>, candidate: SwitchId) -> Result<bool, FocesError> {
+        let probe: Vec<bool> = round
+            .fcm
+            .rules()
+            .iter()
+            .zip(round.observed.iter().zip(round.collected))
+            .map(|(r, (&o, &c))| if r.switch == candidate { c } else { o })
+            .collect();
+        match round
+            .detector
+            .detect_masked(&round.fcm.mask_rows(&probe), round.counters)
+        {
+            Ok(v) => Ok(!v.anomalous),
+            Err(FocesError::EmptyFcm) => Ok(false),
+            Err(e) => Err(e),
+        }
+    }
+}
+
+/// Whether `s` is in `scope` (`None` admits every switch).
+fn in_scope(scope: Option<&BTreeSet<SwitchId>>, s: &SwitchId) -> bool {
+    scope.is_none_or(|sc| sc.contains(s))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -769,5 +1068,223 @@ mod tests {
         assert_eq!(out.rows_removed, 0);
         assert_eq!(out.status, LooStatus::StillAnomalous);
         assert_eq!(solver.downdates(), 0);
+    }
+
+    /// Twelve rules on six switches (two rows each) carrying three flows,
+    /// each flow counted on four switches: row `i` is rule `i % 2` of
+    /// switch `i / 2`.
+    fn two_row_switches() -> Fcm {
+        let h = foces_linalg::DenseMatrix::from_rows(&[
+            &[1., 0., 0.],
+            &[0., 0., 1.],
+            &[1., 0., 0.],
+            &[0., 1., 0.],
+            &[1., 0., 0.],
+            &[0., 1., 0.],
+            &[1., 0., 0.],
+            &[0., 0., 1.],
+            &[0., 1., 0.],
+            &[0., 0., 1.],
+            &[0., 1., 0.],
+            &[0., 0., 1.],
+        ])
+        .unwrap();
+        let one_per_row = crate::testkit::fcm_from_dense(&h);
+        let rekey = |r: &RuleRef| RuleRef {
+            switch: SwitchId(r.switch.0 / 2),
+            index: r.switch.0 % 2,
+        };
+        let rules = one_per_row.rules().iter().map(rekey).collect();
+        let flows = one_per_row
+            .flows()
+            .iter()
+            .map(|f| foces_atpg::LogicalFlow {
+                rules: f.rules.iter().map(rekey).collect(),
+                path: f.rules.iter().map(|r| rekey(r).switch).collect(),
+                ..f.clone()
+            })
+            .collect();
+        Fcm::from_parts(rules, flows)
+    }
+
+    /// Honest counters for [`two_row_switches`], and the same with switch
+    /// 3 over-reporting its first rule.
+    fn two_row_counters(fcm: &Fcm) -> (Vec<f64>, Vec<f64>) {
+        let honest = fcm.expected_counters(&[100.0, 200.0, 300.0]);
+        let mut forged = honest.clone();
+        forged[6] += 500.0;
+        (honest, forged)
+    }
+
+    fn enabled() -> LiarLifecycle {
+        LiarLifecycle::new(ByzantineConfig {
+            enabled: true,
+            ..ByzantineConfig::default()
+        })
+    }
+
+    /// Feeds `lc` one full round of `counters` with the alarm up (raised
+    /// this round when `raised`).
+    fn alarmed_round(
+        lc: &mut LiarLifecycle,
+        fcm: &Fcm,
+        counters: &[f64],
+        raised: bool,
+        scope: Option<&BTreeSet<SwitchId>>,
+    ) -> LiarOutcome {
+        let detector = Detector::default();
+        let verdict = detector.detect(fcm, counters).unwrap();
+        let observed = vec![true; fcm.rule_count()];
+        lc.after_verdict(&LiarRound {
+            detector: &detector,
+            fcm,
+            counters,
+            observed: &observed,
+            collected: &observed,
+            scored: fcm.rules(),
+            verdict: Some(&verdict),
+            alarm: AlarmState::Alarmed,
+            raised,
+            cleared: false,
+            scope,
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn withhold_clears_exactly_the_quarantined_rows() {
+        let fcm = two_row_switches();
+        let mut lc = enabled();
+        lc.quarantined.insert(SwitchId(3));
+        let mut observed = vec![true; fcm.rule_count()];
+        observed[0] = false;
+        lc.withhold(fcm.rules(), &mut observed);
+        let cleared: Vec<usize> = (0..observed.len()).filter(|&i| !observed[i]).collect();
+        assert_eq!(cleared, vec![0, 6, 7], "row 0 was already unobserved");
+        // A disabled layer withholds nothing, whatever it holds.
+        let mut off = LiarLifecycle::default();
+        off.quarantined.insert(SwitchId(3));
+        let mut all = vec![true; fcm.rule_count()];
+        off.withhold(fcm.rules(), &mut all);
+        assert!(all.iter().all(|&o| o));
+    }
+
+    #[test]
+    fn the_lifecycle_localizes_and_quarantines_the_liar() {
+        let fcm = two_row_switches();
+        let (_, forged) = two_row_counters(&fcm);
+        let mut lc = enabled();
+        let out = alarmed_round(&mut lc, &fcm, &forged, true, None);
+        assert_eq!(out.localized, Some(SwitchId(3)));
+        assert_eq!(out.counts.liars_localized, 1);
+        assert_eq!(out.counts.suspicion_rounds, 1);
+        assert!(out.counts.loo_solves > 0);
+        assert_eq!(out.counts.resilience_probes, 1, "raise round probes");
+        assert_eq!(
+            lc.quarantined().iter().copied().collect::<Vec<_>>(),
+            [SwitchId(3)]
+        );
+        assert!(!lc.unresolved());
+    }
+
+    #[test]
+    fn out_of_scope_suspects_are_never_candidates() {
+        let fcm = two_row_switches();
+        let (_, forged) = two_row_counters(&fcm);
+        // The liar's shard neighbours: every switch but s3.
+        let scope: BTreeSet<SwitchId> = [0, 1, 2, 4, 5].into_iter().map(SwitchId).collect();
+        let mut lc = enabled();
+        let out = alarmed_round(&mut lc, &fcm, &forged, true, Some(&scope));
+        let in_scope = lc
+            .suspicion()
+            .ranked()
+            .iter()
+            .filter(|(s, _)| scope.contains(s))
+            .count();
+        assert_eq!(out.counts.loo_solves, in_scope.min(4) as u64);
+        assert_eq!(out.localized, None, "s3 was never cross-validated");
+        assert!(lc.unresolved(), "no in-scope removal explains the lie");
+        let resilience = out.resilience.expect("in-scope suspects exist");
+        assert!(resilience.survives, "s3 was never silenced");
+        let observed = vec![true; fcm.rule_count()];
+        let silenced = [SwitchId(3)];
+        let s3 = k_resilient_verdict(&Detector::default(), &fcm, &forged, &observed, &silenced, 1);
+        assert_eq!(s3.unwrap().flips_at, Some(1), "silencing s3 would flip it");
+        // A scope with no suspect in it runs neither pass.
+        let nobody: BTreeSet<SwitchId> = [SwitchId(99)].into_iter().collect();
+        let out = alarmed_round(&mut lc, &fcm, &forged, true, Some(&nobody));
+        assert_eq!(out.counts.loo_solves, 0);
+        assert_eq!(out.resilience, None);
+    }
+
+    #[test]
+    fn out_of_scope_quarantine_is_never_reprobed_and_keeps_the_streak() {
+        let fcm = two_row_switches();
+        let (honest, _) = two_row_counters(&fcm);
+        let mut lc = enabled();
+        lc.quarantined.insert(SwitchId(3));
+        let elsewhere: BTreeSet<SwitchId> = [SwitchId(0)].into_iter().collect();
+        let reprobe_after = lc.config.reprobe_after;
+        for _ in 0..reprobe_after + 2 {
+            let out = alarmed_round(&mut lc, &fcm, &honest, false, Some(&elsewhere));
+            assert_eq!(out.released, None);
+        }
+        assert_eq!(lc.quiet_streak, reprobe_after + 2, "no probe, no reset");
+        assert_eq!(lc.last_probed, None);
+        // In scope, the clean switch is re-probed and released at once.
+        let out = alarmed_round(&mut lc, &fcm, &honest, false, None);
+        assert_eq!(out.released, Some(SwitchId(3)));
+        assert_eq!(out.counts.quarantine_releases, 1);
+        assert_eq!(lc.quiet_streak, 0);
+        assert!(lc.quarantined().is_empty());
+    }
+
+    #[test]
+    fn reprobes_rotate_through_the_quarantined_set() {
+        let fcm = two_row_switches();
+        let (_, forged) = two_row_counters(&fcm);
+        let mut lc = enabled();
+        // s1 is honest, s3 keeps lying; s5 is honest too.
+        lc.quarantined
+            .extend([SwitchId(1), SwitchId(3), SwitchId(5)]);
+        lc.last_probed = Some(SwitchId(1));
+        assert_eq!(lc.next_probe(None), Some(SwitchId(3)));
+        let only_low: BTreeSet<SwitchId> = [SwitchId(1)].into_iter().collect();
+        assert_eq!(lc.next_probe(Some(&only_low)), Some(SwitchId(1)), "wraps");
+        lc.last_probed = Some(SwitchId(5));
+        assert_eq!(lc.next_probe(None), Some(SwitchId(1)), "wraps");
+        // Withheld, s3's lie is invisible; probing it fails, and the next
+        // period moves on to s5 instead of retrying s3.
+        lc.last_probed = Some(SwitchId(1));
+        let reprobe_after = lc.config.reprobe_after;
+        let mut observed = vec![true; fcm.rule_count()];
+        lc.withhold(fcm.rules(), &mut observed);
+        let detector = Detector::default();
+        let masked = fcm.mask_rows(&observed);
+        let verdict = detector.detect_masked(&masked, &forged).unwrap();
+        assert!(!verdict.anomalous);
+        let scored: Vec<RuleRef> = masked.fcm().rules().to_vec();
+        let collected = vec![true; fcm.rule_count()];
+        let mut released = Vec::new();
+        for _ in 0..2 * reprobe_after {
+            let out = lc
+                .after_verdict(&LiarRound {
+                    detector: &detector,
+                    fcm: &fcm,
+                    counters: &forged,
+                    observed: &observed,
+                    collected: &collected,
+                    scored: &scored,
+                    verdict: Some(&verdict),
+                    alarm: AlarmState::Normal,
+                    raised: false,
+                    cleared: false,
+                    scope: None,
+                })
+                .unwrap();
+            released.extend(out.released);
+        }
+        assert_eq!(released, [SwitchId(5)]);
+        assert!(lc.quarantined().contains(&SwitchId(3)));
     }
 }

@@ -36,9 +36,9 @@ use crate::event::{EventQueue, SimTime};
 use crate::link::{IngestChannel, LinkSpec};
 use crate::metrics::IngestMetrics;
 use foces::{
-    analyze_cluster_coverage, cross_validate, k_resilient_verdict, AlarmState, BackendKind,
-    CoverageConfig, CoverageReport, Detector, Fcm, FocesError, IncrementalSolver, RankBudget,
-    ShardUnionVerdict, ShardedFcm, SuspicionTracker,
+    analyze_cluster_coverage, AlarmState, BackendKind, CoverageConfig, CoverageReport, Detector,
+    Fcm, FocesError, IncrementalSolver, LiarLifecycle, LiarRound, RankBudget, ShardUnionVerdict,
+    ShardedFcm, SuspicionTracker,
 };
 use foces_channel::{
     plan_collusion, ChannelError, CollusionInputs, ControllerMsg, Delivery, FakeStrategy,
@@ -292,14 +292,8 @@ pub struct StreamDriver {
     fired: Vec<bool>,
     last_verdict: HashMap<usize, bool>,
     first_inject_at: Option<f64>,
-    /// Residual-attribution scores per switch (Byzantine layer).
-    suspicion: SuspicionTracker,
-    /// Switches whose reports are excluded from every shard solve.
-    quarantined: BTreeSet<SwitchId>,
-    /// Consecutive non-anomalous scored rounds (drives re-probe liveness).
-    quiet_rounds: u32,
-    /// Alarm up but no single switch's removal explains the conflict.
-    byz_unresolved: bool,
+    /// Byzantine layer: suspicion, leave-one-out, quarantine, re-probe.
+    lifecycle: LiarLifecycle,
     /// Byzantine suspicion high-water mark from the previous scored round
     /// (drives the cadence suspicion trigger).
     last_suspicion: f64,
@@ -372,7 +366,7 @@ impl StreamDriver {
         let inject_rng = StdRng::seed_from_u64(config.anomaly_seed);
         let churn_rng = StdRng::seed_from_u64(config.churn_seed);
         let fired = vec![false; sharded.shard_count()];
-        let suspicion = SuspicionTracker::new(config.byzantine.suspicion);
+        let lifecycle = LiarLifecycle::new(config.byzantine);
         let liar_rng = StdRng::seed_from_u64(config.liar_seed);
         // Pre-flight: score detectability and localization coverage of the
         // plane this stream is about to watch, before any counters arrive.
@@ -412,12 +406,9 @@ impl StreamDriver {
             fired,
             last_verdict: HashMap::new(),
             first_inject_at: None,
-            suspicion,
+            lifecycle,
             last_suspicion: 0.0,
             coverage,
-            quarantined: BTreeSet::new(),
-            quiet_rounds: 0,
-            byz_unresolved: false,
             liar_rng,
             liars: Vec::new(),
             forging: Vec::new(),
@@ -459,7 +450,7 @@ impl StreamDriver {
 
     /// The Byzantine suspicion tracker (empty while the layer is off).
     pub fn suspicion(&self) -> &SuspicionTracker {
-        &self.suspicion
+        self.lifecycle.suspicion()
     }
 
     /// The latest pre-flight coverage analysis (`None` only for an empty
@@ -470,14 +461,14 @@ impl StreamDriver {
 
     /// Switches currently under counter quarantine, ascending.
     pub fn quarantined_switches(&self) -> Vec<SwitchId> {
-        self.quarantined.iter().copied().collect()
+        self.lifecycle.quarantined().iter().copied().collect()
     }
 
     /// Whether the stream is in the unresolved-Byzantine state: the alarm
     /// is up but leave-one-out found no single switch whose removal makes
     /// the system consistent. The CLI exits 2 when a run ends here.
     pub fn byzantine_unresolved(&self) -> bool {
-        self.byz_unresolved
+        self.lifecycle.unresolved()
     }
 
     /// The switches currently lying (empty when everyone is honest).
@@ -691,19 +682,11 @@ impl StreamDriver {
         // also carries closure rows on neighbouring regions' switches; any
         // of those not sampled yet are masked out (a sound projection),
         // never solved as fabricated zeros.
-        let byz = self.config.byzantine;
         let mut sub_observed: Vec<bool> =
             view.parent_rows.iter().map(|&i| self.observed[i]).collect();
-        // Quarantined switches' reports are withheld from every solve:
-        // clearing their observed bits routes the round through the
-        // row-masked path, sound on the remaining equations.
-        if byz.enabled && !self.quarantined.is_empty() {
-            for (i, r) in view.sub_fcm.rules().iter().enumerate() {
-                if self.quarantined.contains(&r.switch) {
-                    sub_observed[i] = false;
-                }
-            }
-        }
+        // Quarantined switches' reports are withheld from every solve.
+        self.lifecycle
+            .withhold(view.sub_fcm.rules(), &mut sub_observed);
         let complete = sub_observed.iter().all(|&o| o);
         self.metrics.shard_rounds += 1;
         let (kind, verdict, scored_rules) = if churn || !complete {
@@ -783,126 +766,25 @@ impl StreamDriver {
         }
         // -- Byzantine resilience (opt-in), on the shard's sub-system ----
         let mut localized: Option<SwitchId> = None;
-        if byz.enabled {
-            let scorable = !scored_rules.is_empty();
-            if scorable {
-                if let Some(v) = &verdict {
-                    if scored_rules.len() == v.solve.residual.len() {
-                        self.suspicion
-                            .observe(&scored_rules, &v.solve.residual, anomalous);
-                        self.metrics.suspicion_rounds += 1;
-                    }
-                }
-            }
+        if self.lifecycle.enabled() {
+            let collected: Vec<bool> = view.parent_rows.iter().map(|&i| self.observed[i]).collect();
             let in_shard: BTreeSet<SwitchId> =
                 view.sub_fcm.rules().iter().map(|r| r.switch).collect();
-            // While the alarm is up, cross-validate the top suspects with
-            // rows in this shard by leaving each one's equations out
-            // (factor downdates, no cold refactorization). Exactly one
-            // consistent removal = the liar.
-            if scorable && anomalous && self.alarm.state() == AlarmState::Alarmed {
-                let candidates: Vec<SwitchId> = self
-                    .suspicion
-                    .ranked()
-                    .into_iter()
-                    .filter(|(s, _)| in_shard.contains(s))
-                    .take(byz.max_candidates)
-                    .map(|(s, _)| s)
-                    .collect();
-                if !candidates.is_empty() {
-                    let threshold = self.detector.threshold();
-                    let report = if sub_observed.iter().all(|&o| o) {
-                        cross_validate(view.sub_fcm, &sub_counters, threshold, &candidates)?
-                    } else {
-                        let masked = view.sub_fcm.mask_rows(&sub_observed);
-                        let sub = masked.project(&sub_counters);
-                        cross_validate(masked.fcm(), &sub, threshold, &candidates)?
-                    };
-                    self.metrics.loo_solves += report.outcomes.len() as u64;
-                    self.metrics.loo_downdates += report.downdates as u64;
-                    if let Some(liar) = report.localized {
-                        localized = Some(liar);
-                        self.quarantined.insert(liar);
-                        self.suspicion.clear(liar);
-                        self.metrics.liars_localized += 1;
-                        self.metrics.switch_quarantines += 1;
-                        self.byz_unresolved = false;
-                    } else if report.base_anomalous {
-                        // No single removal explains the conflict: a real
-                        // forwarding anomaly (possibly covered for), not a
-                        // pure counter-fake.
-                        if !self.byz_unresolved {
-                            self.metrics.unresolved_byzantine += 1;
-                        }
-                        self.byz_unresolved = true;
-                    }
-                }
-            }
-            // On the raise round, probe whether the verdict survives
-            // silencing the top suspects (k-resilience).
-            if scorable && transition.is_some_and(|t| t.raised) && byz.resilience_k > 0 {
-                let ranked: Vec<SwitchId> = self
-                    .suspicion
-                    .ranked()
-                    .into_iter()
-                    .filter(|(s, _)| in_shard.contains(s))
-                    .map(|(s, _)| s)
-                    .collect();
-                if !ranked.is_empty() {
-                    let rep = k_resilient_verdict(
-                        &self.detector,
-                        view.sub_fcm,
-                        &sub_counters,
-                        &sub_observed,
-                        &ranked,
-                        byz.resilience_k,
-                    )?;
-                    self.metrics.resilience_probes += 1;
-                    if rep.flips_at.is_some() {
-                        self.metrics.resilience_flips += 1;
-                    }
-                }
-            }
-            // Liveness: after a quiet streak, tentatively re-admit one
-            // quarantined switch's rows (in a shard that carries them) and
-            // release it if the system stays consistent.
-            if !self.quarantined.is_empty() && verdict.is_some() {
-                if anomalous {
-                    self.quiet_rounds = 0;
-                } else {
-                    self.quiet_rounds += 1;
-                }
-                if self.quiet_rounds >= byz.reprobe_after {
-                    let candidate = self
-                        .quarantined
-                        .iter()
-                        .copied()
-                        .find(|s| in_shard.contains(s));
-                    if let Some(candidate) = candidate {
-                        self.quiet_rounds = 0;
-                        let mut probe_obs = sub_observed.clone();
-                        for (i, r) in view.sub_fcm.rules().iter().enumerate() {
-                            if r.switch == candidate {
-                                probe_obs[i] = self.observed[view.parent_rows[i]];
-                            }
-                        }
-                        let masked = view.sub_fcm.mask_rows(&probe_obs);
-                        match self.detector.detect_masked(&masked, &sub_counters) {
-                            Ok(v) if !v.anomalous => {
-                                self.quarantined.remove(&candidate);
-                                self.suspicion.clear(candidate);
-                                self.metrics.quarantine_releases += 1;
-                            }
-                            Ok(_) => {} // still lying: stay quarantined
-                            Err(FocesError::EmptyFcm) => {}
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
-            }
-            if transition.is_some_and(|t| t.cleared) {
-                self.byz_unresolved = false;
-            }
+            let out = self.lifecycle.after_verdict(&LiarRound {
+                detector: &self.detector,
+                fcm: view.sub_fcm,
+                counters: &sub_counters,
+                observed: &sub_observed,
+                collected: &collected,
+                scored: &scored_rules,
+                verdict: verdict.as_ref(),
+                alarm: self.alarm.state(),
+                raised: transition.is_some_and(|t| t.raised),
+                cleared: transition.is_some_and(|t| t.cleared),
+                scope: Some(&in_shard),
+            })?;
+            self.metrics.add_liar_counts(&out.counts);
+            localized = out.localized;
         }
         // Cadence: trouble anywhere in the shard tightens every member;
         // a clean quiet round lets them all drift toward the ceiling.
@@ -911,7 +793,7 @@ impl StreamDriver {
         // and halves the timers below the floor, so even a fixed cadence
         // accumulates its hysteresis quorum at a tightened poll rate
         // instead of paying one full interval per quorum round.
-        let s_max = self.suspicion.max_score();
+        let s_max = self.lifecycle.suspicion().max_score();
         let suspicious = (anomalous && self.alarm.state() != AlarmState::Normal)
             || s_max > self.last_suspicion + 1e-9;
         self.last_suspicion = s_max;
@@ -943,10 +825,10 @@ impl StreamDriver {
             json_str(state),
             transition.is_some_and(|t| t.raised),
             transition.is_some_and(|t| t.cleared),
-            json_f64(self.suspicion.max_score()),
-            self.quarantined.len(),
+            json_f64(s_max),
+            self.lifecycle.quarantined().len(),
             localized.map_or_else(|| "null".to_string(), |s| s.0.to_string()),
-            self.byz_unresolved,
+            self.lifecycle.unresolved(),
         );
         self.log.record(line);
         Ok(())
@@ -1377,56 +1259,6 @@ mod tests {
             r.verdict_parity(),
             "post-revert verdicts match ground truth"
         );
-    }
-
-    #[test]
-    fn stream_liar_is_localized_quarantined_then_released() {
-        let topo = foces_net::generators::fattree(4);
-        let flows = uniform_flows(&topo, 240_000.0);
-        let dep = provision(topo, &flows, RuleGranularity::PerFlowPair).unwrap();
-        let script = vec![
-            (
-                40.0,
-                StreamAction::Compromise {
-                    liars: 1,
-                    strategy: foces_channel::FakeStrategy::Naive,
-                    magnitude: 1.0,
-                },
-            ),
-            (260.0, StreamAction::Confess),
-        ];
-        let mut cfg = quiet_config();
-        cfg.duration_ms = 500.0;
-        cfg.byzantine.enabled = true;
-        let mut d = StreamDriver::new(dep, cfg, script);
-        let r = d.run().unwrap();
-        assert_eq!(r.metrics.liars_localized, 1, "{:?}", r.metrics);
-        assert_eq!(
-            r.metrics.switch_quarantines, 1,
-            "no honest switch quarantined"
-        );
-        assert!(r.metrics.loo_solves > 0);
-        assert!(
-            r.metrics.loo_downdates > 0,
-            "leave-one-out went through downdates"
-        );
-        assert_eq!(
-            r.metrics.quarantine_releases, 1,
-            "the confessed switch is re-admitted"
-        );
-        assert_eq!(
-            r.metrics.unresolved_byzantine, 0,
-            "a pure fabrication localizes"
-        );
-        assert!(d.quarantined_switches().is_empty());
-        assert!(!d.byzantine_unresolved());
-        assert_eq!(r.alarm_state, AlarmState::Normal);
-        let localized = d
-            .log()
-            .lines()
-            .iter()
-            .any(|l| l.contains("\"localized\":") && !l.contains("\"localized\":null"));
-        assert!(localized, "the JSONL must name the localized liar");
     }
 
     #[test]

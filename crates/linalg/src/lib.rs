@@ -15,7 +15,8 @@
 //! * [`CsrMatrix`]: compressed sparse row storage, because real FCMs are
 //!   extremely sparse (one nonzero per hop of each flow path);
 //! * [`cgls`]: an iterative conjugate-gradient least-squares solver that
-//!   scales to the large FatTree(8) instances of the paper's Fig. 12;
+//!   scales to the large FatTree(8) instances of the paper's Fig. 12, and
+//!   [`pcgls`], the same loop on the [`Jacobi`] column-scaled system;
 //! * [`rank`]: a tolerance-based rank computation backing the detectability
 //!   oracle (Theorem 1 of the paper: an anomaly is undetectable iff the
 //!   deviated flow column lies in the span of the original columns).
@@ -50,6 +51,7 @@ mod cholesky;
 mod dense;
 mod error;
 mod factor;
+mod iterative;
 mod lstsq;
 mod qr;
 mod rank;
@@ -59,15 +61,13 @@ pub use cholesky::Cholesky;
 pub use dense::DenseMatrix;
 pub use error::LinalgError;
 pub use factor::FactorCache;
+pub use iterative::{cgls, pcgls, CglsOutcome, Jacobi};
 pub use lstsq::{lstsq, lstsq_sparse, LstsqMethod, LstsqSolution};
 pub use qr::Qr;
 pub use rank::{in_column_span, rank};
-pub use sparse::{CglsOutcome, CsrMatrix, Triplet};
+pub use sparse::{CsrMatrix, Triplet};
 
 /// Numeric tolerance used throughout the crate when deciding whether a pivot
 /// or singular value is "zero". Chosen relative to `f64` machine epsilon and
 /// the integer-valued matrices FOCES produces.
 pub const DEFAULT_TOL: f64 = 1e-9;
-
-/// The conjugate-gradient least-squares solver, re-exported at crate root.
-pub use sparse::cgls;

@@ -18,7 +18,7 @@ pub struct Triplet {
 /// nonzero per rule on its path, so a FatTree(8) FCM with ~12 K flows and
 /// tens of thousands of rules has well under 0.1 % density. CSR storage makes
 /// `A x` and `Aᵀ y` linear in the nonzero count, which is what the iterative
-/// [`cgls`] solver and the sliced detector need to scale (paper Fig. 12).
+/// [`cgls`](crate::cgls) solver and the sliced detector need to scale (paper Fig. 12).
 ///
 /// # Example
 ///
@@ -432,101 +432,6 @@ impl fmt::Debug for CsrMatrix {
     }
 }
 
-/// Result of a [`cgls`] run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CglsOutcome {
-    /// The least-squares solution estimate.
-    pub x: Vec<f64>,
-    /// Iterations actually performed.
-    pub iterations: usize,
-    /// Final normal-equation residual norm `‖Aᵀ(b - Ax)‖`.
-    pub residual_norm: f64,
-}
-
-/// Conjugate-gradient least squares: iteratively solves `min ‖A x - b‖₂`.
-///
-/// CGLS applies conjugate gradients to the normal equations without ever
-/// forming `AᵀA`, so each iteration costs two sparse mat-vecs. On FOCES
-/// matrices (integer entries, well-clustered spectra) it converges in far
-/// fewer iterations than the column count, which is what makes the
-/// "12 K flows" end of the paper's Fig. 12 tractable without slicing.
-///
-/// # Errors
-///
-/// * [`LinalgError::DimensionMismatch`] if `b.len() != a.rows()`.
-/// * [`LinalgError::DidNotConverge`] if the normal-equation residual has not
-///   dropped below `tol * ‖Aᵀb‖` within `max_iter` iterations.
-pub fn cgls(
-    a: &CsrMatrix,
-    b: &[f64],
-    tol: f64,
-    max_iter: usize,
-) -> Result<CglsOutcome, LinalgError> {
-    if b.len() != a.rows() {
-        return Err(LinalgError::DimensionMismatch(format!(
-            "cgls: matrix is {}x{} but rhs has length {}",
-            a.rows(),
-            a.cols(),
-            b.len()
-        )));
-    }
-    let n = a.cols();
-    let mut x = vec![0.0; n];
-    // r = b - A x = b initially.
-    let mut r = b.to_vec();
-    // s = Aᵀ r.
-    let mut s = a.transpose_matvec(&r)?;
-    let mut p = s.clone();
-    let mut gamma: f64 = s.iter().map(|v| v * v).sum();
-    let target = tol * gamma.sqrt().max(f64::MIN_POSITIVE);
-
-    for iter in 0..max_iter {
-        if gamma.sqrt() <= target {
-            return Ok(CglsOutcome {
-                x,
-                iterations: iter,
-                residual_norm: gamma.sqrt(),
-            });
-        }
-        let q = a.matvec(&p)?;
-        let qq: f64 = q.iter().map(|v| v * v).sum();
-        if qq == 0.0 {
-            // p is in the null space; nothing more to gain.
-            return Ok(CglsOutcome {
-                x,
-                iterations: iter,
-                residual_norm: gamma.sqrt(),
-            });
-        }
-        let alpha = gamma / qq;
-        for (xi, pi) in x.iter_mut().zip(&p) {
-            *xi += alpha * pi;
-        }
-        for (ri, qi) in r.iter_mut().zip(&q) {
-            *ri -= alpha * qi;
-        }
-        s = a.transpose_matvec(&r)?;
-        let gamma_new: f64 = s.iter().map(|v| v * v).sum();
-        let beta = gamma_new / gamma;
-        for (pi, si) in p.iter_mut().zip(&s) {
-            *pi = si + beta * *pi;
-        }
-        gamma = gamma_new;
-    }
-    if gamma.sqrt() <= target {
-        Ok(CglsOutcome {
-            x,
-            iterations: max_iter,
-            residual_norm: gamma.sqrt(),
-        })
-    } else {
-        Err(LinalgError::DidNotConverge {
-            iterations: max_iter,
-            residual: gamma.sqrt(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -739,51 +644,6 @@ mod tests {
     #[should_panic(expected = "selected twice")]
     fn select_columns_rejects_duplicates() {
         sample().select_columns(&[0, 0]);
-    }
-
-    #[test]
-    fn cgls_solves_consistent_system() {
-        let m = sample();
-        let x_true = [1.5, -2.0];
-        let b = m.matvec(&x_true).unwrap();
-        let out = cgls(&m, &b, 1e-12, 100).unwrap();
-        for (xi, ti) in out.x.iter().zip(&x_true) {
-            assert!((xi - ti).abs() < 1e-8, "{xi} vs {ti}");
-        }
-    }
-
-    #[test]
-    fn cgls_matches_qr_on_inconsistent_system() {
-        // The paper's Eq. (6)-(7) worked example.
-        let d = DenseMatrix::from_rows(&[
-            &[1., 0., 0.],
-            &[1., 0., 0.],
-            &[1., 1., 0.],
-            &[0., 0., 0.],
-            &[0., 0., 1.],
-            &[1., 1., 1.],
-        ])
-        .unwrap();
-        let y = [3., 3., 4., 3., 8., 12.];
-        let sparse = CsrMatrix::from_dense(&d);
-        let out = cgls(&sparse, &y, 1e-12, 1000).unwrap();
-        assert!((out.x[0] - 3.0).abs() < 1e-6);
-        assert!((out.x[1] - 1.0).abs() < 1e-6);
-        assert!((out.x[2] - 8.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cgls_rejects_bad_rhs() {
-        let m = sample();
-        assert!(cgls(&m, &[1.0; 2], 1e-9, 10).is_err());
-    }
-
-    #[test]
-    fn cgls_zero_rhs_returns_zero_immediately() {
-        let m = sample();
-        let out = cgls(&m, &[0.0; 3], 1e-9, 10).unwrap();
-        assert_eq!(out.x, vec![0.0, 0.0]);
-        assert_eq!(out.iterations, 0);
     }
 
     #[test]

@@ -55,11 +55,13 @@ pub mod service;
 pub mod transport;
 
 pub use degraded::{DegradedPipeline, DetectionMode};
+// The Byzantine-layer tunables live with the liar lifecycle in core.
+pub use foces::ByzantineConfig;
 pub use harness::{FaultScenario, ScenarioDriver};
 pub use hysteresis::{AlarmMachine, AlarmTransition, HysteresisConfig};
 pub use metrics::{peak_rss_bytes, scrub_gauges, EventLog, RuntimeMetrics};
 pub use parallel::detect_parallel;
 pub use pool::{run_tasks, PoolConfig, PoolStats, TaskOutcome, TaskRun};
 pub use scheduler::{EpochCollection, EpochScheduler, PollPolicy, SwitchPoll};
-pub use service::{ByzantineConfig, EpochReport, RuntimeConfig, RuntimeError, RuntimeService};
+pub use service::{EpochReport, RuntimeConfig, RuntimeError, RuntimeService};
 pub use transport::{FaultProfile, SimTransport};

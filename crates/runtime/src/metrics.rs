@@ -119,6 +119,19 @@ pub struct RuntimeMetrics {
 }
 
 impl RuntimeMetrics {
+    /// Adds one round's Byzantine-lifecycle increments.
+    pub fn add_liar_counts(&mut self, c: &foces::LiarCounts) {
+        self.suspicion_rounds += c.suspicion_rounds;
+        self.loo_solves += c.loo_solves;
+        self.loo_downdates += c.loo_downdates;
+        self.liars_localized += c.liars_localized;
+        self.switch_quarantines += c.switch_quarantines;
+        self.quarantine_releases += c.quarantine_releases;
+        self.unresolved_byzantine += c.unresolved_byzantine;
+        self.resilience_probes += c.resilience_probes;
+        self.resilience_flips += c.resilience_flips;
+    }
+
     /// One-line JSON rendering of every counter.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{");

@@ -15,17 +15,16 @@ use crate::parallel::detect_parallel;
 use crate::scheduler::{EpochScheduler, PollPolicy};
 use crate::transport::SimTransport;
 use foces::{
-    analyze_coverage, cross_validate, k_resilient_verdict, localize, AlarmState, BackendKind,
-    ColdReason, CoverageConfig, CoverageReport, Detector, Fcm, FcmDelta, FocesError,
-    ResilienceReport, SlicedFcm, SlicedVerdict, SolvePath, SuspicionConfig, SuspicionTracker,
-    SwitchSuspicion, Verdict, DEFAULT_THRESHOLD,
+    analyze_coverage, localize, AlarmState, BackendKind, ByzantineConfig, ColdReason,
+    CoverageConfig, CoverageReport, Detector, Fcm, FcmDelta, FocesError, LiarLifecycle,
+    LiarOutcome, LiarRound, ResilienceReport, SlicedFcm, SlicedVerdict, SolvePath,
+    SuspicionTracker, SwitchSuspicion, Verdict, DEFAULT_THRESHOLD,
 };
 use foces_channel::{ChannelError, SwitchAgent, Transport};
 use foces_controlplane::ControllerView;
 use foces_dataplane::{DataPlane, RuleRef};
 use foces_net::SwitchId;
 use foces_verify::{verify_fcm, verify_with, VerifyOptions, VerifyReport};
-use std::collections::BTreeSet;
 use std::fmt;
 use std::time::Instant;
 
@@ -60,39 +59,6 @@ impl From<ChannelError> for RuntimeError {
 impl From<FocesError> for RuntimeError {
     fn from(e: FocesError) -> Self {
         RuntimeError::Detection(e)
-    }
-}
-
-/// Byzantine-resilience tunables: suspicion scoring, leave-one-switch-out
-/// liar localization, counter quarantine, and k-resilient verdict probes.
-/// Off by default — the service then behaves exactly as it always has.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ByzantineConfig {
-    /// Master switch for the whole layer.
-    pub enabled: bool,
-    /// Suspicion accumulation tuning (decay, implication threshold).
-    pub suspicion: SuspicionConfig,
-    /// How many of the most-suspicious switches each leave-one-out pass
-    /// cross-validates.
-    pub max_candidates: usize,
-    /// Quarantine depth of the k-resilience probe run on alarm-raise
-    /// epochs (0 disables the probe).
-    pub resilience_k: usize,
-    /// Quiet scored epochs before a quarantined switch is re-probed for
-    /// release (its counters are re-admitted only if the system stays
-    /// consistent with them).
-    pub reprobe_after: u32,
-}
-
-impl Default for ByzantineConfig {
-    fn default() -> Self {
-        ByzantineConfig {
-            enabled: false,
-            suspicion: SuspicionConfig::default(),
-            max_candidates: 4,
-            resilience_k: 2,
-            reprobe_after: 4,
-        }
     }
 }
 
@@ -255,16 +221,8 @@ pub struct RuntimeService {
     /// statically-broken region must surface as a `static_violations`
     /// report, not as a forwarding-anomaly alarm.
     static_touched: Vec<RuleRef>,
-    /// Residual-attribution scores per switch (Byzantine layer).
-    suspicion: SuspicionTracker,
-    /// Switches whose counters are excluded from detection: their rows are
-    /// cleared from the observed mask before every solve, which routes the
-    /// round through the sound row-masked (degraded) path.
-    quarantined: BTreeSet<SwitchId>,
-    /// Consecutive quiet scored epochs (drives quarantine re-probing).
-    quiet_streak: u32,
-    /// Alarm is up but leave-one-out could not pin a single liar.
-    byz_unresolved: bool,
+    /// Byzantine layer: suspicion, leave-one-out, quarantine, re-probe.
+    lifecycle: LiarLifecycle,
     /// The most recent coverage analysis: the pre-flight pass at
     /// construction, refreshed after every FCM rebuild. `None` only when
     /// the FCM was empty or degenerate beyond analysis.
@@ -352,10 +310,7 @@ impl RuntimeService {
             epoch: 0,
             verification,
             static_touched,
-            suspicion: SuspicionTracker::new(config.byzantine.suspicion),
-            quarantined: BTreeSet::new(),
-            quiet_streak: 0,
-            byz_unresolved: false,
+            lifecycle: LiarLifecycle::new(config.byzantine),
             coverage,
         }
     }
@@ -431,12 +386,12 @@ impl RuntimeService {
 
     /// The Byzantine suspicion tracker (empty while the layer is off).
     pub fn suspicion(&self) -> &SuspicionTracker {
-        &self.suspicion
+        self.lifecycle.suspicion()
     }
 
     /// Switches currently under counter quarantine, ascending.
     pub fn quarantined_switches(&self) -> Vec<SwitchId> {
-        self.quarantined.iter().copied().collect()
+        self.lifecycle.quarantined().iter().copied().collect()
     }
 
     /// Whether the service is in the unresolved-Byzantine state: the alarm
@@ -444,7 +399,7 @@ impl RuntimeService {
     /// inconsistency to any single switch. The `foces` CLI exits with
     /// status 2 when a run ends in this state.
     pub fn byzantine_unresolved(&self) -> bool {
-        self.byz_unresolved
+        self.lifecycle.unresolved()
     }
 
     /// Swaps in a new agent for its switch (compromise or restore a switch
@@ -491,19 +446,10 @@ impl RuntimeService {
         // -- Assemble the counter vector in FCM row order ---------------
         let t1 = Instant::now();
         let (counters, collected_observed) = collection.assemble(self.pipeline.fcm().rules());
-        // Quarantined switches' reports are withheld from detection: their
-        // observed bits are cleared, which routes the round through the
-        // row-masked (degraded) path — provably sound on the remaining
-        // equations, merely narrower.
-        let byz = self.config.byzantine;
+        // Quarantined switches' reports are withheld from detection.
         let mut observed = collected_observed.clone();
-        if byz.enabled && !self.quarantined.is_empty() {
-            for (i, r) in self.pipeline.fcm().rules().iter().enumerate() {
-                if self.quarantined.contains(&r.switch) {
-                    observed[i] = false;
-                }
-            }
-        }
+        self.lifecycle
+            .withhold(self.pipeline.fcm().rules(), &mut observed);
         self.metrics.build_secs += t1.elapsed().as_secs_f64();
 
         // -- Two-phase read: did this epoch witness a rule update? -------
@@ -576,139 +522,31 @@ impl RuntimeService {
         };
 
         // -- Byzantine resilience (opt-in) -------------------------------
-        let mut localized_liar: Option<SwitchId> = None;
-        let mut quarantine_released: Option<SwitchId> = None;
-        let mut resilience: Option<ResilienceReport> = None;
-        if byz.enabled {
-            // Residuals from full and row-masked rounds attribute cleanly
-            // to switches; reconciled rounds mix generations and blind
-            // rounds have nothing, so neither feeds suspicion.
+        let byz = if self.lifecycle.enabled() {
+            // Residuals from full and row-masked rounds attribute cleanly to
+            // switches (row-masking preserves order); reconciled rounds mix
+            // generations and blind rounds have nothing, so neither is scored.
             let scorable = matches!(mode, DetectionMode::Full | DetectionMode::Degraded { .. });
-            if scorable {
-                if let Some(v) = &verdict {
-                    // Row-masking preserves order, so the solved rows are
-                    // exactly the observed rules in FCM order.
-                    let scored: Vec<RuleRef> = self
-                        .pipeline
-                        .fcm()
-                        .rules()
-                        .iter()
-                        .zip(&observed)
-                        .filter(|(_, &o)| o)
-                        .map(|(r, _)| *r)
-                        .collect();
-                    if scored.len() == v.solve.residual.len() {
-                        self.suspicion
-                            .observe(&scored, &v.solve.residual, v.anomalous);
-                        self.metrics.suspicion_rounds += 1;
-                    }
-                }
-            }
-            // While the alarm is up, cross-validate the top suspects by
-            // leaving each one's equations out (factor downdates, no cold
-            // refactorization). Exactly one consistent removal = the liar.
-            if scorable && anomalous && self.alarm.state() == AlarmState::Alarmed {
-                let candidates: Vec<SwitchId> = self
-                    .suspicion
-                    .ranked()
-                    .into_iter()
-                    .take(byz.max_candidates)
-                    .map(|(s, _)| s)
-                    .collect();
-                if !candidates.is_empty() {
-                    let report = if observed.iter().all(|&o| o) {
-                        cross_validate(
-                            self.pipeline.fcm(),
-                            &counters,
-                            self.config.threshold,
-                            &candidates,
-                        )?
-                    } else {
-                        let masked = self.pipeline.fcm().mask_rows(&observed);
-                        let sub = masked.project(&counters);
-                        cross_validate(masked.fcm(), &sub, self.config.threshold, &candidates)?
-                    };
-                    self.metrics.loo_solves += report.outcomes.len() as u64;
-                    self.metrics.loo_downdates += report.downdates as u64;
-                    if let Some(liar) = report.localized {
-                        localized_liar = Some(liar);
-                        self.quarantined.insert(liar);
-                        self.suspicion.clear(liar);
-                        self.metrics.liars_localized += 1;
-                        self.metrics.switch_quarantines += 1;
-                        self.byz_unresolved = false;
-                    } else if report.base_anomalous {
-                        // No single removal explains the conflict: a real
-                        // forwarding anomaly (possibly covered for), not a
-                        // pure counter-fake.
-                        if !self.byz_unresolved {
-                            self.metrics.unresolved_byzantine += 1;
-                        }
-                        self.byz_unresolved = true;
-                    }
-                }
-            }
-            // On the raise epoch, probe whether the verdict survives
-            // silencing the top suspects (k-resilience).
-            if scorable && alarm_raised && byz.resilience_k > 0 {
-                let ranked: Vec<SwitchId> = self
-                    .suspicion
-                    .ranked()
-                    .into_iter()
-                    .map(|(s, _)| s)
-                    .collect();
-                if !ranked.is_empty() {
-                    let rep = k_resilient_verdict(
-                        self.pipeline.detector(),
-                        self.pipeline.fcm(),
-                        &counters,
-                        &observed,
-                        &ranked,
-                        byz.resilience_k,
-                    )?;
-                    self.metrics.resilience_probes += 1;
-                    if rep.flips_at.is_some() {
-                        self.metrics.resilience_flips += 1;
-                    }
-                    resilience = Some(rep);
-                }
-            }
-            // Liveness: after a quiet streak, tentatively re-admit one
-            // quarantined switch's counters and release it if the system
-            // stays consistent (e.g. the switch confessed / was repaired).
-            if !self.quarantined.is_empty() && !mode.is_blind() {
-                if anomalous {
-                    self.quiet_streak = 0;
-                } else {
-                    self.quiet_streak += 1;
-                }
-                if self.quiet_streak >= byz.reprobe_after {
-                    self.quiet_streak = 0;
-                    let candidate = *self.quarantined.iter().next().expect("non-empty");
-                    let mut probe_obs = observed.clone();
-                    for (i, r) in self.pipeline.fcm().rules().iter().enumerate() {
-                        if r.switch == candidate {
-                            probe_obs[i] = collected_observed[i];
-                        }
-                    }
-                    let masked = self.pipeline.fcm().mask_rows(&probe_obs);
-                    match self.pipeline.detector().detect_masked(&masked, &counters) {
-                        Ok(v) if !v.anomalous => {
-                            self.quarantined.remove(&candidate);
-                            self.suspicion.clear(candidate);
-                            self.metrics.quarantine_releases += 1;
-                            quarantine_released = Some(candidate);
-                        }
-                        Ok(_) => {} // still lying: stay quarantined
-                        Err(FocesError::EmptyFcm) => {}
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-            }
-            if alarm_cleared {
-                self.byz_unresolved = false;
-            }
-        }
+            let kept = self.pipeline.fcm().rules().iter().zip(&observed);
+            let scored: Vec<RuleRef> = kept.filter(|p| scorable && *p.1).map(|p| *p.0).collect();
+            let out = self.lifecycle.after_verdict(&LiarRound {
+                detector: self.pipeline.detector(),
+                fcm: self.pipeline.fcm(),
+                counters: &counters,
+                observed: &observed,
+                collected: &collected_observed,
+                scored: &scored,
+                verdict: verdict.as_ref(),
+                alarm: self.alarm.state(),
+                raised: alarm_raised,
+                cleared: alarm_cleared,
+                scope: None,
+            })?;
+            self.metrics.add_liar_counts(&out.counts);
+            out
+        } else {
+            LiarOutcome::default()
+        };
 
         // -- Account + log -----------------------------------------------
         match &mode {
@@ -774,10 +612,11 @@ impl RuntimeService {
         let solve_path_json = solve_path
             .map(|p| json_str(&p.to_string()))
             .unwrap_or_else(|| "null".to_string());
-        let suspicion_max = self.suspicion.max_score();
-        let implicated = self.suspicion.implicated();
-        let byz_unresolved = self.byz_unresolved;
-        let localized_json = localized_liar
+        let suspicion_max = self.lifecycle.suspicion().max_score();
+        let implicated = self.lifecycle.suspicion().implicated();
+        let byz_unresolved = self.lifecycle.unresolved();
+        let localized_json = byz
+            .localized
             .map(|s| s.0.to_string())
             .unwrap_or_else(|| "null".to_string());
         self.log.record(format!(
@@ -798,7 +637,7 @@ impl RuntimeService {
             self.metrics.peak_rss_bytes,
             json_f64(suspicion_max),
             implicated.len(),
-            self.quarantined.len(),
+            self.lifecycle.quarantined().len(),
             json_str(&self.alarm.state().to_string()),
             json_f64(collection.elapsed_ms),
         ));
@@ -825,10 +664,10 @@ impl RuntimeService {
             static_violations,
             suspicion_max,
             implicated,
-            localized_liar,
-            quarantined_switches: self.quarantined.iter().copied().collect(),
-            quarantine_released,
-            resilience,
+            localized_liar: byz.localized,
+            quarantined_switches: self.quarantined_switches(),
+            quarantine_released: byz.released,
+            resilience: byz.resilience,
             byz_unresolved,
         })
     }

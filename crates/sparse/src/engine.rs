@@ -5,9 +5,8 @@
 
 use crate::kernels::normal_residual;
 use crate::numeric::SparseFactor;
-use crate::pcgls::{pcgls, Jacobi};
 use crate::symbolic::SymbolicCholesky;
-use foces_linalg::{Cholesky, CsrMatrix, LinalgError};
+use foces_linalg::{pcgls, Cholesky, CsrMatrix, Jacobi, LinalgError};
 use std::fmt;
 use std::str::FromStr;
 

@@ -14,8 +14,9 @@
 //!   analysis is reused across epochs while the pattern is stable;
 //! * [`numeric`] — up-looking sparse Cholesky over a reusable symbolic
 //!   analysis, with triangular solves;
-//! * [`pcgls()`] — preconditioned CGLS whose column-norm preconditioner is
-//!   reused across epochs and refreshed on FcmDelta rank growth;
+//! * [`foces_linalg::pcgls`] — preconditioned CGLS, whose column-norm
+//!   preconditioner the engine reuses across epochs and refreshes on
+//!   FcmDelta rank growth;
 //! * [`kernels`] — CSR residual/attribution/absorption kernels so the
 //!   Byzantine and coverage layers stop densifying;
 //! * [`engine`] — the [`SolveBackend`] trait (dense implements it too) and
@@ -29,7 +30,6 @@ pub mod engine;
 pub mod kernels;
 pub mod numeric;
 pub mod ordering;
-pub mod pcgls;
 pub mod symbolic;
 
 pub use engine::{
@@ -41,5 +41,4 @@ pub use kernels::{
 };
 pub use numeric::SparseFactor;
 pub use ordering::{amd_order, invert_permutation};
-pub use pcgls::{pcgls, Jacobi, PcglsOutcome};
 pub use symbolic::SymbolicCholesky;
