@@ -1,7 +1,7 @@
 //! Sequential vs pooled slice solving (the `foces-runtime` thread pool)
 //! on FatTree(8) — the paper's largest scaling topology (Fig. 12). Each
 //! measurement solves every per-switch slice of one detection round; the
-//! pooled variants distribute slices over scoped worker threads and must
+//! pooled variants run the slices on the work-stealing pool and must
 //! return verdicts bit-identical to the sequential path (asserted once
 //! before timing).
 

@@ -1,16 +1,18 @@
 //! Stage-by-stage costs of the FOCES pipeline (architecture Fig. 6):
 //! provisioning (controller), ATPG logical-flow tracing (FCM Generator),
-//! FCM assembly, slicing, one traffic replay (Statistics Collector stand-in)
-//! — plus the header-space primitives everything rests on.
+//! FCM assembly, slicing (per switch and over a 4-region edge cut), one
+//! traffic replay (Statistics Collector stand-in) — plus the header-space
+//! primitives everything rests on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use foces::{Fcm, SlicedFcm};
+use foces::{Fcm, ShardedFcm, SlicedFcm};
 use foces_atpg::trace_flows;
 use foces_bench::deployment;
 use foces_controlplane::RuleGranularity;
 use foces_dataplane::LossModel;
 use foces_headerspace::Wildcard;
 use foces_net::generators::{bcube, fattree, stanford};
+use foces_net::{partition, PartitionSpec};
 use std::hint::black_box;
 
 fn bench_stages(c: &mut Criterion) {
@@ -24,6 +26,7 @@ fn bench_stages(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("provision", name), &topo, |b, t| {
             b.iter(|| deployment(black_box(t.clone()), RuleGranularity::PerFlowPair));
         });
+        let part = partition(&topo, PartitionSpec::EdgeCut { k: 4 });
         let dep = deployment(topo, RuleGranularity::PerFlowPair);
         group.bench_with_input(BenchmarkId::new("atpg_trace", name), &dep.view, |b, v| {
             b.iter(|| trace_flows(black_box(v)));
@@ -34,6 +37,10 @@ fn bench_stages(c: &mut Criterion) {
         let fcm = Fcm::from_view(&dep.view);
         group.bench_with_input(BenchmarkId::new("slice_build", name), &fcm, |b, f| {
             b.iter(|| SlicedFcm::from_fcm(black_box(f)));
+        });
+        // The same constructor over a 4-region edge cut.
+        group.bench_with_input(BenchmarkId::new("shard_build_k4", name), &fcm, |b, f| {
+            b.iter(|| ShardedFcm::from_fcm(black_box(f), &part));
         });
         group.bench_with_input(BenchmarkId::new("replay", name), &dep, |b, d| {
             b.iter(|| {

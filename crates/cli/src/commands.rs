@@ -68,7 +68,9 @@ USAGE:
                  [--liars N --fake-at E [--confess-at E]] [--fake-strategy S]
                  [--fake-magnitude L] [--liar-seed N]
                  fault-tolerant online detection over an unreliable channel;
-                 exits 2 if the run ends with an unresolved (Byzantine) alarm
+                 --workers N sets the slice-solve threads (0 or 1 = inline,
+                 N >= 2 = a pool of min(N, slices) workers); exits 2 if the
+                 run ends with an unresolved (Byzantine) alarm
   foces stream   <scenario> [--duration-ms MS] [--regions K] [--poll-ms MS]
                  [--adaptive [--poll-max-ms MS]] [--link-delay MS] [--bandwidth BPM]
                  [--queue-capacity N] [--slow-region R --slow-ms MS]

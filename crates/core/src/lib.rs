@@ -100,7 +100,7 @@ pub use localize::{localize, localize_differential, SwitchSuspicion};
 pub use monitor::{AlarmState, Monitor, MonitorConfig, MonitorReport};
 pub use rbg::Rbg;
 pub use shard::{ShardUnionVerdict, ShardView, ShardedFcm};
-pub use slicing::{SliceView, SlicedFcm, SlicedVerdict};
+pub use slicing::{SlicedFcm, SlicedVerdict};
 pub use solver::{EquationSystem, SolveOutcome, SolverKind};
 // Backend selection comes from the sparse engine crate; re-exported so
 // downstream crates (runtime, cluster, ingest, cli) need no direct

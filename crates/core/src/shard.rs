@@ -1,18 +1,18 @@
 //! Region-sharded FCMs with explicit boundary flows — the matrix layer of
-//! the cluster subsystem.
+//! the cluster subsystem, and the one constructor of sub-FCMs.
 //!
-//! [`SlicedFcm`](crate::SlicedFcm) cuts the FCM per *switch*; a cluster
-//! deployment cuts it per *region shard* ([`foces_net::Partition`]), so
-//! that one worker can own each region with its own warm factorization.
-//! [`ShardedFcm`] generalizes the paper's §IV-B slicing from a single
-//! switch to a switch set:
+//! A cluster deployment cuts the FCM per *region shard*
+//! ([`foces_net::Partition`]), so that one worker can own each region
+//! with its own warm factorization. [`ShardedFcm`] generalizes the
+//! paper's §IV-B slicing from a single switch to a switch set; the
+//! per-switch partition is the paper's slicing, and
+//! [`SlicedFcm`](crate::SlicedFcm) is exactly that:
 //!
 //! * **Shard rule set** `R(s)` — the rules on the region's switches plus,
 //!   for every traversal, the immediately preceding rule in that flow's
-//!   history (the region-level RBG closure, exactly as
-//!   [`Rbg::slicing_rules`](crate::rbg::Rbg::slicing_rules) does per
-//!   switch). With the trivial per-switch partition this reproduces
-//!   today's slicing *bit for bit*: same rules, same order, same sub-FCMs.
+//!   history (the region-level RBG closure: per switch it is
+//!   [`Rbg::slicing_rules`](crate::rbg::Rbg::slicing_rules), the same
+//!   rules in the same order).
 //! * **Shard flow set** `F(s)` — every flow matching at least one rule of
 //!   `R(s)`, its column restricted to the `R(s)` rows.
 //! * **Boundary flows** — flows whose rule history spans more than one
@@ -34,10 +34,10 @@
 //!
 //! This is the same projection argument the row-mask machinery
 //! ([`crate::Fcm::mask_rows`]) is built on, and it is pinned by the
-//! 256-case property test in `crates/core/tests/shard_props.rs`, which
-//! also checks the union verdict against the global
-//! [`Detector::detect`] and the per-switch mode against
-//! [`SlicedFcm`](crate::SlicedFcm) verbatim.
+//! 256-case property tests in `crates/core/tests/shard_props.rs`, which
+//! check the union verdict against the global [`Detector::detect`], the
+//! per-switch shards against the paper's RBG slices, and edge-cut shards
+//! against a full-scan reference construction.
 
 use crate::{Detector, Fcm, FocesError, Verdict};
 use foces_atpg::LogicalFlow;
@@ -117,97 +117,102 @@ impl fmt::Display for ShardUnionVerdict {
 
 impl ShardedFcm {
     /// Builds one shard per partition region. Regions none of whose rules
-    /// are matched by any flow are skipped (mirroring how
-    /// [`SlicedFcm`](crate::SlicedFcm) skips switches with empty slices);
-    /// the surviving shards keep their original region indices.
+    /// are matched by any flow are skipped; the surviving shards keep their
+    /// original region indices. This is the only construction of sub-FCMs:
+    /// [`SlicedFcm`](crate::SlicedFcm) is this over
+    /// [`Partition::per_switch`].
+    ///
+    /// One pass over the flows lists each region's `(flow, position)`
+    /// occurrences, already in that order; a region then reads its rules
+    /// off its list and its columns off the CSR rows of those rules, so no
+    /// region scans the flows it does not touch.
     pub fn from_fcm(fcm: &Fcm, partition: &Partition) -> Self {
         let flows = fcm.flows();
-        // Region of each flow position, and the per-flow region span for
-        // boundary classification.
-        let region_of = |r: &RuleRef| partition.region_of(r.switch);
+        // Parent row of every history position, flattened: flow `j`'s
+        // positions sit at `offsets[j]..offsets[j + 1]`.
+        let mut offsets = vec![0];
+        let mut history_rows = Vec::with_capacity(fcm.nnz());
+        let mut occurrences = vec![Vec::new(); partition.region_count()];
         let mut is_boundary = vec![false; flows.len()];
         for (j, f) in flows.iter().enumerate() {
-            let mut first: Option<usize> = None;
-            for rule in &f.rules {
-                let reg = region_of(rule);
-                match first {
-                    None => first = Some(reg),
-                    Some(r0) if r0 != reg => {
-                        is_boundary[j] = true;
-                        break;
-                    }
-                    _ => {}
-                }
+            let home = f.rules.first().map(|r| partition.region_of(r.switch));
+            for (pos, rule) in f.rules.iter().enumerate() {
+                history_rows.push(fcm.rule_row(*rule).expect("flow rules come from the FCM"));
+                let region = partition.region_of(rule.switch);
+                occurrences[region].push((j, pos));
+                is_boundary[j] |= Some(region) != home;
             }
+            offsets.push(history_rows.len());
         }
 
+        // Per-region stamps (the region index) mark R(s) rows and F(s)
+        // columns without clearing between regions.
+        let mut row_mark = vec![usize::MAX; fcm.rule_count()];
+        let mut column_mark = vec![usize::MAX; flows.len()];
         let mut shards = Vec::new();
-        for (region, members) in partition.regions().iter().enumerate() {
-            let member_set: HashSet<SwitchId> = members.iter().copied().collect();
-            // R(s): the region's matched rules plus each traversal's
-            // predecessor, in first-appearance order (the multi-switch
-            // generalization of Rbg::slicing_rules).
-            let mut rules: Vec<RuleRef> = Vec::new();
-            let mut rule_set: HashSet<RuleRef> = HashSet::new();
-            let push = |r: RuleRef, rules: &mut Vec<RuleRef>, set: &mut HashSet<RuleRef>| {
-                if set.insert(r) {
-                    rules.push(r);
+        for (region, occurring) in occurrences.iter().enumerate() {
+            // R(s): each traversal's predecessor, then the region's rule,
+            // first appearance kept — the region-level RBG closure of
+            // Rbg::slicing_rules.
+            let mut parent_rows = Vec::new();
+            let mut keep = |row: usize| {
+                if row_mark[row] != region {
+                    row_mark[row] = region;
+                    parent_rows.push(row);
                 }
             };
-            for f in flows {
-                for (pos, rule) in f.rules.iter().enumerate() {
-                    if !member_set.contains(&rule.switch) {
-                        continue;
-                    }
-                    if pos > 0 {
-                        push(f.rules[pos - 1], &mut rules, &mut rule_set);
-                    }
-                    push(*rule, &mut rules, &mut rule_set);
+            for &(j, pos) in occurring {
+                let at = offsets[j] + pos;
+                if pos > 0 {
+                    keep(history_rows[at - 1]);
                 }
+                keep(history_rows[at]);
             }
-            if rules.is_empty() {
+            if parent_rows.is_empty() {
                 continue;
             }
-            // F(s): flows matching at least one rule of R(s), restricted.
+            // F(s): every flow matching a rule of R(s), ascending, its
+            // history restricted to R(s).
             let mut parent_columns = Vec::new();
-            let mut boundary_columns = Vec::new();
-            let mut sub_flows: Vec<LogicalFlow> = Vec::new();
-            for (j, f) in flows.iter().enumerate() {
-                if !f.rules.iter().any(|r| rule_set.contains(r)) {
-                    continue;
+            for &row in &parent_rows {
+                for (j, _) in fcm.sparse().row_iter(row) {
+                    if column_mark[j] != region {
+                        column_mark[j] = region;
+                        parent_columns.push(j);
+                    }
                 }
-                let mut g = f.clone();
-                g.rules.retain(|r| rule_set.contains(r));
-                g.path.retain(|s| g.rules.iter().any(|r| r.switch == *s));
-                parent_columns.push(j);
-                if is_boundary[j] {
-                    boundary_columns.push(j);
-                }
-                sub_flows.push(g);
             }
-            let parent_rows: Vec<usize> = rules
+            parent_columns.sort_unstable();
+            let sub_flows: Vec<LogicalFlow> = parent_columns
                 .iter()
-                .map(|r| fcm.rule_row(*r).expect("shard rules come from the FCM"))
+                .map(|&j| {
+                    let mut g = flows[j].clone();
+                    let mut rows = history_rows[offsets[j]..offsets[j + 1]].iter();
+                    g.rules
+                        .retain(|_| rows.next().is_some_and(|&r| row_mark[r] == region));
+                    g.path.retain(|s| g.rules.iter().any(|r| r.switch == *s));
+                    g
+                })
                 .collect();
+            let boundary_columns = parent_columns
+                .iter()
+                .copied()
+                .filter(|&j| is_boundary[j])
+                .collect();
+            let rules = parent_rows.iter().map(|&i| fcm.rules()[i]).collect();
             shards.push(Shard {
                 region,
-                switches: members.clone(),
+                switches: partition.region(region).to_vec(),
                 parent_rows,
                 parent_columns,
                 boundary_columns,
                 sub_fcm: Fcm::from_parts(rules, sub_flows),
             });
         }
-        let boundary_flows: Vec<usize> = is_boundary
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b)
-            .map(|(j, _)| j)
-            .collect();
         ShardedFcm {
             parent_rule_count: fcm.rule_count(),
             shards,
-            boundary_flows,
+            boundary_flows: (0..flows.len()).filter(|&j| is_boundary[j]).collect(),
         }
     }
 
@@ -396,13 +401,14 @@ impl ShardView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SlicedFcm, DEFAULT_THRESHOLD};
+    use crate::{Rbg, DEFAULT_THRESHOLD};
     use foces_controlplane::{provision, uniform_flows, RuleGranularity};
     use foces_dataplane::{inject_random_anomaly, AnomalyKind, LossModel};
     use foces_net::generators::{bcube, fattree};
     use foces_net::{partition, PartitionSpec};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeSet;
 
     fn setup(
         topo: foces_net::Topology,
@@ -418,39 +424,44 @@ mod tests {
 
     #[test]
     fn per_switch_mode_reproduces_slicing_exactly() {
-        let (fcm, _, sharded, mut dep) = setup(bcube(1, 4), PartitionSpec::PerSwitch);
-        let sliced = SlicedFcm::from_fcm(&fcm);
-        assert_eq!(sharded.shard_count(), sliced.slice_count());
-        // Same sub-FCM shapes in the same order...
-        let shard_dims: Vec<(usize, usize)> = sharded
-            .shard_dims()
-            .into_iter()
-            .map(|(_, r, f)| (r, f))
-            .collect();
-        let slice_dims: Vec<(usize, usize)> = sliced
-            .slice_dims()
-            .into_iter()
-            .map(|(_, r, f)| (r, f))
-            .collect();
-        assert_eq!(shard_dims, slice_dims);
-        // ...and identical verdicts on identical counters, anomaly or not.
-        let mut rng = StdRng::seed_from_u64(3);
-        inject_random_anomaly(
-            &mut dep.dataplane,
-            AnomalyKind::PathDeviation,
-            &mut rng,
-            &[],
-        )
-        .unwrap();
-        dep.replay_traffic(&mut LossModel::none());
-        let counters = dep.dataplane.collect_counters();
-        let detector = Detector::default();
-        let a = sharded.detect(&detector, &counters).unwrap();
-        let b = sliced.detect(&detector, &counters).unwrap();
-        assert_eq!(a.anomalous, b.anomalous);
-        let union_verdicts: Vec<&Verdict> = a.per_shard.iter().map(|(_, v)| v).collect();
-        let slice_verdicts: Vec<&Verdict> = b.per_switch.iter().map(|(_, v)| v).collect();
-        assert_eq!(union_verdicts, slice_verdicts);
+        // Each per-switch shard is the paper's slice: R(S) from the
+        // switch's RBG, in order, and every flow touching R(S), restricted
+        // to it.
+        let (fcm, _, sharded, _) = setup(bcube(1, 4), PartitionSpec::PerSwitch);
+        let histories: Vec<&[RuleRef]> = fcm.flows().iter().map(|f| f.rules.as_slice()).collect();
+        let switches: BTreeSet<SwitchId> = fcm.rules().iter().map(|r| r.switch).collect();
+        let mut views = sharded.shard_views().into_iter();
+        for s in switches {
+            let rules = Rbg::build(s, &histories).slicing_rules();
+            if rules.is_empty() {
+                continue;
+            }
+            let view = views.next().expect("one shard per non-empty slice");
+            assert_eq!(view.switches, [s].as_slice());
+            assert_eq!(view.sub_fcm.rules(), rules.as_slice());
+            let rows: Vec<usize> = rules.iter().map(|r| fcm.rule_row(*r).unwrap()).collect();
+            assert_eq!(view.parent_rows, rows.as_slice());
+            let (columns, restricted): (Vec<usize>, Vec<Vec<RuleRef>>) = fcm
+                .flows()
+                .iter()
+                .enumerate()
+                .filter(|(_, f)| f.rules.iter().any(|r| rules.contains(r)))
+                .map(|(j, f)| {
+                    (
+                        j,
+                        f.rules
+                            .iter()
+                            .copied()
+                            .filter(|r| rules.contains(r))
+                            .collect(),
+                    )
+                })
+                .unzip();
+            assert_eq!(view.parent_columns, columns.as_slice());
+            let sub: Vec<&Vec<RuleRef>> = view.sub_fcm.flows().iter().map(|f| &f.rules).collect();
+            assert_eq!(sub, restricted.iter().collect::<Vec<_>>());
+        }
+        assert!(views.next().is_none(), "no shard without a paper slice");
     }
 
     #[test]

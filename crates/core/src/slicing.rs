@@ -1,26 +1,20 @@
-use crate::rbg::Rbg;
-use crate::{Detector, Fcm, FocesError, Verdict};
-use foces_atpg::LogicalFlow;
-use foces_net::SwitchId;
-use std::collections::BTreeSet;
-use std::fmt;
+//! Per-switch FCM slicing (paper §IV-B, Algorithm 2).
+//!
+//! A slice is the region shard of a one-switch region: [`SlicedFcm`] is a
+//! [`ShardedFcm`] over [`Partition::per_switch`], re-labelled by switch.
+//! The paper's definition of the slice rule set, the switch's RBG
+//! ([`Rbg::slicing_rules`](crate::Rbg::slicing_rules)), is the reference
+//! the shard constructor is tested against.
 
-/// One per-switch slice: the sub-FCM over `R(S)` (the switch's rules plus
-/// their predecessor rules, from the switch's RBG) and `F(S)` (flows
-/// touching any rule of `R(S)`).
-#[derive(Debug, Clone)]
-struct Slice {
-    switch: SwitchId,
-    /// Row indices into the parent FCM (for extracting the sub counter
-    /// vector `Y'(i)`).
-    parent_rows: Vec<usize>,
-    /// The sub-FCM `H(Sᵢ)`.
-    sub_fcm: Fcm,
-}
+use crate::{Detector, Fcm, FocesError, ShardedFcm, Verdict};
+use foces_net::{Partition, SwitchId};
+use std::fmt;
 
 /// The sliced flow-counter matrix of paper §IV-B: one sub-FCM per switch,
 /// enabling Algorithm 2's per-switch detection with `O(n³)`-per-slice cost
-/// instead of one network-sized inversion.
+/// instead of one network-sized inversion. A switch's slice holds `R(S)`
+/// (its rules plus their predecessor rules, from the switch's RBG) and
+/// `F(S)` (the flows touching any rule of `R(S)`).
 ///
 /// By Theorem 3, every anomaly detectable by the whole-network Algorithm 1
 /// remains detectable by slicing; experiments (paper Fig. 10/11) show
@@ -49,8 +43,7 @@ struct Slice {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SlicedFcm {
-    parent_rule_count: usize,
-    slices: Vec<Slice>,
+    sharded: ShardedFcm,
 }
 
 /// Outcome of one sliced detection round (Algorithm 2, evaluated on every
@@ -100,84 +93,48 @@ impl SlicedFcm {
     /// Slices an FCM per switch. Switches whose slice would be empty (no
     /// rule matched by any flow) are skipped.
     pub fn from_fcm(fcm: &Fcm) -> Self {
-        let histories: Vec<&[foces_dataplane::RuleRef]> =
-            fcm.flows().iter().map(|f| f.rules.as_slice()).collect();
-        let switches: BTreeSet<SwitchId> = fcm.rules().iter().map(|r| r.switch).collect();
-        let mut slices = Vec::new();
-        for switch in switches {
-            let rbg = Rbg::build(switch, &histories);
-            let rules = rbg.slicing_rules();
-            if rules.is_empty() {
-                continue;
-            }
-            let rule_set: BTreeSet<foces_dataplane::RuleRef> = rules.iter().copied().collect();
-            // F(S): flows matching at least one rule of R(S); their
-            // histories restricted to R(S) become the sub-FCM columns.
-            let sub_flows: Vec<LogicalFlow> = fcm
-                .flows()
-                .iter()
-                .filter(|f| f.rules.iter().any(|r| rule_set.contains(r)))
-                .map(|f| {
-                    let mut g = f.clone();
-                    g.rules.retain(|r| rule_set.contains(r));
-                    g.path.retain(|s| g.rules.iter().any(|r| r.switch == *s));
-                    g
-                })
-                .collect();
-            let parent_rows: Vec<usize> = rules
-                .iter()
-                .map(|r| fcm.rule_row(*r).expect("slicing rules come from the FCM"))
-                .collect();
-            let sub_fcm = Fcm::from_parts(rules, sub_flows);
-            slices.push(Slice {
-                switch,
-                parent_rows,
-                sub_fcm,
-            });
-        }
+        let switches = fcm
+            .rules()
+            .iter()
+            .map(|r| r.switch.0 + 1)
+            .max()
+            .unwrap_or(0);
         SlicedFcm {
-            parent_rule_count: fcm.rule_count(),
-            slices,
+            sharded: ShardedFcm::from_fcm(fcm, &Partition::per_switch(switches)),
         }
+    }
+
+    /// The slices as region shards, one single-switch region each — the
+    /// unit of work for parallel sliced detection.
+    pub fn sharded(&self) -> &ShardedFcm {
+        &self.sharded
     }
 
     /// Number of slices (switches with at least one matched rule).
     pub fn slice_count(&self) -> usize {
-        self.slices.len()
+        self.sharded.shard_count()
     }
 
-    /// The switches with slices, in ascending order.
+    /// The switches with slices, in ascending order (slice order).
     pub fn switches(&self) -> impl Iterator<Item = SwitchId> + '_ {
-        self.slices.iter().map(|s| s.switch)
+        self.slice_dims().into_iter().map(|(s, _, _)| s)
     }
 
     /// Dimensions `(rules, flows)` of each slice's sub-FCM — the quantity
     /// the paper's complexity analysis is about (sub-FCMs are much smaller
     /// than the global FCM).
     pub fn slice_dims(&self) -> Vec<(SwitchId, usize, usize)> {
-        self.slices
-            .iter()
-            .map(|s| (s.switch, s.sub_fcm.rule_count(), s.sub_fcm.flow_count()))
+        // Region `i` of the per-switch partition is switch `i`.
+        self.sharded
+            .shard_dims()
+            .into_iter()
+            .map(|(region, rules, flows)| (SwitchId(region), rules, flows))
             .collect()
     }
 
     /// The parent FCM's rule count (the expected counter-vector length).
     pub fn parent_rule_count(&self) -> usize {
-        self.parent_rule_count
-    }
-
-    /// Borrowed views of the slices, in slice (ascending switch) order —
-    /// the unit of work for parallel sliced detection: each view carries
-    /// everything needed to solve one slice independently.
-    pub fn slice_views(&self) -> Vec<SliceView<'_>> {
-        self.slices
-            .iter()
-            .map(|s| SliceView {
-                switch: s.switch,
-                parent_rows: &s.parent_rows,
-                sub_fcm: &s.sub_fcm,
-            })
-            .collect()
+        self.sharded.parent_rule_count()
     }
 
     /// Runs Algorithm 2: applies the detector to every slice with its sub
@@ -187,59 +144,21 @@ impl SlicedFcm {
     ///
     /// * [`FocesError::CounterLengthMismatch`] if `counters` does not match
     ///   the parent FCM's rule count;
-    /// * solver errors from any slice.
+    /// * solver errors from any slice, in slice order.
     pub fn detect(
         &self,
         detector: &Detector,
         counters: &[f64],
     ) -> Result<SlicedVerdict, FocesError> {
-        if counters.len() != self.parent_rule_count {
-            return Err(FocesError::CounterLengthMismatch {
-                got: counters.len(),
-                expected: self.parent_rule_count,
-            });
-        }
-        let mut per_switch = Vec::with_capacity(self.slices.len());
-        let mut anomalous = false;
-        for slice in &self.slices {
-            let sub_counters: Vec<f64> = slice.parent_rows.iter().map(|&i| counters[i]).collect();
-            let verdict = detector.detect(&slice.sub_fcm, &sub_counters)?;
-            anomalous |= verdict.anomalous;
-            per_switch.push((slice.switch, verdict));
-        }
+        let union = self.sharded.detect(detector, counters)?;
         Ok(SlicedVerdict {
-            anomalous,
-            per_switch,
+            anomalous: union.anomalous,
+            per_switch: self
+                .switches()
+                .zip(union.per_shard)
+                .map(|(s, (_, v))| (s, v))
+                .collect(),
         })
-    }
-}
-
-/// A borrowed view of one slice (see [`SlicedFcm::slice_views`]).
-#[derive(Debug, Clone, Copy)]
-pub struct SliceView<'a> {
-    /// The switch this slice checks.
-    pub switch: SwitchId,
-    /// Row indices into the parent FCM for the slice's rules.
-    pub parent_rows: &'a [usize],
-    /// The slice's sub-FCM `H(Sᵢ)`.
-    pub sub_fcm: &'a Fcm,
-}
-
-impl SliceView<'_> {
-    /// Extracts this slice's sub counter vector `Y'(i)` from the full
-    /// vector and runs the detector on it.
-    ///
-    /// # Errors
-    ///
-    /// Solver errors from the slice solve.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counters` is shorter than the parent FCM's rule count
-    /// (callers validate once against [`SlicedFcm::parent_rule_count`]).
-    pub fn detect(&self, detector: &Detector, counters: &[f64]) -> Result<Verdict, FocesError> {
-        let sub: Vec<f64> = self.parent_rows.iter().map(|&i| counters[i]).collect();
-        detector.detect(self.sub_fcm, &sub)
     }
 }
 
@@ -252,6 +171,7 @@ mod tests {
     use foces_net::generators::{bcube, fattree};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeSet;
 
     fn setup(topo: foces_net::Topology) -> (Fcm, SlicedFcm, foces_controlplane::Deployment) {
         let flows = uniform_flows(&topo, topo.host_count() as f64 * 15_000.0);
@@ -369,31 +289,6 @@ mod tests {
         let switches_with_rules: BTreeSet<SwitchId> =
             fcm.rules().iter().map(|r| r.switch).collect();
         assert_eq!(sliced.slice_count(), switches_with_rules.len());
-    }
-
-    #[test]
-    fn slice_views_reproduce_detect() {
-        let (fcm, sliced, mut dep) = setup(bcube(1, 4));
-        let mut rng = StdRng::seed_from_u64(9);
-        inject_random_anomaly(
-            &mut dep.dataplane,
-            AnomalyKind::PathDeviation,
-            &mut rng,
-            &[],
-        )
-        .unwrap();
-        dep.replay_traffic(&mut LossModel::none());
-        let counters = dep.dataplane.collect_counters();
-        assert_eq!(sliced.parent_rule_count(), fcm.rule_count());
-        let detector = Detector::default();
-        let whole = sliced.detect(&detector, &counters).unwrap();
-        let views = sliced.slice_views();
-        assert_eq!(views.len(), sliced.slice_count());
-        for (view, (switch, verdict)) in views.iter().zip(&whole.per_switch) {
-            assert_eq!(view.switch, *switch);
-            let v = view.detect(&detector, &counters).unwrap();
-            assert_eq!(v, *verdict);
-        }
     }
 
     #[test]

@@ -12,10 +12,15 @@
 //!   (the paper's Theorem 3 direction — slicing never loses a detection);
 //! * every boundary flow is carried by at least two shards, and each
 //!   holder re-checks it (the columns really are present in both);
-//! * the trivial per-switch partition reproduces [`SlicedFcm`]'s
-//!   verdicts exactly, slice for slice.
+//! * every per-switch shard is the paper's slice of its switch (rules from
+//!   the switch's RBG, in order; every flow touching them, restricted);
+//! * edge-cut shards equal the earlier full-scan construction field for
+//!   field (`support/shard_reference.rs`).
 //!
 //! 256 cases, per the regression battery's acceptance bar.
+
+#[path = "support/shard_reference.rs"]
+mod shard_reference;
 
 use foces::{Detector, Fcm, ShardedFcm, SlicedFcm};
 use foces_controlplane::{provision, uniform_flows, Deployment, RuleGranularity};
@@ -143,9 +148,9 @@ proptest! {
         }
     }
 
-    /// The per-switch partition is the identity refactor: its shard
-    /// verdicts equal [`SlicedFcm`]'s slice verdicts exactly, benign or
-    /// attacked.
+    /// The per-switch partition is the paper's slicing: each shard's rules,
+    /// parent rows and restricted columns come straight from the switch's
+    /// RBG, and [`SlicedFcm`] is that partition, benign or attacked.
     #[test]
     fn per_switch_partition_equals_slicing(case in case_strategy()) {
         let (topo, mut dep) = build(case);
@@ -159,17 +164,18 @@ proptest! {
             );
         }
         let fcm = Fcm::from_view(&dep.view);
-        let part = partition(&topo, PartitionSpec::PerSwitch);
-        let sharded = ShardedFcm::from_fcm(&fcm, &part);
-        let sliced = SlicedFcm::from_fcm(&fcm);
-        let detector = Detector::default();
-        let y = benign_counters(&mut dep);
+        let sharded = ShardedFcm::from_fcm(&fcm, &partition(&topo, PartitionSpec::PerSwitch));
+        shard_reference::assert_slices_follow_the_paper(&fcm, &sharded);
+        shard_reference::assert_slices_follow_the_paper(&fcm, SlicedFcm::from_fcm(&fcm).sharded());
+    }
 
-        let union = sharded.detect(&detector, &y).unwrap();
-        let sliced_verdict = sliced.detect(&detector, &y).unwrap();
-        prop_assert_eq!(union.anomalous, sliced_verdict.anomalous);
-        let shard_verdicts: Vec<_> = union.per_shard.iter().map(|(_, v)| v).collect();
-        let slice_verdicts: Vec<_> = sliced_verdict.per_switch.iter().map(|(_, v)| v).collect();
-        prop_assert_eq!(shard_verdicts, slice_verdicts);
+    /// Edge-cut shards equal the full-scan reference construction in every
+    /// view field.
+    #[test]
+    fn edge_cut_shards_match_the_full_scan_reference(case in case_strategy()) {
+        let (topo, dep) = build(case);
+        let fcm = Fcm::from_view(&dep.view);
+        let part = partition(&topo, PartitionSpec::EdgeCut { k: case.k });
+        shard_reference::assert_matches_full_scan(&fcm, &part, &ShardedFcm::from_fcm(&fcm, &part));
     }
 }

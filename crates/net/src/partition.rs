@@ -61,6 +61,17 @@ pub struct Partition {
 }
 
 impl Partition {
+    /// The per-switch partition of switches `0..n`: switch `i` is region
+    /// `i`. [`partition`] with [`PartitionSpec::PerSwitch`] returns this
+    /// for a topology's switch count; callers holding only an FCM pass one
+    /// past the largest switch id they see.
+    pub fn per_switch(n: usize) -> Partition {
+        Partition {
+            region_of: (0..n).collect(),
+            regions: (0..n).map(|i| vec![SwitchId(i)]).collect(),
+        }
+    }
+
     /// Number of regions. Every region is non-empty.
     pub fn region_count(&self) -> usize {
         self.regions.len()
@@ -145,12 +156,7 @@ pub fn partition(topo: &Topology, spec: PartitionSpec) -> Partition {
         };
     }
     let k = match spec {
-        PartitionSpec::PerSwitch => {
-            return Partition {
-                region_of: (0..n).collect(),
-                regions: (0..n).map(|i| vec![SwitchId(i)]).collect(),
-            };
-        }
+        PartitionSpec::PerSwitch => return Partition::per_switch(n),
         PartitionSpec::EdgeCut { k } => k.clamp(1, n),
     };
     let cap = n.div_ceil(k);

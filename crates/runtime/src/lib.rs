@@ -20,14 +20,14 @@
 //!   detectability oracle on the masked system, labelling every round
 //!   [`DetectionMode::Full`], [`DetectionMode::Degraded`] (with the
 //!   oracle's residual coverage) or [`DetectionMode::Blind`].
-//! * [`parallel`] — [`detect_parallel`] fans the per-switch slice solves
-//!   of a [`foces::SlicedFcm`] across a scoped worker pool
-//!   (`std::thread::scope`, no extra dependencies), with verdicts
+//! * [`parallel`] — [`detect_parallel`] runs the per-switch slice solves
+//!   of a [`foces::SlicedFcm`] as [`pool`] tasks, with verdicts
 //!   *identical* to the sequential path.
 //! * [`pool`] — [`run_tasks`], a std-only work-stealing worker pool
 //!   (bounded per-worker deques with backpressure, FIFO stealing,
-//!   per-task panic containment and deadline accounting) — the execution
-//!   engine under `foces-cluster`'s shard coordinator.
+//!   per-task panic containment and deadline accounting) — the one
+//!   thread executor, under both [`detect_parallel`] and
+//!   `foces-cluster`'s shard coordinator.
 //! * [`metrics`] — [`RuntimeMetrics`] counters plus a JSONL [`EventLog`]
 //!   of per-epoch records.
 //! * [`hysteresis`] — [`AlarmMachine`], k-of-n alarm confirmation with

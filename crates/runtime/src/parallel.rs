@@ -1,75 +1,69 @@
 //! Parallel slice solving.
 //!
-//! The paper's slicing algorithm (§IV-B) exists to make detection scale:
-//! every per-switch slice is an *independent* least-squares problem, which
-//! makes the solve embarrassingly parallel. [`detect_parallel`] fans the
-//! slices of a [`SlicedFcm`] across a scoped worker pool — plain
-//! `std::thread::scope`, a shared atomic work index, no extra
-//! dependencies — and reassembles the verdicts in slice order, so the
-//! result is **identical** (not merely statistically equivalent) to the
-//! sequential [`SlicedFcm::detect`]: the same slices run the same solver
-//! on the same numbers, only on different threads.
+//! Every per-switch slice of the paper's §IV-B is an *independent*
+//! least-squares problem. [`detect_parallel`] runs the slices of a
+//! [`SlicedFcm`] as tasks on the work-stealing [`pool`](crate::pool) that
+//! also runs the cluster's shards, and reassembles the verdicts in slice
+//! order, so the result is **identical** to the sequential
+//! [`SlicedFcm::detect`]: the same slices run the same solver on the same
+//! numbers, only on different threads.
 
-use foces::{Detector, FocesError, SlicedFcm, SlicedVerdict, Verdict};
-use foces_net::SwitchId;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use crate::pool::{run_tasks, PoolConfig, TaskOutcome};
+use foces::{Detector, FocesError, SlicedFcm, SlicedVerdict};
 
 /// Runs sliced detection with up to `workers` threads.
 ///
-/// `workers == 0` or `1` (or a single slice) falls back to the sequential
-/// path. Slices are claimed from a shared atomic index, so threads stay
-/// busy even when slice sizes are skewed; verdicts are written into
-/// per-slice slots and reassembled in slice order, keeping the output
-/// deterministic regardless of scheduling.
+/// `0` and `1` both solve every slice inline on the calling thread, as
+/// does a system with at most one slice; otherwise `min(workers, slices)`
+/// pool workers share the slices. (The pool's own [`PoolConfig::workers`]
+/// reads `0` as "one per task"; this function never passes it `0`.)
 ///
 /// # Errors
 ///
-/// Propagates [`FocesError`] exactly as the sequential path would: the
-/// counter-length check happens up front, and a failing slice solve
-/// surfaces as the error of the first failing slice in slice order.
+/// As the sequential path: the counter-length check comes first, and a
+/// failing slice solve surfaces as the first failing slice's error in
+/// slice order.
+///
+/// # Panics
+///
+/// Re-raises a slice solve's panic on a worker, naming its switch.
 pub fn detect_parallel(
     sliced: &SlicedFcm,
     detector: &Detector,
     counters: &[f64],
     workers: usize,
 ) -> Result<SlicedVerdict, FocesError> {
-    if counters.len() != sliced.parent_rule_count() {
-        // Delegate the error construction to the sequential path so the
-        // two paths are indistinguishable to callers.
+    let slices = sliced.slice_count();
+    if counters.len() != sliced.parent_rule_count() || workers <= 1 || slices <= 1 {
         return sliced.detect(detector, counters);
     }
-    let views = sliced.slice_views();
-    if workers <= 1 || views.len() <= 1 {
-        return sliced.detect(detector, counters);
-    }
-    // Clamp the pool to the number of slices: `workers` usually comes
-    // straight from `available_parallelism`, which can exceed the slice
-    // count on small topologies — spawning the surplus threads would only
-    // have them fetch an out-of-range index and exit, so don't.
-    let spawn = workers.min(views.len());
-    let slots: Vec<OnceLock<Result<Verdict, FocesError>>> =
-        (0..views.len()).map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..spawn {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(view) = views.get(i) else { break };
-                let _ = slots[i].set(view.detect(detector, counters));
-            });
+    let workers = workers.min(slices);
+    let views = sliced.sharded().shard_views();
+    let tasks: Vec<_> = views
+        .iter()
+        .map(|view| move || view.detect(detector, counters))
+        .collect();
+    // Deques deep enough to seed every slice at once: the task list is
+    // fixed, so backpressure would only stall the seeding thread.
+    let (runs, _) = run_tasks(
+        tasks,
+        PoolConfig {
+            workers,
+            queue_capacity: slices.div_ceil(workers),
+            deadline: None,
+        },
+    );
+    let mut per_switch = Vec::with_capacity(slices);
+    for (switch, run) in sliced.switches().zip(runs) {
+        match run.outcome {
+            TaskOutcome::Done(verdict) => per_switch.push((switch, verdict?)),
+            TaskOutcome::Panicked { message } => {
+                panic!("slice solve for switch s{} panicked: {message}", switch.0)
+            }
         }
-    });
-    let mut per_switch: Vec<(SwitchId, Verdict)> = Vec::with_capacity(views.len());
-    for (view, slot) in views.iter().zip(slots) {
-        let verdict = slot
-            .into_inner()
-            .expect("every slice slot is filled before the scope ends")?;
-        per_switch.push((view.switch, verdict));
     }
-    let anomalous = per_switch.iter().any(|(_, v)| v.anomalous);
     Ok(SlicedVerdict {
-        anomalous,
+        anomalous: per_switch.iter().any(|(_, v)| v.anomalous),
         per_switch,
     })
 }
@@ -166,8 +160,7 @@ mod tests {
     fn single_slice_with_many_workers_matches_sequential() {
         // Regression: the worker count must be clamped to the slice count,
         // not taken from the CPU count — a 1-slice system asked for 32
-        // workers must not spawn 32 threads racing one index, and must
-        // produce the sequential verdict.
+        // workers solves inline and produces the sequential verdict.
         let sliced = one_slice_fcm();
         assert_eq!(sliced.slice_count(), 1);
         let detector = Detector::default();
@@ -199,6 +192,26 @@ mod tests {
             let par = detect_parallel(&sliced, &detector, &counters, workers).unwrap();
             assert!(!par.anomalous, "workers={workers}");
             assert!(par.per_switch.is_empty());
+        }
+    }
+
+    #[test]
+    fn every_worker_count_returns_the_sequential_verdict() {
+        // Three single-rule switches in a chain: three slices. `0` must
+        // mean "inline" here, not the pool's "one per task".
+        let h =
+            foces_linalg::DenseMatrix::from_rows(&[&[1., 0., 1.], &[1., 1., 1.], &[0., 1., 1.]])
+                .unwrap();
+        let fcm = foces::testkit::fcm_from_dense(&h);
+        let sliced = SlicedFcm::from_fcm(&fcm);
+        assert_eq!(sliced.slice_count(), 3);
+        let mut counters = fcm.expected_counters(&[100.0, 200.0, 300.0]);
+        counters[2] -= 40.0;
+        let detector = Detector::default();
+        let sequential = sliced.detect(&detector, &counters).unwrap();
+        for workers in [0, 1, 2, 64] {
+            let parallel = detect_parallel(&sliced, &detector, &counters, workers).unwrap();
+            assert_eq!(parallel, sequential, "workers={workers}");
         }
     }
 

@@ -165,8 +165,8 @@ where
     if n == 0 {
         return (Vec::new(), PoolStats::default());
     }
-    // Clamp, mirroring detect_parallel: requested parallelism never
-    // exceeds the number of work items.
+    // Clamp: requested parallelism never exceeds the number of work
+    // items.
     let workers = match config.workers {
         0 => n.min(16),
         w => w.min(n),

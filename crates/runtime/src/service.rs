@@ -84,7 +84,11 @@ pub struct RuntimeConfig {
     pub churn_penalty: u32,
     /// Cap on the detectability-oracle candidate sample.
     pub oracle_cap: usize,
-    /// Worker threads for the parallel slice solve (≤ 1 = sequential).
+    /// Threads for the full-round slice solve: `0` and `1` both solve
+    /// inline on the epoch's thread; `n ≥ 2` runs `min(n, slices)` pool
+    /// workers (see [`detect_parallel`]). Not the pool's own
+    /// [`PoolConfig::workers`](crate::PoolConfig::workers), where `0`
+    /// means one worker per task.
     pub workers: usize,
     /// Byzantine-resilience layer (suspicion, liar localization,
     /// quarantine); disabled by default.

@@ -6,14 +6,21 @@
 //!   column span (the rank oracle).
 //! * **Theorem 2 (necessary direction)** — every rank-undetectable
 //!   deviation exhibits a loop in some switch's rule bipartite graph.
-//! * **Theorem 3** — whatever the baseline detects, slicing detects.
+//! * **Theorem 3** — whatever the baseline detects, slicing detects; and
+//!   the slices are the paper's (per-switch RBG rule sets), built by the
+//!   same constructor as edge-cut shards, which match a full-scan
+//!   reference construction.
 //! * **Span oracle parity** — the sparse [`SpanOracle`] answers every span
 //!   query exactly as the dense rank reference
 //!   [`foces_linalg::in_column_span`] does, on degenerate random matrices
 //!   and on single-switch-masked real systems.
 
+#[path = "../crates/core/tests/support/shard_reference.rs"]
+mod shard_reference;
+
 use foces::{
-    audit_deviations, is_detectable, rbg_loop_exists, testkit, Detector, Fcm, SlicedFcm, SpanOracle,
+    audit_deviations, is_detectable, rbg_loop_exists, testkit, Detector, Fcm, ShardedFcm,
+    SlicedFcm, SpanOracle,
 };
 use foces_controlplane::{provision, uniform_flows, RuleGranularity};
 use foces_dataplane::{
@@ -21,7 +28,7 @@ use foces_dataplane::{
 };
 use foces_linalg::{in_column_span, DenseMatrix, DEFAULT_TOL};
 use foces_net::generators::{bcube, dcell, fattree, ring};
-use foces_net::Node;
+use foces_net::{partition, Node, PartitionSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -186,6 +193,47 @@ proptest! {
         if base.anomalous {
             prop_assert!(sl.anomalous, "baseline flagged but slicing missed");
         }
+    }
+}
+
+/// Sixteen fixed random networks, alternating rule granularity, each with
+/// an edge-cut shard count in `1..=5`.
+fn fixed_shard_cases() -> impl Iterator<Item = (foces_net::Topology, Fcm, usize)> {
+    (0..16u64).map(|seed| {
+        let n = 4 + (seed % 4) as usize;
+        let topo = foces_net::generators::random_connected(n, (seed % 3) as usize, seed);
+        let granularity = if seed % 2 == 0 {
+            RuleGranularity::PerFlowPair
+        } else {
+            RuleGranularity::PerDestination
+        };
+        let flows = uniform_flows(&topo, topo.host_count() as f64 * 1000.0);
+        let dep = provision(topo.clone(), &flows, granularity).unwrap();
+        let fcm = Fcm::from_view(&dep.view);
+        (topo, fcm, 1 + (seed % 5) as usize)
+    })
+}
+
+/// Theorem 3's slices are the paper's: every per-switch shard (and so
+/// every [`SlicedFcm`] slice) holds its switch's RBG slicing rules in
+/// order and exactly the flows touching them, restricted to them. The
+/// tier-1 slice of `crates/core/tests/shard_props.rs`.
+#[test]
+fn per_switch_shards_are_the_paper_slices() {
+    for (topo, fcm, _) in fixed_shard_cases() {
+        let part = partition(&topo, PartitionSpec::PerSwitch);
+        shard_reference::assert_slices_follow_the_paper(&fcm, &ShardedFcm::from_fcm(&fcm, &part));
+        shard_reference::assert_slices_follow_the_paper(&fcm, SlicedFcm::from_fcm(&fcm).sharded());
+    }
+}
+
+/// Edge-cut shards equal the full-scan reference construction in every
+/// view field. The tier-1 slice of `crates/core/tests/shard_props.rs`.
+#[test]
+fn edge_cut_shards_match_the_full_scan_reference() {
+    for (topo, fcm, k) in fixed_shard_cases() {
+        let part = partition(&topo, PartitionSpec::EdgeCut { k });
+        shard_reference::assert_matches_full_scan(&fcm, &part, &ShardedFcm::from_fcm(&fcm, &part));
     }
 }
 
