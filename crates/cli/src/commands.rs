@@ -2,7 +2,7 @@
 //! parsed arguments to a report string, so the test suite can drive them
 //! without process spawning.
 
-use crate::args::Args;
+use crate::args::{self, ArgError, Args, Verb};
 use foces::{
     analyze_cluster_coverage, analyze_coverage, audit_deviations, harden, localize, AlarmState,
     CoverageConfig, CoverageReport, Detector, Fcm, Monitor, MonitorConfig, ShardedFcm, SlicedFcm,
@@ -41,114 +41,134 @@ pub struct CmdOutput {
 }
 
 impl CmdOutput {
+    fn new(report: String, exit_code: i32) -> Self {
+        CmdOutput { report, exit_code }
+    }
+
     fn clean(report: String) -> Self {
-        CmdOutput {
-            report,
-            exit_code: 0,
-        }
+        Self::new(report, 0)
     }
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
-foces — network-wide forwarding anomaly detection (FOCES, ICDCS 2018)
+/// The per-switch channel fault profile that `run` and `stream` both model.
+const CHANNEL: &str = "latency=MS jitter=MS drop=P reorder=P attempt-timeout-ms=MS max-attempts=N";
+/// The Byzantine liar drill of `run` and `stream`; `TIME` is an epoch under
+/// `run` and simulated milliseconds under `stream`.
+const LIAR_DRILL: &str = "liars=N fake-at=TIME confess-at=TIME \
+    fake-strategy=naive|scale|replay|path|coverup fake-magnitude=L liar-seed=N";
+/// What the three detection drivers share: the solve backend, the JSONL
+/// epoch log and the coverage pre-flight gate.
+const DRIVER: &str = "backend=dense|sparse|auto log=FILE.jsonl coverage-strict";
 
-USAGE:
-  foces topo     <scenario>                          topology & FCM statistics
-  foces detect   <scenario> [--loss P] [--modify K] [--seed N] [--threshold T] [--sliced]
-  foces monitor  <scenario> [--rounds N] [--attack-at R] [--repair-at R] [--loss P] [--seed N]
-  foces run      <scenario> [--epochs N] [--loss P] [--drop P] [--latency MS] [--jitter MS]
-                 [--reorder P] [--offline S --offline-from E --offline-to E]
-                 [--attack-at E] [--repair-at E] [--seed N] [--threshold T]
-                 [--churn PERIOD] [--churn-seed N] [--alarm-window N]
-                 [--churn-suppress N] [--churn-penalty N]
-                 [--poll-deadline-ms MS] [--attempt-timeout-ms MS] [--max-attempts N]
-                 [--workers N] [--oracle-cap N] [--log FILE.jsonl]
-                 [--backend dense|sparse|auto]
-                 [--liars N --fake-at E [--confess-at E]] [--fake-strategy S]
-                 [--fake-magnitude L] [--liar-seed N]
-                 fault-tolerant online detection over an unreliable channel;
-                 --workers N sets the slice-solve threads (0 or 1 = inline,
-                 N >= 2 = a pool of min(N, slices) workers); exits 2 if the
-                 run ends with an unresolved (Byzantine) alarm
-  foces stream   <scenario> [--duration-ms MS] [--regions K] [--poll-ms MS]
-                 [--adaptive [--poll-max-ms MS]] [--link-delay MS] [--bandwidth BPM]
-                 [--queue-capacity N] [--slow-region R --slow-ms MS]
-                 [--latency MS] [--jitter MS] [--drop P] [--reorder P]
-                 [--attempt-timeout-ms MS] [--max-attempts N]
-                 [--attack-at MS] [--repair-at MS] [--churn-at MS] [--settle-ms MS]
-                 [--liars N --fake-at MS [--confess-at MS]] [--fake-strategy S]
-                 [--fake-magnitude L] [--liar-seed N]
-                 [--seed N] [--churn-seed N] [--anomaly-seed N] [--log FILE.jsonl]
-                 [--backend dense|sparse|auto]
-                 event-driven continuous ingestion: per-link channel models,
-                 adaptive poll cadence, per-shard detection the moment a
-                 shard's counters are complete; exits 2 if the stream ends
-                 with an unresolved (Byzantine) alarm
-  foces redteam  [scenario] [--epochs N] [--fake-at E] [--liars-max K]
-                 [--strategies naive,scale,replay,path,coverup]
-                 [--magnitudes L1,L2,...] [--threshold T] [--seed N]
-                 [--liar-seed N] [--out FILE.json]
-                 adversarial sweep (strategy x liar count x fake magnitude):
-                 detection latency, localization precision/recall, and the
-                 evasion-cost curve, written to BENCH_redteam.json
-  foces scale    [--full] [--out FILE.json] [--seed N] [--threshold T]
-                 [--ceiling K] [--flows-max N]
-                 sparse-engine scaling sweep over FatTree all-pairs systems,
-                 written to BENCH_scale.json: FatTree(8) dense-vs-sparse
-                 parity (verdicts and anomaly indices to 1e-9) with the
-                 cold-solve speedup, FatTree(12) sparse-only with the dense
-                 backend's typed allocation refusal asserted, and with
-                 --full the FatTree(16)-class headline cell (>=1e5 flows,
-                 verdict-correct healthy+anomalous sparse rounds); exits 2
-                 on any parity or verdict failure
-  foces cluster  <scenario> [--epochs N] [--shards K] [--partition per-switch|edge-cut]
-                 [--shard-deadline-ms MS] [--loss P] [--attack-at E] [--repair-at E]
-                 [--kill-shard R --kill-at E [--heal-at E]] [--seed N] [--threshold T]
-                 [--workers N] [--queue-capacity N] [--log FILE.jsonl]
-                 [--backend dense|sparse|auto]
-                 sharded detection: k region shards on a work-stealing pool,
-                 per-shard warm solvers, fault isolation; exits 2 if the run
-                 ends with an unresolved alarm
-  foces interleave <scenario> [--updates N] [--segments K] [--schedules N --seed S]
-                 [--uniform] [--update-at E] [--epochs-after N] [--shards K]
-                 [--threshold T] [--no-dropper] [--no-fanout] [--json]
-                 schedule-enumeration conformance: N concurrent reroutes whose
-                 per-switch commits race counter collection (and the shard
-                 fan-out); exhaustive by default with DPOR-style trace pruning,
-                 bounded deterministic sampling via --schedules/--seed; exits 2
-                 on any oracle violation, with the minimal failing schedule
-  foces audit    <scenario> [--cap N] [--json]       static rule-table verification
-                 (loops, blackholes, shadowed rules, FCM consistency, stale
-                 rules) plus detectability blind spots; exits 3 on static
-                 violations
-  foces coverage <scenario> [--shards K] [--json] [--strict]
-                 static detectability & localization-coverage analysis, no
-                 epochs run: row-share/absorption WARNs with certificates,
-                 leave-one-out localizability classes, degradation margin,
-                 per-shard boundary rank; exits 4 with --strict on any WARN
-                 (`run`/`cluster`/`stream` accept --coverage-strict for the
-                 same pre-flight refusal)
-  foces harden   <scenario> [--budget N] [--cap N]   close blind spots with extra rules
-  foces scenario <fattree|bcube|dcell|stanford|linear|ring> print a template scenario
-  foces help
+/// Every `foces` verb: the one declaration its flags are parsed, rejected
+/// and documented from. A verb's code reads only the flags listed here.
+#[rustfmt::skip]
+pub const VERBS: &[Verb] = &[
+    Verb { name: "topo", positionals: "<scenario>", flags: &[], needs: &[],
+        about: "topology & FCM statistics" },
+    Verb { name: "detect", positionals: "<scenario>",
+        flags: &["loss=P modify=K seed=N threshold=T sliced"], needs: &[],
+        about: "one detection round after K random path deviations; --sliced adds the \
+                per-switch slice verdict and the top suspects" },
+    Verb { name: "monitor", positionals: "<scenario>",
+        flags: &["rounds=N attack-at=R repair-at=R loss=P seed=N"], needs: &[],
+        about: "rounds of detection with alarm hysteresis around one attack/repair cycle" },
+    Verb { name: "run", positionals: "<scenario>",
+        flags: &["epochs=N loss=P seed=N threshold=T", CHANNEL,
+            "offline=S offline-from=E offline-to=E attack-at=E repair-at=E churn=PERIOD \
+             churn-seed=N alarm-window=N churn-suppress=N churn-penalty=N \
+             poll-deadline-ms=MS workers=N oracle-cap=N", LIAR_DRILL, DRIVER],
+        needs: &[("offline-from", "offline"), ("offline-to", "offline"),
+            ("repair-at", "attack-at"), ("confess-at", "fake-at"), ("fake-at", "liars"),
+            ("fake-strategy", "liars"), ("fake-magnitude", "liars")],
+        about: "fault-tolerant online detection over an unreliable channel; --workers N \
+                sets the slice-solve threads (0 or 1 inline, else a pool of min(N, slices)); \
+                exits 2 on an unresolved (Byzantine) alarm" },
+    Verb { name: "stream", positionals: "<scenario>",
+        flags: &["duration-ms=MS regions=K poll-ms=MS adaptive poll-max-ms=MS \
+             link-delay=MS bandwidth=BPM queue-capacity=N slow-region=R slow-ms=MS \
+             settle-ms=MS", CHANNEL,
+            "attack-at=MS repair-at=MS churn-at=MS seed=N churn-seed=N anomaly-seed=N",
+            LIAR_DRILL, DRIVER],
+        needs: &[("poll-max-ms", "adaptive"), ("slow-ms", "slow-region"),
+            ("fake-at", "liars"), ("confess-at", "liars"), ("fake-strategy", "liars"),
+            ("fake-magnitude", "liars")],
+        about: "event-driven ingestion over per-link channel models with adaptive polling; \
+                each shard detects once its counters are complete; exits 2 on an \
+                unresolved (Byzantine) alarm" },
+    Verb { name: "cluster", positionals: "<scenario>",
+        flags: &["epochs=N shards=K partition=per-switch|edge-cut shard-deadline-ms=MS \
+             loss=P seed=N threshold=T attack-at=E repair-at=E kill-shard=R kill-at=E \
+             heal-at=E workers=N queue-capacity=N", DRIVER],
+        needs: &[("kill-at", "kill-shard"), ("heal-at", "kill-shard"),
+            ("repair-at", "attack-at")],
+        about: "sharded detection: region shards on a work-stealing pool with per-shard \
+                warm solvers and fault isolation; exits 2 on an unresolved alarm" },
+    Verb { name: "redteam", positionals: "[scenario]",
+        flags: &["epochs=N fake-at=E liars-max=K strategies=naive,scale,replay,path,coverup \
+             magnitudes=L1,L2,... threshold=T seed=N liar-seed=N out=FILE.json"], needs: &[],
+        about: "adversarial sweep (strategy x liar count x magnitude): detection latency, \
+                localization precision/recall and evasion cost, into BENCH_redteam.json" },
+    Verb { name: "scale", positionals: "",
+        flags: &["full out=FILE.json seed=N threshold=T ceiling=K flows-max=N"],
+        needs: &[("ceiling", "full")],
+        about: "sparse-engine scaling sweep into BENCH_scale.json: FatTree(8) dense-vs-sparse \
+                parity and cold speedup, FatTree(12) sparse-only with the dense refusal \
+                asserted, --full adds FatTree(K); exits 2 on a failed assertion" },
+    Verb { name: "interleave", positionals: "<scenario>",
+        flags: &["updates=N segments=K schedules=N seed=S uniform update-at=E \
+             epochs-after=N shards=K threshold=T no-dropper no-fanout json"],
+        needs: &[("seed", "schedules")],
+        about: "schedule enumeration: N concurrent reroutes whose per-switch commits race \
+                collection and the shard fan-out, all DPOR-pruned schedules or a seeded \
+                --schedules sample; exits 2 on an oracle violation, shrunk to a minimal one" },
+    Verb { name: "audit", positionals: "<scenario>", flags: &["cap=N json"], needs: &[],
+        about: "static rule-table verification (loops, blackholes, shadowed rules, FCM \
+                consistency, stale rules) and blind spots; exits 3 on violations" },
+    Verb { name: "coverage", positionals: "<scenario>", flags: &["shards=K json strict"],
+        needs: &[],
+        about: "static detectability & localization coverage, no epochs run: absorption \
+                WARNs with certificates, leave-one-out classes, degradation margin, shard \
+                rank; --strict exits 4 on a WARN (run/cluster/stream: --coverage-strict)" },
+    Verb { name: "harden", positionals: "<scenario>", flags: &["budget=N cap=N"], needs: &[],
+        about: "close blind spots with extra rules" },
+    Verb { name: "scenario", positionals: "[fattree|bcube|dcell|stanford|linear|ring]",
+        flags: &[], needs: &[], about: "print a template scenario" },
+    Verb { name: "help", positionals: "", flags: &[], needs: &[], about: "this text" },
+];
 
-Options accept both `--key value` and `--key=value`.
-Scenario files: see `foces scenario ring` for the format.";
+/// Parses a command line against [`VERBS`] without running anything: the
+/// parse step of [`dispatch`], exposed so tests can check a command line.
+pub fn parse(raw: &[String]) -> Result<Args, ArgError> {
+    args::parse(VERBS, raw)
+}
 
 fn load(args: &Args) -> Result<(Scenario, Deployment), CmdError> {
-    let path = args.positional(1).ok_or("missing scenario file argument")?;
+    let path = args.positional(0).ok_or("missing scenario file argument")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let scenario = Scenario::parse(&text)?;
     let dep = scenario.provision()?;
     Ok((scenario, dep))
 }
 
-/// Renders the `--coverage-strict` refusal (exit `4`) when the pre-flight
-/// coverage analysis of a run/cluster/stream service carries WARN
-/// findings; `None` means the gate passes and the run may proceed.
-fn coverage_refusal(coverage: Option<&CoverageReport>, what: &str) -> Option<CmdOutput> {
-    let cov = coverage?;
+/// Opens the `--log FILE.jsonl` epoch log of a run/cluster/stream driver.
+fn event_log(args: &Args) -> Result<Option<EventLog>, String> {
+    let open = |path| {
+        EventLog::to_file(std::path::Path::new(path))
+            .map_err(|e| format!("cannot open {path}: {e}"))
+    };
+    args.opt("log").map(open).transpose()
+}
+
+/// Renders the `--coverage-strict` refusal (exit `4`) when the flag is
+/// given and the pre-flight coverage analysis of a run/cluster/stream
+/// service carries WARN findings; `None` means the run may proceed.
+fn coverage_refusal(
+    args: &Args,
+    coverage: Option<&CoverageReport>,
+    what: &str,
+) -> Option<CmdOutput> {
+    let cov = coverage.filter(|_| args.flag("coverage-strict"))?;
     if cov.is_clean() {
         return None;
     }
@@ -165,10 +185,47 @@ fn coverage_refusal(coverage: Option<&CoverageReport>, what: &str) -> Option<Cmd
         "exit 4: --coverage-strict refused the {what}: {} pre-flight coverage WARN finding(s)",
         cov.warn_count()
     );
-    Some(CmdOutput {
-        report: out,
-        exit_code: 4,
-    })
+    Some(CmdOutput::new(out, 4))
+}
+
+/// Writes the `byzantine:` summary line of `run` and `stream`, whose two
+/// metrics types carry the same liar-lifecycle counters.
+macro_rules! write_byzantine {
+    ($out:expr, $m:expr) => {
+        writeln!(
+            $out,
+            "byzantine: {} localized, {} quarantined, {} released, {} unresolved rounds; \
+             loo: {} solves via {} downdates",
+            $m.liars_localized,
+            $m.switch_quarantines,
+            $m.quarantine_releases,
+            $m.unresolved_byzantine,
+            $m.loo_solves,
+            $m.loo_downdates
+        )
+    };
+}
+
+/// A driver's epilogue: exit `0` when it ends `Normal` with no unresolved
+/// Byzantine alarm, otherwise an `exit 2: <what> ended with …` line.
+fn alarm_exit(mut out: String, what: &str, state: AlarmState, byzantine: bool) -> CmdOutput {
+    if state == AlarmState::Normal && !byzantine {
+        return CmdOutput::new(out, 0);
+    }
+    let kind = if byzantine {
+        "Byzantine alarm"
+    } else {
+        "alarm"
+    };
+    let _ = writeln!(out, "exit 2: {what} ended with an unresolved {kind}");
+    CmdOutput::new(out, 2)
+}
+
+/// Renders switches as `s1, s4, …`.
+fn switch_list(ids: impl Iterator<Item = foces_net::SwitchId>) -> String {
+    ids.map(|s| format!("s{}", s.0))
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 /// Replays one collection interval and returns counters (loss + default
@@ -290,17 +347,11 @@ pub fn monitor(args: &Args) -> Result<String, CmdError> {
         let counters = one_round(&mut dep, loss, seed.wrapping_add(round));
         let report = mon.ingest(&counters)?;
         if report.alarm_raised {
-            let suspects: Vec<String> = report
-                .suspects
-                .iter()
-                .take(3)
-                .map(|s| format!("s{}", s.switch.0))
-                .collect();
             writeln!(
                 out,
                 "round {round:>3}: ALARM (AI {:.2}) suspects: {}",
                 report.verdict.anomaly_index.min(1e6),
-                suspects.join(", ")
+                switch_list(report.suspects.iter().take(3).map(|s| s.switch))
             )?;
         } else if report.alarm_cleared {
             writeln!(out, "round {round:>3}: alarm cleared")?;
@@ -317,71 +368,47 @@ pub fn monitor(args: &Args) -> Result<String, CmdError> {
 pub fn run_service(args: &Args) -> Result<CmdOutput, CmdError> {
     let (_, dep) = load(args)?;
     let epochs: u64 = args.num("epochs", 30)?;
-    let loss: f64 = args.num("loss", 0.02)?;
-    let drop_prob: f64 = args.num("drop", 0.0)?;
-    let latency_ms: f64 = args.num("latency", 5.0)?;
-    let jitter_ms: f64 = args.num("jitter", 0.0)?;
-    let reorder_prob: f64 = args.num("reorder", 0.0)?;
     let seed: u64 = args.num("seed", 7)?;
-    let threshold: f64 = args.num("threshold", foces::DEFAULT_THRESHOLD)?;
-    let oracle_cap: usize = args.num("oracle-cap", 256)?;
-    let churn_raw: u64 = args.num("churn", 0)?;
-    let churn_period = (churn_raw > 0).then_some(churn_raw);
-    let churn_seed: u64 = args.num("churn-seed", 7)?;
-
-    let offline = match args.opt("offline") {
-        Some(_) => {
-            let s: usize = args.num("offline", 0)?;
-            let from: u64 = args.num("offline-from", 0)?;
-            let to: u64 = args.num("offline-to", epochs)?;
-            Some((foces_net::SwitchId(s), from, to))
-        }
-        None => None,
-    };
-    let anomaly_window = match args.opt("attack-at") {
-        Some(_) => {
-            let at: u64 = args.num("attack-at", 0)?;
-            let until: u64 = args.num("repair-at", epochs)?;
-            Some((at, until))
-        }
-        None => None,
-    };
+    let churn: u64 = args.num("churn", 0)?;
     let liars: usize = args.num("liars", 0)?;
     let fake_strategy: FakeStrategy = args.num("fake-strategy", FakeStrategy::Naive)?;
     let fake_magnitude: f64 = args.num("fake-magnitude", 1.0)?;
-    let liar_seed: u64 = args.num("liar-seed", 11)?;
-    let fake_window = match args.opt("fake-at") {
-        Some(_) => {
-            let at: u64 = args.num("fake-at", 0)?;
-            let until: u64 = args.num("confess-at", epochs)?;
-            Some((at, until))
-        }
-        None => None,
-    };
-
     let scenario = FaultScenario {
         epochs,
-        loss,
-        drop_prob,
-        latency_ms,
-        jitter_ms,
-        reorder_prob,
-        offline,
-        anomaly_window,
+        loss: args.num("loss", 0.02)?,
+        drop_prob: args.num("drop", 0.0)?,
+        latency_ms: args.num("latency", 5.0)?,
+        jitter_ms: args.num("jitter", 0.0)?,
+        reorder_prob: args.num("reorder", 0.0)?,
+        offline: match args.maybe("offline")? {
+            Some(s) => Some((
+                foces_net::SwitchId(s),
+                args.num("offline-from", 0)?,
+                args.num("offline-to", epochs)?,
+            )),
+            None => None,
+        },
+        anomaly_window: match args.maybe("attack-at")? {
+            Some(at) => Some((at, args.num("repair-at", epochs)?)),
+            None => None,
+        },
         anomaly_kind: AnomalyKind::PathDeviation,
         seed,
         anomaly_seed: seed,
-        churn_period,
-        churn_seed,
+        churn_period: (churn > 0).then_some(churn),
+        churn_seed: args.num("churn-seed", 7)?,
         liars,
         fake_strategy,
-        fake_window,
+        fake_window: match args.maybe("fake-at")? {
+            Some(at) => Some((at, args.num("confess-at", epochs)?)),
+            None => None,
+        },
         fake_magnitude,
-        liar_seed,
+        liar_seed: args.num("liar-seed", 11)?,
     };
     let mut config = RuntimeConfig {
-        threshold,
-        oracle_cap,
+        threshold: args.num("threshold", foces::DEFAULT_THRESHOLD)?,
+        oracle_cap: args.num("oracle-cap", 256)?,
         byzantine: ByzantineConfig {
             enabled: liars > 0,
             ..ByzantineConfig::default()
@@ -396,22 +423,14 @@ pub fn run_service(args: &Args) -> Result<CmdOutput, CmdError> {
     config.policy.attempt_timeout_ms =
         args.num("attempt-timeout-ms", config.policy.attempt_timeout_ms)?;
     config.policy.max_attempts = args.num("max-attempts", config.policy.max_attempts)?;
-    if let Some(w) = args.opt("workers") {
-        config.workers = w
-            .parse()
-            .map_err(|_| format!("--workers: cannot parse {w:?}"))?;
-    }
+    config.workers = args.num("workers", config.workers)?;
 
     let mut driver = ScenarioDriver::new(dep, scenario, config);
-    if let Some(path) = args.opt("log") {
-        let log = EventLog::to_file(std::path::Path::new(path))
-            .map_err(|e| format!("cannot open {path}: {e}"))?;
+    if let Some(log) = event_log(args)? {
         driver.service_mut().set_event_log(log);
     }
-    if args.flag("coverage-strict") {
-        if let Some(refusal) = coverage_refusal(driver.service().coverage(), "run") {
-            return Ok(refusal);
-        }
+    if let Some(refusal) = coverage_refusal(args, driver.service().coverage(), "run") {
+        return Ok(refusal);
     }
 
     let mut out = String::new();
@@ -436,15 +455,10 @@ pub fn run_service(args: &Args) -> Result<CmdOutput, CmdError> {
         match (liars_active, driver.fake_active_at(epoch)) {
             (false, true) => {
                 liars_active = true;
-                let names: Vec<String> = driver
-                    .liar_switches()
-                    .iter()
-                    .map(|s| format!("s{}", s.0))
-                    .collect();
                 writeln!(
                     out,
                     "epoch {epoch:>3}: [liars compromised: {} ({fake_strategy}, λ={fake_magnitude})]",
-                    names.join(", ")
+                    switch_list(driver.liar_switches().iter().copied())
                 )?;
             }
             (true, false) => {
@@ -465,11 +479,10 @@ pub fn run_service(args: &Args) -> Result<CmdOutput, CmdError> {
             DetectionMode::Degraded {
                 missing, coverage, ..
             } => {
-                let names: Vec<String> = missing.iter().map(|s| format!("s{}", s.0)).collect();
                 writeln!(
                     out,
                     "epoch {epoch:>3}: DEGRADED missing [{}], masked coverage {:.1}%",
-                    names.join(", "),
+                    switch_list(missing.iter().copied()),
                     100.0 * coverage
                 )?;
             }
@@ -496,16 +509,10 @@ pub fn run_service(args: &Args) -> Result<CmdOutput, CmdError> {
                 .as_ref()
                 .map(|v| v.anomaly_index.min(1e6))
                 .unwrap_or(f64::NAN);
-            let suspects: Vec<String> = report
-                .suspects
-                .iter()
-                .take(3)
-                .map(|s| format!("s{}", s.switch.0))
-                .collect();
             writeln!(
                 out,
                 "epoch {epoch:>3}: ALARM (AI {ai:.2}) suspects: {}",
-                suspects.join(", ")
+                switch_list(report.suspects.iter().take(3).map(|s| s.switch))
             )?;
         } else if report.alarm_cleared {
             writeln!(out, "epoch {epoch:>3}: alarm cleared")?;
@@ -538,34 +545,11 @@ pub fn run_service(args: &Args) -> Result<CmdOutput, CmdError> {
         m.suppressed_raises
     )?;
     if liars > 0 {
-        writeln!(
-            out,
-            "byzantine: {} localized, {} quarantined, {} released, {} unresolved rounds; \
-             loo: {} solves via {} downdates",
-            m.liars_localized,
-            m.switch_quarantines,
-            m.quarantine_releases,
-            m.unresolved_byzantine,
-            m.loo_solves,
-            m.loo_downdates
-        )?;
+        write_byzantine!(out, m)?;
     }
     writeln!(out, "metrics: {}", m.to_json())?;
-    let byz_unresolved = driver.service().byzantine_unresolved();
-    let exit_code = if final_state == AlarmState::Normal && !byz_unresolved {
-        0
-    } else {
-        if byz_unresolved {
-            writeln!(out, "exit 2: run ended with an unresolved Byzantine alarm")?;
-        } else {
-            writeln!(out, "exit 2: run ended with an unresolved alarm")?;
-        }
-        2
-    };
-    Ok(CmdOutput {
-        report: out,
-        exit_code,
-    })
+    let byzantine = driver.service().byzantine_unresolved();
+    Ok(alarm_exit(out, "run", final_state, byzantine))
 }
 
 /// `foces cluster <scenario> …` — sharded detection with per-shard warm
@@ -581,23 +565,16 @@ pub fn cluster_run(args: &Args) -> Result<CmdOutput, CmdError> {
     let deadline_ms: u64 = args.num("shard-deadline-ms", 0)?;
     let loss: f64 = args.num("loss", 0.0)?;
     let seed: u64 = args.num("seed", 7)?;
-    let threshold: f64 = args.num("threshold", foces::DEFAULT_THRESHOLD)?;
-    let attack_at: Option<u64> = args
-        .opt("attack-at")
-        .map(|_| args.num("attack-at", 0))
-        .transpose()?;
+    let attack_at: Option<u64> = args.maybe("attack-at")?;
     let repair_at: u64 = args.num("repair-at", epochs)?;
-    let kill_shard: Option<usize> = args
-        .opt("kill-shard")
-        .map(|_| args.num("kill-shard", 0))
-        .transpose()?;
+    let kill_shard: Option<usize> = args.maybe("kill-shard")?;
     let kill_at: u64 = args.num("kill-at", 0)?;
     let heal_at: u64 = args.num("heal-at", epochs)?;
 
     let fcm = Fcm::from_view(&dep.view);
     let config = foces_cluster::ClusterConfig {
         spec,
-        threshold,
+        threshold: args.num("threshold", foces::DEFAULT_THRESHOLD)?,
         workers: args.num("workers", 0)?,
         queue_capacity: args.num("queue-capacity", 4)?,
         shard_deadline: (deadline_ms > 0).then(|| std::time::Duration::from_millis(deadline_ms)),
@@ -605,9 +582,7 @@ pub fn cluster_run(args: &Args) -> Result<CmdOutput, CmdError> {
         ..foces_cluster::ClusterConfig::default()
     };
     let mut svc = foces_cluster::ClusterService::new(fcm, dep.view.topology(), config)?;
-    if let Some(path) = args.opt("log") {
-        let log = EventLog::to_file(std::path::Path::new(path))
-            .map_err(|e| format!("cannot open {path}: {e}"))?;
+    if let Some(log) = event_log(args)? {
         svc = svc.with_log(log);
     }
     if let Some(region) = kill_shard {
@@ -619,10 +594,8 @@ pub fn cluster_run(args: &Args) -> Result<CmdOutput, CmdError> {
             .into());
         }
     }
-    if args.flag("coverage-strict") {
-        if let Some(refusal) = coverage_refusal(svc.coverage(), "cluster run") {
-            return Ok(refusal);
-        }
+    if let Some(refusal) = coverage_refusal(args, svc.coverage(), "cluster run") {
+        return Ok(refusal);
     }
 
     let mut out = String::new();
@@ -719,16 +692,7 @@ pub fn cluster_run(args: &Args) -> Result<CmdOutput, CmdError> {
         m.steals, m.backpressure_stalls, m.max_queue_depth
     )?;
     writeln!(out, "metrics: {}", m.to_json())?;
-    let exit_code = if final_state == AlarmState::Normal {
-        0
-    } else {
-        writeln!(out, "exit 2: run ended with an unresolved alarm")?;
-        2
-    };
-    Ok(CmdOutput {
-        report: out,
-        exit_code,
-    })
+    Ok(alarm_exit(out, "run", final_state, false))
 }
 
 /// `foces stream <scenario> …` — event-driven continuous ingestion over
@@ -753,20 +717,7 @@ pub fn stream_run(args: &Args) -> Result<CmdOutput, CmdError> {
         bytes_per_ms: args.num("bandwidth", link_defaults.bytes_per_ms)?,
         queue_capacity: args.num("queue-capacity", link_defaults.queue_capacity)?,
     };
-    let profile = FaultProfile {
-        latency_ms: args.num("latency", 1.0)?,
-        jitter_ms: args.num("jitter", 0.0)?,
-        drop_prob: args.num("drop", 0.0)?,
-        reorder_prob: args.num("reorder", 0.0)?,
-        offline: Vec::new(),
-    };
-    let slow_region: Option<usize> = args
-        .opt("slow-region")
-        .map(|_| args.num("slow-region", 0))
-        .transpose()?;
     let liars: usize = args.num("liars", 0)?;
-    let fake_strategy: FakeStrategy = args.num("fake-strategy", FakeStrategy::Naive)?;
-    let fake_magnitude: f64 = args.num("fake-magnitude", 1.0)?;
     let config = StreamConfig {
         duration_ms: args.num("duration-ms", defaults.duration_ms)?,
         regions: args.num("regions", defaults.regions)?,
@@ -774,10 +725,16 @@ pub fn stream_run(args: &Args) -> Result<CmdOutput, CmdError> {
         attempt_timeout_ms: args.num("attempt-timeout-ms", defaults.attempt_timeout_ms)?,
         max_attempts: args.num("max-attempts", defaults.max_attempts)?,
         settle_ms: args.num("settle-ms", defaults.settle_ms)?,
-        profile,
+        profile: FaultProfile {
+            latency_ms: args.num("latency", 1.0)?,
+            jitter_ms: args.num("jitter", 0.0)?,
+            drop_prob: args.num("drop", 0.0)?,
+            reorder_prob: args.num("reorder", 0.0)?,
+            offline: Vec::new(),
+        },
         access: link.clone(),
         uplink: link,
-        slow_region,
+        slow_region: args.maybe("slow-region")?,
         slow_extra_ms: args.num("slow-ms", defaults.slow_extra_ms)?,
         seed: args.num("seed", defaults.seed)?,
         churn_seed: args.num("churn-seed", defaults.churn_seed)?,
@@ -792,45 +749,37 @@ pub fn stream_run(args: &Args) -> Result<CmdOutput, CmdError> {
     };
 
     let mut script: Vec<(f64, StreamAction)> = Vec::new();
-    if args.opt("attack-at").is_some() {
-        let at: f64 = args.num("attack-at", 0.0)?;
-        script.push((at, StreamAction::Inject(AnomalyKind::PathDeviation)));
-    }
-    if args.opt("repair-at").is_some() {
-        let at: f64 = args.num("repair-at", 0.0)?;
-        script.push((at, StreamAction::Revert));
-    }
-    if args.opt("churn-at").is_some() {
-        let at: f64 = args.num("churn-at", 0.0)?;
-        script.push((at, StreamAction::Churn));
+    for (flag, action) in [
+        (
+            "attack-at",
+            StreamAction::Inject(AnomalyKind::PathDeviation),
+        ),
+        ("repair-at", StreamAction::Revert),
+        ("churn-at", StreamAction::Churn),
+    ] {
+        if let Some(at) = args.maybe(flag)? {
+            script.push((at, action));
+        }
     }
     if liars > 0 {
-        let at: f64 = args.num("fake-at", 0.0)?;
-        script.push((
-            at,
-            StreamAction::Compromise {
-                liars,
-                strategy: fake_strategy,
-                magnitude: fake_magnitude,
-            },
-        ));
-        if args.opt("confess-at").is_some() {
-            let at: f64 = args.num("confess-at", 0.0)?;
+        let compromise = StreamAction::Compromise {
+            liars,
+            strategy: args.num("fake-strategy", FakeStrategy::Naive)?,
+            magnitude: args.num("fake-magnitude", 1.0)?,
+        };
+        script.push((args.num("fake-at", 0.0)?, compromise));
+        if let Some(at) = args.maybe("confess-at")? {
             script.push((at, StreamAction::Confess));
         }
     }
     script.sort_by(|a, b| a.0.total_cmp(&b.0));
 
     let mut driver = StreamDriver::new(dep, config.clone(), script);
-    if let Some(path) = args.opt("log") {
-        let log = EventLog::to_file(std::path::Path::new(path))
-            .map_err(|e| format!("cannot open {path}: {e}"))?;
+    if let Some(log) = event_log(args)? {
         driver.install_log(log);
     }
-    if args.flag("coverage-strict") {
-        if let Some(refusal) = coverage_refusal(driver.coverage(), "stream") {
-            return Ok(refusal);
-        }
+    if let Some(refusal) = coverage_refusal(args, driver.coverage(), "stream") {
+        return Ok(refusal);
     }
     let report = driver.run()?;
 
@@ -884,17 +833,7 @@ pub fn stream_run(args: &Args) -> Result<CmdOutput, CmdError> {
         m.alarms_raised, m.alarms_cleared, m.suppressed_raises, m.fcm_rebuilds
     )?;
     if liars > 0 {
-        writeln!(
-            out,
-            "byzantine: {} localized, {} quarantined, {} released, {} unresolved rounds; \
-             loo: {} solves via {} downdates",
-            m.liars_localized,
-            m.switch_quarantines,
-            m.quarantine_releases,
-            m.unresolved_byzantine,
-            m.loo_solves,
-            m.loo_downdates
-        )?;
+        write_byzantine!(out, m)?;
     }
     let verdicts: Vec<String> = report
         .stream_verdicts
@@ -909,24 +848,8 @@ pub fn stream_run(args: &Args) -> Result<CmdOutput, CmdError> {
     )?;
     writeln!(out, "final state: {}", report.alarm_state)?;
     writeln!(out, "metrics: {}", m.to_json())?;
-    let byz_unresolved = driver.byzantine_unresolved();
-    let exit_code = if report.alarm_state == AlarmState::Normal && !byz_unresolved {
-        0
-    } else {
-        if byz_unresolved {
-            writeln!(
-                out,
-                "exit 2: stream ended with an unresolved Byzantine alarm"
-            )?;
-        } else {
-            writeln!(out, "exit 2: stream ended with an unresolved alarm")?;
-        }
-        2
-    };
-    Ok(CmdOutput {
-        report: out,
-        exit_code,
-    })
+    let byzantine = driver.byzantine_unresolved();
+    Ok(alarm_exit(out, "stream", report.alarm_state, byzantine))
 }
 
 /// One cell of the redteam sweep: a full scenario run under one
@@ -1076,7 +999,7 @@ fn redteam_cell(
 /// scenario when no file is given.
 pub fn redteam(args: &Args) -> Result<CmdOutput, CmdError> {
     use foces_runtime::metrics::json_f64;
-    let (scenario, scenario_name) = match args.positional(1) {
+    let (scenario, scenario_name) = match args.positional(0) {
         Some(path) => {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -1093,24 +1016,12 @@ pub fn redteam(args: &Args) -> Result<CmdOutput, CmdError> {
     let liar_seed: u64 = args.num("liar-seed", 11)?;
     let threshold: f64 = args.num("threshold", foces::DEFAULT_THRESHOLD)?;
     let liars_max: usize = args.num("liars-max", 2)?;
-    let magnitudes: Vec<f64> = match args.opt("magnitudes") {
-        None => vec![0.25, 0.5, 1.0],
-        Some(csv) => csv
-            .split(',')
-            .map(|t| {
-                t.trim()
-                    .parse()
-                    .map_err(|_| format!("--magnitudes: cannot parse {t:?}"))
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    let strategies: Vec<FakeStrategy> = match args.opt("strategies") {
-        None => FakeStrategy::ALL.to_vec(),
-        Some(csv) => csv
-            .split(',')
-            .map(|t| t.trim().parse())
-            .collect::<Result<_, _>>()?,
-    };
+    let magnitudes: Vec<f64> = args
+        .list("magnitudes")?
+        .unwrap_or_else(|| vec![0.25, 0.5, 1.0]);
+    let strategies = args
+        .list("strategies")?
+        .unwrap_or_else(|| FakeStrategy::ALL.to_vec());
     let out_path = args.opt("out").unwrap_or("BENCH_redteam.json").to_string();
 
     let mut out = String::new();
@@ -1151,57 +1062,42 @@ pub fn redteam(args: &Args) -> Result<CmdOutput, CmdError> {
 
     // Evasion-cost curve: per (strategy, liar count), the smallest swept λ
     // that is still detected, and the largest that escapes.
-    let mut evasion = String::from("[");
-    let mut first = true;
+    let finite = |v: f64| Some(v).filter(|v| v.is_finite());
+    let null_or = |v: Option<f64>| v.map_or_else(|| "null".to_string(), json_f64);
+    let mut evasion: Vec<String> = Vec::new();
     for &strategy in &strategies {
         for liars in 1..=liars_max {
-            let group: Vec<&RedteamCell> = cells
+            let group = cells
                 .iter()
-                .filter(|c| c.strategy == strategy && c.liars == liars)
-                .collect();
-            let min_detected = group
-                .iter()
-                .filter(|c| c.detected)
-                .map(|c| c.magnitude)
-                .fold(f64::INFINITY, f64::min);
-            let max_undetected = group
-                .iter()
-                .filter(|c| !c.detected)
-                .map(|c| c.magnitude)
-                .fold(f64::NEG_INFINITY, f64::max);
-            if !first {
-                evasion.push(',');
-            }
-            first = false;
-            let _ = write!(
-                evasion,
+                .filter(|c| c.strategy == strategy && c.liars == liars);
+            let (caught, escaped): (Vec<_>, Vec<_>) = group.partition(|c| c.detected);
+            let min_detected = finite(
+                caught
+                    .iter()
+                    .map(|c| c.magnitude)
+                    .fold(f64::INFINITY, f64::min),
+            );
+            let max_undetected = finite(
+                escaped
+                    .iter()
+                    .map(|c| c.magnitude)
+                    .fold(f64::NEG_INFINITY, f64::max),
+            );
+            evasion.push(format!(
                 "{{\"strategy\":\"{strategy}\",\"liars\":{liars},\"min_detected_magnitude\":{},\
                  \"max_undetected_magnitude\":{}}}",
-                if min_detected.is_finite() {
-                    json_f64(min_detected)
-                } else {
-                    "null".into()
-                },
-                if max_undetected.is_finite() {
-                    json_f64(max_undetected)
-                } else {
-                    "null".into()
-                },
+                null_or(min_detected),
+                null_or(max_undetected),
+            ));
+            let cost = min_detected.map_or_else(
+                || "never caught in sweep".to_string(),
+                |m| format!("caught from λ={m}"),
             );
-            let cost = if min_detected.is_finite() {
-                format!("caught from λ={min_detected}")
-            } else {
-                "never caught in sweep".to_string()
-            };
-            let escape = if max_undetected.is_finite() {
-                format!(", escapes at λ={max_undetected}")
-            } else {
-                String::new()
-            };
+            let escape = max_undetected.map_or_else(String::new, |m| format!(", escapes at λ={m}"));
             writeln!(out, "evasion {strategy:>7} ×{liars}: {cost}{escape}")?;
         }
     }
-    evasion.push(']');
+    let evasion = format!("[{}]", evasion.join(","));
 
     let cell_json: Vec<String> = cells.iter().map(RedteamCell::to_json).collect();
     let json = format!(
@@ -1311,53 +1207,38 @@ fn scale_run(
 }
 
 /// Renders one scale cell as a JSON object for BENCH_scale.json.
-#[allow(clippy::too_many_arguments)]
 fn scale_cell_json(
     name: &str,
     sys: &ScaleSystem,
     backend: &str,
-    run: Option<&ScaleRun>,
+    r: &ScaleRun,
     dense_error: Option<&str>,
 ) -> String {
     use foces_runtime::metrics::{json_f64, json_str};
-    let mut s = format!(
+    format!(
         "{{\"topology\":{},\"hosts\":{},\"flows\":{},\"rules\":{},\
-         \"basis_cols\":{},\"backend\":{}",
+         \"basis_cols\":{},\"backend\":{},\
+         \"cold_ms\":{},\"warm_ms\":{},\"solve_path\":{},\"cg_iterations\":{},\
+         \"healthy_anomaly_index\":{},\"healthy_anomalous\":{},\
+         \"anomalous_anomaly_index\":{},\"anomalous_anomalous\":{},\
+         \"dense_error\":{},\"peak_rss_bytes\":{}}}",
         json_str(name),
         sys.hosts,
         sys.flows,
         sys.rules,
         sys.basis_cols,
         json_str(backend),
-    );
-    if let Some(r) = run {
-        let _ = write!(
-            s,
-            ",\"cold_ms\":{},\"warm_ms\":{},\"solve_path\":{},\"cg_iterations\":{},\
-             \"healthy_anomaly_index\":{},\"healthy_anomalous\":{},\
-             \"anomalous_anomaly_index\":{},\"anomalous_anomalous\":{}",
-            json_f64(r.cold_ms),
-            json_f64(r.warm_ms),
-            json_str(&r.solve_path),
-            r.cg_iterations,
-            json_f64(r.healthy_index),
-            r.healthy_flag,
-            json_f64(r.anomalous_index),
-            r.anomalous_flag,
-        );
-    }
-    match dense_error {
-        Some(e) => {
-            let _ = write!(s, ",\"dense_error\":{}", json_str(e));
-        }
-        None => s.push_str(",\"dense_error\":null"),
-    }
-    let _ = write!(
-        s,
-        ",\"peak_rss_bytes\":{}}}",
+        json_f64(r.cold_ms),
+        json_f64(r.warm_ms),
+        json_str(&r.solve_path),
+        r.cg_iterations,
+        json_f64(r.healthy_index),
+        r.healthy_flag,
+        json_f64(r.anomalous_index),
+        r.anomalous_flag,
+        dense_error.map_or_else(|| "null".to_string(), json_str),
         foces_runtime::peak_rss_bytes()
-    );
-    s
+    )
 }
 
 /// Attempts a dense-backend round expecting the typed allocation refusal;
@@ -1392,11 +1273,11 @@ fn scale_expect_dense_refusal(sys: &ScaleSystem, threshold: f64) -> Result<Strin
 pub fn scale(args: &Args) -> Result<CmdOutput, CmdError> {
     use foces_runtime::metrics::json_f64;
     let full = args.flag("full");
+    let out_path = args.opt("out").unwrap_or("BENCH_scale.json").to_string();
     let seed: u64 = args.num("seed", 7)?;
     let threshold: f64 = args.num("threshold", foces::DEFAULT_THRESHOLD)?;
     let ceiling: usize = args.num("ceiling", 16)?;
     let flows_max: usize = args.num("flows-max", 0)?;
-    let out_path = args.opt("out").unwrap_or("BENCH_scale.json").to_string();
 
     let mut out = String::new();
     let mut cells: Vec<String> = Vec::new();
@@ -1451,100 +1332,59 @@ pub fn scale(args: &Args) -> Result<CmdOutput, CmdError> {
          (target >=5x), {}",
         if parity_ok { "ok" } else { "FAILED" }
     )?;
-    cells.push(scale_cell_json(
-        "fattree-8",
-        &sys8,
-        "dense",
-        Some(&dense8),
-        None,
-    ));
-    cells.push(scale_cell_json(
-        "fattree-8",
-        &sys8,
-        "sparse",
-        Some(&sparse8),
-        None,
-    ));
+    for (backend, run) in [("dense", &dense8), ("sparse", &sparse8)] {
+        cells.push(scale_cell_json("fattree-8", &sys8, backend, run, None));
+    }
     drop(sys8);
 
-    // -- FatTree(12) sparse-only smoke: dense must refuse, typed --------
-    let sys12 = scale_system(12, seed, flows_max)?;
-    writeln!(
-        out,
-        "fattree-12: {} hosts, {} flows, {} rules, {} basis columns",
-        sys12.hosts, sys12.flows, sys12.rules, sys12.basis_cols
-    )?;
-    let refusal12 = scale_expect_dense_refusal(&sys12, threshold)?;
-    writeln!(out, "  dense  refused (typed): {refusal12}")?;
-    let sparse12 = scale_run(&sys12, foces::BackendKind::Sparse, threshold)?;
-    if sparse12.healthy_flag || !sparse12.anomalous_flag {
-        failures.push(format!(
-            "fattree-12 sparse verdicts: healthy anomalous={}, anomalous anomalous={}",
-            sparse12.healthy_flag, sparse12.anomalous_flag
-        ));
-    }
-    writeln!(
-        out,
-        "  sparse cold {:>10.1} ms, warm {:>8.1} ms  (path {}, {} cg iters, \
-         healthy AI {:.2}, anomalous AI {:.2})",
-        sparse12.cold_ms,
-        sparse12.warm_ms,
-        sparse12.solve_path,
-        sparse12.cg_iterations,
-        sparse12.healthy_index,
-        sparse12.anomalous_index
-    )?;
-    cells.push(scale_cell_json(
-        "fattree-12",
-        &sys12,
-        "sparse",
-        Some(&sparse12),
-        Some(&refusal12),
-    ));
-    drop(sys12);
-
-    // -- FatTree(16)-class headline (full mode only) --------------------
-    if full {
-        let sys16 = scale_system(ceiling, seed, flows_max)?;
+    // -- FatTree(12) sparse-only smoke, and in full mode the FatTree(16)-
+    // class headline cell: dense must refuse, typed, sparse stay correct --
+    let mut sparse_cell = |k: usize, min_flows: usize| -> Result<(), CmdError> {
+        let name = format!("fattree-{k}");
+        let sys = scale_system(k, seed, flows_max)?;
         writeln!(
             out,
-            "fattree-{ceiling}: {} hosts, {} flows, {} rules, {} basis columns",
-            sys16.hosts, sys16.flows, sys16.rules, sys16.basis_cols
+            "{name}: {} hosts, {} flows, {} rules, {} basis columns",
+            sys.hosts, sys.flows, sys.rules, sys.basis_cols
         )?;
-        if sys16.flows < 100_000 {
+        if sys.flows < min_flows {
             failures.push(format!(
-                "fattree-{ceiling}: only {} flows (headline cell needs >=100000)",
-                sys16.flows
+                "{name}: only {} flows (headline cell needs >={min_flows})",
+                sys.flows
             ));
         }
-        let refusal16 = scale_expect_dense_refusal(&sys16, threshold)?;
-        writeln!(out, "  dense  refused (typed): {refusal16}")?;
-        let sparse16 = scale_run(&sys16, foces::BackendKind::Sparse, threshold)?;
-        if sparse16.healthy_flag || !sparse16.anomalous_flag {
+        let refusal = scale_expect_dense_refusal(&sys, threshold)?;
+        writeln!(out, "  dense  refused (typed): {refusal}")?;
+        let sparse = scale_run(&sys, foces::BackendKind::Sparse, threshold)?;
+        if sparse.healthy_flag || !sparse.anomalous_flag {
             failures.push(format!(
-                "fattree-{ceiling} sparse verdicts: healthy anomalous={}, \
-                 anomalous anomalous={}",
-                sparse16.healthy_flag, sparse16.anomalous_flag
+                "{name} sparse verdicts: healthy anomalous={}, anomalous anomalous={}",
+                sparse.healthy_flag, sparse.anomalous_flag
             ));
         }
         writeln!(
             out,
             "  sparse cold {:>10.1} ms, warm {:>8.1} ms  (path {}, {} cg iters, \
              healthy AI {:.2}, anomalous AI {:.2})",
-            sparse16.cold_ms,
-            sparse16.warm_ms,
-            sparse16.solve_path,
-            sparse16.cg_iterations,
-            sparse16.healthy_index,
-            sparse16.anomalous_index
+            sparse.cold_ms,
+            sparse.warm_ms,
+            sparse.solve_path,
+            sparse.cg_iterations,
+            sparse.healthy_index,
+            sparse.anomalous_index
         )?;
         cells.push(scale_cell_json(
-            &format!("fattree-{ceiling}"),
-            &sys16,
+            &name,
+            &sys,
             "sparse",
-            Some(&sparse16),
-            Some(&refusal16),
+            &sparse,
+            Some(&refusal),
         ));
+        Ok(())
+    };
+    sparse_cell(12, 0)?;
+    if full {
+        sparse_cell(ceiling, 100_000)?;
     }
 
     let json = format!(
@@ -1571,10 +1411,7 @@ pub fn scale(args: &Args) -> Result<CmdOutput, CmdError> {
         writeln!(out, "exit 2: {} scale assertion(s) failed", failures.len())?;
         2
     };
-    Ok(CmdOutput {
-        report: out,
-        exit_code,
-    })
+    Ok(CmdOutput::new(out, exit_code))
 }
 
 /// `foces audit <scenario> [--cap N] [--json]` — static rule-table
@@ -1651,10 +1488,7 @@ pub fn audit(args: &Args) -> Result<CmdOutput, CmdError> {
         }
     }
     let exit_code = if verification.is_clean() { 0 } else { 3 };
-    Ok(CmdOutput {
-        report: out,
-        exit_code,
-    })
+    Ok(CmdOutput::new(out, exit_code))
 }
 
 /// `foces coverage <scenario> [--shards K] [--json] [--strict]` — static
@@ -1682,15 +1516,10 @@ pub fn coverage_cmd(args: &Args) -> Result<CmdOutput, CmdError> {
     } else {
         writeln!(out, "{}", report.summary())?;
         if let (Some(flow), false) = (report.margin_flow, report.margin_witness.is_empty()) {
-            let witness: Vec<String> = report
-                .margin_witness
-                .iter()
-                .map(|s| format!("s{}", s.0))
-                .collect();
             writeln!(
                 out,
                 "margin witness: flow f{flow} goes unobservable if [{}] fail",
-                witness.join(", ")
+                switch_list(report.margin_witness.iter().copied())
             )?;
         }
         for sh in &report.shards {
@@ -1742,10 +1571,7 @@ pub fn coverage_cmd(args: &Args) -> Result<CmdOutput, CmdError> {
     } else {
         0
     };
-    Ok(CmdOutput {
-        report: out,
-        exit_code,
-    })
+    Ok(CmdOutput::new(out, exit_code))
 }
 
 /// `foces interleave <scenario> ...` — schedule-enumeration conformance
@@ -1763,10 +1589,7 @@ pub fn interleave(args: &Args) -> Result<CmdOutput, CmdError> {
         segments: args.num("segments", 2)?,
         ..InterleaveConfig::default()
     };
-    cfg.mode = if let Some(count) = args.opt("schedules") {
-        let count: usize = count
-            .parse()
-            .map_err(|_| format!("--schedules: cannot parse {count:?}"))?;
+    cfg.mode = if let Some(count) = args.maybe("schedules")? {
         ScheduleSet::Sample {
             count,
             seed: args.num("seed", 7)?,
@@ -1877,10 +1700,7 @@ pub fn interleave(args: &Args) -> Result<CmdOutput, CmdError> {
             report.violation_count()
         )?;
     }
-    Ok(CmdOutput {
-        report: out,
-        exit_code,
-    })
+    Ok(CmdOutput::new(out, exit_code))
 }
 
 /// `foces harden <scenario> [--budget N] [--cap N]`.
@@ -1910,7 +1730,7 @@ pub fn harden_cmd(args: &Args) -> Result<String, CmdError> {
 
 /// `foces scenario <family>` — prints a template.
 pub fn scenario_template(args: &Args) -> Result<String, CmdError> {
-    let family = args.positional(1).unwrap_or("ring");
+    let family = args.positional(0).unwrap_or("ring");
     let body = match family {
         "fattree" => "topology fattree 4\ngranularity per-pair\nall-pairs 1000\n",
         "bcube" => "topology bcube 1 4\ngranularity per-pair\nall-pairs 1000\n",
@@ -1933,91 +1753,23 @@ flow-via h0 h2 1000 s4
 
 /// Dispatches a full argument vector (excluding `argv[0]`).
 pub fn dispatch(raw: &[String]) -> Result<CmdOutput, CmdError> {
-    let args = Args::parse(
-        raw,
-        &[
-            "loss",
-            "modify",
-            "seed",
-            "threshold",
-            "rounds",
-            "attack-at",
-            "repair-at",
-            "cap",
-            "budget",
-            "epochs",
-            "drop",
-            "latency",
-            "jitter",
-            "reorder",
-            "offline",
-            "offline-from",
-            "offline-to",
-            "churn",
-            "churn-seed",
-            "alarm-window",
-            "churn-suppress",
-            "churn-penalty",
-            "workers",
-            "oracle-cap",
-            "log",
-            "shards",
-            "partition",
-            "shard-deadline-ms",
-            "queue-capacity",
-            "kill-shard",
-            "kill-at",
-            "heal-at",
-            "poll-deadline-ms",
-            "attempt-timeout-ms",
-            "max-attempts",
-            "duration-ms",
-            "regions",
-            "poll-ms",
-            "poll-max-ms",
-            "link-delay",
-            "bandwidth",
-            "slow-region",
-            "slow-ms",
-            "churn-at",
-            "settle-ms",
-            "anomaly-seed",
-            "liars",
-            "fake-strategy",
-            "fake-at",
-            "confess-at",
-            "fake-magnitude",
-            "liar-seed",
-            "liars-max",
-            "magnitudes",
-            "strategies",
-            "out",
-            "updates",
-            "segments",
-            "schedules",
-            "update-at",
-            "epochs-after",
-            "backend",
-            "ceiling",
-            "flows-max",
-        ],
-    )?;
-    match args.positional(0) {
-        Some("topo") => topo(&args).map(CmdOutput::clean),
-        Some("detect") => detect(&args).map(CmdOutput::clean),
-        Some("monitor") => monitor(&args).map(CmdOutput::clean),
-        Some("run") => run_service(&args),
-        Some("cluster") => cluster_run(&args),
-        Some("stream") => stream_run(&args),
-        Some("redteam") => redteam(&args),
-        Some("scale") => scale(&args),
-        Some("audit") => audit(&args),
-        Some("coverage") => coverage_cmd(&args),
-        Some("interleave") => interleave(&args),
-        Some("harden") => harden_cmd(&args).map(CmdOutput::clean),
-        Some("scenario") => scenario_template(&args).map(CmdOutput::clean),
-        Some("help") | None => Ok(CmdOutput::clean(USAGE.to_string())),
-        Some(other) => Err(format!("unknown command {other:?}\n\n{USAGE}").into()),
+    let args = parse(raw)?;
+    match args.verb().name {
+        "topo" => topo(&args).map(CmdOutput::clean),
+        "detect" => detect(&args).map(CmdOutput::clean),
+        "monitor" => monitor(&args).map(CmdOutput::clean),
+        "run" => run_service(&args),
+        "cluster" => cluster_run(&args),
+        "stream" => stream_run(&args),
+        "redteam" => redteam(&args),
+        "scale" => scale(&args),
+        "audit" => audit(&args),
+        "coverage" => coverage_cmd(&args),
+        "interleave" => interleave(&args),
+        "harden" => harden_cmd(&args).map(CmdOutput::clean),
+        "scenario" => scenario_template(&args).map(CmdOutput::clean),
+        "help" => Ok(CmdOutput::clean(args::help(VERBS))),
+        other => unreachable!("verb {other} is declared in VERBS but not dispatched"),
     }
 }
 
@@ -2752,5 +2504,14 @@ mod tests {
     fn missing_file_reports_path() {
         let e = run(argv(&["topo", "/no/such/file.foces"])).unwrap_err();
         assert!(e.to_string().contains("/no/such/file.foces"));
+    }
+
+    #[test]
+    fn scale_reads_only_declared_flags() {
+        // `--flows-max` is read last, so a bad value there stops `scale`
+        // before any sweep runs, after every other flag read has passed
+        // the declaration check.
+        let e = run(argv(&["scale", "--full", "--flows-max=x"])).unwrap_err();
+        assert!(e.to_string().contains("--flows-max: cannot parse"), "{e}");
     }
 }

@@ -1,8 +1,7 @@
 //! `foces` — the command-line entry point. All logic lives in
-//! [`commands`]; `main` only wires argv and exit codes.
+//! [`foces_cli::commands`]; `main` only wires argv and exit codes.
 
-mod args;
-mod commands;
+use foces_cli::commands;
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
