@@ -7,8 +7,11 @@
 //! 4-switch ring, and a deterministically sampled FatTree(8), plus the
 //! sharded variant ([`analyze_cluster_coverage`], k=4) on the FatTree(8)
 //! plane, and asserts the golden verdicts along the way: both fat-trees
-//! clean and all-Localizable, the ring WARNing with certificates.
-//! Results land in `BENCH_coverage.json` at the repository root. With
+//! clean and all-Localizable, the ring WARNing with certificates. The
+//! leave-one-out classes come from one sparse factor and a Woodbury
+//! capacitance per switch (`foces_sparse::Capacitance`); the sampled
+//! FatTree(8) cells took 3.3–3.5 s when each switch instead cloned a
+//! dense factor and downdated it row by row. Results land in `BENCH_coverage.json` at the repository root. With
 //! `--test` (the CI smoke mode) FatTree(8) is skipped and nothing is
 //! written.
 

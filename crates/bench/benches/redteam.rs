@@ -7,7 +7,8 @@
 //!
 //! * **Localization**: a single naive counter-forging switch is
 //!   localized with precision = recall = 1.0, and every leave-one-out
-//!   cross-validation solve goes through [`FactorCache`] downdates —
+//!   cross-validation solve goes through rank-one Woodbury corrections
+//!   of the round's one sparse factor (`foces_sparse::Capacitance`) —
 //!   `loo_solves > 0` with `loo_downdates == 0` (a cold refactorization
 //!   per candidate) fails the bench.
 //! * **No paranoia**: 30 honest rolling-reroute epochs with the
@@ -20,8 +21,6 @@
 //!
 //! With `--test` (the CI smoke mode) it runs the scaled-down FatTree(4)
 //! per-pair configuration, keeps the assertions, and writes nothing.
-//!
-//! [`FactorCache`]: foces_linalg::FactorCache
 
 use foces_channel::FakeStrategy;
 use foces_controlplane::{provision, uniform_flows, Deployment, RuleGranularity};

@@ -46,17 +46,17 @@ fn probe_stage_costs() {
     eprintln!("gram_dense: {:.1}ms", t.elapsed().as_secs_f64() * 1e3);
 
     let t = Instant::now();
-    let mut factor = FactorCache::factor_lean(gram).unwrap();
+    let mut factor = FactorCache::factor(&gram).unwrap();
     eprintln!("factor: {:.1}ms", t.elapsed().as_secs_f64() * 1e3);
 
     let nb = factor.dim();
     let t = Instant::now();
-    factor.remove(nb - 5);
+    factor.remove_batch(&[nb - 5]);
     eprintln!("one remove: {:.1}ms", t.elapsed().as_secs_f64() * 1e3);
 
     let t = Instant::now();
     let cross = vec![0.0; factor.dim()];
-    factor.append(&cross, 7.0).unwrap();
+    factor.append_batch(&[cross], &[7.0]).unwrap();
     eprintln!("one append: {:.1}ms", t.elapsed().as_secs_f64() * 1e3);
 
     let t = Instant::now();

@@ -1,7 +1,8 @@
 //! The `foces` argument parser. Each subcommand is one [`Verb`]
-//! declaration of its positionals, its flags and which flag needs which
-//! partner. A command line is parsed against exactly that declaration, and
-//! `foces help` is rendered from the same declarations. Hand-rolled to keep
+//! declaration of its positionals, its flags, which flag needs which
+//! partner and which flags exclude each other. A command line is parsed
+//! against exactly that declaration, and `foces help` is rendered from the
+//! same declarations. Hand-rolled to keep
 //! the dependency set at the approved offline list (no clap).
 
 use std::collections::HashMap;
@@ -24,6 +25,9 @@ pub struct Verb {
     pub flags: &'static [&'static str],
     /// `(flag, partner)`: `--flag` acts only together with `--partner`.
     pub needs: &'static [(&'static str, &'static str)],
+    /// `(a, b)`: `--a` would be ignored under `--b`, so giving both is an
+    /// error.
+    pub conflicts: &'static [(&'static str, &'static str)],
     /// What the verb does, for `foces help`.
     pub about: &'static str,
 }
@@ -79,31 +83,52 @@ fn wrap(head: &str, words: impl IntoIterator<Item = impl AsRef<str>>, indent: &s
     out
 }
 
+/// One verb's `foces help NAME` entry.
+///
+/// # Errors
+///
+/// Returns [`ArgError`] when `name` names no verb.
+pub fn verb_help(verbs: &[Verb], name: &str) -> Result<String, ArgError> {
+    verbs
+        .iter()
+        .find(|v| v.name == name)
+        .map(entry)
+        .ok_or_else(|| ArgError(format!("unknown command {name:?} (see `foces help`)")))
+}
+
 /// The full `foces help` text, rendered from `verbs`.
 pub fn help(verbs: &[Verb]) -> String {
     let mut out = String::from(
         "foces — network-wide forwarding anomaly detection (FOCES, ICDCS 2018)\n\nUSAGE:\n",
     );
     for verb in verbs {
-        let _ = writeln!(out, "{}", verb.usage("  ", "      "));
-        if !verb.needs.is_empty() {
-            let needs = verb
-                .needs
-                .iter()
-                .map(|(f, p)| format!("--{f} needs --{p};"));
-            let _ = writeln!(
-                out,
-                "{}",
-                wrap("     ", needs, "      ").trim_end_matches(';')
-            );
-        }
-        let about = wrap("     ", verb.about.split_whitespace(), "      ");
-        let _ = writeln!(out, "{about}\n");
+        out.push_str(&entry(verb));
     }
     out + "Flags go after the verb, as `--key value` or `--key=value`. A flag the verb\n\
            does not declare, a value flag given twice, a flag without its partner and an\n\
-           extra positional are errors (exit 1). Scenario files: see `foces scenario ring`\n\
-           for the format.\n"
+           extra positional are errors (exit 1), as are two flags that conflict. Scenario\n\
+           files: see `foces scenario ring` for the format.\n"
+}
+
+/// One verb's help entry: usage, flag relations, and what it does.
+fn entry(verb: &Verb) -> String {
+    let mut out = format!("{}\n", verb.usage("  ", "      "));
+    let needs = verb
+        .needs
+        .iter()
+        .map(|(f, p)| format!("--{f} needs --{p};"));
+    let conflicts = verb
+        .conflicts
+        .iter()
+        .map(|(a, b)| format!("--{a} conflicts with --{b};"));
+    let relations: Vec<String> = needs.chain(conflicts).collect();
+    if !relations.is_empty() {
+        let relations = wrap("     ", relations, "      ");
+        let _ = writeln!(out, "{}", relations.trim_end_matches(';'));
+    }
+    let about = wrap("     ", verb.about.split_whitespace(), "      ");
+    let _ = writeln!(out, "{about}\n");
+    out
 }
 
 /// Edit distance between two strings.
@@ -161,7 +186,8 @@ impl std::error::Error for ArgError {}
 /// Returns [`ArgError`] for a flag before the verb, an unknown verb, an
 /// undeclared flag (with a nearest-match hint and the verbs declaring it),
 /// a value flag given twice or without its value, `=value` on a switch,
-/// an extra positional, or a flag without its declared partner.
+/// an extra positional, a flag without its declared partner, or two
+/// conflicting flags.
 pub fn parse(verbs: &'static [Verb], raw: &[String]) -> Result<Args, ArgError> {
     let name = raw.first().map_or("help", String::as_str);
     if name.starts_with('-') {
@@ -219,6 +245,11 @@ pub fn parse(verbs: &'static [Verb], raw: &[String]) -> Result<Args, ArgError> {
     for &(flag, partner) in verb.needs {
         if out.given(flag) && !out.given(partner) {
             return Err(verb.error(format_args!("--{flag} needs --{partner}")));
+        }
+    }
+    for &(a, b) in verb.conflicts {
+        if out.given(a) && out.given(b) {
+            return Err(verb.error(format_args!("--{a} conflicts with --{b}")));
         }
     }
     Ok(out)
@@ -339,6 +370,7 @@ mod tests {
             positionals: "<scenario>",
             flags: &["loss=P seed=N", "sliced"],
             needs: &[],
+            conflicts: &[("seed", "sliced")],
             about: "one round",
         },
         Verb {
@@ -346,6 +378,7 @@ mod tests {
             positionals: "<scenario>",
             flags: &["loss=P epochs=N expr=X empty=X offline=S offline-from=E"],
             needs: &[("offline-from", "offline")],
+            conflicts: &[],
             about: "many rounds",
         },
     ];
@@ -391,6 +424,7 @@ mod tests {
             "detect a.foces b.foces",
             "detect --lost 1",
             "run --offline-from 3",
+            "detect --sliced --seed 1",
         ] {
             let err = parse_str(bad).unwrap_err();
             let last = err.0.lines().find(|l| l.starts_with("usage: foces"));
@@ -400,6 +434,17 @@ mod tests {
             .unwrap_err()
             .0
             .contains("--loss?"));
+    }
+
+    #[test]
+    fn conflicts_are_rejected_and_printed() {
+        let err = parse_str("detect --seed 1 --sliced").unwrap_err();
+        assert!(err.0.starts_with("--seed conflicts with --sliced"), "{err}");
+        assert!(parse_str("detect --seed 1").is_ok());
+        let entry = verb_help(VERBS, "detect").unwrap();
+        assert!(entry.contains("--seed conflicts with --sliced"), "{entry}");
+        assert!(!entry.contains("foces run"), "{entry}");
+        assert!(verb_help(VERBS, "nope").is_err());
     }
 
     #[test]

@@ -64,14 +64,14 @@ const DRIVER: &str = "backend=dense|sparse|auto log=FILE.jsonl coverage-strict";
 /// and documented from. A verb's code reads only the flags listed here.
 #[rustfmt::skip]
 pub const VERBS: &[Verb] = &[
-    Verb { name: "topo", positionals: "<scenario>", flags: &[], needs: &[],
+    Verb { name: "topo", positionals: "<scenario>", flags: &[], needs: &[], conflicts: &[],
         about: "topology & FCM statistics" },
     Verb { name: "detect", positionals: "<scenario>",
-        flags: &["loss=P modify=K seed=N threshold=T sliced"], needs: &[],
+        flags: &["loss=P modify=K seed=N threshold=T sliced"], needs: &[], conflicts: &[],
         about: "one detection round after K random path deviations; --sliced adds the \
                 per-switch slice verdict and the top suspects" },
     Verb { name: "monitor", positionals: "<scenario>",
-        flags: &["rounds=N attack-at=R repair-at=R loss=P seed=N"], needs: &[],
+        flags: &["rounds=N attack-at=R repair-at=R loss=P seed=N"], needs: &[], conflicts: &[],
         about: "rounds of detection with alarm hysteresis around one attack/repair cycle" },
     Verb { name: "run", positionals: "<scenario>",
         flags: &["epochs=N loss=P seed=N threshold=T", CHANNEL,
@@ -80,7 +80,7 @@ pub const VERBS: &[Verb] = &[
              poll-deadline-ms=MS workers=N oracle-cap=N", LIAR_DRILL, DRIVER],
         needs: &[("offline-from", "offline"), ("offline-to", "offline"),
             ("repair-at", "attack-at"), ("confess-at", "fake-at"), ("fake-at", "liars"),
-            ("fake-strategy", "liars"), ("fake-magnitude", "liars")],
+            ("fake-strategy", "liars"), ("fake-magnitude", "liars")], conflicts: &[],
         about: "fault-tolerant online detection over an unreliable channel; --workers N \
                 sets the slice-solve threads (0 or 1 inline, else a pool of min(N, slices)); \
                 exits 2 on an unresolved (Byzantine) alarm" },
@@ -92,7 +92,7 @@ pub const VERBS: &[Verb] = &[
             LIAR_DRILL, DRIVER],
         needs: &[("poll-max-ms", "adaptive"), ("slow-ms", "slow-region"),
             ("fake-at", "liars"), ("confess-at", "liars"), ("fake-strategy", "liars"),
-            ("fake-magnitude", "liars")],
+            ("fake-magnitude", "liars")], conflicts: &[],
         about: "event-driven ingestion over per-link channel models with adaptive polling; \
                 each shard detects once its counters are complete; exits 2 on an \
                 unresolved (Byzantine) alarm" },
@@ -101,17 +101,18 @@ pub const VERBS: &[Verb] = &[
              loss=P seed=N threshold=T attack-at=E repair-at=E kill-shard=R kill-at=E \
              heal-at=E workers=N queue-capacity=N", DRIVER],
         needs: &[("kill-at", "kill-shard"), ("heal-at", "kill-shard"),
-            ("repair-at", "attack-at")],
+            ("repair-at", "attack-at")], conflicts: &[],
         about: "sharded detection: region shards on a work-stealing pool with per-shard \
                 warm solvers and fault isolation; exits 2 on an unresolved alarm" },
     Verb { name: "redteam", positionals: "[scenario]",
         flags: &["epochs=N fake-at=E liars-max=K strategies=naive,scale,replay,path,coverup \
-             magnitudes=L1,L2,... threshold=T seed=N liar-seed=N out=FILE.json"], needs: &[],
+             magnitudes=L1,L2,... threshold=T seed=N liar-seed=N out=FILE.json"],
+        needs: &[], conflicts: &[],
         about: "adversarial sweep (strategy x liar count x magnitude): detection latency, \
                 localization precision/recall and evasion cost, into BENCH_redteam.json" },
     Verb { name: "scale", positionals: "",
         flags: &["full out=FILE.json seed=N threshold=T ceiling=K flows-max=N"],
-        needs: &[("ceiling", "full")],
+        needs: &[("ceiling", "full")], conflicts: &[],
         about: "sparse-engine scaling sweep into BENCH_scale.json: FatTree(8) dense-vs-sparse \
                 parity and cold speedup, FatTree(12) sparse-only with the dense refusal \
                 asserted, --full adds FatTree(K); exits 2 on a failed assertion" },
@@ -119,22 +120,26 @@ pub const VERBS: &[Verb] = &[
         flags: &["updates=N segments=K schedules=N seed=S uniform update-at=E \
              epochs-after=N shards=K threshold=T no-dropper no-fanout json"],
         needs: &[("seed", "schedules")],
+        conflicts: &[("shards", "no-fanout"), ("uniform", "schedules")],
         about: "schedule enumeration: N concurrent reroutes whose per-switch commits race \
                 collection and the shard fan-out, all DPOR-pruned schedules or a seeded \
                 --schedules sample; exits 2 on an oracle violation, shrunk to a minimal one" },
-    Verb { name: "audit", positionals: "<scenario>", flags: &["cap=N json"], needs: &[],
+    Verb { name: "audit", positionals: "<scenario>", flags: &["cap=N json"],
+        needs: &[], conflicts: &[],
         about: "static rule-table verification (loops, blackholes, shadowed rules, FCM \
                 consistency, stale rules) and blind spots; exits 3 on violations" },
     Verb { name: "coverage", positionals: "<scenario>", flags: &["shards=K json strict"],
-        needs: &[],
+        needs: &[], conflicts: &[],
         about: "static detectability & localization coverage, no epochs run: absorption \
                 WARNs with certificates, leave-one-out classes, degradation margin, shard \
                 rank; --strict exits 4 on a WARN (run/cluster/stream: --coverage-strict)" },
-    Verb { name: "harden", positionals: "<scenario>", flags: &["budget=N cap=N"], needs: &[],
+    Verb { name: "harden", positionals: "<scenario>", flags: &["budget=N cap=N"],
+        needs: &[], conflicts: &[],
         about: "close blind spots with extra rules" },
     Verb { name: "scenario", positionals: "[fattree|bcube|dcell|stanford|linear|ring]",
-        flags: &[], needs: &[], about: "print a template scenario" },
-    Verb { name: "help", positionals: "", flags: &[], needs: &[], about: "this text" },
+        flags: &[], needs: &[], conflicts: &[], about: "print a template scenario" },
+    Verb { name: "help", positionals: "[verb]", flags: &[], needs: &[], conflicts: &[],
+        about: "this text, or one verb's entry" },
 ];
 
 /// Parses a command line against [`VERBS`] without running anything: the
@@ -1768,7 +1773,10 @@ pub fn dispatch(raw: &[String]) -> Result<CmdOutput, CmdError> {
         "interleave" => interleave(&args),
         "harden" => harden_cmd(&args).map(CmdOutput::clean),
         "scenario" => scenario_template(&args).map(CmdOutput::clean),
-        "help" => Ok(CmdOutput::clean(args::help(VERBS))),
+        "help" => Ok(CmdOutput::clean(match args.positional(0) {
+            Some(verb) => args::verb_help(VERBS, verb)?,
+            None => args::help(VERBS),
+        })),
         other => unreachable!("verb {other} is declared in VERBS but not dispatched"),
     }
 }

@@ -15,10 +15,11 @@
 //!    suspect switch `s`, re-solve the system with `s`'s equations removed.
 //!    If the remainder is consistent (anomaly index back under the
 //!    threshold), every conflict involved `s`'s reports — `s` is the liar.
-//!    The re-solve reuses the cached Cholesky factor of the normal
-//!    equations via rank-one **downdates** (one per removed row), never
-//!    refactorizing from cold: `O(rows(s)·n²)` instead of `O(n³)` per
-//!    candidate.
+//!    The re-solve reuses the one sparse Cholesky factor of the normal
+//!    equations through a Woodbury capacitance over `s`'s rows, never
+//!    refactorizing: `r_s + k_s` sparse forward solves and a dense
+//!    `(r_s + k_s)²` capacitance per candidate, where `k_s` counts the
+//!    flows `s` strands.
 //! 3. **k-resilient verdicts** ([`k_resilient_verdict`]): quarantine the
 //!    top-j suspects (j = 1..k) through the row-mask machinery and report
 //!    whether the verdict survives — a verdict that flips when one suspect
@@ -28,10 +29,10 @@
 //!
 //! Removing the rows `R_s` of switch `s` changes the basis Gram matrix by
 //! `−Σ_{r∈R_s} h_r·h_rᵀ` (where `h_r` is row `r` restricted to the column
-//! basis) — precisely a sequence of rank-one downdates. Flows whose entire
-//! support lies on `s` become unidentifiable and are excised from the
-//! factor first ([`FactorCache::remove_batch`]); if a downdate still drives
-//! the factor singular, the removal destroys identifiability of some
+//! basis) — one rank-one correction per removed row. Flows whose entire
+//! support lies on `s` become unidentifiable: the capacitance pins them to
+//! zero with an identity term instead ([`Capacitance`]). If the corrected
+//! system is still singular, the removal destroys identifiability of some
 //! remaining flow and the outcome is [`LooStatus::RankLost`] — the solver
 //! refuses to certify rather than report a spurious "consistent".
 //! A *pure* counter-fake liar (forwarding untouched) is the only switch
@@ -46,8 +47,9 @@
 
 use crate::{AlarmState, Detector, Fcm, FocesError, Verdict};
 use foces_dataplane::RuleRef;
-use foces_linalg::{CsrMatrix, FactorCache, LinalgError};
+use foces_linalg::CsrMatrix;
 use foces_net::SwitchId;
+use foces_sparse::{Capacitance, SparseFactor};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
@@ -232,21 +234,19 @@ pub struct LooOutcome {
 /// Leave-one-switch-out solver (tentpole part 2).
 ///
 /// Built once per counter snapshot: factors the basis Gram matrix a single
-/// time, then answers "is the system consistent *without* switch `s`?" for
-/// any number of candidates by cloning the cached factor and downdating out
-/// `s`'s rows — no cold refactorization per candidate
+/// time (sparse), then answers "is the system consistent *without* switch
+/// `s`?" for any number of candidates through a Woodbury
+/// [`Capacitance`] over `s`'s rows — no refactorization per candidate
 /// ([`LooSolver::cold_factorizations`] stays at 1, asserted by the redteam
 /// bench).
 #[derive(Debug, Clone)]
 pub struct LooSolver {
     basis: CsrMatrix,
-    cache: FactorCache,
+    factor: SparseFactor,
     rhs: Vec<f64>,
     counters: Vec<f64>,
     rules: Vec<RuleRef>,
     rows_of: BTreeMap<SwitchId, Vec<usize>>,
-    /// Nonzero-row count per basis column (support size).
-    col_rows: Vec<usize>,
     threshold: f64,
     base_index: f64,
     base_err_med: f64,
@@ -276,25 +276,16 @@ impl LooSolver {
         }
         let groups = fcm.column_groups();
         let basis = fcm.sparse().select_columns(&groups.basis);
-        let cache = basis
-            .gram_dense()
-            .and_then(FactorCache::factor_lean)
-            .map_err(FocesError::from)?;
-        let rhs = basis.transpose_matvec(counters).map_err(FocesError::from)?;
+        let factor = SparseFactor::factor_fresh(&basis.gram_csr())?;
+        let rhs = basis.transpose_matvec(counters)?;
         let mut rows_of: BTreeMap<SwitchId, Vec<usize>> = BTreeMap::new();
         for (i, r) in fcm.rules().iter().enumerate() {
             rows_of.entry(r.switch).or_default().push(i);
         }
-        let mut col_rows = vec![0usize; basis.cols()];
-        for i in 0..basis.rows() {
-            for (j, _) in basis.row_iter(i) {
-                col_rows[j] += 1;
-            }
-        }
-        // Base solve off the same factor: one triangular solve, no extra
-        // factorization.
-        let x = cache.solve(&rhs).map_err(FocesError::from)?;
-        let fitted = basis.matvec(&x).map_err(FocesError::from)?;
+        // Base solve off the same factor: one triangular solve pair, no
+        // extra factorization.
+        let x = factor.solve(&rhs)?;
+        let fitted = basis.matvec(&x)?;
         let residual: Vec<f64> = counters
             .iter()
             .zip(&fitted)
@@ -304,12 +295,11 @@ impl LooSolver {
         let base_err_med = crate::detector::median(&residual);
         Ok(LooSolver {
             basis,
-            cache,
+            factor,
             rhs,
             counters: counters.to_vec(),
             rules: fcm.rules().to_vec(),
             rows_of,
-            col_rows,
             threshold,
             base_index,
             base_err_med,
@@ -334,7 +324,8 @@ impl LooSolver {
         self.cold_factorizations
     }
 
-    /// Rank-one downdates performed so far.
+    /// Rank-one corrections applied so far: one per removed row that keeps
+    /// an entry on a non-stranded basis column.
     pub fn downdates(&self) -> usize {
         self.downdates
     }
@@ -364,92 +355,36 @@ impl LooSolver {
             });
         }
         // Basis columns whose entire support lies on s's rows become
-        // unidentifiable once s is removed: excise them from the factor
-        // first (Givens removal), so the downdates below never aim at an
-        // exactly-singular target.
-        let ncols = self.basis.cols();
-        let mut local = vec![0usize; ncols];
+        // unidentifiable once s is removed; the capacitance pins them to
+        // zero and corrects the factor for the rest of s's rows.
+        let cap = Capacitance::new(&self.basis, &self.factor, &rows)?;
+        self.downdates += cap.corrections();
+        if cap.rank_lost() {
+            return Ok(LooOutcome {
+                switch: s,
+                rows_removed: rows.len(),
+                flows_dropped: cap.stranded().len(),
+                anomaly_index_without: f64::NAN,
+                err_max_without: f64::NAN,
+                status: LooStatus::RankLost,
+            });
+        }
+        let mut rhs = self.rhs.clone();
         for &r in &rows {
-            for (j, _) in self.basis.row_iter(r) {
-                local[j] += 1;
-            }
-        }
-        let drop_cols: Vec<usize> = (0..ncols)
-            .filter(|&j| self.col_rows[j] > 0 && local[j] == self.col_rows[j])
-            .collect();
-        let mut new_pos = vec![usize::MAX; ncols];
-        let mut kept = 0usize;
-        for (j, pos) in new_pos.iter_mut().enumerate() {
-            if drop_cols.binary_search(&j).is_err() {
-                *pos = kept;
-                kept += 1;
-            }
-        }
-        let rank_lost = |rows_removed: usize| LooOutcome {
-            switch: s,
-            rows_removed,
-            flows_dropped: drop_cols.len(),
-            anomaly_index_without: f64::NAN,
-            err_max_without: f64::NAN,
-            status: LooStatus::RankLost,
-        };
-        if kept == 0 {
-            // Every flow ran exclusively through s: nothing left to check.
-            return Ok(rank_lost(rows.len()));
-        }
-        let mut cache = self.cache.clone();
-        cache.remove_batch(&drop_cols);
-        let mut rhs: Vec<f64> = (0..ncols)
-            .filter(|&j| new_pos[j] != usize::MAX)
-            .map(|j| self.rhs[j])
-            .collect();
-        for &r in &rows {
-            let mut v = vec![0.0; kept];
-            let mut any = false;
             for (j, val) in self.basis.row_iter(r) {
-                if new_pos[j] != usize::MAX {
-                    v[new_pos[j]] = val;
-                    any = true;
-                }
-            }
-            if !any {
-                // Row supported only the excised columns — its Gram
-                // contribution left with them.
-                continue;
-            }
-            match cache.downdate(&v) {
-                Ok(()) => self.downdates += 1,
-                Err(LinalgError::NotPositiveDefinite { .. }) => {
-                    return Ok(rank_lost(rows.len()));
-                }
-                Err(e) => return Err(e.into()),
-            }
-            for (j, val) in self.basis.row_iter(r) {
-                if new_pos[j] != usize::MAX {
-                    rhs[new_pos[j]] -= self.counters[r] * val;
-                }
+                rhs[j] -= self.counters[r] * val;
             }
         }
-        let x = match cache.solve(&rhs) {
-            Ok(x) => x,
-            Err(
-                LinalgError::NotPositiveDefinite { .. } | LinalgError::SingularTriangular { .. },
-            ) => return Ok(rank_lost(rows.len())),
-            Err(e) => return Err(e.into()),
-        };
-        // Residuals over the rows that remain.
+        let x = cap.solve(&self.factor, &rhs)?;
+        // Residuals over the rows that remain; stranded coordinates of `x`
+        // are zero, so the full row fits only kept columns.
         let mut residual = Vec::with_capacity(self.rules.len() - rows.len());
         let mut kept_counters = Vec::with_capacity(residual.capacity());
         for i in 0..self.rules.len() {
             if self.rules[i].switch == s {
                 continue;
             }
-            let mut fit = 0.0;
-            for (j, val) in self.basis.row_iter(i) {
-                if new_pos[j] != usize::MAX {
-                    fit += x[new_pos[j]] * val;
-                }
-            }
+            let fit: f64 = self.basis.row_iter(i).map(|(j, val)| x[j] * val).sum();
             residual.push((self.counters[i] - fit).abs());
             kept_counters.push(self.counters[i]);
         }
@@ -466,7 +401,7 @@ impl LooSolver {
         Ok(LooOutcome {
             switch: s,
             rows_removed: rows.len(),
-            flows_dropped: drop_cols.len(),
+            flows_dropped: cap.stranded().len(),
             anomaly_index_without: ai,
             err_max_without: err_max,
             status: if ai <= self.threshold && err_max <= floor {

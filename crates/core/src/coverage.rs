@@ -20,13 +20,15 @@
 //!   dominant row share means least squares will eat the lie; the WARN
 //!   carries a *certificate* — the absorbing column combination — so the
 //!   operator can see exactly which flows launder the forged counters.
-//! * **LOO localizability** (b): per switch, the same structural path
-//!   [`crate::LooSolver::leave_out`] takes (excise fully-stranded basis
-//!   columns, downdate the remaining rows out of the cached factor) is
-//!   applied symbolically — no counters, no residuals — and classified as
-//!   [`LooClass::Localizable`], [`LooClass::RankLost`], or
-//!   [`LooClass::ConditionalOnMask`] (localizable now, but a single
-//!   additional masked switch strands some flow group).
+//! * **LOO localizability** (b): per switch, the kernel
+//!   [`crate::LooSolver::leave_out`] runs — a Woodbury [`Capacitance`]
+//!   over the switch's rows against one sparse factor of the basis Gram,
+//!   fully-stranded basis columns pinned to zero — decides, with no
+//!   counters and no residuals, whether the reduced system keeps full
+//!   rank. The switch is classified [`LooClass::Localizable`],
+//!   [`LooClass::RankLost`], or [`LooClass::ConditionalOnMask`]
+//!   (localizable now, but a single additional masked switch strands some
+//!   flow group).
 //! * **Degradation margin** (c): the smallest set of switch losses
 //!   (offline / quarantined) that drives some flow unobservable — computed
 //!   from the rule histories and verified against the row-mask machinery
@@ -47,9 +49,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::time::Instant;
 
-use foces_linalg::{CsrMatrix, FactorCache, LinalgError};
+use foces_linalg::CsrMatrix;
 use foces_net::SwitchId;
-use foces_sparse::SparseFactor;
+use foces_sparse::{Capacitance, SparseFactor};
 
 use crate::error::FocesError;
 use crate::fcm::Fcm;
@@ -100,8 +102,8 @@ pub enum CoverageKind {
     /// A cluster shard whose sub-system is below full column rank even
     /// with boundary-flow replication: its local solves are singular.
     BoundaryRankDeficit,
-    /// The switch-level analysis was skipped (basis too large for the
-    /// dense Gram path, or the base factorization failed).
+    /// The switch-level analysis was skipped (basis above
+    /// [`CoverageConfig::basis_limit`], or the base factorization failed).
     AnalysisTruncated,
 }
 
@@ -283,10 +285,13 @@ pub struct CoverageConfig {
     pub absorption_warn: f64,
     /// Maximum certificate terms listed per WARN.
     pub certificate_terms: usize,
-    /// Basis-column ceiling for the dense switch-level analysis; larger
-    /// systems skip parts (a)/(b) with an
-    /// [`CoverageKind::AnalysisTruncated`] finding instead of allocating
-    /// a huge Gram matrix in a pre-flight gate.
+    /// Basis-column ceiling for the switch-level analysis; larger systems
+    /// skip parts (a)/(b) with an [`CoverageKind::AnalysisTruncated`]
+    /// finding. It bounds the pre-flight gate's set-up cost, which grows
+    /// with the basis and, through the capacitance, with a switch's rows:
+    /// untruncated, FatTree(8) all-pairs takes ~0.1 s with per-destination
+    /// rules (4,096 columns) and 3.5 s with per-pair rules (16,256
+    /// columns, a 14,336-row core switch).
     pub basis_limit: usize,
 }
 
@@ -500,7 +505,7 @@ fn analyze_inner(
             certificate: None,
         });
     } else {
-        match basis.gram_dense().and_then(FactorCache::factor_lean) {
+        match SparseFactor::factor_fresh(&basis.gram_csr()) {
             Err(e) => {
                 truncated = true;
                 warns.push(CoverageFinding {
@@ -516,15 +521,8 @@ fn analyze_inner(
                     certificate: None,
                 });
             }
-            Ok(cache) => {
-                // Absorption-certificate solves route through the sparse
-                // factor (CSR kernels) — the dense factor cache stays for
-                // the LOO classification, whose per-row downdates it alone
-                // supports. The Gram factored fine densely, so the sparse
-                // factor only ever fails on pathological conditioning; the
-                // dense solve is the fallback.
-                let sparse_factor = SparseFactor::factor_fresh(&basis.gram_csr()).ok();
-                let state = SwitchAnalysis::build(&basis, &cache, sparse_factor, rules);
+            Ok(factor) => {
+                let state = SwitchAnalysis::build(&basis, &factor, rules);
                 for (&sw, rows) in &rows_of {
                     let row_share = rows.len() as f64 / rules.len() as f64;
                     let (absorption, certificate) = state.absorption(rows, &groups.basis, config);
@@ -721,14 +719,11 @@ fn analyze_inner(
     })
 }
 
-/// Shared per-analysis state for the switch-level passes: the basis, its
-/// cached factor, and the per-column support structure.
+/// Shared per-analysis state for the switch-level passes: the basis, the
+/// sparse factor of its Gram, and the per-column support structure.
 struct SwitchAnalysis<'a> {
     basis: &'a CsrMatrix,
-    cache: &'a FactorCache,
-    /// Sparse factor of the same Gram, for the absorption solves (one per
-    /// switch): CSR kernels instead of dense back-substitutions.
-    sparse_factor: Option<SparseFactor>,
+    factor: &'a SparseFactor,
     rules: &'a [foces_dataplane::RuleRef],
     /// Rows supporting each basis column.
     col_support: Vec<Vec<usize>>,
@@ -737,8 +732,7 @@ struct SwitchAnalysis<'a> {
 impl<'a> SwitchAnalysis<'a> {
     fn build(
         basis: &'a CsrMatrix,
-        cache: &'a FactorCache,
-        sparse_factor: Option<SparseFactor>,
+        factor: &'a SparseFactor,
         rules: &'a [foces_dataplane::RuleRef],
     ) -> Self {
         let mut col_support: Vec<Vec<usize>> = vec![Vec::new(); basis.cols()];
@@ -749,8 +743,7 @@ impl<'a> SwitchAnalysis<'a> {
         }
         SwitchAnalysis {
             basis,
-            cache,
-            sparse_factor,
+            factor,
             rules,
             col_support,
         }
@@ -767,23 +760,8 @@ impl<'a> SwitchAnalysis<'a> {
         if rows.is_empty() {
             return (0.0, None);
         }
-        let solve = || -> Result<(f64, Vec<f64>), LinalgError> {
-            if let Some(factor) = &self.sparse_factor {
-                return foces_sparse::absorption_coefficients(self.basis, factor, rows);
-            }
-            // Dense fallback (sparse factor unavailable): materialize the
-            // indicator and back-substitute through the dense cache.
-            let mut u = vec![0.0; self.rules.len()];
-            for &r in rows {
-                u[r] = 1.0;
-            }
-            let rhs = self.basis.transpose_matvec(&u)?;
-            let x = self.cache.solve(&rhs)?;
-            let fitted = self.basis.matvec(&x)?;
-            let resid2: f64 = u.iter().zip(&fitted).map(|(a, b)| (a - b) * (a - b)).sum();
-            Ok((resid2.max(0.0).sqrt(), x))
-        };
-        let Ok((resid, x)) = solve() else {
+        let Ok((resid, x)) = foces_sparse::absorption_coefficients(self.basis, self.factor, rows)
+        else {
             return (f64::NAN, None);
         };
         let norm_u = (rows.len() as f64).sqrt();
@@ -807,63 +785,30 @@ impl<'a> SwitchAnalysis<'a> {
         (absorption, certificate)
     }
 
-    /// (b) Symbolic replay of [`crate::LooSolver::leave_out`]'s structural
-    /// path: excise fully-stranded basis columns, downdate the switch's
-    /// rows out of a clone of the cached factor, and classify the result.
-    /// Returns `(class, stranded basis columns, conditional hinge)`.
+    /// (b) The structural half of [`crate::LooSolver::leave_out`], with no
+    /// counters: the same [`Capacitance`] over the switch's rows decides
+    /// whether the reduced system keeps full rank. Returns `(class,
+    /// stranded basis columns, conditional hinge)`.
     fn classify(&self, rows: &[usize]) -> (LooClass, usize, Option<(usize, SwitchId)>) {
         if rows.is_empty() {
             return (LooClass::Localizable, 0, None);
         }
-        let ncols = self.basis.cols();
-        let mut local = vec![0usize; ncols];
-        for &r in rows {
-            for (j, _) in self.basis.row_iter(r) {
-                local[j] += 1;
-            }
-        }
-        let row_set: BTreeSet<usize> = rows.iter().copied().collect();
-        let drop_cols: Vec<usize> = (0..ncols)
-            .filter(|&j| !self.col_support[j].is_empty() && local[j] == self.col_support[j].len())
-            .collect();
-        let stranded = drop_cols.len();
-        let kept = ncols - stranded;
-        if kept == 0 {
+        let cap = Capacitance::new(self.basis, self.factor, rows)
+            .expect("the factor is this basis' Gram factor");
+        let stranded = cap.stranded().len();
+        if cap.rank_lost() {
             return (LooClass::RankLost, stranded, None);
-        }
-        let mut new_pos = vec![usize::MAX; ncols];
-        let mut next = 0usize;
-        for (j, pos) in new_pos.iter_mut().enumerate() {
-            if drop_cols.binary_search(&j).is_err() {
-                *pos = next;
-                next += 1;
-            }
-        }
-        let mut cache = self.cache.clone();
-        cache.remove_batch(&drop_cols);
-        for &r in rows {
-            let mut v = vec![0.0; kept];
-            let mut any = false;
-            for (j, val) in self.basis.row_iter(r) {
-                if new_pos[j] != usize::MAX {
-                    v[new_pos[j]] = val;
-                    any = true;
-                }
-            }
-            if !any {
-                continue;
-            }
-            // Any failure to downdate — expected singularity or otherwise —
-            // means the reduced factor cannot be certified: RankLost.
-            if cache.downdate(&v).is_err() {
-                return (LooClass::RankLost, stranded, None);
-            }
         }
         // Full rank survives. Conditional check: a kept column that lost
         // rows and now hangs on a single other switch is one mask away
         // from being stranded.
-        for j in 0..ncols {
-            if local[j] == 0 || new_pos[j] == usize::MAX {
+        let row_set: BTreeSet<usize> = rows.iter().copied().collect();
+        let touched: BTreeSet<usize> = rows
+            .iter()
+            .flat_map(|&r| self.basis.row_iter(r).map(|(j, _)| j))
+            .collect();
+        for j in touched {
+            if cap.stranded().binary_search(&j).is_ok() {
                 continue;
             }
             let remaining: BTreeSet<SwitchId> = self.col_support[j]

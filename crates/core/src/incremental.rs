@@ -482,13 +482,13 @@ impl IncrementalSolver {
             Err(reason) => reason,
         };
         // Cold path: factor the current Gram matrix from scratch and cache
-        // it — lean (factor only, no Gram copy), since the warm path
-        // verifies against the sparse basis itself. A rank-deficient basis
+        // the factor; the warm path verifies against the sparse basis
+        // itself. A rank-deficient basis
         // (duplicate-free but linearly dependent columns) falls through to
         // QR and caches nothing.
         self.cache = None;
         let gram = h_basis.gram_dense().map_err(FocesError::from)?;
-        match FactorCache::factor_lean(gram) {
+        match FactorCache::factor(&gram) {
             Ok(factor) => {
                 let x = factor.solve(&rhs).map_err(FocesError::from)?;
                 self.cache = Some(WarmState {

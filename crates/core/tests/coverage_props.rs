@@ -1,15 +1,16 @@
-//! Property battery tying the *static* coverage classifier to the *live*
-//! leave-one-out localizer — the whole point of pre-flight analysis is
-//! that its verdicts predict runtime behavior without running an epoch.
+//! Property battery tying the *static* coverage classifier to runtime
+//! leave-one-out behavior — the whole point of pre-flight analysis is that
+//! its verdicts predict runtime behavior without running an epoch.
 //!
-//! Two contracts, each checked against the real solvers rather than a
-//! re-derivation of the same linear algebra:
+//! Two contracts, each checked against something other than the
+//! capacitance both the classifier and [`LooSolver`] run:
 //!
 //! * **Refusal prediction.** Over a family of small topologies and rule
 //!   granularities, a switch the analyzer classes
-//!   [`LooClass::RankLost`] is exactly a switch the live
-//!   [`LooSolver::leave_out`] refuses with [`LooStatus::RankLost`] —
-//!   both directions, every row-owning switch, every sampled plane.
+//!   [`LooClass::RankLost`] is exactly a switch whose explicitly reduced
+//!   system loses rank (`support/loo_oracle.rs`, dense `rank` on the basis
+//!   with the switch's rows and stranded columns removed) — both
+//!   directions, every row-owning switch, every sampled plane.
 //! * **Localization precision.** On FatTree(4) — which the analyzer
 //!   scores all-[`LooClass::Localizable`] with zero warnings — a naive
 //!   whole-switch counter forgery (affine scale + jittered offset, so it
@@ -27,6 +28,10 @@ use foces_net::generators::{fattree, linear, ring};
 use foces_net::{SwitchId, Topology};
 use proptest::prelude::*;
 use std::sync::OnceLock;
+
+#[path = "support/loo_oracle.rs"]
+mod loo_oracle;
+use loo_oracle::Oracle;
 
 /// Replays honest traffic and returns the plane's FCM + ground-truth
 /// counters.
@@ -89,26 +94,27 @@ fn family(pick: u8) -> (Topology, RuleGranularity) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// RankLost is a *prediction*: the static class must equal the live
-    /// solver's refusal, switch for switch, on every sampled plane.
+    /// RankLost is a *prediction*: the static class must equal the
+    /// explicit reduction's rank verdict, switch for switch, on every
+    /// sampled plane.
     #[test]
-    fn rank_lost_class_predicts_the_live_solver_refusal(
+    fn rank_lost_class_predicts_the_explicit_rank_verdict(
         pick in 0u8..8,
         volume in 2_000.0f64..40_000.0,
     ) {
         let (topo, granularity) = family(pick);
         let (fcm, truth) = plane(topo, volume, granularity);
         let report = analyze_coverage(&fcm, &CoverageConfig::default()).unwrap();
-        let mut solver = LooSolver::build(&fcm, &truth, DEFAULT_THRESHOLD).unwrap();
+        let oracle = Oracle::new(&fcm, &truth, DEFAULT_THRESHOLD);
         for sc in report.switches.iter().filter(|s| s.rows > 0) {
-            let outcome = solver.leave_out(sc.switch).unwrap();
-            let refused = outcome.status == LooStatus::RankLost;
+            let reference = oracle.leave_out(sc.switch);
             prop_assert_eq!(
                 sc.loo == LooClass::RankLost,
-                refused,
-                "s{}: static class {:?} vs live status {:?}",
-                sc.switch.0, sc.loo, outcome.status
+                reference.status == LooStatus::RankLost,
+                "s{}: static class {:?} vs explicit reduction {:?}",
+                sc.switch.0, sc.loo, reference.status
             );
+            prop_assert_eq!(sc.flows_stranded, reference.flows_dropped);
         }
     }
 

@@ -130,151 +130,6 @@ impl Cholesky {
         self.l.rows()
     }
 
-    /// In-place rank-one **update**: replaces the factor of `A` with the
-    /// factor of `A + v·vᵀ`, in `O(n²)` instead of the `O(n³)` of a fresh
-    /// factorization. This is the epoch-to-epoch workhorse of the
-    /// incremental FOCES solver: a changed FCM row perturbs the Gram
-    /// matrix `HᵀH` by exactly such an outer product.
-    ///
-    /// Uses the classic LINPACK `dchud` sweep of Givens rotations; the
-    /// update of an SPD matrix by a positive-semidefinite term is
-    /// unconditionally stable, so this cannot fail for finite input.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::DimensionMismatch`] if `v.len()` differs from the
-    /// factored dimension.
-    pub fn rank_one_update(&mut self, v: &[f64]) -> Result<(), LinalgError> {
-        let n = self.l.rows();
-        if v.len() != n {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "rank-one update: system is {n}x{n} but vector has length {}",
-                v.len()
-            )));
-        }
-        let mut w = v.to_vec();
-        for k in 0..n {
-            let lkk = self.l.get(k, k);
-            let r = (lkk * lkk + w[k] * w[k]).sqrt();
-            let c = r / lkk;
-            let s = w[k] / lkk;
-            let col = self.l.col_mut(k);
-            col[k] = r;
-            for i in k + 1..n {
-                let lik = (col[i] + s * w[i]) / c;
-                w[i] = c * w[i] - s * lik;
-                col[i] = lik;
-            }
-        }
-        Ok(())
-    }
-
-    /// In-place rank-one **downdate**: replaces the factor of `A` with the
-    /// factor of `A − v·vᵀ`, rejecting the operation when the result would
-    /// no longer be positive definite (within tolerance). Rejection is
-    /// atomic — the factor is untouched, so the caller can fall back to a
-    /// full refactorization of whatever system it actually has.
-    ///
-    /// Follows LINPACK `dchdd`: solve `L·p = v`, require `pᵀp < 1`, then
-    /// apply the hyperbolic-rotation sweep.
-    ///
-    /// # Errors
-    ///
-    /// * [`LinalgError::DimensionMismatch`] if `v.len()` differs from the
-    ///   factored dimension;
-    /// * [`LinalgError::SingularTriangular`] if the factor itself has a
-    ///   (near-)zero diagonal;
-    /// * [`LinalgError::NotPositiveDefinite`] if `A − v·vᵀ` is singular or
-    ///   indefinite within tolerance — for FOCES this means the removed
-    ///   row/column carried the last independent constraint on some flow.
-    pub fn rank_one_downdate(&mut self, v: &[f64]) -> Result<(), LinalgError> {
-        let n = self.l.rows();
-        if v.len() != n {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "rank-one downdate: system is {n}x{n} but vector has length {}",
-                v.len()
-            )));
-        }
-        // Phase 1 (fallible, read-only): p = L⁻¹ v and the residual mass
-        // q² = 1 − pᵀp that the downdated pivot chain must retain.
-        let mut p = v.to_vec();
-        forward_sub(&self.l, &mut p)?;
-        let qs = 1.0 - dot(&p, &p);
-        if qs <= crate::DEFAULT_TOL {
-            return Err(LinalgError::NotPositiveDefinite {
-                pivot: n.saturating_sub(1),
-                value: qs,
-            });
-        }
-        // Phase 2 (infallible): generate the rotation chain bottom-up,
-        // then sweep it through the rows of L.
-        let mut alpha = qs.sqrt();
-        let mut c = vec![0.0; n];
-        let mut s = vec![0.0; n];
-        for k in (0..n).rev() {
-            let scale = alpha + p[k].abs();
-            let a = alpha / scale;
-            let b = p[k] / scale;
-            let norm = (a * a + b * b).sqrt();
-            c[k] = a / norm;
-            s[k] = b / norm;
-            alpha = scale * norm;
-        }
-        // Each row j consumes rotations k = j..0 with a per-row carry; by
-        // keeping one carry per row the sweep runs column-by-column over
-        // contiguous slices instead of striding across rows.
-        let mut xx = vec![0.0; n];
-        for k in (0..n).rev() {
-            let (ck, sk) = (c[k], s[k]);
-            let col = self.l.col_mut(k);
-            for (carry, ljk) in xx[k..n].iter_mut().zip(&mut col[k..n]) {
-                let t = ck * *carry + sk * *ljk;
-                *ljk = ck * *ljk - sk * *carry;
-                *carry = t;
-            }
-        }
-        // The rotations preserve L·Lᵀ but may flip column signs; keep the
-        // conventional positive diagonal so factors stay comparable.
-        for k in 0..n {
-            let col = self.l.col_mut(k);
-            if col[k] < 0.0 {
-                for v in &mut col[k..] {
-                    *v = -*v;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Rank-k update: applies [`Cholesky::rank_one_update`] for each column
-    /// of `vs`.
-    ///
-    /// # Errors
-    ///
-    /// As for the rank-one form; applied columns stay applied if a later
-    /// one fails its dimension check (callers validate lengths up front).
-    pub fn update_rank_k<V: AsRef<[f64]>>(&mut self, vs: &[V]) -> Result<(), LinalgError> {
-        for v in vs {
-            self.rank_one_update(v.as_ref())?;
-        }
-        Ok(())
-    }
-
-    /// Rank-k downdate: applies [`Cholesky::rank_one_downdate`] per column.
-    ///
-    /// # Errors
-    ///
-    /// As for the rank-one form. A singularity rejection aborts the batch;
-    /// columns already applied stay applied, so callers that need
-    /// atomicity across the whole batch should refactorize on error (the
-    /// incremental solver does exactly that).
-    pub fn downdate_rank_k<V: AsRef<[f64]>>(&mut self, vs: &[V]) -> Result<(), LinalgError> {
-        for v in vs {
-            self.rank_one_downdate(v.as_ref())?;
-        }
-        Ok(())
-    }
-
     /// **Bordered expansion**: grows the factor of `A` (n×n) to the factor
     /// of the (n+1)×(n+1) matrix obtained by appending `cross` as the new
     /// last row/column with `diag` on the diagonal. `O(n²)`.

@@ -371,49 +371,6 @@ impl DenseMatrix {
         m
     }
 
-    /// Deletes the rows **and** columns at `skip` (strictly ascending, in
-    /// range) in place — no allocation, just segment moves within the
-    /// column-major storage. Used for the symmetric deletions the cached
-    /// Gram matrix absorbs each churn epoch, where a copy-out/copy-in
-    /// would double the memory traffic of the whole batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `skip` is not strictly ascending; out of
-    /// range indices panic via slice bounds.
-    pub(crate) fn delete_rows_cols_in_place(&mut self, skip: &[usize]) {
-        if skip.is_empty() {
-            return;
-        }
-        debug_assert!(skip.windows(2).all(|w| w[0] < w[1]));
-        let stride = self.rows;
-        let kept_rows = self.rows - skip.len();
-        let mut dst_col = 0;
-        for col in 0..self.cols {
-            if skip.binary_search(&col).is_ok() {
-                continue;
-            }
-            // Compact the surviving rows to the top of this column…
-            let base = col * stride;
-            let mut r = skip[0];
-            let mut prev = skip[0] + 1;
-            for &d in &skip[1..] {
-                self.data.copy_within(base + prev..base + d, base + r);
-                r += d - prev;
-                prev = d + 1;
-            }
-            self.data.copy_within(base + prev..base + stride, base + r);
-            // …then move the column to its final (re-strided) position.
-            // Writes always trail reads, so ascending order is safe.
-            self.data
-                .copy_within(base..base + kept_rows, dst_col * kept_rows);
-            dst_col += 1;
-        }
-        self.data.truncate(kept_rows * dst_col);
-        self.rows = kept_rows;
-        self.cols = dst_col;
-    }
-
     /// Appends a column, growing the matrix in place.
     ///
     /// # Errors

@@ -17,8 +17,9 @@
 //! * [`foces_linalg::pcgls`] — preconditioned CGLS, whose column-norm
 //!   preconditioner the engine reuses across epochs and refreshes on
 //!   FcmDelta rank growth;
-//! * [`kernels`] — CSR residual/attribution/absorption kernels so the
-//!   Byzantine and coverage layers stop densifying;
+//! * [`kernels`] — CSR residual/attribution/absorption kernels and the
+//!   leave-rows-out [`Capacitance`], so the Byzantine and coverage layers
+//!   never densify;
 //! * [`engine`] — the [`SolveBackend`] trait (dense implements it too) and
 //!   [`SparseEngine`], the ladder with residual-verified acceptance.
 //!
@@ -38,6 +39,7 @@ pub use engine::{
 };
 pub use kernels::{
     abs_residual, absorption_coefficients, normal_residual, per_group_mass, rows_indicator_rhs,
+    Capacitance,
 };
 pub use numeric::SparseFactor;
 pub use ordering::{amd_order, invert_permutation};

@@ -11,6 +11,7 @@ use foces_linalg::{CsrMatrix, LinalgError};
 pub struct SparseFactor {
     n: usize,
     perm: Vec<usize>,
+    iperm: Vec<usize>,
     colptr: Vec<usize>,
     rowidx: Vec<usize>,
     values: Vec<f64>,
@@ -138,6 +139,7 @@ impl SparseFactor {
         Ok(SparseFactor {
             n,
             perm: sym.perm.clone(),
+            iperm: sym.iperm.clone(),
             colptr,
             rowidx,
             values,
@@ -183,6 +185,17 @@ impl SparseFactor {
     ///
     /// [`LinalgError::DimensionMismatch`] if `rhs.len() != dim()`.
     pub fn solve(&self, rhs: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        let y = self.forward(rhs)?;
+        Ok(self.backward(y))
+    }
+
+    /// `y = L⁻¹·P·rhs`: the forward half of [`SparseFactor::solve`], in
+    /// factor (permuted) coordinates.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::DimensionMismatch`] if `rhs.len() != dim()`.
+    pub(crate) fn forward(&self, rhs: &[f64]) -> Result<Vec<f64>, LinalgError> {
         let n = self.n;
         if rhs.len() != n {
             return Err(LinalgError::DimensionMismatch(format!(
@@ -190,9 +203,8 @@ impl SparseFactor {
                 rhs.len()
             )));
         }
-        // b̃ = P b
         let mut x: Vec<f64> = (0..n).map(|k| rhs[self.perm[k]]).collect();
-        // Forward: L y = b̃ (column-oriented; diagonal is entry 0).
+        // Column-oriented; the diagonal is entry 0 of every column.
         for j in 0..n {
             if self.skip[j] {
                 x[j] = 0.0;
@@ -206,23 +218,92 @@ impl SparseFactor {
                 }
             }
         }
-        // Backward: Lᵀ z = y (gather per column, descending).
-        for j in (0..n).rev() {
+        Ok(x)
+    }
+
+    /// `x = Pᵀ·L⁻ᵀ·y`: the backward half of [`SparseFactor::solve`], taking
+    /// `y` in factor coordinates and returning original coordinates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y.len() != dim()`.
+    pub(crate) fn backward(&self, mut y: Vec<f64>) -> Vec<f64> {
+        assert_eq!(y.len(), self.n, "backward solve: wrong length");
+        // Gather per column, descending.
+        for j in (0..self.n).rev() {
             if self.skip[j] {
                 continue; // left at 0 by the forward pass
             }
-            let mut acc = x[j];
+            let mut acc = y[j];
             for p in self.colptr[j] + 1..self.colptr[j + 1] {
-                acc -= self.values[p] * x[self.rowidx[p]];
+                acc -= self.values[p] * y[self.rowidx[p]];
             }
-            x[j] = acc / self.values[self.colptr[j]];
+            y[j] = acc / self.values[self.colptr[j]];
         }
-        // x = Pᵀ z
-        let mut out = vec![0.0f64; n];
-        for k in 0..n {
-            out[self.perm[k]] = x[k];
+        let mut out = vec![0.0f64; self.n];
+        for (k, v) in y.into_iter().enumerate() {
+            out[self.perm[k]] = v;
         }
-        Ok(out)
+        out
+    }
+
+    /// Sparse forward solves `z = L⁻¹·P·b`, one per sparse column `b`
+    /// given as `(original index, value)` pairs. Returns each `z`'s
+    /// nonzeros as `(factor index, value)`, ascending by index.
+    ///
+    /// `z` is nonzero only on the elimination-tree reach of `P·b`'s
+    /// pattern: the parent of column `j` is L's first subdiagonal row in
+    /// column `j`. Each solve visits just that reach, so its cost is the
+    /// nonzeros of L in the reached columns, not `lnz()`; the columns share
+    /// one dense workspace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index in a column is out of range.
+    pub(crate) fn forward_sparse<'a>(
+        &self,
+        columns: impl IntoIterator<Item = &'a [(usize, f64)]>,
+    ) -> Vec<Vec<(usize, f64)>> {
+        let mut x = vec![0.0f64; self.n];
+        let mut seen = vec![false; self.n];
+        let mut reach = Vec::new();
+        let mut out = Vec::new();
+        for rhs in columns {
+            for &(orig, v) in rhs {
+                let mut j = self.iperm[orig];
+                x[j] += v;
+                while !seen[j] {
+                    seen[j] = true;
+                    reach.push(j);
+                    let first_sub = self.colptr[j] + 1;
+                    if first_sub == self.colptr[j + 1] {
+                        break; // etree root
+                    }
+                    j = self.rowidx[first_sub];
+                }
+            }
+            // Every etree ancestor has a larger index, so ascending order
+            // is a topological order for the column sweep.
+            reach.sort_unstable();
+            let mut z = Vec::with_capacity(reach.len());
+            for &j in &reach {
+                seen[j] = false;
+                let xj = std::mem::take(&mut x[j]);
+                if self.skip[j] {
+                    continue;
+                }
+                let xj = xj / self.values[self.colptr[j]];
+                if xj != 0.0 {
+                    for p in self.colptr[j] + 1..self.colptr[j + 1] {
+                        x[self.rowidx[p]] -= self.values[p] * xj;
+                    }
+                    z.push((j, xj));
+                }
+            }
+            reach.clear();
+            out.push(z);
+        }
+        out
     }
 }
 

@@ -3,7 +3,7 @@
 //! is loaded or run — so they cover every rejection, the help text and
 //! every `foces` invocation the docs and CI show in about a second.
 
-use foces_cli::args::{help, ArgError, Args};
+use foces_cli::args::{help, verb_help, ArgError, Args};
 use foces_cli::commands::{parse, VERBS};
 
 fn argv(line: &str) -> Vec<String> {
@@ -159,39 +159,102 @@ fn interleave_and_scale_flags_that_act_only_with_a_partner_need_it() {
 #[test]
 fn space_and_equals_forms_parse_alike_for_every_flag_of_every_verb() {
     for verb in VERBS {
-        let positionals = verb.positionals.split_whitespace().map(|_| "p");
-        let mut spaced: Vec<String> = std::iter::once(verb.name)
-            .chain(positionals)
-            .map(String::from)
-            .collect();
-        let mut equals = spaced.clone();
-        for (name, meta) in verb.flag_specs() {
-            match meta {
-                Some(_) => {
-                    spaced.extend([format!("--{name}"), format!("v-{name}")]);
-                    equals.push(format!("--{name}=v-{name}"));
-                }
-                None => {
-                    spaced.push(format!("--{name}"));
-                    equals.push(format!("--{name}"));
+        // Two passes, each leaving out one side of every conflicting pair
+        // (and whatever needs a flag left out), so every flag is parsed
+        // next to all flags it may go with.
+        for side in [0, 1] {
+            let mut left_out: Vec<&str> = verb
+                .conflicts
+                .iter()
+                .map(|&(a, b)| if side == 0 { a } else { b })
+                .collect();
+            while let Some(&(flag, _)) = verb
+                .needs
+                .iter()
+                .find(|(f, p)| left_out.contains(p) && !left_out.contains(f))
+            {
+                left_out.push(flag);
+            }
+            let flags: Vec<_> = verb
+                .flag_specs()
+                .filter(|(n, _)| !left_out.contains(n))
+                .collect();
+            let positionals = verb.positionals.split_whitespace().map(|_| "p");
+            let mut spaced: Vec<String> = std::iter::once(verb.name)
+                .chain(positionals)
+                .map(String::from)
+                .collect();
+            let mut equals = spaced.clone();
+            for &(name, meta) in &flags {
+                match meta {
+                    Some(_) => {
+                        spaced.extend([format!("--{name}"), format!("v-{name}")]);
+                        equals.push(format!("--{name}=v-{name}"));
+                    }
+                    None => {
+                        spaced.push(format!("--{name}"));
+                        equals.push(format!("--{name}"));
+                    }
                 }
             }
-        }
-        let a = parse(&spaced).unwrap_or_else(|e| panic!("{spaced:?}: {e}"));
-        let b = parse(&equals).unwrap_or_else(|e| panic!("{equals:?}: {e}"));
-        for (name, meta) in verb.flag_specs() {
-            match meta {
-                Some(_) => {
-                    let expect = format!("v-{name}");
-                    assert_eq!(a.opt(name), Some(expect.as_str()), "{} --{name}", verb.name);
-                    assert_eq!(b.opt(name), a.opt(name), "{} --{name}", verb.name);
+            let a = parse(&spaced).unwrap_or_else(|e| panic!("{spaced:?}: {e}"));
+            let b = parse(&equals).unwrap_or_else(|e| panic!("{equals:?}: {e}"));
+            for &(name, meta) in &flags {
+                match meta {
+                    Some(_) => {
+                        let expect = format!("v-{name}");
+                        assert_eq!(a.opt(name), Some(expect.as_str()), "{} --{name}", verb.name);
+                        assert_eq!(b.opt(name), a.opt(name), "{} --{name}", verb.name);
+                    }
+                    None => assert!(a.flag(name) && b.flag(name), "{} --{name}", verb.name),
                 }
-                None => assert!(a.flag(name) && b.flag(name), "{} --{name}", verb.name),
+            }
+            for i in 0..verb.positionals.split_whitespace().count() {
+                assert_eq!(a.positional(i), Some("p"));
+                assert_eq!(b.positional(i), Some("p"));
             }
         }
-        for i in 0..verb.positionals.split_whitespace().count() {
-            assert_eq!(a.positional(i), Some("p"));
-            assert_eq!(b.positional(i), Some("p"));
+    }
+}
+
+/// Flags one of which the verb would silently ignore under the other are
+/// rejected together, accepted apart, and printed in the verb's help.
+#[test]
+fn interleave_flags_the_other_would_override_conflict() {
+    let v = VERBS.iter().find(|v| v.name == "interleave").unwrap();
+    for pair in [("shards", "no-fanout"), ("uniform", "schedules")] {
+        assert!(v.conflicts.contains(&pair), "{pair:?}");
+    }
+    assert_rejects(
+        "interleave s.foces --shards 3 --no-fanout",
+        "--shards conflicts with --no-fanout",
+    );
+    assert_rejects(
+        "interleave s.foces --uniform --schedules=4",
+        "--uniform conflicts with --schedules",
+    );
+    for line in [
+        "interleave s.foces --shards 3",
+        "interleave s.foces --no-fanout --schedules 4 --seed 2",
+        "interleave s.foces --uniform",
+    ] {
+        parse_line(line).unwrap_or_else(|e| panic!("`foces {line}`: {e}"));
+    }
+    let entry = verb_help(VERBS, "interleave").unwrap();
+    assert!(entry.starts_with("  foces interleave"), "{entry}");
+    assert!(
+        entry.contains("--shards conflicts with --no-fanout"),
+        "{entry}"
+    );
+    assert!(
+        entry.contains("--uniform conflicts with --schedules"),
+        "{entry}"
+    );
+    // Every verb's relations print in the full help, too.
+    let text = help(VERBS);
+    for verb in VERBS {
+        for (a, b) in verb.conflicts {
+            assert!(text.contains(&format!("--{a} conflicts with --{b}")));
         }
     }
 }
