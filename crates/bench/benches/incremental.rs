@@ -100,10 +100,14 @@ fn run(mut dep: Deployment, epochs: usize, churn_per_epoch: usize) -> RunResult 
         dep.dataplane.reset_counters();
         dep.replay_traffic(&mut LossModel::none());
         let counters = fcm.counters_from(&dep.dataplane);
+        // The cold side solves its own newly built FCM: an FCM memoizes its
+        // basis on first solve (and a clone shares it), so sharing `fcm`
+        // would hand the warm side a basis the cold side already paid for.
+        let cold_fcm = Fcm::from_parts(fcm.rules().to_vec(), fcm.flows().to_vec());
 
         let t = Instant::now();
         let mut cold_solver = IncrementalSolver::default();
-        let (cold_out, cold_path) = cold_solver.solve(&fcm, &counters).expect("cold solve");
+        let (cold_out, cold_path) = cold_solver.solve(&cold_fcm, &counters).expect("cold solve");
         let cold_ms = t.elapsed().as_secs_f64() * 1e3;
         assert!(
             !cold_path.is_warm(),

@@ -269,7 +269,7 @@ pub fn topo(args: &Args) -> Result<String, CmdError> {
     writeln!(
         out,
         "fcm columns:   {} distinct of {}",
-        fcm.unique_column_basis().len(),
+        fcm.column_groups().basis.len(),
         fcm.flow_count()
     )?;
     writeln!(out, "slices:        {}", sliced.slice_count())?;
@@ -1158,11 +1158,15 @@ fn scale_system(k: usize, seed: u64, flows_max: usize) -> Result<ScaleSystem, Cm
     dep.dataplane.reset_counters();
     dep.replay_traffic(&mut LossModel::none());
     let anomalous = dep.dataplane.collect_counters();
+    let basis_cols = fcm.column_groups().basis.len();
+    // Counting the basis memoized it; the timed cold round runs on a newly
+    // built FCM that must build its own.
+    let fcm = Fcm::from_parts(fcm.rules().to_vec(), fcm.flows().to_vec());
     Ok(ScaleSystem {
         hosts,
         flows: flow_count,
         rules: fcm.rule_count(),
-        basis_cols: fcm.unique_column_basis().len(),
+        basis_cols,
         fcm,
         healthy,
         anomalous,
@@ -1289,13 +1293,17 @@ pub fn scale(args: &Args) -> Result<CmdOutput, CmdError> {
     let mut failures: Vec<String> = Vec::new();
 
     // -- FatTree(8) parity cell: dense vs sparse on identical counters --
-    let sys8 = scale_system(8, seed, flows_max)?;
+    let mut sys8 = scale_system(8, seed, flows_max)?;
     writeln!(
         out,
         "fattree-8: {} hosts, {} flows, {} rules, {} basis columns",
         sys8.hosts, sys8.flows, sys8.rules, sys8.basis_cols
     )?;
     let dense8 = scale_run(&sys8, foces::BackendKind::Dense, threshold)?;
+    // Each backend's cold round starts on a newly built FCM: the first
+    // backend's solves memoized the basis, which would otherwise leave the
+    // second backend's cold round cheaper than cold.
+    sys8.fcm = Fcm::from_parts(sys8.fcm.rules().to_vec(), sys8.fcm.flows().to_vec());
     let sparse8 = scale_run(&sys8, foces::BackendKind::Sparse, threshold)?;
     let index_diff = |a: f64, b: f64| (a - b).abs() / a.abs().max(b.abs()).max(1.0);
     let parity_diff = index_diff(dense8.healthy_index, sparse8.healthy_index)
@@ -1787,11 +1795,14 @@ mod tests {
     use std::io::Write as _;
 
     fn scenario_file(content: &str) -> std::path::PathBuf {
+        // One file per call: tests run in parallel, and two scenarios of
+        // the same length must not share (and delete) one path.
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let dir = std::env::temp_dir();
         let path = dir.join(format!(
             "foces-cli-test-{}-{}.foces",
             std::process::id(),
-            content.len()
+            NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         ));
         let mut f = std::fs::File::create(&path).unwrap();
         f.write_all(content.as_bytes()).unwrap();

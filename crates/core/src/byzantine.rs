@@ -45,13 +45,13 @@
 //! [`LiarLifecycle`] strings the three parts together, with counter
 //! quarantine and re-probe release, once for every detection driver.
 
-use crate::{AlarmState, Detector, Fcm, FocesError, Verdict};
+use crate::{AlarmState, BasisSystem, Detector, Fcm, FocesError, Verdict};
 use foces_dataplane::RuleRef;
-use foces_linalg::CsrMatrix;
 use foces_net::SwitchId;
 use foces_sparse::{Capacitance, SparseFactor};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// Tuning for [`SuspicionTracker`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -233,16 +233,16 @@ pub struct LooOutcome {
 
 /// Leave-one-switch-out solver (tentpole part 2).
 ///
-/// Built once per counter snapshot: factors the basis Gram matrix a single
-/// time (sparse), then answers "is the system consistent *without* switch
-/// `s`?" for any number of candidates through a Woodbury
-/// [`Capacitance`] over `s`'s rows — no refactorization per candidate
-/// ([`LooSolver::cold_factorizations`] stays at 1, asserted by the redteam
-/// bench).
+/// Built once per counter snapshot on the FCM's [`BasisSystem`]: it
+/// borrows the sparse Gram factor a solve already memoized on the FCM, or
+/// factors the basis Gram once itself, then answers "is the system
+/// consistent *without* switch `s`?" for any number of candidates through a
+/// Woodbury [`Capacitance`] over `s`'s rows — no refactorization per
+/// candidate ([`LooSolver::cold_factorizations`] is at most 1).
 #[derive(Debug, Clone)]
 pub struct LooSolver {
-    basis: CsrMatrix,
-    factor: SparseFactor,
+    system: Arc<BasisSystem>,
+    factor: Arc<SparseFactor>,
     rhs: Vec<f64>,
     counters: Vec<f64>,
     rules: Vec<RuleRef>,
@@ -259,24 +259,17 @@ impl LooSolver {
     ///
     /// # Errors
     ///
-    /// * [`FocesError::EmptyFcm`] / [`FocesError::CounterLengthMismatch`]
-    ///   as for [`crate::EquationSystem::solve`];
+    /// * [`FocesError::EmptyFcm`] / [`FocesError::CounterLengthMismatch`] /
+    ///   [`FocesError::NonFiniteCounter`] as for
+    ///   [`crate::EquationSystem::solve`];
     /// * [`FocesError::Solver`] if the base factorization fails (rank
     ///   deficiency beyond duplicate columns — fall back to the ordinary
     ///   detector in that case).
     pub fn build(fcm: &Fcm, counters: &[f64], threshold: f64) -> Result<Self, FocesError> {
-        if fcm.flow_count() == 0 {
-            return Err(FocesError::EmptyFcm);
-        }
-        if counters.len() != fcm.rule_count() {
-            return Err(FocesError::CounterLengthMismatch {
-                got: counters.len(),
-                expected: fcm.rule_count(),
-            });
-        }
-        let groups = fcm.column_groups();
-        let basis = fcm.sparse().select_columns(&groups.basis);
-        let factor = SparseFactor::factor_fresh(&basis.gram_csr())?;
+        crate::solver::check_counters(fcm, counters)?;
+        let system = Arc::clone(fcm.basis_system());
+        let (factor, fresh) = system.cholesky().borrow_or_factor()?;
+        let basis = system.basis();
         let rhs = basis.transpose_matvec(counters)?;
         let mut rows_of: BTreeMap<SwitchId, Vec<usize>> = BTreeMap::new();
         for (i, r) in fcm.rules().iter().enumerate() {
@@ -294,7 +287,7 @@ impl LooSolver {
         let base_index = anomaly_index(&residual, counters);
         let base_err_med = crate::detector::median(&residual);
         Ok(LooSolver {
-            basis,
+            system,
             factor,
             rhs,
             counters: counters.to_vec(),
@@ -303,7 +296,7 @@ impl LooSolver {
             threshold,
             base_index,
             base_err_med,
-            cold_factorizations: 1,
+            cold_factorizations: usize::from(fresh),
             downdates: 0,
         })
     }
@@ -318,8 +311,9 @@ impl LooSolver {
         self.base_index > self.threshold
     }
 
-    /// Cold factorizations performed over this solver's lifetime — stays at
-    /// 1 no matter how many candidates are evaluated.
+    /// Cold factorizations performed over this solver's lifetime: 1 when
+    /// building it factored the basis Gram, 0 when it borrowed the factor a
+    /// solve had memoized on the FCM. No number of candidates adds to it.
     pub fn cold_factorizations(&self) -> usize {
         self.cold_factorizations
     }
@@ -357,7 +351,8 @@ impl LooSolver {
         // Basis columns whose entire support lies on s's rows become
         // unidentifiable once s is removed; the capacitance pins them to
         // zero and corrects the factor for the rest of s's rows.
-        let cap = Capacitance::new(&self.basis, &self.factor, &rows)?;
+        let basis = self.system.basis();
+        let cap = Capacitance::new(basis, &self.factor, &rows)?;
         self.downdates += cap.corrections();
         if cap.rank_lost() {
             return Ok(LooOutcome {
@@ -371,7 +366,7 @@ impl LooSolver {
         }
         let mut rhs = self.rhs.clone();
         for &r in &rows {
-            for (j, val) in self.basis.row_iter(r) {
+            for (j, val) in basis.row_iter(r) {
                 rhs[j] -= self.counters[r] * val;
             }
         }
@@ -384,7 +379,7 @@ impl LooSolver {
             if self.rules[i].switch == s {
                 continue;
             }
-            let fit: f64 = self.basis.row_iter(i).map(|(j, val)| x[j] * val).sum();
+            let fit: f64 = basis.row_iter(i).map(|(j, val)| x[j] * val).sum();
             residual.push((self.counters[i] - fit).abs());
             kept_counters.push(self.counters[i]);
         }
@@ -443,7 +438,8 @@ pub struct ByzantineReport {
     /// More than one candidate's removal restores consistency — the
     /// evidence cannot distinguish them (e.g. colluding cover-ups).
     pub ambiguous: bool,
-    /// Cold factorizations spent (always 1 — asserted by the bench).
+    /// Cold factorizations spent: 1, or 0 when the sweep borrowed the
+    /// FCM's memoized factor.
     pub cold_factorizations: usize,
     /// Rank-one downdates spent across all candidates.
     pub downdates: usize,

@@ -39,6 +39,14 @@
 //!   which would force that region onto the quarantine/fallback path from
 //!   epoch 0.
 //!
+//! Every pass reads the FCM's memoized basis system
+//! ([`Fcm::basis_system`]): the basis, its groups and — when a
+//! sparse-backend solve already built it — the sparse factor of its Gram. Without one the
+//! analysis factors once privately and keeps only the `O(n)` symbolic
+//! analysis, so a pre-flight never pins a factor that no detection round
+//! will read; each shard's rank probe does the same on the shard's
+//! sub-FCM.
+//!
 //! The output is a [`CoverageReport`] mirroring `foces-verify`'s report
 //! shape: typed findings with severities, a one-line summary, and a JSONL
 //! rendering for machine consumption. Runtime services run this as a
@@ -475,8 +483,9 @@ fn analyze_inner(
     }
     let start = Instant::now();
     let rules = fcm.rules();
-    let groups = fcm.column_groups();
-    let basis = fcm.sparse().select_columns(&groups.basis);
+    let system = fcm.basis_system();
+    let groups = system.groups();
+    let basis = system.basis();
     let ncols = basis.cols();
 
     let mut rows_of: BTreeMap<SwitchId, Vec<usize>> = BTreeMap::new();
@@ -505,7 +514,7 @@ fn analyze_inner(
             certificate: None,
         });
     } else {
-        match SparseFactor::factor_fresh(&basis.gram_csr()) {
+        match system.cholesky().borrow_or_factor() {
             Err(e) => {
                 truncated = true;
                 warns.push(CoverageFinding {
@@ -521,8 +530,8 @@ fn analyze_inner(
                     certificate: None,
                 });
             }
-            Ok(factor) => {
-                let state = SwitchAnalysis::build(&basis, &factor, rules);
+            Ok((factor, _)) => {
+                let state = SwitchAnalysis::build(basis, &factor, rules);
                 for (&sw, rows) in &rows_of {
                     let row_share = rows.len() as f64 / rules.len() as f64;
                     let (absorption, certificate) = state.absorption(rows, &groups.basis, config);
@@ -639,8 +648,8 @@ fn analyze_inner(
     if let Some(sharded) = sharded {
         for view in sharded.shard_views() {
             let sub = view.sub_fcm;
-            let sub_groups = sub.column_groups();
-            let sub_basis_cols = sub_groups.basis.len();
+            let sub_system = sub.basis_system();
+            let sub_basis_cols = sub_system.cols();
             if sub_basis_cols > config.basis_limit {
                 infos.push(CoverageFinding {
                     kind: CoverageKind::AnalysisTruncated,
@@ -666,12 +675,11 @@ fn analyze_inner(
                 });
                 continue;
             }
-            let sub_basis = sub.sparse().select_columns(&sub_groups.basis);
             // Rank probe via the sparse factor: same positive-definiteness
             // tolerance as the dense Cholesky, without densifying the
             // shard's Gram.
             let full_rank = sub.rule_count() >= sub_basis_cols
-                && SparseFactor::factor_fresh(&sub_basis.gram_csr()).is_ok();
+                && sub_system.cholesky().borrow_or_factor().is_ok();
             if !full_rank {
                 warns.push(CoverageFinding {
                     kind: CoverageKind::BoundaryRankDeficit,

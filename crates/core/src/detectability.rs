@@ -14,11 +14,12 @@
 
 use crate::error::FocesError;
 use crate::rbg::Rbg;
-use crate::Fcm;
+use crate::{BasisSystem, Fcm};
 use foces_dataplane::RuleRef;
 use foces_linalg::{CsrMatrix, DEFAULT_TOL};
-use foces_sparse::{SparseFactor, SymbolicCholesky};
+use foces_sparse::SparseFactor;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// FCM row indices of a (deviated) rule history: the support of its 0/1
 /// column.
@@ -40,11 +41,13 @@ pub(crate) fn history_rows(fcm: &Fcm, history: &[RuleRef]) -> Result<Vec<usize>,
 /// The Theorem 1 span oracle of one FCM: answers `v ∈ span(H)` for any
 /// number of query vectors without densifying `H`.
 ///
-/// Construction keeps one column per distinct rule set
-/// ([`Fcm::column_groups`]; duplicates add nothing to the span) as the
-/// basis `B`, and factors its Gram `BᵀB` with the fill-reducing sparse
+/// Construction takes the FCM's basis system ([`Fcm::basis_system`]: one
+/// column per distinct rule set, duplicates add nothing to the span) as
+/// the basis `B`, and factors its Gram `BᵀB` with the fill-reducing sparse
 /// Cholesky, dropping the pivots of columns that are dependent on the ones
-/// eliminated before them ([`SparseFactor::factor_dropping`]). A query is
+/// eliminated before them ([`SparseFactor::factor_dropping`]). When a
+/// solve already memoized the FCM's full-rank factor, that factor is the
+/// same one and is borrowed instead. A query is
 /// the least-squares residual `‖v − B·G⁻¹Bᵀv‖`, accepted as in-span when
 /// it is at most `DEFAULT_TOL·max(‖v‖, 1)`.
 ///
@@ -67,20 +70,23 @@ pub(crate) fn history_rows(fcm: &Fcm, history: &[RuleRef]) -> Result<Vec<usize>,
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpanOracle {
-    /// Deduplicated basis columns, rules × groups.
-    basis: CsrMatrix,
-    /// Pivot-dropping factor of `basisᵀ·basis`.
-    factor: SparseFactor,
+    /// The FCM's basis system: deduplicated basis columns, rules × groups.
+    system: Arc<BasisSystem>,
+    /// Pivot-dropping factor of `basisᵀ·basis` — the FCM's memoized
+    /// factor when a solve already built it and the basis has full rank.
+    factor: Arc<SparseFactor>,
 }
 
 impl SpanOracle {
     /// Builds the oracle for `fcm`'s column span.
     pub fn new(fcm: &Fcm) -> Self {
-        let basis = fcm.sparse().select_columns(&fcm.column_groups().basis);
-        let gram = basis.gram_csr();
-        let factor = SparseFactor::factor_dropping(&SymbolicCholesky::analyze(&gram), &gram)
-            .expect("a Gram matrix is square");
-        SpanOracle { basis, factor }
+        let system = Arc::clone(fcm.basis_system());
+        let factor = system.cholesky().dropping_factor();
+        SpanOracle { system, factor }
+    }
+
+    fn basis(&self) -> &CsrMatrix {
+        self.system.basis()
     }
 
     /// Whether `v` lies in the FCM's column span.
@@ -89,9 +95,9 @@ impl SpanOracle {
     ///
     /// Panics if `v.len()` differs from the FCM's rule count.
     pub fn contains(&self, v: &[f64]) -> bool {
-        assert_eq!(v.len(), self.basis.rows(), "span query length mismatch");
+        assert_eq!(v.len(), self.basis().rows(), "span query length mismatch");
         let btv = self
-            .basis
+            .basis()
             .transpose_matvec(v)
             .expect("length checked above");
         self.accepts(v, btv)
@@ -105,12 +111,13 @@ impl SpanOracle {
     ///
     /// Panics if a row index is not below the FCM's rule count.
     pub fn contains_rows(&self, rows: &[usize]) -> bool {
-        let mut v = vec![0.0; self.basis.rows()];
-        let mut btv = vec![0.0; self.basis.cols()];
+        let basis = self.basis();
+        let mut v = vec![0.0; basis.rows()];
+        let mut btv = vec![0.0; basis.cols()];
         for &i in rows {
             if v[i] == 0.0 {
                 v[i] = 1.0;
-                for (c, b) in self.basis.row_iter(i) {
+                for (c, b) in basis.row_iter(i) {
                     btv[c] += b;
                 }
             }
@@ -134,7 +141,7 @@ impl SpanOracle {
             return true;
         }
         let btr = self
-            .basis
+            .basis()
             .transpose_matvec(&r)
             .expect("residual has one entry per row");
         let dx = self
@@ -150,7 +157,7 @@ impl SpanOracle {
 
     fn residual(&self, v: &[f64], x: &[f64]) -> Vec<f64> {
         let bx = self
-            .basis
+            .basis()
             .matvec(x)
             .expect("x has one entry per basis column");
         v.iter().zip(&bx).map(|(a, b)| a - b).collect()

@@ -260,18 +260,24 @@ fn mean(v: &[f64]) -> f64 {
 }
 
 /// Median; averages the two central elements for even lengths. Returns 0
-/// for an empty slice.
+/// for an empty slice. Selection in `O(n)` under [`f64::total_cmp`], so a
+/// `NaN` orders instead of panicking.
 pub(crate) fn median(v: &[f64]) -> f64 {
     if v.is_empty() {
         return 0.0;
     }
-    let mut sorted = v.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("residuals are never NaN"));
-    let n = sorted.len();
+    let mut work = v.to_vec();
+    let n = work.len();
+    let (below, &mut upper, _) = work.select_nth_unstable_by(n / 2, f64::total_cmp);
     if n % 2 == 1 {
-        sorted[n / 2]
+        upper
     } else {
-        0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
+        let lower = below
+            .iter()
+            .copied()
+            .max_by(f64::total_cmp)
+            .expect("an even-length slice has a lower half");
+        0.5 * (lower + upper)
     }
 }
 
@@ -578,5 +584,55 @@ mod tests {
         assert!((v.solve.volume_estimate[0] - 3.0).abs() < 1e-9);
         assert!((v.solve.volume_estimate[1] - 1.0).abs() < 1e-9);
         assert!((v.solve.volume_estimate[2] - 8.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn non_finite_counters_are_refused_not_panicked_on() {
+        let (fcm, mut dep) = setup(fattree(4));
+        dep.replay_traffic(&mut LossModel::none());
+        let counters = dep.dataplane.collect_counters();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut y = counters.clone();
+            y[5] = bad;
+            let err = Detector::default().detect(&fcm, &y).unwrap_err();
+            assert!(
+                matches!(err, FocesError::NonFiniteCounter { row: 5, .. }),
+                "{bad}: {err:?}"
+            );
+            let mut warm = crate::IncrementalSolver::default();
+            let err = Detector::default()
+                .detect_warm(&fcm, &y, &mut warm)
+                .unwrap_err();
+            assert!(matches!(err, FocesError::NonFiniteCounter { row: 5, .. }));
+        }
+    }
+
+    #[test]
+    fn median_selection_matches_the_sorted_median() {
+        let sorted_median = |v: &[f64]| {
+            let mut s = v.to_vec();
+            s.sort_by(f64::total_cmp);
+            let n = s.len();
+            if n % 2 == 1 {
+                s[n / 2]
+            } else {
+                0.5 * (s[n / 2 - 1] + s[n / 2])
+            }
+        };
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        for len in 1..40 {
+            let v: Vec<f64> = (0..len)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state % 17) as f64 * 0.5
+                })
+                .collect();
+            assert_eq!(median(&v), sorted_median(&v), "{v:?}");
+        }
+        assert_eq!(median(&[]), 0.0);
+        // NaN orders under total_cmp instead of panicking.
+        assert_eq!(median(&[1.0, f64::NAN, 2.0]), 2.0);
     }
 }

@@ -16,6 +16,14 @@ pub enum FocesError {
     },
     /// The FCM has no flows (nothing to check).
     EmptyFcm,
+    /// A counter is `NaN` or infinite: no flow volume explains it, so the
+    /// reading must be treated as not collected rather than solved.
+    NonFiniteCounter {
+        /// Row (rule) index of the first non-finite counter.
+        row: usize,
+        /// The reading itself.
+        value: f64,
+    },
     /// A rule history referenced a rule outside the FCM's rule universe —
     /// the FCM is stale relative to the control plane it was built from.
     UnknownRule(RuleRef),
@@ -43,6 +51,10 @@ impl fmt::Display for FocesError {
                 "counter vector has {got} entries but the FCM has {expected} rules"
             ),
             FocesError::EmptyFcm => write!(f, "flow-counter matrix has no flows"),
+            FocesError::NonFiniteCounter { row, value } => write!(
+                f,
+                "counter of row {row} is {value}: a non-finite reading cannot be solved"
+            ),
             FocesError::UnknownRule(r) => write!(
                 f,
                 "history references unknown rule {r}: the FCM is stale relative to the plane"

@@ -2,8 +2,10 @@ use foces_atpg::{trace_flows, LogicalFlow};
 use foces_controlplane::ControllerView;
 use foces_dataplane::RuleRef;
 use foces_linalg::{CsrMatrix, DenseMatrix, Triplet};
+use foces_sparse::BasisCholesky;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// The Flow-Counter Matrix (paper Eq. 1): `H[i][j] = 1` iff logical flow
 /// `j` traverses rule `i`.
@@ -17,6 +19,11 @@ use std::fmt;
 /// nonzero per hop per flow, far below 1 % density — and densified only on
 /// demand ([`Fcm::dense`]) for small test instances. Construction from a controller view runs the ATPG tracer
 /// ([`foces_atpg::trace_flows`]) to enumerate logical flows.
+///
+/// Every solve and analysis works on the FCM's deduplicated column basis
+/// and the sparse Cholesky of its Gram: the [`BasisSystem`], built once on
+/// first demand ([`Fcm::basis_system`]) and dropped by every structural
+/// edit. A clone shares it.
 ///
 /// # Example
 ///
@@ -41,6 +48,7 @@ pub struct Fcm {
     rule_index: HashMap<RuleRef, usize>,
     flows: Vec<LogicalFlow>,
     sparse: CsrMatrix,
+    basis: OnceLock<Arc<BasisSystem>>,
 }
 
 impl Fcm {
@@ -85,6 +93,7 @@ impl Fcm {
             rule_index,
             flows,
             sparse,
+            basis: OnceLock::new(),
         }
     }
 
@@ -140,43 +149,43 @@ impl Fcm {
         col
     }
 
-    /// Indices of columns forming a **deduplicated column basis**: the first
-    /// occurrence of every distinct column. With per-destination rule
-    /// aggregation, two hosts on the same edge switch sending to the same
-    /// destination traverse identical rule sets, giving identical FCM
-    /// columns; the least-squares projection only depends on the column
-    /// *space*, so the solver works on this basis (see
-    /// [`crate::EquationSystem`]).
-    pub fn unique_column_basis(&self) -> Vec<usize> {
-        let mut seen: HashMap<Vec<usize>, usize> = HashMap::new();
-        let mut basis = Vec::new();
-        for (j, f) in self.flows.iter().enumerate() {
-            let mut key: Vec<usize> = f.rules.iter().map(|r| self.rule_index[r]).collect();
-            key.sort_unstable();
-            if seen.insert(key, j).is_none() {
-                basis.push(j);
-            }
-        }
-        basis
-    }
-
     /// Groups columns by identical rule sets: `basis[g]` is the first
     /// column of group `g`, and `group_of[j]` maps every column to its
-    /// group. Used by the solver to work on a duplicate-free column basis.
-    pub fn column_groups(&self) -> ColumnGroups {
-        let mut seen: HashMap<Vec<usize>, usize> = HashMap::new();
-        let mut basis = Vec::new();
-        let mut group_of = Vec::with_capacity(self.flows.len());
-        for (j, f) in self.flows.iter().enumerate() {
-            let mut key: Vec<usize> = f.rules.iter().map(|r| self.rule_index[r]).collect();
-            key.sort_unstable();
-            let g = *seen.entry(key).or_insert_with(|| {
-                basis.push(j);
-                basis.len() - 1
-            });
-            group_of.push(g);
-        }
-        ColumnGroups { basis, group_of }
+    /// group. `basis` is the **deduplicated column basis**: with
+    /// per-destination rule aggregation, two hosts on the same edge switch
+    /// sending to the same destination traverse identical rule sets,
+    /// giving identical FCM columns; the least-squares projection only
+    /// depends on the column *space*, so the solver works on this basis
+    /// (see [`crate::EquationSystem`]).
+    pub fn column_groups(&self) -> &ColumnGroups {
+        &self.basis_system().groups
+    }
+
+    /// The FCM's [`BasisSystem`]: its column groups, the basis matrix and
+    /// the Gram factor, built on first demand and kept until the next
+    /// structural edit.
+    pub fn basis_system(&self) -> &Arc<BasisSystem> {
+        self.basis
+            .get_or_init(|| Arc::new(BasisSystem::build(self)))
+    }
+
+    /// The sorted rule set of each basis column, in basis order — the
+    /// identity a warm factor keys its positions on, stable across FCM
+    /// rebuilds, row reindexing and flow reordering. Built on first demand.
+    pub(crate) fn basis_keys(&self) -> &[Vec<RuleRef>] {
+        let system = self.basis_system();
+        system.keys.get_or_init(|| {
+            system
+                .groups
+                .basis
+                .iter()
+                .map(|&j| {
+                    let mut key = self.flows[j].rules.clone();
+                    key.sort_unstable();
+                    key
+                })
+                .collect()
+        })
     }
 
     /// Expected counter vector `Y₀ = H·X` for given flow volumes.
@@ -265,7 +274,11 @@ impl Fcm {
         self.rebuild_sparse();
     }
 
+    /// Rebuilds the CSR form after a structural edit and drops the
+    /// memoized [`BasisSystem`] (clones sharing it keep theirs), which
+    /// described the old structure.
     fn rebuild_sparse(&mut self) {
+        self.basis = OnceLock::new();
         let mut triplets = Vec::new();
         for (j, f) in self.flows.iter().enumerate() {
             for r in &f.rules {
@@ -511,15 +524,114 @@ pub struct ColumnGroups {
     pub group_of: Vec<usize>,
 }
 
-impl ColumnGroups {
-    /// Number of members in group `g`.
+/// An FCM's deduplicated least-squares system (see [`Fcm::basis_system`]):
+/// the column groups, the basis matrix `B` (rules × groups), each group's
+/// size, and the sparse Cholesky of `BᵀB` ([`BasisCholesky`]).
+///
+/// It is immutable once built; the factor inside is itself built at most
+/// once. The sparse backend of the per-round solvers
+/// ([`crate::EquationSystem`], [`crate::IncrementalSolver`]) memoizes the
+/// factor, so a round on an unchanged FCM costs `Bᵀy`, two sparse
+/// triangular solves and the residual; the dense backend reads the basis
+/// and keeps its own dense numerics. One-off analyses ([`crate::LooSolver`], the coverage
+/// classifier, [`crate::SpanOracle`]) borrow a memoized factor and factor
+/// privately when there is none.
+#[derive(Debug)]
+pub struct BasisSystem {
+    groups: ColumnGroups,
+    group_sizes: Vec<usize>,
+    cholesky: BasisCholesky,
+    keys: OnceLock<Vec<Vec<RuleRef>>>,
+}
+
+impl BasisSystem {
+    fn build(fcm: &Fcm) -> Self {
+        let mut seen: HashMap<Vec<usize>, usize> = HashMap::new();
+        let mut basis = Vec::new();
+        let mut group_of = Vec::with_capacity(fcm.flows.len());
+        for (j, f) in fcm.flows.iter().enumerate() {
+            let mut key: Vec<usize> = f.rules.iter().map(|r| fcm.rule_index[r]).collect();
+            key.sort_unstable();
+            let g = *seen.entry(key).or_insert_with(|| {
+                basis.push(j);
+                basis.len() - 1
+            });
+            group_of.push(g);
+        }
+        let mut group_sizes = vec![0usize; basis.len()];
+        for &g in &group_of {
+            group_sizes[g] += 1;
+        }
+        let matrix = fcm.sparse.select_columns(&basis);
+        BasisSystem {
+            groups: ColumnGroups { basis, group_of },
+            group_sizes,
+            cholesky: BasisCholesky::new(matrix),
+            keys: OnceLock::new(),
+        }
+    }
+
+    /// The column groups.
+    pub fn groups(&self) -> &ColumnGroups {
+        &self.groups
+    }
+
+    /// The basis matrix `B`: one column per group, rules × groups.
+    pub fn basis(&self) -> &CsrMatrix {
+        self.cholesky.basis()
+    }
+
+    /// Number of basis columns.
+    pub fn cols(&self) -> usize {
+        self.group_sizes.len()
+    }
+
+    /// The basis with its lazily built Gram factor.
+    pub fn cholesky(&self) -> &BasisCholesky {
+        &self.cholesky
+    }
+
+    /// The keys [`Fcm::basis_keys`] memoized on this system.
     ///
     /// # Panics
     ///
-    /// Panics if `g` is out of range (callers iterate over valid groups).
-    pub fn group_size(&self, g: usize) -> usize {
-        assert!(g < self.basis.len(), "group {g} out of range");
-        self.group_of.iter().filter(|&&x| x == g).count()
+    /// Panics if they were never built.
+    pub(crate) fn memoized_keys(&self) -> &[Vec<RuleRef>] {
+        self.keys
+            .get()
+            .expect("basis keys are built before a basis is adopted")
+    }
+
+    /// Expands a basis solution to the full [`crate::SolveOutcome`]: the
+    /// fitted counters `B·x`, the residual `|y − B·x|`, and per-flow
+    /// volumes with each group's total split evenly among its members.
+    ///
+    /// # Errors
+    ///
+    /// [`foces_linalg::LinalgError::DimensionMismatch`] if `x_basis` is
+    /// not one entry per basis column.
+    pub(crate) fn expand(
+        &self,
+        counters: &[f64],
+        x_basis: Vec<f64>,
+    ) -> Result<crate::SolveOutcome, foces_linalg::LinalgError> {
+        let fitted = self.basis().matvec(&x_basis)?;
+        let residual: Vec<f64> = counters
+            .iter()
+            .zip(&fitted)
+            .map(|(y, yh)| (y - yh).abs())
+            .collect();
+        let volume_estimate: Vec<f64> = self
+            .groups
+            .group_of
+            .iter()
+            .map(|&g| x_basis[g] / self.group_sizes[g] as f64)
+            .collect();
+        Ok(crate::SolveOutcome {
+            volume_estimate,
+            fitted_counters: fitted,
+            residual,
+        })
     }
 }
 
@@ -582,7 +694,7 @@ mod tests {
     #[test]
     fn per_pair_columns_are_all_unique() {
         let fcm = fcm_for(fattree(4), RuleGranularity::PerFlowPair);
-        assert_eq!(fcm.unique_column_basis().len(), fcm.flow_count());
+        assert_eq!(fcm.column_groups().basis.len(), fcm.flow_count());
     }
 
     #[test]
@@ -590,7 +702,7 @@ mod tests {
         // Two hosts on one edge switch sending to the same destination share
         // every rule, so their columns coincide.
         let fcm = fcm_for(fattree(4), RuleGranularity::PerDestination);
-        let basis = fcm.unique_column_basis();
+        let basis = &fcm.column_groups().basis;
         assert!(basis.len() < fcm.flow_count());
         assert!(basis.len() >= fcm.flow_count() / 2);
     }
@@ -599,7 +711,7 @@ mod tests {
     fn stanford_per_destination_columns_unique() {
         // One host per switch: every (src, dst) pair takes a distinct path.
         let fcm = fcm_for(stanford(), RuleGranularity::PerDestination);
-        assert_eq!(fcm.unique_column_basis().len(), fcm.flow_count());
+        assert_eq!(fcm.column_groups().basis.len(), fcm.flow_count());
     }
 
     #[test]

@@ -18,24 +18,33 @@
 //! [`foces_linalg::FactorCache`] provides.
 //!
 //! [`IncrementalSolver`] owns such a cache keyed by each basis column's
-//! sorted rule set, diffs it against the current FCM on every call, patches
-//! the factor within a [`RankBudget`], verifies the patched factor with one
-//! step of iterative refinement, and falls back to a full refactorization
+//! sorted rule set, diffs it against each new FCM, patches the factor
+//! within a [`RankBudget`], verifies the patched factor with one step of
+//! iterative refinement, and falls back to a full refactorization
 //! whenever the budget, the cumulative drift cap, or the refinement
 //! residual says the shortcut is no longer trustworthy. Every call reports
 //! which path ran via [`SolvePath`] so the runtime can log and meter it.
+//!
+//! The basis itself — column groups, basis matrix, rule-set keys — is the
+//! FCM's memoized [`BasisSystem`] ([`Fcm::basis_system`]), built once per
+//! FCM. While the FCM is unchanged the solver recognizes the same basis,
+//! skips the key diff, and solves on the held factor; the sparse backend
+//! solves on the factor memoized on the basis system itself. A
+//! steady-state round therefore costs a counter gather, `Hᵀy`, two
+//! triangular solves and the residual — no grouping, no Gram, no factor.
 //! The equivalence guarantee — warm and cold residuals agree to solver
 //! tolerance, so a verdict can never differ — is pinned by the property
 //! tests in `tests/incremental_props.rs`.
 
-use crate::{Fcm, FocesError, MaskedFcm, SolveOutcome};
+use crate::{BasisSystem, Fcm, FocesError, MaskedFcm, SolveOutcome};
 use foces_atpg::LogicalFlow;
 use foces_controlplane::ControllerView;
 use foces_dataplane::RuleRef;
 use foces_linalg::{CsrMatrix, FactorCache, LinalgError};
-use foces_sparse::{BackendKind, ResolvedBackend, SolveBackend, SparseEngine};
+use foces_sparse::{BackendKind, ResolvedBackend, SparseEngine};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Structural difference between two FCMs — the per-epoch churn summary.
 ///
@@ -310,16 +319,14 @@ pub struct IncrementalSolver {
     budget: RankBudget,
     cache: Option<WarmState>,
     backend: BackendKind,
-    /// Cross-epoch sparse-engine state (symbolic analysis, PCGLS
-    /// preconditioner) — the sparse counterpart of `cache`.
+    /// Cross-epoch sparse-engine state (held analysis, PCGLS
+    /// preconditioner) — the sparse counterpart of `cache`; the factor
+    /// itself is memoized on the FCM's [`BasisSystem`].
     engine: SparseEngine,
-    /// Basis keys from the last sparse solve, for FcmDelta-style churn
-    /// accounting (drives preconditioner refresh and warm/cold reporting).
-    sparse_keys: Vec<Vec<RuleRef>>,
-    /// Whether the sparse engine has completed a solve since the last
-    /// invalidation (distinguishes a cold first solve from a pattern
-    /// change).
-    sparse_ready: bool,
+    /// The basis of the last sparse solve (its keys memoized), for
+    /// FcmDelta-style churn accounting (drives preconditioner refresh and
+    /// warm/cold reporting).
+    sparse_basis: Option<Arc<BasisSystem>>,
     /// CGLS iterations spent by the most recent solve (0 on direct paths).
     last_iterations: u64,
 }
@@ -332,6 +339,10 @@ struct WarmState {
     /// `p`. Rule-set identity is stable across FCM rebuilds, row
     /// reindexing, and flow reordering — the whole point of the cache.
     keys: Vec<Vec<RuleRef>>,
+    /// The basis the factor was last matched against, and the factor
+    /// position of each of its columns. While the FCM (so its memoized
+    /// basis) is unchanged, a round reuses the match and diffs nothing.
+    matched: Option<(Arc<BasisSystem>, Vec<usize>)>,
 }
 
 impl IncrementalSolver {
@@ -346,8 +357,8 @@ impl IncrementalSolver {
 
     /// Creates a solver with an explicit backend. `Dense` keeps the
     /// `FactorCache` warm/cold ladder; `Sparse` routes every solve through
-    /// the [`SparseEngine`] (symbolic reuse + preconditioned CGLS); `Auto`
-    /// resolves per basis size.
+    /// the [`SparseEngine`] on the FCM's memoized sparse factor (PCGLS
+    /// fallback); `Auto` resolves per basis size.
     pub fn with_backend(budget: RankBudget, backend: BackendKind) -> Self {
         IncrementalSolver {
             budget,
@@ -377,14 +388,13 @@ impl IncrementalSolver {
     pub fn invalidate(&mut self) {
         self.cache = None;
         self.engine.invalidate();
-        self.sparse_keys.clear();
-        self.sparse_ready = false;
+        self.sparse_basis = None;
     }
 
     /// `true` once cross-epoch state is held (dense factor or sparse
     /// engine).
     pub fn is_warm(&self) -> bool {
-        self.cache.is_some() || self.sparse_ready
+        self.cache.is_some() || self.sparse_basis.is_some()
     }
 
     /// Solves `min ‖H·X − Y'‖` like [`crate::EquationSystem::solve`] with
@@ -397,35 +407,22 @@ impl IncrementalSolver {
     /// * [`FocesError::EmptyFcm`] if the FCM has no flows;
     /// * [`FocesError::CounterLengthMismatch`] if `counters.len()` differs
     ///   from the FCM's rule count;
+    /// * [`FocesError::NonFiniteCounter`] if a counter is `NaN` or
+    ///   infinite;
     /// * [`FocesError::Solver`] if every solve path fails.
     pub fn solve(
         &mut self,
         fcm: &Fcm,
         counters: &[f64],
     ) -> Result<(SolveOutcome, SolvePath), FocesError> {
-        if fcm.flow_count() == 0 {
-            return Err(FocesError::EmptyFcm);
-        }
-        if counters.len() != fcm.rule_count() {
-            return Err(FocesError::CounterLengthMismatch {
-                got: counters.len(),
-                expected: fcm.rule_count(),
-            });
-        }
-        let groups = fcm.column_groups();
-        let h_basis = fcm.sparse().select_columns(&groups.basis);
-        let keys: Vec<Vec<RuleRef>> = groups
-            .basis
-            .iter()
-            .map(|&j| {
-                let mut k = fcm.flows()[j].rules.clone();
-                k.sort_unstable();
-                k
-            })
-            .collect();
-
-        let (path, x_basis) = self.solve_basis(&h_basis, counters, &keys)?;
-        Ok((expand(fcm, &groups, &h_basis, counters, x_basis)?, path))
+        crate::solver::check_counters(fcm, counters)?;
+        let system = fcm.basis_system();
+        let (path, x_basis) = if self.backend.resolve(system.cols()) == ResolvedBackend::Sparse {
+            self.solve_sparse(fcm, system, counters)?
+        } else {
+            self.solve_dense(fcm, system, counters)?
+        };
+        Ok((system.expand(counters, x_basis)?, path))
     }
 
     /// Row-masked warm solve: the warm counterpart of
@@ -448,36 +445,26 @@ impl IncrementalSolver {
         counters: &[f64],
         observed: &[bool],
     ) -> Result<(MaskedFcm, SolveOutcome, SolvePath), FocesError> {
-        if fcm.flow_count() == 0 {
-            return Err(FocesError::EmptyFcm);
-        }
-        if counters.len() != fcm.rule_count() {
-            return Err(FocesError::CounterLengthMismatch {
-                got: counters.len(),
-                expected: fcm.rule_count(),
-            });
-        }
+        crate::solver::check_shape(fcm, counters)?;
         let masked = fcm.mask_rows(observed);
         let sub = masked.project(counters);
         let (outcome, path) = self.solve(masked.fcm(), &sub)?;
         Ok((masked, outcome, path))
     }
 
-    /// Produces the basis solution, deciding warm vs. cold.
-    fn solve_basis(
+    /// Dense-backend basis solve, deciding warm vs. cold.
+    fn solve_dense(
         &mut self,
-        h_basis: &CsrMatrix,
+        fcm: &Fcm,
+        system: &Arc<BasisSystem>,
         counters: &[f64],
-        keys: &[Vec<RuleRef>],
     ) -> Result<(SolvePath, Vec<f64>), FocesError> {
-        if self.backend.resolve(h_basis.cols()) == ResolvedBackend::Sparse {
-            return self.solve_basis_sparse(h_basis, counters, keys);
-        }
         self.last_iterations = 0;
+        let h_basis = system.basis();
         let rhs = h_basis
             .transpose_matvec(counters)
             .map_err(FocesError::from)?;
-        let reason = match self.try_warm(h_basis, keys, &rhs) {
+        let reason = match self.try_warm(fcm, system, &rhs) {
             Ok(outcome) => return Ok(outcome),
             Err(reason) => reason,
         };
@@ -488,12 +475,13 @@ impl IncrementalSolver {
         // QR and caches nothing.
         self.cache = None;
         let gram = h_basis.gram_dense().map_err(FocesError::from)?;
-        match FactorCache::factor(&gram) {
+        match FactorCache::factor_in_place(gram) {
             Ok(factor) => {
                 let x = factor.solve(&rhs).map_err(FocesError::from)?;
                 self.cache = Some(WarmState {
                     factor,
-                    keys: keys.to_vec(),
+                    keys: fcm.basis_keys().to_vec(),
+                    matched: Some((Arc::clone(system), (0..system.cols()).collect())),
                 });
                 Ok((SolvePath::Cold { reason }, x))
             }
@@ -514,37 +502,46 @@ impl IncrementalSolver {
         }
     }
 
-    /// Sparse-backend basis solve: routes through the engine's symbolic
-    /// reuse / PCGLS ladder, driving the preconditioner lifecycle with the
-    /// same basis-key diff the dense warm path budgets on, and mapping the
-    /// engine's reuse report onto [`SolvePath`].
-    fn solve_basis_sparse(
+    /// Sparse-backend basis solve: routes through the engine on the FCM's
+    /// memoized factor (PCGLS fallback), driving the preconditioner
+    /// lifecycle with the same basis-key diff the dense warm path budgets
+    /// on, and mapping the engine's reuse report onto [`SolvePath`].
+    fn solve_sparse(
         &mut self,
-        h_basis: &CsrMatrix,
+        fcm: &Fcm,
+        system: &Arc<BasisSystem>,
         counters: &[f64],
-        keys: &[Vec<RuleRef>],
     ) -> Result<(SolvePath, Vec<f64>), FocesError> {
-        let was_ready = self.sparse_ready;
+        let was_ready = self.sparse_basis.is_some();
         // Basis churn since the last solve = FcmDelta at basis granularity:
         // any appearing/disappearing rule-set key shifts column norms, so a
-        // nonzero delta refreshes the PCGLS preconditioner.
-        let delta_rank = if was_ready {
-            let prev: HashSet<&[RuleRef]> = self.sparse_keys.iter().map(|k| k.as_slice()).collect();
-            let now: HashSet<&[RuleRef]> = keys.iter().map(|k| k.as_slice()).collect();
-            prev.symmetric_difference(&now).count()
-        } else {
-            keys.len()
+        // nonzero delta refreshes the PCGLS preconditioner. An unchanged
+        // FCM shares its basis and has none.
+        let same = matches!(&self.sparse_basis, Some(prev) if Arc::ptr_eq(prev, system));
+        let delta_rank = match &self.sparse_basis {
+            _ if same => 0,
+            Some(prev) => {
+                let prev: HashSet<&[RuleRef]> =
+                    prev.memoized_keys().iter().map(|k| k.as_slice()).collect();
+                let now: HashSet<&[RuleRef]> =
+                    fcm.basis_keys().iter().map(|k| k.as_slice()).collect();
+                prev.symmetric_difference(&now).count()
+            }
+            None => system.cols(),
         };
         if delta_rank > 0 {
             self.engine.note_rank_growth(delta_rank);
         }
         let sol = self
             .engine
-            .solve_basis(h_basis, counters)
+            .solve_factored(system.cholesky(), counters)
             .map_err(FocesError::from)?;
+        if !same {
+            // Adopt the basis, its keys memoized for the next diff.
+            fcm.basis_keys();
+            self.sparse_basis = Some(Arc::clone(system));
+        }
         self.last_iterations = sol.iterations;
-        self.sparse_keys = keys.to_vec();
-        self.sparse_ready = true;
         let path = if sol.reused && was_ready {
             SolvePath::Warm {
                 rank_applied: delta_rank,
@@ -566,11 +563,83 @@ impl IncrementalSolver {
     /// before any fallible patching begins and reinstated on success).
     fn try_warm(
         &mut self,
-        h_basis: &CsrMatrix,
-        keys: &[Vec<RuleRef>],
+        fcm: &Fcm,
+        system: &Arc<BasisSystem>,
         rhs: &[f64],
     ) -> Result<(SolvePath, Vec<f64>), ColdReason> {
         let state = self.cache.as_ref().ok_or(ColdReason::NoCache)?;
+        let unchanged = state
+            .matched
+            .as_ref()
+            .is_some_and(|(basis, _)| Arc::ptr_eq(basis, system));
+        let n = state.factor.dim();
+        let (state, rank_applied) = if unchanged {
+            // The FCM is the one the factor was last matched against:
+            // nothing to diff or patch.
+            if state.factor.applied_rank() > self.budget.drift_cap(n) {
+                return Err(ColdReason::DriftCap);
+            }
+            (self.cache.take().expect("checked above"), 0)
+        } else {
+            self.patch(fcm, system)?
+        };
+        let perm = &state.matched.as_ref().expect("matched above").1;
+
+        // The factor's positions are in cache order, not basis order —
+        // permute the RHS in, solve with refinement, permute the result
+        // back out.
+        let mut rhs_factor = vec![0.0; rhs.len()];
+        for (b, &p) in perm.iter().enumerate() {
+            rhs_factor[p] = rhs[b];
+        }
+        let x_factor = match state.factor.solve(&rhs_factor) {
+            Ok(x) => x,
+            Err(_) => return Err(ColdReason::Singular),
+        };
+        let mut x: Vec<f64> = perm.iter().map(|&p| x_factor[p]).collect();
+
+        // Verify against the *real* sparse basis, not the cached Gram
+        // matrix (which could itself have drifted): the normal residual
+        // ‖Hᵀ(Hx) − rhs‖ / ‖rhs‖ from one sparse mat-vec pair — cheap
+        // relative to any factor work. A patched factor in good shape
+        // passes immediately; one that has drifted gets a single
+        // warm-started refinement step before the solver gives up on it.
+        let h_basis = system.basis();
+        let mut residual = normal_residual(h_basis, &x, rhs)?;
+        if residual.1 > REFINEMENT_TOL {
+            let mut r_factor = vec![0.0; rhs.len()];
+            for (b, &p) in perm.iter().enumerate() {
+                r_factor[p] = residual.0[b];
+            }
+            let dx = match state.factor.solve(&r_factor) {
+                Ok(dx) => dx,
+                Err(_) => return Err(ColdReason::Singular),
+            };
+            for (xb, &p) in x.iter_mut().zip(perm) {
+                *xb += dx[p];
+            }
+            residual = normal_residual(h_basis, &x, rhs)?;
+            if residual.1 > REFINEMENT_TOL {
+                return Err(ColdReason::Conditioning);
+            }
+        }
+
+        self.cache = Some(state);
+        Ok((SolvePath::Warm { rank_applied }, x))
+    }
+
+    /// Diffs the cached factor positions against a new basis by rule-set
+    /// key and patches the factor within the budget. Returns the patched
+    /// state, matched to `system`, and the rank applied; on `Err` the
+    /// cache has been dropped (or was never touched) and the caller
+    /// refactors.
+    fn patch(
+        &mut self,
+        fcm: &Fcm,
+        system: &Arc<BasisSystem>,
+    ) -> Result<(WarmState, usize), ColdReason> {
+        let keys = fcm.basis_keys();
+        let state = self.cache.as_ref().expect("caller checked");
 
         // Diff the cached factor positions against the wanted keys.
         let wanted: HashMap<&[RuleRef], usize> = keys
@@ -638,59 +707,17 @@ impl IncrementalSolver {
         if state.factor.append_batch(&crosses, &diags).is_err() {
             return Err(ColdReason::Singular);
         }
-        // Rank-one modifications this round (the cumulative count since the
-        // last refactorization feeds the drift cap above, not this report).
-        let rank_applied = delta_rank;
-
-        // The factor's positions are in cache order, not basis order —
-        // permute the RHS in, solve with refinement, permute the result
-        // back out.
         let pos_of: HashMap<&[RuleRef], usize> = state
             .keys
             .iter()
             .enumerate()
             .map(|(p, k)| (k.as_slice(), p))
             .collect();
-        let mut rhs_factor = vec![0.0; rhs.len()];
-        for (b, key) in keys.iter().enumerate() {
-            rhs_factor[pos_of[key.as_slice()]] = rhs[b];
-        }
-        let x_factor = match state.factor.solve(&rhs_factor) {
-            Ok(x) => x,
-            Err(_) => return Err(ColdReason::Singular),
-        };
-        let mut x = vec![0.0; keys.len()];
-        for (b, key) in keys.iter().enumerate() {
-            x[b] = x_factor[pos_of[key.as_slice()]];
-        }
-
-        // Verify against the *real* sparse basis, not the cached Gram
-        // matrix (which could itself have drifted): the normal residual
-        // ‖Hᵀ(Hx) − rhs‖ / ‖rhs‖ from one sparse mat-vec pair — cheap
-        // relative to any factor work. A patched factor in good shape
-        // passes immediately; one that has drifted gets a single
-        // warm-started refinement step before the solver gives up on it.
-        let mut residual = normal_residual(h_basis, &x, rhs)?;
-        if residual.1 > REFINEMENT_TOL {
-            let mut r_factor = vec![0.0; rhs.len()];
-            for (b, key) in keys.iter().enumerate() {
-                r_factor[pos_of[key.as_slice()]] = residual.0[b];
-            }
-            let dx = match state.factor.solve(&r_factor) {
-                Ok(dx) => dx,
-                Err(_) => return Err(ColdReason::Singular),
-            };
-            for (b, key) in keys.iter().enumerate() {
-                x[b] += dx[pos_of[key.as_slice()]];
-            }
-            residual = normal_residual(h_basis, &x, rhs)?;
-            if residual.1 > REFINEMENT_TOL {
-                return Err(ColdReason::Conditioning);
-            }
-        }
-
-        self.cache = Some(state);
-        Ok((SolvePath::Warm { rank_applied }, x))
+        let perm: Vec<usize> = keys.iter().map(|k| pos_of[k.as_slice()]).collect();
+        state.matched = Some((Arc::clone(system), perm));
+        // Rank-one modifications this round (the cumulative count since the
+        // last refactorization feeds the drift cap above, not this report).
+        Ok((state, delta_rank))
     }
 }
 
@@ -736,37 +763,4 @@ fn sorted_intersection_size(a: &[RuleRef], b: &[RuleRef]) -> usize {
         }
     }
     count
-}
-
-/// Expands a basis solution to the full [`SolveOutcome`] (fitted counters,
-/// residual, per-flow volumes with duplicate groups split evenly) — the
-/// same post-processing as the cold direct path.
-fn expand(
-    fcm: &Fcm,
-    groups: &crate::ColumnGroups,
-    h_basis: &CsrMatrix,
-    counters: &[f64],
-    x_basis: Vec<f64>,
-) -> Result<SolveOutcome, FocesError> {
-    let fitted = h_basis.matvec(&x_basis).map_err(FocesError::from)?;
-    let residual: Vec<f64> = counters
-        .iter()
-        .zip(&fitted)
-        .map(|(y, yh)| (y - yh).abs())
-        .collect();
-    let mut sizes = vec![0usize; groups.basis.len()];
-    for &g in &groups.group_of {
-        sizes[g] += 1;
-    }
-    let volume_estimate: Vec<f64> = groups
-        .group_of
-        .iter()
-        .map(|&g| x_basis[g] / sizes[g] as f64)
-        .collect();
-    debug_assert_eq!(volume_estimate.len(), fcm.flow_count());
-    Ok(SolveOutcome {
-        volume_estimate,
-        fitted_counters: fitted,
-        residual,
-    })
 }

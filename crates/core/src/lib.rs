@@ -93,7 +93,7 @@ pub use coverage::{
 pub use detectability::{is_detectable, rbg_loop_exists, undetectable_by_rank, SpanOracle};
 pub use detector::{Detector, IndexStatistic, Verdict};
 pub use error::FocesError;
-pub use fcm::{ColumnGroups, Fcm, MaskedFcm};
+pub use fcm::{BasisSystem, ColumnGroups, Fcm, MaskedFcm};
 pub use harden::{harden, HardeningOutcome};
 pub use incremental::{ColdReason, FcmDelta, IncrementalSolver, RankBudget, SolvePath};
 pub use localize::{localize, localize_differential, SwitchSuspicion};

@@ -1,6 +1,6 @@
 use crate::{Fcm, FocesError, MaskedFcm};
 use foces_linalg::{lstsq, lstsq_sparse, DenseMatrix, LinalgError, LstsqMethod};
-use foces_sparse::{BackendKind, ResolvedBackend, SolveBackend, SparseEngine};
+use foces_sparse::{BackendKind, ResolvedBackend, SparseEngine};
 
 /// Strategy for solving the flow-counter equation system.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -127,17 +127,11 @@ impl EquationSystem {
     ///   the real problem;
     /// * [`FocesError::CounterLengthMismatch`] if `counters.len()` differs
     ///   from the FCM's rule count;
+    /// * [`FocesError::NonFiniteCounter`] if a counter is `NaN` or
+    ///   infinite;
     /// * [`FocesError::Solver`] if every solve path fails.
     pub fn solve(&self, fcm: &Fcm, counters: &[f64]) -> Result<SolveOutcome, FocesError> {
-        if fcm.flow_count() == 0 {
-            return Err(FocesError::EmptyFcm);
-        }
-        if counters.len() != fcm.rule_count() {
-            return Err(FocesError::CounterLengthMismatch {
-                got: counters.len(),
-                expected: fcm.rule_count(),
-            });
-        }
+        check_counters(fcm, counters)?;
         match self.kind {
             SolverKind::DirectDense => match solve_direct(fcm, counters, self.backend) {
                 Ok(out) => Ok(out),
@@ -194,6 +188,8 @@ impl EquationSystem {
     ///   round);
     /// * [`FocesError::CounterLengthMismatch`] if `counters.len()` differs
     ///   from the full FCM's rule count;
+    /// * [`FocesError::NonFiniteCounter`] if an *observed* counter is
+    ///   `NaN` or infinite;
     /// * [`FocesError::Solver`] as for [`EquationSystem::solve`].
     ///
     /// # Panics
@@ -205,15 +201,7 @@ impl EquationSystem {
         counters: &[f64],
         observed: &[bool],
     ) -> Result<(MaskedFcm, SolveOutcome), FocesError> {
-        if fcm.flow_count() == 0 {
-            return Err(FocesError::EmptyFcm);
-        }
-        if counters.len() != fcm.rule_count() {
-            return Err(FocesError::CounterLengthMismatch {
-                got: counters.len(),
-                expected: fcm.rule_count(),
-            });
-        }
+        check_shape(fcm, counters)?;
         let masked = fcm.mask_rows(observed);
         let sub = masked.project(counters);
         let outcome = self.solve(masked.fcm(), &sub)?;
@@ -221,53 +209,70 @@ impl EquationSystem {
     }
 }
 
+/// The shape check every solve entry point shares: an FCM with flows and
+/// one counter per rule. [`FocesError::EmptyFcm`] is reported first — an
+/// empty system has no meaningful counter length to validate against.
+pub(crate) fn check_shape(fcm: &Fcm, counters: &[f64]) -> Result<(), FocesError> {
+    if fcm.flow_count() == 0 {
+        return Err(FocesError::EmptyFcm);
+    }
+    if counters.len() != fcm.rule_count() {
+        return Err(FocesError::CounterLengthMismatch {
+            got: counters.len(),
+            expected: fcm.rule_count(),
+        });
+    }
+    Ok(())
+}
+
+/// [`check_shape`] plus finiteness: a `NaN` or infinite counter (a
+/// Byzantine agent can report any `f64`) is refused at the solve boundary
+/// instead of poisoning the residual statistics.
+pub(crate) fn check_counters(fcm: &Fcm, counters: &[f64]) -> Result<(), FocesError> {
+    check_shape(fcm, counters)?;
+    match counters.iter().position(|v| !v.is_finite()) {
+        Some(row) => Err(FocesError::NonFiniteCounter {
+            row,
+            value: counters[row],
+        }),
+        None => Ok(()),
+    }
+}
+
 /// Paper-literal pipeline: `X̂ = (HᵀH)⁻¹ Hᵀ Y'` with dense, structure-blind
 /// operations throughout (see [`SolverKind::DenseNaive`]).
 fn solve_naive(fcm: &Fcm, counters: &[f64]) -> Result<SolveOutcome, LinalgError> {
-    let groups = fcm.column_groups();
-    let h_basis = fcm.sparse().select_columns(&groups.basis).try_to_dense()?;
+    let system = fcm.basis_system();
+    let h_basis = system.basis().try_to_dense()?;
     let gram = h_basis.transpose().matmul(&h_basis)?;
     let inv = foces_linalg::Cholesky::factor(&gram)?.inverse()?;
     let rhs = h_basis.transpose_matvec(counters)?;
     let x_basis = inv.matvec(&rhs)?;
-    let fitted = h_basis.matvec(&x_basis)?;
-    let residual: Vec<f64> = counters
-        .iter()
-        .zip(&fitted)
-        .map(|(y, yh)| (y - yh).abs())
-        .collect();
-    let mut sizes = vec![0usize; groups.basis.len()];
-    for &g in &groups.group_of {
-        sizes[g] += 1;
-    }
-    let volume_estimate: Vec<f64> = groups
-        .group_of
-        .iter()
-        .map(|&g| x_basis[g] / sizes[g] as f64)
-        .collect();
-    Ok(SolveOutcome {
-        volume_estimate,
-        fitted_counters: fitted,
-        residual,
-    })
+    system.expand(counters, x_basis)
 }
 
-/// Direct path: deduplicate columns, solve over the basis through the
-/// selected backend (dense normal equations, or the sparse engine's
-/// AMD-Cholesky/PCGLS ladder — never densifying `H` itself), and expand the
-/// estimate back to all flows. A dense QR on the basis is the fallback for
-/// numerically deficient Gram matrices on the dense backend; the sparse
-/// engine handles rank deficiency internally via PCGLS.
+/// Direct path: solve over the FCM's memoized deduplicated basis
+/// ([`Fcm::basis_system`]) through the selected backend and expand the
+/// estimate back to all flows. The dense backend forms the dense Gram and
+/// factors it every call (the paper's Eq. (4) cost, refused past the dense
+/// allocation cap), with a dense QR on the basis as the fallback for a
+/// numerically deficient Gram. The sparse engine solves on the basis'
+/// memoized sparse factor — the first solve of an FCM factors, every later
+/// one only solves — and handles rank deficiency via PCGLS.
 fn solve_direct(
     fcm: &Fcm,
     counters: &[f64],
     backend: BackendKind,
 ) -> Result<SolveOutcome, LinalgError> {
-    let groups = fcm.column_groups();
-    let h_basis = fcm.sparse().select_columns(&groups.basis);
+    let system = fcm.basis_system();
+    let h_basis = system.basis();
     let x_basis = match backend.resolve(h_basis.cols()) {
-        ResolvedBackend::Sparse => SparseEngine::default().solve_basis(&h_basis, counters)?.x,
-        ResolvedBackend::Dense => match solve_basis_cholesky(&h_basis, counters) {
+        ResolvedBackend::Sparse => {
+            SparseEngine::default()
+                .solve_factored(system.cholesky(), counters)?
+                .x
+        }
+        ResolvedBackend::Dense => match solve_basis_cholesky(h_basis, counters) {
             Ok(x) => x,
             Err(
                 LinalgError::NotPositiveDefinite { .. } | LinalgError::SingularTriangular { .. },
@@ -280,30 +285,7 @@ fn solve_direct(
             Err(e) => return Err(e),
         },
     };
-    let fitted = h_basis.matvec(&x_basis)?;
-    let residual: Vec<f64> = counters
-        .iter()
-        .zip(&fitted)
-        .map(|(y, yh)| (y - yh).abs())
-        .collect();
-    // Split each group's volume evenly among its members.
-    let group_sizes: Vec<usize> = {
-        let mut sizes = vec![0usize; groups.basis.len()];
-        for &g in &groups.group_of {
-            sizes[g] += 1;
-        }
-        sizes
-    };
-    let volume_estimate: Vec<f64> = groups
-        .group_of
-        .iter()
-        .map(|&g| x_basis[g] / group_sizes[g] as f64)
-        .collect();
-    Ok(SolveOutcome {
-        volume_estimate,
-        fitted_counters: fitted,
-        residual,
-    })
+    system.expand(counters, x_basis)
 }
 
 /// Normal-equation solve on a sparse basis matrix: Gram assembly is
@@ -314,7 +296,7 @@ fn solve_basis_cholesky(
 ) -> Result<Vec<f64>, LinalgError> {
     let gram = h_basis.gram_dense()?;
     let rhs = h_basis.transpose_matvec(counters)?;
-    foces_linalg::Cholesky::factor(&gram)?.solve(&rhs)
+    foces_linalg::Cholesky::factor_in_place(gram)?.solve(&rhs)
 }
 
 /// Iterative path: CGLS on the full sparse FCM. Duplicate columns are fine:
@@ -617,5 +599,32 @@ mod tests {
             .unwrap();
         let max = out.residual.iter().cloned().fold(0.0_f64, f64::max);
         assert!(max > 100.0, "max residual {max}");
+    }
+
+    #[test]
+    fn oversized_basis_on_the_default_backend_is_refused_typed() {
+        // 6,000 distinct two-rule columns: their dense Gram exceeds the
+        // dense allocation cap, so the default (dense) backend refuses the
+        // system with a typed error instead of factoring it.
+        let (rules, cols) = (120, 6000);
+        let mut h = DenseMatrix::zeros(rules, cols);
+        let pairs = (0..rules).flat_map(|a| (a + 1..rules).map(move |b| (a, b)));
+        for (j, (a, b)) in pairs.take(cols).enumerate() {
+            h.set(a, j, 1.0);
+            h.set(b, j, 1.0);
+        }
+        let fcm = crate::testkit::fcm_from_dense(&h);
+        assert_eq!(fcm.column_groups().basis.len(), cols);
+        let counters = fcm.expected_counters(&vec![1.0; cols]);
+        let err = EquationSystem::new(SolverKind::DirectDense)
+            .solve(&fcm, &counters)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FocesError::Solver(LinalgError::AllocationTooLarge { .. })
+            ),
+            "{err:?}"
+        );
     }
 }

@@ -184,7 +184,7 @@ proptest! {
 fn fattree4_gram_csr_matches_gram_dense() {
     let dep = deployment(0);
     let fcm = Fcm::from_view(&dep.view);
-    let basis = fcm.sparse().select_columns(&fcm.unique_column_basis());
+    let basis = fcm.sparse().select_columns(&fcm.column_groups().basis);
     let gram_sparse = basis.gram_csr();
     let gram_dense = basis
         .gram_dense()

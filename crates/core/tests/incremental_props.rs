@@ -68,6 +68,13 @@ fn apply_op(dep: &mut Deployment, op: Op) {
     }
 }
 
+/// A newly built copy of `fcm` for the cold reference: an FCM memoizes
+/// its basis and factor (and a clone shares them), so the reference must
+/// not read what the warm side's solves left behind.
+fn fresh(fcm: &Fcm) -> Fcm {
+    Fcm::from_parts(fcm.rules().to_vec(), fcm.flows().to_vec())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -120,7 +127,7 @@ proptest! {
         }
 
         let cold = EquationSystem::new(SolverKind::DirectDense)
-            .solve(&fcm1, &counters1)
+            .solve(&fresh(&fcm1), &counters1)
             .unwrap();
         let (warm_out, _) = warm.solve(&fcm1, &counters1).unwrap();
 
@@ -137,7 +144,7 @@ proptest! {
 
         // Verdicts are a function of the residual vector: they must agree.
         let det = Detector::default();
-        let v_cold = det.detect(&fcm1, &counters1).unwrap();
+        let v_cold = det.detect(&fresh(&fcm1), &counters1).unwrap();
         let (v_warm, _) = det.detect_warm(&fcm1, &counters1, &mut warm).unwrap();
         prop_assert_eq!(v_warm.anomalous, v_cold.anomalous);
         prop_assert!(
@@ -169,7 +176,7 @@ proptest! {
             let (warm_out, path) = warm.solve(&fcm, &counters).unwrap();
             prop_assert!(path.is_warm(), "steady state fell cold at epoch {}", epoch);
             let cold = EquationSystem::new(SolverKind::DirectDense)
-                .solve(&fcm, &counters)
+                .solve(&fresh(&fcm), &counters)
                 .unwrap();
             let scale = counters.iter().fold(1.0_f64, |m, v| m.max(v.abs()));
             for (a, b) in warm_out.residual.iter().zip(&cold.residual) {
@@ -229,7 +236,7 @@ fn single_reroute_stays_warm() {
         "one reroute must fit the rank budget, got {path_taken}"
     );
     let cold = EquationSystem::new(SolverKind::DirectDense)
-        .solve(&fcm1, &counters1)
+        .solve(&fresh(&fcm1), &counters1)
         .unwrap();
     let scale = counters1.iter().fold(1.0_f64, |m, v| m.max(v.abs()));
     for (a, b) in warm_out.residual.iter().zip(&cold.residual) {

@@ -79,6 +79,9 @@ fn main() {
         let sliced_time = t0.elapsed();
 
         // Reproduction extensions: structure-aware direct and sparse CGLS.
+        // The baseline memoized the FCM's basis; the direct round times
+        // its own on a newly built FCM.
+        let fcm = Fcm::from_parts(fcm.rules().to_vec(), fcm.flows().to_vec());
         let direct_detector = Detector::new(4.5, EquationSystem::new(SolverKind::DirectDense));
         let t0 = Instant::now();
         direct_detector.detect(&fcm, &counters).expect("solve");

@@ -33,6 +33,9 @@ pub struct IngestMetrics {
     pub unresponsive: u64,
     /// Replies discarded for a stale transaction id.
     pub stale_replies: u64,
+    /// Counter readings rejected as `NaN` or infinite (their rows count as
+    /// not sampled).
+    pub rejected_readings: u64,
     /// Accepted replies whose generation stamp outran the FCM build.
     pub stale_generation_replies: u64,
     /// Replies accepted into the collection state.
@@ -134,6 +137,11 @@ impl IngestMetrics {
         raw(&mut s, "offline_polls", json_f64(self.offline_polls as f64));
         raw(&mut s, "unresponsive", json_f64(self.unresponsive as f64));
         raw(&mut s, "stale_replies", json_f64(self.stale_replies as f64));
+        raw(
+            &mut s,
+            "rejected_readings",
+            json_f64(self.rejected_readings as f64),
+        );
         raw(
             &mut s,
             "stale_generation_replies",

@@ -646,8 +646,15 @@ impl StreamDriver {
         if let Some(rows) = self.rows_of.get(&switch) {
             for &(row, idx) in rows {
                 if let Some(&v) = counters.get(idx) {
-                    self.full[row] = v;
-                    self.observed[row] = true;
+                    // A non-finite reading is not a sample: the row goes
+                    // unobserved until a usable one arrives.
+                    let finite = v.is_finite();
+                    if finite {
+                        self.full[row] = v;
+                    } else {
+                        self.metrics.rejected_readings += 1;
+                    }
+                    self.observed[row] = finite;
                 }
             }
         }
@@ -1179,6 +1186,28 @@ mod tests {
         assert!(r.metrics.ttav_ms.is_some());
         assert!(r.metrics.ttfv_ms.unwrap() <= r.metrics.ttav_ms.unwrap());
         assert!(r.verdict_parity(), "quiescent end must match ground truth");
+    }
+
+    #[test]
+    fn non_finite_readings_leave_their_rows_unsampled() {
+        let liar = SwitchId(1);
+        let mut d = StreamDriver::new(deployment(), quiet_config(), vec![]);
+        let table = d
+            .dep
+            .view
+            .table(liar)
+            .iter()
+            .map(|(_, r)| r.clone())
+            .collect();
+        let mut agent = ForgingAgent::new(liar, table);
+        for i in 0..d.dep.dataplane.table(liar).len() {
+            agent.forge_counter(i, if i % 2 == 0 { f64::NAN } else { f64::INFINITY });
+        }
+        d.agents.insert(liar, Box::new(agent));
+        let r = d.run().expect("a non-finite reading is not a failed round");
+        assert!(r.metrics.rejected_readings > 0, "{:?}", r.metrics);
+        assert!(r.metrics.shard_rounds > 0);
+        assert_eq!(r.metrics.anomalous_rounds, 0, "masked rows raise nothing");
     }
 
     #[test]

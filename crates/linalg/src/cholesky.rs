@@ -71,6 +71,17 @@ impl Cholesky {
     ///   within tolerance — for FOCES this signals linearly dependent flow
     ///   columns and the caller falls back to a rank-revealing method.
     pub fn factor(a: &DenseMatrix) -> Result<Self, LinalgError> {
+        Self::factor_in_place(a.clone())
+    }
+
+    /// [`Cholesky::factor`] in `a`'s own storage: the factor takes over the
+    /// matrix instead of copying it, so factoring a large Gram never holds
+    /// two `n²` blocks at once.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Cholesky::factor`].
+    pub fn factor_in_place(a: DenseMatrix) -> Result<Self, LinalgError> {
         if a.rows() != a.cols() {
             return Err(LinalgError::NotSquare {
                 rows: a.rows(),
@@ -78,14 +89,14 @@ impl Cholesky {
             });
         }
         let n = a.rows();
+        // Scale-aware pivot tolerance: treat pivots below `tol` as zero.
+        let tol = crate::DEFAULT_TOL * a.max_abs().max(1.0);
         // Right-looking, in-place on the lower triangle: after processing
         // column k, columns 0..=k hold L and the trailing submatrix holds
         // the updated Schur complement. All inner loops walk contiguous
         // column slices of the column-major storage, which is what lets the
         // FOCES Fig.-12 experiment factor 10⁴-column Gram matrices.
-        let mut l = a.clone();
-        // Scale-aware pivot tolerance: treat pivots below `tol` as zero.
-        let tol = crate::DEFAULT_TOL * a.max_abs().max(1.0);
+        let mut l = a;
         for k in 0..n {
             let d = l.get(k, k);
             if d <= tol {

@@ -45,8 +45,18 @@ impl FactorCache {
     /// Propagates [`LinalgError`] from [`Cholesky::factor`] — notably
     /// [`LinalgError::NotPositiveDefinite`] when `gram` is singular.
     pub fn factor(gram: &DenseMatrix) -> Result<Self, LinalgError> {
+        Self::factor_in_place(gram.clone())
+    }
+
+    /// [`FactorCache::factor`] in `gram`'s own storage
+    /// ([`Cholesky::factor_in_place`]).
+    ///
+    /// # Errors
+    ///
+    /// As for [`FactorCache::factor`].
+    pub fn factor_in_place(gram: DenseMatrix) -> Result<Self, LinalgError> {
         Ok(Self {
-            chol: Cholesky::factor(gram)?,
+            chol: Cholesky::factor_in_place(gram)?,
             applied_rank: 0,
         })
     }

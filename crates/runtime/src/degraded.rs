@@ -25,6 +25,7 @@ use foces_controlplane::ControllerView;
 use foces_dataplane::RuleRef;
 use foces_net::SwitchId;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// How much of the detector's evidence a round actually had.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,6 +106,58 @@ struct CachedMask {
     coverage: f64,
 }
 
+/// Entries each of [`DegradedPipeline`]'s mask caches keeps. A masked
+/// system holds its sub-FCM with its memoized basis (and, on the sparse
+/// backend, its factor), so an
+/// unbounded cache would grow with every distinct missing-switch set until
+/// the next rebuild; past this many the least recently used entry goes.
+pub const MASK_CACHE_CAP: usize = 64;
+
+/// A map of at most [`MASK_CACHE_CAP`] masked systems with
+/// least-recently-used eviction.
+struct MaskCache<K> {
+    entries: HashMap<K, (u64, CachedMask)>,
+    clock: u64,
+}
+
+impl<K: Hash + Eq> MaskCache<K> {
+    fn new() -> Self {
+        MaskCache {
+            entries: HashMap::new(),
+            clock: 0,
+        }
+    }
+
+    /// The entry for `key`, marked as just used.
+    fn get(&mut self, key: &K) -> Option<&CachedMask> {
+        self.clock += 1;
+        let entry = self.entries.get_mut(key)?;
+        entry.0 = self.clock;
+        Some(&entry.1)
+    }
+
+    /// Inserts `value` as the most recently used entry, evicting the least
+    /// recently used one when the cache is full.
+    fn insert(&mut self, key: K, value: CachedMask) {
+        if self.entries.len() >= MASK_CACHE_CAP && !self.entries.contains_key(&key) {
+            // Stamps are unique, so this drops exactly the stalest entry.
+            if let Some(stalest) = self.entries.values().map(|(used, _)| *used).min() {
+                self.entries.retain(|_, (used, _)| *used != stalest);
+            }
+        }
+        self.clock += 1;
+        self.entries.insert(key, (self.clock, value));
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+    }
+}
+
 /// The degraded-detection layer: owns the full FCM, a fixed sample of
 /// audited deviation candidates, and a cache of masked systems keyed by
 /// the (sorted) missing-switch set.
@@ -116,10 +169,10 @@ pub struct DegradedPipeline {
     /// mask so coverages are comparable.
     candidates: Vec<DeviationCandidate>,
     full_coverage: f64,
-    cache: HashMap<Vec<SwitchId>, CachedMask>,
+    cache: MaskCache<Vec<SwitchId>>,
     /// Reconciled systems, keyed by (missing switches, journaled rules) —
     /// a rolling-update schedule revisits the same touched set many times.
-    reconcile_cache: HashMap<(Vec<SwitchId>, Vec<RuleRef>), CachedMask>,
+    reconcile_cache: MaskCache<(Vec<SwitchId>, Vec<RuleRef>)>,
     /// The incremental solver backing full rounds: its cached `HᵀH = LLᵀ`
     /// factorization is patched epoch to epoch (and across FCM rebuilds,
     /// see [`DegradedPipeline::retarget`]) instead of refactorized.
@@ -154,8 +207,8 @@ impl DegradedPipeline {
             detector,
             candidates: Vec::new(),
             full_coverage: 0.0,
-            cache: HashMap::new(),
-            reconcile_cache: HashMap::new(),
+            cache: MaskCache::new(),
+            reconcile_cache: MaskCache::new(),
             warm: IncrementalSolver::with_backend(RankBudget::default(), backend),
             last_path: None,
         };
@@ -205,7 +258,8 @@ impl DegradedPipeline {
         self.candidates.len()
     }
 
-    /// Number of distinct missing-switch sets masked so far.
+    /// Number of missing-switch sets whose masked system is cached (at
+    /// most [`MASK_CACHE_CAP`]).
     pub fn cached_masks(&self) -> usize {
         self.cache.len()
     }
@@ -249,11 +303,11 @@ impl DegradedPipeline {
             return Ok((Some(verdict), DetectionMode::Full));
         }
         self.last_path = None;
-        if !self.cache.contains_key(&missing) {
+        if self.cache.get(&missing).is_none() {
             let entry = self.build_mask(observed);
             self.cache.insert(missing.clone(), entry);
         }
-        let entry = &self.cache[&missing];
+        let entry = self.cache.get(&missing).expect("just cached");
         if entry.masked.fcm().rule_count() == 0 || entry.masked.fcm().flow_count() == 0 {
             return Ok((None, DetectionMode::Blind { missing }));
         }
@@ -306,11 +360,11 @@ impl DegradedPipeline {
         touched_key.sort_unstable();
         touched_key.dedup();
         let key = (missing.clone(), touched_key);
-        if !self.reconcile_cache.contains_key(&key) {
+        if self.reconcile_cache.get(&key).is_none() {
             let entry = self.build_reconciled(observed, &key.1);
             self.reconcile_cache.insert(key.clone(), entry);
         }
-        let entry = &self.reconcile_cache[&key];
+        let entry = self.reconcile_cache.get(&key).expect("just cached");
         if entry.masked.fcm().rule_count() == 0 || entry.masked.fcm().flow_count() == 0 {
             return Ok((None, DetectionMode::Blind { missing }));
         }
@@ -326,7 +380,8 @@ impl DegradedPipeline {
         Ok((Some(verdict), mode))
     }
 
-    /// Number of distinct (missing, touched) reconciliations built so far.
+    /// Number of (missing, touched) reconciliations cached (at most
+    /// [`MASK_CACHE_CAP`]).
     pub fn cached_reconciliations(&self) -> usize {
         self.reconcile_cache.len()
     }
@@ -656,5 +711,47 @@ mod tests {
         let (_, pipeline) = setup();
         let observed = vec![false; pipeline.fcm().rule_count()];
         assert_eq!(pipeline.coverage_under_mask(&observed), 0.0);
+    }
+
+    #[test]
+    fn mask_caches_stay_bounded_and_evicted_masks_rebuild_alike() {
+        let (dep, mut pipeline) = setup();
+        let counters = pipeline.fcm().counters_from(&dep.dataplane);
+        let mut switches: Vec<SwitchId> = pipeline.fcm().rules().iter().map(|r| r.switch).collect();
+        switches.dedup();
+        // 200 distinct missing-switch sets: every single switch, then pairs.
+        let mut sets: Vec<Vec<SwitchId>> = switches.iter().map(|&s| vec![s]).collect();
+        for (i, &a) in switches.iter().enumerate() {
+            for &b in &switches[i + 1..] {
+                sets.push(vec![a, b]);
+            }
+        }
+        sets.truncate(200);
+        assert_eq!(sets.len(), 200);
+        let mut first = Vec::new();
+        for set in &sets {
+            let observed = mask_without(&pipeline, set);
+            first.push(pipeline.detect(&counters, &observed).unwrap());
+            assert!(pipeline.cached_masks() <= MASK_CACHE_CAP);
+        }
+        assert_eq!(pipeline.cached_masks(), MASK_CACHE_CAP);
+        // The oldest sets were evicted: revisiting them rebuilds the mask,
+        // and the verdicts match both the first visit and a fresh pipeline.
+        let (_, mut fresh) = setup();
+        for (set, before) in sets.iter().zip(&first).take(20) {
+            let observed = mask_without(&pipeline, set);
+            let again = pipeline.detect(&counters, &observed).unwrap();
+            let reference = fresh.detect(&counters, &observed).unwrap();
+            assert_eq!(again.1, reference.1, "{set:?}");
+            assert_eq!(again.1, before.1, "{set:?}");
+            let (a, r) = (again.0.unwrap(), reference.0.unwrap());
+            assert_eq!(a.anomalous, r.anomalous, "{set:?}");
+            assert_eq!(
+                a.anomaly_index.to_bits(),
+                r.anomaly_index.to_bits(),
+                "{set:?}"
+            );
+        }
+        assert_eq!(pipeline.cached_masks(), MASK_CACHE_CAP);
     }
 }

@@ -27,6 +27,9 @@ pub struct RuntimeMetrics {
     pub offline_polls: u64,
     /// Switch-epochs that ended with no counters.
     pub unresponsive: u64,
+    /// Counter readings rejected as `NaN` or infinite (masked like
+    /// readings that never arrived).
+    pub rejected_readings: u64,
     /// Rounds detected on the full system.
     pub full_rounds: u64,
     /// Rounds detected on a row-masked system.
@@ -150,6 +153,7 @@ impl RuntimeMetrics {
         num(&mut s, "stale_replies", self.stale_replies as f64);
         num(&mut s, "offline_polls", self.offline_polls as f64);
         num(&mut s, "unresponsive", self.unresponsive as f64);
+        num(&mut s, "rejected_readings", self.rejected_readings as f64);
         num(&mut s, "full_rounds", self.full_rounds as f64);
         num(&mut s, "degraded_rounds", self.degraded_rounds as f64);
         num(&mut s, "reconciled_rounds", self.reconciled_rounds as f64);

@@ -122,19 +122,35 @@ impl EpochCollection {
     /// `counters[i]` is the reading for `rules[i]` (0.0 when it never
     /// arrived) and `observed[i]` says whether it actually did. This is
     /// the collection-side half of every detection round; masking and
-    /// reconciliation downstream key off `observed`.
+    /// reconciliation downstream key off `observed`. A `NaN` or infinite
+    /// reading counts as not collected (see
+    /// [`EpochCollection::assemble_checked`]).
     pub fn assemble(&self, rules: &[RuleRef]) -> (Vec<f64>, Vec<bool>) {
+        let (counters, observed, _) = self.assemble_checked(rules);
+        (counters, observed)
+    }
+
+    /// [`EpochCollection::assemble`], also returning how many readings
+    /// were rejected as non-finite. A Byzantine agent can report any
+    /// `f64`; no flow volume explains `NaN` or `±∞`, so such a row is
+    /// masked like one that never arrived instead of reaching the solve.
+    pub fn assemble_checked(&self, rules: &[RuleRef]) -> (Vec<f64>, Vec<bool>, usize) {
         let mut counters = vec![0.0; rules.len()];
         let mut observed = vec![false; rules.len()];
+        let mut rejected = 0;
         for (i, r) in rules.iter().enumerate() {
             if let Some(c) = self.counters_of(r.switch) {
                 if let Some(&v) = c.get(r.index) {
-                    counters[i] = v;
-                    observed[i] = true;
+                    if v.is_finite() {
+                        counters[i] = v;
+                        observed[i] = true;
+                    } else {
+                        rejected += 1;
+                    }
                 }
             }
         }
-        (counters, observed)
+        (counters, observed, rejected)
     }
 
     /// Responsive switches whose reply carried a generation stamp *newer*

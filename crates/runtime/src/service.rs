@@ -449,7 +449,9 @@ impl RuntimeService {
 
         // -- Assemble the counter vector in FCM row order ---------------
         let t1 = Instant::now();
-        let (counters, collected_observed) = collection.assemble(self.pipeline.fcm().rules());
+        let (counters, collected_observed, rejected) =
+            collection.assemble_checked(self.pipeline.fcm().rules());
+        self.metrics.rejected_readings += rejected as u64;
         // Quarantined switches' reports are withheld from detection.
         let mut observed = collected_observed.clone();
         self.lifecycle

@@ -1,12 +1,12 @@
-//! The solve engine: a [`SolveBackend`] trait the dense path also
-//! implements, plus [`SparseEngine`] — the sparse-first ladder (symbolic
-//! reuse → sparse Cholesky → preconditioned CGLS) with residual-verified
-//! acceptance mirroring `FactorCache`'s warm/cold discipline.
+//! The solve engine: [`BackendKind`] selection plus [`SparseEngine`] — the
+//! sparse-first ladder (memoized sparse Cholesky → preconditioned CGLS)
+//! with residual-verified acceptance mirroring `FactorCache`'s warm/cold
+//! discipline.
 
+use crate::basis::BasisCholesky;
 use crate::kernels::normal_residual;
-use crate::numeric::SparseFactor;
 use crate::symbolic::SymbolicCholesky;
-use foces_linalg::{pcgls, Cholesky, CsrMatrix, Jacobi, LinalgError};
+use foces_linalg::{pcgls, Jacobi, LinalgError};
 use std::fmt;
 use std::str::FromStr;
 
@@ -105,8 +105,6 @@ impl FromStr for BackendKind {
 /// How a [`BasisSolve`] was actually produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolveMethod {
-    /// Dense Gram + dense Cholesky.
-    DenseCholesky,
     /// Sparse Gram + AMD-ordered sparse Cholesky.
     SparseCholesky,
     /// Preconditioned CGLS (no Gram formed).
@@ -116,14 +114,13 @@ pub enum SolveMethod {
 impl fmt::Display for SolveMethod {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            SolveMethod::DenseCholesky => "dense-cholesky",
             SolveMethod::SparseCholesky => "sparse-cholesky",
             SolveMethod::Pcgls => "pcgls",
         })
     }
 }
 
-/// Outcome of a basis solve through a [`SolveBackend`].
+/// Outcome of a [`SparseEngine::solve_factored`] basis solve.
 #[derive(Debug, Clone)]
 pub struct BasisSolve {
     /// Least-squares solution over the basis columns.
@@ -135,47 +132,6 @@ pub struct BasisSolve {
     /// Whether cross-epoch state (symbolic analysis / preconditioner) was
     /// reused rather than rebuilt — the sparse analogue of a warm factor.
     pub reused: bool,
-}
-
-/// A least-squares basis solver: given the duplicate-free basis `H` and raw
-/// counters `y`, produce `argmin ‖H x − y‖`.
-///
-/// Both the dense path and [`SparseEngine`] implement this, so
-/// `core::solver` / `core::incremental` / shard workers select a backend
-/// instead of hard-coding dense storage.
-pub trait SolveBackend {
-    /// Stable backend label for logs and metrics.
-    fn label(&self) -> &'static str;
-
-    /// Solves `min ‖H x − counters‖` over the basis columns.
-    ///
-    /// # Errors
-    ///
-    /// Typed [`LinalgError`] on degenerate or oversized systems.
-    fn solve_basis(&mut self, h: &CsrMatrix, counters: &[f64]) -> Result<BasisSolve, LinalgError>;
-}
-
-/// The historical dense path behind the [`SolveBackend`] trait: dense Gram
-/// (allocation-guarded) + dense Cholesky.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DenseBackend;
-
-impl SolveBackend for DenseBackend {
-    fn label(&self) -> &'static str {
-        "dense"
-    }
-
-    fn solve_basis(&mut self, h: &CsrMatrix, counters: &[f64]) -> Result<BasisSolve, LinalgError> {
-        let gram = h.gram_dense()?;
-        let rhs = h.transpose_matvec(counters)?;
-        let x = Cholesky::factor(&gram)?.solve(&rhs)?;
-        Ok(BasisSolve {
-            x,
-            iterations: 0,
-            method: SolveMethod::DenseCholesky,
-            reused: false,
-        })
-    }
 }
 
 /// Tuning knobs for [`SparseEngine`].
@@ -211,11 +167,14 @@ pub const ACCEPT_TOL: f64 = 1e-6;
 
 /// The sparse-first solve engine.
 ///
+/// The factor itself is memoized on the basis ([`BasisCholesky`]), so a
+/// round on an unchanged basis runs no Gram assembly and no factorization.
 /// Cross-epoch state mirrors `FactorCache`'s warm/cold ladder:
 ///
-/// * the **symbolic analysis** (ordering, etree, column counts) is keyed on
-///   a pattern fingerprint and reused while the Gram pattern is stable —
-///   steady-state epochs pay only the numeric factorization;
+/// * the **symbolic analysis** (ordering, etree, column counts) of the last
+///   direct solve is kept; a new basis whose Gram has the same pattern
+///   adopts it instead of re-running the ordering, and a solve counts as
+///   reused when its pattern matches the held one;
 /// * the **PCGLS preconditioner** (column norms) is reused until
 ///   [`SparseEngine::note_rank_growth`] reports FcmDelta churn, which is
 ///   when column norms actually move.
@@ -257,33 +216,72 @@ impl SparseEngine {
         self.symbolic.is_some() || self.precond.is_some()
     }
 
-    fn solve_direct(
+    /// Solves `min ‖B x − counters‖` for a basis whose Gram factor is
+    /// memoized on `basis`: the direct rung factors at most once per basis
+    /// and every later call only solves. Bases past
+    /// [`EngineOptions::direct_limit`] columns or
+    /// [`EngineOptions::fill_limit`] factor nonzeros, rank-deficient ones
+    /// and solves that fail the [`ACCEPT_TOL`] check take PCGLS.
+    ///
+    /// # Errors
+    ///
+    /// Typed [`LinalgError`] on degenerate or oversized systems.
+    pub fn solve_factored(
         &mut self,
-        h: &CsrMatrix,
-        rhs: &[f64],
-    ) -> Result<Option<BasisSolve>, LinalgError> {
-        let gram = h.gram_csr();
+        basis: &BasisCholesky,
+        counters: &[f64],
+    ) -> Result<BasisSolve, LinalgError> {
+        let h = basis.basis();
+        let n = h.cols();
+        let rhs = h.transpose_matvec(counters)?;
+        if n <= self.opts.direct_limit {
+            if let Some(solve) = self.solve_direct(basis, &rhs)? {
+                return Ok(solve);
+            }
+        }
         let mut reused = true;
-        if !self.symbolic.as_ref().is_some_and(|s| s.matches(&gram)) {
-            self.symbolic = Some(SymbolicCholesky::analyze(&gram));
+        if self.precond.as_ref().is_none_or(|p| p.dim() != n) {
+            self.precond = Some(Jacobi::from_matrix(h));
             reused = false;
         }
-        let sym = self.symbolic.as_ref().expect("just installed");
-        if sym.lnz() > self.opts.fill_limit {
-            return Ok(None);
+        let pc = self.precond.as_ref().expect("just installed");
+        let out = pcgls(h, counters, pc, self.opts.tol, self.opts.max_iter)?;
+        Ok(BasisSolve {
+            x: out.x,
+            iterations: out.iterations as u64,
+            method: SolveMethod::Pcgls,
+            reused,
+        })
+    }
+
+    fn solve_direct(
+        &mut self,
+        basis: &BasisCholesky,
+        rhs: &[f64],
+    ) -> Result<Option<BasisSolve>, LinalgError> {
+        let h = basis.basis();
+        let factor = basis.factor_within(self.opts.fill_limit, self.symbolic.as_ref());
+        let sym = basis.symbolic();
+        let reused = self
+            .symbolic
+            .as_ref()
+            .is_some_and(|s| s.dim() == sym.dim() && s.fingerprint() == sym.fingerprint());
+        if !reused {
+            self.symbolic = Some(sym.clone());
         }
-        let factor = match SparseFactor::factor(sym, &gram) {
-            Ok(f) => f,
-            Err(
+        let factor = match factor {
+            None => return Ok(None),
+            Some(Ok(f)) => f,
+            Some(Err(
                 LinalgError::NotPositiveDefinite { .. } | LinalgError::SingularTriangular { .. },
-            ) => {
+            )) => {
                 // Rank-deficient basis: the direct rung cannot serve it, let
-                // PCGLS produce the minimum-norm answer. The stale analysis
-                // is dropped so a later full-rank pattern re-analyzes.
+                // PCGLS produce the minimum-norm answer. The analysis is
+                // dropped so a later full-rank pattern counts as new.
                 self.symbolic = None;
                 return Ok(None);
             }
-            Err(e) => return Err(e),
+            Some(Err(e)) => return Err(e.clone()),
         };
         let mut x = factor.solve(rhs)?;
         // Residual-verified acceptance with one refinement step, the same
@@ -308,39 +306,10 @@ impl SparseEngine {
     }
 }
 
-impl SolveBackend for SparseEngine {
-    fn label(&self) -> &'static str {
-        "sparse"
-    }
-
-    fn solve_basis(&mut self, h: &CsrMatrix, counters: &[f64]) -> Result<BasisSolve, LinalgError> {
-        let n = h.cols();
-        let rhs = h.transpose_matvec(counters)?;
-        if n <= self.opts.direct_limit {
-            if let Some(solve) = self.solve_direct(h, &rhs)? {
-                return Ok(solve);
-            }
-        }
-        let mut reused = true;
-        if self.precond.as_ref().is_none_or(|p| p.dim() != n) {
-            self.precond = Some(Jacobi::from_matrix(h));
-            reused = false;
-        }
-        let pc = self.precond.as_ref().expect("just installed");
-        let out = pcgls(h, counters, pc, self.opts.tol, self.opts.max_iter)?;
-        Ok(BasisSolve {
-            x: out.x,
-            iterations: out.iterations as u64,
-            method: SolveMethod::Pcgls,
-            reused,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use foces_linalg::{DenseMatrix, Triplet};
+    use foces_linalg::{Cholesky, CsrMatrix, DenseMatrix};
 
     fn paper_h() -> CsrMatrix {
         CsrMatrix::from_dense(
@@ -375,31 +344,51 @@ mod tests {
     }
 
     #[test]
-    fn sparse_engine_matches_dense_backend() {
+    fn sparse_engine_matches_dense_cholesky() {
         let h = paper_h();
         let y = [3., 3., 4., 3., 8., 12.];
-        let mut dense = DenseBackend;
-        let mut sparse = SparseEngine::default();
-        let xd = dense.solve_basis(&h, &y).unwrap();
-        let xs = sparse.solve_basis(&h, &y).unwrap();
+        let xd = Cholesky::factor(&h.gram_dense().unwrap())
+            .unwrap()
+            .solve(&h.transpose_matvec(&y).unwrap())
+            .unwrap();
+        let xs = SparseEngine::default()
+            .solve_factored(&BasisCholesky::new(h), &y)
+            .unwrap();
         assert_eq!(xs.method, SolveMethod::SparseCholesky);
-        for (a, b) in xd.x.iter().zip(&xs.x) {
+        for (a, b) in xd.iter().zip(&xs.x) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
     }
 
     #[test]
     fn symbolic_reuse_is_reported() {
-        let h = paper_h();
+        // A new basis with the held pattern adopts the held analysis.
+        let fresh = || BasisCholesky::new(paper_h());
         let y = [3., 3., 4., 3., 8., 12.];
         let mut engine = SparseEngine::default();
-        let first = engine.solve_basis(&h, &y).unwrap();
+        let first = engine.solve_factored(&fresh(), &y).unwrap();
         assert!(!first.reused);
-        let second = engine.solve_basis(&h, &y).unwrap();
+        let second = engine.solve_factored(&fresh(), &y).unwrap();
         assert!(second.reused);
         engine.invalidate();
-        let third = engine.solve_basis(&h, &y).unwrap();
+        let third = engine.solve_factored(&fresh(), &y).unwrap();
         assert!(!third.reused);
+    }
+
+    #[test]
+    fn a_memoized_factor_serves_every_later_solve() {
+        let basis = BasisCholesky::new(paper_h());
+        let y = [3., 3., 4., 3., 8., 12.];
+        let mut engine = SparseEngine::default();
+        let first = engine.solve_factored(&basis, &y).unwrap();
+        assert_eq!(first.method, SolveMethod::SparseCholesky);
+        assert!(!first.reused);
+        let second = engine.solve_factored(&basis, &y).unwrap();
+        assert!(second.reused);
+        assert_eq!(first.x, second.x);
+        // Another engine reads the same factor: same answer, bit for bit.
+        let other = SparseEngine::default().solve_factored(&basis, &y).unwrap();
+        assert_eq!(other.x, first.x);
     }
 
     #[test]
@@ -411,7 +400,9 @@ mod tests {
         );
         let y = [2.0, 2.0, 4.0];
         let mut engine = SparseEngine::default();
-        let out = engine.solve_basis(&h, &y).unwrap();
+        let out = engine
+            .solve_factored(&BasisCholesky::new(h.clone()), &y)
+            .unwrap();
         assert_eq!(out.method, SolveMethod::Pcgls);
         let fit = h.matvec(&out.x).unwrap();
         for (f, b) in fit.iter().zip(&y) {
@@ -421,38 +412,20 @@ mod tests {
 
     #[test]
     fn oversized_direct_limit_forces_pcgls() {
-        let h = paper_h();
+        let h = BasisCholesky::new(paper_h());
         let y = [3., 3., 4., 3., 8., 12.];
         let mut engine = SparseEngine::new(EngineOptions {
             direct_limit: 0,
             ..EngineOptions::default()
         });
-        let out = engine.solve_basis(&h, &y).unwrap();
+        let out = engine.solve_factored(&h, &y).unwrap();
         assert_eq!(out.method, SolveMethod::Pcgls);
         assert!(out.iterations > 0);
         // Preconditioner reuse across epochs, invalidated by rank growth.
-        let again = engine.solve_basis(&h, &y).unwrap();
+        let again = engine.solve_factored(&h, &y).unwrap();
         assert!(again.reused);
         engine.note_rank_growth(3);
-        let after_churn = engine.solve_basis(&h, &y).unwrap();
+        let after_churn = engine.solve_factored(&h, &y).unwrap();
         assert!(!after_churn.reused);
-    }
-
-    #[test]
-    fn dense_backend_surfaces_allocation_guard() {
-        let mut t = vec![Triplet {
-            row: 0,
-            col: 99_999,
-            value: 1.0,
-        }];
-        t.push(Triplet {
-            row: 1,
-            col: 0,
-            value: 1.0,
-        });
-        let wide = CsrMatrix::from_triplets(2, 100_000, &t).unwrap();
-        let mut dense = DenseBackend;
-        let err = dense.solve_basis(&wide, &[1.0, 1.0]).unwrap_err();
-        assert!(matches!(err, LinalgError::AllocationTooLarge { .. }));
     }
 }

@@ -17,25 +17,28 @@
 //! * [`foces_linalg::pcgls`] — preconditioned CGLS, whose column-norm
 //!   preconditioner the engine reuses across epochs and refreshes on
 //!   FcmDelta rank growth;
+//! * [`basis`] — [`BasisCholesky`], a basis with its Gram factor built
+//!   once on first demand and shared by every solve and analysis of it;
 //! * [`kernels`] — CSR residual/attribution/absorption kernels and the
 //!   leave-rows-out [`Capacitance`], so the Byzantine and coverage layers
 //!   never densify;
-//! * [`engine`] — the [`SolveBackend`] trait (dense implements it too) and
-//!   [`SparseEngine`], the ladder with residual-verified acceptance.
+//! * [`engine`] — [`SparseEngine`], the ladder with residual-verified
+//!   acceptance, solving on a [`BasisCholesky`]'s memoized factor.
 //!
 //! Backend selection is [`BackendKind`]: `dense` (historical,
 //! golden-stable), `sparse`, or `auto` (dense below
 //! [`BackendKind::AUTO_DENSE_LIMIT`] basis columns, sparse above).
 
+pub mod basis;
 pub mod engine;
 pub mod kernels;
 pub mod numeric;
 pub mod ordering;
 pub mod symbolic;
 
+pub use basis::BasisCholesky;
 pub use engine::{
-    BackendKind, BasisSolve, DenseBackend, EngineOptions, ResolvedBackend, SolveBackend,
-    SolveMethod, SparseEngine, ACCEPT_TOL,
+    BackendKind, BasisSolve, EngineOptions, ResolvedBackend, SolveMethod, SparseEngine, ACCEPT_TOL,
 };
 pub use kernels::{
     abs_residual, absorption_coefficients, normal_residual, per_group_mass, rows_indicator_rhs,

@@ -78,6 +78,13 @@ impl SymbolicCholesky {
             && self.fingerprint == fingerprint_of(gram)
     }
 
+    /// The pattern fingerprint [`SymbolicCholesky::matches`] compares:
+    /// two analyses with equal fingerprints and dimensions describe the
+    /// same pattern.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
     /// Dimension of the analyzed matrix.
     pub fn dim(&self) -> usize {
         self.n

@@ -26,8 +26,8 @@ use foces_ingest::{CadenceConfig, StreamAction, StreamConfig, StreamDriver};
 use foces_net::generators::fattree;
 use foces_net::SwitchId;
 use foces_runtime::{
-    ByzantineConfig, EpochReport, FaultProfile, FaultScenario, RuntimeConfig, RuntimeService,
-    ScenarioDriver, SimTransport,
+    ByzantineConfig, DetectionMode, EpochReport, FaultProfile, FaultScenario, RuntimeConfig,
+    RuntimeService, ScenarioDriver, SimTransport,
 };
 
 const EPOCHS: u64 = 14;
@@ -368,4 +368,61 @@ fn stream_liar_is_localized_quarantined_then_released() {
         .iter()
         .any(|l| l.contains("\"localized\":") && !l.contains("\"localized\":null"));
     assert!(localized, "the JSONL must name the localized liar");
+}
+
+/// A liar can report any `f64`. `NaN` and `+∞` readings never reach the
+/// solve (where a `NaN` used to panic the median): each is rejected at
+/// assembly, so the liar's rows are masked exactly as if its reply had
+/// never arrived, and the rest of the fabric is still checked.
+#[test]
+fn non_finite_forged_counters_are_masked_not_solved() {
+    let liar = SwitchId(4);
+    for forged in [f64::NAN, f64::INFINITY] {
+        let mut dep = testbed();
+        dep.dataplane.reset_counters();
+        dep.replay_traffic(&mut LossModel::none());
+        let liar_rows = foces::Fcm::from_view(&dep.view)
+            .rules()
+            .iter()
+            .filter(|r| r.switch == liar)
+            .count() as u64;
+        assert!(liar_rows > 0);
+        let transport = SimTransport::new(
+            3,
+            FaultProfile {
+                latency_ms: 1.0,
+                ..FaultProfile::default()
+            },
+        );
+        let mut svc = RuntimeService::with_sim_transport(&dep.view, transport, byzantine_config());
+        let table = dep
+            .view
+            .table(liar)
+            .iter()
+            .map(|(_, r)| r.clone())
+            .collect();
+        let mut agent = ForgingAgent::new(liar, table);
+        for i in 0..dep.dataplane.table(liar).len() {
+            agent.forge_counter(i, forged);
+        }
+        svc.replace_agent(Box::new(agent));
+        let epochs = 4;
+        for _ in 0..epochs {
+            let r = svc
+                .run_epoch(&dep.dataplane, &dep.view)
+                .expect("a non-finite reading is not a failed round");
+            match &r.mode {
+                DetectionMode::Degraded { missing, .. } => {
+                    assert_eq!(missing, &vec![liar], "{forged}: epoch {}", r.epoch)
+                }
+                other => panic!(
+                    "{forged}: epoch {}: liar rows not masked: {other:?}",
+                    r.epoch
+                ),
+            }
+            assert!(r.verdict.is_some(), "{forged}: the rest is still checked");
+            assert!(!r.anomalous(), "{forged}: epoch {}", r.epoch);
+        }
+        assert_eq!(svc.metrics().rejected_readings, epochs * liar_rows);
+    }
 }
