@@ -19,7 +19,23 @@
 //! rules at each switch are pairwise disjoint or nested — true for every
 //! rule set our control plane emits (per-destination and per-pair rules are
 //! exact on the relevant fields). [`trace_flows`] debug-asserts this
-//! precondition.
+//! precondition ([`foces_dataplane::FlowTable::is_disjoint_or_nested`]).
+//!
+//! # Cost
+//!
+//! Each switch visit asks the table's index for the rules the region meets
+//! ([`foces_dataplane::FlowTable::overlapping`]) and walks only those, in
+//! precedence order; a rule disjoint from the region could only fail the
+//! intersection, so skipping it changes nothing. The query costs one hash probe per mask
+//! group of the table whose bits the region pins, and a masked compare per
+//! distinct match of every other group. Each rule met then costs one
+//! intersection and one filter of the region's peeled negatives. Past the
+//! first hop a region pins its destination, so a per-destination or
+//! per-pair table answers with probes and meets one or two rules. At the
+//! ingress switch only the source is pinned: a per-destination table meets
+//! all its rules, and a per-pair table compares all its matches but meets
+//! only the pinned source's. The final sort compares headers as ternary
+//! strings without formatting them ([`Wildcard::cmp_ternary`]).
 //!
 //! # Example
 //!
@@ -64,13 +80,7 @@ impl LogicalFlow {
     ///
     /// Panics if the header is wider than 64 bits (never the case here).
     pub fn concrete_header(&self) -> u64 {
-        let mut h = 0u64;
-        for pos in 0..self.header.width() {
-            if self.header.bit(pos) == Some(true) {
-                h |= 1 << (self.header.width() - 1 - pos);
-            }
-        }
-        h
+        self.header.representative()
     }
 }
 
@@ -153,11 +163,9 @@ pub fn trace_flows(view: &ControllerView) -> Vec<LogicalFlow> {
     }
     // Deterministic order: by ingress, then egress, then header string.
     out.sort_by(|a, b| {
-        (a.ingress, a.egress, format!("{}", a.header)).cmp(&(
-            b.ingress,
-            b.egress,
-            format!("{}", b.header),
-        ))
+        (a.ingress, a.egress)
+            .cmp(&(b.ingress, b.egress))
+            .then_with(|| a.header.cmp_ternary(&b.header))
     });
     out
 }
@@ -177,16 +185,11 @@ fn trace_from(
         return; // loop: class carries no deliverable traffic
     }
     let table = view.table(switch);
-    // Rules sorted by effective precedence: priority desc, index asc —
-    // mirrors FlowTable::lookup.
-    let mut order: Vec<usize> = (0..table.len()).collect();
-    order.sort_by(|&a, &b| {
-        let (ra, rb) = (table.get(a).unwrap(), table.get(b).unwrap());
-        rb.priority().cmp(&ra.priority()).then(a.cmp(&b))
-    });
+    // Only rules meeting the region, in precedence order: a disjoint rule
+    // fails `constrain` and is never peeled, so skipping it is exact.
     let mut shadow = region;
-    for idx in order {
-        let rule = table.get(idx).expect("index from 0..len");
+    for idx in table.overlapping(&shadow.pos) {
+        let rule = table.get(idx).expect("index from the table");
         let Some(matched) = shadow.constrain(rule.match_fields()) else {
             continue;
         };
@@ -238,21 +241,9 @@ fn trace_from(
 /// Checks the precondition of the emptiness test: within each switch table,
 /// any two rules' match regions are disjoint, or one contains the other.
 fn tables_disjoint_or_nested(view: &ControllerView) -> bool {
-    for s in view.topology().switches() {
-        let t = view.table(s);
-        for (i, ri) in t.iter() {
-            for (j, rj) in t.iter() {
-                if i >= j {
-                    continue;
-                }
-                let (mi, mj) = (ri.match_fields(), rj.match_fields());
-                if mi.overlaps(mj) && !mi.is_subset_of(mj) && !mj.is_subset_of(mi) {
-                    return false;
-                }
-            }
-        }
-    }
-    true
+    view.topology()
+        .switches()
+        .all(|s| view.table(s).is_disjoint_or_nested())
 }
 
 #[cfg(test)]
@@ -417,6 +408,22 @@ mod tests {
         table.push(Rule::new(dst_match(h1), 5, Action::Drop));
         let view = ControllerView::from_parts(topo, vec![table]);
         assert!(trace_flows(&view).is_empty());
+    }
+
+    #[test]
+    fn hardening_prefix_rule_breaks_the_precondition() {
+        let mut dep = deployment(fattree(4), RuleGranularity::PerDestination);
+        assert!(tables_disjoint_or_nested(&dep.view));
+        // A per-pair hardening rule nests inside the destination rules.
+        let spec = dep.flows[0];
+        let sw = dep.expected_paths[0][0];
+        let pair = foces_dataplane::pair_match(spec.src, spec.dst);
+        dep.install_hardening(sw, foces_dataplane::Rule::new(pair, 20, Action::Drop));
+        assert!(tables_disjoint_or_nested(&dep.view));
+        // A source-prefix one cuts every destination rule in half.
+        let prefix = Wildcard::prefix(HEADER_WIDTH, 0, 8).unwrap();
+        dep.install_hardening(sw, foces_dataplane::Rule::new(prefix, 20, Action::Drop));
+        assert!(!tables_disjoint_or_nested(&dep.view));
     }
 
     #[test]

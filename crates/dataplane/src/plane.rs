@@ -223,14 +223,10 @@ impl DataPlane {
         r: RuleRef,
         action: Action,
     ) -> Result<Action, DataPlaneError> {
-        let rule = self
-            .tables
+        self.tables
             .get_mut(r.switch.0)
-            .and_then(|t| t.get_mut(r.index))
-            .ok_or(DataPlaneError::UnknownRule(r))?;
-        let old = rule.action();
-        rule.set_action(action);
-        Ok(old)
+            .and_then(|t| t.set_action(r.index, action))
+            .ok_or(DataPlaneError::UnknownRule(r))
     }
 
     /// Iterates over every rule reference in canonical order

@@ -265,7 +265,47 @@ impl Wildcard {
     ///
     /// Panics if widths differ.
     pub fn overlaps(&self, other: &Wildcard) -> bool {
-        self.intersect(other).is_some()
+        assert_eq!(
+            self.width, other.width,
+            "overlaps: widths {} vs {}",
+            self.width, other.width
+        );
+        // Disjoint iff some bit is exact in both with different values;
+        // value bits are zero wherever the mask is, so one masked XOR per
+        // block decides it without building the intersection.
+        self.mask
+            .iter()
+            .zip(&self.value)
+            .zip(other.mask.iter().zip(&other.value))
+            .all(|((ma, va), (mb, vb))| (va ^ vb) & ma & mb == 0)
+    }
+
+    /// Orders two regions as their ternary strings compare: position by
+    /// position from bit 0, with `*` < `0` < `1` — the order of the
+    /// [`Display`](fmt::Display) strings, without formatting them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if widths differ.
+    pub fn cmp_ternary(&self, other: &Wildcard) -> std::cmp::Ordering {
+        assert_eq!(
+            self.width, other.width,
+            "cmp_ternary: widths {} vs {}",
+            self.width, other.width
+        );
+        for blk in 0..self.mask.len() {
+            let diff = (self.mask[blk] ^ other.mask[blk]) | (self.value[blk] ^ other.value[blk]);
+            if diff != 0 {
+                // The first differing position; rank `*` = 0, `0` = 1,
+                // `1` = 2 as mask bit + value bit.
+                let bit = 1u64 << (BLOCK - 1 - diff.leading_zeros() as usize);
+                let rank = |w: &Wildcard| {
+                    u8::from(w.mask[blk] & bit != 0) + u8::from(w.value[blk] & bit != 0)
+                };
+                return rank(self).cmp(&rank(other));
+            }
+        }
+        std::cmp::Ordering::Equal
     }
 
     /// Set difference `self \ other` as a union of **pairwise-disjoint**
@@ -347,7 +387,7 @@ impl Wildcard {
     }
 
     /// Tests whether a concrete header (low `width` bits of `bits`) is in
-    /// this region.
+    /// this region. Bits of `bits` above `width` are ignored.
     ///
     /// # Panics
     ///
@@ -357,15 +397,13 @@ impl Wildcard {
             self.width <= 64,
             "matches_concrete supports widths up to 64"
         );
-        for pos in 0..self.width {
-            if let Some(v) = self.bit(pos) {
-                let b = (bits >> (self.width - 1 - pos)) & 1 == 1;
-                if b != v {
-                    return false;
-                }
-            }
+        if self.width == 0 {
+            return true;
         }
-        true
+        // Shift the header's low `width` bits into block layout (position
+        // 0 at the top); the shift drops everything above `width`.
+        let header = bits << (BLOCK - self.width);
+        (header ^ self.value[0]) & self.mask[0] == 0
     }
 
     /// Number of concrete headers in this region (`2^wildcard_bits`), as
@@ -383,13 +421,10 @@ impl Wildcard {
     /// Panics if `width > 64`.
     pub fn representative(&self) -> u64 {
         assert!(self.width <= 64, "representative supports widths up to 64");
-        let mut h = 0u64;
-        for pos in 0..self.width {
-            if self.bit(pos) == Some(true) {
-                h |= 1 << (self.width - 1 - pos);
-            }
+        if self.width == 0 {
+            return 0;
         }
-        h
+        self.value[0] >> (BLOCK - self.width)
     }
 
     /// Returns `true` when this region is the full space (all wildcards).

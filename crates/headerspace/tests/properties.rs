@@ -127,3 +127,89 @@ proptest! {
         prop_assert_eq!(a, back);
     }
 }
+
+/// Widths the block-wise fast paths must get right: a single bit, either
+/// side of the 32-bit header, and either side of a full block.
+const FAST_PATH_WIDTHS: [usize; 5] = [1, 31, 32, 63, 64];
+
+/// A wildcard of `width` bits read from the first `width` trits.
+fn from_trits(width: usize, tri: &[u8]) -> Wildcard {
+    let mut w = Wildcard::any(width);
+    for (pos, t) in tri.iter().take(width).enumerate() {
+        w.set_bit(
+            pos,
+            match t {
+                0 => Some(false),
+                1 => Some(true),
+                _ => None,
+            },
+        );
+    }
+    w
+}
+
+/// `a` and a copy of it with a few positions redrawn: overlapping and
+/// disjoint pairs both come up often, at every width.
+fn near_pair() -> impl Strategy<Value = (Wildcard, Wildcard)> {
+    (
+        0..FAST_PATH_WIDTHS.len(),
+        proptest::collection::vec(0u8..3, 64),
+        proptest::collection::vec((0usize..64, 0u8..3), 0..4),
+    )
+        .prop_map(|(wi, tri, flips)| {
+            let width = FAST_PATH_WIDTHS[wi];
+            let mut other = tri.clone();
+            for (pos, t) in flips {
+                other[pos] = t;
+            }
+            (from_trits(width, &tri), from_trits(width, &other))
+        })
+}
+
+/// The per-bit membership test the masked compare replaced.
+fn matches_per_bit(w: &Wildcard, bits: u64) -> bool {
+    (0..w.width()).all(|pos| {
+        w.bit(pos)
+            .is_none_or(|v| ((bits >> (w.width() - 1 - pos)) & 1 == 1) == v)
+    })
+}
+
+proptest! {
+    /// The block-wise overlap test agrees with building the intersection.
+    #[test]
+    fn overlaps_agrees_with_intersect((a, b) in near_pair()) {
+        prop_assert_eq!(a.overlaps(&b), a.intersect(&b).is_some());
+        prop_assert_eq!(b.overlaps(&a), a.overlaps(&b));
+    }
+
+    /// The masked membership test agrees with the per-bit reference, on
+    /// a member (free bits drawn at random) and on a random header, with
+    /// garbage above `width` in both.
+    #[test]
+    fn matches_concrete_agrees_with_per_bit_reference(
+        (a, _) in near_pair(),
+        noise in any::<u64>(),
+        garbage in any::<u64>(),
+    ) {
+        let width = a.width();
+        let high = if width == 64 { 0 } else { garbage << width };
+        let member = (0..width).fold(0u64, |h, pos| {
+            let shift = width - 1 - pos;
+            let bit = a.bit(pos).map_or((noise >> shift) & 1, u64::from);
+            h | (bit << shift)
+        }) | high;
+        prop_assert!(a.matches_concrete(member));
+        prop_assert!(matches_per_bit(&a, member));
+        prop_assert_eq!(a.matches_concrete(noise | high), matches_per_bit(&a, noise | high));
+        prop_assert_eq!(a.representative(), (0..width).fold(0u64, |h, pos| {
+            h | (u64::from(a.bit(pos) == Some(true)) << (width - 1 - pos))
+        }));
+    }
+
+    /// The ternary comparator orders regions as their Display strings do.
+    #[test]
+    fn cmp_ternary_is_display_order((a, b) in near_pair()) {
+        prop_assert_eq!(a.cmp_ternary(&b), a.to_string().cmp(&b.to_string()));
+        prop_assert_eq!(a.cmp_ternary(&a), std::cmp::Ordering::Equal);
+    }
+}

@@ -173,10 +173,7 @@ mod tests {
         let mut tables: Vec<FlowTable> = (0..clean.topology().switch_count())
             .map(|s| clean.table(SwitchId(s)).clone())
             .collect();
-        tables[0]
-            .get_mut(0)
-            .unwrap()
-            .set_action(Action::Forward(Port(1))); // deliver dst=h1 to... h0
+        tables[0].set_action(0, Action::Forward(Port(1))); // deliver dst=h1 to... h0
         let mutated = ControllerView::from_parts(clean.topology().clone(), tables);
         let findings = verify_fcm(&mutated, &fcm);
         assert_eq!(findings.len(), 1, "{findings:?}");

@@ -4,8 +4,10 @@
 //! Coverage is decided exactly by wildcard subtraction
 //! ([`foces_headerspace::covers`]): a rule is dead iff subtracting every
 //! higher-precedence overlapping match from its own match leaves nothing.
-//! Precedence mirrors [`foces_dataplane::FlowTable::lookup`]: priority
-//! descending, insertion index ascending on ties.
+//! Precedence is [`foces_dataplane::FlowTable::precedence`]'s: priority
+//! descending, insertion index ascending on ties. The overlapping matches
+//! come from the table's index ([`foces_dataplane::FlowTable::overlapping`]),
+//! so a rule's check visits only the rules it meets.
 //!
 //! Callers can allowlist rules that are shadowed *on purpose* — the control
 //! plane's rolling updates deliberately leave drained lower-priority rules
@@ -25,27 +27,26 @@ pub(crate) fn check_shadowing(
 ) {
     for switch in view.topology().switches() {
         let table = view.table(switch);
-        let mut order: Vec<usize> = (0..table.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (ra, rb) = (table.get(a).unwrap(), table.get(b).unwrap());
-            rb.priority().cmp(&ra.priority()).then(a.cmp(&b))
-        });
-        for (pos, &idx) in order.iter().enumerate() {
+        for idx in table.precedence() {
             report.rules_checked += 1;
-            let rule = table.get(idx).expect("index from 0..len");
+            let rule = table.get(idx).expect("index from the table");
             let rref = RuleRef { switch, index: idx };
             if expected.contains(&rref) {
                 continue;
             }
-            let shadowers: Vec<(RuleRef, &Wildcard)> = order[..pos]
-                .iter()
-                .map(|&i| {
+            // The rules meeting this one, in precedence order; the rule
+            // itself meets its own match, so those before it are exactly
+            // the higher-precedence overlapping ones.
+            let shadowers: Vec<(RuleRef, &Wildcard)> = table
+                .overlapping(rule.match_fields())
+                .into_iter()
+                .take_while(|&i| i != idx)
+                .map(|i| {
                     (
                         RuleRef { switch, index: i },
-                        table.get(i).expect("index from 0..len").match_fields(),
+                        table.get(i).expect("index from the table").match_fields(),
                     )
                 })
-                .filter(|(_, m)| m.overlaps(rule.match_fields()))
                 .collect();
             if shadowers.is_empty() {
                 continue;

@@ -155,16 +155,12 @@ impl Traversal<'_> {
         }
 
         let table = self.view.table(switch);
-        // Effective precedence: priority desc, index asc — mirrors
-        // FlowTable::lookup.
-        let mut order: Vec<usize> = (0..table.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (ra, rb) = (table.get(a).unwrap(), table.get(b).unwrap());
-            rb.priority().cmp(&ra.priority()).then(a.cmp(&b))
-        });
+        // The rules meeting the region, in effective precedence (priority
+        // desc, index asc): a disjoint rule fails `constrain` and is never
+        // peeled, so skipping it is exact.
         let mut shadow = region;
-        for idx in order {
-            let rule = table.get(idx).expect("index from 0..len");
+        for idx in table.overlapping(&shadow.pos) {
+            let rule = table.get(idx).expect("index from the table");
             let Some((matched, piece)) = shadow.constrain(rule.match_fields()) else {
                 continue;
             };

@@ -98,10 +98,7 @@ proptest! {
             .port_towards(Node::Switch(path[at]), Node::Switch(path[at - 1]))
             .expect("consecutive path switches are adjacent");
         let mut tables = cloned_tables(&dep.view);
-        tables[path[at].0]
-            .get_mut(idx)
-            .unwrap()
-            .set_action(Action::Forward(back));
+        tables[path[at].0].set_action(idx, Action::Forward(back));
         let mutated = ControllerView::from_parts(dep.view.topology().clone(), tables);
 
         let report = verify_with(&mutated, &VerifyOptions { check_fcm: false, ..Default::default() });
