@@ -9,11 +9,15 @@
 //! are cross-checked every epoch, so the benchmark is also an end-to-end
 //! equivalence test on the paper's largest topology.
 //!
+//! Both solvers run on the dense backend, whose `FactorCache` is the
+//! factor patched across churn; the default sparse backend solves each
+//! rebuilt FCM on its own memoized factor and patches nothing.
+//!
 //! Writes `BENCH_incremental.json` at the repository root. With `--test`
 //! (the CI smoke mode) it runs a scaled-down configuration, keeps the
 //! equivalence assertions, and writes nothing.
 
-use foces::{Fcm, IncrementalSolver, SolvePath};
+use foces::{BackendKind, Fcm, IncrementalSolver, RankBudget, SolvePath};
 use foces_controlplane::{provision, uniform_flows, Deployment, RuleGranularity};
 use foces_dataplane::LossModel;
 use foces_net::generators::fattree;
@@ -78,6 +82,10 @@ fn churn(dep: &mut Deployment, rng: &mut StdRng, k: usize) -> usize {
     landed
 }
 
+fn dense_solver() -> IncrementalSolver {
+    IncrementalSolver::with_backend(RankBudget::default(), BackendKind::Dense)
+}
+
 /// Runs `epochs` measured churn epochs against `dep`, returning per-epoch
 /// cold/warm timings. Panics if the two solves ever disagree beyond
 /// solver tolerance — the benchmark doubles as an equivalence check.
@@ -90,7 +98,7 @@ fn run(mut dep: Deployment, epochs: usize, churn_per_epoch: usize) -> RunResult 
     // Epoch 0 (unmeasured): factor from scratch to warm the cache.
     dep.replay_traffic(&mut LossModel::none());
     let counters0 = fcm0.counters_from(&dep.dataplane);
-    let mut warm = IncrementalSolver::default();
+    let mut warm = dense_solver();
     warm.solve(&fcm0, &counters0).expect("warm-up solve");
 
     let mut samples = Vec::with_capacity(epochs);
@@ -106,7 +114,7 @@ fn run(mut dep: Deployment, epochs: usize, churn_per_epoch: usize) -> RunResult 
         let cold_fcm = Fcm::from_parts(fcm.rules().to_vec(), fcm.flows().to_vec());
 
         let t = Instant::now();
-        let mut cold_solver = IncrementalSolver::default();
+        let mut cold_solver = dense_solver();
         let (cold_out, cold_path) = cold_solver.solve(&cold_fcm, &counters).expect("cold solve");
         let cold_ms = t.elapsed().as_secs_f64() * 1e3;
         assert!(

@@ -168,8 +168,10 @@ pub struct ClusterConfig {
     pub shard_deadline: Option<Duration>,
     /// Alarm hysteresis configuration.
     pub hysteresis: HysteresisConfig,
-    /// Solve backend for the per-shard warm solvers: dense factor cache,
-    /// sparse Cholesky/PCGLS engine, or size-based auto selection.
+    /// Solve backend for every solve a round makes: the per-shard warm
+    /// solvers and the degraded and reconciled shard rounds. The default
+    /// sparse engine solves on the factor memoized on each shard's (or
+    /// masked) FCM; `Dense` forms and factors a dense Gram per call.
     pub backend: BackendKind,
 }
 
@@ -246,7 +248,7 @@ impl ClusterService {
             })
             .collect();
         Ok(ClusterService {
-            detector: Detector::with_threshold(config.threshold),
+            detector: Detector::with_threshold(config.threshold).with_backend(config.backend),
             alarm: AlarmMachine::new(config.hysteresis),
             partition: part,
             fcm,

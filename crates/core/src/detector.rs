@@ -1,4 +1,6 @@
-use crate::{EquationSystem, Fcm, FocesError, MaskedFcm, SolveOutcome, DEFAULT_THRESHOLD};
+use crate::{
+    BackendKind, EquationSystem, Fcm, FocesError, MaskedFcm, SolveOutcome, DEFAULT_THRESHOLD,
+};
 use foces_dataplane::RuleRef;
 use std::fmt;
 
@@ -121,6 +123,13 @@ impl Detector {
     /// [`IndexStatistic`]).
     pub fn with_statistic(mut self, statistic: IndexStatistic) -> Self {
         self.statistic = statistic;
+        self
+    }
+
+    /// Runs every solve of this detector on `backend` (see
+    /// [`EquationSystem::with_backend`]).
+    pub fn with_backend(mut self, backend: BackendKind) -> Self {
+        self.system = self.system.with_backend(backend);
         self
     }
 

@@ -17,21 +17,22 @@
 //! appends and removals**, exactly the `O(n²)` operations
 //! [`foces_linalg::FactorCache`] provides.
 //!
-//! [`IncrementalSolver`] owns such a cache keyed by each basis column's
-//! sorted rule set, diffs it against each new FCM, patches the factor
-//! within a [`RankBudget`], verifies the patched factor with one step of
-//! iterative refinement, and falls back to a full refactorization
-//! whenever the budget, the cumulative drift cap, or the refinement
-//! residual says the shortcut is no longer trustworthy. Every call reports
+//! On the dense backend, [`IncrementalSolver`] owns such a cache keyed by
+//! each basis column's sorted rule set, diffs it against each new FCM,
+//! patches the factor within a [`RankBudget`], verifies the patched factor
+//! with one step of iterative refinement, and falls back to a full
+//! refactorization whenever the budget, the cumulative drift cap, or the
+//! refinement residual says the shortcut is no longer trustworthy. Every call reports
 //! which path ran via [`SolvePath`] so the runtime can log and meter it.
 //!
 //! The basis itself — column groups, basis matrix, rule-set keys — is the
 //! FCM's memoized [`BasisSystem`] ([`Fcm::basis_system`]), built once per
-//! FCM. While the FCM is unchanged the solver recognizes the same basis,
-//! skips the key diff, and solves on the held factor; the sparse backend
-//! solves on the factor memoized on the basis system itself. A
-//! steady-state round therefore costs a counter gather, `Hᵀy`, two
-//! triangular solves and the residual — no grouping, no Gram, no factor.
+//! FCM. The default sparse backend solves on the factor memoized on the
+//! basis system itself; the dense backend recognizes the same basis while
+//! the FCM is unchanged, skips the key diff, and solves on its held
+//! factor. A steady-state round therefore costs a counter gather, `Hᵀy`,
+//! two triangular solves and the residual — no grouping, no Gram, no
+//! factor.
 //! The equivalence guarantee — warm and cold residuals agree to solver
 //! tolerance, so a verdict can never differ — is pinned by the property
 //! tests in `tests/incremental_props.rs`.
@@ -41,7 +42,7 @@ use foces_atpg::LogicalFlow;
 use foces_controlplane::ControllerView;
 use foces_dataplane::RuleRef;
 use foces_linalg::{CsrMatrix, FactorCache, LinalgError};
-use foces_sparse::{BackendKind, ResolvedBackend, SparseEngine};
+use foces_sparse::{BackendKind, SparseEngine};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -283,12 +284,15 @@ const REFINEMENT_TOL: f64 = 1e-6;
 /// A warm equation-system solver: the direct normal-equation path of
 /// [`crate::EquationSystem`] with a cross-epoch cached factorization.
 ///
-/// Feed it each epoch's `(fcm, counters)`; it diffs the FCM's column basis
-/// against its cache by rule-set identity, patches the cached `HᵀH = LLᵀ`
-/// factor (column appends/removals), and solves with one step of iterative
-/// refinement. Any doubt — budget exceeded, drift cap hit, singular pivot,
-/// refinement residual too large — and it silently refactorizes, so results
-/// are always exactly as trustworthy as the cold path.
+/// Feed it each epoch's `(fcm, counters)`. On the default sparse backend
+/// it solves on the factor memoized on the FCM's basis, so an unchanged
+/// FCM only solves and a rebuilt one factors once. On the dense backend
+/// it diffs the FCM's column basis against its cache by rule-set
+/// identity, patches the cached `HᵀH = LLᵀ` factor (column
+/// appends/removals), and solves with one step of iterative refinement.
+/// Any doubt — budget exceeded, drift cap hit, singular pivot, refinement
+/// residual too large — and it silently refactorizes, so results are
+/// always exactly as trustworthy as the cold path.
 ///
 /// # Example
 ///
@@ -347,7 +351,9 @@ struct WarmState {
 
 impl IncrementalSolver {
     /// Creates a solver with an explicit rank budget and the default
-    /// ([`BackendKind::Dense`]) backend.
+    /// ([`BackendKind::Sparse`]) backend, which solves on the factor
+    /// memoized on each FCM's basis; the budget only bounds the dense
+    /// backend's patching.
     pub fn new(budget: RankBudget) -> Self {
         IncrementalSolver {
             budget,
@@ -355,10 +361,10 @@ impl IncrementalSolver {
         }
     }
 
-    /// Creates a solver with an explicit backend. `Dense` keeps the
-    /// `FactorCache` warm/cold ladder; `Sparse` routes every solve through
-    /// the [`SparseEngine`] on the FCM's memoized sparse factor (PCGLS
-    /// fallback); `Auto` resolves per basis size.
+    /// Creates a solver with an explicit backend. `Sparse` (the default)
+    /// and `Auto` route every solve through the [`SparseEngine`] on the
+    /// FCM's memoized sparse factor (PCGLS fallback); `Dense` keeps the
+    /// `FactorCache` warm/cold ladder.
     pub fn with_backend(budget: RankBudget, backend: BackendKind) -> Self {
         IncrementalSolver {
             budget,
@@ -417,10 +423,10 @@ impl IncrementalSolver {
     ) -> Result<(SolveOutcome, SolvePath), FocesError> {
         crate::solver::check_counters(fcm, counters)?;
         let system = fcm.basis_system();
-        let (path, x_basis) = if self.backend.resolve(system.cols()) == ResolvedBackend::Sparse {
-            self.solve_sparse(fcm, system, counters)?
-        } else {
+        let (path, x_basis) = if self.backend == BackendKind::Dense {
             self.solve_dense(fcm, system, counters)?
+        } else {
+            self.solve_sparse(fcm, system, counters)?
         };
         Ok((system.expand(counters, x_basis)?, path))
     }

@@ -1,6 +1,6 @@
 use crate::{Fcm, FocesError, MaskedFcm};
 use foces_linalg::{lstsq, lstsq_sparse, DenseMatrix, LinalgError, LstsqMethod};
-use foces_sparse::{BackendKind, ResolvedBackend, SparseEngine};
+use foces_sparse::{BackendKind, SparseEngine};
 
 /// Strategy for solving the flow-counter equation system.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -91,7 +91,8 @@ pub struct EquationSystem {
 
 impl EquationSystem {
     /// Creates a solver with the given strategy and the default
-    /// ([`BackendKind::Dense`]) storage backend.
+    /// ([`BackendKind::Sparse`]) backend, which solves on the factor
+    /// memoized on each FCM's basis.
     pub fn new(kind: SolverKind) -> Self {
         EquationSystem {
             kind,
@@ -99,9 +100,10 @@ impl EquationSystem {
         }
     }
 
-    /// Selects the solve backend: `Dense` (historical, golden-stable),
-    /// `Sparse` (AMD + sparse Cholesky, PCGLS fallback — the only path that
-    /// survives FatTree(16)-class bases), or `Auto`.
+    /// Selects the solve backend: `Sparse` (the default: AMD + sparse
+    /// Cholesky memoized per FCM, PCGLS fallback), `Auto` (the same), or
+    /// `Dense`, which forms and factors the dense Gram on every call — the
+    /// independent reference, refused past the dense allocation cap.
     pub fn with_backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
         self
@@ -266,13 +268,8 @@ fn solve_direct(
 ) -> Result<SolveOutcome, LinalgError> {
     let system = fcm.basis_system();
     let h_basis = system.basis();
-    let x_basis = match backend.resolve(h_basis.cols()) {
-        ResolvedBackend::Sparse => {
-            SparseEngine::default()
-                .solve_factored(system.cholesky(), counters)?
-                .x
-        }
-        ResolvedBackend::Dense => match solve_basis_cholesky(h_basis, counters) {
+    let x_basis = if backend == BackendKind::Dense {
+        match solve_basis_cholesky(h_basis, counters) {
             Ok(x) => x,
             Err(
                 LinalgError::NotPositiveDefinite { .. } | LinalgError::SingularTriangular { .. },
@@ -283,7 +280,11 @@ fn solve_direct(
                 lstsq(&dense_basis, counters, LstsqMethod::Qr)?.x
             }
             Err(e) => return Err(e),
-        },
+        }
+    } else {
+        SparseEngine::default()
+            .solve_factored(system.cholesky(), counters)?
+            .x
     };
     system.expand(counters, x_basis)
 }
@@ -602,10 +603,11 @@ mod tests {
     }
 
     #[test]
-    fn oversized_basis_on_the_default_backend_is_refused_typed() {
+    fn oversized_basis_is_refused_typed_by_dense_and_solved_by_default() {
         // 6,000 distinct two-rule columns: their dense Gram exceeds the
-        // dense allocation cap, so the default (dense) backend refuses the
-        // system with a typed error instead of factoring it.
+        // dense allocation cap, so the dense backend refuses the system
+        // with a typed error instead of factoring it, while the default
+        // (sparse) backend never forms the dense Gram and solves it.
         let (rules, cols) = (120, 6000);
         let mut h = DenseMatrix::zeros(rules, cols);
         let pairs = (0..rules).flat_map(|a| (a + 1..rules).map(move |b| (a, b)));
@@ -617,6 +619,7 @@ mod tests {
         assert_eq!(fcm.column_groups().basis.len(), cols);
         let counters = fcm.expected_counters(&vec![1.0; cols]);
         let err = EquationSystem::new(SolverKind::DirectDense)
+            .with_backend(BackendKind::Dense)
             .solve(&fcm, &counters)
             .unwrap_err();
         assert!(
@@ -625,6 +628,15 @@ mod tests {
                 FocesError::Solver(LinalgError::AllocationTooLarge { .. })
             ),
             "{err:?}"
+        );
+        let out = EquationSystem::new(SolverKind::DirectDense)
+            .solve(&fcm, &counters)
+            .unwrap();
+        let scale = counters.iter().fold(1.0_f64, |m, v| m.max(v.abs()));
+        assert!(
+            out.residual.iter().all(|r| r.abs() <= 1e-9 * scale),
+            "max residual {}",
+            out.residual.iter().fold(0.0_f64, |m, r| m.max(r.abs()))
         );
     }
 }

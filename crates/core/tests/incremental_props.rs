@@ -9,7 +9,9 @@
 //!
 //! 256 cases, per the regression battery's acceptance bar.
 
-use foces::{Detector, EquationSystem, Fcm, FcmDelta, IncrementalSolver, SolverKind};
+use foces::{
+    BackendKind, Detector, EquationSystem, Fcm, FcmDelta, IncrementalSolver, RankBudget, SolverKind,
+};
 use foces_controlplane::{provision, uniform_flows, Deployment, RuleGranularity};
 use foces_dataplane::LossModel;
 use foces_net::generators::ring;
@@ -75,6 +77,13 @@ fn fresh(fcm: &Fcm) -> Fcm {
     Fcm::from_parts(fcm.rules().to_vec(), fcm.flows().to_vec())
 }
 
+/// The warm solver under test: the dense backend, whose `FactorCache` is
+/// the factor patched across a journal. The cold references run on the
+/// default (sparse) backend, so each check also crosses backends.
+fn dense_warm() -> IncrementalSolver {
+    IncrementalSolver::with_backend(RankBudget::default(), BackendKind::Dense)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -92,7 +101,7 @@ proptest! {
         // Epoch 0: warm the cache on the pre-churn system.
         dep.replay_traffic(&mut LossModel::none());
         let counters0 = fcm0.counters_from(&dep.dataplane);
-        let mut warm = IncrementalSolver::default();
+        let mut warm = dense_warm();
         let (_, path0) = warm.solve(&fcm0, &counters0).unwrap();
         prop_assert!(!path0.is_warm(), "first solve must be cold");
 
@@ -162,7 +171,7 @@ proptest! {
     fn steady_state_is_warm_and_equivalent(noise_seed in 0u64..1_000) {
         let mut dep = deployment();
         let fcm = Fcm::from_view(&dep.view);
-        let mut warm = IncrementalSolver::default();
+        let mut warm = dense_warm();
 
         dep.replay_traffic(&mut LossModel::none());
         let counters = fcm.counters_from(&dep.dataplane);
@@ -196,7 +205,7 @@ fn single_reroute_stays_warm() {
     let generation0 = dep.view.generation();
     dep.replay_traffic(&mut LossModel::none());
     let counters0 = fcm0.counters_from(&dep.dataplane);
-    let mut warm = IncrementalSolver::default();
+    let mut warm = dense_warm();
     warm.solve(&fcm0, &counters0).unwrap();
 
     // Reroute some flow through some off-path switch — not every

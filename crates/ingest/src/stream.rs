@@ -158,8 +158,11 @@ pub struct StreamConfig {
     /// Byzantine-resilience layer (suspicion, liar localization,
     /// quarantine) — shared tunables with the lockstep runtime.
     pub byzantine: ByzantineConfig,
-    /// Solve backend for the per-region warm solvers: dense factor cache,
-    /// sparse Cholesky/PCGLS engine, or size-based auto selection.
+    /// Solve backend for every solve a round makes: the per-region warm
+    /// solvers, reconciled and degraded region rounds, the network-wide
+    /// union and the k-resilience probes. The default sparse engine
+    /// solves on the factor memoized on each region's (or masked) FCM;
+    /// `Dense` forms and factors a dense Gram per call.
     pub backend: BackendKind,
 }
 
@@ -368,6 +371,7 @@ impl StreamDriver {
         let fired = vec![false; sharded.shard_count()];
         let lifecycle = LiarLifecycle::new(config.byzantine);
         let liar_rng = StdRng::seed_from_u64(config.liar_seed);
+        let detector = Detector::default().with_backend(config.backend);
         // Pre-flight: score detectability and localization coverage of the
         // plane this stream is about to watch, before any counters arrive.
         let coverage = analyze_cluster_coverage(&fcm, &sharded, &CoverageConfig::default()).ok();
@@ -384,7 +388,7 @@ impl StreamDriver {
             agents,
             switches,
             queue: EventQueue::new(),
-            detector: Detector::default(),
+            detector,
             fcm,
             sharded,
             fcm_generation,

@@ -173,9 +173,11 @@ pub struct DegradedPipeline {
     /// Reconciled systems, keyed by (missing switches, journaled rules) —
     /// a rolling-update schedule revisits the same touched set many times.
     reconcile_cache: MaskCache<(Vec<SwitchId>, Vec<RuleRef>)>,
-    /// The incremental solver backing full rounds: its cached `HᵀH = LLᵀ`
-    /// factorization is patched epoch to epoch (and across FCM rebuilds,
-    /// see [`DegradedPipeline::retarget`]) instead of refactorized.
+    /// The incremental solver backing full rounds. On the sparse backend
+    /// it solves on the full FCM's memoized factor; on the dense backend
+    /// its cached `HᵀH = LLᵀ` factorization is patched epoch to epoch (and
+    /// across FCM rebuilds, see [`DegradedPipeline::retarget`]) instead of
+    /// refactorized.
     warm: IncrementalSolver,
     /// Which solve path the most recent round took (`None` on masked,
     /// reconciled, and blind rounds — those solve projected systems and
@@ -187,14 +189,16 @@ impl DegradedPipeline {
     /// Builds the pipeline, running the full-system audit once.
     /// `oracle_cap` bounds the candidate enumeration (the same sample is
     /// reused for every masked re-audit; a few hundred is plenty for a
-    /// coverage estimate).
+    /// coverage estimate). Every solve — full, masked and reconciled —
+    /// runs on the detector's backend.
     pub fn new(view: &ControllerView, fcm: Fcm, detector: Detector, oracle_cap: usize) -> Self {
-        DegradedPipeline::with_backend(view, fcm, detector, oracle_cap, BackendKind::default())
+        let backend = detector.system().backend();
+        DegradedPipeline::with_backend(view, fcm, detector, oracle_cap, backend)
     }
 
-    /// Like [`DegradedPipeline::new`], but the full-round incremental
-    /// solver runs on the given solve backend (dense factor cache, sparse
-    /// Cholesky/PCGLS engine, or size-based auto selection).
+    /// Like [`DegradedPipeline::new`], but every solve runs on `backend`
+    /// (the memoized sparse factor, or the per-call dense reference),
+    /// whatever backend `detector` was built with.
     pub fn with_backend(
         view: &ControllerView,
         fcm: Fcm,
@@ -204,7 +208,7 @@ impl DegradedPipeline {
     ) -> Self {
         let mut pipeline = DegradedPipeline {
             fcm,
-            detector,
+            detector: detector.with_backend(backend),
             candidates: Vec::new(),
             full_coverage: 0.0,
             cache: MaskCache::new(),
@@ -218,10 +222,11 @@ impl DegradedPipeline {
 
     /// Re-points the pipeline at a rebuilt FCM (after the controller view
     /// moved past the old one): re-runs the full-system audit and drops
-    /// the mask caches, but **keeps** the incremental solver's cached
-    /// factorization. The factor is keyed by the basis columns' rule
-    /// sets, which survive a rebuild, so the next full round patches it
-    /// with the journal's delta instead of refactorizing from scratch.
+    /// the mask caches, but **keeps** the incremental solver's state. On
+    /// the sparse backend the next full round factors the rebuilt FCM
+    /// once. On the dense backend the cached factor is keyed by the basis
+    /// columns' rule sets, which survive a rebuild, so the next full round
+    /// patches it with the journal's delta instead of refactorizing.
     pub fn retarget(&mut self, view: &ControllerView, fcm: Fcm, oracle_cap: usize) {
         self.fcm = fcm;
         self.cache.clear();
@@ -262,6 +267,16 @@ impl DegradedPipeline {
     /// most [`MASK_CACHE_CAP`]).
     pub fn cached_masks(&self) -> usize {
         self.cache.len()
+    }
+
+    /// The cached masked system for a missing-switch set (ascending, as
+    /// [`DegradedPipeline::missing_from`] returns it), if a degraded round
+    /// built one and it was not evicted since.
+    pub fn masked(&self, missing: &[SwitchId]) -> Option<&MaskedFcm> {
+        self.cache
+            .entries
+            .get(missing)
+            .map(|(_, entry)| &entry.masked)
     }
 
     /// Switches (ascending) that have at least one unobserved FCM row.
@@ -399,7 +414,7 @@ impl DegradedPipeline {
         self.warm.last_iterations()
     }
 
-    /// The solve backend the full-round incremental solver runs on.
+    /// The solve backend every round of this pipeline runs on.
     pub fn backend(&self) -> BackendKind {
         self.warm.backend()
     }

@@ -93,8 +93,11 @@ pub struct RuntimeConfig {
     /// Byzantine-resilience layer (suspicion, liar localization,
     /// quarantine); disabled by default.
     pub byzantine: ByzantineConfig,
-    /// Solve backend for the full-round incremental solver: dense factor
-    /// cache, sparse Cholesky/PCGLS engine, or size-based auto selection.
+    /// Solve backend for every solve a round makes: the full-system warm
+    /// solve, the per-switch slices, degraded and reconciled masked rounds
+    /// and the k-resilience probes. The default sparse engine solves on
+    /// the factor memoized on each (sub-, masked) FCM; `Dense` forms and
+    /// factors a dense Gram per call.
     pub backend: BackendKind,
 }
 
@@ -298,9 +301,8 @@ impl RuntimeService {
         let coverage = coverage_closure(&fcm, &mut metrics, None);
         let static_touched = verification.implicated_rules();
         let sliced = SlicedFcm::from_fcm(&fcm);
-        let detector = Detector::with_threshold(config.threshold);
-        let pipeline =
-            DegradedPipeline::with_backend(view, fcm, detector, config.oracle_cap, config.backend);
+        let detector = Detector::with_threshold(config.threshold).with_backend(config.backend);
+        let pipeline = DegradedPipeline::new(view, fcm, detector, config.oracle_cap);
         let scheduler = EpochScheduler::new(agents, transport, config.policy);
         RuntimeService {
             pipeline,
@@ -367,6 +369,11 @@ impl RuntimeService {
     /// The degraded-detection layer (FCM, oracle coverage, mask cache).
     pub fn pipeline(&self) -> &DegradedPipeline {
         &self.pipeline
+    }
+
+    /// The per-switch slices full rounds solve (Algorithm 2).
+    pub fn sliced(&self) -> &SlicedFcm {
+        &self.sliced
     }
 
     /// The most recent static verification report: the pre-flight pass at

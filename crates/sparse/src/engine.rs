@@ -12,56 +12,25 @@ use std::str::FromStr;
 
 /// Which solve backend a detector/solver should use.
 ///
-/// `Dense` is the historical default and stays bit-identical with every
-/// golden in the repo; `Sparse` routes through [`SparseEngine`]; `Auto`
-/// picks per system: dense below [`BackendKind::AUTO_DENSE_LIMIT`] basis
-/// columns (where the dense factor and its warm rank-one updates win),
-/// sparse above it (where the dense Gram stops being allocatable long
-/// before it stops being slow).
+/// `Sparse` is the default: every solve runs through [`SparseEngine`] on
+/// the factor memoized on its system's basis, so a system solved before
+/// only solves. `Dense` forms and factors the dense Gram on every call
+/// (with the `FactorCache` warm ladder in the incremental solver); it is
+/// the independent reference the sparse factor is checked against.
+/// `Auto` resolves to the sparse engine at every size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum BackendKind {
-    /// Dense Gram + dense Cholesky/`FactorCache` (the historical path).
-    #[default]
+    /// Dense Gram + dense Cholesky/`FactorCache`: the per-call reference.
     Dense,
     /// Sparse-first: AMD + sparse Cholesky, PCGLS fallback.
+    #[default]
     Sparse,
-    /// Dense for small bases, sparse once the basis outgrows them.
+    /// The sparse engine; kept as a name for `--backend auto`.
     Auto,
 }
 
-/// A backend resolved for a concrete system size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResolvedBackend {
-    /// Use the dense path.
-    Dense,
-    /// Use the sparse engine.
-    Sparse,
-}
-
 impl BackendKind {
-    /// Basis-column count above which `Auto` switches to the sparse engine.
-    ///
-    /// Below this the dense Gram is ≤8 MiB and the dense factor plus warm
-    /// rank-one updates are hard to beat; above it the sparse factor's
-    /// near-linear fill takes over.
-    pub const AUTO_DENSE_LIMIT: usize = 1024;
-
-    /// Resolves `Auto` against a concrete basis size.
-    pub fn resolve(self, basis_cols: usize) -> ResolvedBackend {
-        match self {
-            BackendKind::Dense => ResolvedBackend::Dense,
-            BackendKind::Sparse => ResolvedBackend::Sparse,
-            BackendKind::Auto => {
-                if basis_cols > Self::AUTO_DENSE_LIMIT {
-                    ResolvedBackend::Sparse
-                } else {
-                    ResolvedBackend::Dense
-                }
-            }
-        }
-    }
-
     /// Stable lowercase name (CLI flag value, JSONL field).
     pub fn name(self) -> &'static str {
         match self {
@@ -331,16 +300,6 @@ mod tests {
             assert_eq!(k.name().parse::<BackendKind>().unwrap(), k);
         }
         assert!("fancy".parse::<BackendKind>().is_err());
-    }
-
-    #[test]
-    fn auto_resolves_by_basis_size() {
-        assert_eq!(BackendKind::Auto.resolve(10), ResolvedBackend::Dense);
-        assert_eq!(
-            BackendKind::Auto.resolve(BackendKind::AUTO_DENSE_LIMIT + 1),
-            ResolvedBackend::Sparse
-        );
-        assert_eq!(BackendKind::Sparse.resolve(1), ResolvedBackend::Sparse);
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //! * [`engine`] — [`SparseEngine`], the ladder with residual-verified
 //!   acceptance, solving on a [`BasisCholesky`]'s memoized factor.
 //!
-//! Backend selection is [`BackendKind`]: `dense` (historical,
-//! golden-stable), `sparse`, or `auto` (dense below
-//! [`BackendKind::AUTO_DENSE_LIMIT`] basis columns, sparse above).
+//! Backend selection is [`BackendKind`]: `sparse` (the default, and what
+//! `auto` resolves to at every size) or `dense`, the per-call dense-Gram
+//! reference.
 
 pub mod basis;
 pub mod engine;
@@ -37,9 +37,7 @@ pub mod ordering;
 pub mod symbolic;
 
 pub use basis::BasisCholesky;
-pub use engine::{
-    BackendKind, BasisSolve, EngineOptions, ResolvedBackend, SolveMethod, SparseEngine, ACCEPT_TOL,
-};
+pub use engine::{BackendKind, BasisSolve, EngineOptions, SolveMethod, SparseEngine, ACCEPT_TOL};
 pub use kernels::{
     abs_residual, absorption_coefficients, normal_residual, per_group_mass, rows_indicator_rhs,
     Capacitance,

@@ -244,6 +244,7 @@ fn a_sweep_factors_once_unless_a_solve_memoized_the_factor() {
 
     // The dense backend keeps its own dense factor and memoizes none.
     EquationSystem::new(SolverKind::DirectDense)
+        .with_backend(BackendKind::Dense)
         .solve(&fcm, &counters)
         .unwrap();
     let dense = cross_validate(&fcm, &counters, DEFAULT_THRESHOLD, &candidates).unwrap();
