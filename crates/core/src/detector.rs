@@ -169,11 +169,10 @@ impl Detector {
     }
 
     /// Runs Algorithm 1 through a warm [`crate::IncrementalSolver`],
-    /// reusing (and patching) its cached factorization of the normal
-    /// equations instead of refactorizing from scratch. The verdict is
-    /// equivalent to [`Detector::detect`]'s — the solver falls back to a
-    /// cold factorization whenever it cannot certify the patched factor —
-    /// and the returned [`crate::SolvePath`] reports which path ran.
+    /// which carries its engine state across rounds (on the sparse
+    /// backend, solving on the FCM's memoized factor). The verdict is
+    /// equivalent to [`Detector::detect`]'s, and the returned
+    /// [`crate::SolvePath`] reports which path ran.
     ///
     /// # Errors
     ///

@@ -382,8 +382,9 @@ impl ShardView<'_> {
     }
 
     /// Runs the detector through a per-shard warm
-    /// [`IncrementalSolver`](crate::IncrementalSolver), reusing the shard's
-    /// cached factorization — the solve path each cluster worker takes.
+    /// [`IncrementalSolver`](crate::IncrementalSolver), solving on the
+    /// shard sub-FCM's memoized factor — the solve path each cluster
+    /// worker takes.
     ///
     /// # Errors
     ///

@@ -6,8 +6,12 @@ use foces_sparse::{BackendKind, SparseEngine};
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[non_exhaustive]
 pub enum SolverKind {
-    /// Direct dense solve of the normal equations (the paper's Eq. 4),
-    /// with a QR fallback on numerically deficient input. `O(m·n² + n³)`.
+    /// Direct solve of the normal equations (the paper's Eq. 4) over the
+    /// FCM's deduplicated basis, through the configured [`BackendKind`]:
+    /// the sparse engine on the FCM's memoized factor, or a per-call dense
+    /// factor with a QR fallback on numerically deficient input. Falls
+    /// back to CGLS when the Gram is singular.
+    #[default]
     DirectDense,
     /// Iterative sparse CGLS: `O(nnz)` per iteration, the scalability path
     /// for large FCMs (paper Fig. 12's 12 K-flow regime).
@@ -17,11 +21,6 @@ pub enum SolverKind {
         /// Iteration budget.
         max_iter: usize,
     },
-    /// Direct for small systems, iterative above
-    /// [`SolverKind::AUTO_DIRECT_LIMIT`] flows, and iterative as a fallback
-    /// whenever the direct path fails.
-    #[default]
-    Auto,
     /// The paper's Eq. (4) pipeline taken literally, with no structure
     /// exploitation: densify the basis, form `HᵀH` by dense matmul,
     /// explicitly invert it, then multiply. This is how the paper's
@@ -33,10 +32,6 @@ pub enum SolverKind {
 }
 
 impl SolverKind {
-    /// Flow-count boundary where [`SolverKind::Auto`] switches from direct
-    /// to iterative.
-    pub const AUTO_DIRECT_LIMIT: usize = 3000;
-
     /// Default CGLS tolerance.
     pub const DEFAULT_TOL: f64 = 1e-10;
 
@@ -154,21 +149,6 @@ impl EquationSystem {
             },
             SolverKind::IterativeSparse { tol, max_iter } => {
                 solve_iterative(fcm, counters, tol, max_iter).map_err(FocesError::from)
-            }
-            SolverKind::Auto => {
-                if fcm.flow_count() <= SolverKind::AUTO_DIRECT_LIMIT {
-                    EquationSystem::new(SolverKind::DirectDense)
-                        .with_backend(self.backend)
-                        .solve(fcm, counters)
-                } else {
-                    solve_iterative(
-                        fcm,
-                        counters,
-                        SolverKind::DEFAULT_TOL,
-                        SolverKind::DEFAULT_MAX_ITER,
-                    )
-                    .map_err(FocesError::from)
-                }
             }
             SolverKind::DenseNaive => solve_naive(fcm, counters).map_err(FocesError::from),
         }
@@ -402,7 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_picks_direct_for_small_systems() {
+    fn default_solves_a_healthy_network() {
         let (fcm, counters, _) = healthy_setup(RuleGranularity::PerDestination);
         let out = EquationSystem::default().solve(&fcm, &counters).unwrap();
         assert!(out.residual.iter().all(|r| r.abs() < 1e-6));
@@ -606,8 +586,10 @@ mod tests {
     fn oversized_basis_is_refused_typed_by_dense_and_solved_by_default() {
         // 6,000 distinct two-rule columns: their dense Gram exceeds the
         // dense allocation cap, so the dense backend refuses the system
-        // with a typed error instead of factoring it, while the default
-        // (sparse) backend never forms the dense Gram and solves it.
+        // with a typed error instead of factoring it — at every size and
+        // from the default strategy too, never a silent switch to CGLS —
+        // while the default (sparse) backend never forms the dense Gram
+        // and solves it.
         let (rules, cols) = (120, 6000);
         let mut h = DenseMatrix::zeros(rules, cols);
         let pairs = (0..rules).flat_map(|a| (a + 1..rules).map(move |b| (a, b)));
@@ -618,17 +600,22 @@ mod tests {
         let fcm = crate::testkit::fcm_from_dense(&h);
         assert_eq!(fcm.column_groups().basis.len(), cols);
         let counters = fcm.expected_counters(&vec![1.0; cols]);
-        let err = EquationSystem::new(SolverKind::DirectDense)
-            .with_backend(BackendKind::Dense)
-            .solve(&fcm, &counters)
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                FocesError::Solver(LinalgError::AllocationTooLarge { .. })
-            ),
-            "{err:?}"
-        );
+        for dense in [
+            EquationSystem::new(SolverKind::DirectDense),
+            EquationSystem::default(),
+        ] {
+            let err = dense
+                .with_backend(BackendKind::Dense)
+                .solve(&fcm, &counters)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    FocesError::Solver(LinalgError::AllocationTooLarge { .. })
+                ),
+                "{err:?}"
+            );
+        }
         let out = EquationSystem::new(SolverKind::DirectDense)
             .solve(&fcm, &counters)
             .unwrap();
@@ -637,6 +624,25 @@ mod tests {
             out.residual.iter().all(|r| r.abs() <= 1e-9 * scale),
             "max residual {}",
             out.residual.iter().fold(0.0_f64, |m, r| m.max(r.abs()))
+        );
+    }
+
+    #[test]
+    fn default_solves_past_three_thousand_flows_on_the_memoized_factor() {
+        // FatTree(4)'s 240 flows repeated 13 times: 3,120 flows on the
+        // original basis. The default solve runs on the FCM's sparse
+        // factor and leaves it memoized, whatever the flow count.
+        let (fcm, counters, _) = healthy_setup(RuleGranularity::PerDestination);
+        let flows: Vec<_> = (0..13).flat_map(|_| fcm.flows().iter().cloned()).collect();
+        let big = Fcm::from_parts(fcm.rules().to_vec(), flows);
+        assert!(big.flow_count() > 3000);
+        assert_eq!(big.basis_system().cols(), fcm.basis_system().cols());
+        let out = EquationSystem::default().solve(&big, &counters).unwrap();
+        assert!(out.residual.iter().all(|r| r.abs() < 1e-6));
+        let (_, factored_now) = big.basis_system().cholesky().borrow_or_factor().unwrap();
+        assert!(
+            !factored_now,
+            "the default solve skipped the memoized factor"
         );
     }
 }

@@ -42,9 +42,10 @@ pub struct IngestMetrics {
     pub samples: u64,
     /// Shard detection rounds fired.
     pub shard_rounds: u64,
-    /// Shard rounds solved on the warm path.
+    /// Full shard rounds on a region already solved since the last FCM
+    /// rebuild (its factor memoized, on the sparse backend).
     pub warm_rounds: u64,
-    /// Shard rounds solved cold.
+    /// A region's first full shard round since the last FCM rebuild.
     pub cold_rounds: u64,
     /// Shard rounds reconciled against the update journal.
     pub reconciled_rounds: u64,

@@ -721,16 +721,20 @@ impl StreamDriver {
             }
             (round.kind.label(), round.verdict, round.scored_rules)
         } else {
+            // Warm: the region was already solved since the last rebuild.
+            // The driver labels the round, not the solve path, so the
+            // dense reference (every solve cold) logs what the default does.
             let backend = self.config.backend;
+            let warm = self.solvers.contains_key(&region);
             let solver = self
                 .solvers
                 .entry(region)
                 .or_insert_with(|| IncrementalSolver::with_backend(RankBudget::default(), backend));
             let rules: Vec<RuleRef> = view.sub_fcm.rules().to_vec();
-            let (v, path) = self
+            let (v, _) = self
                 .detector
                 .detect_warm(view.sub_fcm, &sub_counters, solver)?;
-            if path.is_warm() {
+            if warm {
                 self.metrics.warm_rounds += 1;
                 ("warm", Some(v), rules)
             } else {

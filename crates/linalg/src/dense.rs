@@ -112,25 +112,6 @@ impl DenseMatrix {
         Ok(m)
     }
 
-    /// Builds a matrix from a flat column-major data vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::InvalidInput`] if `data.len() != rows * cols`.
-    pub fn from_column_major(
-        rows: usize,
-        cols: usize,
-        data: Vec<f64>,
-    ) -> Result<Self, LinalgError> {
-        if data.len() != rows * cols {
-            return Err(LinalgError::InvalidInput(format!(
-                "data length {} does not match {rows}x{cols}",
-                data.len()
-            )));
-        }
-        Ok(DenseMatrix { rows, cols, data })
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -391,11 +372,6 @@ impl DenseMatrix {
         self.cols += 1;
         Ok(())
     }
-
-    /// Consumes the matrix and returns its column-major data.
-    pub fn into_column_major(self) -> Vec<f64> {
-        self.data
-    }
 }
 
 impl Default for DenseMatrix {
@@ -560,13 +536,6 @@ mod tests {
         let m = DenseMatrix::from_rows(&[]).unwrap();
         assert!(m.is_empty());
         assert_eq!(m.rows(), 0);
-    }
-
-    #[test]
-    fn from_column_major_checks_length() {
-        assert!(DenseMatrix::from_column_major(2, 2, vec![1.0; 3]).is_err());
-        let m = DenseMatrix::from_column_major(2, 2, vec![1., 2., 3., 4.]).unwrap();
-        assert_eq!(m.get(0, 1), 3.0);
     }
 
     #[test]

@@ -50,7 +50,6 @@
 mod cholesky;
 mod dense;
 mod error;
-mod factor;
 mod iterative;
 mod lstsq;
 mod qr;
@@ -60,7 +59,6 @@ mod sparse;
 pub use cholesky::Cholesky;
 pub use dense::DenseMatrix;
 pub use error::LinalgError;
-pub use factor::FactorCache;
 pub use iterative::{cgls, pcgls, CglsOutcome, Jacobi};
 pub use lstsq::{lstsq, lstsq_sparse, LstsqMethod, LstsqSolution};
 pub use qr::Qr;

@@ -174,14 +174,13 @@ pub struct DegradedPipeline {
     /// a rolling-update schedule revisits the same touched set many times.
     reconcile_cache: MaskCache<(Vec<SwitchId>, Vec<RuleRef>)>,
     /// The incremental solver backing full rounds. On the sparse backend
-    /// it solves on the full FCM's memoized factor; on the dense backend
-    /// its cached `HᵀH = LLᵀ` factorization is patched epoch to epoch (and
-    /// across FCM rebuilds, see [`DegradedPipeline::retarget`]) instead of
-    /// refactorized.
+    /// it solves on the full FCM's memoized factor and keeps its engine
+    /// state across FCM rebuilds (see [`DegradedPipeline::retarget`]); on
+    /// the dense backend it factors a dense Gram every round.
     warm: IncrementalSolver,
     /// Which solve path the most recent round took (`None` on masked,
     /// reconciled, and blind rounds — those solve projected systems and
-    /// never touch the cached factor).
+    /// never touch the incremental solver).
     last_path: Option<SolvePath>,
 }
 
@@ -222,11 +221,9 @@ impl DegradedPipeline {
 
     /// Re-points the pipeline at a rebuilt FCM (after the controller view
     /// moved past the old one): re-runs the full-system audit and drops
-    /// the mask caches, but **keeps** the incremental solver's state. On
-    /// the sparse backend the next full round factors the rebuilt FCM
-    /// once. On the dense backend the cached factor is keyed by the basis
-    /// columns' rule sets, which survive a rebuild, so the next full round
-    /// patches it with the journal's delta instead of refactorizing.
+    /// the mask caches, but **keeps** the incremental solver's state: the
+    /// next full round factors the rebuilt FCM once, adopting the held
+    /// symbolic analysis when the Gram pattern is unchanged.
     pub fn retarget(&mut self, view: &ControllerView, fcm: Fcm, oracle_cap: usize) {
         self.fcm = fcm;
         self.cache.clear();
@@ -419,8 +416,8 @@ impl DegradedPipeline {
         self.warm.backend()
     }
 
-    /// Whether the incremental solver currently holds a cached
-    /// factorization a future full round could patch.
+    /// Whether the incremental solver currently holds cross-round engine
+    /// state (never on the dense backend).
     pub fn solver_is_warm(&self) -> bool {
         self.warm.is_warm()
     }
@@ -663,7 +660,7 @@ mod tests {
     }
 
     #[test]
-    fn retarget_preserves_the_warm_factor_across_a_rebuild() {
+    fn retarget_keeps_the_warm_solver_across_a_rebuild() {
         let (mut dep, mut pipeline) = setup();
         let counters = pipeline.fcm().counters_from(&dep.dataplane);
         let observed = vec![true; counters.len()];
@@ -679,11 +676,11 @@ mod tests {
             pipeline.last_solve_path()
         );
         // Reroute a flow and retarget at the rebuilt FCM: the mask caches
-        // drop but the cached factor survives and absorbs the delta.
+        // drop but the solver's held analysis survives and is adopted.
         dep.reroute_flow_via(0, &[]).unwrap();
         let fcm = Fcm::from_view(&dep.view);
         pipeline.retarget(&dep.view, fcm, 300);
-        assert!(pipeline.solver_is_warm(), "retarget keeps the factor");
+        assert!(pipeline.solver_is_warm(), "retarget keeps the solver");
         assert_eq!(pipeline.cached_masks(), 0);
         assert_eq!(pipeline.cached_reconciliations(), 0);
         dep.dataplane.reset_counters();
@@ -695,7 +692,7 @@ mod tests {
         assert!(!v.unwrap().anomalous);
         assert!(
             pipeline.last_solve_path().is_some_and(|p| p.is_warm()),
-            "post-rebuild full round patches instead of refactorizing: {:?}",
+            "post-rebuild full round reuses the held analysis: {:?}",
             pipeline.last_solve_path()
         );
     }

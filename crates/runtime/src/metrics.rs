@@ -57,16 +57,17 @@ pub struct RuntimeMetrics {
     /// WARN-severity coverage findings across all passes (absorption-prone
     /// switches, LOO rank loss, rank-deficient shards).
     pub coverage_warnings: u64,
-    /// Full rounds solved on the warm path (cached factor patched and
+    /// Full rounds solved on the warm path (the held symbolic analysis
     /// reused).
     pub warm_solves: u64,
-    /// Full rounds solved cold (first factorization, or a fallback).
+    /// Full rounds solved cold (first solve, a changed Gram pattern, or
+    /// every round on the dense backend).
     pub cold_solves: u64,
-    /// Cold full rounds that *had* a cached factor but fell back to
-    /// refactorization (rank budget, drift cap, singularity, or
-    /// conditioning).
+    /// Cold full rounds that *had* warm state but found the Gram sparsity
+    /// pattern changed, so the symbolic analysis was redone.
     pub warm_fallbacks: u64,
-    /// Rank-one factor modifications applied across all warm solves.
+    /// Basis columns that appeared or disappeared, summed across all warm
+    /// solves.
     pub factor_rank_applied: u64,
     /// Solve backend the full-round solver runs on, as a stable numeric
     /// code (0 = dense, 1 = sparse, 2 = auto) so the flat JSON stays

@@ -170,9 +170,10 @@ pub struct EpochReport {
     pub churn: bool,
     /// Localization suspects (full anomalous rounds only), strongest first.
     pub suspects: Vec<SwitchSuspicion>,
-    /// Which solve path the whole-network detection took: warm (cached
-    /// factor patched) or cold (full refactorization) on full rounds,
-    /// `None` on masked, reconciled, and blind rounds.
+    /// Which solve path the whole-network detection took on full rounds
+    /// (warm: the held symbolic analysis reused; cold: a first solve, a
+    /// changed Gram pattern, or any dense round), `None` on masked,
+    /// reconciled, and blind rounds.
     pub solve_path: Option<SolvePath>,
     /// Whether this round ended with a static re-verification of the view
     /// (it does exactly when the FCM was rebuilt).
@@ -610,8 +611,8 @@ impl RuntimeService {
             self.static_touched = self.verification.implicated_rules();
             self.sliced = SlicedFcm::from_fcm(&fcm);
             // Retarget (not rebuild) the pipeline: the incremental
-            // solver's cached factorization survives and the next full
-            // round patches it with this delta instead of refactorizing.
+            // solver's state survives, so the next full round factors the
+            // rebuilt FCM on the held analysis when its pattern is unchanged.
             self.pipeline.retarget(view, fcm, self.config.oracle_cap);
             self.fcm_generation = view.generation();
             self.metrics.fcm_rebuilds += 1;
@@ -817,8 +818,8 @@ mod tests {
         assert!(svc.log().lines()[1].contains("\"churn\":true"));
 
         // Epoch 2: the rebuilt FCM matches the new paths — full and quiet,
-        // and solved warm: the cached factor survived the rebuild and was
-        // patched with the reroute's delta instead of refactorized.
+        // and solved warm: the solver's held analysis survived the rebuild
+        // and the rebuilt FCM's Gram kept its pattern.
         dep.dataplane.reset_counters();
         dep.replay_traffic(&mut LossModel::none());
         let r2 = svc.run_epoch(&dep.dataplane, &dep.view).unwrap();
@@ -828,7 +829,7 @@ mod tests {
         assert_eq!(r2.state, AlarmState::Normal);
         assert!(
             r2.solve_path.is_some_and(|p| p.is_warm()),
-            "factor cache survives the rebuild: {:?}",
+            "the held analysis survives the rebuild: {:?}",
             r2.solve_path
         );
         let m = svc.metrics();

@@ -1,7 +1,6 @@
 //! The solve engine: [`BackendKind`] selection plus [`SparseEngine`] — the
 //! sparse-first ladder (memoized sparse Cholesky → preconditioned CGLS)
-//! with residual-verified acceptance mirroring `FactorCache`'s warm/cold
-//! discipline.
+//! with residual-verified acceptance.
 
 use crate::basis::BasisCholesky;
 use crate::kernels::normal_residual;
@@ -14,14 +13,14 @@ use std::str::FromStr;
 ///
 /// `Sparse` is the default: every solve runs through [`SparseEngine`] on
 /// the factor memoized on its system's basis, so a system solved before
-/// only solves. `Dense` forms and factors the dense Gram on every call
-/// (with the `FactorCache` warm ladder in the incremental solver); it is
-/// the independent reference the sparse factor is checked against.
+/// only solves. `Dense` forms and factors the dense Gram on every call,
+/// in the incremental solver too; it is the independent reference the
+/// sparse factor is checked against.
 /// `Auto` resolves to the sparse engine at every size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum BackendKind {
-    /// Dense Gram + dense Cholesky/`FactorCache`: the per-call reference.
+    /// Dense Gram + dense Cholesky (QR fallback): the per-call reference.
     Dense,
     /// Sparse-first: AMD + sparse Cholesky, PCGLS fallback.
     #[default]
@@ -130,15 +129,16 @@ impl Default for EngineOptions {
 }
 
 /// Relative normal-residual a direct sparse solve must meet to be accepted
-/// without falling through to PCGLS — the same 1e-6 gate the dense
-/// `FactorCache` warm path refines against.
+/// without falling through to PCGLS. Far above round-off for a healthy
+/// factor, far below anything that could move a verdict (the detector's
+/// own noise floor is `1e-7·scale`).
 pub const ACCEPT_TOL: f64 = 1e-6;
 
 /// The sparse-first solve engine.
 ///
 /// The factor itself is memoized on the basis ([`BasisCholesky`]), so a
 /// round on an unchanged basis runs no Gram assembly and no factorization.
-/// Cross-epoch state mirrors `FactorCache`'s warm/cold ladder:
+/// Cross-epoch state:
 ///
 /// * the **symbolic analysis** (ordering, etree, column counts) of the last
 ///   direct solve is kept; a new basis whose Gram has the same pattern
@@ -253,8 +253,7 @@ impl SparseEngine {
             Some(Err(e)) => return Err(e.clone()),
         };
         let mut x = factor.solve(rhs)?;
-        // Residual-verified acceptance with one refinement step, the same
-        // discipline as the dense warm path.
+        // Residual-verified acceptance with one refinement step.
         let (r, rel) = normal_residual(h, &x, rhs)?;
         if rel > ACCEPT_TOL {
             let dx = factor.solve(&r)?;

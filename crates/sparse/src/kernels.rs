@@ -9,8 +9,8 @@ use foces_linalg::{CsrMatrix, LinalgError};
 
 /// Relative normal-equation residual: returns `(rhs − Hᵀ(H x), ‖·‖/‖rhs‖)`.
 ///
-/// This is the acceptance check both the sparse direct path and the dense
-/// `FactorCache` warm path gate on — two mat-vecs, never a Gram.
+/// This is the acceptance check the sparse direct path gates on — two
+/// mat-vecs, never a Gram.
 ///
 /// # Errors
 ///

@@ -2,11 +2,10 @@
 //!
 //! Sparse-first solve engine for FOCES detection at FatTree(16)+ scale.
 //!
-//! The FOCES flow-counter matrix is ~0.03 % dense, yet the historical solve
-//! ladder runs on dense storage: a dense Gram, a dense Cholesky, dense
-//! rank-one warm updates. That caps topology size at whatever a dense `n×n`
-//! Gram can allocate. This crate makes the sparse path a first-class
-//! citizen:
+//! The FOCES flow-counter matrix is ~0.03 % dense, yet a dense solve forms
+//! a dense Gram and a dense Cholesky, which caps topology size at whatever
+//! a dense `n×n` Gram can allocate. This crate makes the sparse path a
+//! first-class citizen:
 //!
 //! * [`ordering`] — approximate minimum degree over the Gram sparsity
 //!   pattern, the fill-reducing permutation everything downstream rides on;

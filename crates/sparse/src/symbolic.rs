@@ -5,7 +5,7 @@
 //! only changes when rules or flows churn. Splitting the factorization into
 //! a symbolic phase (ordering + elimination tree + column counts, pattern
 //! only) and a numeric phase (values only) means steady-state epochs pay
-//! just the numeric cost — the sparse analogue of `FactorCache`'s warm path.
+//! just the numeric cost.
 
 use crate::ordering::{amd_order, invert_permutation};
 use foces_linalg::CsrMatrix;

@@ -1,7 +1,8 @@
 //! The per-FCM basis memo ([`Fcm::basis_system`]): a solve on an FCM
 //! whose basis and factor are memoized must equal a solve on a newly
 //! built FCM, structural edits must drop the memo, and a steady-state
-//! round must factor nothing.
+//! round must factor nothing. The dense incremental solver is the
+//! per-call reference: every one of its rounds reports `cold(no-cache)`.
 //!
 //! Systems: the full FCM, its per-switch slices, edge-cut shards and a
 //! row-masked system, on FatTree(4) under both rule granularities and on
@@ -10,8 +11,8 @@
 //! the dense and the sparse backend.
 
 use foces::{
-    cross_validate, BackendKind, EquationSystem, Fcm, IncrementalSolver, LooSolver, RankBudget,
-    ShardedFcm, SlicedFcm, SolveOutcome, SolvePath, SolverKind, DEFAULT_THRESHOLD,
+    cross_validate, BackendKind, ColdReason, EquationSystem, Fcm, IncrementalSolver, LooSolver,
+    RankBudget, ShardedFcm, SlicedFcm, SolveOutcome, SolvePath, SolverKind, DEFAULT_THRESHOLD,
 };
 use foces_controlplane::{provision, uniform_flows, RuleGranularity};
 use foces_dataplane::{LossModel, RuleRef};
@@ -86,20 +87,25 @@ fn check_system(fcm: &Fcm, counters: &[f64], at: &str) {
         let mut warm = IncrementalSolver::with_backend(RankBudget::default(), backend);
         let mut reference = IncrementalSolver::with_backend(RankBudget::default(), backend);
         let (want, _) = reference.solve(&fresh(fcm), counters).unwrap();
-        // The incremental solver's factor (the dense `FactorCache`, or the
-        // memoized sparse one) fits the counters as the direct path does.
+        // The incremental solver (a per-call dense factor, or the memoized
+        // sparse one) fits the counters as the direct path does.
         let scale = counters.iter().fold(1.0_f64, |m, v| m.max(v.abs()));
         for (a, b) in want.residual.iter().zip(&direct.residual) {
             assert!((a - b).abs() <= 1e-9 * scale, "{at}: {a} vs direct {b}");
         }
+        let no_cache = SolvePath::Cold {
+            reason: ColdReason::NoCache,
+        };
         let (first, path) = warm.solve(fcm, counters).unwrap();
-        assert!(!path.is_warm(), "{at}: first round {path}");
+        assert_eq!(path, no_cache, "{at}: first round");
         assert_close(&first, &want, &format!("{at} incremental round 0"));
         let memo = Arc::clone(fcm.basis_system());
         let (second, path) = warm.solve(fcm, counters).unwrap();
         assert_close(&second, &want, &format!("{at} incremental round 1"));
         assert!(Arc::ptr_eq(&memo, fcm.basis_system()), "{at}: memo rebuilt");
-        if memo.cholesky().borrow_or_factor().is_ok() {
+        if backend == BackendKind::Dense {
+            assert_eq!(path, no_cache, "{at}: the dense reference holds nothing");
+        } else if memo.cholesky().borrow_or_factor().is_ok() {
             assert_eq!(
                 path,
                 SolvePath::Warm { rank_applied: 0 },

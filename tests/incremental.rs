@@ -3,12 +3,13 @@
 //! in place — detection must behave exactly as if everything had been
 //! provisioned up front.
 
-use foces::{Detector, Fcm};
-use foces_controlplane::{provision, uniform_flows, RuleGranularity};
-use foces_dataplane::{inject_random_anomaly, AnomalyKind, LossModel};
-use foces_net::generators::bcube;
+use foces::{BackendKind, Detector, Fcm, IncrementalSolver};
+use foces_controlplane::{provision, uniform_flows, Deployment, RuleGranularity};
+use foces_dataplane::{inject_random_anomaly, pair_match, Action, AnomalyKind, LossModel, Rule};
+use foces_net::generators::{bcube, ring};
+use foces_net::{Node, SwitchId};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 #[test]
 fn incremental_fcm_equals_full_rebuild() {
@@ -143,5 +144,90 @@ fn extend_rules_preserves_row_alignment() {
     assert_eq!(&fcm.rules()[..old_rules.len()], old_rules.as_slice());
     for (i, r) in new_rules.iter().enumerate() {
         assert_eq!(fcm.rules()[old_rules.len() + i], *r);
+    }
+}
+
+/// Applies one random journaled update: a reroute via an off-path
+/// waypoint, a granularity refinement, or a hardening install that pins
+/// one hop of a flow's current path with a high-priority per-pair rule.
+fn journal_update(dep: &mut Deployment, rng: &mut StdRng) {
+    let flow = rng.gen_range(0..dep.flows.len());
+    let path = dep.expected_paths[flow].clone();
+    match rng.gen_range(0..3) {
+        0 => {
+            let off_path: Vec<SwitchId> = dep
+                .view
+                .topology()
+                .switches()
+                .filter(|s| !path.contains(s))
+                .collect();
+            if !off_path.is_empty() {
+                let w = off_path[rng.gen_range(0..off_path.len())];
+                let _ = dep.reroute_flow_via(flow, &[w]);
+            }
+        }
+        1 => {
+            let _ = dep.refine_flow(flow);
+        }
+        _ if path.len() >= 2 => {
+            let hop = rng.gen_range(0..path.len() - 1);
+            let port = dep
+                .view
+                .topology()
+                .port_towards(Node::Switch(path[hop]), Node::Switch(path[hop + 1]))
+                .expect("consecutive path switches are linked");
+            let spec = dep.flows[flow];
+            let rule = Rule::new(pair_match(spec.src, spec.dst), 1000, Action::Forward(port));
+            dep.install_hardening(path[hop], rule);
+        }
+        _ => {}
+    }
+}
+
+/// A fixed-seed slice of the journal property: a persistent default
+/// solver, carried across journaled reroutes, refinements and hardening
+/// installs, fits every rebuilt FCM as the per-call dense reference does
+/// and reaches the same verdict.
+#[test]
+fn persistent_default_solver_matches_the_dense_reference_across_journals() {
+    let detector = Detector::default();
+    let reference = detector.with_backend(BackendKind::Dense);
+    for case in 0..12u64 {
+        let mut rng = StdRng::seed_from_u64(case);
+        let topo = ring(5);
+        let flows = uniform_flows(&topo, 20_000.0);
+        let mut dep = provision(topo, &flows, RuleGranularity::PerDestination).unwrap();
+        let mut solver = IncrementalSolver::default();
+        for epoch in 0..3 {
+            if epoch > 0 {
+                for _ in 0..rng.gen_range(1..4) {
+                    journal_update(&mut dep, &mut rng);
+                }
+            }
+            let fcm = Fcm::from_view(&dep.view);
+            dep.dataplane.reset_counters();
+            dep.replay_traffic(&mut LossModel::none());
+            let mut counters = fcm.counters_from(&dep.dataplane);
+            if rng.gen_bool(0.5) {
+                let row = rng.gen_range(0..counters.len());
+                counters[row] += rng.gen_range(1_000.0..2_000.0);
+            }
+            let at = format!("case {case} epoch {epoch}");
+            let (warm, path) = detector.detect_warm(&fcm, &counters, &mut solver).unwrap();
+            let dense = reference.detect(&fcm, &counters).unwrap();
+            let scale = counters.iter().fold(1.0_f64, |m, v| m.max(v.abs()));
+            for (a, b) in warm.solve.residual.iter().zip(&dense.solve.residual) {
+                assert!(
+                    (a - b).abs() <= 1e-6 * scale,
+                    "{at} ({path}): residual {a} vs dense {b}"
+                );
+            }
+            assert_eq!(warm.anomalous, dense.anomalous, "{at}: {warm} vs {dense}");
+            assert!(
+                (warm.anomaly_index - dense.anomaly_index).abs() <= 1e-3
+                    || (warm.anomaly_index.is_infinite() && dense.anomaly_index.is_infinite()),
+                "{at}: {warm} vs {dense}"
+            );
+        }
     }
 }
