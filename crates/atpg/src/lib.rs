@@ -37,6 +37,16 @@
 //! only the pinned source's. The final sort compares headers as ternary
 //! strings without formatting them ([`Wildcard::cmp_ternary`]).
 //!
+//! A rule update need not re-trace every host. A traced region only
+//! shrinks along its path, so it stays inside its host's pinned source
+//! region; a rule disjoint from that region never meets, and never
+//! shadows, a class from that host. After rules are installed, only the
+//! hosts they meet ([`hosts_meeting`]) need re-tracing ([`trace_hosts`]),
+//! and the old flows of every other host stay as they were. A per-pair
+//! rule pins one source, so a per-pair reroute re-traces one host; a
+//! per-destination rule meets every host. `foces::Fcm::patched` splices
+//! the re-traced flows into the old list in [`flow_order`].
+//!
 //! # Example
 //!
 //! ```
@@ -55,6 +65,7 @@ use foces_controlplane::ControllerView;
 use foces_dataplane::{Action, RuleRef, HEADER_WIDTH};
 use foces_headerspace::Wildcard;
 use foces_net::{HostId, Node, SwitchId};
+use std::cmp::Ordering;
 
 /// One logical flow: a packet equivalence class and the rules it traverses.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,6 +140,15 @@ const MAX_SYMBOLIC_HOPS: usize = 64;
 /// A class delivered back to its own ingress host is also excluded (it is
 /// not a host-pair flow).
 pub fn trace_flows(view: &ControllerView) -> Vec<LogicalFlow> {
+    let hosts: Vec<HostId> = view.topology().hosts().collect();
+    trace_hosts(view, &hosts)
+}
+
+/// The logical flows injected at the given ingress hosts, in
+/// [`flow_order`]: exactly the flows of [`trace_flows`] whose ingress is
+/// one of `hosts`, in the same order. Hosts without an attachment port
+/// inject nothing.
+pub fn trace_hosts(view: &ControllerView, hosts: &[HostId]) -> Vec<LogicalFlow> {
     debug_assert!(
         tables_disjoint_or_nested(view),
         "ATPG emptiness test requires per-switch rules to be pairwise \
@@ -136,18 +156,12 @@ pub fn trace_flows(view: &ControllerView) -> Vec<LogicalFlow> {
     );
     let topo = view.topology();
     let mut out = Vec::new();
-    for ingress in topo.hosts() {
+    for &ingress in hosts {
         let Some((first_switch, _)) = topo.host_attachment(ingress) else {
             continue;
         };
-        // Pin the source field: real traffic from this port carries the
-        // host's own address.
-        let mut pos = Wildcard::any(HEADER_WIDTH);
-        for bit in 0..16 {
-            pos.set_bit(bit, Some((ingress.0 >> (15 - bit)) & 1 == 1));
-        }
         let region = Region {
-            pos,
+            pos: source_region(ingress),
             negs: Vec::new(),
         };
         trace_from(
@@ -161,13 +175,74 @@ pub fn trace_flows(view: &ControllerView) -> Vec<LogicalFlow> {
             &mut out,
         );
     }
-    // Deterministic order: by ingress, then egress, then header string.
-    out.sort_by(|a, b| {
-        (a.ingress, a.egress)
-            .cmp(&(b.ingress, b.egress))
-            .then_with(|| a.header.cmp_ternary(&b.header))
-    });
+    // A stable sort: equal keys keep their traversal order.
+    out.sort_by(flow_order);
     out
+}
+
+/// The deterministic order of traced flows: by ingress, then egress, then
+/// header as a ternary string.
+pub fn flow_order(a: &LogicalFlow, b: &LogicalFlow) -> Ordering {
+    (a.ingress, a.egress)
+        .cmp(&(b.ingress, b.egress))
+        .then_with(|| a.header.cmp_ternary(&b.header))
+}
+
+/// The header bits a host's terminal port pins: the source field.
+const SOURCE_BITS: usize = 16;
+
+/// The host's source field value (the low [`SOURCE_BITS`] of its id).
+fn source_of(host: HostId) -> u32 {
+    (host.0 & ((1 << SOURCE_BITS) - 1)) as u32
+}
+
+/// The symbolic header injected at a host's port: the source field pinned
+/// to the host's own address (real traffic from the port carries it), and
+/// everything else wildcarded.
+fn source_region(host: HostId) -> Wildcard {
+    let source = source_of(host);
+    let mut pos = Wildcard::any(HEADER_WIDTH);
+    for bit in 0..SOURCE_BITS {
+        pos.set_bit(bit, Some((source >> (SOURCE_BITS - 1 - bit)) & 1 == 1));
+    }
+    pos
+}
+
+/// The ingress hosts whose source region meets at least one of `matches`,
+/// in host order — the hosts whose traces a rule with one of those
+/// matches can change. A traced region only shrinks along its path, so a
+/// rule disjoint from a host's source region never meets, and never
+/// shadows, any class injected there.
+pub fn hosts_meeting<'a>(
+    view: &ControllerView,
+    matches: impl IntoIterator<Item = &'a Wildcard>,
+) -> Vec<HostId> {
+    let topo = view.topology();
+    let mut met = vec![false; topo.host_count()];
+    let mut left = met.len();
+    // A source region pins the source field only, so a match meets it iff
+    // the match's exact source bits equal the host's: the match's
+    // `(mask, value)` over that field decides it.
+    for m in matches {
+        if left == 0 {
+            break;
+        }
+        let (mut mask, mut value) = (0u32, 0u32);
+        for bit in 0..SOURCE_BITS {
+            if let Some(b) = m.bit(bit) {
+                mask |= 1 << (SOURCE_BITS - 1 - bit);
+                value |= u32::from(b) << (SOURCE_BITS - 1 - bit);
+            }
+        }
+        for h in topo.hosts() {
+            if !met[h.0] && source_of(h) & mask == value {
+                debug_assert!(source_region(h).overlaps(m));
+                met[h.0] = true;
+                left -= 1;
+            }
+        }
+    }
+    topo.hosts().filter(|h| met[h.0]).collect()
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -31,8 +31,9 @@
 //!   flow group).
 //! * **Degradation margin** (c): the smallest set of switch losses
 //!   (offline / quarantined) that drives some flow unobservable — computed
-//!   from the rule histories and verified against the row-mask machinery
-//!   ([`Fcm::mask_rows`]) that the degraded detector actually uses.
+//!   from the rule histories, with the count of flows the witness set
+//!   blinds ([`Fcm::flows_blinded_by`], the flows [`Fcm::mask_rows`] drops
+//!   under that mask).
 //! * **Partition boundary coverage** (d): per shard of a
 //!   [`ShardedFcm`], whether boundary-flow replication leaves the shard's
 //!   sub-system below full column rank (its local Gram matrix singular),
@@ -604,7 +605,7 @@ fn analyze_inner(
 
     // (c) Degradation margin: the cheapest switch-loss set blinding a flow
     // is the switch set of the flow with the fewest distinct switches in
-    // its history. Verified below against the mask machinery itself.
+    // its history; the flows that set blinds are counted below.
     let mut margin = usize::MAX;
     let mut margin_flow = None;
     let mut margin_witness: Vec<SwitchId> = Vec::new();
@@ -620,13 +621,8 @@ fn analyze_inner(
         margin = 0;
     }
     if let Some(flow) = margin_flow {
-        // Cross-check the witness against the real degraded-mode path: mask
-        // exactly the witness switches' rows and confirm a flow drops.
-        let observed: Vec<bool> = rules
-            .iter()
-            .map(|r| !margin_witness.contains(&r.switch))
-            .collect();
-        let dropped = fcm.mask_rows(&observed).dropped_flows();
+        // The flows a mask of exactly the witness switches' rows drops.
+        let dropped = fcm.flows_blinded_by(&margin_witness);
         debug_assert!(dropped >= 1, "margin witness must drop at least one flow");
         infos.push(CoverageFinding {
             kind: CoverageKind::DegradationMargin,

@@ -1,7 +1,8 @@
-use foces_atpg::{trace_flows, LogicalFlow};
+use foces_atpg::{flow_order, hosts_meeting, trace_flows, trace_hosts, LogicalFlow};
 use foces_controlplane::ControllerView;
 use foces_dataplane::RuleRef;
 use foces_linalg::{CsrMatrix, DenseMatrix, Triplet};
+use foces_net::SwitchId;
 use foces_sparse::BasisCholesky;
 use std::collections::HashMap;
 use std::fmt;
@@ -18,7 +19,11 @@ use std::sync::{Arc, OnceLock};
 /// The matrix is stored in CSR form — real FCMs are enormous but have one
 /// nonzero per hop per flow, far below 1 % density — and densified only on
 /// demand ([`Fcm::dense`]) for small test instances. Construction from a controller view runs the ATPG tracer
-/// ([`foces_atpg::trace_flows`]) to enumerate logical flows.
+/// ([`foces_atpg::trace_hosts`]) to enumerate logical flows. A rebuild
+/// after rule updates ([`Fcm::patched`]) re-traces only the ingress hosts
+/// whose source region some installed rule meets and keeps every other
+/// host's flows; the first build ([`Fcm::from_view`]) is the patch of the
+/// empty FCM, which re-traces every host a rule meets.
 ///
 /// Every solve and analysis works on the FCM's deduplicated column basis
 /// and the sparse Cholesky of its Gram: the [`BasisSystem`], built once on
@@ -54,10 +59,83 @@ pub struct Fcm {
 impl Fcm {
     /// Builds the FCM for a controller view: enumerates the view's logical
     /// flows via ATPG symbolic traversal and populates one column per flow.
+    /// This is [`Fcm::patched`] applied to the empty FCM, so the first
+    /// build and every rebuild share one tracing path.
     pub fn from_view(view: &ControllerView) -> Self {
+        Fcm::from_parts(Vec::new(), Vec::new()).patched(view)
+    }
+
+    /// The FCM of `view`, re-tracing only the ingress hosts the rules
+    /// installed since `self` was built can reach.
+    ///
+    /// **Precondition:** `self` was built from an earlier generation of
+    /// this same view. A [`ControllerView`] is append-only — `install`
+    /// only pushes, indices never shift and no rule is edited in place —
+    /// so the rules `self` lacks are exactly the ones installed since.
+    /// A region traced from a host only shrinks along its path, so an
+    /// installed rule disjoint from a host's pinned source region never
+    /// meets or shadows a class from that host
+    /// ([`foces_atpg::hosts_meeting`]): only the hosts some installed rule
+    /// meets are re-traced, and their flows replace the old ones in the
+    /// [`foces_atpg::flow_order`] position a full trace gives them. Rows
+    /// follow the view's order. Under the precondition the result equals
+    /// `Fcm::from_parts(view.rule_refs().collect(), trace_flows(view))`:
+    /// the same rules, flows and CSR.
+    ///
+    /// If some row of `self` is not a rule of `view`, or its rows are not
+    /// the first rules of each table in view order (a masked FCM, say),
+    /// `self` cannot be an earlier generation of `view`, and the whole
+    /// view is re-traced.
+    pub fn patched(&self, view: &ControllerView) -> Fcm {
         let rules: Vec<RuleRef> = view.rule_refs().collect();
-        let flows = trace_flows(view);
+        let Some(held) = self.rows_per_switch(view) else {
+            return Fcm::from_parts(rules, trace_flows(view));
+        };
+        let installed = view.topology().switches().flat_map(|s| {
+            let table = view.table(s);
+            (held[s.0]..table.len()).map(move |i| table.get(i).expect("in range").match_fields())
+        });
+        let hosts = hosts_meeting(view, installed);
+        let mut retraced = vec![false; view.topology().host_count()];
+        for h in &hosts {
+            retraced[h.0] = true;
+        }
+        let mut fresh = trace_hosts(view, &hosts).into_iter().peekable();
+        let mut flows = Vec::with_capacity(self.flows.len());
+        for f in &self.flows {
+            if retraced.get(f.ingress.0).copied().unwrap_or(false) {
+                continue;
+            }
+            while let Some(g) = fresh.next_if(|g| flow_order(g, f).is_lt()) {
+                flows.push(g);
+            }
+            flows.push(f.clone());
+        }
+        flows.extend(fresh);
         Fcm::from_parts(rules, flows)
+    }
+
+    /// How many rows `self` holds at each switch of `view`, if its rows are
+    /// what an earlier generation of `view` held: the first rules of each
+    /// table, in view order. `None` otherwise (a row the view lacks, a
+    /// masked subset, rows out of order).
+    fn rows_per_switch(&self, view: &ControllerView) -> Option<Vec<usize>> {
+        let mut held = vec![0; view.topology().switch_count()];
+        let mut last = None;
+        for &r in &self.rules {
+            view.rule(r)?;
+            let follows = match last {
+                Some(SwitchId(s)) if s == r.switch.0 => r.index == held[s],
+                Some(SwitchId(s)) => s < r.switch.0 && r.index == 0,
+                None => r.index == 0,
+            };
+            if !follows {
+                return None;
+            }
+            held[r.switch.0] += 1;
+            last = Some(r.switch);
+        }
+        Some(held)
     }
 
     /// Builds the FCM from explicit parts: a rule universe (row order) and
@@ -172,7 +250,7 @@ impl Fcm {
     /// The sorted rule set of each basis column, in basis order — the
     /// identity a warm factor keys its positions on, stable across FCM
     /// rebuilds, row reindexing and flow reordering. Built on first demand.
-    pub(crate) fn basis_keys(&self) -> &[Vec<RuleRef>] {
+    pub fn basis_keys(&self) -> &[Vec<RuleRef>] {
         let system = self.basis_system();
         system.keys.get_or_init(|| {
             system
@@ -384,6 +462,17 @@ impl Fcm {
             dropped_flows,
             quarantined_flows,
         }
+    }
+
+    /// The number of flows whose every rule sits on one of the `lost`
+    /// switches: the flows [`Fcm::mask_rows`] drops when exactly those
+    /// switches' rows go unobserved ([`MaskedFcm::dropped_flows`]),
+    /// counted without building the masked system.
+    pub fn flows_blinded_by(&self, lost: &[SwitchId]) -> usize {
+        self.flows
+            .iter()
+            .filter(|f| f.rules.iter().all(|r| lost.contains(&r.switch)))
+            .count()
     }
 
     /// Flow mask marking every column that traverses at least one of the

@@ -1103,7 +1103,7 @@ impl StreamDriver {
             return; // stale rebuild event: a newer one already ran
         }
         self.refresh_traffic();
-        self.fcm = Fcm::from_view(&self.dep.view);
+        self.fcm = self.fcm.patched(&self.dep.view);
         self.sharded = ShardedFcm::from_fcm(&self.fcm, &self.partition);
         self.rows_of = Self::row_map(&self.fcm);
         self.full = vec![0.0; self.fcm.rule_count()];

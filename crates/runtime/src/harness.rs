@@ -147,6 +147,9 @@ pub struct ScenarioDriver {
     /// Pre-compromise table snapshots (what a stealthy liar reports on
     /// table dumps), keyed by forging switch.
     original_tables: BTreeMap<SwitchId, Vec<foces_dataplane::Rule>>,
+    /// The adversary's FCM and the view generation it was built at,
+    /// re-patched only when the view moves.
+    adversary_fcm: Option<(u64, Fcm)>,
 }
 
 impl ScenarioDriver {
@@ -171,6 +174,7 @@ impl ScenarioDriver {
             cover_anomalies: Vec::new(),
             stale_snapshot: BTreeMap::new(),
             original_tables: BTreeMap::new(),
+            adversary_fcm: None,
         }
     }
 
@@ -414,7 +418,12 @@ impl ScenarioDriver {
         }
         // The adversary's model of the controller's expectation: nominal
         // (loss-free) flow volumes pushed through the intended routing.
-        let fcm = Fcm::from_view(&self.dep.view);
+        let generation = self.dep.view.generation();
+        let fcm = match self.adversary_fcm.take() {
+            Some((built, fcm)) if built == generation => fcm,
+            Some((_, fcm)) => fcm.patched(&self.dep.view),
+            None => Fcm::from_view(&self.dep.view),
+        };
         let mut rate_of: BTreeMap<(foces_net::HostId, foces_net::HostId), f64> = BTreeMap::new();
         for f in &self.dep.flows {
             *rate_of.entry((f.src, f.dst)).or_insert(0.0) += f.rate;
@@ -468,6 +477,7 @@ impl ScenarioDriver {
             plan.forge_into(&mut agent);
             self.service.replace_agent(Box::new(agent));
         }
+        self.adversary_fcm = Some((generation, fcm));
     }
 
     /// One controller update, chosen by the (seeded) churn RNG: reroute a

@@ -596,7 +596,7 @@ impl RuntimeService {
         // here as a static violation, never as a forwarding-anomaly alarm.
         let verified = view.generation() > self.fcm_generation;
         if verified {
-            let fcm = Fcm::from_view(view);
+            let fcm = self.pipeline.fcm().patched(view);
             let delta =
                 FcmDelta::from_journal(self.pipeline.fcm(), &fcm, view, self.fcm_generation);
             self.metrics.delta_rows +=

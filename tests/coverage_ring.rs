@@ -9,7 +9,7 @@ use foces::{
 };
 use foces_controlplane::{provision, uniform_flows, Deployment, RuleGranularity};
 use foces_dataplane::LossModel;
-use foces_net::generators::{fattree, ring};
+use foces_net::generators::{bcube, fattree, ring};
 use foces_net::SwitchId;
 
 fn ring_deployment() -> Deployment {
@@ -142,4 +142,55 @@ fn fattree_is_clean_and_a_misaligned_forgery_is_caught() {
         "a single-row forgery is outside every absorbing combination: AI {}",
         verdict.anomaly_index
     );
+}
+
+/// The degradation margin counts the flows its witness blinds directly
+/// ([`Fcm::flows_blinded_by`]); the count must be what the degraded
+/// detector's row mask drops: `mask_rows(witness).dropped_flows()`. The
+/// same holds for every single-switch loss.
+#[test]
+fn margin_count_equals_the_masked_dropped_flows() {
+    for (name, topo, granularity) in [
+        ("fattree(4)", fattree(4), RuleGranularity::PerDestination),
+        ("fattree(4)", fattree(4), RuleGranularity::PerFlowPair),
+        ("ring(4)", ring(4), RuleGranularity::PerFlowPair),
+        ("bcube(1,4)", bcube(1, 4), RuleGranularity::PerDestination),
+    ] {
+        let flows = uniform_flows(&topo, 1_000.0);
+        let dep = provision(topo, &flows, granularity).unwrap();
+        let fcm = Fcm::from_view(&dep.view);
+        let masked_drops = |lost: &[SwitchId]| {
+            let observed: Vec<bool> = fcm
+                .rules()
+                .iter()
+                .map(|r| !lost.contains(&r.switch))
+                .collect();
+            fcm.mask_rows(&observed).dropped_flows()
+        };
+        let report = analyze_coverage(&fcm, &CoverageConfig::default()).unwrap();
+        let witness = &report.margin_witness;
+        assert!(!witness.is_empty(), "{name}: a margin witness exists");
+        let dropped = fcm.flows_blinded_by(witness);
+        assert!(dropped >= 1, "{name}: the witness blinds its flow");
+        assert_eq!(dropped, masked_drops(witness), "{name} {granularity:?}");
+        let margin = report
+            .findings
+            .iter()
+            .find(|f| f.kind == CoverageKind::DegradationMargin)
+            .expect("a margin finding");
+        assert!(
+            margin
+                .detail
+                .contains(&format!("({dropped} flow(s) dropped under that mask)")),
+            "{name}: {}",
+            margin.detail
+        );
+        for s in dep.view.topology().switches() {
+            assert_eq!(
+                fcm.flows_blinded_by(&[s]),
+                masked_drops(&[s]),
+                "{name} {granularity:?}: loss of {s:?}"
+            );
+        }
+    }
 }
