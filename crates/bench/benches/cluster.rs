@@ -3,14 +3,16 @@
 //!
 //! Hand-rolled harness (`harness = false`, no Criterion). The sequential
 //! baseline is the global system through a cold [`IncrementalSolver`] —
-//! the same warm-capable direct factorization pipeline every shard worker
-//! runs, so the comparison isolates what sharding buys. Two more
-//! baselines are recorded for context: [`Detector::detect`] with the
-//! default `Auto` solver (which takes the CGLS path at this scale and is
-//! not factor-reusing) and [`detect_parallel`] (per-switch slicing).
+//! the same direct factorization pipeline every shard worker runs, so
+//! the comparison isolates what sharding buys. Two more baselines are
+//! recorded for context: [`Detector::detect`] on the default backend
+//! (run after the baseline on the same FCM, so it reads the basis and any
+//! factor the baseline memoized) and [`detect_parallel`] (per-switch
+//! slicing).
 //! Then for each shard count `k ∈ {1, 4, 16}` a [`ClusterService`]
 //! drives several epochs over the same counters — epoch 0 is the cold
-//! fan-out, later epochs must go warm on every shard. Sharding beats the
+//! fan-out and must report `cold` on every shard, later epochs must go
+//! warm on every shard. Sharding beats the
 //! sequential direct solve even on one core: `k` Cholesky factors of
 //! `n/k`-column systems cost ~`1/k²` of one `n`-column factor.
 //! Per-shard solve times, pool statistics, and the speedups against the
@@ -18,7 +20,7 @@
 //! `--test` (the CI smoke mode) it runs a scaled-down FatTree(4)
 //! configuration, keeps the assertions, and writes nothing.
 
-use foces::{Detector, Fcm, IncrementalSolver, SlicedFcm};
+use foces::{Detector, Fcm, IncrementalSolver, SlicedFcm, SolvePath};
 use foces_cluster::{ClusterConfig, ClusterService};
 use foces_controlplane::{provision, uniform_flows, Deployment, RuleGranularity};
 use foces_dataplane::LossModel;
@@ -76,7 +78,12 @@ fn run_cluster(dep: &Deployment, counters: &[f64], k: usize, epochs: usize) -> C
             .iter()
             .filter(|s| s.solve_path.is_some_and(|p| p.is_warm()))
             .count();
-        if epoch > 0 {
+        if epoch == 0 {
+            assert_eq!(
+                warm_shards, 0,
+                "k={k}: every shard's first solve must be cold"
+            );
+        } else {
             assert_eq!(
                 warm_shards,
                 r.shards.len(),
@@ -223,12 +230,12 @@ fn main() {
         .detect_warm(&fcm, &counters, &mut cold_solver)
         .expect("sequential solve");
     let sequential_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert!(!path.is_warm(), "fresh solver cannot be warm");
+    assert_eq!(path, SolvePath::Cold, "fresh solver cannot be warm");
     assert!(!verdict.anomalous, "benign counters flagged sequentially");
     eprintln!("sequential (cold direct): {sequential_ms:.1} ms");
 
-    // Context baseline: default Auto solver (CGLS at this scale; fast but
-    // not factor-reusing, so it pays full price every epoch).
+    // Context baseline: the default backend's one-shot detect on the same
+    // FCM, which reads the basis (and any factor) the baseline memoized.
     let t = Instant::now();
     detector.detect(&fcm, &counters).expect("auto solve");
     let auto_ms = t.elapsed().as_secs_f64() * 1e3;

@@ -12,8 +12,8 @@
 //!
 //! * **Warm solves stay per-shard.** Every shard owns an
 //!   [`foces::IncrementalSolver`]; after the first epoch each healthy
-//!   shard reports `warm(rank=…)` and only solves on its sub-FCM's
-//!   memoized factor.
+//!   shard reports `warm` and only solves on its sub-FCM's memoized
+//!   factor.
 //! * **Faults degrade, they don't silence.** A worker that panics or
 //!   misses its deadline marks *its* shard degraded; the coordinator
 //!   aggregates the remaining shards into the network-wide verdict and

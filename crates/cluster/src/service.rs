@@ -197,7 +197,7 @@ pub struct ClusterService {
     fcm: Fcm,
     sharded: ShardedFcm,
     /// One warm solver per shard, locked only by the worker solving that
-    /// shard — warm factors never migrate between shards.
+    /// shard; each solves on its own sub-FCM's memoized factor.
     solvers: Vec<Mutex<IncrementalSolver>>,
     faults: HashMap<usize, ShardFault>,
     /// Per-switch residual attribution merged across healthy shards — the
@@ -314,9 +314,9 @@ impl ClusterService {
         self.faults.insert(region, fault);
     }
 
-    /// Clears an injected fault (the shard's worker "restarts"); its warm
-    /// factor is dropped so the first solve after recovery runs cold, like
-    /// a real restarted process.
+    /// Clears an injected fault (the shard's worker "restarts"): the
+    /// shard's solver forgets its last basis, so the first solve after
+    /// recovery reports cold. The factor stays memoized on the sub-FCM.
     pub fn clear_fault(&mut self, region: usize) {
         if self.faults.remove(&region).is_some() {
             if let Some(idx) = self
@@ -857,7 +857,8 @@ mod tests {
             bad.health
         );
         assert_eq!(svc.metrics().deadline_misses, 1);
-        // Recovery drops the warm factor: first solve after restart is cold.
+        // Recovery resets the solver's label: first solve after restart is
+        // reported cold.
         svc.clear_fault(2);
         let y = counters(&mut dep);
         let r = svc.run_epoch(&y).unwrap();
@@ -865,7 +866,7 @@ mod tests {
         assert!(healed.health.is_healthy());
         assert!(
             healed.solve_path.is_some_and(|p| !p.is_warm()),
-            "restarted worker must refactorize: {:?}",
+            "restarted worker must report cold: {:?}",
             healed.solve_path
         );
     }

@@ -247,23 +247,20 @@ impl Fcm {
             .get_or_init(|| Arc::new(BasisSystem::build(self)))
     }
 
-    /// The sorted rule set of each basis column, in basis order — the
-    /// identity a warm factor keys its positions on, stable across FCM
-    /// rebuilds, row reindexing and flow reordering. Built on first demand.
-    pub fn basis_keys(&self) -> &[Vec<RuleRef>] {
-        let system = self.basis_system();
-        system.keys.get_or_init(|| {
-            system
-                .groups
-                .basis
-                .iter()
-                .map(|&j| {
-                    let mut key = self.flows[j].rules.clone();
-                    key.sort_unstable();
-                    key
-                })
-                .collect()
-        })
+    /// The sorted rule set of each basis column, in basis order — a basis
+    /// identity stable across FCM rebuilds, row reindexing and flow
+    /// reordering. Computed on each call.
+    pub fn basis_keys(&self) -> Vec<Vec<RuleRef>> {
+        self.basis_system()
+            .groups
+            .basis
+            .iter()
+            .map(|&j| {
+                let mut key = self.flows[j].rules.clone();
+                key.sort_unstable();
+                key
+            })
+            .collect()
     }
 
     /// Expected counter vector `Y₀ = H·X` for given flow volumes.
@@ -630,7 +627,6 @@ pub struct BasisSystem {
     groups: ColumnGroups,
     group_sizes: Vec<usize>,
     cholesky: BasisCholesky,
-    keys: OnceLock<Vec<Vec<RuleRef>>>,
 }
 
 impl BasisSystem {
@@ -656,7 +652,6 @@ impl BasisSystem {
             groups: ColumnGroups { basis, group_of },
             group_sizes,
             cholesky: BasisCholesky::new(matrix),
-            keys: OnceLock::new(),
         }
     }
 
@@ -678,17 +673,6 @@ impl BasisSystem {
     /// The basis with its lazily built Gram factor.
     pub fn cholesky(&self) -> &BasisCholesky {
         &self.cholesky
-    }
-
-    /// The keys [`Fcm::basis_keys`] memoized on this system.
-    ///
-    /// # Panics
-    ///
-    /// Panics if they were never built.
-    pub(crate) fn memoized_keys(&self) -> &[Vec<RuleRef>] {
-        self.keys
-            .get()
-            .expect("basis keys are built before a basis is adopted")
     }
 
     /// Expands a basis solution to the full [`crate::SolveOutcome`]: the

@@ -6,39 +6,29 @@
 //! almost entirely unchanged: per-epoch work should be proportional to
 //! *change*, not to network size.
 //!
-//! The key structural fact making that cheap: the solver works on the
-//! deduplicated **column basis** (see [`Fcm::column_groups`]), and every
-//! Gram entry `G[a][b] = |rules(a) ∩ rules(b)|` depends only on the two
-//! columns' rule *sets* — [`foces_dataplane::RuleRef`] identities, not row
-//! indices. Row churn (rules installed or removed without altering any
-//! surviving flow's rule set) never perturbs `G`; it only changes how the
-//! right-hand side `HᵀY'` is assembled, which is re-done each epoch anyway.
-//! So the factor of `G` is a function of the FCM's basis alone.
-//!
-//! The basis — column groups, basis matrix, rule-set keys — and its sparse
-//! Gram factor are the FCM's memoized [`BasisSystem`]
-//! ([`Fcm::basis_system`]), built at most once per FCM. On the default
-//! sparse backend, [`IncrementalSolver`] solves on that memoized factor and
-//! keeps only the engine's cross-epoch state (held symbolic analysis, PCGLS
-//! preconditioner), diffing rule-set keys between rounds to meter churn. A
-//! steady-state round therefore costs a counter gather, `Hᵀy`, two
-//! triangular solves and the residual — no grouping, no Gram, no factor.
+//! The basis — column groups and basis matrix — and its sparse Gram factor
+//! are the FCM's memoized [`BasisSystem`] ([`Fcm::basis_system`]), built at
+//! most once per FCM. That memo is the only state carried from one round
+//! to the next: on the default sparse backend, [`IncrementalSolver`]
+//! solves on the memoized factor, so a steady-state round costs a counter
+//! gather, `Hᵀy`, two triangular solves and the residual — no grouping, no
+//! Gram, no factor — and a rebuilt FCM factors its own basis once. The
+//! solver itself only remembers which basis it solved last, to label the
+//! round [`SolvePath::Warm`] (the same memo again) or [`SolvePath::Cold`].
 //! The dense backend is the per-call reference: it forms and factors the
-//! dense Gram every round, exactly as [`crate::EquationSystem`] does. Every
-//! call reports which path ran via [`SolvePath`] so the runtime can log and
-//! meter it.
+//! dense Gram every round, exactly as [`crate::EquationSystem`] does.
 //! The equivalence guarantee — warm and cold residuals agree to solver
 //! tolerance, so a verdict can never differ — is pinned by the property
 //! tests in `tests/incremental_props.rs`.
 
-use crate::{BasisSystem, EquationSystem, Fcm, FocesError, MaskedFcm, SolveOutcome, SolverKind};
+use crate::{BasisSystem, EquationSystem, Fcm, FocesError, SolveOutcome, SolverKind};
 use foces_atpg::LogicalFlow;
 use foces_controlplane::ControllerView;
 use foces_dataplane::RuleRef;
-use foces_sparse::{BackendKind, SparseEngine};
-use std::collections::{HashMap, HashSet};
+use foces_sparse::BackendKind;
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Structural difference between two FCMs — the per-epoch churn summary.
 ///
@@ -48,9 +38,8 @@ use std::sync::Arc;
 /// an update polluted mid-epoch (from the controller's update journal);
 /// "retouched" columns are flows whose rule set changed — the reroutes.
 ///
-/// The delta is what the runtime reports; the warm solver performs its own
-/// basis-level diff internally (several flows can share one basis column,
-/// so column churn over-approximates factor churn).
+/// The delta is what the runtime reports; no solve reads it (a rebuilt FCM
+/// factors its own basis whatever changed).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FcmDelta {
     /// Rules present in the new FCM only.
@@ -170,68 +159,46 @@ fn flows_by_identity(
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RankBudget {}
 
-/// Why a solve ran cold instead of warm.
+/// Which solve path a detection round took — surfaced through
+/// `RuntimeMetrics` and the epoch log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ColdReason {
-    /// First solve, the cache was explicitly invalidated, or the dense
-    /// backend, which holds nothing across calls.
-    NoCache,
-    /// The Gram sparsity pattern changed since the last epoch, so the
-    /// symbolic analysis (ordering, elimination tree) had to be redone.
-    PatternChanged,
-}
-
-/// Which solve path a detection round actually took — surfaced through
-/// `RuntimeMetrics` and the epoch log so operators can see the incremental
-/// pipeline working (or falling back).
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
 pub enum SolvePath {
-    /// A fresh symbolic analysis or a per-call dense factor.
-    Cold {
-        /// Why the warm path was not taken.
-        reason: ColdReason,
-    },
-    /// The held symbolic analysis was reused.
-    Warm {
-        /// Basis columns that appeared or disappeared since the last
-        /// solve (0 = the same FCM).
-        rank_applied: usize,
-    },
+    /// The first solve of this basis by this solver, a solve after
+    /// [`IncrementalSolver::invalidate`], or any dense-backend solve.
+    Cold,
+    /// The solver solved this same memoized basis last: the round only
+    /// solved on the factor the FCM already holds.
+    Warm,
 }
 
 impl SolvePath {
     /// `true` for the warm (factor-reusing) path.
     pub fn is_warm(&self) -> bool {
-        matches!(self, SolvePath::Warm { .. })
+        matches!(self, SolvePath::Warm)
     }
 }
 
 impl fmt::Display for SolvePath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SolvePath::Warm { rank_applied } => write!(f, "warm(rank={rank_applied})"),
-            SolvePath::Cold { reason } => {
-                let r = match reason {
-                    ColdReason::NoCache => "no-cache",
-                    ColdReason::PatternChanged => "pattern-changed",
-                };
-                write!(f, "cold({r})")
-            }
-        }
+        f.write_str(match self {
+            SolvePath::Warm => "warm",
+            SolvePath::Cold => "cold",
+        })
     }
 }
 
 /// A warm equation-system solver: the direct normal-equation path of
-/// [`crate::EquationSystem`] with cross-epoch engine state.
+/// [`crate::EquationSystem`], labelled by whether the round re-solved the
+/// basis solved the round before.
 ///
 /// Feed it each epoch's `(fcm, counters)`. On the default sparse backend
 /// it solves on the factor memoized on the FCM's basis, so an unchanged
-/// FCM only solves and a rebuilt one factors once; the engine's held
-/// analysis and PCGLS preconditioner carry across rounds. On the dense
-/// backend every call is the per-call dense reference of
-/// [`crate::EquationSystem`] and reports [`ColdReason::NoCache`].
+/// FCM only solves and a rebuilt one factors once; the result is bit for
+/// bit that of [`crate::EquationSystem`] on the same FCM. It keeps a weak
+/// reference to the basis it solved last only to report
+/// [`SolvePath::Warm`] when the next round solves the same one. On the dense backend every call is the
+/// per-call dense reference of [`crate::EquationSystem`] and reports
+/// [`SolvePath::Cold`].
 ///
 /// # Example
 ///
@@ -252,31 +219,27 @@ impl fmt::Display for SolvePath {
 /// let mut solver = IncrementalSolver::default();
 /// let (_, first) = solver.solve(&fcm, &counters)?;
 /// let (_, second) = solver.solve(&fcm, &counters)?;
-/// assert!(!first.is_warm()); // nothing cached yet
-/// assert!(second.is_warm()); // identical FCM: pure reuse
+/// assert!(!first.is_warm()); // first solve of this basis
+/// assert!(second.is_warm()); // the same memoized basis again
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalSolver {
     backend: BackendKind,
-    /// Cross-epoch sparse-engine state (held analysis, PCGLS
-    /// preconditioner); the factor itself is memoized on the FCM's
-    /// [`BasisSystem`].
-    engine: SparseEngine,
-    /// The basis of the last sparse solve (its keys memoized), for
-    /// FcmDelta-style churn accounting (drives preconditioner refresh and
-    /// warm/cold reporting).
-    sparse_basis: Option<Arc<BasisSystem>>,
+    /// The basis of the last sparse solve. The weak reference keeps the
+    /// basis' allocation, so its address cannot be recycled by a later
+    /// basis, without keeping its factor alive once its FCM is gone.
+    last: Option<Weak<BasisSystem>>,
     /// CGLS iterations spent by the most recent solve (0 on direct paths).
     last_iterations: u64,
 }
 
 impl IncrementalSolver {
     /// Creates a solver with an explicit backend. `Sparse` (the default)
-    /// and `Auto` route every solve through the [`SparseEngine`] on the
-    /// FCM's memoized sparse factor (PCGLS fallback); `Dense` solves each
-    /// call on a fresh dense Gram factor. The [`RankBudget`] is ignored.
+    /// and `Auto` solve on the FCM's memoized sparse factor (PCGLS
+    /// fallback); `Dense` solves each call on a fresh dense Gram factor.
+    /// The [`RankBudget`] is ignored.
     pub fn with_backend(_budget: RankBudget, backend: BackendKind) -> Self {
         IncrementalSolver {
             backend,
@@ -295,22 +258,21 @@ impl IncrementalSolver {
         self.last_iterations
     }
 
-    /// Drops all sparse-engine state; the next solve runs cold.
+    /// Forgets the last basis; the next solve reports [`SolvePath::Cold`].
+    /// The factor stays memoized on its FCM.
     pub fn invalidate(&mut self) {
-        self.engine.invalidate();
-        self.sparse_basis = None;
+        self.last = None;
     }
 
-    /// `true` once cross-epoch sparse-engine state is held (never on the
-    /// dense backend).
+    /// `true` once a sparse solve has run since construction or the last
+    /// [`IncrementalSolver::invalidate`] (never on the dense backend).
     pub fn is_warm(&self) -> bool {
-        self.sparse_basis.is_some()
+        self.last.is_some()
     }
 
     /// Solves `min ‖H·X − Y'‖` like [`crate::EquationSystem::solve`] with
-    /// [`crate::SolverKind::DirectDense`] on the same backend, reusing the
-    /// engine's held state across rounds. Returns the outcome together
-    /// with the [`SolvePath`] taken.
+    /// [`crate::SolverKind::DirectDense`] on the same backend. Returns the
+    /// outcome together with the [`SolvePath`] taken.
     ///
     /// # Errors
     ///
@@ -330,97 +292,20 @@ impl IncrementalSolver {
             let outcome = EquationSystem::new(SolverKind::DirectDense)
                 .with_backend(BackendKind::Dense)
                 .solve(fcm, counters)?;
-            let path = SolvePath::Cold {
-                reason: ColdReason::NoCache,
-            };
-            return Ok((outcome, path));
+            return Ok((outcome, SolvePath::Cold));
         }
         crate::solver::check_counters(fcm, counters)?;
         let system = fcm.basis_system();
-        let (path, x_basis) = self.solve_sparse(fcm, system, counters)?;
-        Ok((system.expand(counters, x_basis)?, path))
-    }
-
-    /// Row-masked warm solve: the warm counterpart of
-    /// [`crate::EquationSystem::solve_masked`]. The masked sub-FCM's rule
-    /// sets differ from the full FCM's, so use a *dedicated*
-    /// `IncrementalSolver` per recurring mask (e.g. per set of silent
-    /// switches) — reuse only pays off while the mask repeats.
-    ///
-    /// # Errors
-    ///
-    /// As for [`IncrementalSolver::solve`]; additionally
-    /// [`FocesError::EmptyFcm`] if masking dropped every flow.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `observed.len() != fcm.rule_count()`.
-    pub fn solve_masked(
-        &mut self,
-        fcm: &Fcm,
-        counters: &[f64],
-        observed: &[bool],
-    ) -> Result<(MaskedFcm, SolveOutcome, SolvePath), FocesError> {
-        crate::solver::check_shape(fcm, counters)?;
-        let masked = fcm.mask_rows(observed);
-        let sub = masked.project(counters);
-        let (outcome, path) = self.solve(masked.fcm(), &sub)?;
-        Ok((masked, outcome, path))
-    }
-
-    /// Sparse-backend basis solve: routes through the engine on the FCM's
-    /// memoized factor (PCGLS fallback), driving the preconditioner
-    /// lifecycle with a basis-key diff, and mapping the engine's reuse
-    /// report onto [`SolvePath`].
-    fn solve_sparse(
-        &mut self,
-        fcm: &Fcm,
-        system: &Arc<BasisSystem>,
-        counters: &[f64],
-    ) -> Result<(SolvePath, Vec<f64>), FocesError> {
-        let was_ready = self.sparse_basis.is_some();
-        // Basis churn since the last solve = FcmDelta at basis granularity:
-        // any appearing/disappearing rule-set key shifts column norms, so a
-        // nonzero delta refreshes the PCGLS preconditioner. An unchanged
-        // FCM shares its basis and has none.
-        let same = matches!(&self.sparse_basis, Some(prev) if Arc::ptr_eq(prev, system));
-        let delta_rank = match &self.sparse_basis {
-            _ if same => 0,
-            Some(prev) => {
-                let prev: HashSet<&[RuleRef]> =
-                    prev.memoized_keys().iter().map(|k| k.as_slice()).collect();
-                let now: HashSet<&[RuleRef]> =
-                    fcm.basis_keys().iter().map(|k| k.as_slice()).collect();
-                prev.symmetric_difference(&now).count()
-            }
-            None => system.cols(),
-        };
-        if delta_rank > 0 {
-            self.engine.note_rank_growth(delta_rank);
-        }
-        let sol = self
-            .engine
-            .solve_factored(system.cholesky(), counters)
-            .map_err(FocesError::from)?;
-        if !same {
-            // Adopt the basis, its keys memoized for the next diff.
-            fcm.basis_keys();
-            self.sparse_basis = Some(Arc::clone(system));
-        }
+        let sol =
+            foces_sparse::solve_factored(system.cholesky(), counters).map_err(FocesError::from)?;
         self.last_iterations = sol.iterations;
-        let path = if sol.reused && was_ready {
-            SolvePath::Warm {
-                rank_applied: delta_rank,
-            }
-        } else if was_ready {
-            SolvePath::Cold {
-                reason: ColdReason::PatternChanged,
-            }
-        } else {
-            SolvePath::Cold {
-                reason: ColdReason::NoCache,
+        let path = match &self.last {
+            Some(prev) if std::ptr::eq(prev.as_ptr(), Arc::as_ptr(system)) => SolvePath::Warm,
+            _ => {
+                self.last = Some(Arc::downgrade(system));
+                SolvePath::Cold
             }
         };
-        Ok((path, sol.x))
+        Ok((system.expand(counters, sol.x)?, path))
     }
 }

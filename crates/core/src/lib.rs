@@ -95,7 +95,7 @@ pub use detector::{Detector, IndexStatistic, Verdict};
 pub use error::FocesError;
 pub use fcm::{BasisSystem, ColumnGroups, Fcm, MaskedFcm};
 pub use harden::{harden, HardeningOutcome};
-pub use incremental::{ColdReason, FcmDelta, IncrementalSolver, RankBudget, SolvePath};
+pub use incremental::{FcmDelta, IncrementalSolver, RankBudget, SolvePath};
 pub use localize::{localize, localize_differential, SwitchSuspicion};
 pub use monitor::{AlarmState, Monitor, MonitorConfig, MonitorReport};
 pub use rbg::Rbg;

@@ -1,6 +1,6 @@
 use crate::{Fcm, FocesError, MaskedFcm};
 use foces_linalg::{lstsq, lstsq_sparse, DenseMatrix, LinalgError, LstsqMethod};
-use foces_sparse::{BackendKind, SparseEngine};
+use foces_sparse::BackendKind;
 
 /// Strategy for solving the flow-counter equation system.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -262,9 +262,7 @@ fn solve_direct(
             Err(e) => return Err(e),
         }
     } else {
-        SparseEngine::default()
-            .solve_factored(system.cholesky(), counters)?
-            .x
+        foces_sparse::solve_factored(system.cholesky(), counters)?.x
     };
     system.expand(counters, x_basis)
 }
@@ -433,8 +431,6 @@ mod tests {
         let mut warm = crate::IncrementalSolver::default();
         let err = warm.solve(&fcm, &[0.0]).unwrap_err();
         assert!(matches!(err, FocesError::EmptyFcm), "warm: {err:?}");
-        let err = warm.solve_masked(&fcm, &[0.0], &[true, true]).unwrap_err();
-        assert!(matches!(err, FocesError::EmptyFcm), "warm masked: {err:?}");
     }
 
     #[test]

@@ -174,9 +174,8 @@ pub struct DegradedPipeline {
     /// a rolling-update schedule revisits the same touched set many times.
     reconcile_cache: MaskCache<(Vec<SwitchId>, Vec<RuleRef>)>,
     /// The incremental solver backing full rounds. On the sparse backend
-    /// it solves on the full FCM's memoized factor and keeps its engine
-    /// state across FCM rebuilds (see [`DegradedPipeline::retarget`]); on
-    /// the dense backend it factors a dense Gram every round.
+    /// it solves on the full FCM's memoized factor; on the dense backend
+    /// it factors a dense Gram every round.
     warm: IncrementalSolver,
     /// Which solve path the most recent round took (`None` on masked,
     /// reconciled, and blind rounds — those solve projected systems and
@@ -221,9 +220,8 @@ impl DegradedPipeline {
 
     /// Re-points the pipeline at a rebuilt FCM (after the controller view
     /// moved past the old one): re-runs the full-system audit and drops
-    /// the mask caches, but **keeps** the incremental solver's state: the
-    /// next full round factors the rebuilt FCM once, adopting the held
-    /// symbolic analysis when the Gram pattern is unchanged.
+    /// the mask caches. The next full round factors the rebuilt FCM's
+    /// basis once and reports [`SolvePath::Cold`].
     pub fn retarget(&mut self, view: &ControllerView, fcm: Fcm, oracle_cap: usize) {
         self.fcm = fcm;
         self.cache.clear();
@@ -398,9 +396,9 @@ impl DegradedPipeline {
         self.reconcile_cache.len()
     }
 
-    /// Which solve path the most recent round took: `Some(Warm {..})` or
-    /// `Some(Cold {..})` after a full round, `None` after a masked,
-    /// reconciled, or blind one.
+    /// Which solve path the most recent round took: `Some(Warm)` or
+    /// `Some(Cold)` after a full round, `None` after a masked, reconciled,
+    /// or blind one.
     pub fn last_solve_path(&self) -> Option<SolvePath> {
         self.last_path
     }
@@ -414,12 +412,6 @@ impl DegradedPipeline {
     /// The solve backend every round of this pipeline runs on.
     pub fn backend(&self) -> BackendKind {
         self.warm.backend()
-    }
-
-    /// Whether the incremental solver currently holds cross-round engine
-    /// state (never on the dense backend).
-    pub fn solver_is_warm(&self) -> bool {
-        self.warm.is_warm()
     }
 
     /// Builds the row-masked + column-quarantined system for a journaled
@@ -660,13 +652,14 @@ mod tests {
     }
 
     #[test]
-    fn retarget_keeps_the_warm_solver_across_a_rebuild() {
+    fn retarget_drops_the_caches_and_the_rebuilt_fcm_solves_cold_then_warm() {
         let (mut dep, mut pipeline) = setup();
         let counters = pipeline.fcm().counters_from(&dep.dataplane);
         let observed = vec![true; counters.len()];
         pipeline.detect(&counters, &observed).unwrap();
-        assert!(
-            matches!(pipeline.last_solve_path(), Some(SolvePath::Cold { .. })),
+        assert_eq!(
+            pipeline.last_solve_path(),
+            Some(SolvePath::Cold),
             "first full round factors from scratch"
         );
         pipeline.detect(&counters, &observed).unwrap();
@@ -676,11 +669,11 @@ mod tests {
             pipeline.last_solve_path()
         );
         // Reroute a flow and retarget at the rebuilt FCM: the mask caches
-        // drop but the solver's held analysis survives and is adopted.
+        // drop, and the rebuilt FCM's first solve factors its own basis.
         dep.reroute_flow_via(0, &[]).unwrap();
         let fcm = Fcm::from_view(&dep.view);
         pipeline.retarget(&dep.view, fcm, 300);
-        assert!(pipeline.solver_is_warm(), "retarget keeps the solver");
+        assert_eq!(pipeline.last_solve_path(), None);
         assert_eq!(pipeline.cached_masks(), 0);
         assert_eq!(pipeline.cached_reconciliations(), 0);
         dep.dataplane.reset_counters();
@@ -690,10 +683,16 @@ mod tests {
         let (v, mode) = pipeline.detect(&counters, &observed).unwrap();
         assert_eq!(mode, DetectionMode::Full);
         assert!(!v.unwrap().anomalous);
-        assert!(
-            pipeline.last_solve_path().is_some_and(|p| p.is_warm()),
-            "post-rebuild full round reuses the held analysis: {:?}",
-            pipeline.last_solve_path()
+        assert_eq!(
+            pipeline.last_solve_path(),
+            Some(SolvePath::Cold),
+            "the rebuilt FCM's first solve is cold"
+        );
+        pipeline.detect(&counters, &observed).unwrap();
+        assert_eq!(
+            pipeline.last_solve_path(),
+            Some(SolvePath::Warm),
+            "its re-solve reads the memoized factor"
         );
     }
 

@@ -57,18 +57,12 @@ pub struct RuntimeMetrics {
     /// WARN-severity coverage findings across all passes (absorption-prone
     /// switches, LOO rank loss, rank-deficient shards).
     pub coverage_warnings: u64,
-    /// Full rounds solved on the warm path (the held symbolic analysis
-    /// reused).
+    /// Full rounds solved on the warm path (a re-solve of the FCM solved
+    /// the round before, on its memoized factor).
     pub warm_solves: u64,
-    /// Full rounds solved cold (first solve, a changed Gram pattern, or
-    /// every round on the dense backend).
+    /// Full rounds solved cold (the first solve of an FCM, or every round
+    /// on the dense backend).
     pub cold_solves: u64,
-    /// Cold full rounds that *had* warm state but found the Gram sparsity
-    /// pattern changed, so the symbolic analysis was redone.
-    pub warm_fallbacks: u64,
-    /// Basis columns that appeared or disappeared, summed across all warm
-    /// solves.
-    pub factor_rank_applied: u64,
     /// Solve backend the full-round solver runs on, as a stable numeric
     /// code (0 = dense, 1 = sparse, 2 = auto) so the flat JSON stays
     /// numbers-only here; the epoch lines carry the name.
@@ -173,12 +167,6 @@ impl RuntimeMetrics {
         num(&mut s, "coverage_warnings", self.coverage_warnings as f64);
         num(&mut s, "warm_solves", self.warm_solves as f64);
         num(&mut s, "cold_solves", self.cold_solves as f64);
-        num(&mut s, "warm_fallbacks", self.warm_fallbacks as f64);
-        num(
-            &mut s,
-            "factor_rank_applied",
-            self.factor_rank_applied as f64,
-        );
         num(&mut s, "solve_backend", self.solve_backend as f64);
         num(&mut s, "cg_iterations", self.cg_iterations as f64);
         num(&mut s, "peak_rss_bytes", self.peak_rss_bytes as f64);

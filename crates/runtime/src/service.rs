@@ -15,10 +15,10 @@ use crate::parallel::detect_parallel;
 use crate::scheduler::{EpochScheduler, PollPolicy};
 use crate::transport::SimTransport;
 use foces::{
-    analyze_coverage, localize, AlarmState, BackendKind, ByzantineConfig, ColdReason,
-    CoverageConfig, CoverageReport, Detector, Fcm, FcmDelta, FocesError, LiarLifecycle,
-    LiarOutcome, LiarRound, ResilienceReport, SlicedFcm, SlicedVerdict, SolvePath,
-    SuspicionTracker, SwitchSuspicion, Verdict, DEFAULT_THRESHOLD,
+    analyze_coverage, localize, AlarmState, BackendKind, ByzantineConfig, CoverageConfig,
+    CoverageReport, Detector, Fcm, FcmDelta, FocesError, LiarLifecycle, LiarOutcome, LiarRound,
+    ResilienceReport, SlicedFcm, SlicedVerdict, SolvePath, SuspicionTracker, SwitchSuspicion,
+    Verdict, DEFAULT_THRESHOLD,
 };
 use foces_channel::{ChannelError, SwitchAgent, Transport};
 use foces_controlplane::ControllerView;
@@ -171,8 +171,8 @@ pub struct EpochReport {
     /// Localization suspects (full anomalous rounds only), strongest first.
     pub suspects: Vec<SwitchSuspicion>,
     /// Which solve path the whole-network detection took on full rounds
-    /// (warm: the held symbolic analysis reused; cold: a first solve, a
-    /// changed Gram pattern, or any dense round), `None` on masked,
+    /// (warm: a re-solve of the FCM solved the round before; cold: the
+    /// first solve of an FCM, or any dense round), `None` on masked,
     /// reconciled, and blind rounds.
     pub solve_path: Option<SolvePath>,
     /// Whether this round ended with a static re-verification of the view
@@ -501,17 +501,9 @@ impl RuntimeService {
         // -- Account the solve path (full rounds only) -------------------
         let solve_path = self.pipeline.last_solve_path();
         match solve_path {
-            Some(SolvePath::Warm { rank_applied }) => {
-                self.metrics.warm_solves += 1;
-                self.metrics.factor_rank_applied += rank_applied as u64;
-            }
-            Some(SolvePath::Cold { reason }) => {
-                self.metrics.cold_solves += 1;
-                if !matches!(reason, ColdReason::NoCache) {
-                    self.metrics.warm_fallbacks += 1;
-                }
-            }
-            _ => {}
+            Some(SolvePath::Warm) => self.metrics.warm_solves += 1,
+            Some(SolvePath::Cold) => self.metrics.cold_solves += 1,
+            None => {}
         }
         let cg_iterations = self.pipeline.last_cg_iterations();
         self.metrics.cg_iterations += cg_iterations;
@@ -610,9 +602,8 @@ impl RuntimeService {
             self.coverage = coverage_closure(&fcm, &mut self.metrics, None);
             self.static_touched = self.verification.implicated_rules();
             self.sliced = SlicedFcm::from_fcm(&fcm);
-            // Retarget (not rebuild) the pipeline: the incremental
-            // solver's state survives, so the next full round factors the
-            // rebuilt FCM on the held analysis when its pattern is unchanged.
+            // Retarget (not rebuild) the pipeline: the next full round
+            // factors the rebuilt FCM's basis once.
             self.pipeline.retarget(view, fcm, self.config.oracle_cap);
             self.fcm_generation = view.generation();
             self.metrics.fcm_rebuilds += 1;
@@ -732,7 +723,7 @@ mod tests {
             RuntimeService::with_sim_transport(&dep.view, transport, RuntimeConfig::default());
         let r0 = svc.run_epoch(&dep.dataplane, &dep.view).unwrap();
         assert!(
-            matches!(r0.solve_path, Some(SolvePath::Cold { .. })),
+            matches!(r0.solve_path, Some(SolvePath::Cold)),
             "first solve factors from scratch: {:?}",
             r0.solve_path
         );
@@ -747,10 +738,8 @@ mod tests {
         let m = svc.metrics();
         assert_eq!(m.cold_solves, 1);
         assert_eq!(m.warm_solves, 2);
-        assert_eq!(m.warm_fallbacks, 0);
-        assert_eq!(m.factor_rank_applied, 0, "no churn, pure reuse");
-        assert!(svc.log().lines()[0].contains("\"solve_path\":\"cold(no-cache)\""));
-        assert!(svc.log().lines()[1].contains("\"solve_path\":\"warm(rank=0)\""));
+        assert!(svc.log().lines()[0].contains("\"solve_path\":\"cold\""));
+        assert!(svc.log().lines()[1].contains("\"solve_path\":\"warm\""));
     }
 
     #[test]
@@ -818,8 +807,7 @@ mod tests {
         assert!(svc.log().lines()[1].contains("\"churn\":true"));
 
         // Epoch 2: the rebuilt FCM matches the new paths — full and quiet,
-        // and solved warm: the solver's held analysis survived the rebuild
-        // and the rebuilt FCM's Gram kept its pattern.
+        // and solved cold: its first solve factors its own basis.
         dep.dataplane.reset_counters();
         dep.replay_traffic(&mut LossModel::none());
         let r2 = svc.run_epoch(&dep.dataplane, &dep.view).unwrap();
@@ -827,17 +815,16 @@ mod tests {
         assert!(!r2.churn);
         assert!(!r2.anomalous());
         assert_eq!(r2.state, AlarmState::Normal);
-        assert!(
-            r2.solve_path.is_some_and(|p| p.is_warm()),
-            "the held analysis survives the rebuild: {:?}",
-            r2.solve_path
+        assert_eq!(
+            r2.solve_path,
+            Some(SolvePath::Cold),
+            "a rebuilt FCM's first solve is cold"
         );
         let m = svc.metrics();
         assert!(
             m.delta_rows + m.delta_cols > 0,
             "the rebuild accounted its journal delta"
         );
-        assert_eq!(m.warm_fallbacks, 0);
     }
 
     #[test]

@@ -45,25 +45,15 @@ impl BasisCholesky {
     /// The memoized Gram factor, unless its predicted fill exceeds
     /// `fill_limit` nonzeros (`None`; the analysis is kept, no factor is
     /// built).
-    ///
-    /// `seed` is a symbolic analysis the caller already holds; when this
-    /// basis is not yet analyzed and its Gram has the seed's pattern, the
-    /// seed is adopted instead of re-running the ordering. The numeric
-    /// result is the same either way: the analysis is a function of the
-    /// pattern alone.
     pub(crate) fn factor_within(
         &self,
         fill_limit: usize,
-        seed: Option<&SymbolicCholesky>,
     ) -> Option<Result<&SparseFactor, &LinalgError>> {
         if let Some(factor) = self.factor.get() {
             return (self.symbolic().lnz() <= fill_limit).then_some(as_ref(factor));
         }
         let gram = self.basis.gram_csr();
-        let sym = match seed.filter(|s| s.matches(&gram)) {
-            Some(seed) => self.symbolic.get_or_init(|| seed.clone()),
-            None => self.symbolic_of(&gram),
-        };
+        let sym = self.symbolic_of(&gram);
         if sym.lnz() > fill_limit {
             return None;
         }

@@ -1,17 +1,16 @@
-//! The solve engine: [`BackendKind`] selection plus [`SparseEngine`] — the
-//! sparse-first ladder (memoized sparse Cholesky → preconditioned CGLS)
-//! with residual-verified acceptance.
+//! The solve engine: [`BackendKind`] selection plus [`solve_factored`] —
+//! the sparse-first ladder (memoized sparse Cholesky → preconditioned
+//! CGLS) with residual-verified acceptance.
 
 use crate::basis::BasisCholesky;
 use crate::kernels::normal_residual;
-use crate::symbolic::SymbolicCholesky;
 use foces_linalg::{pcgls, Jacobi, LinalgError};
 use std::fmt;
 use std::str::FromStr;
 
 /// Which solve backend a detector/solver should use.
 ///
-/// `Sparse` is the default: every solve runs through [`SparseEngine`] on
+/// `Sparse` is the default: every solve runs through [`solve_factored`] on
 /// the factor memoized on its system's basis, so a system solved before
 /// only solves. `Dense` forms and factors the dense Gram on every call,
 /// in the incremental solver too; it is the independent reference the
@@ -88,7 +87,7 @@ impl fmt::Display for SolveMethod {
     }
 }
 
-/// Outcome of a [`SparseEngine::solve_factored`] basis solve.
+/// Outcome of a [`solve_factored`] basis solve.
 #[derive(Debug, Clone)]
 pub struct BasisSolve {
     /// Least-squares solution over the basis columns.
@@ -97,36 +96,18 @@ pub struct BasisSolve {
     pub iterations: u64,
     /// Which rung of the ladder produced the answer.
     pub method: SolveMethod,
-    /// Whether cross-epoch state (symbolic analysis / preconditioner) was
-    /// reused rather than rebuilt — the sparse analogue of a warm factor.
-    pub reused: bool,
 }
 
-/// Tuning knobs for [`SparseEngine`].
-#[derive(Debug, Clone, Copy)]
-pub struct EngineOptions {
-    /// Basis sizes up to this take the sparse direct (Cholesky) rung;
-    /// larger systems go straight to PCGLS without assembling a Gram.
-    pub direct_limit: usize,
-    /// Predicted factor nonzeros above which the direct rung is skipped
-    /// even below `direct_limit` (fill blow-up guard).
-    pub fill_limit: usize,
-    /// PCGLS convergence tolerance (relative normal-residual).
-    pub tol: f64,
-    /// PCGLS iteration budget.
-    pub max_iter: usize,
-}
-
-impl Default for EngineOptions {
-    fn default() -> Self {
-        EngineOptions {
-            direct_limit: 4096,
-            fill_limit: 8_000_000,
-            tol: 1e-12,
-            max_iter: 50_000,
-        }
-    }
-}
+/// Basis sizes up to this take the sparse direct (Cholesky) rung; larger
+/// systems go straight to PCGLS without assembling a Gram.
+const DIRECT_LIMIT: usize = 4096;
+/// Predicted factor nonzeros above which the direct rung is skipped even
+/// below [`DIRECT_LIMIT`] (fill blow-up guard).
+const FILL_LIMIT: usize = 8_000_000;
+/// PCGLS convergence tolerance (relative normal-residual).
+const PCGLS_TOL: f64 = 1e-12;
+/// PCGLS iteration budget.
+const PCGLS_MAX_ITER: usize = 50_000;
 
 /// Relative normal-residual a direct sparse solve must meet to be accepted
 /// without falling through to PCGLS. Far above round-off for a healthy
@@ -134,150 +115,76 @@ impl Default for EngineOptions {
 /// own noise floor is `1e-7·scale`).
 pub const ACCEPT_TOL: f64 = 1e-6;
 
-/// The sparse-first solve engine.
+/// Solves `min ‖B x − counters‖` for a basis whose Gram factor is memoized
+/// on `basis`: the direct rung factors at most once per basis and every
+/// later call only solves. It holds nothing across calls; the factor on
+/// `basis` is the only state a later solve reads. Bases past 4096 columns
+/// or 8·10⁶ predicted factor nonzeros, rank-deficient ones and solves that
+/// fail the [`ACCEPT_TOL`] check take PCGLS, with a Jacobi preconditioner
+/// built from `basis` in one `O(nnz)` pass.
 ///
-/// The factor itself is memoized on the basis ([`BasisCholesky`]), so a
-/// round on an unchanged basis runs no Gram assembly and no factorization.
-/// Cross-epoch state:
+/// # Errors
 ///
-/// * the **symbolic analysis** (ordering, etree, column counts) of the last
-///   direct solve is kept; a new basis whose Gram has the same pattern
-///   adopts it instead of re-running the ordering, and a solve counts as
-///   reused when its pattern matches the held one;
-/// * the **PCGLS preconditioner** (column norms) is reused until
-///   [`SparseEngine::note_rank_growth`] reports FcmDelta churn, which is
-///   when column norms actually move.
-#[derive(Debug, Clone, Default)]
-pub struct SparseEngine {
-    opts: EngineOptions,
-    symbolic: Option<SymbolicCholesky>,
-    precond: Option<Jacobi>,
+/// Typed [`LinalgError`] on degenerate or oversized systems.
+pub fn solve_factored(basis: &BasisCholesky, counters: &[f64]) -> Result<BasisSolve, LinalgError> {
+    let h = basis.basis();
+    let rhs = h.transpose_matvec(counters)?;
+    if h.cols() <= DIRECT_LIMIT {
+        if let Some(x) = solve_direct(basis, &rhs)? {
+            return Ok(BasisSolve {
+                x,
+                iterations: 0,
+                method: SolveMethod::SparseCholesky,
+            });
+        }
+    }
+    let out = pcgls(
+        h,
+        counters,
+        &Jacobi::from_matrix(h),
+        PCGLS_TOL,
+        PCGLS_MAX_ITER,
+    )?;
+    Ok(BasisSolve {
+        x: out.x,
+        iterations: out.iterations as u64,
+        method: SolveMethod::Pcgls,
+    })
 }
 
-impl SparseEngine {
-    /// Engine with explicit options.
-    pub fn new(opts: EngineOptions) -> Self {
-        SparseEngine {
-            opts,
-            symbolic: None,
-            precond: None,
+/// The direct rung on the memoized factor, residual-verified with one
+/// refinement step; `None` hands the solve to PCGLS.
+fn solve_direct(basis: &BasisCholesky, rhs: &[f64]) -> Result<Option<Vec<f64>>, LinalgError> {
+    let h = basis.basis();
+    let factor = match basis.factor_within(FILL_LIMIT) {
+        None => return Ok(None),
+        Some(Ok(f)) => f,
+        // Rank-deficient basis: the direct rung cannot serve it, let PCGLS
+        // produce the minimum-norm answer.
+        Some(Err(
+            LinalgError::NotPositiveDefinite { .. } | LinalgError::SingularTriangular { .. },
+        )) => return Ok(None),
+        Some(Err(e)) => return Err(e.clone()),
+    };
+    let mut x = factor.solve(rhs)?;
+    let (r, rel) = normal_residual(h, &x, rhs)?;
+    if rel > ACCEPT_TOL {
+        let dx = factor.solve(&r)?;
+        for (xi, di) in x.iter_mut().zip(&dx) {
+            *xi += di;
+        }
+        let (_, rel2) = normal_residual(h, &x, rhs)?;
+        if rel2 > ACCEPT_TOL {
+            return Ok(None);
         }
     }
-
-    /// Drops all cross-epoch state (topology change, slice reconfiguration).
-    pub fn invalidate(&mut self) {
-        self.symbolic = None;
-        self.precond = None;
-    }
-
-    /// Signals that the FCM gained/changed `grown` columns since the last
-    /// solve; a nonzero delta invalidates the preconditioner (column norms
-    /// shifted) while the symbolic analysis re-validates itself via the
-    /// pattern fingerprint on the next direct solve.
-    pub fn note_rank_growth(&mut self, grown: usize) {
-        if grown > 0 {
-            self.precond = None;
-        }
-    }
-
-    /// Whether any cross-epoch state is currently held.
-    pub fn is_warm(&self) -> bool {
-        self.symbolic.is_some() || self.precond.is_some()
-    }
-
-    /// Solves `min ‖B x − counters‖` for a basis whose Gram factor is
-    /// memoized on `basis`: the direct rung factors at most once per basis
-    /// and every later call only solves. Bases past
-    /// [`EngineOptions::direct_limit`] columns or
-    /// [`EngineOptions::fill_limit`] factor nonzeros, rank-deficient ones
-    /// and solves that fail the [`ACCEPT_TOL`] check take PCGLS.
-    ///
-    /// # Errors
-    ///
-    /// Typed [`LinalgError`] on degenerate or oversized systems.
-    pub fn solve_factored(
-        &mut self,
-        basis: &BasisCholesky,
-        counters: &[f64],
-    ) -> Result<BasisSolve, LinalgError> {
-        let h = basis.basis();
-        let n = h.cols();
-        let rhs = h.transpose_matvec(counters)?;
-        if n <= self.opts.direct_limit {
-            if let Some(solve) = self.solve_direct(basis, &rhs)? {
-                return Ok(solve);
-            }
-        }
-        let mut reused = true;
-        if self.precond.as_ref().is_none_or(|p| p.dim() != n) {
-            self.precond = Some(Jacobi::from_matrix(h));
-            reused = false;
-        }
-        let pc = self.precond.as_ref().expect("just installed");
-        let out = pcgls(h, counters, pc, self.opts.tol, self.opts.max_iter)?;
-        Ok(BasisSolve {
-            x: out.x,
-            iterations: out.iterations as u64,
-            method: SolveMethod::Pcgls,
-            reused,
-        })
-    }
-
-    fn solve_direct(
-        &mut self,
-        basis: &BasisCholesky,
-        rhs: &[f64],
-    ) -> Result<Option<BasisSolve>, LinalgError> {
-        let h = basis.basis();
-        let factor = basis.factor_within(self.opts.fill_limit, self.symbolic.as_ref());
-        let sym = basis.symbolic();
-        let reused = self
-            .symbolic
-            .as_ref()
-            .is_some_and(|s| s.dim() == sym.dim() && s.fingerprint() == sym.fingerprint());
-        if !reused {
-            self.symbolic = Some(sym.clone());
-        }
-        let factor = match factor {
-            None => return Ok(None),
-            Some(Ok(f)) => f,
-            Some(Err(
-                LinalgError::NotPositiveDefinite { .. } | LinalgError::SingularTriangular { .. },
-            )) => {
-                // Rank-deficient basis: the direct rung cannot serve it, let
-                // PCGLS produce the minimum-norm answer. The analysis is
-                // dropped so a later full-rank pattern counts as new.
-                self.symbolic = None;
-                return Ok(None);
-            }
-            Some(Err(e)) => return Err(e.clone()),
-        };
-        let mut x = factor.solve(rhs)?;
-        // Residual-verified acceptance with one refinement step.
-        let (r, rel) = normal_residual(h, &x, rhs)?;
-        if rel > ACCEPT_TOL {
-            let dx = factor.solve(&r)?;
-            for (xi, di) in x.iter_mut().zip(&dx) {
-                *xi += di;
-            }
-            let (_, rel2) = normal_residual(h, &x, rhs)?;
-            if rel2 > ACCEPT_TOL {
-                return Ok(None);
-            }
-        }
-        Ok(Some(BasisSolve {
-            x,
-            iterations: 0,
-            method: SolveMethod::SparseCholesky,
-            reused,
-        }))
-    }
+    Ok(Some(x))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use foces_linalg::{Cholesky, CsrMatrix, DenseMatrix};
+    use foces_linalg::{Cholesky, CsrMatrix, DenseMatrix, Triplet};
 
     fn paper_h() -> CsrMatrix {
         CsrMatrix::from_dense(
@@ -309,9 +216,7 @@ mod tests {
             .unwrap()
             .solve(&h.transpose_matvec(&y).unwrap())
             .unwrap();
-        let xs = SparseEngine::default()
-            .solve_factored(&BasisCholesky::new(h), &y)
-            .unwrap();
+        let xs = solve_factored(&BasisCholesky::new(h), &y).unwrap();
         assert_eq!(xs.method, SolveMethod::SparseCholesky);
         for (a, b) in xd.iter().zip(&xs.x) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
@@ -319,34 +224,16 @@ mod tests {
     }
 
     #[test]
-    fn symbolic_reuse_is_reported() {
-        // A new basis with the held pattern adopts the held analysis.
-        let fresh = || BasisCholesky::new(paper_h());
-        let y = [3., 3., 4., 3., 8., 12.];
-        let mut engine = SparseEngine::default();
-        let first = engine.solve_factored(&fresh(), &y).unwrap();
-        assert!(!first.reused);
-        let second = engine.solve_factored(&fresh(), &y).unwrap();
-        assert!(second.reused);
-        engine.invalidate();
-        let third = engine.solve_factored(&fresh(), &y).unwrap();
-        assert!(!third.reused);
-    }
-
-    #[test]
     fn a_memoized_factor_serves_every_later_solve() {
         let basis = BasisCholesky::new(paper_h());
         let y = [3., 3., 4., 3., 8., 12.];
-        let mut engine = SparseEngine::default();
-        let first = engine.solve_factored(&basis, &y).unwrap();
+        let first = solve_factored(&basis, &y).unwrap();
         assert_eq!(first.method, SolveMethod::SparseCholesky);
-        assert!(!first.reused);
-        let second = engine.solve_factored(&basis, &y).unwrap();
-        assert!(second.reused);
+        let (_, factored_now) = basis.borrow_or_factor().unwrap();
+        assert!(!factored_now, "the first solve memoized the factor");
+        // A later solve reads the same factor: same answer, bit for bit.
+        let second = solve_factored(&basis, &y).unwrap();
         assert_eq!(first.x, second.x);
-        // Another engine reads the same factor: same answer, bit for bit.
-        let other = SparseEngine::default().solve_factored(&basis, &y).unwrap();
-        assert_eq!(other.x, first.x);
     }
 
     #[test]
@@ -357,10 +244,7 @@ mod tests {
             &DenseMatrix::from_rows(&[&[1., 1.], &[1., 1.], &[2., 2.]]).unwrap(),
         );
         let y = [2.0, 2.0, 4.0];
-        let mut engine = SparseEngine::default();
-        let out = engine
-            .solve_factored(&BasisCholesky::new(h.clone()), &y)
-            .unwrap();
+        let out = solve_factored(&BasisCholesky::new(h.clone()), &y).unwrap();
         assert_eq!(out.method, SolveMethod::Pcgls);
         let fit = h.matvec(&out.x).unwrap();
         for (f, b) in fit.iter().zip(&y) {
@@ -370,20 +254,27 @@ mod tests {
 
     #[test]
     fn oversized_direct_limit_forces_pcgls() {
-        let h = BasisCholesky::new(paper_h());
-        let y = [3., 3., 4., 3., 8., 12.];
-        let mut engine = SparseEngine::new(EngineOptions {
-            direct_limit: 0,
-            ..EngineOptions::default()
-        });
-        let out = engine.solve_factored(&h, &y).unwrap();
+        // One column past the direct limit: a diagonal basis (column j is
+        // row j, scaled) whose Gram would factor trivially still takes
+        // PCGLS, and never builds a factor.
+        let n = DIRECT_LIMIT + 1;
+        let triplets: Vec<Triplet> = (0..n)
+            .map(|j| Triplet {
+                row: j,
+                col: j,
+                value: 1.0 + (j % 7) as f64,
+            })
+            .collect();
+        let h = BasisCholesky::new(CsrMatrix::from_triplets(n, n, &triplets).unwrap());
+        let y: Vec<f64> = (0..n).map(|i| (i % 13) as f64).collect();
+        let out = solve_factored(&h, &y).unwrap();
         assert_eq!(out.method, SolveMethod::Pcgls);
         assert!(out.iterations > 0);
-        // Preconditioner reuse across epochs, invalidated by rank growth.
-        let again = engine.solve_factored(&h, &y).unwrap();
-        assert!(again.reused);
-        engine.note_rank_growth(3);
-        let after_churn = engine.solve_factored(&h, &y).unwrap();
-        assert!(!after_churn.reused);
+        let fit = h.basis().matvec(&out.x).unwrap();
+        for (f, b) in fit.iter().zip(&y) {
+            assert!((f - b).abs() < 1e-6, "{f} vs {b}");
+        }
+        let (_, factored_now) = h.borrow_or_factor().unwrap();
+        assert!(factored_now, "the PCGLS rung memoizes no factor");
     }
 }

@@ -1,11 +1,11 @@
-//! Symbolic Cholesky analysis: elimination tree, column counts, and a
-//! pattern fingerprint that lets the analysis be reused across epochs.
+//! Symbolic Cholesky analysis: fill-reducing ordering, elimination tree
+//! and column counts.
 //!
-//! FOCES re-solves the same system every collection epoch; the Gram pattern
-//! only changes when rules or flows churn. Splitting the factorization into
-//! a symbolic phase (ordering + elimination tree + column counts, pattern
-//! only) and a numeric phase (values only) means steady-state epochs pay
-//! just the numeric cost.
+//! The analysis depends on the Gram's sparsity pattern alone. It is built
+//! once per basis ([`crate::BasisCholesky`]) and read by every
+//! factorization of that basis: the memoized factor, a private one-off
+//! factor and the dependent-pivot-dropping factor all skip the ordering
+//! once one of them ran it.
 
 use crate::ordering::{amd_order, invert_permutation};
 use foces_linalg::CsrMatrix;
@@ -13,7 +13,7 @@ use foces_linalg::CsrMatrix;
 /// Sentinel for "no parent" in the elimination tree.
 pub(crate) const NONE: usize = usize::MAX;
 
-/// Reusable symbolic analysis of a symmetric positive-definite pattern.
+/// Symbolic analysis of a symmetric positive-definite pattern.
 #[derive(Debug, Clone)]
 pub struct SymbolicCholesky {
     pub(crate) n: usize,
@@ -27,8 +27,6 @@ pub struct SymbolicCholesky {
     pub(crate) colcount: Vec<usize>,
     /// Total nonzeros in L.
     pub(crate) lnz: usize,
-    /// FNV-1a hash of the (unpermuted) pattern, for cross-epoch reuse.
-    fingerprint: u64,
 }
 
 impl SymbolicCholesky {
@@ -66,23 +64,7 @@ impl SymbolicCholesky {
             parent,
             colcount,
             lnz,
-            fingerprint: fingerprint_of(gram),
         }
-    }
-
-    /// Whether this analysis applies to `gram` (same dimension and the same
-    /// sparsity pattern, checked via the fingerprint).
-    pub fn matches(&self, gram: &CsrMatrix) -> bool {
-        self.n == gram.rows()
-            && gram.rows() == gram.cols()
-            && self.fingerprint == fingerprint_of(gram)
-    }
-
-    /// The pattern fingerprint [`SymbolicCholesky::matches`] compares:
-    /// two analyses with equal fingerprints and dimensions describe the
-    /// same pattern.
-    pub(crate) fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     /// Dimension of the analyzed matrix.
@@ -94,30 +76,6 @@ impl SymbolicCholesky {
     pub fn lnz(&self) -> usize {
         self.lnz
     }
-}
-
-/// FNV-1a over the structural identity of a CSR matrix (shape + pattern,
-/// values excluded). Cheap enough to run every epoch; a collision would only
-/// ever skip a symbolic refresh, and the numeric factor would then fail
-/// loudly rather than produce a wrong answer, because the factor's scatter
-/// asserts pattern containment via the elimination tree.
-pub(crate) fn fingerprint_of(m: &CsrMatrix) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    mix(m.rows() as u64);
-    mix(m.cols() as u64);
-    for &p in m.indptr() {
-        mix(p as u64);
-    }
-    for &j in m.indices() {
-        mix(j as u64);
-    }
-    h
 }
 
 /// Drops the diagonal entry (== `k`) from a sorted permuted-lower row.
@@ -257,25 +215,6 @@ mod tests {
         // With the hub eliminated last, L has exactly the lower-triangle
         // pattern of A: n diagonals + (n-1) hub entries.
         assert_eq!(sym.lnz(), 50 + 49);
-    }
-
-    #[test]
-    fn fingerprint_tracks_pattern_not_values() {
-        let a = arrow_matrix(8);
-        let sym = SymbolicCholesky::analyze(&a);
-        assert!(sym.matches(&a));
-        // Same pattern, different values: still matches.
-        let scaled = CsrMatrix::from_dense(&{
-            let mut d = a.to_dense();
-            for i in 0..8 {
-                d.set(i, i, d.get(i, i) * 2.0);
-            }
-            d
-        });
-        assert!(sym.matches(&scaled));
-        // Different pattern: no longer matches.
-        let other = arrow_matrix(9);
-        assert!(!sym.matches(&other));
     }
 
     #[test]

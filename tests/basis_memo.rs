@@ -1,8 +1,12 @@
 //! The per-FCM basis memo ([`Fcm::basis_system`]): a solve on an FCM
 //! whose basis and factor are memoized must equal a solve on a newly
 //! built FCM, structural edits must drop the memo, and a steady-state
-//! round must factor nothing. The dense incremental solver is the
-//! per-call reference: every one of its rounds reports `cold(no-cache)`.
+//! round must factor nothing. `IncrementalSolver` reports `Warm` only
+//! when it re-solves the very memo it solved last; a structurally
+//! identical rebuilt FCM and a solve after `invalidate` are `Cold`, and
+//! every round equals `EquationSystem` on the same FCM bit for bit. The
+//! dense incremental solver is the per-call reference: every one of its
+//! rounds reports `cold`.
 //!
 //! Systems: the full FCM, its per-switch slices, edge-cut shards and a
 //! row-masked system, on FatTree(4) under both rule granularities and on
@@ -11,8 +15,8 @@
 //! the dense and the sparse backend.
 
 use foces::{
-    cross_validate, BackendKind, ColdReason, EquationSystem, Fcm, IncrementalSolver, LooSolver,
-    RankBudget, ShardedFcm, SlicedFcm, SolveOutcome, SolvePath, SolverKind, DEFAULT_THRESHOLD,
+    cross_validate, BackendKind, EquationSystem, Fcm, IncrementalSolver, LooSolver, RankBudget,
+    ShardedFcm, SlicedFcm, SolveOutcome, SolvePath, SolverKind, DEFAULT_THRESHOLD,
 };
 use foces_controlplane::{provision, uniform_flows, RuleGranularity};
 use foces_dataplane::{LossModel, RuleRef};
@@ -67,9 +71,24 @@ fn assert_close(got: &SolveOutcome, want: &SolveOutcome, at: &str) {
     same(&got.volume_estimate, &want.volume_estimate, "volume");
 }
 
+/// Bit-for-bit equality of two outcomes.
+fn assert_bits(got: &SolveOutcome, want: &SolveOutcome, at: &str) {
+    let same = |a: &[f64], b: &[f64], what: &str| {
+        assert_eq!(a.len(), b.len(), "{at}: {what} length");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{at}: {what}[{i}] {x} vs {y}");
+        }
+    };
+    same(&got.residual, &want.residual, "residual");
+    same(&got.fitted_counters, &want.fitted_counters, "fitted");
+    same(&got.volume_estimate, &want.volume_estimate, "volume");
+}
+
 /// Every solver twice on `fcm` (the second round reads the memo) against
-/// the same solver once on a fresh copy; an incremental round on an
-/// already solved, full-rank FCM is a pure reuse that factors nothing.
+/// the same solver once on a fresh copy. The incremental solver then
+/// meets a structurally identical rebuilt copy and an `invalidate`: it
+/// is warm exactly on a re-solve of the memo it solved last, and every
+/// round equals `EquationSystem` on the same FCM bit for bit.
 fn check_system(fcm: &Fcm, counters: &[f64], at: &str) {
     if fcm.flow_count() == 0 {
         return;
@@ -83,35 +102,37 @@ fn check_system(fcm: &Fcm, counters: &[f64], at: &str) {
             assert_close(&got, &want, &format!("{at} direct round {round}"));
         }
 
-        let direct = want;
+        let exact = EquationSystem::default().with_backend(backend);
         let mut warm = IncrementalSolver::with_backend(RankBudget::default(), backend);
-        let mut reference = IncrementalSolver::with_backend(RankBudget::default(), backend);
-        let (want, _) = reference.solve(&fresh(fcm), counters).unwrap();
-        // The incremental solver (a per-call dense factor, or the memoized
-        // sparse one) fits the counters as the direct path does.
-        let scale = counters.iter().fold(1.0_f64, |m, v| m.max(v.abs()));
-        for (a, b) in want.residual.iter().zip(&direct.residual) {
-            assert!((a - b).abs() <= 1e-9 * scale, "{at}: {a} vs direct {b}");
-        }
-        let no_cache = SolvePath::Cold {
-            reason: ColdReason::NoCache,
-        };
-        let (first, path) = warm.solve(fcm, counters).unwrap();
-        assert_eq!(path, no_cache, "{at}: first round");
-        assert_close(&first, &want, &format!("{at} incremental round 0"));
-        let memo = Arc::clone(fcm.basis_system());
-        let (second, path) = warm.solve(fcm, counters).unwrap();
-        assert_close(&second, &want, &format!("{at} incremental round 1"));
-        assert!(Arc::ptr_eq(&memo, fcm.basis_system()), "{at}: memo rebuilt");
-        if backend == BackendKind::Dense {
-            assert_eq!(path, no_cache, "{at}: the dense reference holds nothing");
-        } else if memo.cholesky().borrow_or_factor().is_ok() {
-            assert_eq!(
-                path,
-                SolvePath::Warm { rank_applied: 0 },
-                "{at}: steady-state round"
+        let round = |warm: &mut IncrementalSolver, f: &Fcm, warm_expected: bool, what: &str| {
+            let (got, path) = warm.solve(f, counters).unwrap();
+            let expected = if warm_expected && backend != BackendKind::Dense {
+                SolvePath::Warm
+            } else {
+                SolvePath::Cold
+            };
+            assert_eq!(path, expected, "{at}: {what}");
+            assert_bits(
+                &got,
+                &exact.solve(f, counters).unwrap(),
+                &format!("{at} {what}"),
             );
-        }
+            assert_close(&got, &want, &format!("{at} {what}"));
+        };
+        round(&mut warm, fcm, false, "first round");
+        let memo = Arc::clone(fcm.basis_system());
+        round(&mut warm, fcm, true, "steady-state round");
+        assert!(Arc::ptr_eq(&memo, fcm.basis_system()), "{at}: memo rebuilt");
+        let twin = fresh(fcm);
+        round(
+            &mut warm,
+            &twin,
+            false,
+            "a structurally identical rebuilt FCM",
+        );
+        round(&mut warm, &twin, true, "the rebuilt FCM's re-solve");
+        warm.invalidate();
+        round(&mut warm, &twin, false, "a solve after invalidate");
     }
 }
 

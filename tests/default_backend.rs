@@ -10,7 +10,16 @@
 //! * **The backend changes no decision.** The `run` and `stream` liar
 //!   drills decide the same, epoch by epoch, under `backend: Dense` (the
 //!   per-call dense reference) and under the default.
+//! * **The backends agree round by round.** A fixed-case slice of the
+//!   256-case `crates/core/tests/backend_props.rs` battery: verdicts,
+//!   residuals, anomaly indices and localization scores to 1e-9 on
+//!   FatTree(4), ring(6) and BCube(1,4), with churned, lossy, anomalous,
+//!   degraded-mask and k-resilient-probe rounds.
 
+#[path = "../crates/core/tests/support/backend_parity.rs"]
+mod backend_parity;
+
+use backend_parity::{check_case, Case};
 use foces::{AlarmState, BackendKind, Fcm};
 use foces_channel::FakeStrategy;
 use foces_controlplane::{provision, uniform_flows, Deployment, RuleGranularity};
@@ -263,4 +272,32 @@ fn stream_liar_drill_decides_the_same_on_both_backends() {
     assert!(rounds.iter().any(|l| field(l, "localized") != "null"));
     assert!(rounds.iter().any(|l| field(l, "raised") == "true"));
     assert!(rounds.iter().any(|l| field(l, "cleared") == "true"));
+}
+
+#[test]
+fn dense_and_sparse_agree_on_fixed_parity_cases() {
+    // (topology, churn, injected perturbation, lossy) covers each
+    // topology clean and perturbed, churned and pristine, with and without
+    // sampled loss; every case also runs a masked round and a probe.
+    let cases = [
+        (0, false, 0.0, 0),
+        (0, true, 1_500.0, 7),
+        (1, false, 1_800.0, 2),
+        (1, true, 0.0, 13),
+        (2, false, 0.0, 5),
+        (2, true, 1_200.0, 4),
+        (0, true, 1_999.0, 1),
+        (2, false, 1_650.0, 11),
+    ];
+    for (i, &(topo_pick, churn, perturb, loss_seed)) in cases.iter().enumerate() {
+        check_case(Case {
+            topo_pick,
+            churn_flow: 37 * i + 3,
+            churn,
+            perturb_row: 101 * i + 17,
+            perturb,
+            masked_switch: 5 * i + 1,
+            loss_seed,
+        });
+    }
 }
