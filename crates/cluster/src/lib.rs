@@ -17,8 +17,8 @@
 //! * **Faults degrade, they don't silence.** A worker that panics or
 //!   misses its deadline marks *its* shard degraded; the coordinator
 //!   aggregates the remaining shards into the network-wide verdict and
-//!   quantifies the blind spot with the row-mask machinery
-//!   ([`foces::Fcm::mask_rows`]) as a per-shard detectability report.
+//!   quantifies the blind spot — the rows and flows no healthy shard
+//!   observes ([`foces::Fcm::flows_blinded`]) — as a detectability report.
 //! * **Everything is observable.** Per-shard solve path, queue depth,
 //!   steal flag and degraded reason land in a JSONL epoch line
 //!   ([`foces_runtime::EventLog`]), plus cumulative [`ClusterMetrics`].

@@ -63,7 +63,7 @@ pub struct ShardRound {
 ///
 /// # Errors
 ///
-/// Propagates solver failures from [`Detector::detect_masked`].
+/// Propagates solver failures from [`Detector::detect_without`].
 pub fn reconcile_shard_round(
     view: &ShardView<'_>,
     parent_fcm: &Fcm,
@@ -75,26 +75,22 @@ pub fn reconcile_shard_round(
 ) -> Result<ShardRound, FocesError> {
     let parent_q = parent_fcm.columns_touching(touched);
     let shard_q: Vec<bool> = view.parent_columns.iter().map(|&j| parent_q[j]).collect();
-    let closure = view.sub_fcm.rows_touching(&shard_q);
-    let mut keep: Vec<bool> = sub_observed
-        .iter()
-        .zip(&closure)
-        .map(|(&o, &c)| o && !c)
-        .collect();
-    for r in touched {
-        if let Some(row) = view.sub_fcm.rule_row(*r) {
-            keep[row] = false;
+    let keep = view
+        .sub_fcm
+        .reconciled_rows(sub_observed, &shard_q, touched);
+    // The closure rows strand every quarantined column: the reconcile is
+    // one row removal on the shard sub-FCM's factor.
+    let verdict = match detector.detect_without(view.sub_fcm, sub_counters, &keep) {
+        Ok((verdict, _)) => verdict,
+        Err(FocesError::EmptyFcm) => {
+            return Ok(ShardRound {
+                kind: ShardRoundKind::Blind,
+                verdict: None,
+                scored_rules: Vec::new(),
+            })
         }
-    }
-    let masked = view.sub_fcm.quarantine(&keep, &shard_q);
-    if masked.fcm().rule_count() == 0 || masked.fcm().flow_count() == 0 {
-        return Ok(ShardRound {
-            kind: ShardRoundKind::Blind,
-            verdict: None,
-            scored_rules: Vec::new(),
-        });
-    }
-    let verdict = detector.detect_masked(&masked, sub_counters)?;
+        Err(e) => return Err(e),
+    };
     if churn {
         Ok(ShardRound {
             kind: ShardRoundKind::Reconciled,
@@ -102,10 +98,11 @@ pub fn reconcile_shard_round(
             scored_rules: Vec::new(),
         })
     } else {
+        let kept = view.sub_fcm.rules().iter().zip(&keep);
         Ok(ShardRound {
             kind: ShardRoundKind::Degraded,
             verdict: Some(verdict),
-            scored_rules: masked.fcm().rules().to_vec(),
+            scored_rules: kept.filter(|p| *p.1).map(|p| *p.0).collect(),
         })
     }
 }

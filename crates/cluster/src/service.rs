@@ -208,8 +208,6 @@ pub struct ClusterService {
     alarm: AlarmMachine,
     metrics: ClusterMetrics,
     log: EventLog,
-    /// Detectability cache keyed by the sorted degraded-region set.
-    mask_cache: HashMap<Vec<usize>, DetectabilityReport>,
     epoch: u64,
     /// Pre-flight coverage analysis over the FCM *and* the partition
     /// (per-shard rank checks); `None` when the FCM was empty.
@@ -258,7 +256,6 @@ impl ClusterService {
             suspicion: SuspicionTracker::new(SuspicionConfig::default()),
             metrics,
             log: EventLog::in_memory(),
-            mask_cache: HashMap::new(),
             config,
             epoch: 0,
             coverage,
@@ -520,12 +517,11 @@ impl ClusterService {
         }
     }
 
-    /// Quantifies this epoch's blind spot with the row-mask machinery:
-    /// rows seen only by degraded shards are masked off the global FCM,
-    /// and the mask's surviving rows/flows become the coverage fractions.
-    /// Cached per degraded-region set (the expensive mask build runs once
-    /// per distinct fault pattern, not per epoch).
-    fn detectability(&mut self, shards: &[ShardReport]) -> DetectabilityReport {
+    /// Quantifies this epoch's blind spot: rows seen only by degraded
+    /// shards are unobserved, and the surviving rows and flows (those with
+    /// an observed row, [`Fcm::flows_blinded`]) become the coverage
+    /// fractions.
+    fn detectability(&self, shards: &[ShardReport]) -> DetectabilityReport {
         let degraded: Vec<usize> = shards
             .iter()
             .filter(|s| !s.health.is_healthy())
@@ -534,43 +530,28 @@ impl ClusterService {
         if degraded.is_empty() {
             return DetectabilityReport::full();
         }
-        if let Some(cached) = self.mask_cache.get(&degraded) {
-            return cached.clone();
-        }
         let views = self.sharded.shard_views();
-        let healthy_rows = {
-            let mut observed = vec![false; self.fcm.rule_count()];
-            for view in &views {
-                if !degraded.contains(&view.region) {
-                    for &r in view.parent_rows {
-                        observed[r] = true;
-                    }
-                }
+        // Rows some shard holds, and rows a healthy shard holds.
+        let mut any = vec![false; self.fcm.rule_count()];
+        let mut healthy_rows = any.clone();
+        for view in &views {
+            for &r in view.parent_rows {
+                any[r] = true;
+                healthy_rows[r] |= !degraded.contains(&view.region);
             }
-            observed
-        };
-        let all_rows: usize = {
-            let mut any = vec![false; self.fcm.rule_count()];
-            for view in &views {
-                for &r in view.parent_rows {
-                    any[r] = true;
-                }
+        }
+        let share = |part: usize, of: usize| {
+            if of == 0 {
+                1.0
+            } else {
+                part as f64 / of as f64
             }
-            any.iter().filter(|&&b| b).count()
         };
-        let masked = self.fcm.mask_rows(&healthy_rows);
-        let observed_rows = healthy_rows.iter().filter(|&&b| b).count();
-        let row_coverage = if all_rows == 0 {
-            1.0
-        } else {
-            observed_rows as f64 / all_rows as f64
-        };
+        let count = |v: &[bool]| v.iter().filter(|&&b| b).count();
+        let row_coverage = share(count(&healthy_rows), count(&any));
         let flow_count = self.fcm.flow_count();
-        let flow_coverage = if flow_count == 0 {
-            1.0
-        } else {
-            1.0 - masked.dropped_flows() as f64 / flow_count as f64
-        };
+        let blinded = share(self.fcm.flows_blinded(&healthy_rows), flow_count);
+        let flow_coverage = if flow_count == 0 { 1.0 } else { 1.0 - blinded };
         let boundary_at_risk = self
             .sharded
             .boundary_flows()
@@ -581,14 +562,12 @@ impl ClusterService {
                 })
             })
             .count();
-        let report = DetectabilityReport {
-            degraded_regions: degraded.clone(),
+        DetectabilityReport {
+            degraded_regions: degraded,
             row_coverage,
             flow_coverage,
             boundary_at_risk,
-        };
-        self.mask_cache.insert(degraded, report.clone());
-        report
+        }
     }
 
     /// Emits the JSONL epoch line: epoch-level verdict/alarm/coverage plus
@@ -661,7 +640,7 @@ mod tests {
     use super::*;
     use foces_controlplane::{provision, uniform_flows, RuleGranularity};
     use foces_dataplane::{inject_random_anomaly, AnomalyKind, LossModel};
-    use foces_net::generators::bcube;
+    use foces_net::generators::{bcube, fattree};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -788,6 +767,44 @@ mod tests {
             "anomalous residuals must attribute suspicion to some switch"
         );
         assert!(!svc.suspicion().ranked().is_empty());
+    }
+
+    #[test]
+    fn blinded_flows_match_the_masked_reference_with_each_shard_degraded() {
+        for g in [
+            RuleGranularity::PerDestination,
+            RuleGranularity::PerFlowPair,
+        ] {
+            let topo = fattree(4);
+            let flows = uniform_flows(&topo, 240_000.0);
+            let mut dep = provision(topo, &flows, g).unwrap();
+            let fcm = Fcm::from_view(&dep.view);
+            let config = ClusterConfig {
+                spec: PartitionSpec::EdgeCut { k: 4 },
+                ..ClusterConfig::default()
+            };
+            let mut svc = ClusterService::new(fcm.clone(), dep.view.topology(), config).unwrap();
+            let mut blinded = 0;
+            for region in 0..svc.sharded().shard_count() {
+                svc.inject_fault(region, ShardFault::Panic);
+                let r = svc.run_epoch(&counters(&mut dep)).unwrap();
+                svc.clear_fault(region);
+                assert_eq!(r.detectability.degraded_regions, vec![region]);
+                let mut healthy = vec![false; fcm.rule_count()];
+                for view in svc.sharded().shard_views() {
+                    for &row in view.parent_rows.iter().filter(|_| view.region != region) {
+                        healthy[row] = true;
+                    }
+                }
+                let dropped = fcm.mask_rows(&healthy).dropped_flows();
+                let want = 1.0 - dropped as f64 / fcm.flow_count() as f64;
+                assert_eq!(r.detectability.flow_coverage, want, "{g:?} region {region}");
+                blinded += dropped;
+            }
+            if g == RuleGranularity::PerFlowPair {
+                assert!(blinded > 0, "some degraded shard blinds a flow");
+            }
+        }
     }
 
     #[test]

@@ -16,14 +16,15 @@
 //!    If the remainder is consistent (anomaly index back under the
 //!    threshold), every conflict involved `s`'s reports — `s` is the liar.
 //!    The re-solve reuses the one sparse Cholesky factor of the normal
-//!    equations through a Woodbury capacitance over `s`'s rows, never
-//!    refactorizing: `r_s + k_s` sparse forward solves and a dense
-//!    `(r_s + k_s)²` capacitance per candidate, where `k_s` counts the
-//!    flows `s` strands.
+//!    equations through a Woodbury capacitance over `s`'s rows (and the
+//!    round's unobserved rows), never refactorizing: `r_s + k_s` sparse
+//!    forward solves and a sparse capacitance per candidate, where `k_s`
+//!    counts the basis columns `s` strands.
 //! 3. **k-resilient verdicts** ([`k_resilient_verdict`]): quarantine the
-//!    top-j suspects (j = 1..k) through the row-mask machinery and report
-//!    whether the verdict survives — a verdict that flips when one suspect
-//!    is silenced was resting entirely on that suspect's reports.
+//!    top-j suspects (j = 1..k) through the row-removal kernel
+//!    ([`Detector::detect_without`]) and report whether the verdict
+//!    survives — a verdict that flips when one suspect is silenced was
+//!    resting entirely on that suspect's reports.
 //!
 //! ## Soundness of leave-one-out
 //!
@@ -31,10 +32,11 @@
 //! `−Σ_{r∈R_s} h_r·h_rᵀ` (where `h_r` is row `r` restricted to the column
 //! basis) — one rank-one correction per removed row. Flows whose entire
 //! support lies on `s` become unidentifiable: the capacitance pins them to
-//! zero with an identity term instead ([`Capacitance`]). If the corrected
-//! system is still singular, the removal destroys identifiability of some
-//! remaining flow and the outcome is [`LooStatus::RankLost`] — the solver
-//! refuses to certify rather than report a spurious "consistent".
+//! zero with an identity term instead ([`Capacitance`](foces_sparse::Capacitance)). If the removal
+//! leaves two columns equal, or the corrected system is still singular,
+//! it destroys identifiability of some remaining flow and the outcome is
+//! [`LooStatus::RankLost`] — the solver refuses to certify rather than
+//! report a spurious "consistent".
 //! A *pure* counter-fake liar (forwarding untouched) is the only switch
 //! whose removal restores consistency, because the true flow volumes
 //! satisfy every honest row exactly. A liar *covering for* a real
@@ -45,10 +47,11 @@
 //! [`LiarLifecycle`] strings the three parts together, with counter
 //! quarantine and re-probe release, once for every detection driver.
 
-use crate::{AlarmState, BasisSystem, Detector, Fcm, FocesError, Verdict};
+use crate::detector::{anomaly_index, max_with_index, median, noise_floor};
+use crate::without::{zero_unobserved, Kernel};
+use crate::{AlarmState, Detector, Fcm, FocesError, Verdict};
 use foces_dataplane::RuleRef;
 use foces_net::SwitchId;
-use foces_sparse::{Capacitance, SparseFactor};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -218,9 +221,12 @@ pub enum LooStatus {
 pub struct LooOutcome {
     /// The switch whose equations were removed.
     pub switch: SwitchId,
-    /// How many of its rows were removed.
+    /// How many of its (observed) rows were removed.
     pub rows_removed: usize,
-    /// Flows excised because their entire support lay on this switch.
+    /// Basis columns excised because their entire support left with this
+    /// switch's rows: distinct rule sets, not flows (a column carries
+    /// every flow with its rule set; under a mask, columns the mask
+    /// leaves equal count once).
     pub flows_dropped: usize,
     /// Anomaly index of the remaining system (`NaN` when
     /// [`LooStatus::RankLost`]).
@@ -233,19 +239,25 @@ pub struct LooOutcome {
 
 /// Leave-one-switch-out solver (tentpole part 2).
 ///
-/// Built once per counter snapshot on the FCM's [`BasisSystem`]: it
+/// Built once per counter snapshot on the FCM's [`crate::BasisSystem`]: it
 /// borrows the sparse Gram factor a solve already memoized on the FCM, or
 /// factors the basis Gram once itself, then answers "is the system
 /// consistent *without* switch `s`?" for any number of candidates through a
-/// Woodbury [`Capacitance`] over `s`'s rows — no refactorization per
-/// candidate ([`LooSolver::cold_factorizations`] is at most 1).
+/// Woodbury [`Capacitance`](foces_sparse::Capacitance) over `s`'s rows — no refactorization per
+/// candidate ([`LooSolver::cold_factorizations`] is at most 1). Rows the
+/// round did not observe ([`LooSolver::build_without`]) join every
+/// candidate's capacitance.
 #[derive(Debug, Clone)]
 pub struct LooSolver {
-    system: Arc<BasisSystem>,
-    factor: Arc<SparseFactor>,
+    /// The round's unobserved rows removed (none for a full round).
+    base: Kernel,
+    /// `Bᵀy` over the observed rows.
     rhs: Vec<f64>,
+    /// The counters, zero at unobserved rows.
     counters: Vec<f64>,
-    rules: Vec<RuleRef>,
+    /// Per basis column, the lowest column the base leaves it equal to.
+    group: Vec<usize>,
+    /// Each switch's observed rows.
     rows_of: BTreeMap<SwitchId, Vec<usize>>,
     threshold: f64,
     base_index: f64,
@@ -266,36 +278,60 @@ impl LooSolver {
     ///   deficiency beyond duplicate columns — fall back to the ordinary
     ///   detector in that case).
     pub fn build(fcm: &Fcm, counters: &[f64], threshold: f64) -> Result<Self, FocesError> {
-        crate::solver::check_counters(fcm, counters)?;
+        LooSolver::build_without(fcm, counters, &vec![true; fcm.rule_count()], threshold)
+    }
+
+    /// [`LooSolver::build`] for a round that observed only the rows
+    /// `observed` marks: the others are removed from the base solve and
+    /// from every candidate's, on the full FCM's factor. Outcomes equal
+    /// those of [`LooSolver::build`] on [`Fcm::mask_rows`]'s sub-FCM;
+    /// [`LooSolver::downdates`] counts the unobserved rows' corrections too.
+    ///
+    /// # Errors
+    ///
+    /// As for [`LooSolver::build`]; [`FocesError::EmptyFcm`] also when the
+    /// mask drops every flow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `observed.len() != fcm.rule_count()`.
+    pub fn build_without(
+        fcm: &Fcm,
+        counters: &[f64],
+        observed: &[bool],
+        threshold: f64,
+    ) -> Result<Self, FocesError> {
+        crate::solver::check_shape(fcm, counters)?;
+        let counters = zero_unobserved(counters, observed);
+        crate::solver::check_counters(fcm, &counters)?;
         let system = Arc::clone(fcm.basis_system());
         let (factor, fresh) = system.cholesky().borrow_or_factor()?;
-        let basis = system.basis();
-        let rhs = basis.transpose_matvec(counters)?;
+        let rhs = system.basis().transpose_matvec(&counters)?;
         let mut rows_of: BTreeMap<SwitchId, Vec<usize>> = BTreeMap::new();
-        for (i, r) in fcm.rules().iter().enumerate() {
+        for (i, r) in fcm.rules().iter().enumerate().filter(|&(i, _)| observed[i]) {
             rows_of.entry(r.switch).or_default().push(i);
         }
-        // Base solve off the same factor: one triangular solve pair, no
-        // extra factorization.
-        let x = factor.solve(&rhs)?;
-        let fitted = basis.matvec(&x)?;
-        let residual: Vec<f64> = counters
-            .iter()
-            .zip(&fitted)
-            .map(|(y, yh)| (y - yh).abs())
-            .collect();
-        let base_index = anomaly_index(&residual, counters);
-        let base_err_med = crate::detector::median(&residual);
+        // Base solve off the same factor: the mask's capacitance (empty on
+        // a full round), no extra factorization.
+        let base = Kernel::new(system, factor, observed.to_vec())?;
+        if base.blind() {
+            return Err(FocesError::EmptyFcm);
+        }
+        let mut group: Vec<usize> = (0..base.system.cols()).collect();
+        for &(a, b) in base.cap.merged() {
+            group[b] = a;
+        }
+        let (out, kept) = base.outcome(&counters, base.solve(&rhs)?)?;
+        let base_err_med = median(&out.residual);
         Ok(LooSolver {
-            system,
-            factor,
+            base_index: anomaly_index(max_with_index(&out.residual).0, base_err_med, &kept),
+            base_err_med,
+            base,
             rhs,
-            counters: counters.to_vec(),
-            rules: fcm.rules().to_vec(),
+            counters,
+            group,
             rows_of,
             threshold,
-            base_index,
-            base_err_med,
             cold_factorizations: usize::from(fresh),
             downdates: 0,
         })
@@ -318,8 +354,9 @@ impl LooSolver {
         self.cold_factorizations
     }
 
-    /// Rank-one corrections applied so far: one per removed row that keeps
-    /// an entry on a non-stranded basis column.
+    /// Rank-one corrections applied so far: one per removed row (the
+    /// candidates' and the unobserved ones) that keeps an entry on a
+    /// non-stranded basis column.
     pub fn downdates(&self) -> usize {
         self.downdates
     }
@@ -348,55 +385,69 @@ impl LooSolver {
                 },
             });
         }
-        // Basis columns whose entire support lies on s's rows become
-        // unidentifiable once s is removed; the capacitance pins them to
-        // zero and corrects the factor for the rest of s's rows.
-        let basis = self.system.basis();
-        let cap = Capacitance::new(basis, &self.factor, &rows)?;
+        // Basis columns whose entire support lies on the removed rows
+        // become unidentifiable; the capacitance pins them to zero and
+        // corrects the factor for the rest of the rows.
+        let mut kept = self.base.kept.clone();
+        for &r in &rows {
+            kept[r] = false;
+        }
+        let (system, factor) = (Arc::clone(&self.base.system), Arc::clone(&self.base.factor));
+        let without = Kernel::new(system, factor, kept)?;
+        let cap = &without.cap;
         self.downdates += cap.corrections();
-        if cap.rank_lost() {
+        // The solved system's columns are the base's merged groups: `s`
+        // drops the groups it newly strands, and loses rank if it leaves
+        // two of them equal.
+        let base_stranded = |j: &usize| self.base.cap.stranded().binary_search(j).is_ok();
+        let mut dropped: Vec<usize> = cap
+            .stranded()
+            .iter()
+            .filter(|j| !base_stranded(j))
+            .map(|&j| self.group[j])
+            .collect();
+        dropped.sort_unstable();
+        dropped.dedup();
+        let merges = cap
+            .merged()
+            .iter()
+            .any(|&(a, b)| self.group[a] != self.group[b]);
+        if cap.rank_lost() || merges {
             return Ok(LooOutcome {
                 switch: s,
                 rows_removed: rows.len(),
-                flows_dropped: cap.stranded().len(),
+                flows_dropped: dropped.len(),
                 anomaly_index_without: f64::NAN,
                 err_max_without: f64::NAN,
                 status: LooStatus::RankLost,
             });
         }
+        let basis = without.system.basis();
         let mut rhs = self.rhs.clone();
         for &r in &rows {
             for (j, val) in basis.row_iter(r) {
                 rhs[j] -= self.counters[r] * val;
             }
         }
-        let x = cap.solve(&self.factor, &rhs)?;
         // Residuals over the rows that remain; stranded coordinates of `x`
         // are zero, so the full row fits only kept columns.
-        let mut residual = Vec::with_capacity(self.rules.len() - rows.len());
-        let mut kept_counters = Vec::with_capacity(residual.capacity());
-        for i in 0..self.rules.len() {
-            if self.rules[i].switch == s {
-                continue;
-            }
-            let fit: f64 = basis.row_iter(i).map(|(j, val)| x[j] * val).sum();
-            residual.push((self.counters[i] - fit).abs());
-            kept_counters.push(self.counters[i]);
-        }
-        let ai = anomaly_index(&residual, &kept_counters);
-        let err_max = residual.iter().cloned().fold(0.0_f64, f64::max);
+        let (out, kept_counters) = without.outcome(&self.counters, without.solve(&rhs)?)?;
+        let err_max = max_with_index(&out.residual).0;
+        let ai = anomaly_index(err_max, median(&out.residual), &kept_counters);
         // Consistency is judged in *absolute* terms, anchored to the base
         // round's noise envelope: the AI is a ratio, and removing an
         // *accomplice-looking* honest switch can spread a still-large
         // residual evenly enough to push the ratio under the threshold.
         // A genuine explanation pulls the worst residual down to where the
         // base round's median noise sits.
-        let scale = kept_counters.iter().fold(1.0_f64, |m, v| m.max(v.abs()));
-        let floor = f64::max(1e-7 * scale, self.threshold * self.base_err_med);
+        let floor = f64::max(
+            noise_floor(&kept_counters),
+            self.threshold * self.base_err_med,
+        );
         Ok(LooOutcome {
             switch: s,
             rows_removed: rows.len(),
-            flows_dropped: cap.stranded().len(),
+            flows_dropped: dropped.len(),
             anomaly_index_without: ai,
             err_max_without: err_max,
             status: if ai <= self.threshold && err_max <= floor {
@@ -406,21 +457,37 @@ impl LooSolver {
             },
         })
     }
-}
 
-/// `AI = Err_max / Err_med` with the same numerical noise floor as
-/// [`Detector`]'s judge: residuals at solver round-off level count as zero.
-fn anomaly_index(residual: &[f64], counters: &[f64]) -> f64 {
-    let err_max = residual.iter().cloned().fold(0.0_f64, f64::max);
-    let err_med = crate::detector::median(residual);
-    let scale = counters.iter().fold(1.0_f64, |m, v| m.max(v.abs()));
-    let eps = 1e-7 * scale;
-    if err_max <= eps {
-        0.0
-    } else if err_med <= eps {
-        f64::INFINITY
-    } else {
-        err_max / err_med
+    /// Runs leave-one-out over `candidates` and localizes the liar if
+    /// exactly one removal restores consistency.
+    ///
+    /// # Errors
+    ///
+    /// As for [`LooSolver::leave_out`].
+    pub fn sweep(mut self, candidates: &[SwitchId]) -> Result<ByzantineReport, FocesError> {
+        let mut outcomes = Vec::with_capacity(candidates.len());
+        for &s in candidates {
+            outcomes.push(self.leave_out(s)?);
+        }
+        let consistent: Vec<SwitchId> = outcomes
+            .iter()
+            .filter(|o| o.status == LooStatus::Consistent && o.rows_removed > 0)
+            .map(|o| o.switch)
+            .collect();
+        let base_anomalous = self.base_anomalous();
+        Ok(ByzantineReport {
+            base_index: self.base_index(),
+            base_anomalous,
+            localized: if base_anomalous && consistent.len() == 1 {
+                Some(consistent[0])
+            } else {
+                None
+            },
+            ambiguous: base_anomalous && consistent.len() > 1,
+            outcomes,
+            cold_factorizations: self.cold_factorizations(),
+            downdates: self.downdates(),
+        })
     }
 }
 
@@ -446,7 +513,8 @@ pub struct ByzantineReport {
 }
 
 /// Runs leave-one-out over `candidates` and localizes the liar if exactly
-/// one removal restores consistency (tentpole part 2, entry point).
+/// one removal restores consistency (tentpole part 2, entry point; a
+/// masked round runs [`LooSolver::build_without`]'s [`LooSolver::sweep`]).
 ///
 /// # Errors
 ///
@@ -457,30 +525,7 @@ pub fn cross_validate(
     threshold: f64,
     candidates: &[SwitchId],
 ) -> Result<ByzantineReport, FocesError> {
-    let mut solver = LooSolver::build(fcm, counters, threshold)?;
-    let mut outcomes = Vec::with_capacity(candidates.len());
-    for &s in candidates {
-        outcomes.push(solver.leave_out(s)?);
-    }
-    let consistent: Vec<SwitchId> = outcomes
-        .iter()
-        .filter(|o| o.status == LooStatus::Consistent && o.rows_removed > 0)
-        .map(|o| o.switch)
-        .collect();
-    let base_anomalous = solver.base_anomalous();
-    Ok(ByzantineReport {
-        base_index: solver.base_index(),
-        base_anomalous,
-        localized: if base_anomalous && consistent.len() == 1 {
-            Some(consistent[0])
-        } else {
-            None
-        },
-        ambiguous: base_anomalous && consistent.len() > 1,
-        outcomes,
-        cold_factorizations: solver.cold_factorizations(),
-        downdates: solver.downdates(),
-    })
+    LooSolver::build(fcm, counters, threshold)?.sweep(candidates)
 }
 
 /// One quarantine step of a k-resilience probe.
@@ -511,8 +556,8 @@ pub struct ResilienceReport {
 }
 
 /// Probes verdict stability under up to `k` quarantined liars (tentpole
-/// part 3): for `j = 1..=k`, silence the top-`j` switches of `ranked` via
-/// the row mask and re-run Algorithm 1 on the remainder. A verdict that
+/// part 3): for `j = 1..=k`, silence the top-`j` switches of `ranked` and
+/// re-run Algorithm 1 on the remainder ([`Detector::detect_without`]). A verdict that
 /// needs a particular suspect's reports to stay anomalous (or to stay
 /// quiet) is not `j`-resilient.
 ///
@@ -531,7 +576,7 @@ pub fn k_resilient_verdict(
     ranked: &[SwitchId],
     k: usize,
 ) -> Result<ResilienceReport, FocesError> {
-    let base = detector.detect_masked(&fcm.mask_rows(observed), counters)?;
+    let (base, _) = detector.detect_without(fcm, counters, observed)?;
     let depth = k.min(ranked.len());
     let mut steps = Vec::with_capacity(depth);
     let mut flips_at = None;
@@ -543,8 +588,8 @@ pub fn k_resilient_verdict(
             .zip(observed)
             .map(|(r, &o)| o && !silenced.contains(&r.switch))
             .collect();
-        let verdict = match detector.detect_masked(&fcm.mask_rows(&obs), counters) {
-            Ok(v) => v,
+        let verdict = match detector.detect_without(fcm, counters, &obs) {
+            Ok((v, _)) => v,
             // Quarantine ate the whole system: nothing left to certify.
             Err(FocesError::EmptyFcm) => break,
             Err(e) => return Err(e),
@@ -752,13 +797,9 @@ impl LiarLifecycle {
             let candidates = self.ranked_in(round.scope, self.config.max_candidates);
             if !candidates.is_empty() {
                 let threshold = round.detector.threshold();
-                let report = if round.observed.iter().all(|&o| o) {
-                    cross_validate(round.fcm, round.counters, threshold, &candidates)?
-                } else {
-                    let masked = round.fcm.mask_rows(round.observed);
-                    let sub = masked.project(round.counters);
-                    cross_validate(masked.fcm(), &sub, threshold, &candidates)?
-                };
+                let solver =
+                    LooSolver::build_without(round.fcm, round.counters, round.observed, threshold)?;
+                let report = solver.sweep(&candidates)?;
                 out.counts.loo_solves = report.outcomes.len() as u64;
                 out.counts.loo_downdates = report.downdates as u64;
                 if let Some(liar) = report.localized {
@@ -848,9 +889,9 @@ impl LiarLifecycle {
             .collect();
         match round
             .detector
-            .detect_masked(&round.fcm.mask_rows(&probe), round.counters)
+            .detect_without(round.fcm, round.counters, &probe)
         {
-            Ok(v) => Ok(!v.anomalous),
+            Ok((v, _)) => Ok(!v.anomalous),
             Err(FocesError::EmptyFcm) => Ok(false),
             Err(e) => Err(e),
         }

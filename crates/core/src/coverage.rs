@@ -800,7 +800,7 @@ impl<'a> SwitchAnalysis<'a> {
         let cap = Capacitance::new(self.basis, self.factor, rows)
             .expect("the factor is this basis' Gram factor");
         let stranded = cap.stranded().len();
-        if cap.rank_lost() {
+        if cap.rank_lost() || !cap.merged().is_empty() {
             return (LooClass::RankLost, stranded, None);
         }
         // Full rank survives. Conditional check: a kept column that lost

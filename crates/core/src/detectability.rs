@@ -14,10 +14,10 @@
 
 use crate::error::FocesError;
 use crate::rbg::Rbg;
-use crate::{BasisSystem, Fcm};
+use crate::without::Kernel;
+use crate::{BackendKind, DeviationCandidate, Fcm};
 use foces_dataplane::RuleRef;
 use foces_linalg::{CsrMatrix, DEFAULT_TOL};
-use foces_sparse::SparseFactor;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -45,7 +45,7 @@ pub(crate) fn history_rows(fcm: &Fcm, history: &[RuleRef]) -> Result<Vec<usize>,
 /// column per distinct rule set, duplicates add nothing to the span) as
 /// the basis `B`, and factors its Gram `BᵀB` with the fill-reducing sparse
 /// Cholesky, dropping the pivots of columns that are dependent on the ones
-/// eliminated before them ([`SparseFactor::factor_dropping`]). When a
+/// eliminated before them ([`foces_sparse::SparseFactor::factor_dropping`]). When a
 /// solve already memoized the FCM's full-rank factor, that factor is the
 /// same one and is borrowed instead. A query is
 /// the least-squares residual `‖v − B·G⁻¹Bᵀv‖`, accepted as in-span when
@@ -70,11 +70,11 @@ pub(crate) fn history_rows(fcm: &Fcm, history: &[RuleRef]) -> Result<Vec<usize>,
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpanOracle {
-    /// The FCM's basis system: deduplicated basis columns, rules × groups.
-    system: Arc<BasisSystem>,
-    /// Pivot-dropping factor of `basisᵀ·basis` — the FCM's memoized
-    /// factor when a solve already built it and the basis has full rank.
-    factor: Arc<SparseFactor>,
+    /// The FCM's basis system on its pivot-dropping factor of
+    /// `basisᵀ·basis` (the FCM's memoized factor when a solve already
+    /// built it and the basis has full rank), with the rows removed from
+    /// the span: none, or a mask's ([`coverage_without`]).
+    kernel: Kernel,
 }
 
 impl SpanOracle {
@@ -82,11 +82,13 @@ impl SpanOracle {
     pub fn new(fcm: &Fcm) -> Self {
         let system = Arc::clone(fcm.basis_system());
         let factor = system.cholesky().dropping_factor();
-        SpanOracle { system, factor }
+        let kept = vec![true; fcm.rule_count()];
+        let kernel = Kernel::new(system, factor, kept).expect("the factor is the basis' own");
+        SpanOracle { kernel }
     }
 
     fn basis(&self) -> &CsrMatrix {
-        self.system.basis()
+        self.kernel.system.basis()
     }
 
     /// Whether `v` lies in the FCM's column span.
@@ -132,10 +134,7 @@ impl SpanOracle {
     /// cannot turn an in-span vector into a false "detectable".
     fn accepts(&self, v: &[f64], btv: Vec<f64>) -> bool {
         let bound = DEFAULT_TOL * norm(v).max(1.0);
-        let mut x = self
-            .factor
-            .solve(&btv)
-            .expect("Bᵀv has one entry per basis column");
+        let mut x = self.solve(&btv);
         let mut r = self.residual(v, &x);
         if norm(&r) <= bound {
             return true;
@@ -144,10 +143,7 @@ impl SpanOracle {
             .basis()
             .transpose_matvec(&r)
             .expect("residual has one entry per row");
-        let dx = self
-            .factor
-            .solve(&btr)
-            .expect("Bᵀr has one entry per basis column");
+        let dx = self.solve(&btr);
         for (xi, di) in x.iter_mut().zip(&dx) {
             *xi += di;
         }
@@ -155,13 +151,70 @@ impl SpanOracle {
         norm(&r) <= bound
     }
 
+    /// The least-squares coefficients for `Bᵀv` over the kept rows.
+    fn solve(&self, btv: &[f64]) -> Vec<f64> {
+        let x = self.kernel.solve(btv);
+        x.expect("Bᵀv has one entry per basis column")
+    }
+
+    /// `v − B·x`, zero at removed rows.
     fn residual(&self, v: &[f64], x: &[f64]) -> Vec<f64> {
         let bx = self
             .basis()
             .matvec(x)
             .expect("x has one entry per basis column");
-        v.iter().zip(&bx).map(|(a, b)| a - b).collect()
+        let kept = &self.kernel.kept;
+        (0..v.len())
+            .map(|i| if kept[i] { v[i] - bx[i] } else { 0.0 })
+            .collect()
     }
+}
+
+/// Theorem 1 coverage of `fcm` with the rows `observed` clears removed:
+/// the share of `candidates` whose deviated history, projected onto the
+/// kept rows, leaves the span of the kept system's columns — at most the
+/// full system's coverage. A candidate on a `quarantined` flow (a flow
+/// mask; it may be shorter) is undetectable outright. The span is queried
+/// through the row-removal kernel, as [`crate::Detector::detect_without`]
+/// solves.
+///
+/// # Panics
+///
+/// Panics if `observed.len() != fcm.rule_count()`.
+pub fn coverage_without(
+    fcm: &Fcm,
+    observed: &[bool],
+    candidates: &[DeviationCandidate],
+    quarantined: &[bool],
+    backend: BackendKind,
+) -> f64 {
+    if candidates.is_empty() {
+        return 1.0;
+    }
+    if !observed.contains(&true) {
+        return 0.0; // no equations left: every deviation is invisible
+    }
+    // The oracle, and each parent row's row in its system.
+    let (oracle, row_of): (SpanOracle, Vec<Option<usize>>) =
+        match Kernel::of(fcm, observed, backend) {
+            Ok(kernel) => {
+                let row_of = (0..observed.len()).map(|i| observed[i].then_some(i));
+                (SpanOracle { kernel }, row_of.collect())
+            }
+            Err(masked) => {
+                let mut row_of = vec![None; observed.len()];
+                for (i, &parent) in masked.parent_rows().iter().enumerate() {
+                    row_of[parent] = Some(i);
+                }
+                (SpanOracle::new(masked.fcm()), row_of)
+            }
+        };
+    let detectable = candidates.iter().filter(|c| {
+        let rows = c.deviated_history.iter().filter_map(|r| fcm.rule_row(*r));
+        let rows: Vec<usize> = rows.filter_map(|row| row_of[row]).collect();
+        !quarantined.get(c.flow).copied().unwrap_or(false) && !oracle.contains_rows(&rows)
+    });
+    detectable.count() as f64 / candidates.len() as f64
 }
 
 fn norm(v: &[f64]) -> f64 {

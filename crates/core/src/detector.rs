@@ -165,7 +165,7 @@ impl Detector {
     /// mismatch, empty FCM, solver failure).
     pub fn detect(&self, fcm: &Fcm, counters: &[f64]) -> Result<Verdict, FocesError> {
         let solve = self.system.solve(fcm, counters)?;
-        Ok(self.judge(fcm, counters, solve))
+        Ok(self.judge(fcm.rules(), counters, solve))
     }
 
     /// Runs Algorithm 1 through a warm [`crate::IncrementalSolver`],
@@ -184,17 +184,16 @@ impl Detector {
         warm: &mut crate::IncrementalSolver,
     ) -> Result<(Verdict, crate::SolvePath), FocesError> {
         let (solve, path) = warm.solve(fcm, counters)?;
-        Ok((self.judge(fcm, counters, solve), path))
+        Ok((self.judge(fcm.rules(), counters, solve), path))
     }
 
-    /// Algorithm 1 on a row-masked system (see [`Fcm::mask_rows`]): some
-    /// switches never reported this round, so only the observed sub-rows of
-    /// `H·X = Y'` are checked. `full_counters` is the full-length vector;
-    /// unobserved entries are ignored. The verdict's `worst_rule` still
-    /// names a real rule (masked rows keep their [`foces_dataplane::RuleRef`]
-    /// identity), but absence of an anomaly is a *weaker* claim than under
-    /// [`Detector::detect`] — quantify the blind spot with the
-    /// detectability oracle on `masked.fcm()`.
+    /// Algorithm 1 on a row-masked sub-FCM (see [`Fcm::mask_rows`]): the
+    /// reference [`Detector::detect_without`] is checked against, and what
+    /// it runs on the dense backend. `full_counters` is the full-length
+    /// vector; unobserved entries are ignored. The verdict's `worst_rule`
+    /// still names a real rule (masked rows keep their
+    /// [`foces_dataplane::RuleRef`] identity), but absence of an anomaly is
+    /// a *weaker* claim than under [`Detector::detect`].
     ///
     /// # Errors
     ///
@@ -216,38 +215,55 @@ impl Detector {
         self.detect(masked.fcm(), &masked.project(full_counters))
     }
 
-    /// Forms the verdict from a completed solve — shared with the sliced
-    /// detector (Algorithm 2), which produces its own solves per slice.
-    pub(crate) fn judge(&self, fcm: &Fcm, counters: &[f64], solve: SolveOutcome) -> Verdict {
+    /// Forms the verdict from a completed solve of the rows `rules` —
+    /// shared with the sliced detector (Algorithm 2), which produces its
+    /// own solves per slice, and with [`Detector::detect_without`].
+    pub(crate) fn judge(
+        &self,
+        rules: &[RuleRef],
+        counters: &[f64],
+        solve: SolveOutcome,
+    ) -> Verdict {
         let (err_max, worst_idx) = max_with_index(&solve.residual);
         let err_med = match self.statistic {
             IndexStatistic::MaxOverMedian => median(&solve.residual),
             IndexStatistic::MaxOverMean => mean(&solve.residual),
         };
-        // Numerical floor: residuals far below counter magnitudes are solver
-        // round-off, not signal. Without this, a noiseless healthy network
-        // (median 1e-13, max 1e-11) would produce a huge spurious AI.
-        let scale = counters.iter().fold(1.0_f64, |m, v| m.max(v.abs()));
-        let eps = 1e-7 * scale;
-        let anomaly_index = if err_max <= eps {
-            0.0
-        } else if err_med <= eps {
-            f64::INFINITY
-        } else {
-            err_max / err_med
-        };
+        let anomaly_index = anomaly_index(err_max, err_med, counters);
         Verdict {
             anomalous: anomaly_index > self.threshold,
             anomaly_index,
             err_max,
             err_med,
-            worst_rule: worst_idx.map(|i| fcm.rules()[i]),
+            worst_rule: worst_idx.map(|i| rules[i]),
             solve,
         }
     }
 }
 
-fn max_with_index(v: &[f64]) -> (f64, Option<usize>) {
+/// Residuals at or below `1e-7·max(1, max|y|)` are solver round-off, not
+/// signal.
+pub(crate) fn noise_floor(counters: &[f64]) -> f64 {
+    1e-7 * counters.iter().fold(1.0_f64, |m, v| m.max(v.abs()))
+}
+
+/// `AI = err_max / err_stat` above the [`noise_floor`] (0 when `err_max`
+/// is round-off, infinite when only `err_stat` is): without the floor a
+/// noiseless healthy network (median 1e-13, max 1e-11) would produce a
+/// huge spurious AI.
+pub(crate) fn anomaly_index(err_max: f64, err_stat: f64, counters: &[f64]) -> f64 {
+    let eps = noise_floor(counters);
+    if err_max <= eps {
+        0.0
+    } else if err_stat <= eps {
+        f64::INFINITY
+    } else {
+        err_max / err_stat
+    }
+}
+
+/// The largest entry (0 for none) and its index.
+pub(crate) fn max_with_index(v: &[f64]) -> (f64, Option<usize>) {
     let mut best = 0.0_f64;
     let mut idx = None;
     for (i, &x) in v.iter().enumerate() {

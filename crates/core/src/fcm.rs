@@ -368,9 +368,11 @@ impl Fcm {
             .expect("indices bounded by construction");
     }
 
-    /// Restricts the FCM to the **observed** rows — the degraded-detection
-    /// path for rounds where some switches never answered the statistics
-    /// poll (timed out, crashed, or partitioned off the control channel).
+    /// Restricts the FCM to the **observed** rows: the sub-system of a
+    /// round where some switches never answered the statistics poll, built
+    /// explicitly. [`crate::Detector::detect_without`] solves the same
+    /// system on the full FCM's factor; this is its reference, and what it
+    /// runs on the dense backend.
     ///
     /// `observed[i]` says whether row `i`'s counter was collected. The
     /// masked system keeps only observed rules; every flow's column is
@@ -391,7 +393,10 @@ impl Fcm {
     }
 
     /// Restricts the FCM to the observed rows **and** evicts quarantined
-    /// flows — the churn-reconciliation path. During a mid-epoch rule
+    /// flows — the churn-reconciliation system, built explicitly (a
+    /// reconciled round removes the quarantine's closure rows, which
+    /// strands every quarantined flow, so the kernel needs no column
+    /// quarantine; see [`Fcm::rows_touching`]). During a mid-epoch rule
     /// update (reroute, granularity refinement, hardening install), the
     /// counters of the touched rules mix traffic routed under two
     /// different generations, and the flows through those rules no longer
@@ -462,14 +467,32 @@ impl Fcm {
     }
 
     /// The number of flows whose every rule sits on one of the `lost`
-    /// switches: the flows [`Fcm::mask_rows`] drops when exactly those
-    /// switches' rows go unobserved ([`MaskedFcm::dropped_flows`]),
-    /// counted without building the masked system.
+    /// switches ([`Fcm::flows_blinded`] with exactly their rows unobserved).
     pub fn flows_blinded_by(&self, lost: &[SwitchId]) -> usize {
-        self.flows
+        let observed: Vec<bool> = self
+            .rules
             .iter()
-            .filter(|f| f.rules.iter().all(|r| lost.contains(&r.switch)))
-            .count()
+            .map(|r| !lost.contains(&r.switch))
+            .collect();
+        self.flows_blinded(&observed)
+    }
+
+    /// The number of flows with no observed row: the flows
+    /// [`Fcm::mask_rows`] drops ([`MaskedFcm::dropped_flows`]), counted in
+    /// one pass over the observed rows without building the masked system.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `observed.len() != rule_count()`.
+    pub fn flows_blinded(&self, observed: &[bool]) -> usize {
+        assert_eq!(observed.len(), self.rule_count(), "one entry per rule");
+        let mut seen = vec![false; self.flow_count()];
+        for i in (0..observed.len()).filter(|&i| observed[i]) {
+            for (j, _) in self.sparse.row_iter(i) {
+                seen[j] = true;
+            }
+        }
+        seen.iter().filter(|&&s| !s).count()
     }
 
     /// Flow mask marking every column that traverses at least one of the
@@ -512,6 +535,34 @@ impl Fcm {
             }
         }
         mask
+    }
+
+    /// The rows a churn-reconciled round keeps: the `observed` rows minus
+    /// the journaled `touched` rules' own rows and the closure rows of the
+    /// `quarantined` flows ([`Fcm::rows_touching`]). The closure holds
+    /// every row of a quarantined flow, so removing these rows evicts it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `observed` or `quarantined` have the wrong length.
+    pub fn reconciled_rows(
+        &self,
+        observed: &[bool],
+        quarantined: &[bool],
+        touched: &[RuleRef],
+    ) -> Vec<bool> {
+        let closure = self.rows_touching(quarantined);
+        let mut keep: Vec<bool> = observed
+            .iter()
+            .zip(&closure)
+            .map(|(&o, &c)| o && !c)
+            .collect();
+        // Journaled rules may carry no traced flow (and rules installed
+        // after the FCM was built are not in its universe at all).
+        for row in touched.iter().filter_map(|r| self.rule_row(*r)) {
+            keep[row] = false;
+        }
+        keep
     }
 
     /// Collects this FCM's counter vector from a data plane, in row order.

@@ -78,6 +78,7 @@ mod slicing;
 mod solver;
 pub mod testkit;
 pub mod threshold;
+mod without;
 
 pub use audit::{audit_deviations, DeviationAudit, DeviationCandidate};
 pub use byzantine::{
@@ -90,7 +91,9 @@ pub use coverage::{
     CoverageFinding, CoverageKind, CoverageReport, CoverageSeverity, LooClass, ShardCoverage,
     SwitchCoverage,
 };
-pub use detectability::{is_detectable, rbg_loop_exists, undetectable_by_rank, SpanOracle};
+pub use detectability::{
+    coverage_without, is_detectable, rbg_loop_exists, undetectable_by_rank, SpanOracle,
+};
 pub use detector::{Detector, IndexStatistic, Verdict};
 pub use error::FocesError;
 pub use fcm::{BasisSystem, ColumnGroups, Fcm, MaskedFcm};
@@ -102,6 +105,7 @@ pub use rbg::Rbg;
 pub use shard::{ShardUnionVerdict, ShardView, ShardedFcm};
 pub use slicing::{SlicedFcm, SlicedVerdict};
 pub use solver::{EquationSystem, SolveOutcome, SolverKind};
+pub use without::Removed;
 // Backend selection comes from the sparse engine crate; re-exported so
 // downstream crates (runtime, cluster, ingest, cli) need no direct
 // foces-sparse dependency.

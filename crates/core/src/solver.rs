@@ -1,4 +1,4 @@
-use crate::{Fcm, FocesError, MaskedFcm};
+use crate::{Fcm, FocesError};
 use foces_linalg::{lstsq, lstsq_sparse, DenseMatrix, LinalgError, LstsqMethod};
 use foces_sparse::BackendKind;
 
@@ -152,42 +152,6 @@ impl EquationSystem {
             }
             SolverKind::DenseNaive => solve_naive(fcm, counters).map_err(FocesError::from),
         }
-    }
-
-    /// Row-masked solve: restricts the system to the rows marked `true` in
-    /// `observed` (switches that actually answered this round) and solves
-    /// the sub-system. `counters` is the *full-length* vector; unobserved
-    /// entries are ignored, so callers may leave stale or zero placeholders
-    /// there. Returns the mask (for row bookkeeping and oracle queries)
-    /// alongside the outcome, whose vectors are in *masked* row order —
-    /// map back with [`MaskedFcm::parent_rows`].
-    ///
-    /// # Errors
-    ///
-    /// * [`FocesError::EmptyFcm`] if the FCM has no flows to begin with
-    ///   (checked first, as in [`EquationSystem::solve`]), or if masking
-    ///   leaves none (every flow lost all its rules — the fully-blind
-    ///   round);
-    /// * [`FocesError::CounterLengthMismatch`] if `counters.len()` differs
-    ///   from the full FCM's rule count;
-    /// * [`FocesError::NonFiniteCounter`] if an *observed* counter is
-    ///   `NaN` or infinite;
-    /// * [`FocesError::Solver`] as for [`EquationSystem::solve`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `observed.len() != fcm.rule_count()`.
-    pub fn solve_masked(
-        &self,
-        fcm: &Fcm,
-        counters: &[f64],
-        observed: &[bool],
-    ) -> Result<(MaskedFcm, SolveOutcome), FocesError> {
-        check_shape(fcm, counters)?;
-        let masked = fcm.mask_rows(observed);
-        let sub = masked.project(counters);
-        let outcome = self.solve(masked.fcm(), &sub)?;
-        Ok((masked, outcome))
     }
 }
 
@@ -424,8 +388,8 @@ mod tests {
     #[test]
     fn empty_fcm_consistent_across_masked_and_warm_paths() {
         let fcm = empty_fcm();
-        let err = EquationSystem::default()
-            .solve_masked(&fcm, &[0.0], &[true, true])
+        let err = crate::Detector::default()
+            .detect_without(&fcm, &[0.0], &[true, false])
             .unwrap_err();
         assert!(matches!(err, FocesError::EmptyFcm), "masked: {err:?}");
         let mut warm = crate::IncrementalSolver::default();
@@ -443,11 +407,11 @@ mod tests {
         assert!((direct.volume_estimate[0] - 5.0).abs() < 1e-9);
         assert!(direct.residual.iter().all(|r| r.abs() < 1e-9));
 
-        let (masked, masked_out) = EquationSystem::default()
-            .solve_masked(&fcm, &counters, &[true, true, false])
+        let (masked, removed) = crate::Detector::default()
+            .detect_without(&fcm, &counters, &[true, false, true])
             .unwrap();
-        assert_eq!(masked.fcm().flow_count(), 1);
-        assert!((masked_out.volume_estimate[0] - 5.0).abs() < 1e-9);
+        assert_eq!((removed.rows, removed.flows), (1, 0));
+        assert!((masked.solve.volume_estimate[0] - 5.0).abs() < 1e-9);
 
         let mut warm = crate::IncrementalSolver::default();
         let (warm_out, path) = warm.solve(&fcm, &counters).unwrap();
@@ -481,8 +445,8 @@ mod tests {
                 expected: 3
             }
         ));
-        let err = EquationSystem::default()
-            .solve_masked(&fcm, &[1.0], &[true, true, true])
+        let err = crate::Detector::default()
+            .detect_without(&fcm, &[1.0], &[true, false, true])
             .unwrap_err();
         assert!(matches!(
             err,
@@ -498,46 +462,6 @@ mod tests {
         let (fcm, _, _) = healthy_setup(RuleGranularity::PerDestination);
         let err = EquationSystem::default()
             .solve(&fcm, &[1.0, 2.0])
-            .unwrap_err();
-        assert!(matches!(err, FocesError::CounterLengthMismatch { .. }));
-    }
-
-    #[test]
-    fn masked_solve_matches_subsystem() {
-        let (fcm, mut counters, _) = healthy_setup(RuleGranularity::PerDestination);
-        counters[5] += 250.0;
-        let observed: Vec<bool> = (0..fcm.rule_count()).map(|i| i % 4 != 2).collect();
-        let (masked, out) = EquationSystem::default()
-            .solve_masked(&fcm, &counters, &observed)
-            .unwrap();
-        assert_eq!(out.residual.len(), masked.fcm().rule_count());
-        // Same as solving the masked sub-system by hand.
-        let by_hand = EquationSystem::default()
-            .solve(masked.fcm(), &masked.project(&counters))
-            .unwrap();
-        for (a, b) in out.residual.iter().zip(&by_hand.residual) {
-            assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn masked_solve_healthy_residual_zero() {
-        let (fcm, counters, _) = healthy_setup(RuleGranularity::PerDestination);
-        // Hide one switch's rows entirely: the sub-system is still
-        // consistent, so residuals stay at round-off level.
-        let victim = fcm.rules()[0].switch;
-        let observed: Vec<bool> = fcm.rules().iter().map(|r| r.switch != victim).collect();
-        let (_, out) = EquationSystem::default()
-            .solve_masked(&fcm, &counters, &observed)
-            .unwrap();
-        assert!(out.residual.iter().all(|r| r.abs() < 1e-6));
-    }
-
-    #[test]
-    fn masked_solve_validates_full_length() {
-        let (fcm, _, _) = healthy_setup(RuleGranularity::PerDestination);
-        let err = EquationSystem::default()
-            .solve_masked(&fcm, &[0.0; 3], &vec![true; fcm.rule_count()])
             .unwrap_err();
         assert!(matches!(err, FocesError::CounterLengthMismatch { .. }));
     }

@@ -8,7 +8,9 @@
 //! concluded. Verdicts, residual vectors, anomaly indices and per-switch
 //! localization scores match the dense backend to 1e-9 of their scale —
 //! on healthy, anomalous, churned, degraded-mask and Byzantine
-//! resilience-probe rounds alike.
+//! resilience-probe rounds alike. The degraded-mask round pits the dense
+//! reference on the row-masked sub-FCM against the default row-removal
+//! kernel ([`Detector::detect_without`]).
 
 use foces::{
     k_resilient_verdict, localize, BackendKind, Detector, EquationSystem, Fcm, SolverKind,
@@ -139,11 +141,15 @@ pub fn check_case(case: Case) {
     if !observed.iter().any(|&o| o) {
         return;
     }
-    let md = system(BackendKind::Dense).solve_masked(&fcm, &counters, &observed);
-    let ms = system(BackendKind::Sparse).solve_masked(&fcm, &counters, &observed);
+    // The dense reference solves the row-masked sub-FCM; the default runs
+    // the row-removal kernel on the full FCM's memoized factor.
+    let md = det_dense.detect_masked(&fcm.mask_rows(&observed), &counters);
+    let ms = det_sparse.detect_without(&fcm, &counters, &observed);
     match (md, ms) {
-        (Ok((_, md)), Ok((_, ms))) => {
-            for (i, (a, b)) in md.residual.iter().zip(&ms.residual).enumerate() {
+        (Ok(md), Ok((ms, _))) => {
+            assert_eq!(md.anomalous, ms.anomalous, "{at}: masked verdict");
+            assert_eq!(md.solve.residual.len(), ms.solve.residual.len(), "{at}");
+            for (i, (a, b)) in md.solve.residual.iter().zip(&ms.solve.residual).enumerate() {
                 assert!(
                     (a - b).abs() <= tol,
                     "{at}: masked residual[{i}] dense {a} vs sparse {b}"

@@ -7,25 +7,24 @@
 //! missing rows of `H·X ≈ Y'` leaves a *projection* of the same linear
 //! system, so a consistent full system stays consistent and the masked
 //! detector keeps its no-false-positive structure — it just sees fewer
-//! equations ([`foces::Fcm::mask_rows`]).
+//! equations ([`foces::Detector::detect_without`]).
 //!
 //! Fewer equations means weaker detection, and the Theorem 1 oracle
 //! quantifies exactly how much weaker: a deviation is detectable under the
 //! mask iff its *projected* deviated column leaves the span of the
 //! *projected* FCM columns. [`DegradedPipeline`] re-runs the span oracle
-//! on the masked system (cached per missing-switch set) and stamps every
-//! verdict with a [`DetectionMode`] so operators know which rounds ran
-//! with reduced — or zero ([`DetectionMode::Blind`]) — coverage.
+//! with the missing rows removed (memoized per missing-switch set) and
+//! stamps every verdict with a [`DetectionMode`] so operators know which
+//! rounds ran with reduced — or zero ([`DetectionMode::Blind`]) — coverage.
 
 use foces::{
-    audit_deviations, BackendKind, Detector, DeviationCandidate, Fcm, FocesError,
-    IncrementalSolver, MaskedFcm, RankBudget, SolvePath, SpanOracle, Verdict,
+    audit_deviations, coverage_without, BackendKind, Detector, DeviationCandidate, Fcm, FocesError,
+    IncrementalSolver, RankBudget, SolvePath, Verdict,
 };
 use foces_controlplane::ControllerView;
 use foces_dataplane::RuleRef;
 use foces_net::SwitchId;
 use std::collections::HashMap;
-use std::hash::Hash;
 
 /// How much of the detector's evidence a round actually had.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,67 +99,9 @@ impl DetectionMode {
     }
 }
 
-/// Cached artifacts for one missing-switch set.
-struct CachedMask {
-    masked: MaskedFcm,
-    coverage: f64,
-}
-
-/// Entries each of [`DegradedPipeline`]'s mask caches keeps. A masked
-/// system holds its sub-FCM with its memoized basis (and, on the sparse
-/// backend, its factor), so an
-/// unbounded cache would grow with every distinct missing-switch set until
-/// the next rebuild; past this many the least recently used entry goes.
-pub const MASK_CACHE_CAP: usize = 64;
-
-/// A map of at most [`MASK_CACHE_CAP`] masked systems with
-/// least-recently-used eviction.
-struct MaskCache<K> {
-    entries: HashMap<K, (u64, CachedMask)>,
-    clock: u64,
-}
-
-impl<K: Hash + Eq> MaskCache<K> {
-    fn new() -> Self {
-        MaskCache {
-            entries: HashMap::new(),
-            clock: 0,
-        }
-    }
-
-    /// The entry for `key`, marked as just used.
-    fn get(&mut self, key: &K) -> Option<&CachedMask> {
-        self.clock += 1;
-        let entry = self.entries.get_mut(key)?;
-        entry.0 = self.clock;
-        Some(&entry.1)
-    }
-
-    /// Inserts `value` as the most recently used entry, evicting the least
-    /// recently used one when the cache is full.
-    fn insert(&mut self, key: K, value: CachedMask) {
-        if self.entries.len() >= MASK_CACHE_CAP && !self.entries.contains_key(&key) {
-            // Stamps are unique, so this drops exactly the stalest entry.
-            if let Some(stalest) = self.entries.values().map(|(used, _)| *used).min() {
-                self.entries.retain(|_, (used, _)| *used != stalest);
-            }
-        }
-        self.clock += 1;
-        self.entries.insert(key, (self.clock, value));
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
 /// The degraded-detection layer: owns the full FCM, a fixed sample of
-/// audited deviation candidates, and a cache of masked systems keyed by
-/// the (sorted) missing-switch set.
+/// audited deviation candidates, and the masked coverage of every mask it
+/// has seen.
 pub struct DegradedPipeline {
     fcm: Fcm,
     detector: Detector,
@@ -169,17 +110,17 @@ pub struct DegradedPipeline {
     /// mask so coverages are comparable.
     candidates: Vec<DeviationCandidate>,
     full_coverage: f64,
-    cache: MaskCache<Vec<SwitchId>>,
-    /// Reconciled systems, keyed by (missing switches, journaled rules) —
-    /// a rolling-update schedule revisits the same touched set many times.
-    reconcile_cache: MaskCache<(Vec<SwitchId>, Vec<RuleRef>)>,
+    /// Masked coverage per (missing switches, journaled rules) key, the
+    /// rules empty for a degraded round: the span re-check runs once per
+    /// distinct mask until [`DegradedPipeline::retarget`].
+    coverage: HashMap<(Vec<SwitchId>, Vec<RuleRef>), f64>,
     /// The incremental solver backing full rounds. On the sparse backend
     /// it solves on the full FCM's memoized factor; on the dense backend
     /// it factors a dense Gram every round.
     warm: IncrementalSolver,
     /// Which solve path the most recent round took (`None` on masked,
-    /// reconciled, and blind rounds — those solve projected systems and
-    /// never touch the incremental solver).
+    /// reconciled, and blind rounds — those remove rows from the system
+    /// and never touch the incremental solver).
     last_path: Option<SolvePath>,
 }
 
@@ -209,8 +150,7 @@ impl DegradedPipeline {
             detector: detector.with_backend(backend),
             candidates: Vec::new(),
             full_coverage: 0.0,
-            cache: MaskCache::new(),
-            reconcile_cache: MaskCache::new(),
+            coverage: HashMap::new(),
             warm: IncrementalSolver::with_backend(RankBudget::default(), backend),
             last_path: None,
         };
@@ -220,12 +160,11 @@ impl DegradedPipeline {
 
     /// Re-points the pipeline at a rebuilt FCM (after the controller view
     /// moved past the old one): re-runs the full-system audit and drops
-    /// the mask caches. The next full round factors the rebuilt FCM's
+    /// the masked coverages. The next full round factors the rebuilt FCM's
     /// basis once and reports [`SolvePath::Cold`].
     pub fn retarget(&mut self, view: &ControllerView, fcm: Fcm, oracle_cap: usize) {
         self.fcm = fcm;
-        self.cache.clear();
-        self.reconcile_cache.clear();
+        self.coverage.clear();
         self.last_path = None;
         self.reaudit(view, oracle_cap);
     }
@@ -256,22 +195,6 @@ impl DegradedPipeline {
     /// Number of audited deviation candidates.
     pub fn candidate_count(&self) -> usize {
         self.candidates.len()
-    }
-
-    /// Number of missing-switch sets whose masked system is cached (at
-    /// most [`MASK_CACHE_CAP`]).
-    pub fn cached_masks(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// The cached masked system for a missing-switch set (ascending, as
-    /// [`DegradedPipeline::missing_from`] returns it), if a degraded round
-    /// built one and it was not evicted since.
-    pub fn masked(&self, missing: &[SwitchId]) -> Option<&MaskedFcm> {
-        self.cache
-            .entries
-            .get(missing)
-            .map(|(_, entry)| &entry.masked)
     }
 
     /// Switches (ascending) that have at least one unobserved FCM row.
@@ -313,20 +236,17 @@ impl DegradedPipeline {
             return Ok((Some(verdict), DetectionMode::Full));
         }
         self.last_path = None;
-        if self.cache.get(&missing).is_none() {
-            let entry = self.build_mask(observed);
-            self.cache.insert(missing.clone(), entry);
-        }
-        let entry = self.cache.get(&missing).expect("just cached");
-        if entry.masked.fcm().rule_count() == 0 || entry.masked.fcm().flow_count() == 0 {
-            return Ok((None, DetectionMode::Blind { missing }));
-        }
-        let verdict = self.detector.detect_masked(&entry.masked, counters)?;
+        let (verdict, removed) = match self.detector.detect_without(&self.fcm, counters, observed) {
+            Ok(v) => v,
+            Err(FocesError::EmptyFcm) => return Ok((None, DetectionMode::Blind { missing })),
+            Err(e) => return Err(e),
+        };
+        let coverage = self.coverage_for((missing.clone(), Vec::new()), observed, &[]);
         let mode = DetectionMode::Degraded {
             missing,
-            masked_rows: entry.masked.masked_row_count(),
-            dropped_flows: entry.masked.dropped_flows(),
-            coverage: entry.coverage,
+            masked_rows: removed.rows,
+            dropped_flows: removed.flows,
+            coverage,
         };
         Ok((Some(verdict), mode))
     }
@@ -344,11 +264,13 @@ impl DegradedPipeline {
     /// 3. the closure rows those quarantined flows still traverse (their
     ///    counters mix explained and quarantined volume).
     ///
-    /// What remains is a sub-system consistent for benign traffic (see
-    /// the churn-closure property test in `foces`'s `mask_props`), so a
-    /// verdict on it is sound — merely weaker, which the quarantine-aware
-    /// coverage quantifies: a deviation candidate on a quarantined flow
-    /// counts as undetectable outright.
+    /// The closure holds every row of a quarantined flow, so removing the
+    /// rows evicts those flows too: the round is one row removal
+    /// ([`Detector::detect_without`]). What remains is a sub-system
+    /// consistent for benign traffic (see the churn-closure property test
+    /// in `foces`'s `mask_props`), so a verdict on it is sound — merely
+    /// weaker, which the quarantine-aware coverage quantifies: a deviation
+    /// candidate on a quarantined flow counts as undetectable outright.
     ///
     /// # Errors
     ///
@@ -366,34 +288,27 @@ impl DegradedPipeline {
     ) -> Result<(Option<Verdict>, DetectionMode), FocesError> {
         self.last_path = None;
         let missing = self.missing_from(observed);
-        let mut touched_key: Vec<RuleRef> = touched_rules.to_vec();
-        touched_key.sort_unstable();
-        touched_key.dedup();
-        let key = (missing.clone(), touched_key);
-        if self.reconcile_cache.get(&key).is_none() {
-            let entry = self.build_reconciled(observed, &key.1);
-            self.reconcile_cache.insert(key.clone(), entry);
-        }
-        let entry = self.reconcile_cache.get(&key).expect("just cached");
-        if entry.masked.fcm().rule_count() == 0 || entry.masked.fcm().flow_count() == 0 {
-            return Ok((None, DetectionMode::Blind { missing }));
-        }
-        let verdict = self.detector.detect_masked(&entry.masked, counters)?;
+        let mut touched: Vec<RuleRef> = touched_rules.to_vec();
+        touched.sort_unstable();
+        touched.dedup();
+        let quarantined = self.fcm.columns_touching(&touched);
+        let keep = self.fcm.reconciled_rows(observed, &quarantined, &touched);
+        let (verdict, removed) = match self.detector.detect_without(&self.fcm, counters, &keep) {
+            Ok(v) => v,
+            Err(FocesError::EmptyFcm) => return Ok((None, DetectionMode::Blind { missing })),
+            Err(e) => return Err(e),
+        };
+        let quarantined_flows = quarantined.iter().filter(|&&q| q).count();
+        let coverage = self.coverage_for((missing.clone(), touched), &keep, &quarantined);
         let mode = DetectionMode::Reconciled {
             stale,
             missing,
-            masked_rows: entry.masked.masked_row_count(),
-            quarantined_flows: entry.masked.quarantined_flows(),
-            dropped_flows: entry.masked.dropped_flows(),
-            coverage: entry.coverage,
+            masked_rows: removed.rows,
+            quarantined_flows,
+            dropped_flows: removed.flows.saturating_sub(quarantined_flows),
+            coverage,
         };
         Ok((Some(verdict), mode))
-    }
-
-    /// Number of (missing, touched) reconciliations cached (at most
-    /// [`MASK_CACHE_CAP`]).
-    pub fn cached_reconciliations(&self) -> usize {
-        self.reconcile_cache.len()
     }
 
     /// Which solve path the most recent round took: `Some(Warm)` or
@@ -414,87 +329,34 @@ impl DegradedPipeline {
         self.warm.backend()
     }
 
-    /// Builds the row-masked + column-quarantined system for a journaled
-    /// touched set, and audits its quarantine-aware coverage.
-    fn build_reconciled(&self, observed: &[bool], touched_rules: &[RuleRef]) -> CachedMask {
-        let quarantined = self.fcm.columns_touching(touched_rules);
-        let closure = self.fcm.rows_touching(&quarantined);
-        let mut keep: Vec<bool> = observed
-            .iter()
-            .zip(&closure)
-            .map(|(&o, &c)| o && !c)
-            .collect();
-        // Journaled rules may have no traced flow (and rules installed
-        // after the FCM was built are not in the universe at all) — mask
-        // the ones we know about explicitly rather than rely on closure.
-        for r in touched_rules {
-            if let Some(row) = self.fcm.rule_row(*r) {
-                keep[row] = false;
-            }
+    /// The masked coverage memoized for `key`, computed on first sight.
+    fn coverage_for(
+        &mut self,
+        key: (Vec<SwitchId>, Vec<RuleRef>),
+        keep: &[bool],
+        quarantined: &[bool],
+    ) -> f64 {
+        if let Some(&coverage) = self.coverage.get(&key) {
+            return coverage;
         }
-        let masked = self.fcm.quarantine(&keep, &quarantined);
-        let coverage = self.masked_coverage_with_quarantine(&masked, &quarantined);
-        CachedMask { masked, coverage }
+        let coverage = self.masked_coverage(keep, quarantined);
+        self.coverage.insert(key, coverage);
+        coverage
     }
 
-    /// Builds the masked system and re-consults the Theorem 1 oracle on it.
-    fn build_mask(&self, observed: &[bool]) -> CachedMask {
-        let masked = self.fcm.mask_rows(observed);
-        let coverage = self.masked_coverage(&masked);
-        CachedMask { masked, coverage }
-    }
-
-    /// Re-classifies the audited candidates against the masked system: a
-    /// deviation stays detectable iff its projected deviated column leaves
-    /// the span of the projected FCM columns. Projection can only *shrink*
-    /// the set of vectors outside the span, so this is ≤ the full coverage
-    /// on the same sample.
-    fn masked_coverage(&self, masked: &MaskedFcm) -> f64 {
-        self.masked_coverage_with_quarantine(masked, &vec![false; self.fcm.flow_count()])
-    }
-
-    /// Coverage over the audited sample with a quarantine in effect: a
-    /// candidate deviating a quarantined flow is undetectable by fiat —
-    /// its column is not part of the reconciled system, so nothing
-    /// constrains it this round.
-    fn masked_coverage_with_quarantine(&self, masked: &MaskedFcm, quarantined: &[bool]) -> f64 {
-        if self.candidates.is_empty() {
-            return 1.0;
-        }
-        let sub = masked.fcm();
-        if sub.rule_count() == 0 {
-            return 0.0; // no equations left: every deviation is invisible
-        }
-        let oracle = SpanOracle::new(sub);
-        // Parent row -> masked row, for projecting deviated histories.
-        let mut masked_row = vec![None; self.fcm.rule_count()];
-        for (i, &parent) in masked.parent_rows().iter().enumerate() {
-            masked_row[parent] = Some(i);
-        }
-        let mut detectable = 0usize;
-        for c in &self.candidates {
-            if quarantined.get(c.flow).copied().unwrap_or(false) {
-                continue;
-            }
-            // The deviated history's 0/1 column, projected onto the
-            // observed rows.
-            let rows: Vec<usize> = c
-                .deviated_history
-                .iter()
-                .filter_map(|r| self.fcm.rule_row(*r).and_then(|row| masked_row[row]))
-                .collect();
-            if !oracle.contains_rows(&rows) {
-                detectable += 1;
-            }
-        }
-        detectable as f64 / self.candidates.len() as f64
+    /// Re-classifies the audited candidates with the rows `keep` clears
+    /// removed ([`coverage_without`]); a candidate on a `quarantined` flow
+    /// counts as undetectable.
+    fn masked_coverage(&self, keep: &[bool], quarantined: &[bool]) -> f64 {
+        let backend = self.backend();
+        coverage_without(&self.fcm, keep, &self.candidates, quarantined, backend)
     }
 
     /// Coverage of the masked system for an explicit observation mask —
-    /// exposed for audits and tests; `detect` computes and caches the same
-    /// number per missing-switch set.
+    /// exposed for audits and tests; `detect` computes and memoizes the
+    /// same number per missing-switch set.
     pub fn coverage_under_mask(&self, observed: &[bool]) -> f64 {
-        self.masked_coverage(&self.fcm.mask_rows(observed))
+        self.masked_coverage(observed, &[])
     }
 }
 
@@ -532,7 +394,7 @@ mod tests {
         let (verdict, mode) = pipeline.detect(&counters, &observed).unwrap();
         assert_eq!(mode, DetectionMode::Full);
         assert!(!verdict.unwrap().anomalous);
-        assert_eq!(pipeline.cached_masks(), 0, "full rounds never mask");
+        assert!(pipeline.coverage.is_empty(), "full rounds never mask");
     }
 
     #[test]
@@ -567,14 +429,14 @@ mod tests {
     }
 
     #[test]
-    fn masked_systems_are_cached_per_missing_set() {
+    fn masked_coverage_is_memoized_per_missing_set() {
         let (dep, mut pipeline) = setup();
         let counters = pipeline.fcm().counters_from(&dep.dataplane);
         let victim = pipeline.fcm().rules()[0].switch;
         let observed = mask_without(&pipeline, &[victim]);
         pipeline.detect(&counters, &observed).unwrap();
         pipeline.detect(&counters, &observed).unwrap();
-        assert_eq!(pipeline.cached_masks(), 1);
+        assert_eq!(pipeline.coverage.len(), 1);
         let other = pipeline
             .fcm()
             .rules()
@@ -584,7 +446,7 @@ mod tests {
             .unwrap();
         let observed2 = mask_without(&pipeline, &[other]);
         pipeline.detect(&counters, &observed2).unwrap();
-        assert_eq!(pipeline.cached_masks(), 2);
+        assert_eq!(pipeline.coverage.len(), 2);
     }
 
     #[test]
@@ -625,12 +487,12 @@ mod tests {
         assert!(quarantined_flows >= 1);
         assert!(masked_rows >= touched.len());
         assert!(coverage <= pipeline.full_coverage() + 1e-12);
-        assert_eq!(pipeline.cached_reconciliations(), 1);
-        // The same (missing, touched) key hits the cache.
+        assert_eq!(pipeline.coverage.len(), 1);
+        // The same (missing, touched) key reads the memo.
         pipeline
             .detect_reconciled(&counters, &observed, &touched, vec![])
             .unwrap();
-        assert_eq!(pipeline.cached_reconciliations(), 1);
+        assert_eq!(pipeline.coverage.len(), 1);
     }
 
     #[test]
@@ -652,7 +514,7 @@ mod tests {
     }
 
     #[test]
-    fn retarget_drops_the_caches_and_the_rebuilt_fcm_solves_cold_then_warm() {
+    fn retarget_drops_the_coverage_memo_and_the_rebuilt_fcm_solves_cold_then_warm() {
         let (mut dep, mut pipeline) = setup();
         let counters = pipeline.fcm().counters_from(&dep.dataplane);
         let observed = vec![true; counters.len()];
@@ -668,14 +530,18 @@ mod tests {
             "steady state reuses the factor: {:?}",
             pipeline.last_solve_path()
         );
-        // Reroute a flow and retarget at the rebuilt FCM: the mask caches
-        // drop, and the rebuilt FCM's first solve factors its own basis.
+        let victim = pipeline.fcm().rules()[0].switch;
+        pipeline
+            .detect(&counters, &mask_without(&pipeline, &[victim]))
+            .unwrap();
+        assert_eq!(pipeline.coverage.len(), 1);
+        // Reroute a flow and retarget at the rebuilt FCM: the coverage memo
+        // drops, and the rebuilt FCM's first solve factors its own basis.
         dep.reroute_flow_via(0, &[]).unwrap();
         let fcm = Fcm::from_view(&dep.view);
         pipeline.retarget(&dep.view, fcm, 300);
         assert_eq!(pipeline.last_solve_path(), None);
-        assert_eq!(pipeline.cached_masks(), 0);
-        assert_eq!(pipeline.cached_reconciliations(), 0);
+        assert!(pipeline.coverage.is_empty());
         dep.dataplane.reset_counters();
         dep.replay_traffic(&mut LossModel::none());
         let counters = pipeline.fcm().counters_from(&dep.dataplane);
@@ -722,47 +588,5 @@ mod tests {
         let (_, pipeline) = setup();
         let observed = vec![false; pipeline.fcm().rule_count()];
         assert_eq!(pipeline.coverage_under_mask(&observed), 0.0);
-    }
-
-    #[test]
-    fn mask_caches_stay_bounded_and_evicted_masks_rebuild_alike() {
-        let (dep, mut pipeline) = setup();
-        let counters = pipeline.fcm().counters_from(&dep.dataplane);
-        let mut switches: Vec<SwitchId> = pipeline.fcm().rules().iter().map(|r| r.switch).collect();
-        switches.dedup();
-        // 200 distinct missing-switch sets: every single switch, then pairs.
-        let mut sets: Vec<Vec<SwitchId>> = switches.iter().map(|&s| vec![s]).collect();
-        for (i, &a) in switches.iter().enumerate() {
-            for &b in &switches[i + 1..] {
-                sets.push(vec![a, b]);
-            }
-        }
-        sets.truncate(200);
-        assert_eq!(sets.len(), 200);
-        let mut first = Vec::new();
-        for set in &sets {
-            let observed = mask_without(&pipeline, set);
-            first.push(pipeline.detect(&counters, &observed).unwrap());
-            assert!(pipeline.cached_masks() <= MASK_CACHE_CAP);
-        }
-        assert_eq!(pipeline.cached_masks(), MASK_CACHE_CAP);
-        // The oldest sets were evicted: revisiting them rebuilds the mask,
-        // and the verdicts match both the first visit and a fresh pipeline.
-        let (_, mut fresh) = setup();
-        for (set, before) in sets.iter().zip(&first).take(20) {
-            let observed = mask_without(&pipeline, set);
-            let again = pipeline.detect(&counters, &observed).unwrap();
-            let reference = fresh.detect(&counters, &observed).unwrap();
-            assert_eq!(again.1, reference.1, "{set:?}");
-            assert_eq!(again.1, before.1, "{set:?}");
-            let (a, r) = (again.0.unwrap(), reference.0.unwrap());
-            assert_eq!(a.anomalous, r.anomalous, "{set:?}");
-            assert_eq!(
-                a.anomaly_index.to_bits(),
-                r.anomaly_index.to_bits(),
-                "{set:?}"
-            );
-        }
-        assert_eq!(pipeline.cached_masks(), MASK_CACHE_CAP);
     }
 }

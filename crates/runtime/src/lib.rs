@@ -54,7 +54,7 @@ pub mod scheduler;
 pub mod service;
 pub mod transport;
 
-pub use degraded::{DegradedPipeline, DetectionMode, MASK_CACHE_CAP};
+pub use degraded::{DegradedPipeline, DetectionMode};
 // The Byzantine-layer tunables live with the liar lifecycle in core.
 pub use foces::ByzantineConfig;
 pub use harness::{FaultScenario, ScenarioDriver};

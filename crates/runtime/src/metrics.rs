@@ -322,7 +322,9 @@ impl EventLog {
             let _ = writeln!(w, "{json_line}");
             let _ = w.flush();
         }
-        self.lines.push(json_line);
+        // Lines live as long as the log: keep an exact-size copy, not the
+        // rendering buffer (`format!` reserves twice its literal text).
+        self.lines.push(json_line.as_str().into());
     }
 
     /// All recorded lines, oldest first.

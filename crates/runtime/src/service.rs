@@ -367,7 +367,8 @@ impl RuntimeService {
         self.epoch
     }
 
-    /// The degraded-detection layer (FCM, oracle coverage, mask cache).
+    /// The degraded-detection layer (FCM, oracle coverage, the masked
+    /// coverage memo).
     pub fn pipeline(&self) -> &DegradedPipeline {
         &self.pipeline
     }

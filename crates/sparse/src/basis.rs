@@ -42,33 +42,27 @@ impl BasisCholesky {
         &self.basis
     }
 
-    /// The memoized Gram factor, unless its predicted fill exceeds
-    /// `fill_limit` nonzeros (`None`; the analysis is kept, no factor is
-    /// built).
-    pub(crate) fn factor_within(
-        &self,
-        fill_limit: usize,
-    ) -> Option<Result<&SparseFactor, &LinalgError>> {
-        if let Some(factor) = self.factor.get() {
-            return (self.symbolic().lnz() <= fill_limit).then_some(as_ref(factor));
-        }
-        let gram = self.basis.gram_csr();
-        let sym = self.symbolic_of(&gram);
-        if sym.lnz() > fill_limit {
-            return None;
-        }
-        let factor = self
-            .factor
-            .get_or_init(|| SparseFactor::factor(sym, &gram).map(Arc::new));
-        Some(as_ref(factor))
-    }
-
-    /// The symbolic analysis, built on first demand.
-    pub(crate) fn symbolic(&self) -> &SymbolicCholesky {
-        match self.symbolic.get() {
-            Some(sym) => sym,
-            None => self.symbolic_of(&self.basis.gram_csr()),
-        }
+    /// The memoized Gram factor, built on first demand, unless its
+    /// predicted fill exceeds `fill_limit` nonzeros (the analysis is kept,
+    /// no factor is built) or the factorization failed.
+    pub(crate) fn factor_within(&self, fill_limit: usize) -> Option<Arc<SparseFactor>> {
+        let factor = match self.factor.get() {
+            Some(memo) => memo,
+            None => {
+                let gram = self.basis.gram_csr();
+                let sym = self.symbolic_of(&gram);
+                if sym.lnz() > fill_limit {
+                    return None;
+                }
+                self.factor
+                    .get_or_init(|| SparseFactor::factor(sym, &gram).map(Arc::new))
+            }
+        };
+        let sym = self
+            .symbolic
+            .get()
+            .expect("a factor is built on its analysis");
+        (sym.lnz() <= fill_limit).then(|| factor.as_ref().ok().cloned())?
     }
 
     /// The Gram factor for a one-off use: the memoized one when a solver
@@ -110,8 +104,4 @@ impl BasisCholesky {
         self.symbolic
             .get_or_init(|| SymbolicCholesky::analyze(gram))
     }
-}
-
-fn as_ref(memo: &Result<Arc<SparseFactor>, LinalgError>) -> Result<&SparseFactor, &LinalgError> {
-    memo.as_ref().map(|f| &**f)
 }

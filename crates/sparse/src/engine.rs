@@ -4,9 +4,11 @@
 
 use crate::basis::BasisCholesky;
 use crate::kernels::normal_residual;
+use crate::numeric::SparseFactor;
 use foces_linalg::{pcgls, Jacobi, LinalgError};
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// Which solve backend a detector/solver should use.
 ///
@@ -129,14 +131,12 @@ pub const ACCEPT_TOL: f64 = 1e-6;
 pub fn solve_factored(basis: &BasisCholesky, counters: &[f64]) -> Result<BasisSolve, LinalgError> {
     let h = basis.basis();
     let rhs = h.transpose_matvec(counters)?;
-    if h.cols() <= DIRECT_LIMIT {
-        if let Some(x) = solve_direct(basis, &rhs)? {
-            return Ok(BasisSolve {
-                x,
-                iterations: 0,
-                method: SolveMethod::SparseCholesky,
-            });
-        }
+    if let Some(x) = solve_direct(basis, &rhs)? {
+        return Ok(BasisSolve {
+            x,
+            iterations: 0,
+            method: SolveMethod::SparseCholesky,
+        });
     }
     let out = pcgls(
         h,
@@ -152,19 +152,19 @@ pub fn solve_factored(basis: &BasisCholesky, counters: &[f64]) -> Result<BasisSo
     })
 }
 
+/// The factor [`solve_factored`]'s direct rung solves `basis` on, built
+/// and memoized on first demand; `None` when the basis takes PCGLS (past
+/// 4096 columns or 8·10⁶ predicted factor nonzeros, or rank-deficient).
+pub fn direct_factor(basis: &BasisCholesky) -> Option<Arc<SparseFactor>> {
+    (basis.basis().cols() <= DIRECT_LIMIT).then(|| basis.factor_within(FILL_LIMIT))?
+}
+
 /// The direct rung on the memoized factor, residual-verified with one
 /// refinement step; `None` hands the solve to PCGLS.
 fn solve_direct(basis: &BasisCholesky, rhs: &[f64]) -> Result<Option<Vec<f64>>, LinalgError> {
     let h = basis.basis();
-    let factor = match basis.factor_within(FILL_LIMIT) {
-        None => return Ok(None),
-        Some(Ok(f)) => f,
-        // Rank-deficient basis: the direct rung cannot serve it, let PCGLS
-        // produce the minimum-norm answer.
-        Some(Err(
-            LinalgError::NotPositiveDefinite { .. } | LinalgError::SingularTriangular { .. },
-        )) => return Ok(None),
-        Some(Err(e)) => return Err(e.clone()),
+    let Some(factor) = direct_factor(basis) else {
+        return Ok(None);
     };
     let mut x = factor.solve(rhs)?;
     let (r, rel) = normal_residual(h, &x, rhs)?;

@@ -5,6 +5,7 @@
 //! the Byzantine and coverage layers never densify a Gram matrix.
 
 use crate::numeric::SparseFactor;
+use crate::symbolic::{ereach, etree, NONE};
 use foces_linalg::{CsrMatrix, LinalgError};
 
 /// Relative normal-equation residual: returns `(rhs − Hᵀ(H x), ‖·‖/‖rhs‖)`.
@@ -113,44 +114,59 @@ pub fn absorption_coefficients(
     Ok((resid_sq.sqrt(), x))
 }
 
-/// Removal of a set of rows `R` (one switch's rules) from a least-squares
-/// basis `B`, answered against the factor of the full Gram `G = BᵀB` by
-/// the Woodbury identity — no refactorization, no dense Gram.
+/// A sparse vector: `(index, value)` pairs, ascending.
+type SparseVec = Vec<(usize, f64)>;
+
+/// Removal of a set of rows `R` (a switch's rules, a round's unobserved
+/// rows, or both) from a least-squares basis `B`, answered against the
+/// factor of the full Gram `G = BᵀB` by the Woodbury identity — no
+/// refactorization, no dense Gram.
 ///
 /// Columns whose whole support lies in `R` are *stranded*: without `R`
-/// nothing constrains them. With `V = [E_S; B_R]` — the unit rows picking
-/// out the `k` stranded coordinates `S`, then the `r` removed rows that
-/// keep an entry on a non-stranded column — the modified Gram
+/// nothing constrains them. Columns `a < b` that keep support but are equal
+/// on the kept rows are *merged*: only their sum is identifiable, so the
+/// null vector `e_a − e_b` of the reduced Gram pins them equal. With
+/// `V = [E_S; W; B_R]` — the unit rows picking out the stranded
+/// coordinates `S`, the `e_a − e_b` rows of the merged pairs (`k` positive
+/// terms in all), then the `r` removed rows that keep an entry on a
+/// non-stranded column — the modified Gram
 ///
 /// ```text
-/// M = G + E_SᵀE_S − B_RᵀB_R = G + Vᵀ·C·V,   C = diag(+I_k, −I_r)
+/// M = G + E_SᵀE_S + WᵀW − B_RᵀB_R = G + Vᵀ·C·V,   C = diag(+I_k, −I_r)
 /// ```
 ///
 /// is block diagonal: the Gram of the reduced system (rows `R` and columns
-/// `S` removed) beside `I` plus the Gram of the rows that touch only `S`,
-/// which is positive definite. So `M` is singular exactly when the reduced
-/// system has lost rank. With `Z = L⁻¹·P·Vᵀ` (one sparse forward solve
-/// per column over its elimination-tree reach) the capacitance is
+/// `S` removed) plus `WᵀW` beside `I` plus the Gram of the rows that touch
+/// only `S`, which is positive definite. `W` spans exactly the null space
+/// the merges open, and `Bᵀy` over the kept rows is orthogonal to it, so
+/// the solve returns the least-squares fit with each merged pair's
+/// coefficients equal; `M` is singular exactly when the reduced system
+/// loses rank some other way. With `Z = L⁻¹·P·Vᵀ` (one sparse forward
+/// solve per column over its elimination-tree reach) the capacitance is
 ///
 /// ```text
 /// K = C⁻¹ + V·G⁻¹·Vᵀ = diag(+I_k, −I_r) + ZᵀZ,   det M = det G · det C · det K.
 /// ```
 ///
-/// `K` is factored as `L_K·D·L_Kᵀ` in that order: its `k` stranded pivots
-/// are ≥ 1, and its `r` row pivots are `−(1 − vᵀA⁻¹v)` for the running
-/// `A = G + E_SᵀE_S − Σ v·vᵀ` — the quantity a sequential rank-one
-/// Cholesky downdate must keep positive. A row pivot within
-/// [`foces_linalg::DEFAULT_TOL`] of zero therefore marks `M` singular by
-/// the same test a dense downdate applies.
+/// `K` is assembled from the overlaps of `Z`'s supports and factored as a
+/// sparse `L_K·D·L_Kᵀ` over its elimination tree, so its storage is the
+/// nonzeros of `L_K` (diagonal when `Z` is, as for per-pair rules). Its
+/// `k` positive pivots are ≥ 1, and its `r` row pivots are `−(1 − vᵀA⁻¹v)`
+/// for the running `A = G + E_SᵀE_S + WᵀW − Σ v·vᵀ` — the quantity a
+/// sequential rank-one Cholesky downdate must keep positive. A row pivot
+/// within [`foces_linalg::DEFAULT_TOL`] of zero therefore marks `M`
+/// singular by the same test a dense downdate applies.
 #[derive(Debug, Clone)]
 pub struct Capacitance {
     stranded: Vec<usize>,
+    merged: Vec<(usize, usize)>,
     kept: usize,
     corrections: usize,
-    /// Columns of `Z` in factor coordinates: stranded first, then rows.
-    z: Vec<Vec<(usize, f64)>>,
-    /// Unit lower factor of `K` (row-major `q × q`, diagonal implied).
-    l: Vec<f64>,
+    /// Columns of `Z` in factor coordinates: stranded, merged, then rows.
+    z: Vec<SparseVec>,
+    /// Columns of the unit lower factor of `K`, strictly below the
+    /// diagonal, as `(row, value)` ascending.
+    l: Vec<SparseVec>,
     d: Vec<f64>,
     singular: bool,
 }
@@ -183,45 +199,45 @@ impl Capacitance {
         for &r in rows {
             removed[r] = true;
         }
-        // A column is stranded when no kept row touches it.
+        // A column is stranded when no kept row touches it. `sig` hashes
+        // each column's entries on the kept rows, visited in row order.
         let mut touched = vec![false; n];
         let mut survives = vec![false; n];
+        let mut sig = vec![0u64; n];
         for (i, &gone) in removed.iter().enumerate() {
-            for (j, _) in basis.row_iter(i) {
+            for (j, v) in basis.row_iter(i) {
                 if gone {
                     touched[j] = true;
                 } else {
                     survives[j] = true;
+                    sig[j] = (sig[j].rotate_left(7) ^ (i as u64) ^ v.to_bits().rotate_left(32))
+                        .wrapping_mul(0x9e37_79b9_7f4a_7c15);
                 }
             }
         }
         let stranded: Vec<usize> = (0..n).filter(|&j| touched[j] && !survives[j]).collect();
+        let merged = merged_columns(basis, &removed, &touched, &survives, &sig);
         let kept = n - stranded.len();
-        // Columns of Vᵀ: the stranded unit vectors, then every removed row
-        // that keeps an entry on a surviving column. A row on stranded
-        // columns only leaves the reduced system with them: it needs no
-        // correction, and `M` stays block diagonal without it.
-        let mut v: Vec<Vec<(usize, f64)>> = stranded.iter().map(|&j| vec![(j, 1.0)]).collect();
+        // Columns of Vᵀ: the stranded unit vectors, the merged pairs' null
+        // vectors, then every removed row that keeps an entry on a
+        // surviving column. A row on stranded columns only leaves the
+        // reduced system with them: it needs no correction, and `M` stays
+        // block diagonal without it.
+        let mut v: Vec<SparseVec> = stranded.iter().map(|&j| vec![(j, 1.0)]).collect();
+        v.extend(merged.iter().map(|&(a, b)| vec![(a, 1.0), (b, -1.0)]));
+        let k = v.len();
         for r in (0..basis.rows()).filter(|&r| removed[r]) {
             if basis.row_iter(r).any(|(j, _)| survives[j]) {
                 v.push(basis.row_iter(r).collect());
             }
         }
         let z = factor.forward_sparse(v.iter().map(Vec::as_slice));
-        let k = stranded.len();
-        let q = z.len();
-        let mut kmat = vec![0.0f64; q * q];
-        for a in 0..q {
-            for b in 0..=a {
-                kmat[a * q + b] = sparse_dot(&z[a], &z[b]);
-            }
-            kmat[a * q + a] += if a < k { 1.0 } else { -1.0 };
-        }
-        let (l, d, singular) = ldl_signed(kmat, q, k);
+        let (l, d, singular) = ldl_signed(&z, k, n);
         Ok(Capacitance {
             stranded,
+            merged,
             kept,
-            corrections: q - k,
+            corrections: z.len() - k,
             z,
             l,
             d,
@@ -234,21 +250,30 @@ impl Capacitance {
         &self.stranded
     }
 
+    /// Pairs `(a, b)`, `a < b`, of surviving basis columns the removal
+    /// left equal on the kept rows: `a` is the lowest column of its merged
+    /// group, and the solve returns `x_a = x_b`. Ascending.
+    pub fn merged(&self) -> &[(usize, usize)] {
+        &self.merged
+    }
+
     /// Rank-one corrections applied: one per removed row with an entry on
     /// a kept column.
     pub fn corrections(&self) -> usize {
         self.corrections
     }
 
-    /// Whether the reduced system has lost rank (or keeps no column).
+    /// Whether the reduced system has lost rank beyond its merged columns
+    /// (or keeps no column).
     pub fn rank_lost(&self) -> bool {
         self.singular || self.kept == 0
     }
 
-    /// Solves the reduced normal equations: returns `x` with `x_S = 0` and
-    /// the kept coordinates solving `G_kept' · x = rhs_kept`, where `rhs`
-    /// is already the reduced right-hand side `B'ᵀ·y'` in basis
-    /// coordinates (its stranded entries are ignored).
+    /// Solves the reduced normal equations: returns `x` with `x_S = 0`,
+    /// each merged pair equal, and the kept coordinates solving
+    /// `G_kept' · x = rhs_kept`, where `rhs` is already the reduced
+    /// right-hand side `B'ᵀ·y'` in basis coordinates (its stranded entries
+    /// are ignored).
     ///
     /// # Errors
     ///
@@ -289,69 +314,143 @@ impl Capacitance {
     }
 
     fn ldl_solve(&self, t: &mut [f64]) {
-        let q = self.d.len();
-        for a in 0..q {
-            let s: f64 = (0..a).map(|b| self.l[a * q + b] * t[b]).sum();
-            t[a] -= s;
+        for (j, col) in self.l.iter().enumerate() {
+            for &(r, v) in col {
+                t[r] -= v * t[j];
+            }
         }
         for (ta, &da) in t.iter_mut().zip(&self.d) {
             *ta /= da;
         }
-        for a in (0..q).rev() {
-            let s: f64 = (a + 1..q).map(|b| self.l[b * q + a] * t[b]).sum();
-            t[a] -= s;
-        }
-    }
-}
-
-/// Dot product of two sparse vectors sorted by index.
-fn sparse_dot(a: &[(usize, f64)], b: &[(usize, f64)]) -> f64 {
-    let (mut i, mut j, mut acc) = (0, 0, 0.0);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                acc += a[i].1 * b[j].1;
-                i += 1;
-                j += 1;
+        for (j, col) in self.l.iter().enumerate().rev() {
+            for &(r, v) in col {
+                t[j] -= v * t[r];
             }
         }
     }
-    acc
 }
 
-/// `K = L·D·Lᵀ` without pivoting for a symmetric `q × q` matrix (lower
-/// triangle, row-major) whose first `k` pivots must be positive and whose
-/// rest must be negative. Returns `(L, D, singular)`; `singular` is set,
-/// and the factorization stops, at the first pivot that is not bounded
-/// away from zero with its expected sign.
-fn ldl_signed(mut a: Vec<f64>, q: usize, k: usize) -> (Vec<f64>, Vec<f64>, bool) {
+/// The merged pairs of [`Capacitance::new`], ascending. Two columns that
+/// kept every row are still distinct, so each merged group holds a column
+/// that lost rows: candidates share its `sig`, confirmed entry by entry.
+fn merged_columns(
+    basis: &CsrMatrix,
+    removed: &[bool],
+    touched: &[bool],
+    survives: &[bool],
+    sig: &[u64],
+) -> Vec<(usize, usize)> {
+    let n = sig.len();
+    let mut cut: Vec<u64> = (0..n)
+        .filter(|&j| touched[j] && survives[j])
+        .map(|j| sig[j])
+        .collect();
+    cut.sort_unstable();
+    let mut candidates: Vec<usize> = (0..n)
+        .filter(|&j| survives[j] && cut.binary_search(&sig[j]).is_ok())
+        .collect();
+    candidates.sort_unstable_by_key(|&j| (sig[j], j));
+    if !candidates.windows(2).any(|w| sig[w[0]] == sig[w[1]]) {
+        return Vec::new();
+    }
+    // The kept entries of every candidate column, in row order.
+    let mut slot = vec![usize::MAX; n];
+    for (s, &j) in candidates.iter().enumerate() {
+        slot[j] = s;
+    }
+    let mut entries: Vec<Vec<(usize, u64)>> = vec![Vec::new(); candidates.len()];
+    for i in (0..basis.rows()).filter(|&i| !removed[i]) {
+        for (j, v) in basis.row_iter(i).filter(|&(j, _)| slot[j] != usize::MAX) {
+            entries[slot[j]].push((i, v.to_bits()));
+        }
+    }
+    let mut pairs = Vec::new();
+    for bucket in candidates.chunk_by(|&a, &b| sig[a] == sig[b]) {
+        // The first column of each distinct pattern, ascending.
+        let mut reps: Vec<usize> = Vec::new();
+        for &j in bucket {
+            match reps.iter().find(|&&a| entries[slot[a]] == entries[slot[j]]) {
+                Some(&a) => pairs.push((a, j)),
+                None => reps.push(j),
+            }
+        }
+    }
+    pairs.sort_unstable();
+    pairs
+}
+
+/// `K = L·D·Lᵀ` without pivoting, up-looking over `K`'s elimination tree,
+/// for `K = diag(+I_k, −I_r) + ZᵀZ` assembled from the overlaps of `z`'s
+/// columns. The first `k` pivots must be positive and the rest negative.
+/// Returns `(L by columns, D, singular)`; `singular` is set, and the
+/// factorization stops, at the first pivot that is not bounded away from
+/// zero with its expected sign.
+fn ldl_signed(z: &[SparseVec], k: usize, dim: usize) -> (Vec<SparseVec>, Vec<f64>, bool) {
+    let q = z.len();
+    // `Z` by rows (factor coordinates below `dim`), each row's columns
+    // ascending: row a of K meets the earlier columns sharing one with z_a.
+    let mut start = vec![0usize; dim + 1];
+    for &(i, _) in z.iter().flatten() {
+        start[i + 1] += 1;
+    }
+    for i in 0..dim {
+        start[i + 1] += start[i];
+    }
+    let mut next = start.clone();
+    let mut at = vec![(0usize, 0.0f64); start[dim]];
+    for (a, za) in z.iter().enumerate() {
+        for &(i, v) in za {
+            at[next[i]] = (a, v);
+            next[i] += 1;
+        }
+    }
+    let (mut rowptr, mut colidx, mut vals) = (vec![0], Vec::new(), Vec::new());
+    let (mut acc, mut hit, mut diag) = (vec![0.0f64; q], vec![usize::MAX; q], Vec::new());
+    for (a, za) in z.iter().enumerate() {
+        let first = colidx.len();
+        for &(i, va) in za {
+            for &(b, vb) in at[start[i]..start[i + 1]].iter().take_while(|e| e.0 < a) {
+                if hit[b] != a {
+                    (hit[b], acc[b]) = (a, 0.0);
+                    colidx.push(b);
+                }
+                acc[b] += va * vb;
+            }
+        }
+        colidx[first..].sort_unstable();
+        vals.extend(colidx[first..].iter().map(|&b| acc[b]));
+        rowptr.push(colidx.len());
+        let norm: f64 = za.iter().map(|&(_, v)| v * v).sum();
+        diag.push(norm + if a < k { 1.0 } else { -1.0 });
+    }
+    let parent = etree(q, &rowptr, &colidx);
+    let mut l: Vec<SparseVec> = vec![Vec::new(); q];
     let mut d = vec![0.0f64; q];
-    let mut pattern = Vec::with_capacity(q);
+    let (mut w, mut s, mut x) = (vec![NONE; q], vec![0usize; q], vec![0.0f64; q]);
     for j in 0..q {
-        // Row j of L so far; `K` inherits the sparsity of `Z`, so the
-        // updates below run over this pattern only.
-        pattern.clear();
-        pattern.extend((0..j).filter(|&p| a[j * q + p] != 0.0));
-        let mut dj = a[j * q + j];
-        for &p in &pattern {
-            dj -= a[j * q + p] * a[j * q + p] * d[p];
+        let row = &colidx[rowptr[j]..rowptr[j + 1]];
+        let top = ereach(row, j, &parent, &mut w, &mut s);
+        for (&c, &v) in row.iter().zip(&vals[rowptr[j]..rowptr[j + 1]]) {
+            x[c] = v;
+        }
+        // Up-looking: y_p = L[j][p]·d[p] in topological order.
+        let mut dj = diag[j];
+        for &p in &s[top..] {
+            let yp = std::mem::take(&mut x[p]);
+            for &(r, v) in &l[p] {
+                x[r] -= v * yp;
+            }
+            let ljp = yp / d[p];
+            dj -= ljp * yp;
+            l[p].push((j, ljp));
         }
         let sign = if j < k { 1.0 } else { -1.0 };
         if sign * dj <= foces_linalg::DEFAULT_TOL {
-            return (a, d, true);
+            return (l, d, true);
         }
         d[j] = dj;
-        for i in j + 1..q {
-            let mut s = a[i * q + j];
-            for &p in &pattern {
-                s -= a[i * q + p] * a[j * q + p] * d[p];
-            }
-            a[i * q + j] = s / dj;
-        }
     }
-    (a, d, false)
+    (l, d, false)
 }
 
 #[cfg(test)]
@@ -510,9 +609,11 @@ mod tests {
     fn capacitance_flags_exactly_the_rank_losing_removals() {
         let h = wide();
         let f = SparseFactor::factor_fresh(&h.gram_csr()).unwrap();
-        // Every set of three rows: the verdict must equal the explicit
-        // rank test, and both verdicts must occur.
-        let mut lost_count = 0;
+        // Every set of three rows: merged pairs plus the remaining rank
+        // loss must equal the explicit rank test, rank loss must equal it
+        // once each merged pair's second column is dropped, and all three
+        // outcomes must occur.
+        let (mut lost_count, mut merged_count) = (0, 0);
         for a in 0..8 {
             for b in a + 1..8 {
                 for c in b + 1..8 {
@@ -520,14 +621,58 @@ mod tests {
                     let cap = Capacitance::new(&h, &f, &rows).unwrap();
                     let (red, keep) = reduced(&h, &rows, cap.stranded());
                     let lost = foces_linalg::rank(&red, 1e-9) < keep.len();
+                    let merged = !cap.merged().is_empty();
+                    assert_eq!(cap.rank_lost() || merged, lost, "rows {rows:?}");
+                    let mut gone = cap.stranded().to_vec();
+                    gone.extend(cap.merged().iter().map(|&(_, b)| b));
+                    let (red, keep) = reduced(&h, &rows, &gone);
+                    let lost = foces_linalg::rank(&red, 1e-9) < keep.len();
                     assert_eq!(cap.rank_lost(), lost, "rows {rows:?}");
-                    lost_count += usize::from(lost);
+                    lost_count += usize::from(cap.rank_lost());
+                    merged_count += usize::from(merged);
                 }
             }
         }
         assert!(
-            lost_count > 0 && lost_count < 56,
-            "{lost_count} of 56 lost rank"
+            lost_count > 0 && merged_count > 0 && lost_count + merged_count < 56,
+            "{lost_count} lost rank and {merged_count} merged of 56"
         );
+    }
+
+    #[test]
+    fn merged_columns_are_pinned_equal_and_fit_like_the_merged_system() {
+        // Column 2 lives on rows 0, 1, 3, 4, 7 and column 4 on rows 2, 3,
+        // 4: without rows 0, 1, 2 and 7 both keep exactly rows 3 and 4.
+        let h = wide();
+        let f = SparseFactor::factor_fresh(&h.gram_csr()).unwrap();
+        let rows = [0usize, 1, 2, 7];
+        let cap = Capacitance::new(&h, &f, &rows).unwrap();
+        assert_eq!(cap.merged(), &[(2, 4)]);
+        assert!(!cap.rank_lost());
+        let y: Vec<f64> = (0..8).map(|i| 2.0 + (i * 5 % 7) as f64).collect();
+        let mut y_kept = y.clone();
+        for &r in &rows {
+            y_kept[r] = 0.0;
+        }
+        let x = cap
+            .solve(&f, &h.transpose_matvec(&y_kept).unwrap())
+            .unwrap();
+        assert!((x[2] - x[4]).abs() < 1e-10, "{x:?}");
+        // The fit equals the reduced system's with column 4 folded into 2.
+        let mut gone = cap.stranded().to_vec();
+        gone.push(4);
+        let (red, keep_cols) = reduced(&h, &rows, &gone);
+        let keep_rows: Vec<usize> = (0..8).filter(|r| !rows.contains(r)).collect();
+        let y_red: Vec<f64> = keep_rows.iter().map(|&r| y[r]).collect();
+        let want = foces_linalg::Cholesky::factor(&red.gram())
+            .unwrap()
+            .solve(&red.transpose_matvec(&y_red).unwrap())
+            .unwrap();
+        let fit_want = red.matvec(&want).unwrap();
+        let fit = h.matvec(&x).unwrap();
+        for (k, &r) in keep_rows.iter().enumerate() {
+            assert!((fit[r] - fit_want[k]).abs() < 1e-9, "row {r}");
+        }
+        assert_eq!(keep_cols.len() + 1, 5 - cap.stranded().len());
     }
 }

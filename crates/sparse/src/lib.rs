@@ -37,7 +37,7 @@ pub mod ordering;
 pub mod symbolic;
 
 pub use basis::BasisCholesky;
-pub use engine::{solve_factored, BackendKind, BasisSolve, SolveMethod, ACCEPT_TOL};
+pub use engine::{direct_factor, solve_factored, BackendKind, BasisSolve, SolveMethod, ACCEPT_TOL};
 pub use kernels::{
     abs_residual, absorption_coefficients, normal_residual, per_group_mass, rows_indicator_rhs,
     Capacitance,
