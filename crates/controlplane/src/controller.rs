@@ -30,6 +30,8 @@ pub enum ProvisionError {
         /// The repeated switch.
         switch: SwitchId,
     },
+    /// A flow index past the provisioned flows.
+    UnknownFlow(usize),
 }
 
 impl fmt::Display for ProvisionError {
@@ -50,6 +52,9 @@ impl fmt::Display for ProvisionError {
                     "waypoint path revisits s{}; flow rules cannot express it",
                     switch.0
                 )
+            }
+            ProvisionError::UnknownFlow(flow) => {
+                write!(f, "no provisioned flow {flow}")
             }
         }
     }
@@ -419,11 +424,8 @@ impl Deployment {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Deployment::add_flow_via`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flow` is out of range.
+    /// Same conditions as [`Deployment::add_flow_via`], and
+    /// [`ProvisionError::UnknownFlow`] if `flow` is out of range.
     pub fn reroute_flow_via(
         &mut self,
         flow: usize,
@@ -445,17 +447,14 @@ impl Deployment {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Deployment::add_flow_via`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flow` is out of range.
+    /// Same conditions as [`Deployment::add_flow_via`], and
+    /// [`ProvisionError::UnknownFlow`] if `flow` is out of range.
     pub fn probe_reroute_via(
         &self,
         flow: usize,
         waypoints: &[SwitchId],
     ) -> Result<Vec<SwitchId>, ProvisionError> {
-        let (path, _) = self.stitch_waypoint_path(self.flows[flow], waypoints)?;
+        let (path, _) = self.stitch_waypoint_path(self.flow_spec(flow)?, waypoints)?;
         Ok(path)
     }
 
@@ -474,17 +473,14 @@ impl Deployment {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Deployment::add_flow_via`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flow` is out of range.
+    /// Same conditions as [`Deployment::add_flow_via`], and
+    /// [`ProvisionError::UnknownFlow`] if `flow` is out of range.
     pub fn stage_reroute_via(
         &mut self,
         flow: usize,
         waypoints: &[SwitchId],
     ) -> Result<StagedUpdate, ProvisionError> {
-        let spec = self.flows[flow];
+        let spec = self.flow_spec(flow)?;
         let (path, dst_port) = self.stitch_waypoint_path(spec, waypoints)?;
         let old_path = std::mem::replace(&mut self.expected_paths[flow], path.clone());
         // Old-path rules must be resolved BEFORE the install: on switches
@@ -558,6 +554,14 @@ impl Deployment {
         }
     }
 
+    /// Provisioned flow `flow`'s spec.
+    fn flow_spec(&self, flow: usize) -> Result<FlowSpec, ProvisionError> {
+        self.flows
+            .get(flow)
+            .copied()
+            .ok_or(ProvisionError::UnknownFlow(flow))
+    }
+
     /// Stitches switch-level shortest-path segments from `spec.src`'s
     /// attachment through `waypoints` to the destination and validates
     /// simplicity. Pure: the planning half of every waypoint route.
@@ -606,11 +610,12 @@ impl Deployment {
     ///
     /// Returns the new generation and the installed rules.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `flow` is out of range.
+    /// [`ProvisionError::UnknownFlow`] if `flow` is out of range;
+    /// [`ProvisionError::UnattachedHost`] for a detached destination.
     pub fn refine_flow(&mut self, flow: usize) -> Result<(u64, Vec<RuleRef>), ProvisionError> {
-        let spec = self.flows[flow];
+        let spec = self.flow_spec(flow)?;
         let (_, dst_port) = self
             .dataplane
             .topology()
@@ -1192,6 +1197,25 @@ mod tests {
                 rate: 1.0
             })
             .is_err());
+    }
+
+    #[test]
+    fn an_unknown_flow_is_a_typed_error_and_journals_nothing() {
+        let topo = foces_net::generators::ring(4);
+        let flows = uniform_flows(&topo, 12_000.0);
+        let mut dep = provision(topo, &flows, RuleGranularity::PerFlowPair).unwrap();
+        assert_eq!(dep.flows.len(), 12);
+        let before = dep.view.generation();
+        let unknown = ProvisionError::UnknownFlow(19);
+        assert_eq!(dep.probe_reroute_via(19, &[]), Err(unknown.clone()));
+        let rerouted = dep.reroute_flow_via(19, &[SwitchId(1)]);
+        assert_eq!(rerouted, Err(unknown.clone()));
+        let staged = dep.stage_reroute_via(19, &[]);
+        assert!(matches!(staged, Err(ProvisionError::UnknownFlow(19))));
+        assert_eq!(dep.refine_flow(19), Err(unknown));
+        assert_eq!(dep.view.generation(), before);
+        let msg = ProvisionError::UnknownFlow(19).to_string();
+        assert_eq!(msg, "no provisioned flow 19");
     }
 
     #[test]

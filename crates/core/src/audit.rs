@@ -12,9 +12,13 @@
 //! report: which parts of the rule set leave blind spots.
 //!
 //! Cost: one [`SpanOracle`] per audit (deduplicated basis, sparse Gram,
-//! pivot-dropping sparse Cholesky — milliseconds on FatTree(6)), then per
-//! candidate a re-trace plus `O(nnz(L) + nnz(B))` for two triangular
-//! solves and two sparse products over the basis `B`.
+//! pivot-dropping sparse Cholesky — milliseconds on FatTree(6), or just
+//! the basis when a solve already memoized the factor), then per
+//! candidate a re-trace plus one sparse forward solve of `Bᵀv` over its
+//! elimination-tree reach, which answers a detectable candidate outright.
+//! Only candidates near the span (the blind spots) pay the exact rule's
+//! `O(nnz(L) + nnz(B))`: two full triangular solves and two sparse
+//! products over the basis `B`.
 
 use crate::detectability::{history_rows, SpanOracle};
 use crate::Fcm;

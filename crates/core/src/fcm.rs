@@ -3,7 +3,7 @@ use foces_controlplane::ControllerView;
 use foces_dataplane::RuleRef;
 use foces_linalg::{CsrMatrix, DenseMatrix, Triplet};
 use foces_net::SwitchId;
-use foces_sparse::BasisCholesky;
+use foces_sparse::{BackendKind, BasisCholesky, SparseFactor};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -724,6 +724,16 @@ impl BasisSystem {
     /// The basis with its lazily built Gram factor.
     pub fn cholesky(&self) -> &BasisCholesky {
         &self.cholesky
+    }
+
+    /// The Gram factor `backend`'s solves run on, built and memoized on
+    /// first demand: `None` on [`BackendKind::Dense`], or for a basis the
+    /// sparse engine solves by PCGLS. Once it is memoized, the one-off
+    /// analyses (the deviation audit, the coverage analysis) borrow it
+    /// instead of factoring privately.
+    pub fn factor_for(&self, backend: BackendKind) -> Option<Arc<SparseFactor>> {
+        let sparse = backend != BackendKind::Dense;
+        sparse.then(|| foces_sparse::direct_factor(&self.cholesky))?
     }
 
     /// Expands a basis solution to the full [`crate::SolveOutcome`]: the

@@ -66,10 +66,8 @@ impl Kernel {
     ) -> Result<Self, Box<MaskedFcm>> {
         assert_eq!(kept.len(), fcm.rule_count(), "one observed bit per row");
         let system = fcm.basis_system();
-        let sparse = backend != BackendKind::Dense;
-        let factor = sparse.then(|| foces_sparse::direct_factor(system.cholesky()));
-        match factor
-            .flatten()
+        match system
+            .factor_for(backend)
             .map(|f| Kernel::new(Arc::clone(system), f, kept.to_vec()))
         {
             Some(Ok(k)) if k.blind() || !k.cap.rank_lost() => Ok(k),

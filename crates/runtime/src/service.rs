@@ -294,6 +294,9 @@ impl RuntimeService {
         config: RuntimeConfig,
     ) -> Self {
         let fcm = Fcm::from_view(view);
+        // Memoized here, one factorization serves the audit, the coverage
+        // analysis and the first full round.
+        fcm.basis_system().factor_for(config.backend);
         // Pre-flight gate: prove the configuration sound before trusting
         // counter equations built from it, and statically score how much
         // detection/localization coverage it actually provides.
@@ -596,6 +599,7 @@ impl RuntimeService {
                 (delta.rows_added + delta.rows_removed + delta.rows_retouched) as u64;
             self.metrics.delta_cols += delta.column_churn() as u64;
             self.verification = verify_closure(view, &fcm, &mut self.metrics);
+            fcm.basis_system().factor_for(self.config.backend);
             // Churn can erode coverage (e.g. a reroute concentrating rows
             // on one switch): re-score it the same epoch it happens. The
             // WARN lines are recorded after this epoch's own line so the
@@ -603,8 +607,8 @@ impl RuntimeService {
             self.coverage = coverage_closure(&fcm, &mut self.metrics, None);
             self.static_touched = self.verification.implicated_rules();
             self.sliced = SlicedFcm::from_fcm(&fcm);
-            // Retarget (not rebuild) the pipeline: the next full round
-            // factors the rebuilt FCM's basis once.
+            // Retarget (not rebuild) the pipeline: its audit and the next
+            // full round solve on the factor memoized above.
             self.pipeline.retarget(view, fcm, self.config.oracle_cap);
             self.fcm_generation = view.generation();
             self.metrics.fcm_rebuilds += 1;

@@ -313,12 +313,67 @@ impl Capacitance {
         Ok(x)
     }
 
-    fn ldl_solve(&self, t: &mut [f64]) {
+    /// The squared norm `bᵀx` of the least-squares fit that
+    /// [`Capacitance::solve`] returns for `rhs = b`, given sparsely as
+    /// `(basis column, value)` entries (entries on one column add; those on
+    /// stranded columns are ignored) — without solving for `x`. With
+    /// `u = L⁻¹P·b` from one sparse forward solve over the
+    /// elimination-tree reach of `b` and `t = Zᵀu`, it is
+    /// `‖u‖² − tᵀK⁻¹t`: no backward solve and no product with the basis.
+    /// For `b = B'ᵀy` the squared residual of the fit is `‖y‖² − bᵀx`.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::NotPositiveDefinite`] when [`Capacitance::rank_lost`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if an entry's column is not below `factor.dim()`.
+    pub fn fit_sq_norm(
+        &self,
+        factor: &SparseFactor,
+        rhs: &[(usize, f64)],
+    ) -> Result<f64, LinalgError> {
+        if self.rank_lost() {
+            return Err(LinalgError::NotPositiveDefinite {
+                pivot: self.stranded.len(),
+                value: 0.0,
+            });
+        }
+        let stranded = |j: &usize| self.stranded.binary_search(j).is_ok();
+        let b: SparseVec = rhs.iter().copied().filter(|(j, _)| !stranded(j)).collect();
+        let u = factor.forward_sparse([b.as_slice()]).remove(0);
+        let fit: f64 = u.iter().map(|&(_, v)| v * v).sum();
+        if self.z.is_empty() {
+            return Ok(fit);
+        }
+        let mut dense = vec![0.0f64; factor.dim()];
+        for &(i, v) in &u {
+            dense[i] = v;
+        }
+        let mut t: Vec<f64> = self
+            .z
+            .iter()
+            .map(|col| col.iter().map(|&(i, v)| v * dense[i]).sum())
+            .collect();
+        // tᵀK⁻¹t = Σ w²/d over w = L_K⁻¹t.
+        self.ldl_forward(&mut t);
+        let correction: f64 = t.iter().zip(&self.d).map(|(w, d)| w * w / d).sum();
+        Ok(fit - correction)
+    }
+
+    /// `t ← L_K⁻¹·t`, the unit lower triangular half of
+    /// [`Capacitance::ldl_solve`].
+    fn ldl_forward(&self, t: &mut [f64]) {
         for (j, col) in self.l.iter().enumerate() {
             for &(r, v) in col {
                 t[r] -= v * t[j];
             }
         }
+    }
+
+    fn ldl_solve(&self, t: &mut [f64]) {
+        self.ldl_forward(t);
         for (ta, &da) in t.iter_mut().zip(&self.d) {
             *ta /= da;
         }
@@ -603,6 +658,44 @@ mod tests {
             assert!((x[*c] - w).abs() < 1e-10, "x[{c}] = {} vs {w}", x[*c]);
         }
         assert_eq!(x[3], 0.0);
+    }
+
+    #[test]
+    fn fit_sq_norm_is_the_squared_norm_of_the_solved_fit() {
+        // No removal, every removal of up to two rows, and the merging one
+        // of `merged_columns_are_pinned_equal_…`, with a row set as the 0/1
+        // right-hand side: `bᵀx` from the sparse forward solve equals
+        // `‖B'x‖²` from the full solve, stranded entries ignored.
+        let h = wide();
+        let f = SparseFactor::factor_fresh(&h.gram_csr()).unwrap();
+        let removals = (0..8).flat_map(|a| (a..8).map(move |b| vec![a, b]));
+        let merging = vec![0usize, 1, 2, 7];
+        let mut checked = 0;
+        for rows in [Vec::new(), merging].into_iter().chain(removals) {
+            let cap = Capacitance::new(&h, &f, &rows).unwrap();
+            if cap.rank_lost() {
+                assert!(cap.fit_sq_norm(&f, &[(0, 1.0)]).is_err());
+                continue;
+            }
+            let support: Vec<usize> = [1usize, 3, 6]
+                .into_iter()
+                .filter(|r| !rows.contains(r))
+                .collect();
+            let mut y = vec![0.0; 8];
+            let mut entries = Vec::new();
+            for &r in &support {
+                y[r] = 1.0;
+                entries.extend(h.row_iter(r));
+            }
+            let x = cap.solve(&f, &h.transpose_matvec(&y).unwrap()).unwrap();
+            let fitted = h.matvec(&x).unwrap();
+            let kept = (0..8).filter(|r| !rows.contains(r));
+            let want: f64 = kept.map(|r| fitted[r] * fitted[r]).sum();
+            let got = cap.fit_sq_norm(&f, &entries).unwrap();
+            assert!((got - want).abs() < 1e-10, "rows {rows:?}: {got} vs {want}");
+            checked += 1;
+        }
+        assert!(checked > 20, "{checked} removals kept rank");
     }
 
     #[test]

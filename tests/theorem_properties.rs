@@ -13,10 +13,16 @@
 //! * **Span oracle parity** — the sparse [`SpanOracle`] answers every span
 //!   query exactly as the dense rank reference
 //!   [`foces_linalg::in_column_span`] does, on degenerate random matrices
-//!   and on single-switch-masked real systems.
+//!   and on single-switch-masked real systems; so do its row-support
+//!   queries (whose out-of-span answers mostly come from the fit-norm
+//!   screen), whole and through the [`foces::coverage_without`] kernels
+//!   with stranded and merged columns — the fixed-seed slice of
+//!   `crates/core/tests/span_props.rs`.
 
 #[path = "../crates/core/tests/support/shard_reference.rs"]
 mod shard_reference;
+#[path = "../crates/core/tests/support/span_parity.rs"]
+mod span_parity;
 
 use foces::{
     audit_deviations, is_detectable, rbg_loop_exists, testkit, Detector, Fcm, ShardedFcm,
@@ -26,7 +32,7 @@ use foces_controlplane::{provision, uniform_flows, RuleGranularity};
 use foces_dataplane::{
     inject_random_anomaly, pair_header, Action, AnomalyKind, DataPlane, LossModel, RuleRef,
 };
-use foces_linalg::{in_column_span, DenseMatrix, DEFAULT_TOL};
+use foces_linalg::{in_column_span, DEFAULT_TOL};
 use foces_net::generators::{bcube, dcell, fattree, ring};
 use foces_net::{partition, Node, PartitionSpec};
 use proptest::prelude::*;
@@ -40,39 +46,6 @@ fn history_column(fcm: &Fcm, history: &[RuleRef]) -> Vec<f64> {
         col[fcm.rule_row(*r).expect("history within the FCM")] = 1.0;
     }
     col
-}
-
-/// A random 0/1 matrix built to make the oracle drop pivots. Rows fall
-/// into a few random blocks and most columns are unions of blocks, so two
-/// disjoint unions sum to a third; the rest are duplicates of earlier
-/// columns, zero columns, or unstructured random columns.
-fn degenerate_matrix(rows: usize, cols: usize, rng: &mut StdRng) -> DenseMatrix {
-    let blocks = rng.gen_range(2..rows.min(5) + 1);
-    let block_of: Vec<usize> = (0..rows).map(|_| rng.gen_range(0..blocks)).collect();
-    let mut m = DenseMatrix::zeros(rows, cols);
-    for j in 0..cols {
-        match rng.gen_range(0..6) {
-            0 if j > 0 => {
-                let src = rng.gen_range(0..j);
-                for i in 0..rows {
-                    m.set(i, j, m.get(i, src));
-                }
-            }
-            1 => {} // zero column
-            2 => {
-                for i in 0..rows {
-                    m.set(i, j, f64::from(u8::from(rng.gen_bool(0.4))));
-                }
-            }
-            _ => {
-                let picked: Vec<bool> = (0..blocks).map(|_| rng.gen_bool(0.5)).collect();
-                for (i, &b) in block_of.iter().enumerate() {
-                    m.set(i, j, f64::from(u8::from(picked[b])));
-                }
-            }
-        }
-    }
-    m
 }
 
 /// Traces a concrete header through the **live** data plane, returning the
@@ -251,7 +224,7 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let h = degenerate_matrix(rows, cols, &mut rng);
+        let h = span_parity::degenerate_matrix(rows, cols, &mut rng);
         let oracle = SpanOracle::new(&testkit::fcm_from_dense(&h));
         let mut queries: Vec<Vec<f64>> = (0..cols).map(|j| h.col(j).to_vec()).collect();
         for _ in 0..6 {
@@ -269,6 +242,26 @@ proptest! {
             );
         }
     }
+}
+
+/// Row-support span queries decide as the dense reference does, on whole
+/// degenerate and full-rank random matrices and under random, stranding
+/// and merging masks through [`foces::coverage_without`]. The tier-1 slice
+/// of `crates/core/tests/span_props.rs` (256 cases); it also checks the
+/// slice reaches the kernel's stranded and merged paths.
+#[test]
+fn span_screen_matches_dense_reference_on_fixed_seeds() {
+    let mut tally = span_parity::Tally::default();
+    for seed in 0..24u64 {
+        let rows = 3 + (seed as usize * 5) % 9;
+        let cols = 1 + (seed as usize * 7) % 11;
+        tally += span_parity::check_case(rows, cols, seed);
+    }
+    assert!(tally.queries > 1000, "{tally:?}");
+    assert!(
+        tally.kernel_stranded > 0 && tally.kernel_merged > 0,
+        "{tally:?}"
+    );
 }
 
 proptest! {
@@ -308,7 +301,10 @@ proptest! {
             .collect();
         queries.push((0..dense.rows()).map(|_| f64::from(u8::from(rng.gen_bool(0.1)))).collect());
         for v in &queries {
-            prop_assert_eq!(oracle.contains(v), in_column_span(&dense, v, DEFAULT_TOL));
+            let want = in_column_span(&dense, v, DEFAULT_TOL);
+            prop_assert_eq!(oracle.contains(v), want);
+            let support: Vec<usize> = (0..v.len()).filter(|&i| v[i] != 0.0).collect();
+            prop_assert_eq!(oracle.contains_rows(&support), want);
         }
     }
 }
