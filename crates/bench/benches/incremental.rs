@@ -105,10 +105,6 @@ fn run(mut dep: Deployment, epochs: usize, churn_per_epoch: usize) -> RunResult 
         // The cold side solves its own newly built FCM: an FCM memoizes its
         // basis on first solve (and a clone shares it), so sharing `fcm`
         // would hand the warm side a basis the cold side already paid for.
-        // It is traced from the view like `fcm`, not copied with
-        // `Fcm::from_parts`: a copy lays the flows out contiguously, and
-        // building the basis from it runs ~1 ms faster at FatTree(8), a
-        // memory-layout gap that would be read as the solver's.
         let cold_fcm = Fcm::from_view(&dep.view);
 
         let t = Instant::now();

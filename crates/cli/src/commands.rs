@@ -1159,9 +1159,9 @@ fn scale_system(k: usize, seed: u64, flows_max: usize) -> Result<ScaleSystem, Cm
     dep.replay_traffic(&mut LossModel::none());
     let anomalous = dep.dataplane.collect_counters();
     let basis_cols = fcm.column_groups().basis.len();
-    // Counting the basis memoized it; the timed cold round runs on a newly
-    // built FCM that must build its own.
-    let fcm = Fcm::from_parts(fcm.rules().to_vec(), fcm.flows().to_vec());
+    // Counting the basis memoized it; the timed cold round runs on a copy
+    // without that memo, which must build its own.
+    let fcm = fcm.unmemoized();
     Ok(ScaleSystem {
         hosts,
         flows: flow_count,
@@ -1300,10 +1300,10 @@ pub fn scale(args: &Args) -> Result<CmdOutput, CmdError> {
         sys8.hosts, sys8.flows, sys8.rules, sys8.basis_cols
     )?;
     let dense8 = scale_run(&sys8, foces::BackendKind::Dense, threshold)?;
-    // Each backend's cold round starts on a newly built FCM: the first
+    // Each backend's cold round starts on a copy without the memo: the first
     // backend's solves memoized the basis, which would otherwise leave the
     // second backend's cold round cheaper than cold.
-    sys8.fcm = Fcm::from_parts(sys8.fcm.rules().to_vec(), sys8.fcm.flows().to_vec());
+    sys8.fcm = sys8.fcm.unmemoized();
     let sparse8 = scale_run(&sys8, foces::BackendKind::Sparse, threshold)?;
     let index_diff = |a: f64, b: f64| (a - b).abs() / a.abs().max(b.abs()).max(1.0);
     let parity_diff = index_diff(dense8.healthy_index, sparse8.healthy_index)
@@ -1441,7 +1441,7 @@ pub fn audit(args: &Args) -> Result<CmdOutput, CmdError> {
     // matrix is stale relative to the plane under audit: surface it as a
     // finding (and exit 3) instead of aborting the audit.
     for c in &report.stale {
-        let flow = &fcm.flows()[c.flow];
+        let (ingress, egress) = (fcm.ingress(c.flow), fcm.egress(c.flow));
         verification.findings.push(Finding {
             kind: FindingKind::StaleRule,
             switch: c.at_switch,
@@ -1451,7 +1451,7 @@ pub fn audit(args: &Args) -> Result<CmdOutput, CmdError> {
             detail: format!(
                 "deviating flow h{}->h{} at s{} toward s{} walks a rule the FCM \
                  has no row for: the matrix is stale relative to the plane",
-                flow.ingress.0, flow.egress.0, c.at_switch.0, c.redirected_to.0
+                ingress.0, egress.0, c.at_switch.0, c.redirected_to.0
             ),
         });
     }
@@ -1486,11 +1486,14 @@ pub fn audit(args: &Args) -> Result<CmdOutput, CmdError> {
         }
         writeln!(out, "coverage:     {:.1}%", 100.0 * report.coverage())?;
         for c in report.undetectable.iter().take(10) {
-            let flow = &fcm.flows()[c.flow];
             writeln!(
                 out,
                 "  blind: flow h{}->h{} deviated at s{} toward s{} (delivered: {})",
-                flow.ingress.0, flow.egress.0, c.at_switch.0, c.redirected_to.0, c.still_delivered
+                fcm.ingress(c.flow).0,
+                fcm.egress(c.flow).0,
+                c.at_switch.0,
+                c.redirected_to.0,
+                c.still_delivered
             )?;
         }
         if report.undetectable.len() > 10 {

@@ -130,13 +130,14 @@ pub fn audit_deviations(view: &ControllerView, fcm: &Fcm, max_candidates: usize)
     // One factorization of the FCM's column space answers every span
     // query — the audit asks thousands of them.
     let oracle = SpanOracle::new(fcm);
-    'outer: for (flow_idx, flow) in fcm.flows().iter().enumerate() {
-        let header = flow.concrete_header();
-        let mut orig = flow.rules.clone();
+    'outer: for flow_idx in 0..fcm.flow_count() {
+        let header = fcm.header(flow_idx).representative();
+        let history: Vec<RuleRef> = fcm.flow_rules(flow_idx).collect();
+        let mut orig = history.clone();
         orig.sort_unstable();
-        for (pos, rule) in flow.rules.iter().enumerate() {
+        for (pos, rule) in history.iter().enumerate() {
             let here = rule.switch;
-            let intended_next = flow.path.get(pos + 1).copied();
+            let intended_next = history.get(pos + 1).map(|r| r.switch);
             for adj in topo.adj(Node::Switch(here)) {
                 let Node::Switch(target) = adj.neighbor else {
                     continue;
@@ -146,7 +147,7 @@ pub fn audit_deviations(view: &ControllerView, fcm: &Fcm, max_candidates: usize)
                 }
                 // Deviated history: rules up to and including this switch,
                 // then the benign trace from the redirection target.
-                let mut deviated: Vec<RuleRef> = flow.rules[..=pos].to_vec();
+                let mut deviated: Vec<RuleRef> = history[..=pos].to_vec();
                 let (rest, delivered) = trace_concrete(view, target, header, 64);
                 deviated.extend(rest);
                 // Skip "deviations" that reproduce the original history
@@ -163,7 +164,7 @@ pub fn audit_deviations(view: &ControllerView, fcm: &Fcm, max_candidates: usize)
                     at_switch: here,
                     redirected_to: target,
                     deviated_history: deviated,
-                    still_delivered: delivered == Some(flow.egress),
+                    still_delivered: delivered == Some(fcm.egress(flow_idx)),
                 };
                 match rows {
                     Ok(rows) if oracle.contains_rows(&rows) => undetectable.push(candidate),
@@ -225,7 +226,7 @@ mod tests {
     fn deviations_change_the_history() {
         let (audit, fcm) = audit_for(bcube(1, 4), 300);
         for c in audit.detectable.iter().chain(&audit.undetectable).take(50) {
-            let mut orig = fcm.flows()[c.flow].rules.clone();
+            let mut orig: Vec<RuleRef> = fcm.flow_rules(c.flow).collect();
             orig.sort_unstable();
             assert_ne!(c.deviated_history, orig);
         }

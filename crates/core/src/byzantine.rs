@@ -1067,13 +1067,14 @@ mod tests {
             index: r.switch.0 % 2,
         };
         let rules = one_per_row.rules().iter().map(rekey).collect();
-        let flows = one_per_row
-            .flows()
-            .iter()
-            .map(|f| foces_atpg::LogicalFlow {
-                rules: f.rules.iter().map(rekey).collect(),
-                path: f.rules.iter().map(|r| rekey(r).switch).collect(),
-                ..f.clone()
+        let flows = (0..one_per_row.flow_count())
+            .map(|j| {
+                let f = one_per_row.flow(j);
+                foces_atpg::LogicalFlow {
+                    rules: f.rules.iter().map(rekey).collect(),
+                    path: f.rules.iter().map(|r| rekey(r).switch).collect(),
+                    ..f
+                }
             })
             .collect();
         Fcm::from_parts(rules, flows)

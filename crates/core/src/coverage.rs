@@ -46,7 +46,8 @@
 //! analysis factors once privately and keeps only the `O(n)` symbolic
 //! analysis, so a pre-flight never pins a factor that no detection round
 //! will read; each shard's rank probe does the same on the shard's
-//! sub-FCM.
+//! sub-FCM, or borrows the factor a driver memoized there (the stream
+//! driver factors each shard once per rebuild, before the analysis).
 //!
 //! The output is a [`CoverageReport`] mirroring `foces-verify`'s report
 //! shape: typed findings with severities, a one-line summary, and a JSONL
@@ -297,10 +298,14 @@ pub struct CoverageConfig {
     /// Basis-column ceiling for the switch-level analysis; larger systems
     /// skip parts (a)/(b) with an [`CoverageKind::AnalysisTruncated`]
     /// finding. It bounds the pre-flight gate's set-up cost, which grows
-    /// with the basis and, through the capacitance, with a switch's rows:
-    /// untruncated, FatTree(8) all-pairs takes ~0.1 s with per-destination
-    /// rules (4,096 columns) and 3.5 s with per-pair rules (16,256
-    /// columns, a 14,336-row core switch).
+    /// with the basis and, through the capacitance, with a switch's rows.
+    /// With the sparse capacitance, untruncated analysis of FatTree(8)
+    /// all-pairs (first call, factor included) takes ~0.04–0.06 s with
+    /// per-destination rules (4,096 columns) and ~0.11–0.12 s with
+    /// per-pair rules (16,256 columns). The limit still keeps the
+    /// per-destination switch-level pass out of the cluster service's
+    /// set-up (`foces_cluster::ClusterService::new`), so out of the
+    /// `sharded` benchmark's `setup_s`: deleting it must weigh that cost.
     pub basis_limit: usize,
 }
 
@@ -532,10 +537,15 @@ fn analyze_inner(
                 });
             }
             Ok((factor, _)) => {
-                let state = SwitchAnalysis::build(basis, &factor, rules);
+                let state = SwitchAnalysis {
+                    basis,
+                    factor: &factor,
+                    fcm,
+                    basis_cols: &groups.basis,
+                };
                 for (&sw, rows) in &rows_of {
                     let row_share = rows.len() as f64 / rules.len() as f64;
-                    let (absorption, certificate) = state.absorption(rows, &groups.basis, config);
+                    let (absorption, certificate) = state.absorption(rows, config);
                     let (loo, stranded, hinge) = state.classify(rows);
                     if row_share >= config.row_share_warn && absorption >= config.absorption_warn {
                         warns.push(CoverageFinding {
@@ -609,12 +619,16 @@ fn analyze_inner(
     let mut margin = usize::MAX;
     let mut margin_flow = None;
     let mut margin_witness: Vec<SwitchId> = Vec::new();
-    for (j, flow) in fcm.flows().iter().enumerate() {
-        let distinct: BTreeSet<SwitchId> = flow.rules.iter().map(|r| r.switch).collect();
+    let mut distinct: Vec<SwitchId> = Vec::new();
+    for j in 0..fcm.flow_count() {
+        distinct.clear();
+        distinct.extend(fcm.flow_rules(j).map(|r| r.switch));
+        distinct.sort_unstable();
+        distinct.dedup();
         if distinct.len() < margin && !distinct.is_empty() {
             margin = distinct.len();
             margin_flow = Some(j);
-            margin_witness = distinct.into_iter().collect();
+            margin_witness.clone_from(&distinct);
         }
     }
     if margin == usize::MAX {
@@ -724,41 +738,21 @@ fn analyze_inner(
 }
 
 /// Shared per-analysis state for the switch-level passes: the basis, the
-/// sparse factor of its Gram, and the per-column support structure.
+/// sparse factor of its Gram, and the FCM whose columns `basis_cols` the
+/// basis columns are (their rows are the basis columns' supports).
 struct SwitchAnalysis<'a> {
     basis: &'a CsrMatrix,
     factor: &'a SparseFactor,
-    rules: &'a [foces_dataplane::RuleRef],
-    /// Rows supporting each basis column.
-    col_support: Vec<Vec<usize>>,
+    fcm: &'a Fcm,
+    basis_cols: &'a [usize],
 }
 
-impl<'a> SwitchAnalysis<'a> {
-    fn build(
-        basis: &'a CsrMatrix,
-        factor: &'a SparseFactor,
-        rules: &'a [foces_dataplane::RuleRef],
-    ) -> Self {
-        let mut col_support: Vec<Vec<usize>> = vec![Vec::new(); basis.cols()];
-        for i in 0..basis.rows() {
-            for (j, _) in basis.row_iter(i) {
-                col_support[j].push(i);
-            }
-        }
-        SwitchAnalysis {
-            basis,
-            factor,
-            rules,
-            col_support,
-        }
-    }
-
+impl SwitchAnalysis<'_> {
     /// (a) `‖P·u_s‖ / ‖u_s‖` for the uniform forgery direction `u_s`, plus
     /// the absorbing combination when it will be WARNed about.
     fn absorption(
         &self,
         rows: &[usize],
-        parent_cols: &[usize],
         config: &CoverageConfig,
     ) -> (f64, Option<AbsorptionCertificate>) {
         if rows.is_empty() {
@@ -776,7 +770,7 @@ impl<'a> SwitchAnalysis<'a> {
             .iter()
             .enumerate()
             .filter(|(_, c)| c.abs() > 1e-9)
-            .map(|(j, &c)| (parent_cols[j], c))
+            .map(|(j, &c)| (self.basis_cols[j], c))
             .collect();
         terms.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()).then(a.0.cmp(&b.0)));
         let omitted = terms.len().saturating_sub(config.certificate_terms);
@@ -815,10 +809,12 @@ impl<'a> SwitchAnalysis<'a> {
             if cap.stranded().binary_search(&j).is_ok() {
                 continue;
             }
-            let remaining: BTreeSet<SwitchId> = self.col_support[j]
+            let remaining: BTreeSet<SwitchId> = self
+                .fcm
+                .flow_rows(self.basis_cols[j])
                 .iter()
                 .filter(|r| !row_set.contains(r))
-                .map(|&r| self.switch_of(r))
+                .map(|&r| self.fcm.rules()[r].switch)
                 .collect();
             if remaining.len() == 1 {
                 let hinge = remaining.into_iter().next().expect("len checked");
@@ -826,10 +822,6 @@ impl<'a> SwitchAnalysis<'a> {
             }
         }
         (LooClass::Localizable, stranded, None)
-    }
-
-    fn switch_of(&self, row: usize) -> SwitchId {
-        self.rules[row].switch
     }
 }
 

@@ -331,7 +331,8 @@ pub fn is_detectable(fcm: &Fcm, deviated_history: &[RuleRef]) -> Result<bool, Fo
 /// decides (see [`crate::rbg`] module docs for why the sufficient direction
 /// needs the paper's no-pivot-rule side condition).
 pub fn rbg_loop_exists(fcm: &Fcm, deviated_history: &[RuleRef]) -> bool {
-    let mut histories: Vec<&[RuleRef]> = fcm.flows().iter().map(|f| f.rules.as_slice()).collect();
+    let owned = fcm.histories();
+    let mut histories: Vec<&[RuleRef]> = owned.iter().map(Vec::as_slice).collect();
     histories.push(deviated_history);
     // Only switches touched by some history can have edges.
     let switches: BTreeSet<foces_net::SwitchId> = histories
@@ -374,7 +375,7 @@ mod tests {
         // Replacing a column by itself stays in the span: FA(h, h) is the
         // degenerate no-op "anomaly".
         let fcm = paper_fig2_fcm();
-        let original = fcm.flows()[0].rules.clone();
+        let original: Vec<RuleRef> = fcm.flow_rules(0).collect();
         assert!(undetectable_by_rank(&fcm, &original).unwrap());
     }
 

@@ -1,11 +1,28 @@
-use foces_atpg::{flow_order, hosts_meeting, trace_flows, trace_hosts, LogicalFlow};
+//! The Flow-Counter Matrix, stored column-major.
+//!
+//! The paper builds `H` one column per flow, from the flow's rule history
+//! `h.history` (Eq. 1, §III-B), and [`Fcm`] stores it that way: column
+//! `j` is flow `j`'s rule rows in path order, one slice of a flat array
+//! delimited by a column pointer, with the flows' ingress, egress and
+//! header planes in flat arrays beside it. A flow's path is its rules'
+//! switches. [`LogicalFlow`] is the tracer's output and
+//! [`Fcm::from_parts`]' input only. Every structural operation is an
+//! array pass over the columns: a patch copies each kept host's run of
+//! columns through a row remap, a masked or shard sub-FCM copies the
+//! columns it keeps through a row mark, the basis hashes sorted column
+//! slices, and the closures walk the columns. The CSR and the rule-to-row
+//! map are built on first demand.
+
+use foces_atpg::{hosts_meeting, trace_flows, trace_hosts, LogicalFlow};
 use foces_controlplane::ControllerView;
 use foces_dataplane::RuleRef;
-use foces_linalg::{CsrMatrix, DenseMatrix, Triplet};
-use foces_net::SwitchId;
+use foces_headerspace::Wildcard;
+use foces_linalg::{CsrMatrix, DenseMatrix};
+use foces_net::{HostId, SwitchId};
 use foces_sparse::{BackendKind, BasisCholesky, SparseFactor};
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// The Flow-Counter Matrix (paper Eq. 1): `H[i][j] = 1` iff logical flow
@@ -16,9 +33,14 @@ use std::sync::{Arc, OnceLock};
 /// reports counters in, so a collected counter vector lines up with the FCM
 /// rows with no further bookkeeping.
 ///
-/// The matrix is stored in CSR form — real FCMs are enormous but have one
-/// nonzero per hop per flow, far below 1 % density — and densified only on
-/// demand ([`Fcm::dense`]) for small test instances. Construction from a controller view runs the ATPG tracer
+/// The matrix is stored column-major, as the paper builds it: column `j`
+/// is flow `j`'s rule rows in path order, its `h.history`
+/// ([`Fcm::flow_rows`]), with the flows' metadata in flat arrays; the
+/// per-column accessors panic if `j` is out of range. The CSR
+/// ([`Fcm::sparse`]) and the rule-to-row map ([`Fcm::rule_row`]) are
+/// built on first demand.
+///
+/// Construction from a controller view runs the ATPG tracer
 /// ([`foces_atpg::trace_hosts`]) to enumerate logical flows. A rebuild
 /// after rule updates ([`Fcm::patched`]) re-traces only the ingress hosts
 /// whose source region some installed rule meets and keeps every other
@@ -50,10 +72,23 @@ use std::sync::{Arc, OnceLock};
 #[derive(Debug, Clone)]
 pub struct Fcm {
     rules: Vec<RuleRef>,
-    rule_index: HashMap<RuleRef, usize>,
-    flows: Vec<LogicalFlow>,
-    sparse: CsrMatrix,
+    rule_index: OnceLock<HashMap<RuleRef, usize>>,
+    /// Column `j`'s rule rows, in path order, are `rows[ptr[j]..ptr[j + 1]]`.
+    ptr: Vec<usize>,
+    rows: Vec<usize>,
+    ingress: Vec<HostId>,
+    egress: Vec<HostId>,
+    /// The header width every column shares.
+    header_width: usize,
+    /// Column `j`'s header planes: its mask blocks, then its value blocks.
+    headers: Vec<u64>,
+    sparse: OnceLock<CsrMatrix>,
     basis: OnceLock<Arc<BasisSystem>>,
+}
+
+/// Each rule's row.
+fn index_of(rules: &[RuleRef]) -> HashMap<RuleRef, usize> {
+    rules.iter().enumerate().map(|(i, &r)| (r, i)).collect()
 }
 
 impl Fcm {
@@ -62,7 +97,7 @@ impl Fcm {
     /// This is [`Fcm::patched`] applied to the empty FCM, so the first
     /// build and every rebuild share one tracing path.
     pub fn from_view(view: &ControllerView) -> Self {
-        Fcm::from_parts(Vec::new(), Vec::new()).patched(view)
+        Fcm::empty(Vec::new(), 0).patched(view)
     }
 
     /// The FCM of `view`, re-tracing only the ingress hosts the rules
@@ -82,6 +117,10 @@ impl Fcm {
     /// `Fcm::from_parts(view.rule_refs().collect(), trace_flows(view))`:
     /// the same rules, flows and CSR.
     ///
+    /// Each kept host's run of columns is copied in one pass through a row
+    /// remap (a kept row moves by the rules installed before it in view
+    /// order), so no kept flow is rebuilt and no row is looked up by rule.
+    ///
     /// If some row of `self` is not a rule of `view`, or its rows are not
     /// the first rules of each table in view order (a masked FCM, say),
     /// `self` cannot be an earlier generation of `view`, and the whole
@@ -100,19 +139,39 @@ impl Fcm {
         for h in &hosts {
             retraced[h.0] = true;
         }
-        let mut fresh = trace_hosts(view, &hosts).into_iter().peekable();
-        let mut flows = Vec::with_capacity(self.flows.len());
-        for f in &self.flows {
-            if retraced.get(f.ingress.0).copied().unwrap_or(false) {
-                continue;
-            }
-            while let Some(g) = fresh.next_if(|g| flow_order(g, f).is_lt()) {
-                flows.push(g);
-            }
-            flows.push(f.clone());
+        // Rule `(s, i)` of the view sits at row `first[s] + i`.
+        let mut first = Vec::with_capacity(held.len());
+        let mut next = 0;
+        for s in view.topology().switches() {
+            first.push(next);
+            next += view.table(s).len();
         }
-        flows.extend(fresh);
-        Fcm::from_parts(rules, flows)
+        let row_of = |r: &RuleRef| first[r.switch.0] + r.index;
+        let moved: Vec<usize> = self.rules.iter().map(row_of).collect();
+        let fresh = trace_hosts(view, &hosts);
+        let mut fresh = fresh.iter().peekable();
+        let mut fcm = Fcm::empty(rules, self.header_width);
+        let mut j = 0;
+        while j < self.flow_count() {
+            let ingress = self.ingress[j];
+            let run = j + self.ingress[j..]
+                .iter()
+                .take_while(|&&h| h == ingress)
+                .count();
+            if !retraced.get(ingress.0).copied().unwrap_or(false) {
+                // A re-traced host is never a kept flow's ingress, so flow
+                // order between the two is ingress order.
+                while let Some(g) = fresh.next_if(|g| g.ingress < ingress) {
+                    fcm.push_flow(g, row_of);
+                }
+                fcm.extend_from(self, j..run, &moved);
+            }
+            j = run;
+        }
+        for g in fresh {
+            fcm.push_flow(g, row_of);
+        }
+        fcm
     }
 
     /// How many rows `self` holds at each switch of `view`, if its rows are
@@ -140,39 +199,111 @@ impl Fcm {
 
     /// Builds the FCM from explicit parts: a rule universe (row order) and
     /// the logical flows (columns). Exposed for tests and for callers that
-    /// already traced flows.
+    /// already traced flows. A flow's path is not stored: it is read back
+    /// as its rules' switches, which is what the tracer records.
     ///
     /// # Panics
     ///
     /// Panics if a flow references a rule not present in `rules` — flows
-    /// must come from the same view as the rule universe.
+    /// must come from the same view as the rule universe — or if two flows
+    /// differ in header width.
     pub fn from_parts(rules: Vec<RuleRef>, flows: Vec<LogicalFlow>) -> Self {
-        let rule_index: HashMap<RuleRef, usize> =
-            rules.iter().enumerate().map(|(i, &r)| (r, i)).collect();
-        let m = rules.len();
-        let n = flows.len();
-        let mut triplets = Vec::new();
-        for (j, f) in flows.iter().enumerate() {
-            for r in &f.rules {
-                let i = *rule_index
+        let index = index_of(&rules);
+        let mut fcm = Fcm::empty(rules, 0);
+        for f in &flows {
+            fcm.push_flow(f, |r| {
+                *index
                     .get(r)
-                    .unwrap_or_else(|| panic!("flow references unknown rule {r}"));
-                triplets.push(Triplet {
-                    row: i,
-                    col: j,
-                    value: 1.0,
-                });
-            }
+                    .unwrap_or_else(|| panic!("flow references unknown rule {r}"))
+            });
         }
-        let sparse =
-            CsrMatrix::from_triplets(m, n, &triplets).expect("indices bounded by construction");
+        fcm.rule_index.set(index).expect("a fresh FCM has no index");
+        fcm
+    }
+
+    /// The FCM over `rules` with no columns yet.
+    fn empty(rules: Vec<RuleRef>, header_width: usize) -> Self {
         Fcm {
             rules,
-            rule_index,
-            flows,
-            sparse,
+            rule_index: OnceLock::new(),
+            ptr: vec![0],
+            rows: Vec::new(),
+            ingress: Vec::new(),
+            egress: Vec::new(),
+            header_width,
+            headers: Vec::new(),
+            sparse: OnceLock::new(),
             basis: OnceLock::new(),
         }
+    }
+
+    /// Appends a traced flow, its rules mapped to rows by `row_of`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the flow's header width differs from the columns' own.
+    fn push_flow(&mut self, f: &LogicalFlow, row_of: impl Fn(&RuleRef) -> usize) {
+        if self.flow_count() == 0 {
+            self.header_width = f.header.width();
+        }
+        assert_eq!(
+            f.header.width(),
+            self.header_width,
+            "flows must share one header width"
+        );
+        self.rows.extend(f.rules.iter().map(row_of));
+        self.ptr.push(self.rows.len());
+        self.ingress.push(f.ingress);
+        self.egress.push(f.egress);
+        let (mask, value) = f.header.planes();
+        self.headers.extend_from_slice(mask);
+        self.headers.extend_from_slice(value);
+    }
+
+    /// Appends the columns `cols` of `from`, each row `i` renumbered to
+    /// `moved[i]`.
+    fn extend_from(&mut self, from: &Fcm, cols: Range<usize>, moved: &[usize]) {
+        let (lo, hi) = (from.ptr[cols.start], from.ptr[cols.end]);
+        let base = self.rows.len();
+        self.rows
+            .extend(from.rows[lo..hi].iter().map(|&i| moved[i]));
+        let ends = &from.ptr[cols.start + 1..=cols.end];
+        self.ptr.extend(ends.iter().map(|&p| p - lo + base));
+        self.ingress.extend_from_slice(&from.ingress[cols.clone()]);
+        self.egress.extend_from_slice(&from.egress[cols.clone()]);
+        let words = from.header_words();
+        self.headers
+            .extend_from_slice(&from.headers[cols.start * words..cols.end * words]);
+    }
+
+    /// The sub-FCM over the parent rows `parent_rows`, in that order, and
+    /// the parent columns `parent_columns`, each restricted to those rows:
+    /// the one constructor of masked and shard sub-FCMs. `sub_row[i]` is
+    /// row `i`'s position in `parent_rows`, `usize::MAX` off it.
+    pub(crate) fn restrict(
+        &self,
+        parent_rows: &[usize],
+        sub_row: &[usize],
+        parent_columns: &[usize],
+    ) -> Fcm {
+        let rules = parent_rows.iter().map(|&i| self.rules[i]).collect();
+        let mut sub = Fcm::empty(rules, self.header_width);
+        let words = self.header_words();
+        for &j in parent_columns {
+            let kept = self.flow_rows(j).iter().map(|&i| sub_row[i]);
+            sub.rows.extend(kept.filter(|&k| k != usize::MAX));
+            sub.ptr.push(sub.rows.len());
+            sub.ingress.push(self.ingress[j]);
+            sub.egress.push(self.egress[j]);
+            sub.headers
+                .extend_from_slice(&self.headers[j * words..(j + 1) * words]);
+        }
+        sub
+    }
+
+    /// Header words per column: the mask's blocks, then the value's.
+    fn header_words(&self) -> usize {
+        2 * self.header_width.div_ceil(64)
     }
 
     /// Number of rules (rows).
@@ -182,7 +313,7 @@ impl Fcm {
 
     /// Number of logical flows (columns).
     pub fn flow_count(&self) -> usize {
-        self.flows.len()
+        self.ingress.len()
     }
 
     /// The rule universe in row order.
@@ -190,14 +321,63 @@ impl Fcm {
         &self.rules
     }
 
-    /// The logical flows in column order.
-    pub fn flows(&self) -> &[LogicalFlow] {
-        &self.flows
+    /// The rows of the rules flow `j` traverses, in path order: column `j`
+    /// as the paper's `h.history`.
+    pub fn flow_rows(&self, j: usize) -> &[usize] {
+        &self.rows[self.ptr[j]..self.ptr[j + 1]]
+    }
+
+    /// The rules flow `j` traverses, in path order; their switches are its
+    /// path.
+    pub fn flow_rules(&self, j: usize) -> impl Iterator<Item = RuleRef> + '_ {
+        self.flow_rows(j).iter().map(|&i| self.rules[i])
+    }
+
+    /// The host flow `j` enters at.
+    pub fn ingress(&self, j: usize) -> HostId {
+        self.ingress[j]
+    }
+
+    /// The host flow `j` is delivered to.
+    pub fn egress(&self, j: usize) -> HostId {
+        self.egress[j]
+    }
+
+    /// Flow `j`'s symbolic header region.
+    pub fn header(&self, j: usize) -> Wildcard {
+        let words = self.header_words();
+        let (mask, value) = self.headers[j * words..(j + 1) * words].split_at(words / 2);
+        Wildcard::from_planes(self.header_width, mask, value)
+            .expect("planes stored at the columns' width")
+    }
+
+    /// Flow `j` as a [`LogicalFlow`], its path its rules' switches.
+    pub fn flow(&self, j: usize) -> LogicalFlow {
+        let rules: Vec<RuleRef> = self.flow_rules(j).collect();
+        LogicalFlow {
+            ingress: self.ingress(j),
+            egress: self.egress(j),
+            header: self.header(j),
+            path: rules.iter().map(|r| r.switch).collect(),
+            rules,
+        }
+    }
+
+    /// Every flow's rules in path order, one list per column: the
+    /// histories the RBG analyses ([`crate::Rbg::build`]) read.
+    pub fn histories(&self) -> Vec<Vec<RuleRef>> {
+        (0..self.flow_count())
+            .map(|j| self.flow_rules(j).collect())
+            .collect()
     }
 
     /// Row index of a rule, if it is part of this FCM.
     pub fn rule_row(&self, r: RuleRef) -> Option<usize> {
-        self.rule_index.get(&r).copied()
+        self.rule_index().get(&r).copied()
+    }
+
+    fn rule_index(&self) -> &HashMap<RuleRef, usize> {
+        self.rule_index.get_or_init(|| index_of(&self.rules))
     }
 
     /// Materializes the FCM densely (rules × flows). The matrix is kept in
@@ -206,25 +386,16 @@ impl Fcm {
     /// dense rank reference the sparse [`crate::SpanOracle`] is tested
     /// against), not for the per-round solver path.
     pub fn dense(&self) -> DenseMatrix {
-        self.sparse.to_dense()
+        self.sparse().to_dense()
     }
 
-    /// The sparse (CSR) matrix.
+    /// The sparse (CSR) matrix, built from the columns by counting sort on
+    /// first demand.
     pub fn sparse(&self) -> &CsrMatrix {
-        &self.sparse
-    }
-
-    /// The column of flow `j` as a dense vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range.
-    pub fn column(&self, j: usize) -> Vec<f64> {
-        let mut col = vec![0.0; self.rule_count()];
-        for r in &self.flows[j].rules {
-            col[self.rule_index[r]] = 1.0;
-        }
-        col
+        self.sparse.get_or_init(|| {
+            let columns = (0..self.flow_count()).map(|j| self.flow_rows(j));
+            CsrMatrix::from_column_rows(self.rule_count(), columns)
+        })
     }
 
     /// Groups columns by identical rule sets: `basis[g]` is the first
@@ -247,20 +418,14 @@ impl Fcm {
             .get_or_init(|| Arc::new(BasisSystem::build(self)))
     }
 
-    /// The sorted rule set of each basis column, in basis order — a basis
-    /// identity stable across FCM rebuilds, row reindexing and flow
-    /// reordering. Computed on each call.
-    pub fn basis_keys(&self) -> Vec<Vec<RuleRef>> {
-        self.basis_system()
-            .groups
-            .basis
-            .iter()
-            .map(|&j| {
-                let mut key = self.flows[j].rules.clone();
-                key.sort_unstable();
-                key
-            })
-            .collect()
+    /// This FCM without its memoized [`BasisSystem`]: its first solve
+    /// builds and factors the basis anew, as a newly built FCM's does
+    /// (a clone shares the memo).
+    pub fn unmemoized(&self) -> Fcm {
+        Fcm {
+            basis: OnceLock::new(),
+            ..self.clone()
+        }
     }
 
     /// Expected counter vector `Y₀ = H·X` for given flow volumes.
@@ -269,36 +434,39 @@ impl Fcm {
     ///
     /// Panics if `volumes.len() != flow_count()`.
     pub fn expected_counters(&self, volumes: &[f64]) -> Vec<f64> {
-        self.sparse
+        self.sparse()
             .matvec(volumes)
             .expect("volume vector length checked by caller")
     }
 
     /// The number of nonzero entries (total rule traversals).
     pub fn nnz(&self) -> usize {
-        self.sparse.nnz()
+        self.sparse().nnz()
     }
 
     /// Appends logical flows as new columns — the incremental path for
     /// reactive rule installation (paper §II-A: "rules can also be
     /// installed reactively when a new flow comes into the network").
-    /// Rebuilds the sparse form once, so batch additions where possible.
+    /// Drops the CSR form once, so batch additions where possible.
     ///
     /// # Panics
     ///
     /// Panics if a flow references a rule outside the universe; call
     /// [`Fcm::extend_rules`] first for rules the controller just installed.
     pub fn add_flows(&mut self, flows: Vec<LogicalFlow>) {
+        let index = self
+            .rule_index
+            .take()
+            .unwrap_or_else(|| index_of(&self.rules));
         for f in &flows {
-            for r in &f.rules {
-                assert!(
-                    self.rule_index.contains_key(r),
-                    "flow references unknown rule {r}; extend_rules first"
-                );
-            }
+            self.push_flow(f, |r| {
+                *index.get(r).unwrap_or_else(|| {
+                    panic!("flow references unknown rule {r}; extend_rules first")
+                })
+            });
         }
-        self.flows.extend(flows);
-        self.rebuild_sparse();
+        self.rule_index = OnceLock::from(index);
+        self.edited();
     }
 
     /// Removes the flows at the given column indices (e.g. reactive flows
@@ -310,24 +478,16 @@ impl Fcm {
     ///
     /// Panics if an index is out of range or repeated.
     pub fn remove_flows(&mut self, indices: &[usize]) -> Vec<LogicalFlow> {
-        let mut marked = vec![false; self.flows.len()];
+        let mut marked = vec![false; self.flow_count()];
         for &i in indices {
-            assert!(i < self.flows.len(), "flow index {i} out of range");
+            assert!(i < self.flow_count(), "flow index {i} out of range");
             assert!(!marked[i], "flow index {i} repeated");
             marked[i] = true;
         }
-        let mut removed = Vec::with_capacity(indices.len());
-        for &i in indices {
-            removed.push(self.flows[i].clone());
-        }
-        let mut keep = Vec::with_capacity(self.flows.len() - indices.len());
-        for (i, f) in self.flows.drain(..).enumerate() {
-            if !marked[i] {
-                keep.push(f);
-            }
-        }
-        self.flows = keep;
-        self.rebuild_sparse();
+        let removed = indices.iter().map(|&i| self.flow(i)).collect();
+        let rows: Vec<usize> = (0..self.rule_count()).collect();
+        let kept: Vec<usize> = (0..self.flow_count()).filter(|&j| !marked[j]).collect();
+        *self = self.restrict(&rows, &rows, &kept);
         removed
     }
 
@@ -340,32 +500,25 @@ impl Fcm {
     ///
     /// Panics if a rule is already in the universe.
     pub fn extend_rules(&mut self, new_rules: &[RuleRef]) {
+        let mut index = self
+            .rule_index
+            .take()
+            .unwrap_or_else(|| index_of(&self.rules));
         for &r in new_rules {
-            let idx = self.rules.len();
-            let prev = self.rule_index.insert(r, idx);
+            let prev = index.insert(r, self.rules.len());
             assert!(prev.is_none(), "rule {r} already in the FCM universe");
             self.rules.push(r);
         }
-        self.rebuild_sparse();
+        self.rule_index = OnceLock::from(index);
+        self.edited();
     }
 
-    /// Rebuilds the CSR form after a structural edit and drops the
-    /// memoized [`BasisSystem`] (clones sharing it keep theirs), which
+    /// Drops the CSR form and the memoized [`BasisSystem`] after a
+    /// structural edit (clones sharing the basis keep theirs): both
     /// described the old structure.
-    fn rebuild_sparse(&mut self) {
+    fn edited(&mut self) {
+        self.sparse = OnceLock::new();
         self.basis = OnceLock::new();
-        let mut triplets = Vec::new();
-        for (j, f) in self.flows.iter().enumerate() {
-            for r in &f.rules {
-                triplets.push(Triplet {
-                    row: self.rule_index[r],
-                    col: j,
-                    value: 1.0,
-                });
-            }
-        }
-        self.sparse = CsrMatrix::from_triplets(self.rules.len(), self.flows.len(), &triplets)
-            .expect("indices bounded by construction");
     }
 
     /// Restricts the FCM to the **observed** rows: the sub-system of a
@@ -428,36 +581,25 @@ impl Fcm {
             self.flow_count(),
             "quarantine mask must have one entry per flow"
         );
-        let kept_rules: Vec<RuleRef> = self
-            .rules
-            .iter()
-            .zip(observed)
-            .filter(|(_, &o)| o)
-            .map(|(&r, _)| r)
-            .collect();
         let parent_rows: Vec<usize> = (0..self.rule_count()).filter(|&i| observed[i]).collect();
-        let keep = |r: &RuleRef| observed[self.rule_index[r]];
+        let mut sub_row = vec![usize::MAX; self.rule_count()];
+        for (k, &i) in parent_rows.iter().enumerate() {
+            sub_row[i] = k;
+        }
         let mut dropped_flows = 0usize;
         let mut quarantined_flows = 0usize;
         let mut parent_columns = Vec::new();
-        let mut sub_flows = Vec::new();
-        for (j, f) in self.flows.iter().enumerate() {
-            if quarantined[j] {
+        for (j, &evicted) in quarantined.iter().enumerate() {
+            if evicted {
                 quarantined_flows += 1;
-                continue;
-            }
-            let mut g = f.clone();
-            g.rules.retain(|r| keep(r));
-            if g.rules.is_empty() {
+            } else if self.flow_rows(j).iter().any(|&i| observed[i]) {
+                parent_columns.push(j);
+            } else {
                 dropped_flows += 1;
-                continue;
             }
-            g.path.retain(|s| g.rules.iter().any(|r| r.switch == *s));
-            parent_columns.push(j);
-            sub_flows.push(g);
         }
         MaskedFcm {
-            fcm: Fcm::from_parts(kept_rules, sub_flows),
+            fcm: self.restrict(&parent_rows, &sub_row, &parent_columns),
             parent_rule_count: self.rule_count(),
             parent_rows,
             parent_columns,
@@ -479,20 +621,16 @@ impl Fcm {
 
     /// The number of flows with no observed row: the flows
     /// [`Fcm::mask_rows`] drops ([`MaskedFcm::dropped_flows`]), counted in
-    /// one pass over the observed rows without building the masked system.
+    /// one pass over the columns without building the masked system.
     ///
     /// # Panics
     ///
     /// Panics if `observed.len() != rule_count()`.
     pub fn flows_blinded(&self, observed: &[bool]) -> usize {
         assert_eq!(observed.len(), self.rule_count(), "one entry per rule");
-        let mut seen = vec![false; self.flow_count()];
-        for i in (0..observed.len()).filter(|&i| observed[i]) {
-            for (j, _) in self.sparse.row_iter(i) {
-                seen[j] = true;
-            }
-        }
-        seen.iter().filter(|&&s| !s).count()
+        (0..self.flow_count())
+            .filter(|&j| !self.flow_rows(j).iter().any(|&i| observed[i]))
+            .count()
     }
 
     /// Flow mask marking every column that traverses at least one of the
@@ -500,10 +638,12 @@ impl Fcm {
     /// Rules outside this FCM's universe (e.g. installed after the FCM
     /// was built) touch no column and are ignored.
     pub fn columns_touching(&self, rules: &[RuleRef]) -> Vec<bool> {
-        let touched: std::collections::HashSet<RuleRef> = rules.iter().copied().collect();
-        self.flows
-            .iter()
-            .map(|f| f.rules.iter().any(|r| touched.contains(r)))
+        let mut touched = vec![false; self.rule_count()];
+        for row in rules.iter().filter_map(|r| self.rule_row(*r)) {
+            touched[row] = true;
+        }
+        (0..self.flow_count())
+            .map(|j| self.flow_rows(j).iter().any(|&i| touched[i]))
             .collect()
     }
 
@@ -527,11 +667,9 @@ impl Fcm {
             "flow mask must have one entry per flow"
         );
         let mut mask = vec![false; self.rule_count()];
-        for (j, f) in self.flows.iter().enumerate() {
-            if flows[j] {
-                for r in &f.rules {
-                    mask[self.rule_index[r]] = true;
-                }
+        for j in (0..self.flow_count()).filter(|&j| flows[j]) {
+            for &i in self.flow_rows(j) {
+                mask[i] = true;
             }
         }
         mask
@@ -682,12 +820,18 @@ pub struct BasisSystem {
 
 impl BasisSystem {
     fn build(fcm: &Fcm) -> Self {
-        let mut seen: HashMap<Vec<usize>, usize> = HashMap::new();
+        let (n, ptr) = (fcm.flow_count(), &fcm.ptr);
+        // A column's key is its rows sorted; the keys share one array and
+        // are hashed as slices of it.
+        let mut sorted = fcm.rows.clone();
+        for j in 0..n {
+            sorted[ptr[j]..ptr[j + 1]].sort_unstable();
+        }
+        let mut seen: HashMap<&[usize], usize> = HashMap::with_capacity(n);
         let mut basis = Vec::new();
-        let mut group_of = Vec::with_capacity(fcm.flows.len());
-        for (j, f) in fcm.flows.iter().enumerate() {
-            let mut key: Vec<usize> = f.rules.iter().map(|r| fcm.rule_index[r]).collect();
-            key.sort_unstable();
+        let mut group_of = Vec::with_capacity(n);
+        for j in 0..n {
+            let key = &sorted[ptr[j]..ptr[j + 1]];
             let g = *seen.entry(key).or_insert_with(|| {
                 basis.push(j);
                 basis.len() - 1
@@ -698,7 +842,8 @@ impl BasisSystem {
         for &g in &group_of {
             group_sizes[g] += 1;
         }
-        let matrix = fcm.sparse.select_columns(&basis);
+        let matrix =
+            CsrMatrix::from_column_rows(fcm.rule_count(), basis.iter().map(|&j| fcm.flow_rows(j)));
         BasisSystem {
             groups: ColumnGroups { basis, group_of },
             group_sizes,
@@ -815,13 +960,16 @@ mod tests {
     #[test]
     fn column_entries_match_flow_rules() {
         let fcm = fcm_for(fattree(4), RuleGranularity::PerDestination);
-        for (j, flow) in fcm.flows().iter().enumerate().take(20) {
-            let col = fcm.column(j);
-            let ones: usize = col.iter().filter(|&&v| v == 1.0).count();
-            assert_eq!(ones, flow.rules.len());
-            for r in &flow.rules {
-                assert_eq!(col[fcm.rule_row(*r).unwrap()], 1.0);
+        let dense = fcm.dense();
+        for j in 0..20 {
+            let ones = (0..fcm.rule_count()).filter(|&i| dense.get(i, j) == 1.0);
+            assert_eq!(ones.count(), fcm.flow_rows(j).len());
+            for r in fcm.flow_rules(j) {
+                assert_eq!(dense.get(fcm.rule_row(r).unwrap(), j), 1.0);
             }
+            let flow = fcm.flow(j);
+            assert_eq!(flow.rules, fcm.flow_rules(j).collect::<Vec<_>>());
+            assert_eq!((flow.ingress, flow.egress), (fcm.ingress(j), fcm.egress(j)));
         }
     }
 
@@ -904,11 +1052,8 @@ mod tests {
         }
         // No surviving flow references the hidden switch, and flow counts
         // add up: kept + dropped = parent.
-        assert!(masked
-            .fcm()
-            .flows()
-            .iter()
-            .all(|f| f.rules.iter().all(|r| r.switch != victim)));
+        let sub = masked.fcm();
+        assert!((0..sub.flow_count()).all(|k| sub.flow_rules(k).all(|r| r.switch != victim)));
         assert_eq!(
             masked.fcm().flow_count() + masked.dropped_flows(),
             fcm.flow_count()
@@ -943,7 +1088,7 @@ mod tests {
         let expected: Vec<usize> = (0..fcm.flow_count()).filter(|&j| j % 5 != 0).collect();
         assert_eq!(masked.parent_columns(), expected.as_slice());
         for (k, &j) in masked.parent_columns().iter().enumerate() {
-            assert_eq!(masked.fcm().flows()[k].rules, fcm.flows()[j].rules);
+            assert_eq!(masked.fcm().flow(k), fcm.flow(j));
         }
     }
 
@@ -954,10 +1099,8 @@ mod tests {
         let fcm = fcm_for(fattree(4), RuleGranularity::PerFlowPair);
         let victim = fcm.rules()[0].switch;
         let observed: Vec<bool> = fcm.rules().iter().map(|r| r.switch != victim).collect();
-        let via_victim: Vec<bool> = fcm
-            .flows()
-            .iter()
-            .map(|f| f.rules.iter().any(|r| r.switch == victim))
+        let via_victim: Vec<bool> = (0..fcm.flow_count())
+            .map(|j| fcm.flow_rules(j).any(|r| r.switch == victim))
             .collect();
         let evicted = via_victim.iter().filter(|&&q| q).count();
         assert!(evicted > 0);
@@ -985,11 +1128,11 @@ mod tests {
     #[test]
     fn columns_touching_marks_exactly_the_traversing_flows() {
         let fcm = fcm_for(fattree(4), RuleGranularity::PerFlowPair);
-        let probe = fcm.flows()[3].rules[1];
+        let probe = fcm.flow(3).rules[1];
         let mask = fcm.columns_touching(&[probe]);
         assert_eq!(mask.len(), fcm.flow_count());
-        for (j, f) in fcm.flows().iter().enumerate() {
-            assert_eq!(mask[j], f.rules.contains(&probe), "flow {j}");
+        for (j, &m) in mask.iter().enumerate() {
+            assert_eq!(m, fcm.flow_rules(j).any(|r| r == probe), "flow {j}");
         }
         assert!(mask[3]);
         // Rules outside the universe touch nothing.
@@ -1007,11 +1150,11 @@ mod tests {
         flows[0] = true;
         flows[7] = true;
         let mask = fcm.rows_touching(&flows);
-        let expected: std::collections::HashSet<usize> = fcm.flows()[0]
-            .rules
+        let expected: std::collections::HashSet<usize> = fcm
+            .flow_rows(0)
             .iter()
-            .chain(&fcm.flows()[7].rules)
-            .map(|&r| fcm.rule_row(r).unwrap())
+            .chain(fcm.flow_rows(7))
+            .copied()
             .collect();
         for (i, &m) in mask.iter().enumerate() {
             assert_eq!(m, expected.contains(&i), "row {i}");
@@ -1039,7 +1182,7 @@ mod tests {
     #[should_panic(expected = "unknown rule")]
     fn from_parts_rejects_foreign_rules() {
         let fcm = fcm_for(fattree(4), RuleGranularity::PerDestination);
-        let mut flows = fcm.flows().to_vec();
+        let mut flows: Vec<LogicalFlow> = (0..fcm.flow_count()).map(|j| fcm.flow(j)).collect();
         flows[0].rules.push(RuleRef {
             switch: foces_net::SwitchId(999),
             index: 0,

@@ -19,6 +19,7 @@ use crate::{audit_deviations, Fcm};
 use foces_controlplane::ControllerView;
 use foces_dataplane::{Action, Rule, RuleRef, HEADER_WIDTH};
 use foces_headerspace::Wildcard;
+use foces_net::SwitchId;
 use std::collections::HashMap;
 
 /// Priority for hardening rules: above both control-plane granularities
@@ -103,16 +104,16 @@ pub fn harden(view: &ControllerView, budget_rules: usize, audit_cap: usize) -> H
         // the loop quadratic in blind spots for no coverage benefit.
         let mut progressed = false;
         for (flow_idx, _) in ranked {
-            let flow = &fcm.flows()[flow_idx];
-            let key = (flow.ingress, flow.egress);
+            let key = (fcm.ingress(flow_idx), fcm.egress(flow_idx));
             if split_flows.contains(&key) {
                 continue;
             }
-            if installed.len() + flow.path.len() > budget_rules {
+            let path: Vec<SwitchId> = fcm.flow_rules(flow_idx).map(|r| r.switch).collect();
+            if installed.len() + path.len() > budget_rules {
                 continue;
             }
-            let header = flow.concrete_header();
-            for &sw in &flow.path {
+            let header = fcm.header(flow_idx).representative();
+            for &sw in &path {
                 let action = working
                     .table(sw)
                     .lookup(header)

@@ -22,11 +22,11 @@
 //! tests in `tests/incremental_props.rs`.
 
 use crate::{BasisSystem, EquationSystem, Fcm, FocesError, SolveOutcome, SolverKind};
-use foces_atpg::LogicalFlow;
 use foces_controlplane::ControllerView;
 use foces_dataplane::RuleRef;
+use foces_net::HostId;
 use foces_sparse::BackendKind;
-use std::collections::HashMap;
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::{Arc, Weak};
 
@@ -71,31 +71,32 @@ impl FcmDelta {
             .filter(|r| old_rules.contains(r) && new_rules.contains(r))
             .count();
 
-        let old_cols = flows_by_identity(old.flows());
-        let new_cols = flows_by_identity(new.flows());
-        let mut cols_added = 0;
-        let mut cols_removed = 0;
-        let mut cols_retouched = 0;
-        for (id, new_sets) in &new_cols {
-            match old_cols.get(id) {
-                None => cols_added += new_sets.len(),
-                Some(old_sets) => {
-                    let shared = old_sets.len().min(new_sets.len());
-                    cols_added += new_sets.len() - shared;
-                    cols_retouched += (0..shared).filter(|&k| old_sets[k] != new_sets[k]).count();
+        // Columns matched by identity and occurrence: one merge of the two
+        // sorted identity lists.
+        let (old_ids, new_ids) = (identities(old), identities(new));
+        let (mut a, mut b) = (0, 0);
+        let (mut old_key, mut new_key) = (Vec::new(), Vec::new());
+        let (mut cols_shared, mut cols_retouched) = (0, 0);
+        while a < old_ids.len() && b < new_ids.len() {
+            match old_ids[a].0.cmp(&new_ids[b].0) {
+                Ordering::Less => a += 1,
+                Ordering::Greater => b += 1,
+                Ordering::Equal => {
+                    sorted_column(old, old_ids[a].1, &mut old_key);
+                    sorted_column(new, new_ids[b].1, &mut new_key);
+                    cols_shared += 1;
+                    cols_retouched += usize::from(old_key != new_key);
+                    a += 1;
+                    b += 1;
                 }
             }
-        }
-        for (id, old_sets) in &old_cols {
-            let shared = new_cols.get(id).map_or(0, |s| s.len().min(old_sets.len()));
-            cols_removed += old_sets.len() - shared;
         }
         FcmDelta {
             rows_added,
             rows_removed,
             rows_retouched,
-            cols_added,
-            cols_removed,
+            cols_added: new_ids.len() - cols_shared,
+            cols_removed: old_ids.len() - cols_shared,
             cols_retouched,
         }
     }
@@ -138,17 +139,28 @@ impl fmt::Display for FcmDelta {
     }
 }
 
-/// Sorted rule sets per flow identity, in occurrence order.
-fn flows_by_identity(
-    flows: &[LogicalFlow],
-) -> HashMap<(foces_net::HostId, foces_net::HostId), Vec<Vec<RuleRef>>> {
-    let mut map: HashMap<_, Vec<Vec<RuleRef>>> = HashMap::new();
-    for f in flows {
-        let mut key: Vec<RuleRef> = f.rules.clone();
-        key.sort_unstable();
-        map.entry((f.ingress, f.egress)).or_default().push(key);
+/// Each column's identity — `(ingress, egress)` and its occurrence among
+/// the columns sharing them — with its index, sorted by identity.
+fn identities(fcm: &Fcm) -> Vec<((HostId, HostId, usize), usize)> {
+    let mut order: Vec<usize> = (0..fcm.flow_count()).collect();
+    order.sort_by_key(|&j| (fcm.ingress(j), fcm.egress(j)));
+    let mut ids: Vec<((HostId, HostId, usize), usize)> = Vec::with_capacity(order.len());
+    for j in order {
+        let (from, to) = (fcm.ingress(j), fcm.egress(j));
+        let k = match ids.last() {
+            Some(&((f, t, k), _)) if (f, t) == (from, to) => k + 1,
+            _ => 0,
+        };
+        ids.push(((from, to, k), j));
     }
-    map
+    ids
+}
+
+/// Column `j`'s rule set, sorted, into `key`.
+fn sorted_column(fcm: &Fcm, j: usize, key: &mut Vec<RuleRef>) {
+    key.clear();
+    key.extend(fcm.flow_rules(j));
+    key.sort_unstable();
 }
 
 /// A placeholder with no settings, accepted by

@@ -138,7 +138,7 @@ pub fn localize_differential(
         "counter vector must match the FCM"
     );
     let mut charge: std::collections::HashMap<SwitchId, f64> = std::collections::HashMap::new();
-    for flow in fcm.flows() {
+    for j in 0..fcm.flow_count() {
         // Walk the flow's rules in path order, comparing consecutive
         // counters. (Aggregated rules mix flows; the walk still works but
         // the discrepancy estimate is an upper bound.)
@@ -153,15 +153,14 @@ pub fn localize_differential(
         // first inflated rule's switch charged instead.
         let mut first_loss: Option<(SwitchId, f64)> = None;
         let mut first_inflation: Option<(SwitchId, f64)> = None;
-        for pair in flow.rules.windows(2) {
-            let up = counters[fcm.rule_row(pair[0]).expect("flow rules are in the FCM")];
-            let down = counters[fcm.rule_row(pair[1]).expect("flow rules are in the FCM")];
+        for pair in fcm.flow_rows(j).windows(2) {
+            let (up, down) = (counters[pair[0]], counters[pair[1]]);
             if up - down > rel_tol * up.max(1.0) {
-                first_loss = Some((pair[0].switch, up - down));
+                first_loss = Some((fcm.rules()[pair[0]].switch, up - down));
                 break; // everything after a loss is collateral
             }
             if first_inflation.is_none() && down - up > rel_tol * up.max(1.0) {
-                first_inflation = Some((pair[1].switch, down - up));
+                first_inflation = Some((fcm.rules()[pair[1]].switch, down - up));
             }
         }
         if let Some((switch, jump)) = first_loss.or(first_inflation) {

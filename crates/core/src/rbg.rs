@@ -69,8 +69,8 @@ pub struct RbgEdge {
 /// use foces::testkit::paper_fig2_fcm;
 ///
 /// let fcm = paper_fig2_fcm();
-/// let histories: Vec<&[_]> =
-///     fcm.flows().iter().map(|f| f.rules.as_slice()).collect();
+/// let owned = fcm.histories();
+/// let histories: Vec<&[_]> = owned.iter().map(Vec::as_slice).collect();
 /// // Row 5 (rule r6) lives on its own switch in the testkit encoding.
 /// let rbg = Rbg::build(foces_net::SwitchId(5), &histories);
 /// assert_eq!(rbg.v_out().len(), 1);
@@ -224,8 +224,8 @@ pub struct PivotRule {
 /// use foces::testkit::paper_fig2_fcm;
 ///
 /// let fcm = paper_fig2_fcm();
-/// let histories: Vec<&[_]> =
-///     fcm.flows().iter().map(|f| f.rules.as_slice()).collect();
+/// let owned = fcm.histories();
+/// let histories: Vec<&[_]> = owned.iter().map(Vec::as_slice).collect();
 /// // Fig. 2's r6 aggregates flows arriving from r3 and r5 but never
 /// // separates them (it is everyone's last rule): no pivot rules.
 /// assert!(pivot_rules(&histories).is_empty());
@@ -294,7 +294,7 @@ mod tests {
     use crate::testkit::{paper_fig2_fcm, paper_fig3_fcm};
 
     fn histories(fcm: &crate::Fcm) -> Vec<Vec<RuleRef>> {
-        fcm.flows().iter().map(|f| f.rules.clone()).collect()
+        fcm.histories()
     }
 
     #[test]

@@ -40,10 +40,7 @@
 //! against a full-scan reference construction.
 
 use crate::{Detector, Fcm, FocesError, Verdict};
-use foces_atpg::LogicalFlow;
-use foces_dataplane::RuleRef;
 use foces_net::{Partition, SwitchId};
-use std::collections::HashSet;
 use std::fmt;
 
 /// One region shard: the sub-FCM over the region's closed rule set and the
@@ -122,33 +119,36 @@ impl ShardedFcm {
     /// [`SlicedFcm`](crate::SlicedFcm) is this over
     /// [`Partition::per_switch`].
     ///
-    /// One pass over the flows lists each region's `(flow, position)`
-    /// occurrences, already in that order; a region then reads its rules
-    /// off its list and its columns off the CSR rows of those rules, so no
-    /// region scans the flows it does not touch.
+    /// One pass over the FCM's columns lists each region's history
+    /// positions, already in flow order; a region then reads its rules off
+    /// its list and its columns off the CSR rows of those rules, and
+    /// copies those columns through a row mark, so no region scans the
+    /// flows it does not touch and no flow is rebuilt.
     pub fn from_fcm(fcm: &Fcm, partition: &Partition) -> Self {
-        let flows = fcm.flows();
-        // Parent row of every history position, flattened: flow `j`'s
-        // positions sit at `offsets[j]..offsets[j + 1]`.
-        let mut offsets = vec![0];
-        let mut history_rows = Vec::with_capacity(fcm.nnz());
+        let n = fcm.flow_count();
+        let region_of_row: Vec<usize> = fcm
+            .rules()
+            .iter()
+            .map(|r| partition.region_of(r.switch))
+            .collect();
+        // Each region's `(flow, position)` occurrences.
         let mut occurrences = vec![Vec::new(); partition.region_count()];
-        let mut is_boundary = vec![false; flows.len()];
-        for (j, f) in flows.iter().enumerate() {
-            let home = f.rules.first().map(|r| partition.region_of(r.switch));
-            for (pos, rule) in f.rules.iter().enumerate() {
-                history_rows.push(fcm.rule_row(*rule).expect("flow rules come from the FCM"));
-                let region = partition.region_of(rule.switch);
+        let mut is_boundary = vec![false; n];
+        for (j, boundary) in is_boundary.iter_mut().enumerate() {
+            let rows = fcm.flow_rows(j);
+            let home = rows.first().map(|&i| region_of_row[i]);
+            for (pos, &i) in rows.iter().enumerate() {
+                let region = region_of_row[i];
                 occurrences[region].push((j, pos));
-                is_boundary[j] |= Some(region) != home;
+                *boundary |= Some(region) != home;
             }
-            offsets.push(history_rows.len());
         }
 
-        // Per-region stamps (the region index) mark R(s) rows and F(s)
-        // columns without clearing between regions.
-        let mut row_mark = vec![usize::MAX; fcm.rule_count()];
-        let mut column_mark = vec![usize::MAX; flows.len()];
+        // `sub_row` marks a region's R(s) rows with their shard row and is
+        // cleared after each region; `column_mark` stamps F(s) columns with
+        // the region index, never cleared.
+        let mut sub_row = vec![usize::MAX; fcm.rule_count()];
+        let mut column_mark = vec![usize::MAX; n];
         let mut shards = Vec::new();
         for (region, occurring) in occurrences.iter().enumerate() {
             // R(s): each traversal's predecessor, then the region's rule,
@@ -156,17 +156,17 @@ impl ShardedFcm {
             // Rbg::slicing_rules.
             let mut parent_rows = Vec::new();
             let mut keep = |row: usize| {
-                if row_mark[row] != region {
-                    row_mark[row] = region;
+                if sub_row[row] == usize::MAX {
+                    sub_row[row] = parent_rows.len();
                     parent_rows.push(row);
                 }
             };
             for &(j, pos) in occurring {
-                let at = offsets[j] + pos;
+                let rows = fcm.flow_rows(j);
                 if pos > 0 {
-                    keep(history_rows[at - 1]);
+                    keep(rows[pos - 1]);
                 }
-                keep(history_rows[at]);
+                keep(rows[pos]);
             }
             if parent_rows.is_empty() {
                 continue;
@@ -183,36 +183,28 @@ impl ShardedFcm {
                 }
             }
             parent_columns.sort_unstable();
-            let sub_flows: Vec<LogicalFlow> = parent_columns
-                .iter()
-                .map(|&j| {
-                    let mut g = flows[j].clone();
-                    let mut rows = history_rows[offsets[j]..offsets[j + 1]].iter();
-                    g.rules
-                        .retain(|_| rows.next().is_some_and(|&r| row_mark[r] == region));
-                    g.path.retain(|s| g.rules.iter().any(|r| r.switch == *s));
-                    g
-                })
-                .collect();
+            let sub_fcm = fcm.restrict(&parent_rows, &sub_row, &parent_columns);
+            for &row in &parent_rows {
+                sub_row[row] = usize::MAX;
+            }
             let boundary_columns = parent_columns
                 .iter()
                 .copied()
                 .filter(|&j| is_boundary[j])
                 .collect();
-            let rules = parent_rows.iter().map(|&i| fcm.rules()[i]).collect();
             shards.push(Shard {
                 region,
                 switches: partition.region(region).to_vec(),
                 parent_rows,
                 parent_columns,
                 boundary_columns,
-                sub_fcm: Fcm::from_parts(rules, sub_flows),
+                sub_fcm,
             });
         }
         ShardedFcm {
             parent_rule_count: fcm.rule_count(),
             shards,
-            boundary_flows: (0..flows.len()).filter(|&j| is_boundary[j]).collect(),
+            boundary_flows: (0..n).filter(|&j| is_boundary[j]).collect(),
         }
     }
 
@@ -295,9 +287,11 @@ impl ShardedFcm {
     /// union of its restricted histories across shards must reproduce its
     /// full global rule set. Returns the number of boundary flows checked.
     ///
-    /// This is cheap (set arithmetic, no solves) and is asserted at
-    /// construction time by the property suite; the cluster coordinator
-    /// re-runs it after every FCM rebuild as a structural self-check.
+    /// This is cheap — one merge of the boundary flows with each shard's
+    /// columns finds their holders, then one stamp pass per flow over its
+    /// history, no solves — and is asserted at construction time by the
+    /// property suite; the cluster coordinator runs it once, as a
+    /// structural self-check when its service is built.
     ///
     /// # Errors
     ///
@@ -308,30 +302,44 @@ impl ShardedFcm {
         fcm: &Fcm,
         partition: &Partition,
     ) -> Result<usize, FocesError> {
-        let flows = fcm.flows();
+        let mut shard_of_region = vec![usize::MAX; partition.region_count()];
+        for (s, shard) in self.shards.iter().enumerate() {
+            shard_of_region[shard.region] = s;
+        }
+        // Boundary flows and each shard's columns ascend, so one cursor per
+        // shard finds each flow's column in it, if any (`holder`).
+        let mut cursor = vec![0; self.shards.len()];
+        let mut holder = vec![None; self.shards.len()];
+        // `covered[i] == j` once a holder's restricted history of flow `j`
+        // holds row `i`.
+        let mut covered = vec![usize::MAX; fcm.rule_count()];
         for &j in &self.boundary_flows {
-            let flow = &flows[j];
-            let touched: HashSet<usize> = flow
-                .rules
-                .iter()
-                .map(|r| partition.region_of(r.switch))
-                .collect();
-            let mut covered: HashSet<RuleRef> = HashSet::new();
-            for shard in &self.shards {
-                let present = shard.parent_columns.binary_search(&j).is_ok();
-                if touched.contains(&shard.region) && !present {
-                    return Err(FocesError::ShardReconciliation {
-                        flow: j,
-                        region: shard.region,
-                        detail: "boundary flow missing from a shard its path traverses",
-                    });
+            for (s, shard) in self.shards.iter().enumerate() {
+                let columns = &shard.parent_columns;
+                while columns.get(cursor[s]).is_some_and(|&c| c < j) {
+                    cursor[s] += 1;
                 }
-                if present {
-                    let k = shard.parent_columns.binary_search(&j).expect("present");
-                    covered.extend(shard.sub_fcm.flows()[k].rules.iter().copied());
+                holder[s] = (columns.get(cursor[s]) == Some(&j)).then_some(cursor[s]);
+            }
+            let rows = fcm.flow_rows(j);
+            let missing = rows
+                .iter()
+                .map(|&i| shard_of_region[partition.region_of(fcm.rules()[i].switch)])
+                .filter(|&s| s != usize::MAX && holder[s].is_none())
+                .min();
+            if let Some(s) = missing {
+                return Err(FocesError::ShardReconciliation {
+                    flow: j,
+                    region: self.shards[s].region,
+                    detail: "boundary flow missing from a shard its path traverses",
+                });
+            }
+            for (shard, &k) in self.shards.iter().zip(&holder) {
+                for &r in k.map_or(&[][..], |k| shard.sub_fcm.flow_rows(k)) {
+                    covered[shard.parent_rows[r]] = j;
                 }
             }
-            if flow.rules.iter().any(|r| !covered.contains(r)) {
+            if rows.iter().any(|&i| covered[i] != j) {
                 return Err(FocesError::ShardReconciliation {
                     flow: j,
                     region: usize::MAX,
@@ -404,7 +412,7 @@ mod tests {
     use super::*;
     use crate::{Rbg, DEFAULT_THRESHOLD};
     use foces_controlplane::{provision, uniform_flows, RuleGranularity};
-    use foces_dataplane::{inject_random_anomaly, AnomalyKind, LossModel};
+    use foces_dataplane::{inject_random_anomaly, AnomalyKind, LossModel, RuleRef};
     use foces_net::generators::{bcube, fattree};
     use foces_net::{partition, PartitionSpec};
     use rand::rngs::StdRng;
@@ -429,7 +437,8 @@ mod tests {
         // switch's RBG, in order, and every flow touching R(S), restricted
         // to it.
         let (fcm, _, sharded, _) = setup(bcube(1, 4), PartitionSpec::PerSwitch);
-        let histories: Vec<&[RuleRef]> = fcm.flows().iter().map(|f| f.rules.as_slice()).collect();
+        let owned = fcm.histories();
+        let histories: Vec<&[RuleRef]> = owned.iter().map(Vec::as_slice).collect();
         let switches: BTreeSet<SwitchId> = fcm.rules().iter().map(|r| r.switch).collect();
         let mut views = sharded.shard_views().into_iter();
         for s in switches {
@@ -442,25 +451,14 @@ mod tests {
             assert_eq!(view.sub_fcm.rules(), rules.as_slice());
             let rows: Vec<usize> = rules.iter().map(|r| fcm.rule_row(*r).unwrap()).collect();
             assert_eq!(view.parent_rows, rows.as_slice());
-            let (columns, restricted): (Vec<usize>, Vec<Vec<RuleRef>>) = fcm
-                .flows()
+            let (columns, restricted): (Vec<usize>, Vec<Vec<RuleRef>>) = owned
                 .iter()
                 .enumerate()
-                .filter(|(_, f)| f.rules.iter().any(|r| rules.contains(r)))
-                .map(|(j, f)| {
-                    (
-                        j,
-                        f.rules
-                            .iter()
-                            .copied()
-                            .filter(|r| rules.contains(r))
-                            .collect(),
-                    )
-                })
+                .filter(|(_, h)| h.iter().any(|r| rules.contains(r)))
+                .map(|(j, h)| (j, h.iter().copied().filter(|r| rules.contains(r)).collect()))
                 .unzip();
             assert_eq!(view.parent_columns, columns.as_slice());
-            let sub: Vec<&Vec<RuleRef>> = view.sub_fcm.flows().iter().map(|f| &f.rules).collect();
-            assert_eq!(sub, restricted.iter().collect::<Vec<_>>());
+            assert_eq!(view.sub_fcm.histories(), restricted);
         }
         assert!(views.next().is_none(), "no shard without a paper slice");
     }
@@ -515,6 +513,69 @@ mod tests {
                 assert!(holders >= 2, "boundary flow {j} held by {holders} shards");
             }
         }
+    }
+
+    /// `sharded` with column `j` of its shard at `region` rebuilt by
+    /// `edit`, or dropped from that shard when `edit` returns `None`.
+    fn corrupt(
+        sharded: &ShardedFcm,
+        region: usize,
+        j: usize,
+        edit: impl FnOnce(foces_atpg::LogicalFlow) -> Option<foces_atpg::LogicalFlow>,
+    ) -> ShardedFcm {
+        let mut out = sharded.clone();
+        let shard = out.shards.iter_mut().find(|s| s.region == region).unwrap();
+        let k = shard.parent_columns.binary_search(&j).unwrap();
+        let sub = &shard.sub_fcm;
+        let mut flows: Vec<_> = (0..sub.flow_count()).map(|c| sub.flow(c)).collect();
+        match edit(flows[k].clone()) {
+            Some(f) => flows[k] = f,
+            None => {
+                flows.remove(k);
+                shard.parent_columns.remove(k);
+                shard.boundary_columns.retain(|&b| b != j);
+            }
+        }
+        shard.sub_fcm = Fcm::from_parts(sub.rules().to_vec(), flows);
+        out
+    }
+
+    #[test]
+    fn reconciliation_names_the_first_flow_a_corrupted_shard_fails() {
+        let (fcm, part, sharded, _) = setup(fattree(4), PartitionSpec::EdgeCut { k: 4 });
+        let region_at = |j: usize, pos: usize| part.region_of(fcm.flow(j).path[pos]);
+        let boundary = sharded.boundary_flows();
+
+        // Dropping two boundary flows from the shard of their first hop's
+        // region: the lower flow index is named, with that region.
+        let (a, b) = (boundary[1], boundary[3]);
+        let dropped = corrupt(&sharded, region_at(b, 0), b, |_| None);
+        let dropped = corrupt(&dropped, region_at(a, 0), a, |_| None);
+        assert_eq!(
+            dropped.reconcile_boundaries(&fcm, &part),
+            Err(FocesError::ShardReconciliation {
+                flow: a,
+                region: region_at(a, 0),
+                detail: "boundary flow missing from a shard its path traverses",
+            })
+        );
+
+        // Truncating a restricted history by the flow's last rule, which
+        // only its egress region's shard holds: no shard covers it.
+        let c = boundary[2];
+        let last = fcm.flow_rows(c).len() - 1;
+        let truncated = corrupt(&sharded, region_at(c, last), c, |mut f| {
+            f.rules.pop();
+            Some(f)
+        });
+        assert_eq!(
+            truncated.reconcile_boundaries(&fcm, &part),
+            Err(FocesError::ShardReconciliation {
+                flow: c,
+                region: usize::MAX,
+                detail: "shard-restricted histories do not cover the global column",
+            })
+        );
     }
 
     #[test]

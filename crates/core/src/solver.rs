@@ -553,7 +553,9 @@ mod tests {
         // original basis. The default solve runs on the FCM's sparse
         // factor and leaves it memoized, whatever the flow count.
         let (fcm, counters, _) = healthy_setup(RuleGranularity::PerDestination);
-        let flows: Vec<_> = (0..13).flat_map(|_| fcm.flows().iter().cloned()).collect();
+        let flows: Vec<_> = (0..13)
+            .flat_map(|_| (0..fcm.flow_count()).map(|j| fcm.flow(j)))
+            .collect();
         let big = Fcm::from_parts(fcm.rules().to_vec(), flows);
         assert!(big.flow_count() > 3000);
         assert_eq!(big.basis_system().cols(), fcm.basis_system().cols());

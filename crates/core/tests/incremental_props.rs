@@ -75,7 +75,7 @@ fn apply_op(dep: &mut Deployment, op: Op) {
 /// its basis and factor (and a clone shares them), so the reference must
 /// not read what the warm side's solves left behind.
 fn fresh(fcm: &Fcm) -> Fcm {
-    Fcm::from_parts(fcm.rules().to_vec(), fcm.flows().to_vec())
+    fcm.unmemoized()
 }
 
 /// The cold reference: the per-call dense solve.

@@ -7,23 +7,105 @@
 //! masking updated rules, quarantining the flows through them, and
 //! masking the rows those flows still traverse, the remaining sub-system
 //! is consistent for *arbitrary* benign volumes — no zeroing needed.
+//!
+//! The masked sub-FCM, and the column and row closures, are also checked
+//! against the earlier explicit constructions over the reference FCM
+//! (`support/fcm_reference.rs`), kept verbatim below.
 
+#[path = "support/fcm_reference.rs"]
+mod fcm_reference;
+
+use fcm_reference::{assert_matches, ReferenceFcm};
 use foces::Fcm;
 use foces_controlplane::{provision, uniform_flows, RuleGranularity};
+use foces_dataplane::RuleRef;
 use foces_net::generators::fattree;
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::sync::OnceLock;
 
-/// One shared FCM — construction runs provisioning + ATPG tracing, far
-/// too slow to repeat per proptest case.
-fn fcm() -> &'static Fcm {
-    static FCM: OnceLock<Fcm> = OnceLock::new();
-    FCM.get_or_init(|| {
+/// One shared FCM and its reference — construction runs provisioning +
+/// ATPG tracing, far too slow to repeat per proptest case.
+fn fixture() -> &'static (Fcm, ReferenceFcm) {
+    static FIXTURE: OnceLock<(Fcm, ReferenceFcm)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
         let topo = fattree(4);
         let flows = uniform_flows(&topo, 1000.0);
         let dep = provision(topo, &flows, RuleGranularity::PerDestination).unwrap();
-        Fcm::from_view(&dep.view)
+        let reference = ReferenceFcm::traced(&dep.view);
+        let fcm = Fcm::from_view(&dep.view);
+        assert_matches(&fcm, &reference, "fixture");
+        (fcm, reference)
     })
+}
+
+fn fcm() -> &'static Fcm {
+    &fixture().0
+}
+
+/// The earlier `Fcm::quarantine` restriction, verbatim, over the
+/// reference: the sub-FCM, its parent rows and columns, and the dropped
+/// and quarantined flow counts.
+fn reference_quarantine(
+    fcm: &ReferenceFcm,
+    observed: &[bool],
+    quarantined: &[bool],
+) -> (ReferenceFcm, Vec<usize>, Vec<usize>, usize, usize) {
+    let kept_rules: Vec<RuleRef> = fcm
+        .rules
+        .iter()
+        .zip(observed)
+        .filter(|(_, &o)| o)
+        .map(|(&r, _)| r)
+        .collect();
+    let parent_rows: Vec<usize> = (0..fcm.rules.len()).filter(|&i| observed[i]).collect();
+    let keep = |r: &RuleRef| observed[fcm.rule_index[r]];
+    let mut dropped_flows = 0usize;
+    let mut quarantined_flows = 0usize;
+    let mut parent_columns = Vec::new();
+    let mut sub_flows = Vec::new();
+    for (j, f) in fcm.flows.iter().enumerate() {
+        if quarantined[j] {
+            quarantined_flows += 1;
+            continue;
+        }
+        let mut g = f.clone();
+        g.rules.retain(|r| keep(r));
+        if g.rules.is_empty() {
+            dropped_flows += 1;
+            continue;
+        }
+        g.path.retain(|s| g.rules.iter().any(|r| r.switch == *s));
+        parent_columns.push(j);
+        sub_flows.push(g);
+    }
+    (
+        ReferenceFcm::from_parts(kept_rules, sub_flows),
+        parent_rows,
+        parent_columns,
+        dropped_flows,
+        quarantined_flows,
+    )
+}
+
+/// The earlier `Fcm::columns_touching` and `Fcm::rows_touching`,
+/// verbatim, over the reference.
+fn reference_closures(fcm: &ReferenceFcm, rules: &[RuleRef]) -> (Vec<bool>, Vec<bool>) {
+    let touched: HashSet<RuleRef> = rules.iter().copied().collect();
+    let columns: Vec<bool> = fcm
+        .flows
+        .iter()
+        .map(|f| f.rules.iter().any(|r| touched.contains(r)))
+        .collect();
+    let mut rows = vec![false; fcm.rules.len()];
+    for (j, f) in fcm.flows.iter().enumerate() {
+        if columns[j] {
+            for r in &f.rules {
+                rows[fcm.rule_index[r]] = true;
+            }
+        }
+    }
+    (columns, rows)
 }
 
 /// Cycles a short generated pattern out to length `n`, so strategies stay
@@ -94,6 +176,29 @@ proptest! {
         assert_close(&projected, &direct);
     }
 
+    /// The masked sub-FCM and its maps equal the earlier explicit
+    /// restriction of the reference FCM.
+    #[test]
+    fn quarantine_matches_the_reference_restriction(
+        obs_pat in proptest::collection::vec(any::<bool>(), 1..64),
+        quar_pat in proptest::collection::vec(any::<bool>(), 1..64),
+    ) {
+        let (fcm, reference) = fixture();
+        let observed = cycle(&obs_pat, fcm.rule_count());
+        let quarantined = cycle(&quar_pat, fcm.flow_count());
+        let masked = fcm.quarantine(&observed, &quarantined);
+        let (want, rows, columns, dropped, evicted) =
+            reference_quarantine(reference, &observed, &quarantined);
+        assert_matches(masked.fcm(), &want, "masked");
+        prop_assert_eq!(masked.parent_rows(), rows.as_slice());
+        prop_assert_eq!(masked.parent_columns(), columns.as_slice());
+        prop_assert_eq!(masked.dropped_flows(), dropped);
+        prop_assert_eq!(masked.quarantined_flows(), evicted);
+        let (_, _, _, blinded, _) =
+            reference_quarantine(reference, &observed, &vec![false; fcm.flow_count()]);
+        prop_assert_eq!(fcm.flows_blinded(&observed), blinded);
+    }
+
     /// Flow accounting: kept + dropped + quarantined columns partition
     /// the parent flows, quarantine takes precedence over dropping, and
     /// the parent row/column maps are strictly increasing and land on
@@ -153,6 +258,8 @@ proptest! {
             .collect();
         let quarantined = fcm.columns_touching(&touched_rules);
         let closure = fcm.rows_touching(&quarantined);
+        let want = reference_closures(&fixture().1, &touched_rules);
+        prop_assert_eq!((&quarantined, &closure), (&want.0, &want.1));
         let observed: Vec<bool> = touched
             .iter()
             .zip(&closure)

@@ -5,12 +5,14 @@
 //! flow additions), an FCM patched forward from the previous generation
 //! ([`foces::Fcm::patched`], re-tracing only the ingress hosts the
 //! installed rules can reach) equals the full re-trace of the view: the
-//! same rules, flows, CSR and basis keys. Cases span FatTree(4),
+//! same rules, flows, CSR and basis groups. Cases span FatTree(4),
 //! BCube(1,4) and ring(5) under both rule granularities
 //! (`support/patch_journal.rs`).
 //!
 //! 256 cases, per the regression battery's acceptance bar.
 
+#[path = "support/fcm_reference.rs"]
+mod fcm_reference;
 #[path = "support/patch_journal.rs"]
 mod patch_journal;
 

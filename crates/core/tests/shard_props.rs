@@ -11,37 +11,37 @@
 //! * whenever the global detector flags, the shard union flags too
 //!   (the paper's Theorem 3 direction — slicing never loses a detection);
 //! * every boundary flow is carried by at least two shards, and each
-//!   holder re-checks it (the columns really are present in both);
+//!   holder re-checks it (the columns really are present in both) — the
+//!   case body is `support/shard_union.rs`, whose fixed-seed slice runs
+//!   in tier-1 `tests/theorem_properties.rs`;
 //! * every per-switch shard is the paper's slice of its switch (rules from
 //!   the switch's RBG, in order; every flow touching them, restricted);
-//! * edge-cut shards equal the earlier full-scan construction field for
-//!   field (`support/shard_reference.rs`).
+//! * the FCM equals the reference construction of its view, and edge-cut
+//!   shards equal the earlier full-scan construction over it field for
+//!   field, sub-FCMs included (`support/shard_reference.rs`,
+//!   `support/fcm_reference.rs`).
 //!
-//! 256 cases, per the regression battery's acceptance bar.
+//! 256 cases, per the regression battery's acceptance bar. One ignored
+//! case checks the FatTree(8) build, a one-host patch and its shards
+//! against the references; CI runs it in release with `-- --ignored`.
 
+#[path = "support/fcm_reference.rs"]
+mod fcm_reference;
 #[path = "support/shard_reference.rs"]
 mod shard_reference;
+#[path = "support/shard_union.rs"]
+mod shard_union;
 
-use foces::{Detector, Fcm, ShardedFcm, SlicedFcm};
-use foces_controlplane::{provision, uniform_flows, Deployment, RuleGranularity};
-use foces_dataplane::{inject_random_anomaly, AnomalyKind, LossModel};
-use foces_net::generators::{bcube, linear, ring};
-use foces_net::{partition, PartitionSpec, Topology};
+use fcm_reference::{assert_matches, ReferenceFcm};
+use foces::{Fcm, ShardedFcm, SlicedFcm};
+use foces_controlplane::{provision, uniform_flows, RuleGranularity};
+use foces_dataplane::{inject_random_anomaly, AnomalyKind};
+use foces_net::generators::fattree;
+use foces_net::{partition, PartitionSpec, SwitchId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Raw strategy seeds for one randomized network.
-#[derive(Debug, Clone, Copy)]
-struct Case {
-    /// 0 = ring, 1 = linear, 2 = bcube(1,4).
-    family: u8,
-    size: usize,
-    k: usize,
-    granularity: u8,
-    inject: bool,
-    anomaly_seed: u64,
-}
+use shard_union::{build, Case};
 
 fn case_strategy() -> impl Strategy<Value = Case> {
     (
@@ -64,28 +64,6 @@ fn case_strategy() -> impl Strategy<Value = Case> {
         )
 }
 
-fn build(case: Case) -> (Topology, Deployment) {
-    let topo = match case.family {
-        0 => ring(case.size.max(4)),
-        1 => linear(case.size),
-        _ => bcube(1, 4),
-    };
-    let flows = uniform_flows(&topo, topo.host_count() as f64 * 10_000.0);
-    let granularity = if case.granularity == 0 {
-        RuleGranularity::PerDestination
-    } else {
-        RuleGranularity::PerFlowPair
-    };
-    let dep = provision(topo.clone(), &flows, granularity).expect("generator topologies provision");
-    (topo, dep)
-}
-
-fn benign_counters(dep: &mut Deployment) -> Vec<f64> {
-    dep.dataplane.reset_counters();
-    dep.replay_traffic(&mut LossModel::none());
-    dep.dataplane.collect_counters()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -93,59 +71,7 @@ proptest! {
     /// counts, and anomalies, plus the boundary double-check.
     #[test]
     fn shard_union_matches_global_detection(case in case_strategy()) {
-        let (topo, mut dep) = build(case);
-        let fcm = Fcm::from_view(&dep.view);
-        let part = partition(&topo, PartitionSpec::EdgeCut { k: case.k });
-        let sharded = ShardedFcm::from_fcm(&fcm, &part);
-
-        // Structural reconciliation always holds for controller-built FCMs.
-        sharded.reconcile_boundaries(&fcm, &part).expect("boundary reconciliation");
-
-        // Every boundary flow is held — column present — by >= 2 shards.
-        let views = sharded.shard_views();
-        for &flow in sharded.boundary_flows() {
-            let holders = views
-                .iter()
-                .filter(|v| v.parent_columns.binary_search(&flow).is_ok())
-                .count();
-            prop_assert!(holders >= 2, "boundary flow {flow} held by {holders} shard(s)");
-        }
-
-        let detector = Detector::default();
-
-        // Benign noiseless network: both detectors agree on "normal".
-        let y = benign_counters(&mut dep);
-        let global = detector.detect(&fcm, &y).unwrap();
-        let union = sharded.detect(&detector, &y).unwrap();
-        prop_assert!(!global.anomalous, "benign noiseless flagged globally");
-        prop_assert!(
-            !union.anomalous,
-            "benign noiseless flagged by shards {:?}",
-            union.flagged_regions()
-        );
-
-        if case.inject {
-            let mut rng = StdRng::seed_from_u64(case.anomaly_seed);
-            if inject_random_anomaly(
-                &mut dep.dataplane,
-                AnomalyKind::PathDeviation,
-                &mut rng,
-                &[],
-            )
-            .is_some()
-            {
-                let y = benign_counters(&mut dep);
-                let global = detector.detect(&fcm, &y).unwrap();
-                let union = sharded.detect(&detector, &y).unwrap();
-                // Theorem-3 direction: sharding never loses a detection.
-                prop_assert!(
-                    !global.anomalous || union.anomalous,
-                    "global flagged (AI {:.2}) but shard union stayed quiet (max AI {:.2})",
-                    global.anomaly_index,
-                    union.max_anomaly_index()
-                );
-            }
-        }
+        shard_union::check_case(case);
     }
 
     /// The per-switch partition is the paper's slicing: each shard's rules,
@@ -169,13 +95,54 @@ proptest! {
         shard_reference::assert_slices_follow_the_paper(&fcm, SlicedFcm::from_fcm(&fcm).sharded());
     }
 
-    /// Edge-cut shards equal the full-scan reference construction in every
-    /// view field.
+    /// The FCM equals the reference construction, and its edge-cut shards
+    /// the full-scan reference construction in every view field.
     #[test]
     fn edge_cut_shards_match_the_full_scan_reference(case in case_strategy()) {
         let (topo, dep) = build(case);
         let fcm = Fcm::from_view(&dep.view);
         let part = partition(&topo, PartitionSpec::EdgeCut { k: case.k });
-        shard_reference::assert_matches_full_scan(&fcm, &part, &ShardedFcm::from_fcm(&fcm, &part));
+        let sharded = ShardedFcm::from_fcm(&fcm, &part);
+        shard_reference::assert_matches_full_scan(&fcm, &dep.view, &part, &sharded);
     }
+}
+
+/// FatTree(8) per-destination, all pairs (16,256 flows), four edge-cut
+/// shards: the first build and its shards, then the patch after a
+/// per-pair reroute (which re-traces one host) and its shards, each
+/// against the references. Too slow for a debug run.
+#[test]
+#[ignore]
+fn fattree8_build_patch_and_shards_match_the_references() {
+    let topo = fattree(8);
+    let flows = uniform_flows(&topo, topo.host_count() as f64 * 1000.0);
+    let mut dep = provision(topo.clone(), &flows, RuleGranularity::PerDestination).unwrap();
+    let part = partition(&topo, PartitionSpec::EdgeCut { k: 4 });
+    let fcm = Fcm::from_view(&dep.view);
+    assert_eq!(fcm.flow_count(), 16_256);
+    shard_reference::assert_matches_full_scan(
+        &fcm,
+        &dep.view,
+        &part,
+        &ShardedFcm::from_fcm(&fcm, &part),
+    );
+
+    let (flow, waypoint) = (0..dep.flows.len())
+        .find_map(|flow| {
+            let path = &dep.expected_paths[flow];
+            (0..topo.switch_count())
+                .map(SwitchId)
+                .find(|s| !path.contains(s) && dep.probe_reroute_via(flow, &[*s]).is_ok())
+                .map(|s| (flow, s))
+        })
+        .expect("some flow reroutes through an off-path switch");
+    dep.reroute_flow_via(flow, &[waypoint]).unwrap();
+    let patched = fcm.patched(&dep.view);
+    assert_matches(&patched, &ReferenceFcm::traced(&dep.view), "patched");
+    shard_reference::assert_matches_full_scan(
+        &patched,
+        &dep.view,
+        &part,
+        &ShardedFcm::from_fcm(&patched, &part),
+    );
 }

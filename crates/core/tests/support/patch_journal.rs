@@ -9,13 +9,14 @@
 //! * [`journal_step`] — one random update: `reroute_flow_via`,
 //!   `refine_flow`, `install_hardening` (per-pair or per-destination
 //!   match, forward or drop) or `add_flow`.
-//! * [`assert_equals_retrace`] — the FCM equals
-//!   `Fcm::from_parts(view.rule_refs(), trace_flows(view))`: rules,
-//!   flows, CSR and basis keys.
+//! * [`assert_equals_retrace`] — the FCM equals the full trace of the
+//!   view built by the reference construction
+//!   ([`ReferenceFcm::traced`], `support/fcm_reference.rs`): rules,
+//!   flows, CSR and basis groups.
 //! * [`run_case`] — a chain of patches, one per step, each checked.
 
+use crate::fcm_reference::{assert_matches, ReferenceFcm};
 use foces::Fcm;
-use foces_atpg::trace_flows;
 use foces_controlplane::{provision, uniform_flows, ControllerView, Deployment, RuleGranularity};
 use foces_dataplane::{dst_match, pair_match, Action, Rule};
 use foces_net::generators::{bcube, fattree, ring};
@@ -97,11 +98,7 @@ pub fn journal_step(dep: &mut Deployment, rng: &mut StdRng) {
 
 /// Asserts that `fcm` is the full re-trace of `view`, field for field.
 pub fn assert_equals_retrace(fcm: &Fcm, view: &ControllerView, at: &str) {
-    let reference = Fcm::from_parts(view.rule_refs().collect(), trace_flows(view));
-    assert_eq!(fcm.rules(), reference.rules(), "{at}: rules");
-    assert_eq!(fcm.flows(), reference.flows(), "{at}: flows");
-    assert!(fcm.sparse() == reference.sparse(), "{at}: CSR");
-    assert_eq!(fcm.basis_keys(), reference.basis_keys(), "{at}: basis keys");
+    assert_matches(fcm, &ReferenceFcm::traced(view), at);
 }
 
 /// Builds `family`'s deployment and its FCM, then `steps` times applies

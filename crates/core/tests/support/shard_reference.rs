@@ -1,18 +1,23 @@
 //! Reference constructions the sharded FCM is checked against, shared by
-//! `crates/core/tests/shard_props.rs` (256 cases) and the workspace-root
-//! `tests/theorem_properties.rs` (16 cases, tier-1).
+//! `crates/core/tests/shard_props.rs` (256 cases), the workspace-root
+//! `tests/theorem_properties.rs` (16 cases, tier-1) and the FatTree(8)
+//! stress case in `crates/core/tests/fcm_stress.rs`.
 //!
 //! * [`assert_slices_follow_the_paper`] — every per-switch shard is the
 //!   paper's §IV-B slice: `R(S)` from the switch's RBG
 //!   ([`Rbg::slicing_rules`]) in order, and `F(S)` the flows touching it,
 //!   restricted to it.
-//! * [`assert_matches_full_scan`] — any partition's shards equal those of
-//!   [`full_scan`], the earlier full-scan `ShardedFcm::from_fcm` body kept
-//!   verbatim (one flow scan per region, `HashSet` membership), field for
-//!   field.
+//! * [`assert_matches_full_scan`] — the FCM equals the reference
+//!   construction of its view (`support/fcm_reference.rs`), and any
+//!   partition's shards equal those of [`full_scan`], the earlier
+//!   full-scan `ShardedFcm::from_fcm` body kept verbatim (one flow scan
+//!   per region, `HashSet` membership) over that reference, field for
+//!   field, sub-FCMs included.
 
+use crate::fcm_reference::{assert_matches, ReferenceFcm};
 use foces::{Fcm, Rbg, ShardedFcm};
 use foces_atpg::LogicalFlow;
+use foces_controlplane::ControllerView;
 use foces_dataplane::RuleRef;
 use foces_net::{Partition, SwitchId};
 use std::collections::{BTreeSet, HashSet};
@@ -24,7 +29,7 @@ pub struct Shard {
     pub parent_rows: Vec<usize>,
     pub parent_columns: Vec<usize>,
     pub boundary_columns: Vec<usize>,
-    pub sub_fcm: Fcm,
+    pub sub_fcm: ReferenceFcm,
 }
 
 /// The full-scan construction's output.
@@ -34,9 +39,10 @@ pub struct FullScan {
     pub boundary_flows: Vec<usize>,
 }
 
-/// The full-scan `ShardedFcm::from_fcm` body, verbatim.
-pub fn full_scan(fcm: &Fcm, partition: &Partition) -> FullScan {
-    let flows = fcm.flows();
+/// The full-scan `ShardedFcm::from_fcm` body, verbatim, over the
+/// reference construction.
+pub fn full_scan(fcm: &ReferenceFcm, partition: &Partition) -> FullScan {
+    let flows = &fcm.flows;
     // Region of each flow position, and the per-flow region span for
     // boundary classification.
     let region_of = |r: &RuleRef| partition.region_of(r.switch);
@@ -100,17 +106,14 @@ pub fn full_scan(fcm: &Fcm, partition: &Partition) -> FullScan {
             }
             sub_flows.push(g);
         }
-        let parent_rows: Vec<usize> = rules
-            .iter()
-            .map(|r| fcm.rule_row(*r).expect("shard rules come from the FCM"))
-            .collect();
+        let parent_rows: Vec<usize> = rules.iter().map(|r| fcm.rule_index[r]).collect();
         shards.push(Shard {
             region,
             switches: members.clone(),
             parent_rows,
             parent_columns,
             boundary_columns,
-            sub_fcm: Fcm::from_parts(rules, sub_flows),
+            sub_fcm: ReferenceFcm::from_parts(rules, sub_flows),
         });
     }
     let boundary_flows: Vec<usize> = is_boundary
@@ -120,17 +123,25 @@ pub fn full_scan(fcm: &Fcm, partition: &Partition) -> FullScan {
         .map(|(j, _)| j)
         .collect();
     FullScan {
-        parent_rule_count: fcm.rule_count(),
+        parent_rule_count: fcm.rules.len(),
         shards,
         boundary_flows,
     }
 }
 
-/// Asserts `sharded` equals the full-scan construction over `partition`:
+/// Asserts `fcm` is the reference construction of `view`, and `sharded`
+/// (built from `fcm`) the full-scan construction over `partition`:
 /// region, switches, parent rows and columns, boundary columns, and the
-/// sub-FCM's rules and flows, shard by shard.
-pub fn assert_matches_full_scan(fcm: &Fcm, partition: &Partition, sharded: &ShardedFcm) {
-    let reference = full_scan(fcm, partition);
+/// sub-FCM, shard by shard.
+pub fn assert_matches_full_scan(
+    fcm: &Fcm,
+    view: &ControllerView,
+    partition: &Partition,
+    sharded: &ShardedFcm,
+) {
+    let traced = ReferenceFcm::traced(view);
+    assert_matches(fcm, &traced, "parent FCM");
+    let reference = full_scan(&traced, partition);
     assert_eq!(sharded.parent_rule_count(), reference.parent_rule_count);
     assert_eq!(
         sharded.boundary_flows(),
@@ -157,16 +168,7 @@ pub fn assert_matches_full_scan(fcm: &Fcm, partition: &Partition, sharded: &Shar
             want.boundary_columns.as_slice(),
             "region {region}"
         );
-        assert_eq!(
-            view.sub_fcm.rules(),
-            want.sub_fcm.rules(),
-            "region {region}"
-        );
-        assert_eq!(
-            view.sub_fcm.flows(),
-            want.sub_fcm.flows(),
-            "region {region}"
-        );
+        assert_matches(view.sub_fcm, &want.sub_fcm, &format!("region {region}"));
     }
 }
 
@@ -174,7 +176,8 @@ pub fn assert_matches_full_scan(fcm: &Fcm, partition: &Partition, sharded: &Shar
 /// its switch, and that exactly the switches with a non-empty slice have a
 /// shard, in ascending order.
 pub fn assert_slices_follow_the_paper(fcm: &Fcm, sharded: &ShardedFcm) {
-    let histories: Vec<&[RuleRef]> = fcm.flows().iter().map(|f| f.rules.as_slice()).collect();
+    let owned = fcm.histories();
+    let histories: Vec<&[RuleRef]> = owned.iter().map(Vec::as_slice).collect();
     let switches: BTreeSet<SwitchId> = fcm.rules().iter().map(|r| r.switch).collect();
     let mut views = sharded.shard_views().into_iter();
     for s in switches {
@@ -187,27 +190,16 @@ pub fn assert_slices_follow_the_paper(fcm: &Fcm, sharded: &ShardedFcm) {
         assert_eq!(view.sub_fcm.rules(), rules.as_slice(), "{s:?}: R(S)");
         let rows: Vec<usize> = rules.iter().map(|r| fcm.rule_row(*r).unwrap()).collect();
         assert_eq!(view.parent_rows, rows.as_slice(), "{s:?}: parent rows");
-        let (columns, restricted): (Vec<usize>, Vec<Vec<RuleRef>>) = fcm
-            .flows()
+        let (columns, restricted): (Vec<usize>, Vec<Vec<RuleRef>>) = owned
             .iter()
             .enumerate()
-            .filter(|(_, f)| f.rules.iter().any(|r| rules.contains(r)))
-            .map(|(j, f)| {
-                (
-                    j,
-                    f.rules
-                        .iter()
-                        .copied()
-                        .filter(|r| rules.contains(r))
-                        .collect(),
-                )
-            })
+            .filter(|(_, h)| h.iter().any(|r| rules.contains(r)))
+            .map(|(j, h)| (j, h.iter().copied().filter(|r| rules.contains(r)).collect()))
             .unzip();
         assert_eq!(view.parent_columns, columns.as_slice(), "{s:?}: F(S)");
-        let sub: Vec<&Vec<RuleRef>> = view.sub_fcm.flows().iter().map(|f| &f.rules).collect();
         assert_eq!(
-            sub,
-            restricted.iter().collect::<Vec<_>>(),
+            view.sub_fcm.histories(),
+            restricted,
             "{s:?}: restricted columns"
         );
     }

@@ -80,8 +80,8 @@ fn main() {
 
         // Reproduction extensions: structure-aware direct and sparse CGLS.
         // The baseline memoized the FCM's basis; the direct round times
-        // its own on a newly built FCM.
-        let fcm = Fcm::from_parts(fcm.rules().to_vec(), fcm.flows().to_vec());
+        // its own on a copy without that memo.
+        let fcm = fcm.unmemoized();
         let direct_detector = Detector::new(4.5, EquationSystem::new(SolverKind::DirectDense));
         let t0 = Instant::now();
         direct_detector.detect(&fcm, &counters).expect("solve");

@@ -374,6 +374,9 @@ impl StreamDriver {
         let detector = Detector::default().with_backend(config.backend);
         // Pre-flight: score detectability and localization coverage of the
         // plane this stream is about to watch, before any counters arrive.
+        // Each shard is factored once, up front: the coverage rank probe
+        // and every fire then read that factor.
+        memoize_shard_factors(&sharded, config.backend);
         let coverage = analyze_cluster_coverage(&fcm, &sharded, &CoverageConfig::default()).ok();
         let mut metrics = IngestMetrics::default();
         if let Some(cov) = &coverage {
@@ -1031,13 +1034,13 @@ impl StreamDriver {
         let mut expected: BTreeMap<(SwitchId, usize), f64> = BTreeMap::new();
         let mut affected: BTreeMap<(SwitchId, usize), bool> = BTreeMap::new();
         let cover_rules: Vec<_> = self.cover_anomalies.iter().map(|a| a.rule).collect();
-        for flow in self.fcm.flows() {
+        for j in 0..self.fcm.flow_count() {
             let rate = rate_of
-                .get(&(flow.ingress, flow.egress))
+                .get(&(self.fcm.ingress(j), self.fcm.egress(j)))
                 .copied()
                 .unwrap_or(0.0);
-            let on_covered_path = flow.rules.iter().any(|r| cover_rules.contains(r));
-            for r in &flow.rules {
+            let on_covered_path = self.fcm.flow_rules(j).any(|r| cover_rules.contains(&r));
+            for r in self.fcm.flow_rules(j) {
                 *expected.entry((r.switch, r.index)).or_insert(0.0) += rate;
                 if on_covered_path {
                     affected.insert((r.switch, r.index), true);
@@ -1131,6 +1134,7 @@ impl StreamDriver {
         // The plane moved: re-score coverage against the rebuilt FCM and
         // shards, and surface any WARN findings right after the rebuild
         // line so the log explains *why* the stream may now be blind.
+        memoize_shard_factors(&self.sharded, self.config.backend);
         self.coverage =
             analyze_cluster_coverage(&self.fcm, &self.sharded, &CoverageConfig::default()).ok();
         if let Some(cov) = &self.coverage {
@@ -1152,6 +1156,16 @@ impl StreamDriver {
             // lie keeps tracking the truth it distorts.
             self.install_forgeries();
         }
+    }
+}
+
+/// Factors every shard's sub-FCM once for `backend`
+/// ([`foces::BasisSystem::factor_for`]), so that the coverage rank probe
+/// and each shard's first fire after a rebuild read one memoized factor
+/// instead of each factoring it.
+fn memoize_shard_factors(sharded: &ShardedFcm, backend: BackendKind) {
+    for view in sharded.shard_views() {
+        view.sub_fcm.basis_system().factor_for(backend);
     }
 }
 

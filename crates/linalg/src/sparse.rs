@@ -45,6 +45,76 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
+    /// The 0/1 incidence matrix with `rows` rows and one column per list,
+    /// column `j` holding a one at each row its list names, built by
+    /// counting sort in `O(nnz + rows + cols)`. A row named twice in one
+    /// list sums to 2, as [`CsrMatrix::from_triplets`] sums duplicates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a named row is `>= rows`.
+    pub fn from_column_rows<'a, I>(rows: usize, columns: I) -> CsrMatrix
+    where
+        I: IntoIterator<Item = &'a [usize]>,
+        I::IntoIter: Clone,
+    {
+        let columns = columns.into_iter();
+        // `last[i]`: the last column with an entry in row `i`, so a repeat
+        // within one column is summed rather than stored twice.
+        let mut last = vec![usize::MAX; rows];
+        let mut indptr = vec![0usize; rows + 1];
+        let mut cols = 0;
+        let mut repeats = false;
+        for (j, col) in columns.clone().enumerate() {
+            for &i in col {
+                repeats |= last[i] == j;
+                last[i] = j;
+                indptr[i + 1] += 1;
+            }
+            cols = j + 1;
+        }
+        for i in 0..rows {
+            indptr[i + 1] += indptr[i];
+        }
+        let mut next = indptr.clone();
+        let mut indices = vec![0usize; indptr[rows]];
+        let mut data = vec![1.0f64; indptr[rows]];
+        for (j, col) in columns.enumerate() {
+            for &i in col {
+                indices[next[i]] = j;
+                next[i] += 1;
+            }
+        }
+        if repeats {
+            // Merge each row's adjacent repeats (a row's entries are in
+            // column order) and close the gaps.
+            let mut kept = 0;
+            let mut start = 0;
+            for i in 0..rows {
+                for k in start..indptr[i + 1] {
+                    if kept > indptr[i] && indices[kept - 1] == indices[k] {
+                        data[kept - 1] += 1.0;
+                    } else {
+                        indices[kept] = indices[k];
+                        data[kept] = 1.0;
+                        kept += 1;
+                    }
+                }
+                start = indptr[i + 1];
+                indptr[i + 1] = kept;
+            }
+            indices.truncate(kept);
+            data.truncate(kept);
+        }
+        CsrMatrix {
+            rows,
+            cols,
+            indptr,
+            indices,
+            data,
+        }
+    }
+
     /// Builds a CSR matrix from triplets; duplicates are summed.
     ///
     /// # Errors
@@ -435,6 +505,25 @@ impl fmt::Debug for CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn column_rows_equal_the_triplet_build() {
+        let columns: [&[usize]; 4] = [&[2, 0], &[], &[1, 1, 3], &[3, 0]];
+        let triplets: Vec<Triplet> = columns
+            .iter()
+            .enumerate()
+            .flat_map(|(col, rows)| {
+                rows.iter().map(move |&row| Triplet {
+                    row,
+                    col,
+                    value: 1.0,
+                })
+            })
+            .collect();
+        let want = CsrMatrix::from_triplets(5, 4, &triplets).unwrap();
+        assert!(CsrMatrix::from_column_rows(5, columns) == want);
+        assert_eq!(want.get(1, 2), 2.0);
+    }
 
     fn sample() -> CsrMatrix {
         CsrMatrix::from_triplets(

@@ -456,7 +456,7 @@ mod tests {
         let observed = vec![true; counters.len()];
         // Simulate a mid-epoch reroute of flow 0: the counters of its
         // rules are mixed-generation readings that fit no single volume.
-        let touched = pipeline.fcm().flows()[0].rules.clone();
+        let touched: Vec<RuleRef> = pipeline.fcm().flow_rules(0).collect();
         assert!(touched.len() >= 2);
         for (k, r) in touched.iter().enumerate() {
             let row = pipeline.fcm().rule_row(*r).unwrap();

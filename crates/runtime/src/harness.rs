@@ -431,13 +431,13 @@ impl ScenarioDriver {
         let mut expected: BTreeMap<(SwitchId, usize), f64> = BTreeMap::new();
         let mut affected: BTreeMap<(SwitchId, usize), bool> = BTreeMap::new();
         let cover_rules: Vec<_> = self.cover_anomalies.iter().map(|a| a.rule).collect();
-        for flow in fcm.flows() {
+        for j in 0..fcm.flow_count() {
             let rate = rate_of
-                .get(&(flow.ingress, flow.egress))
+                .get(&(fcm.ingress(j), fcm.egress(j)))
                 .copied()
                 .unwrap_or(0.0);
-            let on_covered_path = flow.rules.iter().any(|r| cover_rules.contains(r));
-            for r in &flow.rules {
+            let on_covered_path = fcm.flow_rules(j).any(|r| cover_rules.contains(&r));
+            for r in fcm.flow_rules(j) {
                 *expected.entry((r.switch, r.index)).or_insert(0.0) += rate;
                 if on_covered_path {
                     affected.insert((r.switch, r.index), true);

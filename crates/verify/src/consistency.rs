@@ -35,7 +35,8 @@ pub fn verify_fcm(view: &ControllerView, fcm: &Fcm) -> Vec<Finding> {
         }
     }
     let topo = view.topology();
-    for f in fcm.flows() {
+    for j in 0..fcm.flow_count() {
+        let f = &fcm.flow(j);
         let header = f.concrete_header();
         let Some((first_switch, _)) = topo.host_attachment(f.ingress) else {
             findings.push(Finding {

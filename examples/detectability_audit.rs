@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         // Show a blind spot, if any, with its Theorem-2 analysis.
         if let Some(c) = audit.undetectable.first() {
-            let flow = &fcm.flows()[c.flow];
+            let flow = fcm.flow(c.flow);
             println!(
                 "  example blind spot: flow h{}->h{} deviated at s{} toward s{} \
                  (still delivered: {})",

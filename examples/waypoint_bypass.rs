@@ -77,11 +77,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let view = ControllerView::from_parts(topo.clone(), tables.clone());
     let fcm = Fcm::from_view(&view);
-    println!("policy path for guest->server: {:?}", fcm.flows()[0].path);
-    assert!(
-        fcm.flows()[0].path.contains(&s1),
-        "policy transits firewall"
-    );
+    let path = fcm.flow(0).path;
+    println!("policy path for guest->server: {path:?}");
+    assert!(path.contains(&s1), "policy transits firewall");
 
     // Deploy, then compromise s0: skip the firewall via the bypass link.
     let mut dp = DataPlane::new(topo);

@@ -52,7 +52,8 @@ fn unit(row: usize) -> f64 {
 
 /// A newly built copy: same rules and flows, no memo.
 fn fresh(fcm: &Fcm) -> Fcm {
-    Fcm::from_parts(fcm.rules().to_vec(), fcm.flows().to_vec())
+    let flows = (0..fcm.flow_count()).map(|j| fcm.flow(j)).collect();
+    Fcm::from_parts(fcm.rules().to_vec(), flows)
 }
 
 fn assert_close(got: &SolveOutcome, want: &SolveOutcome, at: &str) {
@@ -217,10 +218,8 @@ fn structural_edits_after_a_solve_match_a_fresh_build() {
         .copied()
         .filter(|&r| r != grown)
         .collect();
-    let (through, avoid): (Vec<_>, Vec<_>) = full
-        .flows()
-        .iter()
-        .cloned()
+    let (through, avoid): (Vec<_>, Vec<_>) = (0..full.flow_count())
+        .map(|j| full.flow(j))
         .partition(|f| f.rules.contains(&grown));
     assert!(!through.is_empty());
     let row = full.rule_row(grown).unwrap();

@@ -150,13 +150,11 @@ fn fcm_matches_live_counters_exactly_when_healthy() {
         dep.replay_traffic(&mut LossModel::none());
         let observed = dep.dataplane.collect_counters();
         // Volumes in FCM column order: match flows by (ingress, egress).
-        let volumes: Vec<f64> = fcm
-            .flows()
-            .iter()
-            .map(|lf| {
+        let volumes: Vec<f64> = (0..fcm.flow_count())
+            .map(|j| {
                 dep.flows
                     .iter()
-                    .find(|f| f.src == lf.ingress && f.dst == lf.egress)
+                    .find(|f| f.src == fcm.ingress(j) && f.dst == fcm.egress(j))
                     .map(|f| f.rate)
                     .expect("every class corresponds to a provisioned flow")
             })

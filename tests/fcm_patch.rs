@@ -3,8 +3,8 @@
 //! [`Fcm::patched`] re-traces only the ingress hosts the rules installed
 //! since the previous build can reach, and [`Fcm::from_view`] is the patch
 //! of the empty FCM. Both must give exactly the FCM of a full trace
-//! (`Fcm::from_parts(view.rule_refs(), trace_flows(view))`): the same
-//! rules, flows, CSR and basis keys.
+//! (`ReferenceFcm::traced`, `support/fcm_reference.rs`): the same rules,
+//! flows, CSR and basis groups.
 //!
 //! * a fixed-seed slice of the 256-case journal battery in
 //!   `crates/core/tests/patch_props.rs`;
@@ -13,6 +13,8 @@
 //!   deployment's, a later generation's, a masked one) falls back to the
 //!   full trace.
 
+#[path = "../crates/core/tests/support/fcm_reference.rs"]
+mod fcm_reference;
 #[path = "../crates/core/tests/support/patch_journal.rs"]
 mod patch_journal;
 

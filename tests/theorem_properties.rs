@@ -6,10 +6,12 @@
 //!   column span (the rank oracle).
 //! * **Theorem 2 (necessary direction)** — every rank-undetectable
 //!   deviation exhibits a loop in some switch's rule bipartite graph.
-//! * **Theorem 3** — whatever the baseline detects, slicing detects; and
-//!   the slices are the paper's (per-switch RBG rule sets), built by the
+//! * **Theorem 3** — whatever the baseline detects, slicing detects, and
+//!   whatever the global detector flags, the edge-cut shard union flags
+//!   (the fixed-seed slice of `crates/core/tests/shard_props.rs`); the
+//!   slices are the paper's (per-switch RBG rule sets), built by the
 //!   same constructor as edge-cut shards, which match a full-scan
-//!   reference construction.
+//!   reference construction over the reference FCM.
 //! * **Span oracle parity** — the sparse [`SpanOracle`] answers every span
 //!   query exactly as the dense rank reference
 //!   [`foces_linalg::in_column_span`] does, on degenerate random matrices
@@ -19,8 +21,12 @@
 //!   with stranded and merged columns — the fixed-seed slice of
 //!   `crates/core/tests/span_props.rs`.
 
+#[path = "../crates/core/tests/support/fcm_reference.rs"]
+mod fcm_reference;
 #[path = "../crates/core/tests/support/shard_reference.rs"]
 mod shard_reference;
+#[path = "../crates/core/tests/support/shard_union.rs"]
+mod shard_union;
 #[path = "../crates/core/tests/support/span_parity.rs"]
 mod span_parity;
 
@@ -28,7 +34,7 @@ use foces::{
     audit_deviations, is_detectable, rbg_loop_exists, testkit, Detector, Fcm, ShardedFcm,
     SlicedFcm, SpanOracle,
 };
-use foces_controlplane::{provision, uniform_flows, RuleGranularity};
+use foces_controlplane::{provision, uniform_flows, Deployment, RuleGranularity};
 use foces_dataplane::{
     inject_random_anomaly, pair_header, Action, AnomalyKind, DataPlane, LossModel, RuleRef,
 };
@@ -104,9 +110,8 @@ proptest! {
         };
         // Identify the (single, per-pair granularity) flow whose rule was
         // modified, and its realized deviated history.
-        let victim = fcm
-            .flows()
-            .iter()
+        let victim = (0..fcm.flow_count())
+            .map(|j| fcm.flow(j))
             .find(|f| f.rules.contains(&applied.rule))
             .expect("per-pair rules belong to exactly one flow");
         let (deviated, _delivered, looped) =
@@ -171,7 +176,7 @@ proptest! {
 
 /// Sixteen fixed random networks, alternating rule granularity, each with
 /// an edge-cut shard count in `1..=5`.
-fn fixed_shard_cases() -> impl Iterator<Item = (foces_net::Topology, Fcm, usize)> {
+fn fixed_shard_cases() -> impl Iterator<Item = (foces_net::Topology, Deployment, Fcm, usize)> {
     (0..16u64).map(|seed| {
         let n = 4 + (seed % 4) as usize;
         let topo = foces_net::generators::random_connected(n, (seed % 3) as usize, seed);
@@ -183,7 +188,7 @@ fn fixed_shard_cases() -> impl Iterator<Item = (foces_net::Topology, Fcm, usize)
         let flows = uniform_flows(&topo, topo.host_count() as f64 * 1000.0);
         let dep = provision(topo.clone(), &flows, granularity).unwrap();
         let fcm = Fcm::from_view(&dep.view);
-        (topo, fcm, 1 + (seed % 5) as usize)
+        (topo, dep, fcm, 1 + (seed % 5) as usize)
     })
 }
 
@@ -193,20 +198,39 @@ fn fixed_shard_cases() -> impl Iterator<Item = (foces_net::Topology, Fcm, usize)
 /// tier-1 slice of `crates/core/tests/shard_props.rs`.
 #[test]
 fn per_switch_shards_are_the_paper_slices() {
-    for (topo, fcm, _) in fixed_shard_cases() {
+    for (topo, _, fcm, _) in fixed_shard_cases() {
         let part = partition(&topo, PartitionSpec::PerSwitch);
         shard_reference::assert_slices_follow_the_paper(&fcm, &ShardedFcm::from_fcm(&fcm, &part));
         shard_reference::assert_slices_follow_the_paper(&fcm, SlicedFcm::from_fcm(&fcm).sharded());
     }
 }
 
-/// Edge-cut shards equal the full-scan reference construction in every
-/// view field. The tier-1 slice of `crates/core/tests/shard_props.rs`.
+/// The FCM equals the reference construction, and its edge-cut shards
+/// the full-scan reference construction in every view field. The tier-1
+/// slice of `crates/core/tests/shard_props.rs`.
 #[test]
 fn edge_cut_shards_match_the_full_scan_reference() {
-    for (topo, fcm, k) in fixed_shard_cases() {
+    for (topo, dep, fcm, k) in fixed_shard_cases() {
         let part = partition(&topo, PartitionSpec::EdgeCut { k });
-        shard_reference::assert_matches_full_scan(&fcm, &part, &ShardedFcm::from_fcm(&fcm, &part));
+        let sharded = ShardedFcm::from_fcm(&fcm, &part);
+        shard_reference::assert_matches_full_scan(&fcm, &dep.view, &part, &sharded);
+    }
+}
+
+/// Shard-union vs global detection, benign and with a path deviation, on
+/// every family, both granularities and shard counts 1 to 5. The tier-1
+/// slice of `crates/core/tests/shard_props.rs`.
+#[test]
+fn shard_union_flags_what_the_global_detector_flags_on_fixed_seeds() {
+    for seed in 0..24u64 {
+        shard_union::check_case(shard_union::Case {
+            family: (seed % 3) as u8,
+            size: 3 + (seed % 6) as usize,
+            k: 1 + (seed % 5) as usize,
+            granularity: ((seed / 3) % 2) as u8,
+            inject: seed % 4 != 3,
+            anomaly_seed: seed,
+        });
     }
 }
 
