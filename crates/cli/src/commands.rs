@@ -766,11 +766,13 @@ pub fn stream_run(args: &Args) -> Result<CmdOutput, CmdError> {
             script.push((at, action));
         }
     }
+    let strategy: FakeStrategy = args.num("fake-strategy", FakeStrategy::Naive)?;
+    let magnitude: f64 = args.num("fake-magnitude", 1.0)?;
     if liars > 0 {
         let compromise = StreamAction::Compromise {
             liars,
-            strategy: args.num("fake-strategy", FakeStrategy::Naive)?,
-            magnitude: args.num("fake-magnitude", 1.0)?,
+            strategy,
+            magnitude,
         };
         script.push((args.num("fake-at", 0.0)?, compromise));
         if let Some(at) = args.maybe("confess-at")? {
@@ -802,6 +804,13 @@ pub fn stream_run(args: &Args) -> Result<CmdOutput, CmdError> {
         config.cadence.min_ms,
         config.cadence.max_ms,
     )?;
+    if !driver.liar_switches().is_empty() {
+        writeln!(
+            out,
+            "liars compromised: {} ({strategy}, λ={magnitude})",
+            switch_list(driver.liar_switches().iter().copied())
+        )?;
+    }
     let m = report.metrics;
     let opt_ms = |v: Option<f64>| {
         v.map(|x| format!("{x:.2} ms"))
@@ -2103,6 +2112,11 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(out.exit_code, 0, "{}", out.report);
+        assert!(
+            out.report.contains("liars compromised: s"),
+            "{}",
+            out.report
+        );
         assert!(
             out.report
                 .contains("byzantine: 1 localized, 1 quarantined, 1 released"),

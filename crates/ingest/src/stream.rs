@@ -41,19 +41,20 @@ use foces::{
     ShardedFcm, SuspicionTracker,
 };
 use foces_channel::{
-    plan_collusion, ChannelError, CollusionInputs, ControllerMsg, Delivery, FakeStrategy,
-    FaultProfile, ForgingAgent, HonestAgent, RuleFacts, SwitchAgent, SwitchMsg, Transport,
+    ChannelError, ControllerMsg, Delivery, FakeStrategy, FaultProfile, HonestAgent, SwitchAgent,
+    SwitchMsg, Transport,
 };
 use foces_cluster::ShardCompletion;
 use foces_controlplane::Deployment;
 use foces_dataplane::{inject_random_anomaly, AnomalyKind, AppliedAnomaly, LossModel, RuleRef};
 use foces_net::{partition, Partition, PartitionSpec, SwitchId};
 use foces_runtime::metrics::{json_f64, json_str};
-use foces_runtime::{AlarmMachine, ByzantineConfig, EventLog, HysteresisConfig};
+use foces_runtime::{
+    rolling_update, Adversary, AlarmMachine, ByzantineConfig, EventLog, HysteresisConfig,
+};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use rand::SeedableRng;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// Everything that can go wrong inside a stream run.
@@ -101,10 +102,10 @@ pub enum StreamAction {
     /// counters genuinely mix rule generations, then schedule a
     /// [`StreamEvent::Rebuild`] `settle_ms` later.
     Churn,
-    /// Compromise `liars` switches: forging agents replace their honest
-    /// ones and (for the evasion strategies) a real early-drop anomaly is
-    /// planted at each liar for the forged counters to hide. No-op if
-    /// liars are already active.
+    /// Compromise `liars` rule-owning switches ([`Adversary::compromise`]):
+    /// forging agents replace their honest ones and (for the evasion
+    /// strategies) a real early-drop anomaly is planted at each liar for
+    /// the forged counters to hide. No-op while liars are active.
     Compromise {
         /// How many switches turn Byzantine.
         liars: usize,
@@ -303,14 +304,7 @@ pub struct StreamDriver {
     /// Pre-flight coverage analysis of the stream's FCM + partition
     /// (refreshed on every rebuild; `None` only for an empty plane).
     coverage: Option<CoverageReport>,
-    liar_rng: StdRng,
-    liars: Vec<SwitchId>,
-    forging: Vec<SwitchId>,
-    fake_strategy: FakeStrategy,
-    fake_magnitude: f64,
-    cover_anomalies: Vec<AppliedAnomaly>,
-    stale_snapshot: BTreeMap<(SwitchId, usize), f64>,
-    original_tables: BTreeMap<SwitchId, Vec<foces_dataplane::Rule>>,
+    adversary: Adversary,
 }
 
 impl StreamDriver {
@@ -370,7 +364,7 @@ impl StreamDriver {
         let churn_rng = StdRng::seed_from_u64(config.churn_seed);
         let fired = vec![false; sharded.shard_count()];
         let lifecycle = LiarLifecycle::new(config.byzantine);
-        let liar_rng = StdRng::seed_from_u64(config.liar_seed);
+        let adversary = Adversary::new(config.liar_seed);
         let detector = Detector::default().with_backend(config.backend);
         // Pre-flight: score detectability and localization coverage of the
         // plane this stream is about to watch, before any counters arrive.
@@ -416,14 +410,7 @@ impl StreamDriver {
             lifecycle,
             last_suspicion: 0.0,
             coverage,
-            liar_rng,
-            liars: Vec::new(),
-            forging: Vec::new(),
-            fake_strategy: FakeStrategy::Naive,
-            fake_magnitude: 1.0,
-            cover_anomalies: Vec::new(),
-            stale_snapshot: BTreeMap::new(),
-            original_tables: BTreeMap::new(),
+            adversary,
         }
     }
 
@@ -478,9 +465,20 @@ impl StreamDriver {
         self.lifecycle.unresolved()
     }
 
-    /// The switches currently lying (empty when everyone is honest).
+    /// The switches of the latest [`StreamAction::Compromise`] (empty
+    /// before one; still named after they confess).
     pub fn liar_switches(&self) -> &[SwitchId] {
-        &self.liars
+        self.adversary.liars()
+    }
+
+    /// The stream's adversary: its forging set and cover anomalies.
+    pub fn adversary(&self) -> &Adversary {
+        &self.adversary
+    }
+
+    /// The agent currently answering for `switch`.
+    pub fn agent(&self, switch: SwitchId) -> Option<&dyn SwitchAgent> {
+        self.agents.get(&switch).map(|a| a.as_ref())
     }
 
     /// Runs the stream to `duration_ms` and reports.
@@ -888,15 +886,9 @@ impl StreamDriver {
                 }
             }
             StreamAction::Churn => {
-                // Mid-window rolling update: half the window's volume runs
-                // under the old rules, the reroute lands, half under the
-                // new — subsequent samples genuinely mix generations until
-                // the scheduled rebuild settles.
+                // Samples mix generations until the scheduled rebuild.
                 self.dep.dataplane.reset_counters();
-                let mut loss = LossModel::none();
-                self.dep.replay_traffic_scaled(&mut loss, 0.5);
-                self.apply_churn();
-                self.dep.replay_traffic_scaled(&mut loss, 0.5);
+                rolling_update(&mut self.dep, &mut self.churn_rng, &mut LossModel::none());
                 self.queue
                     .push(now.after_ms(self.config.settle_ms), StreamEvent::Rebuild);
                 self.log.record(format!(
@@ -909,195 +901,33 @@ impl StreamDriver {
                 strategy,
                 magnitude,
             } => {
-                if self.liars.is_empty() && liars > 0 {
-                    self.fake_strategy = strategy;
-                    self.fake_magnitude = magnitude;
-                    self.compromise_switches(liars);
+                if !self.adversary.is_lying() && liars > 0 {
+                    self.adversary
+                        .compromise(&mut self.dep, liars, strategy, magnitude, &[]);
+                    // Re-registers the window's counters under the
+                    // (possibly now anomalous) forwarding state and
+                    // installs the forgeries.
+                    self.refresh_traffic();
                     self.log.record(format!(
                         "{{\"mode\":\"stream\",\"t_ms\":{},\"event\":\"compromise\",\"liars\":{},\"strategy\":{}}}",
                         json_f64(now_ms),
-                        self.liars.len(),
+                        self.adversary.liars().len(),
                         json_str(&strategy.to_string()),
                     ));
                 }
             }
             StreamAction::Confess => {
-                if !self.liars.is_empty() {
-                    self.confess();
+                if self.adversary.is_lying() {
+                    for s in self.adversary.confess(&mut self.dep) {
+                        self.agents.insert(s, Box::new(HonestAgent::new(s)));
+                    }
+                    self.refresh_traffic();
                     self.log.record(format!(
                         "{{\"mode\":\"stream\",\"t_ms\":{},\"event\":\"confess\"}}",
                         json_f64(now_ms)
                     ));
                 }
             }
-        }
-    }
-
-    /// Picks the liars, snapshots their (still-honest) tables, and — for
-    /// the evasion strategies — plants the real early-drop anomaly each
-    /// liar will lie to conceal. Under [`FakeStrategy::CoverUp`] the
-    /// liar's switch neighbors join the collusion.
-    fn compromise_switches(&mut self, count: usize) {
-        let mut pool = self.switches.clone();
-        pool.shuffle(&mut self.liar_rng);
-        pool.truncate(count);
-        pool.sort_unstable();
-        self.liars = pool;
-
-        let mut forging = self.liars.clone();
-        if self.fake_strategy == FakeStrategy::CoverUp {
-            for &liar in &self.liars.clone() {
-                for adj in self.dep.view.topology().adj(foces_net::Node::Switch(liar)) {
-                    if let foces_net::Node::Switch(n) = adj.neighbor {
-                        forging.push(n);
-                    }
-                }
-            }
-            forging.sort_unstable();
-            forging.dedup();
-        }
-        // Table snapshots must predate the cover anomalies: a stealthy
-        // liar answers dumps with the rules the controller installed.
-        for &s in &forging {
-            let table: Vec<foces_dataplane::Rule> = self
-                .dep
-                .dataplane
-                .table(s)
-                .iter()
-                .map(|(_, r)| r.clone())
-                .collect();
-            self.original_tables.insert(s, table);
-        }
-        self.forging = forging;
-
-        if !self.fake_strategy.is_fabrication() {
-            // Evasion: each liar really misbehaves (drops a flow early)
-            // and the forged counters exist to hide it.
-            let all = self.switches.clone();
-            for &liar in &self.liars.clone() {
-                let exclude_rest: Vec<SwitchId> =
-                    all.iter().copied().filter(|&s| s != liar).collect();
-                if let Some(a) = inject_random_anomaly(
-                    &mut self.dep.dataplane,
-                    AnomalyKind::EarlyDrop,
-                    &mut self.liar_rng,
-                    &exclude_rest,
-                ) {
-                    self.cover_anomalies.push(a);
-                }
-            }
-        }
-        // Re-registers the window's counters under the (possibly now
-        // anomalous) forwarding state and installs the forgeries.
-        self.refresh_traffic();
-    }
-
-    /// The liars confess: honest agents come back, cover anomalies are
-    /// repaired, and all adversarial state is dropped.
-    fn confess(&mut self) {
-        for &s in &self.forging {
-            self.agents
-                .insert(s, Box::new(HonestAgent::new(s)) as Box<dyn SwitchAgent>);
-        }
-        for a in self.cover_anomalies.drain(..) {
-            a.revert(&mut self.dep.dataplane)
-                .expect("covered rule cannot vanish");
-        }
-        self.liars.clear();
-        self.forging.clear();
-        self.stale_snapshot.clear();
-        self.original_tables.clear();
-        self.refresh_traffic();
-    }
-
-    /// Plans the coordinated forgery from the live registers and installs
-    /// it into fresh forging agents. Re-run whenever the registers change
-    /// (every [`StreamDriver::refresh_traffic`]) so the lie tracks the
-    /// truth it distorts.
-    fn install_forgeries(&mut self) {
-        if self.stale_snapshot.is_empty() {
-            // First forging window: the honest registers become the stale
-            // snapshot a replay liar keeps reporting as traffic drifts.
-            for &s in &self.forging {
-                for i in 0..self.dep.dataplane.table(s).len() {
-                    self.stale_snapshot
-                        .insert((s, i), self.dep.dataplane.true_counter(s, i));
-                }
-            }
-        }
-        // The adversary's model of the controller's expectation: nominal
-        // (loss-free) flow volumes pushed through the intended routing.
-        let mut rate_of: BTreeMap<(foces_net::HostId, foces_net::HostId), f64> = BTreeMap::new();
-        for f in &self.dep.flows {
-            *rate_of.entry((f.src, f.dst)).or_insert(0.0) += f.rate;
-        }
-        let mut expected: BTreeMap<(SwitchId, usize), f64> = BTreeMap::new();
-        let mut affected: BTreeMap<(SwitchId, usize), bool> = BTreeMap::new();
-        let cover_rules: Vec<_> = self.cover_anomalies.iter().map(|a| a.rule).collect();
-        for j in 0..self.fcm.flow_count() {
-            let rate = rate_of
-                .get(&(self.fcm.ingress(j), self.fcm.egress(j)))
-                .copied()
-                .unwrap_or(0.0);
-            let on_covered_path = self.fcm.flow_rules(j).any(|r| cover_rules.contains(&r));
-            for r in self.fcm.flow_rules(j) {
-                *expected.entry((r.switch, r.index)).or_insert(0.0) += rate;
-                if on_covered_path {
-                    affected.insert((r.switch, r.index), true);
-                }
-            }
-        }
-        let mut inputs = CollusionInputs::default();
-        for &s in &self.forging {
-            let facts: Vec<RuleFacts> = (0..self.dep.dataplane.table(s).len())
-                .map(|i| {
-                    let truth = self.dep.dataplane.true_counter(s, i);
-                    RuleFacts {
-                        index: i,
-                        truth,
-                        expected: expected.get(&(s, i)).copied().unwrap_or(0.0),
-                        stale: self.stale_snapshot.get(&(s, i)).copied().unwrap_or(truth),
-                        // With no cover anomaly (fabrication) every rule is
-                        // fair game; with one, only its flows' rows are.
-                        affected: if cover_rules.is_empty() {
-                            true
-                        } else {
-                            affected.get(&(s, i)).copied().unwrap_or(false)
-                        },
-                    }
-                })
-                .collect();
-            inputs.rules_by_switch.insert(s, facts);
-        }
-        let plan = plan_collusion(self.fake_strategy, self.fake_magnitude, &inputs);
-        for &s in &self.forging {
-            let table = self.original_tables.get(&s).cloned().unwrap_or_default();
-            let mut agent = ForgingAgent::new(s, table);
-            plan.forge_into(&mut agent);
-            self.agents
-                .insert(s, Box::new(agent) as Box<dyn SwitchAgent>);
-        }
-    }
-
-    /// One controller update (same policy as the lockstep harness):
-    /// reroute a random flow through a random off-path waypoint, falling
-    /// back to a granularity refinement.
-    fn apply_churn(&mut self) {
-        let flow = self.churn_rng.gen_range(0..self.dep.flows.len());
-        let path = self.dep.expected_paths[flow].clone();
-        let candidates: Vec<SwitchId> = self
-            .dep
-            .view
-            .topology()
-            .switches()
-            .filter(|s| !path.contains(s))
-            .collect();
-        let rerouted = candidates
-            .choose(&mut self.churn_rng)
-            .copied()
-            .and_then(|w| self.dep.reroute_flow_via(flow, &[w]).ok());
-        if rerouted.is_none() {
-            let _ = self.dep.refine_flow(flow);
         }
     }
 
@@ -1151,10 +981,12 @@ impl StreamDriver {
     fn refresh_traffic(&mut self) {
         self.dep.dataplane.reset_counters();
         self.dep.replay_traffic(&mut LossModel::none());
-        if !self.liars.is_empty() {
+        if self.adversary.is_lying() {
             // The registers moved: re-plan the forgery against them so the
             // lie keeps tracking the truth it distorts.
-            self.install_forgeries();
+            for agent in self.adversary.forge(&self.dep) {
+                self.agents.insert(agent.switch(), Box::new(agent));
+            }
         }
     }
 }
@@ -1172,6 +1004,7 @@ fn memoize_shard_factors(sharded: &ShardedFcm, backend: BackendKind) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use foces_channel::ForgingAgent;
     use foces_controlplane::{provision, uniform_flows, RuleGranularity};
     use foces_net::generators::ring;
 

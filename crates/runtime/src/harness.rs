@@ -8,19 +8,15 @@
 //! detect. The `foces run` CLI subcommand and the cross-crate fault
 //! integration test are both thin wrappers around this type.
 
+use crate::adversary::{rolling_update, Adversary};
 use crate::service::{EpochReport, RuntimeConfig, RuntimeError, RuntimeService};
 use crate::transport::{FaultProfile, SimTransport};
-use foces::Fcm;
-use foces_channel::{
-    plan_collusion, CollusionInputs, FakeStrategy, ForgingAgent, HonestAgent, RuleFacts,
-};
+use foces_channel::{FakeStrategy, HonestAgent};
 use foces_controlplane::Deployment;
 use foces_dataplane::{inject_random_anomaly, AnomalyKind, AppliedAnomaly, LossModel};
 use foces_net::SwitchId;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use rand::SeedableRng;
 
 /// A complete fault-injection scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,7 +52,8 @@ pub struct FaultScenario {
     pub seed: u64,
     /// Seed for choosing the compromised rule.
     pub anomaly_seed: u64,
-    /// Number of Byzantine (counter-forging) switches. 0 = everyone honest.
+    /// Number of Byzantine (counter-forging) switches, drawn from those that
+    /// own a rule, never the offline victim. 0 = everyone honest.
     pub liars: usize,
     /// How the liars coordinate their forged reports.
     pub fake_strategy: FakeStrategy,
@@ -129,27 +126,10 @@ pub struct ScenarioDriver {
     scenario: FaultScenario,
     inject_rng: StdRng,
     churn_rng: StdRng,
-    liar_rng: StdRng,
     applied: Option<AppliedAnomaly>,
     /// Reroutes/refinements applied so far (for tests and summaries).
     churn_events: u64,
-    /// The compromised switches while the fake window is open.
-    liars: Vec<SwitchId>,
-    /// Every switch currently running a forging agent (the liars, plus
-    /// their accomplices under [`FakeStrategy::CoverUp`]).
-    forging: Vec<SwitchId>,
-    /// Real forwarding anomalies the evasion strategies are covering for
-    /// (one early-drop per liar), repaired when the liars confess.
-    cover_anomalies: Vec<AppliedAnomaly>,
-    /// Honest counter snapshot taken entering the fake window — the
-    /// "stale" values a replay-strategy liar keeps reporting.
-    stale_snapshot: BTreeMap<(SwitchId, usize), f64>,
-    /// Pre-compromise table snapshots (what a stealthy liar reports on
-    /// table dumps), keyed by forging switch.
-    original_tables: BTreeMap<SwitchId, Vec<foces_dataplane::Rule>>,
-    /// The adversary's FCM and the view generation it was built at,
-    /// re-patched only when the view moves.
-    adversary_fcm: Option<(u64, Fcm)>,
+    adversary: Adversary,
 }
 
 impl ScenarioDriver {
@@ -159,22 +139,16 @@ impl ScenarioDriver {
         let service = RuntimeService::with_sim_transport(&dep.view, scenario.transport(), config);
         let inject_rng = StdRng::seed_from_u64(scenario.anomaly_seed);
         let churn_rng = StdRng::seed_from_u64(scenario.churn_seed);
-        let liar_rng = StdRng::seed_from_u64(scenario.liar_seed);
+        let adversary = Adversary::new(scenario.liar_seed);
         ScenarioDriver {
             dep,
             service,
             scenario,
             inject_rng,
             churn_rng,
-            liar_rng,
             applied: None,
             churn_events: 0,
-            liars: Vec::new(),
-            forging: Vec::new(),
-            cover_anomalies: Vec::new(),
-            stale_snapshot: BTreeMap::new(),
-            original_tables: BTreeMap::new(),
-            adversary_fcm: None,
+            adversary,
         }
     }
 
@@ -234,21 +208,10 @@ impl ScenarioDriver {
                 .unwrap_or(false)
     }
 
-    /// The compromised switches while the fake window is open.
+    /// The switches compromised when the fake window opened (empty
+    /// before it; still named after they confess).
     pub fn liar_switches(&self) -> &[SwitchId] {
-        &self.liars
-    }
-
-    /// Every switch currently running a forging agent (liars plus, under
-    /// [`FakeStrategy::CoverUp`], their colluding neighbors).
-    pub fn forging_switches(&self) -> &[SwitchId] {
-        &self.forging
-    }
-
-    /// The real forwarding anomalies the liars are covering for (empty for
-    /// the fabrication strategy).
-    pub fn cover_anomalies(&self) -> &[AppliedAnomaly] {
-        &self.cover_anomalies
+        self.adversary.liars()
     }
 
     /// Runs one epoch: inject/repair at the window edges, reset counters,
@@ -259,12 +222,11 @@ impl ScenarioDriver {
     /// Propagates [`RuntimeError`] from the service.
     pub fn step(&mut self) -> Result<EpochReport, RuntimeError> {
         let epoch = self.service.epochs();
+        // Never compromise the offline victim: an anomaly or a liar on an
+        // unobserved switch tests masking, not detection.
+        let exclude: Vec<SwitchId> = self.scenario.offline.iter().map(|&(s, _, _)| s).collect();
         if let Some((start, end)) = self.scenario.anomaly_window {
             if epoch == start && self.applied.is_none() {
-                // Never compromise the offline victim: an anomaly on an
-                // unobserved switch tests masking, not detection.
-                let exclude: Vec<SwitchId> =
-                    self.scenario.offline.iter().map(|&(s, _, _)| s).collect();
                 self.applied = inject_random_anomaly(
                     &mut self.dep.dataplane,
                     self.scenario.anomaly_kind,
@@ -280,11 +242,19 @@ impl ScenarioDriver {
             }
         }
         if let Some((start, end)) = self.scenario.fake_window {
-            if epoch == start && self.scenario.liars > 0 && self.liars.is_empty() {
-                self.compromise_switches();
+            if epoch == start && self.scenario.liars > 0 && !self.adversary.is_lying() {
+                self.adversary.compromise(
+                    &mut self.dep,
+                    self.scenario.liars,
+                    self.scenario.fake_strategy,
+                    self.scenario.fake_magnitude,
+                    &exclude,
+                );
             }
-            if epoch == end && !self.liars.is_empty() {
-                self.confess();
+            if epoch == end && self.adversary.is_lying() {
+                for s in self.adversary.confess(&mut self.dep) {
+                    self.service.replace_agent(Box::new(HonestAgent::new(s)));
+                }
             }
         }
         self.dep.dataplane.reset_counters();
@@ -300,208 +270,19 @@ impl ScenarioDriver {
             LossModel::none()
         };
         if self.churn_due_at(epoch) {
-            // Mid-epoch rolling update: half the epoch's traffic runs under
-            // the old rules, the reroute lands, the other half runs under
-            // the new ones — the counters the service collects genuinely
-            // mix generations, which is exactly what reconciliation and
-            // the generation stamps exist to absorb.
-            self.dep.replay_traffic_scaled(&mut loss, 0.5);
-            self.apply_churn();
-            self.dep.replay_traffic_scaled(&mut loss, 0.5);
+            rolling_update(&mut self.dep, &mut self.churn_rng, &mut loss);
+            self.churn_events += 1;
         } else {
             self.dep.replay_traffic(&mut loss);
         }
-        if self.fake_active_at(epoch) && !self.liars.is_empty() {
+        if self.fake_active_at(epoch) && self.adversary.is_lying() {
             // The registers for this epoch are final: (re)plan the forgery
             // against them and install it before the service polls.
-            self.install_forgeries();
+            for agent in self.adversary.forge(&self.dep) {
+                self.service.replace_agent(Box::new(agent));
+            }
         }
         self.service.run_epoch(&self.dep.dataplane, &self.dep.view)
-    }
-
-    /// Picks the liars, snapshots their (still-honest) tables, and — for
-    /// the evasion strategies — plants the real early-drop anomaly each
-    /// liar will lie to conceal. Under [`FakeStrategy::CoverUp`] the
-    /// liar's switch neighbors join the collusion.
-    fn compromise_switches(&mut self) {
-        let exclude: Vec<SwitchId> = self.scenario.offline.iter().map(|&(s, _, _)| s).collect();
-        // Only switches that actually own rules can lie about them: on a
-        // sampled flow set (e.g. the FatTree(8) redteam bench) some
-        // switches carry no provisioned flow at all, and "compromising"
-        // one would make the scenario vacuous.
-        let mut pool: Vec<SwitchId> = self
-            .dep
-            .view
-            .topology()
-            .switches()
-            .filter(|s| !exclude.contains(s))
-            .filter(|&s| !self.dep.dataplane.table(s).is_empty())
-            .collect();
-        pool.shuffle(&mut self.liar_rng);
-        pool.truncate(self.scenario.liars);
-        pool.sort_unstable();
-        self.liars = pool;
-
-        let mut forging = self.liars.clone();
-        if self.scenario.fake_strategy == FakeStrategy::CoverUp {
-            for &liar in &self.liars.clone() {
-                for adj in self.dep.view.topology().adj(foces_net::Node::Switch(liar)) {
-                    if let foces_net::Node::Switch(n) = adj.neighbor {
-                        forging.push(n);
-                    }
-                }
-            }
-            forging.sort_unstable();
-            forging.dedup();
-        }
-        // Table snapshots must predate the cover anomalies: a stealthy
-        // liar answers dumps with the rules the controller installed.
-        for &s in &forging {
-            let table: Vec<foces_dataplane::Rule> = self
-                .dep
-                .dataplane
-                .table(s)
-                .iter()
-                .map(|(_, r)| r.clone())
-                .collect();
-            self.original_tables.insert(s, table);
-        }
-        self.forging = forging;
-
-        if !self.scenario.fake_strategy.is_fabrication() {
-            // Evasion: each liar really misbehaves (drops a flow early) and
-            // the forged counters exist to hide it.
-            let all: Vec<SwitchId> = self.dep.view.topology().switches().collect();
-            for &liar in &self.liars.clone() {
-                let exclude_rest: Vec<SwitchId> =
-                    all.iter().copied().filter(|&s| s != liar).collect();
-                if let Some(a) = inject_random_anomaly(
-                    &mut self.dep.dataplane,
-                    AnomalyKind::EarlyDrop,
-                    &mut self.liar_rng,
-                    &exclude_rest,
-                ) {
-                    self.cover_anomalies.push(a);
-                }
-            }
-        }
-    }
-
-    /// The liars confess: honest agents come back, cover anomalies are
-    /// repaired, and all adversarial state is dropped.
-    fn confess(&mut self) {
-        for &s in &self.forging {
-            self.service.replace_agent(Box::new(HonestAgent::new(s)));
-        }
-        for a in self.cover_anomalies.drain(..) {
-            a.revert(&mut self.dep.dataplane)
-                .expect("covered rule cannot vanish");
-        }
-        self.liars.clear();
-        self.forging.clear();
-        self.stale_snapshot.clear();
-        self.original_tables.clear();
-    }
-
-    /// Plans this epoch's coordinated forgery from the live registers and
-    /// installs it into fresh forging agents.
-    fn install_forgeries(&mut self) {
-        if self.stale_snapshot.is_empty() {
-            // First forging epoch: the honest registers become the stale
-            // snapshot a replay liar keeps reporting as traffic drifts.
-            for &s in &self.forging {
-                for i in 0..self.dep.dataplane.table(s).len() {
-                    self.stale_snapshot
-                        .insert((s, i), self.dep.dataplane.true_counter(s, i));
-                }
-            }
-        }
-        // The adversary's model of the controller's expectation: nominal
-        // (loss-free) flow volumes pushed through the intended routing.
-        let generation = self.dep.view.generation();
-        let fcm = match self.adversary_fcm.take() {
-            Some((built, fcm)) if built == generation => fcm,
-            Some((_, fcm)) => fcm.patched(&self.dep.view),
-            None => Fcm::from_view(&self.dep.view),
-        };
-        let mut rate_of: BTreeMap<(foces_net::HostId, foces_net::HostId), f64> = BTreeMap::new();
-        for f in &self.dep.flows {
-            *rate_of.entry((f.src, f.dst)).or_insert(0.0) += f.rate;
-        }
-        let mut expected: BTreeMap<(SwitchId, usize), f64> = BTreeMap::new();
-        let mut affected: BTreeMap<(SwitchId, usize), bool> = BTreeMap::new();
-        let cover_rules: Vec<_> = self.cover_anomalies.iter().map(|a| a.rule).collect();
-        for j in 0..fcm.flow_count() {
-            let rate = rate_of
-                .get(&(fcm.ingress(j), fcm.egress(j)))
-                .copied()
-                .unwrap_or(0.0);
-            let on_covered_path = fcm.flow_rules(j).any(|r| cover_rules.contains(&r));
-            for r in fcm.flow_rules(j) {
-                *expected.entry((r.switch, r.index)).or_insert(0.0) += rate;
-                if on_covered_path {
-                    affected.insert((r.switch, r.index), true);
-                }
-            }
-        }
-        let mut inputs = CollusionInputs::default();
-        for &s in &self.forging {
-            let facts: Vec<RuleFacts> = (0..self.dep.dataplane.table(s).len())
-                .map(|i| {
-                    let truth = self.dep.dataplane.true_counter(s, i);
-                    RuleFacts {
-                        index: i,
-                        truth,
-                        expected: expected.get(&(s, i)).copied().unwrap_or(0.0),
-                        stale: self.stale_snapshot.get(&(s, i)).copied().unwrap_or(truth),
-                        // With no cover anomaly (fabrication) every rule is
-                        // fair game; with one, only its flows' rows are.
-                        affected: if cover_rules.is_empty() {
-                            true
-                        } else {
-                            affected.get(&(s, i)).copied().unwrap_or(false)
-                        },
-                    }
-                })
-                .collect();
-            inputs.rules_by_switch.insert(s, facts);
-        }
-        let plan = plan_collusion(
-            self.scenario.fake_strategy,
-            self.scenario.fake_magnitude,
-            &inputs,
-        );
-        for &s in &self.forging {
-            let table = self.original_tables.get(&s).cloned().unwrap_or_default();
-            let mut agent = ForgingAgent::new(s, table);
-            plan.forge_into(&mut agent);
-            self.service.replace_agent(Box::new(agent));
-        }
-        self.adversary_fcm = Some((generation, fcm));
-    }
-
-    /// One controller update, chosen by the (seeded) churn RNG: reroute a
-    /// random flow through a random off-path waypoint, falling back to a
-    /// granularity refinement along its current path when no waypoint
-    /// admits a simple path.
-    fn apply_churn(&mut self) {
-        let flow = self.churn_rng.gen_range(0..self.dep.flows.len());
-        let path = self.dep.expected_paths[flow].clone();
-        let candidates: Vec<SwitchId> = self
-            .dep
-            .view
-            .topology()
-            .switches()
-            .filter(|s| !path.contains(s))
-            .collect();
-        let rerouted = candidates
-            .choose(&mut self.churn_rng)
-            .copied()
-            .and_then(|w| self.dep.reroute_flow_via(flow, &[w]).ok());
-        if rerouted.is_none() {
-            let _ = self.dep.refine_flow(flow);
-        }
-        self.churn_events += 1;
     }
 
     /// Runs the whole scenario, returning every epoch's report.

@@ -43,7 +43,11 @@
 //! * [`harness`] — [`ScenarioDriver`] owns a whole deployment and drives
 //!   reset → replay → (inject/revert) → poll → detect per epoch; the
 //!   `foces run` CLI subcommand and the cross-crate fault test sit on it.
+//! * [`adversary`] — [`Adversary`], the counter-forging liar (compromise,
+//!   forge, confess) and [`rolling_update`], the churn policy: one of
+//!   each, driven by [`ScenarioDriver`] and by `foces-ingest`'s stream.
 
+pub mod adversary;
 pub mod degraded;
 pub mod harness;
 pub mod hysteresis;
@@ -54,6 +58,7 @@ pub mod scheduler;
 pub mod service;
 pub mod transport;
 
+pub use adversary::{rolling_update, Adversary};
 pub use degraded::{DegradedPipeline, DetectionMode};
 // The Byzantine-layer tunables live with the liar lifecycle in core.
 pub use foces::ByzantineConfig;

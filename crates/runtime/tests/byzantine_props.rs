@@ -1,71 +1,13 @@
 //! Property battery for the Byzantine-resilience layer's *negative*
-//! contract: an honest network — whatever the control channel and the
-//! update schedule do — must never have a switch localized as a liar or
-//! its counters quarantined.
-//!
-//! Two tiers of the guarantee:
-//! * **Lossless + churn**: with zero traffic loss, every epoch's system
-//!   is exactly consistent, so not a single round may score anomalous —
-//!   zero suspicion, zero implications, zero alarms.
-//! * **Noisy**: with traffic loss the residuals carry real noise, so
-//!   isolated anomalous rounds (and transient suspicion) are legitimate
-//!   — but the leave-one-out cross-validation must still refuse to pin
-//!   that diffuse noise on any single switch: zero localizations, zero
-//!   quarantines, always.
+//! contract: an honest network must never have a switch localized as a
+//! liar or its counters quarantined. The case bodies are
+//! `support/honest_drives.rs`; its fixed-seed slice runs in the
+//! workspace-root `tests/byzantine.rs` (tier-1).
 
-use foces_controlplane::{provision, uniform_flows, Deployment, RuleGranularity};
-use foces_net::generators::ring;
-use foces_runtime::{ByzantineConfig, FaultScenario, RuntimeConfig, ScenarioDriver};
+#[path = "support/honest_drives.rs"]
+mod honest_drives;
+
 use proptest::prelude::*;
-
-const EPOCHS: u64 = 12;
-
-fn testbed() -> Deployment {
-    let topo = ring(4);
-    let flows = uniform_flows(&topo, 12_000.0);
-    provision(topo, &flows, RuleGranularity::PerFlowPair).expect("provision ring(4)")
-}
-
-fn byzantine_config() -> RuntimeConfig {
-    RuntimeConfig {
-        byzantine: ByzantineConfig {
-            enabled: true,
-            ..ByzantineConfig::default()
-        },
-        ..RuntimeConfig::default()
-    }
-}
-
-fn honest_scenario(
-    loss: f64,
-    drop_prob: f64,
-    reorder_prob: f64,
-    churn_period: Option<u64>,
-    seed: u64,
-) -> FaultScenario {
-    FaultScenario {
-        epochs: EPOCHS,
-        loss,
-        drop_prob,
-        latency_ms: 2.0,
-        jitter_ms: 1.0,
-        reorder_prob,
-        offline: None,
-        anomaly_window: None,
-        churn_period,
-        churn_seed: seed ^ 0x5bd1_e995,
-        seed,
-        liars: 0,
-        ..FaultScenario::default()
-    }
-}
-
-/// Runs the scenario to completion and returns the driver for inspection.
-fn run(scenario: FaultScenario) -> ScenarioDriver {
-    let mut driver = ScenarioDriver::new(testbed(), scenario, byzantine_config());
-    driver.run().expect("honest epochs never fail outright");
-    driver
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -79,19 +21,7 @@ proptest! {
         churn_period in 2u64..5,
         seed in 0u64..1_000,
     ) {
-        let driver = run(honest_scenario(0.0, drop_prob, reorder_prob, Some(churn_period), seed));
-        let m = *driver.service().metrics();
-        prop_assert_eq!(m.alarms_raised, 0, "honest churn raised an alarm");
-        prop_assert_eq!(m.liars_localized, 0);
-        prop_assert_eq!(m.switch_quarantines, 0);
-        prop_assert_eq!(m.unresolved_byzantine, 0);
-        prop_assert_eq!(
-            driver.service().suspicion().max_score(),
-            0.0,
-            "suspicion accumulated on a lossless honest network"
-        );
-        prop_assert!(driver.service().suspicion().implicated().is_empty());
-        prop_assert!(driver.service().quarantined_switches().is_empty());
+        honest_drives::assert_lossless_is_unsuspected(drop_prob, reorder_prob, churn_period, seed);
     }
 
     /// Traffic loss makes residual noise — isolated anomalous rounds and
@@ -105,14 +35,6 @@ proptest! {
         churn in proptest::bool::ANY,
         seed in 0u64..1_000,
     ) {
-        let churn_period = if churn { Some(3) } else { None };
-        let driver = run(honest_scenario(loss, drop_prob, reorder_prob, churn_period, seed));
-        let m = *driver.service().metrics();
-        prop_assert_eq!(
-            m.liars_localized, 0,
-            "LOO pinned honest loss noise on a switch"
-        );
-        prop_assert_eq!(m.switch_quarantines, 0, "honest switch quarantined");
-        prop_assert!(driver.service().quarantined_switches().is_empty());
+        honest_drives::assert_noisy_is_never_quarantined(loss, drop_prob, reorder_prob, churn, seed);
     }
 }

@@ -16,15 +16,21 @@
 //!
 //! Both the lockstep `run` driver and the event-driven `stream` driver go
 //! through the one [`foces::LiarLifecycle`]; the stream drill and the
-//! two-liar re-probe rotation below exercise it from each side.
+//! two-liar re-probe rotation below exercise it from each side. Both also
+//! drive the one [`foces_runtime::Adversary`]: the pool and evasion drills
+//! below pin what it compromises, plants and reverts under `stream`, and
+//! that `run` draws the same liars.
+
+#[path = "../crates/runtime/tests/support/honest_drives.rs"]
+mod honest_drives;
 
 use foces::AlarmState;
-use foces_channel::{FakeStrategy, ForgingAgent, HonestAgent};
+use foces_channel::{ControllerMsg, FakeStrategy, ForgingAgent, HonestAgent, SwitchMsg};
 use foces_controlplane::{provision, uniform_flows, Deployment, RuleGranularity};
-use foces_dataplane::LossModel;
+use foces_dataplane::{Action, AnomalyKind, LossModel};
 use foces_ingest::{CadenceConfig, StreamAction, StreamConfig, StreamDriver};
 use foces_net::generators::fattree;
-use foces_net::SwitchId;
+use foces_net::{Node, SwitchId};
 use foces_runtime::{
     ByzantineConfig, DetectionMode, EpochReport, FaultProfile, FaultScenario, RuntimeConfig,
     RuntimeService, ScenarioDriver, SimTransport,
@@ -41,8 +47,9 @@ fn testbed() -> Deployment {
 }
 
 /// A quiet control channel: the test isolates the Byzantine machinery
-/// from transport noise (the noisy-channel interplay is covered by the
-/// proptest battery in `crates/runtime/tests/byzantine_props.rs`).
+/// from transport noise (the noisy-channel interplay is covered by
+/// `honest_drives`, sliced below and swept by
+/// `crates/runtime/tests/byzantine_props.rs`).
 fn quiet_scenario(epochs: u64) -> FaultScenario {
     FaultScenario {
         epochs,
@@ -82,8 +89,8 @@ fn single_liar_is_localized_within_the_hysteresis_bound() {
     let bound = FAKE_AT + u64::from(config.raise_after) + 1;
 
     let mut driver = ScenarioDriver::new(testbed(), scenario, config);
-    // Step manually: `liar_switches()` is only populated while the fake
-    // window is open, so the culprit's identity is captured mid-run.
+    // Step manually: `liar_switches()` is empty until the fake window
+    // opens, so the culprit's identity is captured mid-run.
     let mut reports = Vec::new();
     let mut liars = Vec::new();
     for _ in 0..EPOCHS {
@@ -424,5 +431,172 @@ fn non_finite_forged_counters_are_masked_not_solved() {
             assert!(!r.anomalous(), "{forged}: epoch {}", r.epoch);
         }
         assert_eq!(svc.metrics().rejected_readings, epochs * liar_rows);
+    }
+}
+
+/// A fixed-seed slice of `crates/runtime/tests/byzantine_props.rs`: honest
+/// ring(4) drives under message drops, reordering, churn and (in the noisy
+/// half) traffic loss. Lossless drives accumulate zero suspicion; no drive
+/// ever localizes or quarantines a switch.
+#[test]
+fn honest_drives_under_loss_drop_reorder_and_churn_quarantine_nobody() {
+    for (drop_prob, reorder_prob, churn_period, seed) in [
+        (0.0, 0.0, 2, 1),
+        (0.10, 0.0, 3, 17),
+        (0.0, 0.12, 4, 256),
+        (0.14, 0.14, 2, 999),
+    ] {
+        honest_drives::assert_lossless_is_unsuspected(drop_prob, reorder_prob, churn_period, seed);
+    }
+    for (loss, drop_prob, reorder_prob, churn, seed) in [
+        (0.01, 0.0, 0.0, false, 3),
+        (0.02, 0.10, 0.0, true, 42),
+        (0.029, 0.05, 0.12, true, 512),
+        (0.005, 0.14, 0.14, false, 777),
+    ] {
+        honest_drives::assert_noisy_is_never_quarantined(
+            loss,
+            drop_prob,
+            reorder_prob,
+            churn,
+            seed,
+        );
+    }
+}
+
+/// The switches of `dep` that own at least one rule, ascending.
+fn rule_owners(dep: &Deployment) -> Vec<SwitchId> {
+    let topology = dep.view.topology();
+    topology
+        .switches()
+        .filter(|&s| !dep.dataplane.table(s).is_empty())
+        .collect()
+}
+
+/// A short, quiet stream on FatTree(4) (Byzantine layer off: these drills
+/// pin what the adversary does, not how the detector answers).
+fn adversary_stream(duration_ms: f64, script: Vec<(f64, StreamAction)>) -> StreamDriver {
+    let cfg = StreamConfig {
+        duration_ms,
+        regions: 2,
+        cadence: CadenceConfig::fixed(20.0),
+        ..StreamConfig::default()
+    };
+    StreamDriver::new(testbed(), cfg, script)
+}
+
+fn compromise(liars: usize, strategy: FakeStrategy) -> StreamAction {
+    StreamAction::Compromise {
+        liars,
+        strategy,
+        magnitude: 1.0,
+    }
+}
+
+/// Only a switch that owns a rule can lie about one. Asked for 20 liars on
+/// per-pair FatTree(4), whose shortest paths leave 7 of the 20 switches
+/// without a rule, both drivers compromise exactly the 13 rule owners.
+#[test]
+fn both_drivers_draw_liars_only_from_rule_owning_switches() {
+    let owners = rule_owners(&testbed());
+    assert_eq!(owners.len(), 13, "per-pair FatTree(4) has 13 rule owners");
+
+    let mut stream = adversary_stream(60.0, vec![(10.0, compromise(20, FakeStrategy::Naive))]);
+    stream.run().expect("no round may fail outright");
+    assert_eq!(stream.liar_switches(), owners.as_slice(), "stream pool");
+
+    let scenario = FaultScenario {
+        liars: 20,
+        fake_window: Some((1, 3)),
+        ..quiet_scenario(2)
+    };
+    let mut run = ScenarioDriver::new(testbed(), scenario, RuntimeConfig::default());
+    run.run().expect("no round may fail outright");
+    assert_eq!(run.liar_switches(), owners.as_slice(), "run pool");
+}
+
+/// Does `switch`'s agent in `d` report the data plane's live counters?
+fn reports_truth(d: &StreamDriver, switch: SwitchId) -> bool {
+    let dp = &d.deployment().dataplane;
+    let agent = d.agent(switch).expect("an agent per switch");
+    let SwitchMsg::StatsReply { counters, .. } =
+        agent.handle(dp, &ControllerMsg::StatsRequest { xid: 1 })
+    else {
+        panic!("a stats request is answered by a stats reply");
+    };
+    let truth: Vec<f64> = (0..dp.table(switch).len())
+        .map(|i| dp.counter(switch, i))
+        .collect();
+    counters == truth
+}
+
+/// Every rule's action, switch by switch.
+fn actions(d: &StreamDriver) -> Vec<Vec<Action>> {
+    let dp = &d.deployment().dataplane;
+    let topology = d.deployment().view.topology();
+    let table = |s| dp.table(s).iter().map(|(_, r)| r.action()).collect();
+    topology.switches().map(table).collect()
+}
+
+/// The evasion strategies under `stream`: `CoverUp` forges on the liars
+/// and their switch neighbours, `Replay` on the liars alone; each liar
+/// really drops a flow early on its own table; and a confession reverts
+/// every cover anomaly and puts an honest agent back on every forging
+/// switch.
+#[test]
+fn stream_evasion_drills_cover_up_then_confess() {
+    for strategy in [FakeStrategy::CoverUp, FakeStrategy::Replay] {
+        let script = vec![(40.0, compromise(2, strategy))];
+        let mut lying = adversary_stream(120.0, script.clone());
+        lying.run().expect("no round may fail outright");
+        let adversary = lying.adversary();
+        let liars = adversary.liars().to_vec();
+        assert_eq!(liars.len(), 2, "{strategy}");
+
+        let mut expected = liars.clone();
+        if strategy == FakeStrategy::CoverUp {
+            let topology = lying.deployment().view.topology();
+            for &liar in &liars {
+                for adj in topology.adj(Node::Switch(liar)) {
+                    if let Node::Switch(n) = adj.neighbor {
+                        expected.push(n);
+                    }
+                }
+            }
+            expected.sort_unstable();
+            expected.dedup();
+            assert!(expected.len() > liars.len(), "accomplices join");
+        }
+        let forging = adversary.forging().to_vec();
+        assert_eq!(forging, expected, "{strategy}: forging set");
+
+        let covers = adversary.cover_anomalies();
+        assert_eq!(covers.len(), liars.len(), "{strategy}: one cover per liar");
+        for &liar in &liars {
+            let own: Vec<_> = covers.iter().filter(|a| a.rule.switch == liar).collect();
+            assert_eq!(own.len(), 1, "{strategy}: s{} covers one drop", liar.0);
+            assert_eq!(own[0].kind, AnomalyKind::EarlyDrop, "{strategy}");
+            let live = lying.deployment().dataplane.rule(own[0].rule).unwrap();
+            assert_eq!(live.action(), own[0].modified_action, "{strategy}: planted");
+        }
+        if strategy == FakeStrategy::CoverUp {
+            assert!(
+                forging.iter().any(|&s| !reports_truth(&lying, s)),
+                "cover-up forges at least one counter"
+            );
+        }
+
+        let mut confessed = script;
+        confessed.push((120.0, StreamAction::Confess));
+        let mut d = adversary_stream(200.0, confessed);
+        let before = actions(&d);
+        d.run().expect("no round may fail outright");
+        assert_eq!(d.liar_switches(), liars.as_slice(), "{strategy}: same pick");
+        assert!(!d.adversary().is_lying(), "{strategy}");
+        assert!(d.adversary().cover_anomalies().is_empty(), "{strategy}");
+        assert_eq!(actions(&d), before, "{strategy}: every cover reverted");
+        for &s in &forging {
+            assert!(reports_truth(&d, s), "{strategy}: s{} honest again", s.0);
+        }
     }
 }
