@@ -231,8 +231,13 @@ impl ClusterService {
         // Pre-flight gate: score detection/localization coverage over both
         // the whole system and every shard's sub-system, so thin shards
         // (below full rank despite boundary replication) surface before
-        // the first epoch rather than as runtime solve errors.
-        let coverage = analyze_cluster_coverage(&fcm, &sharded, &CoverageConfig::default()).ok();
+        // the first epoch rather than as runtime solve errors. The shards
+        // the rank probe factors are factored once, up front, and their
+        // first epoch reads that factor; a shard over the limit is still
+        // factored by its first epoch.
+        let coverage_config = CoverageConfig::default();
+        sharded.memoize_factors(config.backend, coverage_config.basis_limit);
+        let coverage = analyze_cluster_coverage(&fcm, &sharded, &coverage_config).ok();
         let mut metrics = ClusterMetrics::new();
         if let Some(cov) = &coverage {
             metrics.coverage_warnings = cov.warn_count() as u64;

@@ -46,8 +46,16 @@
 //! analysis factors once privately and keeps only the `O(n)` symbolic
 //! analysis, so a pre-flight never pins a factor that no detection round
 //! will read; each shard's rank probe does the same on the shard's
-//! sub-FCM, or borrows the factor a driver memoized there (the stream
-//! driver factors each shard once per rebuild, before the analysis).
+//! sub-FCM, or borrows the factor a driver memoized there (the cluster
+//! and stream drivers factor each probed shard once, before the analysis,
+//! through [`ShardedFcm::memoize_factors`]).
+//!
+//! Past the factor, a switch costs what its rows reach. Its absorption,
+//! unless it owns enough rows to WARN, is one sparse forward solve over
+//! the elimination-tree reach of `Bᵀu_s`; its class is the capacitance of
+//! its rows, which reads only the basis columns they touch through the
+//! basis' memoized column view; and the conditional hinge is found with a
+//! flat row mark. No per-switch pass walks the whole basis.
 //!
 //! The output is a [`CoverageReport`] mirroring `foces-verify`'s report
 //! shape: typed findings with severities, a one-line summary, and a JSONL
@@ -55,13 +63,12 @@
 //! pre-flight gate and re-run it after every FCM rebuild; the `foces
 //! coverage` CLI verb exposes it standalone.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Instant;
 
-use foces_linalg::CsrMatrix;
 use foces_net::SwitchId;
-use foces_sparse::{Capacitance, SparseFactor};
+use foces_sparse::{BasisCholesky, Capacitance, SparseFactor};
 
 use crate::error::FocesError;
 use crate::fcm::Fcm;
@@ -299,10 +306,11 @@ pub struct CoverageConfig {
     /// skip parts (a)/(b) with an [`CoverageKind::AnalysisTruncated`]
     /// finding. It bounds the pre-flight gate's set-up cost, which grows
     /// with the basis and, through the capacitance, with a switch's rows.
-    /// With the sparse capacitance, untruncated analysis of FatTree(8)
-    /// all-pairs (first call, factor included) takes ~0.04–0.06 s with
-    /// per-destination rules (4,096 columns) and ~0.11–0.12 s with
-    /// per-pair rules (16,256 columns). The limit still keeps the
+    /// Past the factor, a switch costs what its rows reach: untruncated
+    /// analysis of FatTree(8) all-pairs per-destination (4,096 columns,
+    /// 41 switches) takes ~23–34 ms on a first call, factor included, and
+    /// ~9–11 ms on a memoized factor. Per-pair rules grow the capacitance
+    /// with a switch's rows (DESIGN §16). The limit still keeps the
     /// per-destination switch-level pass out of the cluster service's
     /// set-up (`foces_cluster::ClusterService::new`), so out of the
     /// `sharded` benchmark's `setup_s`: deleting it must weigh that cost.
@@ -537,15 +545,20 @@ fn analyze_inner(
                 });
             }
             Ok((factor, _)) => {
-                let state = SwitchAnalysis {
-                    basis,
+                let mut state = SwitchAnalysis {
+                    basis: system.cholesky(),
                     factor: &factor,
+                    whole: system
+                        .cholesky()
+                        .capacitance(&factor, &[])
+                        .expect("the factor is this basis' Gram factor"),
                     fcm,
                     basis_cols: &groups.basis,
+                    removed: vec![false; rules.len()],
                 };
                 for (&sw, rows) in &rows_of {
                     let row_share = rows.len() as f64 / rules.len() as f64;
-                    let (absorption, certificate) = state.absorption(rows, config);
+                    let (absorption, certificate) = state.absorption(rows, row_share, config);
                     let (loo, stranded, hinge) = state.classify(rows);
                     if row_share >= config.row_share_warn && absorption >= config.absorption_warn {
                         warns.push(CoverageFinding {
@@ -738,28 +751,44 @@ fn analyze_inner(
 }
 
 /// Shared per-analysis state for the switch-level passes: the basis, the
-/// sparse factor of its Gram, and the FCM whose columns `basis_cols` the
-/// basis columns are (their rows are the basis columns' supports).
+/// sparse factor of its Gram with the capacitance of removing nothing,
+/// the FCM whose columns `basis_cols` the basis columns are (their rows
+/// are the basis columns' supports), and a mark of the rows the switch
+/// under analysis owns.
 struct SwitchAnalysis<'a> {
-    basis: &'a CsrMatrix,
+    basis: &'a BasisCholesky,
     factor: &'a SparseFactor,
+    whole: Capacitance,
     fcm: &'a Fcm,
     basis_cols: &'a [usize],
+    removed: Vec<bool>,
 }
 
 impl SwitchAnalysis<'_> {
     /// (a) `‖P·u_s‖ / ‖u_s‖` for the uniform forgery direction `u_s`, plus
-    /// the absorbing combination when it will be WARNed about.
+    /// the absorbing combination when it can be WARNed about. Below
+    /// `row_share_warn` a switch never WARNs, so only the norm is taken:
+    /// `‖P·u_s‖² = bᵀG⁻¹b` for `b = Bᵀu_s`, the fit norm of the whole
+    /// basis ([`Capacitance::fit_sq_norm`]), from one sparse forward solve
+    /// over the elimination-tree reach of `b`.
     fn absorption(
         &self,
         rows: &[usize],
+        row_share: f64,
         config: &CoverageConfig,
     ) -> (f64, Option<AbsorptionCertificate>) {
         if rows.is_empty() {
             return (0.0, None);
         }
-        let Ok((resid, x)) = foces_sparse::absorption_coefficients(self.basis, self.factor, rows)
-        else {
+        let basis = self.basis.basis();
+        if row_share < config.row_share_warn {
+            let b: Vec<(usize, f64)> = rows.iter().flat_map(|&r| basis.row_iter(r)).collect();
+            let Ok(fit) = self.whole.fit_sq_norm(self.factor, &b) else {
+                return (f64::NAN, None);
+            };
+            return ((fit / rows.len() as f64).clamp(0.0, 1.0).sqrt(), None);
+        }
+        let Ok((resid, x)) = foces_sparse::absorption_coefficients(basis, self.factor, rows) else {
             return (f64::NAN, None);
         };
         let norm_u = (rows.len() as f64).sqrt();
@@ -784,14 +813,16 @@ impl SwitchAnalysis<'_> {
     }
 
     /// (b) The structural half of [`crate::LooSolver::leave_out`], with no
-    /// counters: the same [`Capacitance`] over the switch's rows decides
+    /// counters: the same capacitance over the switch's rows decides
     /// whether the reduced system keeps full rank. Returns `(class,
     /// stranded basis columns, conditional hinge)`.
-    fn classify(&self, rows: &[usize]) -> (LooClass, usize, Option<(usize, SwitchId)>) {
+    fn classify(&mut self, rows: &[usize]) -> (LooClass, usize, Option<(usize, SwitchId)>) {
         if rows.is_empty() {
             return (LooClass::Localizable, 0, None);
         }
-        let cap = Capacitance::new(self.basis, self.factor, rows)
+        let cap = self
+            .basis
+            .capacitance(self.factor, rows)
             .expect("the factor is this basis' Gram factor");
         let stranded = cap.stranded().len();
         if cap.rank_lost() || !cap.merged().is_empty() {
@@ -800,28 +831,44 @@ impl SwitchAnalysis<'_> {
         // Full rank survives. Conditional check: a kept column that lost
         // rows and now hangs on a single other switch is one mask away
         // from being stranded.
-        let row_set: BTreeSet<usize> = rows.iter().copied().collect();
-        let touched: BTreeSet<usize> = rows
+        let basis = self.basis.basis();
+        let mut touched: Vec<usize> = rows
             .iter()
-            .flat_map(|&r| self.basis.row_iter(r).map(|(j, _)| j))
+            .flat_map(|&r| basis.row_iter(r).map(|(j, _)| j))
             .collect();
-        for j in touched {
-            if cap.stranded().binary_search(&j).is_ok() {
+        touched.sort_unstable();
+        touched.dedup();
+        for &r in rows {
+            self.removed[r] = true;
+        }
+        let hinge = touched
+            .into_iter()
+            .filter(|j| cap.stranded().binary_search(j).is_err())
+            .find_map(|j| self.sole_switch(self.basis_cols[j]).map(|t| (j, t)));
+        for &r in rows {
+            self.removed[r] = false;
+        }
+        match hinge {
+            Some(hinge) => (LooClass::ConditionalOnMask, stranded, Some(hinge)),
+            None => (LooClass::Localizable, stranded, None),
+        }
+    }
+
+    /// The one switch owning every kept row of `flow`, if exactly one does.
+    fn sole_switch(&self, flow: usize) -> Option<SwitchId> {
+        let mut sole = None;
+        for &r in self.fcm.flow_rows(flow) {
+            if self.removed[r] {
                 continue;
             }
-            let remaining: BTreeSet<SwitchId> = self
-                .fcm
-                .flow_rows(self.basis_cols[j])
-                .iter()
-                .filter(|r| !row_set.contains(r))
-                .map(|&r| self.fcm.rules()[r].switch)
-                .collect();
-            if remaining.len() == 1 {
-                let hinge = remaining.into_iter().next().expect("len checked");
-                return (LooClass::ConditionalOnMask, stranded, Some((j, hinge)));
+            let s = self.fcm.rules()[r].switch;
+            match sole {
+                None => sole = Some(s),
+                Some(t) if t != s => return None,
+                Some(_) => {}
             }
         }
-        (LooClass::Localizable, stranded, None)
+        sole
     }
 }
 

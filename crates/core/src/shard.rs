@@ -249,6 +249,21 @@ impl ShardedFcm {
             .collect()
     }
 
+    /// Factors, for `backend` ([`crate::BasisSystem::factor_for`]), every
+    /// shard's sub-FCM whose basis has at most `max_cols` columns, so that
+    /// the coverage rank probe and each shard's first solve read one
+    /// memoized factor instead of each factoring it. A driver passes the
+    /// coverage [`basis_limit`](crate::CoverageConfig::basis_limit) to
+    /// memoize only the shards the probe factors, or `usize::MAX` for all.
+    pub fn memoize_factors(&self, backend: crate::BackendKind, max_cols: usize) {
+        for shard in &self.shards {
+            let system = shard.sub_fcm.basis_system();
+            if system.cols() <= max_cols {
+                system.factor_for(backend);
+            }
+        }
+    }
+
     /// Runs the detector on every shard with its sub counter vector and
     /// unions the verdicts (the sequential reference the worker pool is
     /// checked against).

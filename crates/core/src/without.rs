@@ -44,7 +44,7 @@ impl Kernel {
         kept: Vec<bool>,
     ) -> Result<Self, LinalgError> {
         let rows: Vec<usize> = (0..kept.len()).filter(|&i| !kept[i]).collect();
-        let cap = Capacitance::new(system.basis(), &factor, &rows)?;
+        let cap = system.cholesky().capacitance(&factor, &rows)?;
         Ok(Kernel {
             system,
             factor,

@@ -370,7 +370,7 @@ impl StreamDriver {
         // plane this stream is about to watch, before any counters arrive.
         // Each shard is factored once, up front: the coverage rank probe
         // and every fire then read that factor.
-        memoize_shard_factors(&sharded, config.backend);
+        sharded.memoize_factors(config.backend, usize::MAX);
         let coverage = analyze_cluster_coverage(&fcm, &sharded, &CoverageConfig::default()).ok();
         let mut metrics = IngestMetrics::default();
         if let Some(cov) = &coverage {
@@ -964,7 +964,8 @@ impl StreamDriver {
         // The plane moved: re-score coverage against the rebuilt FCM and
         // shards, and surface any WARN findings right after the rebuild
         // line so the log explains *why* the stream may now be blind.
-        memoize_shard_factors(&self.sharded, self.config.backend);
+        self.sharded
+            .memoize_factors(self.config.backend, usize::MAX);
         self.coverage =
             analyze_cluster_coverage(&self.fcm, &self.sharded, &CoverageConfig::default()).ok();
         if let Some(cov) = &self.coverage {
@@ -988,16 +989,6 @@ impl StreamDriver {
                 self.agents.insert(agent.switch(), Box::new(agent));
             }
         }
-    }
-}
-
-/// Factors every shard's sub-FCM once for `backend`
-/// ([`foces::BasisSystem::factor_for`]), so that the coverage rank probe
-/// and each shard's first fire after a rebuild read one memoized factor
-/// instead of each factoring it.
-fn memoize_shard_factors(sharded: &ShardedFcm, backend: BackendKind) {
-    for view in sharded.shard_views() {
-        view.sub_fcm.basis_system().factor_for(backend);
     }
 }
 

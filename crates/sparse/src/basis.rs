@@ -7,8 +7,10 @@
 //! per-round solvers memoize the factor here, so a steady-state round only solves; one-off
 //! analyses borrow the memoized factor when a solver already built it and
 //! otherwise factor privately, so an analysis never pins a factor that no
-//! round will read. The `O(n)` symbolic analysis is kept by everyone.
+//! round will read. The `O(n)` symbolic analysis is kept by everyone, and
+//! so is the basis' column view, which the row-removal kernel reads.
 
+use crate::kernels::Capacitance;
 use crate::numeric::SparseFactor;
 use crate::symbolic::SymbolicCholesky;
 use foces_linalg::{CsrMatrix, LinalgError};
@@ -23,6 +25,7 @@ use std::sync::{Arc, OnceLock};
 #[derive(Debug)]
 pub struct BasisCholesky {
     basis: CsrMatrix,
+    columns: OnceLock<CsrMatrix>,
     symbolic: OnceLock<SymbolicCholesky>,
     factor: OnceLock<Result<Arc<SparseFactor>, LinalgError>>,
 }
@@ -32,6 +35,7 @@ impl BasisCholesky {
     pub fn new(basis: CsrMatrix) -> Self {
         BasisCholesky {
             basis,
+            columns: OnceLock::new(),
             symbolic: OnceLock::new(),
             factor: OnceLock::new(),
         }
@@ -40,6 +44,32 @@ impl BasisCholesky {
     /// The basis matrix `B`.
     pub fn basis(&self) -> &CsrMatrix {
         &self.basis
+    }
+
+    /// `Bᵀ` in CSR form: row `j` lists column `j`'s `(row, value)` entries
+    /// in ascending row order. Built by one counting sort on first demand.
+    fn columns(&self) -> &CsrMatrix {
+        self.columns.get_or_init(|| self.basis.transpose())
+    }
+
+    /// The [`Capacitance`] of removing `rows` from this basis, whose Gram
+    /// `factor` has factored, read through the memoized column view `Bᵀ`:
+    /// it costs what the removed rows' columns reach, not a pass over the
+    /// basis.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Capacitance::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row index is out of range.
+    pub fn capacitance(
+        &self,
+        factor: &SparseFactor,
+        rows: &[usize],
+    ) -> Result<Capacitance, LinalgError> {
+        Capacitance::with_columns(&self.basis, self.columns(), factor, rows)
     }
 
     /// The memoized Gram factor, built on first demand, unless its

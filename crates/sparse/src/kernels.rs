@@ -173,7 +173,10 @@ pub struct Capacitance {
 
 impl Capacitance {
     /// Builds the capacitance for removing `rows` from `basis`, whose Gram
-    /// `factor` has factored.
+    /// `factor` has factored. The removal is read through a column view of
+    /// the basis built for this call; a basis held in a
+    /// [`BasisCholesky`](crate::BasisCholesky) reuses its memoized one
+    /// ([`BasisCholesky::capacitance`](crate::BasisCholesky::capacitance)).
     ///
     /// # Errors
     ///
@@ -188,6 +191,19 @@ impl Capacitance {
         factor: &SparseFactor,
         rows: &[usize],
     ) -> Result<Self, LinalgError> {
+        Self::with_columns(basis, &basis.transpose(), factor, rows)
+    }
+
+    /// [`Capacitance::new`] given `columns = Bᵀ`. Only the columns the
+    /// removed rows touch are read (and, for each that keeps rows, one of
+    /// its kept rows), so the cost is what `rows` reach plus a row and a
+    /// column mark.
+    pub(crate) fn with_columns(
+        basis: &CsrMatrix,
+        columns: &CsrMatrix,
+        factor: &SparseFactor,
+        rows: &[usize],
+    ) -> Result<Self, LinalgError> {
         let n = basis.cols();
         if factor.dim() != n {
             return Err(LinalgError::DimensionMismatch(format!(
@@ -199,50 +215,77 @@ impl Capacitance {
         for &r in rows {
             removed[r] = true;
         }
-        // A column is stranded when no kept row touches it. `sig` hashes
-        // each column's entries on the kept rows, visited in row order.
-        let mut touched = vec![false; n];
-        let mut survives = vec![false; n];
-        let mut sig = vec![0u64; n];
-        for (i, &gone) in removed.iter().enumerate() {
-            for (j, v) in basis.row_iter(i) {
-                if gone {
-                    touched[j] = true;
-                } else {
-                    survives[j] = true;
-                    sig[j] = (sig[j].rotate_left(7) ^ (i as u64) ^ v.to_bits().rotate_left(32))
-                        .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut gone = rows.to_vec();
+        gone.sort_unstable();
+        gone.dedup();
+        // Each column the removal touches is read once: it is stranded when
+        // no kept row has an entry on it, and cut when one does.
+        let mut state = vec![Touch::Untouched; n];
+        let (mut stranded, mut cut) = (Vec::new(), Vec::new());
+        for &r in &gone {
+            for (j, _) in basis.row_iter(r) {
+                if state[j] != Touch::Untouched {
+                    continue;
+                }
+                match Cut::of(basis, columns, &removed, j) {
+                    Some(c) => {
+                        state[j] = Touch::Cut;
+                        cut.push(c);
+                    }
+                    None => {
+                        state[j] = Touch::Stranded;
+                        stranded.push(j);
+                    }
                 }
             }
         }
-        let stranded: Vec<usize> = (0..n).filter(|&j| touched[j] && !survives[j]).collect();
-        let merged = merged_columns(basis, &removed, &touched, &survives, &sig);
-        let kept = n - stranded.len();
+        stranded.sort_unstable();
+        let merged = merged_columns(basis, columns, &removed, &state, &cut);
+        // A removed row on stranded columns only leaves the reduced system
+        // with them: it needs no correction.
+        let corrected: Vec<usize> = gone
+            .into_iter()
+            .filter(|&r| basis.row_iter(r).any(|(j, _)| state[j] != Touch::Stranded))
+            .collect();
+        Ok(Self::from_removal(
+            basis, factor, stranded, merged, &corrected,
+        ))
+    }
+
+    /// Assembles the capacitance of removing rows from `basis`, whose Gram
+    /// `factor` has factored, from the structural decision
+    /// [`Capacitance::new`] takes: the stranded columns and the merged
+    /// pairs, both ascending, and the removed rows that keep an entry on a
+    /// surviving column, ascending. A reference implementation of that
+    /// decision assembles here to compare its solves bit for bit.
+    #[doc(hidden)]
+    pub fn from_removal(
+        basis: &CsrMatrix,
+        factor: &SparseFactor,
+        stranded: Vec<usize>,
+        merged: Vec<(usize, usize)>,
+        corrected: &[usize],
+    ) -> Self {
         // Columns of Vᵀ: the stranded unit vectors, the merged pairs' null
-        // vectors, then every removed row that keeps an entry on a
-        // surviving column. A row on stranded columns only leaves the
-        // reduced system with them: it needs no correction, and `M` stays
-        // block diagonal without it.
+        // vectors, then the corrected rows. `M` stays block diagonal
+        // without the rows on stranded columns only.
         let mut v: Vec<SparseVec> = stranded.iter().map(|&j| vec![(j, 1.0)]).collect();
         v.extend(merged.iter().map(|&(a, b)| vec![(a, 1.0), (b, -1.0)]));
         let k = v.len();
-        for r in (0..basis.rows()).filter(|&r| removed[r]) {
-            if basis.row_iter(r).any(|(j, _)| survives[j]) {
-                v.push(basis.row_iter(r).collect());
-            }
-        }
+        v.extend(corrected.iter().map(|&r| basis.row_iter(r).collect()));
         let z = factor.forward_sparse(v.iter().map(Vec::as_slice));
+        let n = factor.dim();
         let (l, d, singular) = ldl_signed(&z, k, n);
-        Ok(Capacitance {
+        Capacitance {
+            kept: n - stranded.len(),
             stranded,
             merged,
-            kept,
             corrections: z.len() - k,
             z,
             l,
             d,
             singular,
-        })
+        }
     }
 
     /// Basis columns left unconstrained by the removal, ascending.
@@ -385,46 +428,104 @@ impl Capacitance {
     }
 }
 
-/// The merged pairs of [`Capacitance::new`], ascending. Two columns that
-/// kept every row are still distinct, so each merged group holds a column
-/// that lost rows: candidates share its `sig`, confirmed entry by entry.
+/// What a removal did to a basis column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Touch {
+    Untouched,
+    Cut,
+    Stranded,
+}
+
+/// A column the removal touched that keeps rows, summarized by one pass
+/// over its entries.
+struct Cut {
+    col: usize,
+    /// Kept entries.
+    len: usize,
+    /// The first kept row.
+    first: usize,
+    /// The kept row with the fewest basis entries.
+    via: usize,
+    /// A hash of the kept entries, visited in row order.
+    sig: u64,
+}
+
+impl Cut {
+    /// `col`'s summary, or `None` when the removal strands it.
+    fn of(basis: &CsrMatrix, columns: &CsrMatrix, removed: &[bool], col: usize) -> Option<Cut> {
+        let ptr = basis.indptr();
+        let width = |i: usize| ptr[i + 1] - ptr[i];
+        let mut kept = columns.row_iter(col).filter(|&(i, _)| !removed[i]);
+        let (first, v) = kept.next()?;
+        let mut c = Cut {
+            col,
+            len: 1,
+            first,
+            via: first,
+            sig: mix(0, first, v),
+        };
+        for (i, v) in kept {
+            c.len += 1;
+            c.sig = mix(c.sig, i, v);
+            if width(i) < width(c.via) {
+                c.via = i;
+            }
+        }
+        Some(c)
+    }
+}
+
+/// One step of the kept-entry hash.
+fn mix(h: u64, i: usize, v: f64) -> u64 {
+    (h.rotate_left(7) ^ (i as u64) ^ v.to_bits().rotate_left(32))
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// The merged pairs of [`Capacitance::new`], ascending: `(a, b)` for each
+/// surviving column `b` whose kept entries equal those of a lower column
+/// `a`, the lowest of its group. Two columns that kept every row are still
+/// distinct, so each group holds a `cut` column. An untouched partner of a
+/// cut column has an entry on every kept row of it and nowhere else, so it
+/// is found through the cut column's `via` row. Candidates share a `sig`
+/// and are confirmed entry by entry.
 fn merged_columns(
     basis: &CsrMatrix,
+    columns: &CsrMatrix,
     removed: &[bool],
-    touched: &[bool],
-    survives: &[bool],
-    sig: &[u64],
+    state: &[Touch],
+    cut: &[Cut],
 ) -> Vec<(usize, usize)> {
-    let n = sig.len();
-    let mut cut: Vec<u64> = (0..n)
-        .filter(|&j| touched[j] && survives[j])
-        .map(|j| sig[j])
-        .collect();
-    cut.sort_unstable();
-    let mut candidates: Vec<usize> = (0..n)
-        .filter(|&j| survives[j] && cut.binary_search(&sig[j]).is_ok())
-        .collect();
-    candidates.sort_unstable_by_key(|&j| (sig[j], j));
-    if !candidates.windows(2).any(|w| sig[w[0]] == sig[w[1]]) {
-        return Vec::new();
-    }
-    // The kept entries of every candidate column, in row order.
-    let mut slot = vec![usize::MAX; n];
-    for (s, &j) in candidates.iter().enumerate() {
-        slot[j] = s;
-    }
-    let mut entries: Vec<Vec<(usize, u64)>> = vec![Vec::new(); candidates.len()];
-    for i in (0..basis.rows()).filter(|&i| !removed[i]) {
-        for (j, v) in basis.row_iter(i).filter(|&(j, _)| slot[j] != usize::MAX) {
-            entries[slot[j]].push((i, v.to_bits()));
+    let kept = |j: usize| {
+        columns
+            .row_iter(j)
+            .filter(|&(i, _)| !removed[i])
+            .map(|(i, v)| (i, v.to_bits()))
+    };
+    let (col_ptr, col_rows) = (columns.indptr(), columns.indices());
+    let mut keyed: Vec<(u64, usize)> = cut.iter().map(|c| (c.sig, c.col)).collect();
+    for c in cut {
+        for (j, _) in basis.row_iter(c.via) {
+            let at = col_ptr[j];
+            if state[j] == Touch::Untouched
+                && col_ptr[j + 1] - at == c.len
+                && col_rows[at] == c.first
+                && kept(j).eq(kept(c.col))
+            {
+                keyed.push((c.sig, j));
+            }
         }
     }
+    if !any_equal_sig(&keyed) {
+        return Vec::new();
+    }
+    keyed.sort_unstable();
+    keyed.dedup();
     let mut pairs = Vec::new();
-    for bucket in candidates.chunk_by(|&a, &b| sig[a] == sig[b]) {
+    for bucket in keyed.chunk_by(|a, b| a.0 == b.0).filter(|b| b.len() > 1) {
         // The first column of each distinct pattern, ascending.
         let mut reps: Vec<usize> = Vec::new();
-        for &j in bucket {
-            match reps.iter().find(|&&a| entries[slot[a]] == entries[slot[j]]) {
+        for &(_, j) in bucket {
+            match reps.iter().find(|&&a| kept(a).eq(kept(j))) {
                 Some(&a) => pairs.push((a, j)),
                 None => reps.push(j),
             }
@@ -432,6 +533,31 @@ fn merged_columns(
     }
     pairs.sort_unstable();
     pairs
+}
+
+/// Whether two entries of `keyed` share a hash, by one pass over an
+/// open-addressed table indexed by the hash's top bits.
+fn any_equal_sig(keyed: &[(u64, usize)]) -> bool {
+    if keyed.len() < 2 {
+        return false;
+    }
+    let bits = (2 * keyed.len()).next_power_of_two().trailing_zeros();
+    let mask = (1usize << bits) - 1;
+    let mut table: Vec<Option<u64>> = vec![None; mask + 1];
+    for &(sig, _) in keyed {
+        let mut at = (sig >> (64 - bits)) as usize;
+        loop {
+            match table[at] {
+                None => {
+                    table[at] = Some(sig);
+                    break;
+                }
+                Some(s) if s == sig => return true,
+                Some(_) => at = (at + 1) & mask,
+            }
+        }
+    }
+    false
 }
 
 /// `K = L·D·Lᵀ` without pivoting, up-looking over `K`'s elimination tree,
