@@ -24,7 +24,7 @@ use foces_channel::{ChannelError, SwitchAgent, Transport};
 use foces_controlplane::ControllerView;
 use foces_dataplane::{DataPlane, RuleRef};
 use foces_net::SwitchId;
-use foces_verify::{verify_fcm, verify_with, VerifyOptions, VerifyReport};
+use foces_verify::{Verifier, VerifyReport};
 use std::fmt;
 use std::time::Instant;
 
@@ -223,6 +223,9 @@ pub struct RuntimeService {
     epoch: u64,
     /// The most recent static verification report.
     verification: VerifyReport,
+    /// The state `verification` was derived from: each rebuild re-checks
+    /// only the hosts and tables the churn's new rules reach.
+    verifier: Verifier,
     /// Rules implicated by the verification's *critical* findings (loops,
     /// blackholes, FCM inconsistencies). While non-empty, every epoch is
     /// detected reconciled with these rows masked: traffic caught in a
@@ -237,24 +240,20 @@ pub struct RuntimeService {
     coverage: Option<CoverageReport>,
 }
 
-/// Statically verifies `view` (and `fcm` against it), treating
-/// journal-drained rules as expected shadowing, and accounts the pass in
-/// `metrics`.
-fn verify_closure(view: &ControllerView, fcm: &Fcm, metrics: &mut RuntimeMetrics) -> VerifyReport {
+/// Statically verifies `view` (and `fcm` against it) by updating
+/// `verifier`, treating journal-drained rules as expected shadowing, and
+/// accounts the pass in `metrics`.
+fn verify_closure(
+    verifier: &mut Verifier,
+    view: &ControllerView,
+    fcm: &Fcm,
+    metrics: &mut RuntimeMetrics,
+) -> VerifyReport {
     let t = Instant::now();
-    let mut report = verify_with(
-        view,
-        &VerifyOptions {
-            // Rolling updates deliberately leave drained (fully shadowed)
-            // rules behind; the journal names every one of them.
-            expected_shadowed: view.touched_rules_since(0),
-            // The service already holds the FCM — check it directly
-            // instead of re-tracing the view's flows.
-            check_fcm: false,
-        },
-    );
-    report.findings.extend(verify_fcm(view, fcm));
-    report.flows_checked = fcm.flow_count();
+    // Rolling updates deliberately leave drained (fully shadowed) rules
+    // behind; the journal names every one of them.
+    let drained = view.touched_rules_since(0);
+    let mut report = verifier.update(view, &drained, Some(fcm));
     report.elapsed_secs = t.elapsed().as_secs_f64();
     metrics.verify_passes += 1;
     metrics.static_violations += report.findings.len() as u64;
@@ -301,7 +300,8 @@ impl RuntimeService {
         // counter equations built from it, and statically score how much
         // detection/localization coverage it actually provides.
         let mut metrics = RuntimeMetrics::default();
-        let verification = verify_closure(view, &fcm, &mut metrics);
+        let mut verifier = Verifier::default();
+        let verification = verify_closure(&mut verifier, view, &fcm, &mut metrics);
         let coverage = coverage_closure(&fcm, &mut metrics, None);
         let static_touched = verification.implicated_rules();
         let sliced = SlicedFcm::from_fcm(&fcm);
@@ -319,6 +319,7 @@ impl RuntimeService {
             fcm_generation: view.generation(),
             epoch: 0,
             verification,
+            verifier,
             static_touched,
             lifecycle: LiarLifecycle::new(config.byzantine),
             coverage,
@@ -587,9 +588,11 @@ impl RuntimeService {
         // -- Refresh: adopt the view's new generation for the next epoch -
         // The churn epoch itself is scored on the OLD system (its counters
         // are mixed no matter what); from the next epoch on, counters and
-        // FCM agree again. Every rebuild re-verifies the churn closure: a
-        // journaled update that introduced a loop or blackhole surfaces
-        // here as a static violation, never as a forwarding-anomaly alarm.
+        // FCM agree again. Every rebuild re-verifies the churn closure (the
+        // hosts and tables the new rules reach; the report equals a full
+        // pass): a journaled update that introduced a loop or blackhole
+        // surfaces here as a static violation, never as a
+        // forwarding-anomaly alarm.
         let verified = view.generation() > self.fcm_generation;
         if verified {
             let fcm = self.pipeline.fcm().patched(view);
@@ -598,7 +601,7 @@ impl RuntimeService {
             self.metrics.delta_rows +=
                 (delta.rows_added + delta.rows_removed + delta.rows_retouched) as u64;
             self.metrics.delta_cols += delta.column_churn() as u64;
-            self.verification = verify_closure(view, &fcm, &mut self.metrics);
+            self.verification = verify_closure(&mut self.verifier, view, &fcm, &mut self.metrics);
             fcm.basis_system().factor_for(self.config.backend);
             // Churn can erode coverage (e.g. a reroute concentrating rows
             // on one switch): re-score it the same epoch it happens. The

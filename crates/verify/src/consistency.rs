@@ -17,104 +17,124 @@ use foces::Fcm;
 use foces_controlplane::ControllerView;
 use foces_dataplane::{Action, RuleRef};
 use foces_net::{HostId, Node, SwitchId};
+use std::ops::Range;
 
 /// Checks an FCM against a controller view, returning one finding per
 /// stale row and per unrealizable flow column.
 pub fn verify_fcm(view: &ControllerView, fcm: &Fcm) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for &r in fcm.rules() {
-        if view.rule(r).is_none() {
-            findings.push(Finding {
-                kind: FindingKind::FcmInconsistency,
-                switch: r.switch,
-                rules: vec![r],
-                region: None,
-                header: None,
-                detail: format!("FCM row references {r}, absent from the controller view"),
-            });
-        }
-    }
+    let mut findings = stale_rows(view, fcm);
+    findings.extend(check_columns(view, fcm, 0..fcm.flow_count()));
+    findings
+}
+
+/// One finding per FCM row whose rule the view does not hold, in row
+/// order.
+pub(crate) fn stale_rows(view: &ControllerView, fcm: &Fcm) -> Vec<Finding> {
+    fcm.rules()
+        .iter()
+        .filter(|&&r| view.rule(r).is_none())
+        .map(|&r| Finding {
+            kind: FindingKind::FcmInconsistency,
+            switch: r.switch,
+            rules: vec![r],
+            region: None,
+            header: None,
+            detail: format!("FCM row references {r}, absent from the controller view"),
+        })
+        .collect()
+}
+
+/// One finding per unrealizable column among `columns`, in column order.
+pub(crate) fn check_columns(
+    view: &ControllerView,
+    fcm: &Fcm,
+    columns: Range<usize>,
+) -> Vec<Finding> {
     let topo = view.topology();
-    for j in 0..fcm.flow_count() {
-        let f = &fcm.flow(j);
-        let header = f.concrete_header();
-        let Some((first_switch, _)) = topo.host_attachment(f.ingress) else {
+    let mut findings = Vec::new();
+    let mut walked = Vec::new();
+    for j in columns {
+        let (ingress, egress) = (fcm.ingress(j), fcm.egress(j));
+        let region = fcm.header(j);
+        let header = region.representative();
+        let Some((first_switch, _)) = topo.host_attachment(ingress) else {
             findings.push(Finding {
                 kind: FindingKind::FcmInconsistency,
-                switch: f.path.first().copied().unwrap_or(SwitchId(0)),
-                rules: f.rules.clone(),
-                region: Some(f.header.clone()),
+                switch: fcm.flow_rules(j).next().map_or(SwitchId(0), |r| r.switch),
+                rules: fcm.flow_rules(j).collect(),
+                region: Some(region),
                 header: Some(header),
                 detail: format!(
                     "flow column h{}->h{}: ingress host is not attached to any switch",
-                    f.ingress.0, f.egress.0
+                    ingress.0, egress.0
                 ),
             });
             continue;
         };
-        let (walked, delivered) = walk(view, first_switch, header);
-        if walked != f.rules || delivered != Some(f.egress) {
-            let divergence = walked
-                .iter()
-                .zip(&f.rules)
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| walked.len().min(f.rules.len()));
-            let switch = f
-                .rules
-                .get(divergence)
-                .or_else(|| walked.get(divergence))
-                .map(|r| r.switch)
-                .unwrap_or(first_switch);
-            let walked_str: Vec<String> = walked.iter().map(|r| r.to_string()).collect();
-            let recorded_str: Vec<String> = f.rules.iter().map(|r| r.to_string()).collect();
-            findings.push(Finding {
-                kind: FindingKind::FcmInconsistency,
-                switch,
-                rules: f.rules.clone(),
-                region: Some(f.header.clone()),
-                header: Some(header),
-                detail: format!(
-                    "flow column h{}->h{} (header {header:#010x}): tables forward \
-                     along [{}] delivering to {}, FCM records [{}] delivering to h{}",
-                    f.ingress.0,
-                    f.egress.0,
-                    walked_str.join(", "),
-                    delivered.map_or("nobody".to_string(), |h| format!("h{}", h.0)),
-                    recorded_str.join(", "),
-                    f.egress.0
-                ),
-            });
+        let delivered = walk(view, first_switch, header, &mut walked);
+        if delivered == Some(egress) && walked.iter().copied().eq(fcm.flow_rules(j)) {
+            continue;
         }
+        let recorded: Vec<RuleRef> = fcm.flow_rules(j).collect();
+        let divergence = walked
+            .iter()
+            .zip(&recorded)
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| walked.len().min(recorded.len()));
+        let switch = recorded
+            .get(divergence)
+            .or_else(|| walked.get(divergence))
+            .map(|r| r.switch)
+            .unwrap_or(first_switch);
+        let walked_str: Vec<String> = walked.iter().map(|r| r.to_string()).collect();
+        let recorded_str: Vec<String> = recorded.iter().map(|r| r.to_string()).collect();
+        findings.push(Finding {
+            kind: FindingKind::FcmInconsistency,
+            switch,
+            rules: recorded,
+            region: Some(region),
+            header: Some(header),
+            detail: format!(
+                "flow column h{}->h{} (header {header:#010x}): tables forward \
+                 along [{}] delivering to {}, FCM records [{}] delivering to h{}",
+                ingress.0,
+                egress.0,
+                walked_str.join(", "),
+                delivered.map_or("nobody".to_string(), |h| format!("h{}", h.0)),
+                recorded_str.join(", "),
+                egress.0
+            ),
+        });
     }
     findings
 }
 
-/// Walks a concrete header through the view's tables from `start`,
-/// returning the rules matched and the host delivered to (if any). Bounded
-/// by the switch count, so a looping configuration terminates with a
-/// too-long rule path — which never equals a (finite, loop-free) recorded
-/// column.
-fn walk(view: &ControllerView, start: SwitchId, header: u64) -> (Vec<RuleRef>, Option<HostId>) {
+/// Walks a concrete header through the view's tables from `start` into
+/// `walked` (cleared first), returning the host delivered to (if any).
+/// Bounded by the switch count, so a looping configuration terminates with
+/// a too-long rule path — which never equals a (finite, loop-free)
+/// recorded column.
+fn walk(
+    view: &ControllerView,
+    start: SwitchId,
+    header: u64,
+    walked: &mut Vec<RuleRef>,
+) -> Option<HostId> {
     let topo = view.topology();
-    let mut walked = Vec::new();
+    walked.clear();
     let mut sw = start;
     for _ in 0..=topo.switch_count() {
-        let Some((index, rule)) = view.table(sw).lookup(header) else {
-            break;
-        };
+        let (index, rule) = view.table(sw).lookup(header)?;
         walked.push(RuleRef { switch: sw, index });
         match rule.action() {
-            Action::Drop => break,
-            Action::Forward(port) => match topo.adj(Node::Switch(sw)).get(port.0) {
-                None => break,
-                Some(adj) => match adj.neighbor {
-                    Node::Host(h) => return (walked, Some(h)),
-                    Node::Switch(next) => sw = next,
-                },
+            Action::Drop => return None,
+            Action::Forward(port) => match topo.adj(Node::Switch(sw)).get(port.0)?.neighbor {
+                Node::Host(h) => return Some(h),
+                Node::Switch(next) => sw = next,
             },
         }
     }
-    (walked, None)
+    None
 }
 
 #[cfg(test)]

@@ -31,6 +31,19 @@
 //! clean report is a proof and every finding carries a concrete
 //! counterexample header.
 //!
+//! # Full and incremental passes
+//!
+//! A [`Verifier`] keeps one pass's raw results per ingress host, per
+//! table and per host's run of FCM columns. Its [`Verifier::update`]
+//! re-traces only the hosts the rules installed since the previous update
+//! meet ([`foces_atpg::hosts_meeting`]), re-checks shadowing only in the
+//! tables that gained rules, re-walks only the re-traced hosts' FCM
+//! columns, and reports exactly what a full pass would. The pre-flight
+//! pass ([`verify_with`], [`verify_view`]) is the update of an empty
+//! state and costs every host; the runtime keeps one state and, after
+//! each FCM rebuild, runs an update that costs the hosts the churn's new
+//! rules meet.
+//!
 //! # Example
 //!
 //! ```
@@ -49,11 +62,13 @@
 //! ```
 
 mod consistency;
+mod incremental;
 mod report;
 mod shadow;
 mod traversal;
 
 pub use consistency::verify_fcm;
+pub use incremental::Verifier;
 pub use report::{Finding, FindingKind, VerifyReport};
 
 use foces::Fcm;
@@ -67,11 +82,13 @@ pub struct VerifyOptions {
     /// Rules that are shadowed **on purpose** and must not be reported —
     /// typically the drained lower-priority rules a rolling update leaves
     /// behind, as recorded in the controller's journal
-    /// ([`ControllerView::touched_rules_since`]).
+    /// ([`ControllerView::touched_rules_since`]). Any order; duplicates
+    /// are harmless.
     pub expected_shadowed: Vec<RuleRef>,
     /// Whether to build the view's FCM and check its structural
     /// consistency. Callers that already hold an FCM should pass `false`
-    /// and call [`verify_fcm`] themselves to avoid re-tracing flows.
+    /// and call [`verify_fcm`] themselves, or hand it to
+    /// [`Verifier::update`], to avoid re-tracing flows.
     pub check_fcm: bool,
 }
 
@@ -90,17 +107,12 @@ pub fn verify_view(view: &ControllerView) -> VerifyReport {
     verify_with(view, &VerifyOptions::default())
 }
 
-/// Verifies a controller view with explicit options.
+/// Verifies a controller view with explicit options: the full pass, which
+/// is the update of an empty [`Verifier`].
 pub fn verify_with(view: &ControllerView, opts: &VerifyOptions) -> VerifyReport {
     let start = Instant::now();
-    let mut report = VerifyReport::default();
-    traversal::check_traversal(view, &mut report);
-    shadow::check_shadowing(view, &opts.expected_shadowed, &mut report);
-    if opts.check_fcm {
-        let fcm = Fcm::from_view(view);
-        report.flows_checked = fcm.flow_count();
-        report.findings.extend(verify_fcm(view, &fcm));
-    }
+    let fcm = opts.check_fcm.then(|| Fcm::from_view(view));
+    let mut report = Verifier::default().update(view, &opts.expected_shadowed, fcm.as_ref());
     report.elapsed_secs = start.elapsed().as_secs_f64();
     report
 }

@@ -64,7 +64,7 @@ impl fmt::Display for FindingKind {
 
 /// One invariant violation, with a concrete counterexample where the
 /// analysis produced one (always, for loop/blackhole/shadowing).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// The violated invariant family.
     pub kind: FindingKind,

@@ -11,66 +11,106 @@
 //!
 //! Callers can allowlist rules that are shadowed *on purpose* — the control
 //! plane's rolling updates deliberately leave drained lower-priority rules
-//! behind and journals them — via the `expected` parameter.
+//! behind and journals them — via the `expected` parameter. The dead rules
+//! of a table are found without the allowlist ([`table_shadows`]) and the
+//! allowlist is applied when they are reported ([`report_shadows`]), so a
+//! table's findings stay valid while the allowlist grows.
 
 use crate::report::{Finding, FindingKind, VerifyReport};
 use foces_controlplane::ControllerView;
 use foces_dataplane::RuleRef;
 use foces_headerspace::{covers, Wildcard};
+use foces_net::SwitchId;
+use std::borrow::Cow;
 
-/// Runs the dead-rule analysis, appending findings and updating the
-/// `rules_checked` counter. Rules listed in `expected` are skipped.
-pub(crate) fn check_shadowing(
+/// A dead rule and the higher-precedence rules that cover it, in
+/// precedence order.
+#[derive(Debug, Clone)]
+pub(crate) struct Shadowed {
+    rule: RuleRef,
+    shadowers: Vec<RuleRef>,
+}
+
+/// The dead rules of `switch`'s table, in precedence order.
+pub(crate) fn table_shadows(view: &ControllerView, switch: SwitchId) -> Vec<Shadowed> {
+    let table = view.table(switch);
+    let mut dead = Vec::new();
+    for idx in table.precedence() {
+        let rule = table.get(idx).expect("index from the table");
+        // The rules meeting this one, in precedence order; the rule
+        // itself meets its own match, so those before it are exactly
+        // the higher-precedence overlapping ones.
+        let shadowers: Vec<usize> = table
+            .overlapping(rule.match_fields())
+            .into_iter()
+            .take_while(|&i| i != idx)
+            .collect();
+        if shadowers.is_empty() {
+            continue;
+        }
+        let cover: Vec<Wildcard> = shadowers
+            .iter()
+            .map(|&i| {
+                table
+                    .get(i)
+                    .expect("index from the table")
+                    .match_fields()
+                    .clone()
+            })
+            .collect();
+        if covers(&cover, rule.match_fields()) {
+            dead.push(Shadowed {
+                rule: RuleRef { switch, index: idx },
+                shadowers: shadowers
+                    .into_iter()
+                    .map(|index| RuleRef { switch, index })
+                    .collect(),
+            });
+        }
+    }
+    dead
+}
+
+/// Appends one finding per dead rule of `tables` (indexed by switch, each
+/// in precedence order) that `expected` does not list, and counts every
+/// rule of the view as checked. `expected` need not be sorted.
+pub(crate) fn report_shadows(
     view: &ControllerView,
+    tables: &[Vec<Shadowed>],
     expected: &[RuleRef],
     report: &mut VerifyReport,
 ) {
-    for switch in view.topology().switches() {
-        let table = view.table(switch);
-        for idx in table.precedence() {
-            report.rules_checked += 1;
-            let rule = table.get(idx).expect("index from the table");
-            let rref = RuleRef { switch, index: idx };
-            if expected.contains(&rref) {
-                continue;
-            }
-            // The rules meeting this one, in precedence order; the rule
-            // itself meets its own match, so those before it are exactly
-            // the higher-precedence overlapping ones.
-            let shadowers: Vec<(RuleRef, &Wildcard)> = table
-                .overlapping(rule.match_fields())
-                .into_iter()
-                .take_while(|&i| i != idx)
-                .map(|i| {
-                    (
-                        RuleRef { switch, index: i },
-                        table.get(i).expect("index from the table").match_fields(),
-                    )
-                })
-                .collect();
-            if shadowers.is_empty() {
-                continue;
-            }
-            let cover: Vec<Wildcard> = shadowers.iter().map(|(_, m)| (*m).clone()).collect();
-            if covers(&cover, rule.match_fields()) {
-                let mut rules = vec![rref];
-                rules.extend(shadowers.iter().map(|(r, _)| *r));
-                report.findings.push(Finding {
-                    kind: FindingKind::ShadowedRule,
-                    switch,
-                    rules,
-                    header: Some(rule.match_fields().representative()),
-                    region: Some(rule.match_fields().clone()),
-                    detail: format!(
-                        "rule {rref} [p{}] {} is dead: fully covered by {} \
-                         higher-precedence rule(s)",
-                        rule.priority(),
-                        rule.match_fields(),
-                        shadowers.len()
-                    ),
-                });
-            }
+    report.rules_checked += view.rule_count();
+    let allow: Cow<'_, [RuleRef]> = if expected.windows(2).all(|w| w[0] < w[1]) {
+        Cow::Borrowed(expected)
+    } else {
+        let mut sorted = expected.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        Cow::Owned(sorted)
+    };
+    for s in tables.iter().flatten() {
+        if allow.binary_search(&s.rule).is_ok() {
+            continue;
         }
+        let rule = view.rule(s.rule).expect("a dead rule of the view");
+        let mut rules = vec![s.rule];
+        rules.extend_from_slice(&s.shadowers);
+        report.findings.push(Finding {
+            kind: FindingKind::ShadowedRule,
+            switch: s.rule.switch,
+            rules,
+            header: Some(rule.match_fields().representative()),
+            region: Some(rule.match_fields().clone()),
+            detail: format!(
+                "rule {} [p{}] {} is dead: fully covered by {} \
+                 higher-precedence rule(s)",
+                s.rule,
+                rule.priority(),
+                rule.match_fields(),
+                s.shadowers.len()
+            ),
+        });
     }
 }
 
@@ -89,8 +129,13 @@ mod tests {
     }
 
     fn run(view: &ControllerView, expected: &[RuleRef]) -> VerifyReport {
+        let tables: Vec<Vec<Shadowed>> = view
+            .topology()
+            .switches()
+            .map(|s| table_shadows(view, s))
+            .collect();
         let mut report = VerifyReport::default();
-        check_shadowing(view, expected, &mut report);
+        report_shadows(view, &tables, expected, &mut report);
         report
     }
 
@@ -170,5 +215,34 @@ mod tests {
         };
         let report = run(&view, &[drained]);
         assert!(report.is_clean(), "{:?}", report.findings);
+    }
+
+    #[test]
+    fn an_unsorted_allowlist_with_duplicates_skips_what_the_sorted_one_does() {
+        // Three dead pair rules under one broad drop; allowlist two of them.
+        let mut t = FlowTable::new();
+        for dst in 1..4 {
+            t.push(Rule::new(
+                pair_match(HostId(0), HostId(dst)),
+                5,
+                Action::Drop,
+            ));
+        }
+        t.push(Rule::new(Wildcard::any(HEADER_WIDTH), 10, Action::Drop));
+        let view = one_switch(t);
+        let r = |index| RuleRef {
+            switch: foces_net::SwitchId(0),
+            index,
+        };
+        assert_eq!(run(&view, &[]).shadowed(), 3);
+        let sorted = run(&view, &[r(0), r(2)]);
+        let shuffled = run(&view, &[r(2), r(0), r(2), r(0)]);
+        assert_eq!(sorted.shadowed(), 1, "{:?}", sorted.findings);
+        assert_eq!(sorted.findings[0].rules[0], r(1));
+        assert_eq!(
+            format!("{:?}", shuffled.findings),
+            format!("{:?}", sorted.findings)
+        );
+        assert_eq!(shuffled.rules_checked, sorted.rules_checked);
     }
 }

@@ -21,12 +21,17 @@
 //! ignored. A region that matched at least one rule and then dies — table
 //! miss downstream, or a forward action out a port with no link — is a
 //! blackhole: the network accepted the traffic and lost it.
+//!
+//! Each host is traced on its own ([`trace_host`]), keeping every finding
+//! with its dedup key, and the report replays the cross-host dedup in host
+//! order ([`replay`]), so one host's trace can be kept while another's is
+//! re-traced.
 
 use crate::report::{Finding, FindingKind, VerifyReport};
 use foces_controlplane::ControllerView;
 use foces_dataplane::{Action, RuleRef, HEADER_WIDTH};
 use foces_headerspace::Wildcard;
-use foces_net::{Node, SwitchId};
+use foces_net::{HostId, Node, SwitchId};
 use std::collections::HashSet;
 
 /// A symbolic region: a positive wildcard minus already-peeled
@@ -61,33 +66,52 @@ impl Region {
     }
 }
 
-struct Traversal<'a> {
-    view: &'a ControllerView,
-    findings: Vec<Finding>,
-    /// Cycles already reported, keyed by the rule sequence of the cycle
-    /// itself (classes from different ingresses share one loop).
-    loops_seen: HashSet<Vec<RuleRef>>,
-    /// Blackholes already reported, keyed by location: `Some(rule)` for a
-    /// forward-to-nowhere rule, `None` for a table miss at that switch.
-    holes_seen: HashSet<(SwitchId, Option<RuleRef>)>,
-    classes: usize,
+/// What the report deduplicates a traversal finding by.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Key {
+    /// A cycle, as its rule sequence rotated to start at the smallest
+    /// rule: classes from different ingresses share one loop.
+    Loop(Vec<RuleRef>),
+    /// A blackhole's location: `Some(rule)` for a forward-to-nowhere
+    /// rule, `None` for a table miss at that switch.
+    Hole(SwitchId, Option<RuleRef>),
 }
 
-/// Runs the loop/blackhole analysis, appending findings and updating the
-/// `classes_traced` counter.
-pub(crate) fn check_traversal(view: &ControllerView, report: &mut VerifyReport) {
-    let topo = view.topology();
+/// One ingress host's traversal: the classes it traced to a terminal
+/// outcome, and its loop and blackhole findings in discovery order, each
+/// with its dedup key and only the first of each key.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct HostTrace {
+    classes: usize,
+    events: Vec<(Key, Finding)>,
+}
+
+/// Appends the findings of `traces` (in host order) to `report`, keeping
+/// the first finding of each key across hosts, and adds their classes:
+/// exactly what one traversal of every host with one shared dedup gives.
+pub(crate) fn replay(traces: &[HostTrace], report: &mut VerifyReport) {
+    let mut seen: HashSet<&Key> = HashSet::new();
+    for t in traces {
+        report.classes_traced += t.classes;
+        for (key, finding) in &t.events {
+            if seen.insert(key) {
+                report.findings.push(finding.clone());
+            }
+        }
+    }
+}
+
+/// Traces every packet class `ingress` can inject. A host attached to no
+/// switch traces nothing.
+pub(crate) fn trace_host(view: &ControllerView, ingress: HostId) -> HostTrace {
     let mut t = Traversal {
         view,
-        findings: Vec::new(),
-        loops_seen: HashSet::new(),
-        holes_seen: HashSet::new(),
-        classes: 0,
+        trace: HostTrace::default(),
+        seen: HashSet::new(),
+        history: Vec::new(),
+        path: Vec::new(),
     };
-    for ingress in topo.hosts() {
-        let Some((first_switch, _)) = topo.host_attachment(ingress) else {
-            continue;
-        };
+    if let Some((first_switch, _)) = view.topology().host_attachment(ingress) {
         // Real traffic entering at this port carries the host's own source
         // address; pin it, mirroring the ATPG tracer.
         let mut pos = Wildcard::any(HEADER_WIDTH);
@@ -98,28 +122,41 @@ pub(crate) fn check_traversal(view: &ControllerView, report: &mut VerifyReport) 
             pos,
             negs: Vec::new(),
         };
-        t.explore(first_switch, region, Vec::new(), Vec::new());
+        t.explore(first_switch, region);
     }
-    report.classes_traced += t.classes;
-    report.findings.extend(t.findings);
+    t.trace
+}
+
+struct Traversal<'a> {
+    view: &'a ControllerView,
+    trace: HostTrace,
+    /// Keys this host already recorded.
+    seen: HashSet<Key>,
+    /// The rules matched so far, one per switch on `path`.
+    history: Vec<RuleRef>,
+    /// The switches visited so far, the current one excluded.
+    path: Vec<SwitchId>,
 }
 
 impl Traversal<'_> {
-    fn explore(
-        &mut self,
-        switch: SwitchId,
-        region: Region,
-        history: Vec<RuleRef>,
-        path: Vec<SwitchId>,
-    ) {
+    /// Records `finding` under `key` unless this host already did, the
+    /// finding built only when it is recorded.
+    fn record(&mut self, key: Key, finding: impl FnOnce(&Self) -> Finding) {
+        if self.seen.insert(key.clone()) {
+            let f = finding(self);
+            self.trace.events.push((key, f));
+        }
+    }
+
+    fn explore(&mut self, switch: SwitchId, region: Region) {
         // Revisit of a path switch with a (by construction non-empty)
         // region: every header in it loops forever.
-        if let Some(k) = path.iter().position(|&s| s == switch) {
-            self.classes += 1;
+        if let Some(k) = self.path.iter().position(|&s| s == switch) {
+            self.trace.classes += 1;
             // Canonicalize the cycle by rotating its rule sequence to start
             // at the smallest RuleRef: classes entering the same loop from
             // different ingresses see rotations of one cycle.
-            let mut cycle: Vec<RuleRef> = history[k..].to_vec();
+            let mut cycle: Vec<RuleRef> = self.history[k..].to_vec();
             if let Some(start) = cycle
                 .iter()
                 .enumerate()
@@ -128,14 +165,14 @@ impl Traversal<'_> {
             {
                 cycle.rotate_left(start);
             }
-            if self.loops_seen.insert(cycle) {
+            self.record(Key::Loop(cycle), |t| {
                 let piece = region.witness().expect("recursed regions are non-empty");
                 let cycle_path: Vec<String> =
-                    path[k..].iter().map(|s| format!("s{}", s.0)).collect();
-                self.findings.push(Finding {
+                    t.path[k..].iter().map(|s| format!("s{}", s.0)).collect();
+                Finding {
                     kind: FindingKind::ForwardingLoop,
                     switch,
-                    rules: history,
+                    rules: t.history.clone(),
                     header: Some(piece.representative()),
                     region: Some(piece),
                     detail: format!(
@@ -144,76 +181,73 @@ impl Traversal<'_> {
                         cycle_path.join(" -> "),
                         switch.0
                     ),
-                });
-            }
+                }
+            });
             return;
         }
         // Defensive hop budget; the revisit check above already bounds
         // recursion by the switch count.
-        if path.len() > self.view.topology().switch_count() {
+        if self.path.len() > self.view.topology().switch_count() {
             return;
         }
 
-        let table = self.view.table(switch);
+        let view = self.view;
+        let table = view.table(switch);
         // The rules meeting the region, in effective precedence (priority
         // desc, index asc): a disjoint rule fails `constrain` and is never
         // peeled, so skipping it is exact.
         let mut shadow = region;
+        self.path.push(switch);
         for idx in table.overlapping(&shadow.pos) {
             let rule = table.get(idx).expect("index from the table");
             let Some((matched, piece)) = shadow.constrain(rule.match_fields()) else {
                 continue;
             };
             let rref = RuleRef { switch, index: idx };
-            let mut new_history = history.clone();
-            new_history.push(rref);
-            let mut new_path = path.clone();
-            new_path.push(switch);
+            self.history.push(rref);
             match rule.action() {
                 // An explicit drop is a stated policy, not a blackhole.
-                Action::Drop => self.classes += 1,
+                Action::Drop => self.trace.classes += 1,
                 Action::Forward(port) => {
-                    match self.view.topology().adj(Node::Switch(switch)).get(port.0) {
+                    match view.topology().adj(Node::Switch(switch)).get(port.0) {
                         None => {
                             // Forward out a port with no link: traffic the
                             // network accepted falls off the edge.
-                            self.classes += 1;
-                            if self.holes_seen.insert((switch, Some(rref))) {
-                                self.findings.push(Finding {
-                                    kind: FindingKind::Blackhole,
-                                    switch,
-                                    rules: new_history,
-                                    header: Some(piece.representative()),
-                                    region: Some(piece),
-                                    detail: format!(
-                                        "rule {rref} forwards out port {} which has no link",
-                                        port.0
-                                    ),
-                                });
-                            }
+                            self.trace.classes += 1;
+                            self.record(Key::Hole(switch, Some(rref)), |t| Finding {
+                                kind: FindingKind::Blackhole,
+                                switch,
+                                rules: t.history.clone(),
+                                header: Some(piece.representative()),
+                                region: Some(piece),
+                                detail: format!(
+                                    "rule {rref} forwards out port {} which has no link",
+                                    port.0
+                                ),
+                            });
                         }
                         Some(adj) => match adj.neighbor {
-                            Node::Host(_) => self.classes += 1, // delivered
-                            Node::Switch(next) => {
-                                self.explore(next, matched, new_history, new_path);
-                            }
+                            Node::Host(_) => self.trace.classes += 1, // delivered
+                            Node::Switch(next) => self.explore(next, matched),
                         },
                     }
                 }
             }
+            self.history.pop();
             shadow.negs.push(rule.match_fields().clone());
         }
+        self.path.pop();
         // Residual region: headers no rule matches. At the ingress switch
         // that is unprovisioned traffic; downstream it is a blackhole —
         // upstream rules forwarded traffic here and this table drops it by
         // omission.
         if let Some(piece) = shadow.witness() {
-            self.classes += 1;
-            if !history.is_empty() && self.holes_seen.insert((switch, None)) {
-                self.findings.push(Finding {
+            self.trace.classes += 1;
+            if !self.history.is_empty() {
+                self.record(Key::Hole(switch, None), |t| Finding {
                     kind: FindingKind::Blackhole,
                     switch,
-                    rules: history,
+                    rules: t.history.clone(),
                     header: Some(piece.representative()),
                     region: Some(piece),
                     detail: format!(
@@ -246,8 +280,13 @@ mod tests {
     }
 
     fn run(view: &ControllerView) -> VerifyReport {
+        let traces: Vec<HostTrace> = view
+            .topology()
+            .hosts()
+            .map(|h| trace_host(view, h))
+            .collect();
         let mut report = VerifyReport::default();
-        check_traversal(view, &mut report);
+        replay(&traces, &mut report);
         report
     }
 
