@@ -5,7 +5,8 @@
 use crate::args::{self, ArgError, Args, Verb};
 use foces::{
     analyze_cluster_coverage, analyze_coverage, audit_deviations, harden, localize, AlarmState,
-    CoverageConfig, CoverageReport, Detector, Fcm, Monitor, MonitorConfig, ShardedFcm, SlicedFcm,
+    CoverageConfig, CoverageReport, Detector, Fcm, HysteresisConfig, Monitor, ShardedFcm,
+    SlicedFcm,
 };
 use foces_channel::{FakeStrategy, FaultProfile};
 use foces_controlplane::scenario::Scenario;
@@ -327,7 +328,7 @@ pub fn monitor(args: &Args) -> Result<String, CmdError> {
     let loss: f64 = args.num("loss", 0.02)?;
     let seed: u64 = args.num("seed", 7)?;
     let fcm = Fcm::from_view(&dep.view);
-    let mut mon = Monitor::new(fcm, MonitorConfig::default());
+    let mut mon = Monitor::new(fcm);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut applied = None;
     let mut out = String::new();
@@ -371,6 +372,18 @@ pub fn monitor(args: &Args) -> Result<String, CmdError> {
 
 /// `foces run <scenario> ...` — the fault-tolerant online service.
 pub fn run_service(args: &Args) -> Result<CmdOutput, CmdError> {
+    let mut hysteresis = HysteresisConfig::default();
+    hysteresis.window = args.num("alarm-window", hysteresis.window)?;
+    hysteresis.churn_suppress = args.num("churn-suppress", hysteresis.churn_suppress)?;
+    hysteresis.churn_penalty = args.num("churn-penalty", hysteresis.churn_penalty)?;
+    if hysteresis.window < hysteresis.raise_k {
+        return Err(format!(
+            "--alarm-window {}: below the raise quorum of {} anomalous rounds, \
+             so the alarm could never raise",
+            hysteresis.window, hysteresis.raise_k
+        )
+        .into());
+    }
     let (_, dep) = load(args)?;
     let epochs: u64 = args.num("epochs", 30)?;
     let seed: u64 = args.num("seed", 7)?;
@@ -413,6 +426,7 @@ pub fn run_service(args: &Args) -> Result<CmdOutput, CmdError> {
     };
     let mut config = RuntimeConfig {
         threshold: args.num("threshold", foces::DEFAULT_THRESHOLD)?,
+        hysteresis,
         oracle_cap: args.num("oracle-cap", 256)?,
         byzantine: ByzantineConfig {
             enabled: liars > 0,
@@ -421,9 +435,6 @@ pub fn run_service(args: &Args) -> Result<CmdOutput, CmdError> {
         ..RuntimeConfig::default()
     };
     config.backend = args.num("backend", config.backend)?;
-    config.alarm_window = args.num("alarm-window", config.alarm_window)?;
-    config.churn_suppress = args.num("churn-suppress", config.churn_suppress)?;
-    config.churn_penalty = args.num("churn-penalty", config.churn_penalty)?;
     config.policy.deadline_ms = args.num("poll-deadline-ms", config.policy.deadline_ms)?;
     config.policy.attempt_timeout_ms =
         args.num("attempt-timeout-ms", config.policy.attempt_timeout_ms)?;
@@ -1668,7 +1679,7 @@ pub fn interleave(args: &Args) -> Result<CmdOutput, CmdError> {
             "  {uniform} uniform (global-split) schedules among them"
         )?;
         if cfg.check_dropper {
-            let bound = cfg.harness.update_at + cfg.harness.runtime.churn_raise_bound();
+            let bound = cfg.harness.update_at + cfg.harness.runtime.hysteresis.churn_raise_bound();
             let worst = report
                 .outcomes
                 .iter()

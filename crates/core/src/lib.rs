@@ -100,7 +100,9 @@ pub use fcm::{BasisSystem, ColumnGroups, Fcm, MaskedFcm};
 pub use harden::{harden, HardeningOutcome};
 pub use incremental::{FcmDelta, IncrementalSolver, RankBudget, SolvePath};
 pub use localize::{localize, localize_differential, SwitchSuspicion};
-pub use monitor::{AlarmState, Monitor, MonitorConfig, MonitorReport};
+pub use monitor::{
+    AlarmMachine, AlarmState, AlarmTransition, HysteresisConfig, Monitor, MonitorReport,
+};
 pub use rbg::Rbg;
 pub use shard::{ShardUnionVerdict, ShardView, ShardedFcm};
 pub use slicing::{SlicedFcm, SlicedVerdict};

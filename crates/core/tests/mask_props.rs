@@ -1,278 +1,57 @@
-//! Property tests for the masked/quarantined FCM: projecting a full
-//! expected-counter vector through a [`MaskedFcm`] must agree with the
-//! masked sub-FCM's own expected counters — for arbitrary observed-row
-//! patterns, and for arbitrary column quarantines once the quarantined
-//! volumes are zeroed. The churn-closure property at the end is the
-//! soundness argument the runtime's reconciliation path relies on: after
-//! masking updated rules, quarantining the flows through them, and
-//! masking the rows those flows still traverse, the remaining sub-system
-//! is consistent for *arbitrary* benign volumes — no zeroing needed.
-//!
-//! The masked sub-FCM, and the column and row closures, are also checked
+//! Property tests for the masked/quarantined FCM: row masks, column
+//! quarantines and the churn closure, each checked by projection and
 //! against the earlier explicit constructions over the reference FCM
-//! (`support/fcm_reference.rs`), kept verbatim below.
+//! (`support/fcm_reference.rs`). The case bodies are
+//! `support/mask_cases.rs`; a fixed-seed slice of every property runs in
+//! the workspace-root `tests/mask_quarantine.rs` (tier-1).
 
 #[path = "support/fcm_reference.rs"]
 mod fcm_reference;
 
-use fcm_reference::{assert_matches, ReferenceFcm};
-use foces::Fcm;
-use foces_controlplane::{provision, uniform_flows, RuleGranularity};
-use foces_dataplane::RuleRef;
-use foces_net::generators::fattree;
+#[path = "support/mask_cases.rs"]
+mod mask_cases;
+
 use proptest::prelude::*;
-use std::collections::HashSet;
-use std::sync::OnceLock;
-
-/// One shared FCM and its reference — construction runs provisioning +
-/// ATPG tracing, far too slow to repeat per proptest case.
-fn fixture() -> &'static (Fcm, ReferenceFcm) {
-    static FIXTURE: OnceLock<(Fcm, ReferenceFcm)> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let topo = fattree(4);
-        let flows = uniform_flows(&topo, 1000.0);
-        let dep = provision(topo, &flows, RuleGranularity::PerDestination).unwrap();
-        let reference = ReferenceFcm::traced(&dep.view);
-        let fcm = Fcm::from_view(&dep.view);
-        assert_matches(&fcm, &reference, "fixture");
-        (fcm, reference)
-    })
-}
-
-fn fcm() -> &'static Fcm {
-    &fixture().0
-}
-
-/// The earlier `Fcm::quarantine` restriction, verbatim, over the
-/// reference: the sub-FCM, its parent rows and columns, and the dropped
-/// and quarantined flow counts.
-fn reference_quarantine(
-    fcm: &ReferenceFcm,
-    observed: &[bool],
-    quarantined: &[bool],
-) -> (ReferenceFcm, Vec<usize>, Vec<usize>, usize, usize) {
-    let kept_rules: Vec<RuleRef> = fcm
-        .rules
-        .iter()
-        .zip(observed)
-        .filter(|(_, &o)| o)
-        .map(|(&r, _)| r)
-        .collect();
-    let parent_rows: Vec<usize> = (0..fcm.rules.len()).filter(|&i| observed[i]).collect();
-    let keep = |r: &RuleRef| observed[fcm.rule_index[r]];
-    let mut dropped_flows = 0usize;
-    let mut quarantined_flows = 0usize;
-    let mut parent_columns = Vec::new();
-    let mut sub_flows = Vec::new();
-    for (j, f) in fcm.flows.iter().enumerate() {
-        if quarantined[j] {
-            quarantined_flows += 1;
-            continue;
-        }
-        let mut g = f.clone();
-        g.rules.retain(|r| keep(r));
-        if g.rules.is_empty() {
-            dropped_flows += 1;
-            continue;
-        }
-        g.path.retain(|s| g.rules.iter().any(|r| r.switch == *s));
-        parent_columns.push(j);
-        sub_flows.push(g);
-    }
-    (
-        ReferenceFcm::from_parts(kept_rules, sub_flows),
-        parent_rows,
-        parent_columns,
-        dropped_flows,
-        quarantined_flows,
-    )
-}
-
-/// The earlier `Fcm::columns_touching` and `Fcm::rows_touching`,
-/// verbatim, over the reference.
-fn reference_closures(fcm: &ReferenceFcm, rules: &[RuleRef]) -> (Vec<bool>, Vec<bool>) {
-    let touched: HashSet<RuleRef> = rules.iter().copied().collect();
-    let columns: Vec<bool> = fcm
-        .flows
-        .iter()
-        .map(|f| f.rules.iter().any(|r| touched.contains(r)))
-        .collect();
-    let mut rows = vec![false; fcm.rules.len()];
-    for (j, f) in fcm.flows.iter().enumerate() {
-        if columns[j] {
-            for r in &f.rules {
-                rows[fcm.rule_index[r]] = true;
-            }
-        }
-    }
-    (columns, rows)
-}
-
-/// Cycles a short generated pattern out to length `n`, so strategies stay
-/// small while still exercising every index of the real FCM.
-fn cycle<T: Copy>(pattern: &[T], n: usize) -> Vec<T> {
-    (0..n).map(|i| pattern[i % pattern.len()]).collect()
-}
-
-fn assert_close(a: &[f64], b: &[f64]) {
-    assert_eq!(a.len(), b.len());
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        let tol = 1e-9 + x.abs().max(y.abs()) * 1e-12;
-        assert!((x - y).abs() <= tol, "row {i}: {x} vs {y}");
-    }
-}
 
 proptest! {
-    /// Row masking alone: `project(H·X)` equals the masked sub-FCM's own
-    /// `H'·X'` for every observed-row pattern and every volume vector —
-    /// dropped flows contribute nothing to observed rows, so no volume
-    /// adjustment is needed.
     #[test]
     fn mask_rows_project_round_trips(
         obs_pat in proptest::collection::vec(any::<bool>(), 1..64),
         vol_pat in proptest::collection::vec(0.0f64..1e6, 1..64),
     ) {
-        let fcm = fcm();
-        let observed = cycle(&obs_pat, fcm.rule_count());
-        let volumes = cycle(&vol_pat, fcm.flow_count());
-        let masked = fcm.mask_rows(&observed);
-        let projected = masked.project(&fcm.expected_counters(&volumes));
-        let kept_vol: Vec<f64> = masked
-            .parent_columns()
-            .iter()
-            .map(|&j| volumes[j])
-            .collect();
-        let direct = masked.fcm().expected_counters(&kept_vol);
-        assert_close(&projected, &direct);
+        mask_cases::check_mask_rows_round_trip(&obs_pat, &vol_pat);
     }
 
-    /// Column quarantine obeys the same invariant once the quarantined
-    /// flows' volumes are zeroed in the full system: their columns are
-    /// gone from the sub-FCM, so the projection only matches when they
-    /// carry no traffic.
     #[test]
     fn quarantine_project_round_trips_with_zeroed_volumes(
         obs_pat in proptest::collection::vec(any::<bool>(), 1..64),
         quar_pat in proptest::collection::vec(any::<bool>(), 1..64),
         vol_pat in proptest::collection::vec(0.0f64..1e6, 1..64),
     ) {
-        let fcm = fcm();
-        let observed = cycle(&obs_pat, fcm.rule_count());
-        let quarantined = cycle(&quar_pat, fcm.flow_count());
-        let mut volumes = cycle(&vol_pat, fcm.flow_count());
-        for (v, &q) in volumes.iter_mut().zip(&quarantined) {
-            if q {
-                *v = 0.0;
-            }
-        }
-        let masked = fcm.quarantine(&observed, &quarantined);
-        let projected = masked.project(&fcm.expected_counters(&volumes));
-        let kept_vol: Vec<f64> = masked
-            .parent_columns()
-            .iter()
-            .map(|&j| volumes[j])
-            .collect();
-        let direct = masked.fcm().expected_counters(&kept_vol);
-        assert_close(&projected, &direct);
+        mask_cases::check_quarantine_round_trip(&obs_pat, &quar_pat, &vol_pat);
     }
 
-    /// The masked sub-FCM and its maps equal the earlier explicit
-    /// restriction of the reference FCM.
     #[test]
     fn quarantine_matches_the_reference_restriction(
         obs_pat in proptest::collection::vec(any::<bool>(), 1..64),
         quar_pat in proptest::collection::vec(any::<bool>(), 1..64),
     ) {
-        let (fcm, reference) = fixture();
-        let observed = cycle(&obs_pat, fcm.rule_count());
-        let quarantined = cycle(&quar_pat, fcm.flow_count());
-        let masked = fcm.quarantine(&observed, &quarantined);
-        let (want, rows, columns, dropped, evicted) =
-            reference_quarantine(reference, &observed, &quarantined);
-        assert_matches(masked.fcm(), &want, "masked");
-        prop_assert_eq!(masked.parent_rows(), rows.as_slice());
-        prop_assert_eq!(masked.parent_columns(), columns.as_slice());
-        prop_assert_eq!(masked.dropped_flows(), dropped);
-        prop_assert_eq!(masked.quarantined_flows(), evicted);
-        let (_, _, _, blinded, _) =
-            reference_quarantine(reference, &observed, &vec![false; fcm.flow_count()]);
-        prop_assert_eq!(fcm.flows_blinded(&observed), blinded);
+        mask_cases::check_quarantine_matches_reference(&obs_pat, &quar_pat);
     }
 
-    /// Flow accounting: kept + dropped + quarantined columns partition
-    /// the parent flows, quarantine takes precedence over dropping, and
-    /// the parent row/column maps are strictly increasing and land on
-    /// unmasked/unquarantined parents.
     #[test]
     fn quarantine_partitions_the_parent_flows(
         obs_pat in proptest::collection::vec(any::<bool>(), 1..64),
         quar_pat in proptest::collection::vec(any::<bool>(), 1..64),
     ) {
-        let fcm = fcm();
-        let observed = cycle(&obs_pat, fcm.rule_count());
-        let quarantined = cycle(&quar_pat, fcm.flow_count());
-        let masked = fcm.quarantine(&observed, &quarantined);
-        prop_assert_eq!(
-            masked.fcm().flow_count() + masked.dropped_flows() + masked.quarantined_flows(),
-            fcm.flow_count()
-        );
-        prop_assert_eq!(
-            masked.quarantined_flows(),
-            quarantined.iter().filter(|&&q| q).count()
-        );
-        prop_assert_eq!(masked.parent_columns().len(), masked.fcm().flow_count());
-        for w in masked.parent_columns().windows(2) {
-            prop_assert!(w[0] < w[1]);
-        }
-        for &j in masked.parent_columns() {
-            prop_assert!(!quarantined[j]);
-        }
-        for w in masked.parent_rows().windows(2) {
-            prop_assert!(w[0] < w[1]);
-        }
-        for &i in masked.parent_rows() {
-            prop_assert!(observed[i]);
-        }
+        mask_cases::check_quarantine_partitions(&obs_pat, &quar_pat);
     }
 
-    /// The churn-closure soundness property: mask an arbitrary set of
-    /// "updated" rules, quarantine every flow through them, and also mask
-    /// the rows quarantined flows still traverse. The remaining
-    /// sub-system then satisfies `project(H·X) = H'·X'` for **arbitrary**
-    /// volumes — quarantined traffic cannot reach any surviving row, so
-    /// benign traffic never inflates residuals on the reconciled system.
     #[test]
     fn churn_closure_is_consistent_for_arbitrary_volumes(
         touched_pat in proptest::collection::vec(any::<bool>(), 1..48),
         vol_pat in proptest::collection::vec(0.0f64..1e6, 1..64),
     ) {
-        let fcm = fcm();
-        let touched = cycle(&touched_pat, fcm.rule_count());
-        let volumes = cycle(&vol_pat, fcm.flow_count());
-        let touched_rules: Vec<_> = fcm
-            .rules()
-            .iter()
-            .zip(&touched)
-            .filter(|(_, &t)| t)
-            .map(|(&r, _)| r)
-            .collect();
-        let quarantined = fcm.columns_touching(&touched_rules);
-        let closure = fcm.rows_touching(&quarantined);
-        let want = reference_closures(&fixture().1, &touched_rules);
-        prop_assert_eq!((&quarantined, &closure), (&want.0, &want.1));
-        let observed: Vec<bool> = touched
-            .iter()
-            .zip(&closure)
-            .map(|(&t, &c)| !t && !c)
-            .collect();
-        let masked = fcm.quarantine(&observed, &quarantined);
-        let projected = masked.project(&fcm.expected_counters(&volumes));
-        let kept_vol: Vec<f64> = masked
-            .parent_columns()
-            .iter()
-            .map(|&j| volumes[j])
-            .collect();
-        let direct = masked.fcm().expected_counters(&kept_vol);
-        assert_close(&projected, &direct);
+        mask_cases::check_churn_closure(&touched_pat, &vol_pat);
     }
 }

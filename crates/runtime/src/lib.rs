@@ -30,12 +30,10 @@
 //!   `foces-cluster`'s shard coordinator.
 //! * [`metrics`] — [`RuntimeMetrics`] counters plus a JSONL [`EventLog`]
 //!   of per-epoch records.
-//! * [`hysteresis`] — [`AlarmMachine`], k-of-n alarm confirmation with
-//!   churn-aware suppression windows (blind rounds freeze the machine
-//!   instead of feeding it noise).
 //! * [`service`] — [`RuntimeService`] glues the layers into one
-//!   `run_epoch` loop. Every reply carries the switch's rule-table
-//!   generation; when a stamp (or the controller view's update journal)
+//!   `run_epoch` loop and scores its rounds with a
+//!   [`foces::AlarmMachine`] (re-exported here); blind rounds freeze the
+//!   machine. Every reply carries the switch's rule-table generation; when a stamp (or the controller view's update journal)
 //!   outruns the FCM's build generation, the epoch is *reconciled* —
 //!   journaled rows masked, affected flows quarantined
 //!   ([`foces::Fcm::quarantine`]) — instead of failed, and the FCM is
@@ -50,7 +48,6 @@
 pub mod adversary;
 pub mod degraded;
 pub mod harness;
-pub mod hysteresis;
 pub mod metrics;
 pub mod parallel;
 pub mod pool;
@@ -60,10 +57,10 @@ pub mod transport;
 
 pub use adversary::{rolling_update, Adversary};
 pub use degraded::{DegradedPipeline, DetectionMode};
-// The Byzantine-layer tunables live with the liar lifecycle in core.
-pub use foces::ByzantineConfig;
+// The Byzantine-layer tunables live with the liar lifecycle in core, and
+// the alarm machine with the monitor.
+pub use foces::{AlarmMachine, AlarmTransition, ByzantineConfig, HysteresisConfig};
 pub use harness::{FaultScenario, ScenarioDriver};
-pub use hysteresis::{AlarmMachine, AlarmTransition, HysteresisConfig};
 pub use metrics::{peak_rss_bytes, scrub_gauges, EventLog, RuntimeMetrics};
 pub use parallel::detect_parallel;
 pub use pool::{run_tasks, PoolConfig, PoolStats, TaskOutcome, TaskRun};

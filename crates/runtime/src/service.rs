@@ -2,23 +2,20 @@
 //!
 //! [`RuntimeService`] composes the scheduler (fault-tolerant collection),
 //! the degraded pipeline (row-masked detection + oracle), the parallel
-//! slice solver (localization evidence), and [`foces::Monitor`]-style
-//! alarm hysteresis. One deliberate difference from the monitor: a
-//! [`DetectionMode::Blind`] round *freezes* the alarm state machine —
-//! silence is not evidence of health, so blind rounds neither raise nor
-//! clear anything.
+//! slice solver (localization evidence), and an [`AlarmMachine`]. A
+//! [`DetectionMode::Blind`] round *freezes* the machine — silence is not
+//! evidence of health, so blind rounds neither raise nor clear anything.
 
 use crate::degraded::{DegradedPipeline, DetectionMode};
-use crate::hysteresis::{AlarmMachine, AlarmTransition, HysteresisConfig};
 use crate::metrics::{json_f64, json_str, EventLog, RuntimeMetrics};
 use crate::parallel::detect_parallel;
 use crate::scheduler::{EpochScheduler, PollPolicy};
 use crate::transport::SimTransport;
 use foces::{
-    analyze_coverage, localize, AlarmState, BackendKind, ByzantineConfig, CoverageConfig,
-    CoverageReport, Detector, Fcm, FcmDelta, FocesError, LiarLifecycle, LiarOutcome, LiarRound,
-    ResilienceReport, SlicedFcm, SlicedVerdict, SolvePath, SuspicionTracker, SwitchSuspicion,
-    Verdict, DEFAULT_THRESHOLD,
+    analyze_coverage, localize, AlarmMachine, AlarmState, AlarmTransition, BackendKind,
+    ByzantineConfig, CoverageConfig, CoverageReport, Detector, Fcm, FcmDelta, FocesError,
+    HysteresisConfig, LiarLifecycle, LiarOutcome, LiarRound, ResilienceReport, SlicedFcm,
+    SlicedVerdict, SolvePath, SuspicionTracker, SwitchSuspicion, Verdict, DEFAULT_THRESHOLD,
 };
 use foces_channel::{ChannelError, SwitchAgent, Transport};
 use foces_controlplane::ControllerView;
@@ -69,19 +66,8 @@ pub struct RuntimeConfig {
     pub policy: PollPolicy,
     /// Anomaly-index threshold (paper default 4.5).
     pub threshold: f64,
-    /// Anomalous rounds (within [`RuntimeConfig::alarm_window`]) before
-    /// raising the alarm.
-    pub raise_after: u32,
-    /// Consecutive normal rounds before clearing a raised alarm.
-    pub clear_after: u32,
-    /// Sliding window of scored rounds the raise quorum is counted over.
-    /// With `alarm_window == raise_after` (the defaults) this degenerates
-    /// to the classic consecutive-streak hysteresis.
-    pub alarm_window: u32,
-    /// Scored rounds of alarm suppression armed by each churn round.
-    pub churn_suppress: u32,
-    /// Extra anomalous rounds required to raise while churn-suppressed.
-    pub churn_penalty: u32,
+    /// Alarm hysteresis (k-of-n raise, clear, churn suppression).
+    pub hysteresis: HysteresisConfig,
     /// Cap on the detectability-oracle candidate sample.
     pub oracle_cap: usize,
     /// Threads for the full-round slice solve: `0` and `1` both solve
@@ -101,43 +87,12 @@ pub struct RuntimeConfig {
     pub backend: BackendKind,
 }
 
-impl RuntimeConfig {
-    /// The hysteresis parameters as an [`HysteresisConfig`].
-    pub fn hysteresis(&self) -> HysteresisConfig {
-        HysteresisConfig {
-            window: self.alarm_window,
-            raise_k: self.raise_after,
-            clear_after: self.clear_after,
-            churn_suppress: self.churn_suppress,
-            churn_penalty: self.churn_penalty,
-        }
-    }
-
-    /// Worst-case number of epochs between a persistent anomaly first
-    /// manifesting during a churn-reconciled epoch and the alarm raise:
-    /// the churn-suppression window plus its penalty delay the counter,
-    /// then `raise_after` anomalous epochs must accumulate, plus one
-    /// epoch of slack because the reconciled epoch itself may score clean
-    /// (the anomaly's rows can be masked by the update's journal).
-    ///
-    /// This is the completeness bound the interleaving oracles hold every
-    /// schedule to: a dropper activating at epoch `u` must raise by
-    /// `u + churn_raise_bound()`.
-    pub fn churn_raise_bound(&self) -> u64 {
-        u64::from(self.raise_after) + u64::from(self.churn_suppress + self.churn_penalty) + 1
-    }
-}
-
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             policy: PollPolicy::default(),
             threshold: DEFAULT_THRESHOLD,
-            raise_after: 2,
-            clear_after: 2,
-            alarm_window: 2,
-            churn_suppress: 2,
-            churn_penalty: 1,
+            hysteresis: HysteresisConfig::default(),
             oracle_cap: 256,
             workers: std::thread::available_parallelism()
                 .map(|n| n.get().min(8))
@@ -315,7 +270,7 @@ impl RuntimeService {
             config,
             metrics,
             log: EventLog::in_memory(),
-            alarm: AlarmMachine::new(config.hysteresis()),
+            alarm: AlarmMachine::new(config.hysteresis),
             fcm_generation: view.generation(),
             epoch: 0,
             verification,

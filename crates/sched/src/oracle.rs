@@ -7,7 +7,7 @@
 //! * **Dropper completeness** — masking must absorb the *update*, not
 //!   the attack: a persistent dropper activating at the update epoch on
 //!   a switch outside every update's blast radius must raise the alarm
-//!   within [`foces_runtime::RuntimeConfig::churn_raise_bound`] epochs,
+//!   within [`foces_runtime::HysteresisConfig::churn_raise_bound`] epochs,
 //!   and the alarm must still stand at the end of the run.
 //! * **Fan-out soundness** (see [`check_fanout`](crate::check_fanout)) — a shard round fired
 //!   at any slot boundary, including with stale-generation members, must
@@ -147,7 +147,7 @@ pub fn check_healthy(run: &ScheduleRun, cfg: &HarnessConfig) -> Vec<Violation> {
 /// Checks the dropper-completeness oracle on a run with a persistent
 /// dropper planted at `cfg.update_at`.
 pub fn check_dropper(run: &ScheduleRun, cfg: &HarnessConfig) -> Vec<Violation> {
-    let bound = cfg.update_at + cfg.runtime.churn_raise_bound();
+    let bound = cfg.update_at + cfg.runtime.hysteresis.churn_raise_bound();
     let mut v = Vec::new();
     match run.first_raise {
         None => v.push(Violation::DropperMissed),

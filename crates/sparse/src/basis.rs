@@ -28,6 +28,8 @@ pub struct BasisCholesky {
     columns: OnceLock<CsrMatrix>,
     symbolic: OnceLock<SymbolicCholesky>,
     factor: OnceLock<Result<Arc<SparseFactor>, LinalgError>>,
+    #[cfg(test)]
+    pub(crate) grams: std::sync::atomic::AtomicUsize,
 }
 
 impl BasisCholesky {
@@ -38,6 +40,8 @@ impl BasisCholesky {
             columns: OnceLock::new(),
             symbolic: OnceLock::new(),
             factor: OnceLock::new(),
+            #[cfg(test)]
+            grams: Default::default(),
         }
     }
 
@@ -74,12 +78,20 @@ impl BasisCholesky {
 
     /// The memoized Gram factor, built on first demand, unless its
     /// predicted fill exceeds `fill_limit` nonzeros (the analysis is kept,
-    /// no factor is built) or the factorization failed.
+    /// no factor is built) or the factorization failed. The refusal reads
+    /// the memoized analysis, so only the first call forms the Gram.
     pub(crate) fn factor_within(&self, fill_limit: usize) -> Option<Arc<SparseFactor>> {
+        if self
+            .symbolic
+            .get()
+            .is_some_and(|sym| sym.lnz() > fill_limit)
+        {
+            return None;
+        }
         let factor = match self.factor.get() {
             Some(memo) => memo,
             None => {
-                let gram = self.basis.gram_csr();
+                let gram = self.gram();
                 let sym = self.symbolic_of(&gram);
                 if sym.lnz() > fill_limit {
                     return None;
@@ -88,11 +100,7 @@ impl BasisCholesky {
                     .get_or_init(|| SparseFactor::factor(sym, &gram).map(Arc::new))
             }
         };
-        let sym = self
-            .symbolic
-            .get()
-            .expect("a factor is built on its analysis");
-        (sym.lnz() <= fill_limit).then(|| factor.as_ref().ok().cloned())?
+        factor.as_ref().ok().cloned()
     }
 
     /// The Gram factor for a one-off use: the memoized one when a solver
@@ -106,7 +114,7 @@ impl BasisCholesky {
         match self.factor.get() {
             Some(memo) => memo.clone().map(|f| (f, false)),
             None => {
-                let gram = self.basis.gram_csr();
+                let gram = self.gram();
                 let factor = SparseFactor::factor(self.symbolic_of(&gram), &gram)?;
                 Ok((Arc::new(factor), true))
             }
@@ -121,9 +129,17 @@ impl BasisCholesky {
         if let Some(Ok(factor)) = self.factor.get() {
             return Arc::clone(factor);
         }
-        let gram = self.basis.gram_csr();
+        let gram = self.gram();
         let factor = SparseFactor::factor_dropping(self.symbolic_of(&gram), &gram);
         Arc::new(factor.expect("a Gram matrix is square"))
+    }
+
+    /// `BᵀB`, formed afresh on every call (unit tests count the calls).
+    fn gram(&self) -> CsrMatrix {
+        #[cfg(test)]
+        self.grams
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.basis.gram_csr()
     }
 
     /// The memoized analysis, built from `gram` (this basis' Gram) if

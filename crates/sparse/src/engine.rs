@@ -1,6 +1,8 @@
 //! The solve engine: [`BackendKind`] selection plus [`solve_factored`] —
 //! the sparse-first ladder (memoized sparse Cholesky → preconditioned
-//! CGLS) with residual-verified acceptance.
+//! CGLS) with residual-verified acceptance. One rule picks the rung: a
+//! basis whose symbolic analysis predicts at most `FILL_LIMIT` factor
+//! nonzeros is factored, however many columns it has.
 
 use crate::basis::BasisCholesky;
 use crate::kernels::normal_residual;
@@ -100,11 +102,12 @@ pub struct BasisSolve {
     pub method: SolveMethod,
 }
 
-/// Basis sizes up to this take the sparse direct (Cholesky) rung; larger
-/// systems go straight to PCGLS without assembling a Gram.
-const DIRECT_LIMIT: usize = 4096;
-/// Predicted factor nonzeros above which the direct rung is skipped even
-/// below [`DIRECT_LIMIT`] (fill blow-up guard).
+/// Predicted factor nonzeros above which a basis takes PCGLS instead of
+/// the direct rung, whatever its width. Chosen by timing the `run`
+/// driver's rounds, masked ones included: FatTree(12) per-destination
+/// (31,104 columns, 1.14·10⁶ predicted nonzeros) factors once in ~0.5 s
+/// and then answers a one-switch masked round on its factor in 7–22 ms,
+/// against 25–60 ms by PCGLS on a masked copy (DESIGN.md §18).
 const FILL_LIMIT: usize = 8_000_000;
 /// PCGLS convergence tolerance (relative normal-residual).
 const PCGLS_TOL: f64 = 1e-12;
@@ -120,18 +123,28 @@ pub const ACCEPT_TOL: f64 = 1e-6;
 /// Solves `min ‖B x − counters‖` for a basis whose Gram factor is memoized
 /// on `basis`: the direct rung factors at most once per basis and every
 /// later call only solves. It holds nothing across calls; the factor on
-/// `basis` is the only state a later solve reads. Bases past 4096 columns
-/// or 8·10⁶ predicted factor nonzeros, rank-deficient ones and solves that
-/// fail the [`ACCEPT_TOL`] check take PCGLS, with a Jacobi preconditioner
-/// built from `basis` in one `O(nnz)` pass.
+/// `basis` is the only state a later solve reads. Bases past 8·10⁶
+/// predicted factor nonzeros, rank-deficient ones and solves that fail the
+/// [`ACCEPT_TOL`] check take PCGLS, with a Jacobi preconditioner built
+/// from `basis` in one `O(nnz)` pass.
 ///
 /// # Errors
 ///
 /// Typed [`LinalgError`] on degenerate or oversized systems.
 pub fn solve_factored(basis: &BasisCholesky, counters: &[f64]) -> Result<BasisSolve, LinalgError> {
+    solve_within(basis, counters, FILL_LIMIT)
+}
+
+/// [`solve_factored`] with the direct rung capped at `fill_limit`
+/// predicted factor nonzeros.
+fn solve_within(
+    basis: &BasisCholesky,
+    counters: &[f64],
+    fill_limit: usize,
+) -> Result<BasisSolve, LinalgError> {
     let h = basis.basis();
     let rhs = h.transpose_matvec(counters)?;
-    if let Some(x) = solve_direct(basis, &rhs)? {
+    if let Some(x) = solve_direct(basis, &rhs, fill_limit)? {
         return Ok(BasisSolve {
             x,
             iterations: 0,
@@ -154,16 +167,20 @@ pub fn solve_factored(basis: &BasisCholesky, counters: &[f64]) -> Result<BasisSo
 
 /// The factor [`solve_factored`]'s direct rung solves `basis` on, built
 /// and memoized on first demand; `None` when the basis takes PCGLS (past
-/// 4096 columns or 8·10⁶ predicted factor nonzeros, or rank-deficient).
+/// 8·10⁶ predicted factor nonzeros, or rank-deficient).
 pub fn direct_factor(basis: &BasisCholesky) -> Option<Arc<SparseFactor>> {
-    (basis.basis().cols() <= DIRECT_LIMIT).then(|| basis.factor_within(FILL_LIMIT))?
+    basis.factor_within(FILL_LIMIT)
 }
 
 /// The direct rung on the memoized factor, residual-verified with one
 /// refinement step; `None` hands the solve to PCGLS.
-fn solve_direct(basis: &BasisCholesky, rhs: &[f64]) -> Result<Option<Vec<f64>>, LinalgError> {
+fn solve_direct(
+    basis: &BasisCholesky,
+    rhs: &[f64],
+    fill_limit: usize,
+) -> Result<Option<Vec<f64>>, LinalgError> {
     let h = basis.basis();
-    let Some(factor) = direct_factor(basis) else {
+    let Some(factor) = basis.factor_within(fill_limit) else {
         return Ok(None);
     };
     let mut x = factor.solve(rhs)?;
@@ -253,11 +270,11 @@ mod tests {
     }
 
     #[test]
-    fn oversized_direct_limit_forces_pcgls() {
-        // One column past the direct limit: a diagonal basis (column j is
-        // row j, scaled) whose Gram would factor trivially still takes
-        // PCGLS, and never builds a factor.
-        let n = DIRECT_LIMIT + 1;
+    fn a_diagonal_basis_wider_than_4096_columns_factors() {
+        // A diagonal basis (column j is row j, scaled) past the 4,096
+        // columns the engine once capped the direct rung at: its Gram has
+        // one nonzero per column, so the direct rung factors it.
+        let n = 4097;
         let triplets: Vec<Triplet> = (0..n)
             .map(|j| Triplet {
                 row: j,
@@ -268,12 +285,43 @@ mod tests {
         let h = BasisCholesky::new(CsrMatrix::from_triplets(n, n, &triplets).unwrap());
         let y: Vec<f64> = (0..n).map(|i| (i % 13) as f64).collect();
         let out = solve_factored(&h, &y).unwrap();
-        assert_eq!(out.method, SolveMethod::Pcgls);
-        assert!(out.iterations > 0);
-        let fit = h.basis().matvec(&out.x).unwrap();
-        for (f, b) in fit.iter().zip(&y) {
-            assert!((f - b).abs() < 1e-6, "{f} vs {b}");
+        assert_eq!(out.method, SolveMethod::SparseCholesky);
+        for (j, (x, b)) in out.x.iter().zip(&y).enumerate() {
+            let want = b / (1.0 + (j % 7) as f64);
+            assert!((x - want).abs() < 1e-9, "{x} vs {want}");
         }
+        assert!(direct_factor(&h).is_some(), "the factor is memoized");
+    }
+
+    #[test]
+    fn an_over_fill_basis_takes_pcgls_and_forms_its_gram_once() {
+        // Identity rows plus one dense row: the Gram `I + 11ᵀ` is dense,
+        // so its factor predicts 64·65/2 = 2,080 nonzeros, over a limit
+        // of 1,000.
+        let n = 64;
+        let mut triplets: Vec<Triplet> = (0..n)
+            .map(|j| Triplet {
+                row: j,
+                col: j,
+                value: 1.0,
+            })
+            .collect();
+        triplets.extend((0..n).map(|j| Triplet {
+            row: n,
+            col: j,
+            value: 1.0,
+        }));
+        let h = BasisCholesky::new(CsrMatrix::from_triplets(n + 1, n, &triplets).unwrap());
+        let y: Vec<f64> = (0..=n).map(|i| (i % 5) as f64).collect();
+        for _ in 0..3 {
+            let out = solve_within(&h, &y, 1_000).unwrap();
+            assert_eq!(out.method, SolveMethod::Pcgls);
+            let normal = h.basis().transpose_matvec(&y).unwrap();
+            let (_, rel) = normal_residual(h.basis(), &out.x, &normal).unwrap();
+            assert!(rel < 1e-6, "least-squares fit, rel {rel}");
+        }
+        let grams = h.grams.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(grams, 1, "the refusal reads the memoized analysis");
         let (_, factored_now) = h.borrow_or_factor().unwrap();
         assert!(factored_now, "the PCGLS rung memoizes no factor");
     }

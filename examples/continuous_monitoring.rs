@@ -11,7 +11,7 @@
 //! cargo run --release --example continuous_monitoring
 //! ```
 
-use foces::{AlarmState, Fcm, Monitor, MonitorConfig};
+use foces::{AlarmState, Fcm, Monitor};
 use foces_controlplane::{provision, uniform_flows, RuleGranularity};
 use foces_dataplane::{inject_random_anomaly, AnomalyKind, CollectionNoise, LossModel};
 use foces_net::generators::dcell;
@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let flows = uniform_flows(&topo, 380_000.0);
     let mut dep = provision(topo, &flows, RuleGranularity::PerFlowPair)?;
     let fcm = Fcm::from_view(&dep.view);
-    let mut monitor = Monitor::new(fcm, MonitorConfig::default());
+    let mut monitor = Monitor::new(fcm);
     let noise = CollectionNoise::default();
 
     let mut applied = None;

@@ -12,11 +12,13 @@
 //! row-masked system, on FatTree(4) under both rule granularities and on
 //! the ring and line planes whose per-destination FCMs are rank
 //! deficient. Solvers: `EquationSystem` and `IncrementalSolver`, each on
-//! the dense and the sparse backend.
+//! the dense and the sparse backend. An ignored test checks the memo and a
+//! masked verdict on FatTree(8) per-pair, whose basis is 16,256 columns
+//! wide.
 
 use foces::{
-    cross_validate, BackendKind, EquationSystem, Fcm, IncrementalSolver, LooSolver, RankBudget,
-    ShardedFcm, SlicedFcm, SolveOutcome, SolvePath, SolverKind, DEFAULT_THRESHOLD,
+    cross_validate, BackendKind, Detector, EquationSystem, Fcm, IncrementalSolver, LooSolver,
+    RankBudget, ShardedFcm, SlicedFcm, SolveOutcome, SolvePath, SolverKind, DEFAULT_THRESHOLD,
 };
 use foces_controlplane::{provision, uniform_flows, RuleGranularity};
 use foces_dataplane::{LossModel, RuleRef};
@@ -293,4 +295,44 @@ fn a_sweep_factors_once_unless_a_solve_memoized_the_factor() {
     assert_eq!(format!("{second:?}"), format!("{expected:?}"));
     let solver = LooSolver::build(&fcm, &counters, DEFAULT_THRESHOLD).unwrap();
     assert_eq!(solver.cold_factorizations(), 0);
+}
+
+/// FatTree(8) per-pair: 16,256 basis columns with disjoint supports, so
+/// the Gram is diagonal and the engine memoizes its factor however wide
+/// the basis is. A one-switch masked verdict then runs on that factor and
+/// equals the verdict on the explicitly masked copy. Slow in debug builds
+/// (the CI `scale` job runs it in release with `--ignored`).
+#[test]
+#[ignore]
+fn a_wide_per_pair_basis_memoizes_its_factor_and_masks_on_it() {
+    let (fcm, _, counters) = plane(fattree(8), RuleGranularity::PerFlowPair);
+    assert_eq!(fcm.basis_system().cols(), 16_256);
+    let det = Detector::default();
+    det.detect(&fcm, &counters).unwrap();
+    let system = fcm.basis_system();
+    assert!(system.factor_for(BackendKind::Sparse).is_some());
+    let (_, fresh) = system.cholesky().borrow_or_factor().unwrap();
+    assert!(!fresh, "the first solve memoized the factor");
+
+    let switch = fcm.rules()[fcm.rule_count() / 2].switch;
+    let observed: Vec<bool> = fcm.rules().iter().map(|r| r.switch != switch).collect();
+    let (got, removed) = det.detect_without(&fcm, &counters, &observed).unwrap();
+    let masked = fcm.mask_rows(&observed);
+    let want = det.detect_masked(&masked, &counters).unwrap();
+    let at = format!("fattree(8) per-pair without {switch:?}");
+    assert_eq!(removed.rows, masked.masked_row_count(), "{at}");
+    assert_eq!(removed.flows, masked.dropped_flows(), "{at}");
+    assert_eq!(
+        (got.anomalous, got.worst_rule),
+        (want.anomalous, want.worst_rule),
+        "{at}"
+    );
+    let rel = (got.anomaly_index - want.anomaly_index).abs() / want.anomaly_index.max(1.0);
+    assert!(
+        rel <= 1e-9,
+        "{at}: AI {} vs {}",
+        got.anomaly_index,
+        want.anomaly_index
+    );
+    assert_close(&got.solve, &want.solve, &at);
 }

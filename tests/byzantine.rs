@@ -6,7 +6,7 @@
 //! The two halves of the PR's acceptance criteria:
 //! * **Localization within the hysteresis bound**: a single naive liar
 //!   compromised at a known epoch is localized by the leave-one-out
-//!   cross-validation no later than `fake_at + raise_after + 1`, the
+//!   cross-validation no later than `fake_at + raise_k + 1`, the
 //!   localized switch is exactly the compromised one, and no honest
 //!   switch is ever quarantined at any point of the run. After the liar
 //!   confesses, the quarantine is released and the alarm clears.
@@ -84,9 +84,9 @@ fn single_liar_is_localized_within_the_hysteresis_bound() {
     };
     let config = byzantine_config();
     // Localization can only follow the alarm, and the alarm needs
-    // `raise_after` anomalous rounds starting at `fake_at`; the LOO pass
+    // `raise_k` anomalous rounds starting at `fake_at`; the LOO pass
     // gets one more epoch of slack to converge on the culprit.
-    let bound = FAKE_AT + u64::from(config.raise_after) + 1;
+    let bound = FAKE_AT + u64::from(config.hysteresis.raise_k) + 1;
 
     let mut driver = ScenarioDriver::new(testbed(), scenario, config);
     // Step manually: `liar_switches()` is empty until the fake window

@@ -10,7 +10,7 @@
 //!   rebuilt once the view moves on.
 //! * **No blindness either**: the same schedule with a packet-dropping
 //!   compromised switch must still raise the alarm, within the hysteresis
-//!   bound (`raise_after` anomalous rounds) plus the churn-suppression
+//!   bound (`raise_k` anomalous rounds) plus the churn-suppression
 //!   slack — quarantine absorbs updates, not attacks.
 
 use foces_controlplane::{provision, uniform_flows, Deployment, RuleGranularity};
@@ -100,12 +100,13 @@ fn packet_dropper_is_still_caught_under_the_same_churn() {
     let mut scenario = rolling_update_scenario();
     scenario.anomaly_window = Some((ATTACK_AT, EPOCHS));
     let config = RuntimeConfig::default();
-    // Worst-case raise latency: `raise_after` consecutive anomalous
+    // Worst-case raise latency: `raise_k` consecutive anomalous
     // rounds, stretched by the churn-suppression penalty for every churn
     // epoch that can land inside the confirmation window.
+    let h = config.hysteresis;
     let bound = ATTACK_AT
-        + u64::from(config.raise_after)
-        + u64::from(config.churn_suppress + config.churn_penalty)
+        + u64::from(h.raise_k)
+        + u64::from(h.churn_suppress + h.churn_penalty)
         + EPOCHS / CHURN_PERIOD / 2;
 
     let mut driver = ScenarioDriver::new(testbed(), scenario, config);

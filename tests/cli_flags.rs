@@ -87,6 +87,27 @@ fn a_flag_before_the_verb_or_an_unknown_verb_is_rejected() {
     );
 }
 
+/// A window smaller than the raise quorum could never raise the alarm:
+/// `run` refuses it before loading the scenario (exit 1) instead of
+/// widening it silently. The check runs before the file is read, so a
+/// missing file is reported only for a window that passes it.
+#[test]
+fn an_alarm_window_below_the_raise_quorum_is_rejected() {
+    let error = |line: &str| match foces_cli::commands::dispatch(&argv(line)) {
+        Ok(_) => panic!("`foces {line}` ran, expected an error"),
+        Err(e) => e.to_string(),
+    };
+    for n in [0, 1] {
+        let err = error(&format!("run missing.foces --alarm-window {n}"));
+        assert!(
+            err.contains(&format!("--alarm-window {n}: below the raise quorum of 2")),
+            "{err}"
+        );
+    }
+    let err = error("run missing.foces --alarm-window 2");
+    assert!(err.contains("cannot read missing.foces"), "{err}");
+}
+
 /// Every declared partner pair of `verb` is rejected alone and accepted
 /// with its partner; returns the pairs so callers can pin them.
 fn check_needs(verb: &str) -> Vec<(&'static str, &'static str)> {

@@ -88,7 +88,7 @@ fn every_global_split_of_one_update_reconciles_without_alarm() {
 fn a_true_dropper_is_caught_under_every_global_split() {
     let dep = testbed();
     let runtime = RuntimeConfig::default();
-    let bound = UPDATE_AT + runtime.churn_raise_bound();
+    let bound = UPDATE_AT + runtime.hysteresis.churn_raise_bound();
     let cfg = InterleaveConfig {
         updates: 1,
         segments: 4,
