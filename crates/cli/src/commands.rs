@@ -376,14 +376,9 @@ pub fn run_service(args: &Args) -> Result<CmdOutput, CmdError> {
     hysteresis.window = args.num("alarm-window", hysteresis.window)?;
     hysteresis.churn_suppress = args.num("churn-suppress", hysteresis.churn_suppress)?;
     hysteresis.churn_penalty = args.num("churn-penalty", hysteresis.churn_penalty)?;
-    if hysteresis.window < hysteresis.raise_k {
-        return Err(format!(
-            "--alarm-window {}: below the raise quorum of {} anomalous rounds, \
-             so the alarm could never raise",
-            hysteresis.window, hysteresis.raise_k
-        )
-        .into());
-    }
+    hysteresis
+        .check()
+        .map_err(|e| format!("--alarm-window {}: {e}", hysteresis.window))?;
     let (_, dep) = load(args)?;
     let epochs: u64 = args.num("epochs", 30)?;
     let seed: u64 = args.num("seed", 7)?;

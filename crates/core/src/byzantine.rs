@@ -321,7 +321,7 @@ impl LooSolver {
         for &(a, b) in base.cap.merged() {
             group[b] = a;
         }
-        let (out, kept) = base.outcome(&counters, &base.solve(&rhs)?);
+        let (out, kept) = base.outcome(&counters, base.solve(&rhs)?)?;
         let base_err_med = median(&out.residual);
         Ok(LooSolver {
             base_index: anomaly_index(max_with_index(&out.residual).0, base_err_med, &kept),
@@ -431,7 +431,7 @@ impl LooSolver {
         }
         // Residuals over the rows that remain; stranded coordinates of `x`
         // are zero, so the full row fits only kept columns.
-        let (out, kept_counters) = without.outcome(&self.counters, &without.solve(&rhs)?);
+        let (out, kept_counters) = without.outcome(&self.counters, without.solve(&rhs)?)?;
         let err_max = max_with_index(&out.residual).0;
         let ai = anomaly_index(err_max, median(&out.residual), &kept_counters);
         // Consistency is judged in *absolute* terms, anchored to the base

@@ -165,7 +165,7 @@ impl Detector {
     /// mismatch, empty FCM, solver failure).
     pub fn detect(&self, fcm: &Fcm, counters: &[f64]) -> Result<Verdict, FocesError> {
         let solve = self.system.solve(fcm, counters)?;
-        Ok(self.judge(|i| fcm.rules()[i], counters, solve))
+        Ok(self.judge(fcm.rules(), counters, solve))
     }
 
     /// Runs Algorithm 1 through a warm [`crate::IncrementalSolver`],
@@ -184,7 +184,7 @@ impl Detector {
         warm: &mut crate::IncrementalSolver,
     ) -> Result<(Verdict, crate::SolvePath), FocesError> {
         let (solve, path) = warm.solve(fcm, counters)?;
-        Ok((self.judge(|i| fcm.rules()[i], counters, solve), path))
+        Ok((self.judge(fcm.rules(), counters, solve), path))
     }
 
     /// Algorithm 1 on a row-masked sub-FCM (see [`Fcm::mask_rows`]): the
@@ -215,12 +215,12 @@ impl Detector {
         self.detect(masked.fcm(), &masked.project(full_counters))
     }
 
-    /// Forms the verdict from a completed solve, where `rule(i)` is the
-    /// rule of the solve's row `i` — shared with
-    /// [`Detector::detect_without`], whose rows are the kept ones.
+    /// Forms the verdict from a completed solve of the rows `rules` —
+    /// shared with the sliced detector (Algorithm 2), which produces its
+    /// own solves per slice, and with [`Detector::detect_without`].
     pub(crate) fn judge(
         &self,
-        rule: impl FnOnce(usize) -> RuleRef,
+        rules: &[RuleRef],
         counters: &[f64],
         solve: SolveOutcome,
     ) -> Verdict {
@@ -235,7 +235,7 @@ impl Detector {
             anomaly_index,
             err_max,
             err_med,
-            worst_rule: worst_idx.map(rule),
+            worst_rule: worst_idx.map(|i| rules[i]),
             solve,
         }
     }

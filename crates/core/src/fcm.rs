@@ -866,11 +866,6 @@ impl BasisSystem {
         self.group_sizes.len()
     }
 
-    /// Flows per basis column.
-    pub(crate) fn group_sizes(&self) -> &[usize] {
-        &self.group_sizes
-    }
-
     /// The basis with its lazily built Gram factor.
     pub fn cholesky(&self) -> &BasisCholesky {
         &self.cholesky

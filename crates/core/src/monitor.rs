@@ -57,8 +57,8 @@ impl fmt::Display for AlarmState {
 /// Tunables for [`AlarmMachine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HysteresisConfig {
-    /// Sliding window of scored rounds considered for raising. Clamped up
-    /// to `raise_k` (a window smaller than the quorum could never raise).
+    /// Sliding window of scored rounds considered for raising; at least
+    /// `raise_k` (see [`HysteresisConfig::check`]).
     pub window: u32,
     /// Anomalous rounds within the window required to raise.
     pub raise_k: u32,
@@ -87,6 +87,22 @@ impl Default for HysteresisConfig {
 }
 
 impl HysteresisConfig {
+    /// Rejects a window smaller than the raise quorum: it could never hold
+    /// `raise_k` anomalous rounds, so the alarm could never raise.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the quorum.
+    pub fn check(&self) -> Result<(), String> {
+        if self.window < self.raise_k {
+            return Err(format!(
+                "below the raise quorum of {} anomalous rounds, so the alarm could never raise",
+                self.raise_k
+            ));
+        }
+        Ok(())
+    }
+
     /// Worst-case number of rounds between a persistent anomaly first
     /// manifesting during a churn round and the alarm raise: the
     /// churn-suppression window plus its penalty delay the quorum, then
@@ -130,11 +146,14 @@ pub struct AlarmMachine {
 
 impl AlarmMachine {
     /// A machine in [`AlarmState::Normal`] with an empty window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` fails [`HysteresisConfig::check`].
     pub fn new(config: HysteresisConfig) -> Self {
-        let config = HysteresisConfig {
-            window: config.window.max(config.raise_k).max(1),
-            ..config
-        };
+        if let Err(e) = config.check() {
+            panic!("alarm window {}: {e}", config.window);
+        }
         AlarmMachine {
             config,
             state: AlarmState::Normal,
@@ -494,16 +513,14 @@ mod tests {
     }
 
     #[test]
-    fn window_smaller_than_quorum_is_clamped() {
-        let mut m = AlarmMachine::new(HysteresisConfig {
+    #[should_panic(expected = "below the raise quorum of 3")]
+    fn a_window_smaller_than_the_quorum_is_refused() {
+        // A 1-round window could never hold 3 hits.
+        AlarmMachine::new(HysteresisConfig {
             window: 1,
             raise_k: 3,
-            churn_suppress: 0,
             ..HysteresisConfig::default()
         });
-        // A 1-round window could never hold 3 hits; the widened one does.
-        let t = drive(&mut m, &[(true, false), (true, false), (true, false)]);
-        assert!(!t[1].raised && t[2].raised);
     }
 
     fn setup() -> (foces_controlplane::Deployment, Fcm) {

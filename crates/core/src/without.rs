@@ -12,6 +12,7 @@
 use crate::{
     BackendKind, BasisSystem, Detector, Fcm, FocesError, MaskedFcm, SolveOutcome, Verdict,
 };
+use foces_dataplane::RuleRef;
 use foces_linalg::LinalgError;
 use foces_sparse::{Capacitance, SparseFactor};
 use std::sync::Arc;
@@ -74,13 +75,6 @@ impl Kernel {
         }
     }
 
-    /// Flows whose every row the removal took: the members of the
-    /// stranded groups (a factored basis has no empty column).
-    pub(crate) fn blinded_flows(&self) -> usize {
-        let sizes = self.system.group_sizes();
-        self.cap.stranded().iter().map(|&g| sizes[g]).sum()
-    }
-
     /// Whether the removal stranded every basis column.
     pub(crate) fn blind(&self) -> bool {
         self.cap.stranded().len() == self.system.cols()
@@ -96,34 +90,26 @@ impl Kernel {
     }
 
     /// `x`'s outcome over the kept rows and surviving flows, and `y` over
-    /// the kept rows, in one pass over the rows.
-    pub(crate) fn outcome(&self, y: &[f64], x: &[f64]) -> (SolveOutcome, Vec<f64>) {
-        let basis = self.system.basis();
-        let (ptr, cols, vals) = (basis.indptr(), basis.indices(), basis.values());
-        let n = self.kept.iter().filter(|&&k| k).count();
-        // Each surviving group's total splits evenly among its flows, as in
-        // `BasisSystem::expand`.
-        let sizes = self.system.group_sizes();
-        let gone = |g: usize| self.cap.stranded().binary_search(&g).is_ok();
-        let groups = self.system.groups().group_of.iter().filter(|&&g| !gone(g));
-        let mut out = SolveOutcome {
-            volume_estimate: groups.map(|&g| x[g] / sizes[g] as f64).collect(),
-            fitted_counters: Vec::with_capacity(n),
-            residual: Vec::with_capacity(n),
+    /// the kept rows.
+    pub(crate) fn outcome(
+        &self,
+        y: &[f64],
+        x: Vec<f64>,
+    ) -> Result<(SolveOutcome, Vec<f64>), LinalgError> {
+        let mut out = self.system.expand(y, x)?;
+        let kept = |v: &[f64]| -> Vec<f64> {
+            (0..v.len())
+                .filter(|&i| self.kept[i])
+                .map(|i| v[i])
+                .collect()
         };
-        let mut kept_y = Vec::with_capacity(n);
-        for (i, (&k, &yi)) in self.kept.iter().zip(y).enumerate() {
-            if k {
-                let mut f = 0.0;
-                for p in ptr[i]..ptr[i + 1] {
-                    f += vals[p] * x[cols[p]];
-                }
-                out.residual.push((yi - f).abs());
-                out.fitted_counters.push(f);
-                kept_y.push(yi);
-            }
-        }
-        (out, kept_y)
+        out.residual = kept(&out.residual);
+        out.fitted_counters = kept(&out.fitted_counters);
+        let gone = |j: &usize| self.cap.stranded().binary_search(j).is_ok();
+        let groups = self.system.groups().group_of.iter();
+        let volumes = out.volume_estimate.iter().zip(groups);
+        out.volume_estimate = volumes.filter(|(_, g)| !gone(g)).map(|(&v, _)| v).collect();
+        Ok((out, kept(y)))
     }
 }
 
@@ -164,33 +150,25 @@ impl Detector {
         observed: &[bool],
     ) -> Result<(Verdict, Removed), FocesError> {
         crate::solver::check_shape(fcm, counters)?;
-        let rows = observed.iter().filter(|&&o| !o).count();
-        if rows == 0 {
-            let flows = fcm.flows_blinded(observed);
-            return Ok((self.detect(fcm, counters)?, Removed { rows, flows }));
+        let removed = Removed {
+            rows: observed.iter().filter(|&&o| !o).count(),
+            flows: fcm.flows_blinded(observed),
+        };
+        if removed.rows == 0 {
+            return Ok((self.detect(fcm, counters)?, removed));
         }
         let y = zero_unobserved(counters, observed);
         crate::solver::check_counters(fcm, &y)?;
         let kernel = match Kernel::of(fcm, observed, self.system().backend()) {
-            Err(masked) => {
-                let removed = Removed {
-                    rows,
-                    flows: masked.dropped_flows(),
-                };
-                return Ok((self.detect_masked(&masked, &y)?, removed));
-            }
+            Err(masked) => return Ok((self.detect_masked(&masked, &y)?, removed)),
             Ok(kernel) if kernel.blind() => return Err(FocesError::EmptyFcm),
             Ok(kernel) => kernel,
         };
-        let removed = Removed {
-            rows,
-            flows: kernel.blinded_flows(),
-        };
         let x = kernel.solve(&kernel.system.basis().transpose_matvec(&y)?)?;
-        let (solve, kept_y) = kernel.outcome(&y, &x);
-        let kept_rows = (0..observed.len()).filter(|&i| observed[i]);
-        let rule = |i| fcm.rules()[kept_rows.clone().nth(i).expect("a kept row")];
-        Ok((self.judge(rule, &kept_y, solve), removed))
+        let (solve, kept_y) = kernel.outcome(&y, x)?;
+        let rules = fcm.rules().iter().zip(observed);
+        let rules: Vec<RuleRef> = rules.filter(|p| *p.1).map(|p| *p.0).collect();
+        Ok((self.judge(&rules, &kept_y, solve), removed))
     }
 }
 

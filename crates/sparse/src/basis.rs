@@ -76,24 +76,25 @@ impl BasisCholesky {
         Capacitance::with_columns(&self.basis, self.columns(), factor, rows)
     }
 
-    /// The memoized Gram factor, built on first demand, unless its
-    /// predicted fill exceeds `fill_limit` nonzeros (the analysis is kept,
-    /// no factor is built) or the factorization failed. The refusal reads
-    /// the memoized analysis, so only the first call forms the Gram.
+    /// The memoized Gram factor, built on first demand, unless it would
+    /// exceed `fill_limit` nonzeros or the factorization failed. Two
+    /// checks hold the limit: before any Gram is formed, the bound
+    /// `Σ nnz(row)²` on its entries, read in one pass over the row
+    /// pointers; then the analysis' predicted factor nonzeros, which is
+    /// memoized, so only the first call forms the Gram.
     pub(crate) fn factor_within(&self, fill_limit: usize) -> Option<Arc<SparseFactor>> {
-        if self
-            .symbolic
-            .get()
-            .is_some_and(|sym| sym.lnz() > fill_limit)
-        {
-            return None;
-        }
         let factor = match self.factor.get() {
             Some(memo) => memo,
             None => {
+                let ptr = self.basis.indptr();
+                let entries: usize = ptr.windows(2).map(|w| (w[1] - w[0]).pow(2)).sum();
+                let over = |sym: &SymbolicCholesky| sym.lnz() > fill_limit;
+                if entries > fill_limit || self.symbolic.get().is_some_and(over) {
+                    return None;
+                }
                 let gram = self.gram();
                 let sym = self.symbolic_of(&gram);
-                if sym.lnz() > fill_limit {
+                if over(sym) {
                     return None;
                 }
                 self.factor

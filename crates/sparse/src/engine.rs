@@ -1,8 +1,8 @@
 //! The solve engine: [`BackendKind`] selection plus [`solve_factored`] —
 //! the sparse-first ladder (memoized sparse Cholesky → preconditioned
-//! CGLS) with residual-verified acceptance. One rule picks the rung: a
-//! basis whose symbolic analysis predicts at most `FILL_LIMIT` factor
-//! nonzeros is factored, however many columns it has.
+//! CGLS) with residual-verified acceptance. One limit picks the rung: a
+//! basis whose Gram and factor both stay within `FILL_LIMIT` nonzeros is
+//! factored, however many columns it has.
 
 use crate::basis::BasisCholesky;
 use crate::kernels::normal_residual;
@@ -102,13 +102,15 @@ pub struct BasisSolve {
     pub method: SolveMethod,
 }
 
-/// Predicted factor nonzeros above which a basis takes PCGLS instead of
-/// the direct rung, whatever its width. Chosen by timing the `run`
-/// driver's rounds, masked ones included: FatTree(12) per-destination
-/// (31,104 columns, 1.14·10⁶ predicted nonzeros) factors once in ~0.5 s
-/// and then answers a one-switch masked round on its factor in 7–22 ms,
-/// against 25–60 ms by PCGLS on a masked copy (DESIGN.md §18).
-const FILL_LIMIT: usize = 8_000_000;
+/// Nonzeros past which a basis takes PCGLS instead of the direct rung,
+/// whatever its width: the bound `Σ nnz(row)²` on its Gram's entries,
+/// checked before the Gram is formed, and the analysis' predicted factor
+/// nonzeros. Chosen by timing the `run` driver's rounds, masked ones
+/// included: FatTree(8) per-pair (16,256 columns, 16,256 factor
+/// nonzeros) pays for its factor, FatTree(12) per-destination (31,104
+/// columns, 6.5·10⁶ Gram entries, 1.14·10⁶ factor nonzeros) does not —
+/// its factor costs ~0.5 s and slows every full round (DESIGN.md §18).
+const FILL_LIMIT: usize = 1_000_000;
 /// PCGLS convergence tolerance (relative normal-residual).
 const PCGLS_TOL: f64 = 1e-12;
 /// PCGLS iteration budget.
@@ -123,8 +125,8 @@ pub const ACCEPT_TOL: f64 = 1e-6;
 /// Solves `min ‖B x − counters‖` for a basis whose Gram factor is memoized
 /// on `basis`: the direct rung factors at most once per basis and every
 /// later call only solves. It holds nothing across calls; the factor on
-/// `basis` is the only state a later solve reads. Bases past 8·10⁶
-/// predicted factor nonzeros, rank-deficient ones and solves that fail the
+/// `basis` is the only state a later solve reads. Bases past `FILL_LIMIT`
+/// (10⁶ nonzeros), rank-deficient ones and solves that fail the
 /// [`ACCEPT_TOL`] check take PCGLS, with a Jacobi preconditioner built
 /// from `basis` in one `O(nnz)` pass.
 ///
@@ -167,7 +169,7 @@ fn solve_within(
 
 /// The factor [`solve_factored`]'s direct rung solves `basis` on, built
 /// and memoized on first demand; `None` when the basis takes PCGLS (past
-/// 8·10⁶ predicted factor nonzeros, or rank-deficient).
+/// `FILL_LIMIT`, or rank-deficient).
 pub fn direct_factor(basis: &BasisCholesky) -> Option<Arc<SparseFactor>> {
     basis.factor_within(FILL_LIMIT)
 }
@@ -293,12 +295,24 @@ mod tests {
         assert!(direct_factor(&h).is_some(), "the factor is memoized");
     }
 
-    #[test]
-    fn an_over_fill_basis_takes_pcgls_and_forms_its_gram_once() {
-        // Identity rows plus one dense row: the Gram `I + 11ᵀ` is dense,
-        // so its factor predicts 64·65/2 = 2,080 nonzeros, over a limit
-        // of 1,000.
-        let n = 64;
+    /// Three least-squares solves of `h` capped at `limit`, each by PCGLS;
+    /// returns how many Grams they formed.
+    fn grams_of_three_pcgls_solves(h: &BasisCholesky, limit: usize) -> usize {
+        let y: Vec<f64> = (0..h.basis().rows()).map(|i| (i % 5) as f64).collect();
+        for _ in 0..3 {
+            let out = solve_within(h, &y, limit).unwrap();
+            assert_eq!(out.method, SolveMethod::Pcgls);
+            let normal = h.basis().transpose_matvec(&y).unwrap();
+            let (_, rel) = normal_residual(h.basis(), &out.x, &normal).unwrap();
+            assert!(rel < 1e-6, "least-squares fit, rel {rel}");
+        }
+        let (_, factored_now) = h.borrow_or_factor().unwrap();
+        assert!(factored_now, "the PCGLS rung memoizes no factor");
+        h.grams.load(std::sync::atomic::Ordering::Relaxed) - 1
+    }
+
+    /// Identity rows (full rank) plus `extra` rows of `(column, value)`.
+    fn identity_plus(n: usize, extra: &[Vec<(usize, f64)>]) -> BasisCholesky {
         let mut triplets: Vec<Triplet> = (0..n)
             .map(|j| Triplet {
                 row: j,
@@ -306,23 +320,45 @@ mod tests {
                 value: 1.0,
             })
             .collect();
-        triplets.extend((0..n).map(|j| Triplet {
-            row: n,
-            col: j,
-            value: 1.0,
-        }));
-        let h = BasisCholesky::new(CsrMatrix::from_triplets(n + 1, n, &triplets).unwrap());
-        let y: Vec<f64> = (0..=n).map(|i| (i % 5) as f64).collect();
-        for _ in 0..3 {
-            let out = solve_within(&h, &y, 1_000).unwrap();
-            assert_eq!(out.method, SolveMethod::Pcgls);
-            let normal = h.basis().transpose_matvec(&y).unwrap();
-            let (_, rel) = normal_residual(h.basis(), &out.x, &normal).unwrap();
-            assert!(rel < 1e-6, "least-squares fit, rel {rel}");
+        for (r, row) in extra.iter().enumerate() {
+            triplets.extend(row.iter().map(|&(col, value)| Triplet {
+                row: n + r,
+                col,
+                value,
+            }));
         }
-        let grams = h.grams.load(std::sync::atomic::Ordering::Relaxed);
-        assert_eq!(grams, 1, "the refusal reads the memoized analysis");
-        let (_, factored_now) = h.borrow_or_factor().unwrap();
-        assert!(factored_now, "the PCGLS rung memoizes no factor");
+        BasisCholesky::new(CsrMatrix::from_triplets(n + extra.len(), n, &triplets).unwrap())
+    }
+
+    #[test]
+    fn a_basis_whose_gram_bound_exceeds_the_limit_forms_no_gram() {
+        // One dense row of 64: `Σ nnz(row)²` = 64 + 64² = 4,160 entries,
+        // over a limit of 1,000, so the refusal comes before any Gram.
+        let n = 64;
+        let h = identity_plus(n, &[(0..n).map(|j| (j, 1.0)).collect()]);
+        assert_eq!(grams_of_three_pcgls_solves(&h, 1_000), 0);
+    }
+
+    #[test]
+    fn an_over_fill_basis_takes_pcgls_and_forms_its_gram_once() {
+        // A 30×30 grid, one row per edge: the Gram's entries fit a limit
+        // of exactly their bound, but eliminating a grid fills its factor
+        // past it, so the analysis refuses — once; later solves read the
+        // memoized analysis.
+        let k = 30;
+        let mut edges = Vec::new();
+        for i in 0..k {
+            for j in 0..k {
+                if j + 1 < k {
+                    edges.push(vec![(i * k + j, 1.0), (i * k + j + 1, 1.0)]);
+                }
+                if i + 1 < k {
+                    edges.push(vec![(i * k + j, 1.0), ((i + 1) * k + j, 1.0)]);
+                }
+            }
+        }
+        let h = identity_plus(k * k, &edges);
+        let bound = k * k + 4 * edges.len();
+        assert_eq!(grams_of_three_pcgls_solves(&h, bound), 1);
     }
 }

@@ -4,7 +4,7 @@
 //! coverage classifier and the leave-one-out localizer — all sparse, so
 //! the Byzantine and coverage layers never densify a Gram matrix.
 
-use crate::numeric::{SparseCols, SparseFactor};
+use crate::numeric::SparseFactor;
 use crate::symbolic::{ereach, etree, NONE};
 use foces_linalg::{CsrMatrix, LinalgError};
 
@@ -163,7 +163,7 @@ pub struct Capacitance {
     kept: usize,
     corrections: usize,
     /// Columns of `Z` in factor coordinates: stranded, merged, then rows.
-    z: SparseCols,
+    z: Vec<SparseVec>,
     /// Columns of the unit lower factor of `K`, strictly below the
     /// diagonal, as `(row, value)` ascending.
     l: Vec<SparseVec>,
@@ -269,18 +269,11 @@ impl Capacitance {
         // Columns of Vᵀ: the stranded unit vectors, the merged pairs' null
         // vectors, then the corrected rows. `M` stays block diagonal
         // without the rows on stranded columns only.
-        let mut v = SparseCols::new();
-        for &j in &stranded {
-            v.push([(j, 1.0)]);
-        }
-        for &(a, b) in &merged {
-            v.push([(a, 1.0), (b, -1.0)]);
-        }
+        let mut v: Vec<SparseVec> = stranded.iter().map(|&j| vec![(j, 1.0)]).collect();
+        v.extend(merged.iter().map(|&(a, b)| vec![(a, 1.0), (b, -1.0)]));
         let k = v.len();
-        for &r in corrected {
-            v.push(basis.row_iter(r));
-        }
-        let z = factor.forward_sparse(v.iter());
+        v.extend(corrected.iter().map(|&r| basis.row_iter(r).collect()));
+        let z = factor.forward_sparse(v.iter().map(Vec::as_slice));
         let n = factor.dim();
         let (l, d, singular) = ldl_signed(&z, k, n);
         Capacitance {
@@ -392,9 +385,9 @@ impl Capacitance {
         }
         let stranded = |j: &usize| self.stranded.binary_search(j).is_ok();
         let b: SparseVec = rhs.iter().copied().filter(|(j, _)| !stranded(j)).collect();
-        let u = factor.forward_sparse([b.as_slice()]).entries;
+        let u = factor.forward_sparse([b.as_slice()]).remove(0);
         let fit: f64 = u.iter().map(|&(_, v)| v * v).sum();
-        if self.z.len() == 0 {
+        if self.z.is_empty() {
             return Ok(fit);
         }
         let mut dense = vec![0.0f64; factor.dim()];
@@ -573,12 +566,12 @@ fn any_equal_sig(keyed: &[(u64, usize)]) -> bool {
 /// Returns `(L by columns, D, singular)`; `singular` is set, and the
 /// factorization stops, at the first pivot that is not bounded away from
 /// zero with its expected sign.
-fn ldl_signed(z: &SparseCols, k: usize, dim: usize) -> (Vec<SparseVec>, Vec<f64>, bool) {
+fn ldl_signed(z: &[SparseVec], k: usize, dim: usize) -> (Vec<SparseVec>, Vec<f64>, bool) {
     let q = z.len();
     // `Z` by rows (factor coordinates below `dim`), each row's columns
     // ascending: row a of K meets the earlier columns sharing one with z_a.
     let mut start = vec![0usize; dim + 1];
-    for &(i, _) in &z.entries {
+    for &(i, _) in z.iter().flatten() {
         start[i + 1] += 1;
     }
     for i in 0..dim {
@@ -752,7 +745,7 @@ mod tests {
             dense[i] = v;
         }
         let full = f.forward(&dense).unwrap();
-        let sparse = f.forward_sparse([&b[..]]).entries;
+        let sparse = f.forward_sparse([&b[..]]).remove(0);
         let mut scattered = vec![0.0; 5];
         for &(i, v) in &sparse {
             scattered[i] = v;

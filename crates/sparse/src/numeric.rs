@@ -262,11 +262,11 @@ impl SparseFactor {
     pub(crate) fn forward_sparse<'a>(
         &self,
         columns: impl IntoIterator<Item = &'a [(usize, f64)]>,
-    ) -> SparseCols {
+    ) -> Vec<Vec<(usize, f64)>> {
         let mut x = vec![0.0f64; self.n];
         let mut seen = vec![false; self.n];
         let mut reach = Vec::new();
-        let mut out = SparseCols::new();
+        let mut out = Vec::new();
         for rhs in columns {
             for &(orig, v) in rhs {
                 let mut j = self.iperm[orig];
@@ -284,6 +284,7 @@ impl SparseFactor {
             // Every etree ancestor has a larger index, so ascending order
             // is a topological order for the column sweep.
             reach.sort_unstable();
+            let mut z = Vec::with_capacity(reach.len());
             for &j in &reach {
                 seen[j] = false;
                 let xj = std::mem::take(&mut x[j]);
@@ -295,45 +296,13 @@ impl SparseFactor {
                     for p in self.colptr[j] + 1..self.colptr[j + 1] {
                         x[self.rowidx[p]] -= self.values[p] * xj;
                     }
-                    out.entries.push((j, xj));
+                    z.push((j, xj));
                 }
             }
             reach.clear();
-            out.ptr.push(out.entries.len());
+            out.push(z);
         }
         out
-    }
-}
-
-/// Sparse columns stored back to back, so a set of them costs two
-/// allocations: column `a` is `entries[ptr[a]..ptr[a + 1]]`.
-#[derive(Debug, Clone)]
-pub(crate) struct SparseCols {
-    ptr: Vec<usize>,
-    pub(crate) entries: Vec<(usize, f64)>,
-}
-
-impl SparseCols {
-    pub(crate) fn new() -> Self {
-        SparseCols {
-            ptr: vec![0],
-            entries: Vec::new(),
-        }
-    }
-
-    /// Appends one column.
-    pub(crate) fn push(&mut self, col: impl IntoIterator<Item = (usize, f64)>) {
-        self.entries.extend(col);
-        self.ptr.push(self.entries.len());
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.ptr.len() - 1
-    }
-
-    /// The columns in order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &[(usize, f64)]> + '_ {
-        self.ptr.windows(2).map(|w| &self.entries[w[0]..w[1]])
     }
 }
 
