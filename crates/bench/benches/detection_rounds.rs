@@ -4,9 +4,10 @@
 //! costs behind the paper's "minimal computation overhead" claim.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use foces::{Detector, EquationSystem, Fcm, SlicedFcm, SolverKind};
+use foces::{Detector, Fcm, SlicedFcm};
 use foces_bench::{deployment, healthy_counters};
 use foces_controlplane::RuleGranularity;
+use foces_experiments::{solve_cgls, solve_dense_naive};
 use foces_net::generators::{bcube, dcell, fattree, stanford};
 use std::hint::black_box;
 
@@ -28,23 +29,15 @@ fn bench_detection(c: &mut Criterion) {
         let sliced = SlicedFcm::from_fcm(&fcm);
         let counters = healthy_counters(&mut dep);
 
-        let direct = Detector::new(4.5, EquationSystem::new(SolverKind::DirectDense));
+        let direct = Detector::with_threshold(4.5);
         group.bench_with_input(BenchmarkId::new("direct", name), &counters, |b, y| {
             b.iter(|| direct.detect(black_box(&fcm), black_box(y)).unwrap());
         });
-        let naive = Detector::new(4.5, EquationSystem::new(SolverKind::DenseNaive));
         group.bench_with_input(BenchmarkId::new("paper_naive", name), &counters, |b, y| {
-            b.iter(|| naive.detect(black_box(&fcm), black_box(y)).unwrap());
+            b.iter(|| solve_dense_naive(black_box(&fcm), black_box(y)).unwrap());
         });
-        let cgls = Detector::new(
-            4.5,
-            EquationSystem::new(SolverKind::IterativeSparse {
-                tol: 1e-10,
-                max_iter: 5000,
-            }),
-        );
         group.bench_with_input(BenchmarkId::new("cgls", name), &counters, |b, y| {
-            b.iter(|| cgls.detect(black_box(&fcm), black_box(y)).unwrap());
+            b.iter(|| solve_cgls(black_box(&fcm), black_box(y), 1e-10, 5000).unwrap());
         });
         let default = Detector::default();
         group.bench_with_input(BenchmarkId::new("sliced", name), &counters, |b, y| {

@@ -5,9 +5,10 @@
 //! how aggregation changes the solve cost on a fixed topology.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use foces::{Detector, EquationSystem, Fcm, SlicedFcm, SolverKind};
+use foces::{Detector, Fcm, SlicedFcm};
 use foces_controlplane::{provision, uniform_flows, RuleGranularity};
 use foces_dataplane::LossModel;
+use foces_experiments::{solve_cgls, solve_dense_naive};
 use foces_net::generators::fattree;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -33,23 +34,15 @@ fn bench_scaling(c: &mut Criterion) {
     group.sample_size(10);
     for n in [250usize, 500, 1000, 2000] {
         let (fcm, sliced, counters) = setup(n, RuleGranularity::PerDestination);
-        let naive = Detector::new(4.5, EquationSystem::new(SolverKind::DenseNaive));
         group.bench_with_input(BenchmarkId::new("paper_naive", n), &counters, |b, y| {
-            b.iter(|| naive.detect(black_box(&fcm), black_box(y)).unwrap());
+            b.iter(|| solve_dense_naive(black_box(&fcm), black_box(y)).unwrap());
         });
-        let direct = Detector::new(4.5, EquationSystem::new(SolverKind::DirectDense));
+        let direct = Detector::with_threshold(4.5);
         group.bench_with_input(BenchmarkId::new("direct", n), &counters, |b, y| {
             b.iter(|| direct.detect(black_box(&fcm), black_box(y)).unwrap());
         });
-        let cgls = Detector::new(
-            4.5,
-            EquationSystem::new(SolverKind::IterativeSparse {
-                tol: 1e-10,
-                max_iter: 5000,
-            }),
-        );
         group.bench_with_input(BenchmarkId::new("cgls", n), &counters, |b, y| {
-            b.iter(|| cgls.detect(black_box(&fcm), black_box(y)).unwrap());
+            b.iter(|| solve_cgls(black_box(&fcm), black_box(y), 1e-10, 5000).unwrap());
         });
         let default = Detector::default();
         group.bench_with_input(BenchmarkId::new("sliced", n), &counters, |b, y| {
@@ -70,7 +63,7 @@ fn bench_granularity_ablation(c: &mut Criterion) {
         ("per_flow_pair", RuleGranularity::PerFlowPair),
     ] {
         let (fcm, _, counters) = setup(1000, g);
-        let direct = Detector::new(4.5, EquationSystem::new(SolverKind::DirectDense));
+        let direct = Detector::with_threshold(4.5);
         group.bench_with_input(BenchmarkId::new("direct", label), &counters, |b, y| {
             b.iter(|| direct.detect(black_box(&fcm), black_box(y)).unwrap());
         });

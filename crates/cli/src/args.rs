@@ -156,6 +156,17 @@ fn nearest<'a>(name: &str, candidates: impl Iterator<Item = &'a str>) -> Option<
         .map(|(_, c)| c)
 }
 
+/// The values a numeric flag admits beyond what its type parses.
+#[derive(Debug)]
+pub struct Bound {
+    /// The flag, without its dashes.
+    pub flag: &'static str,
+    /// Whether a parsed value is admitted.
+    pub admits: fn(f64) -> bool,
+    /// What an admitted value is, for the error message.
+    pub requirement: &'static str,
+}
+
 /// Parsed command-line arguments for one verb.
 #[derive(Debug, Clone)]
 pub struct Args {
@@ -349,6 +360,26 @@ impl Args {
                 .collect()
         };
         self.opt(name).map(items).transpose()
+    }
+
+    /// Checks the number given for `bound.flag`, when the verb declares
+    /// the flag and the command line gives it. A value that is not a
+    /// number is left to the flag's typed read to report.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError`] naming the flag, its value and the bound's
+    /// requirement when the bound rejects the value.
+    pub fn check(&self, bound: &Bound) -> Result<(), ArgError> {
+        let Some(v) = self.values.get(bound.flag) else {
+            return Ok(());
+        };
+        match v.parse::<f64>() {
+            Ok(x) if !(bound.admits)(x) => Err(self
+                .verb
+                .error(format_args!("--{} {v}: {}", bound.flag, bound.requirement))),
+            _ => Ok(()),
+        }
     }
 
     fn parse_one<T: FromStr<Err: fmt::Display>>(&self, name: &str, v: &str) -> Result<T, ArgError> {

@@ -2,7 +2,7 @@
 //! parsed arguments to a report string, so the test suite can drive them
 //! without process spawning.
 
-use crate::args::{self, ArgError, Args, Verb};
+use crate::args::{self, ArgError, Args, Bound, Verb};
 use foces::{
     analyze_cluster_coverage, analyze_coverage, audit_deviations, harden, localize, AlarmState,
     CoverageConfig, CoverageReport, Detector, Fcm, HysteresisConfig, Monitor, ShardedFcm,
@@ -143,11 +143,26 @@ pub const VERBS: &[Verb] = &[
         about: "this text, or one verb's entry" },
 ];
 
-/// Parses a command line against [`VERBS`] without running anything: the
-/// parse step of [`dispatch`], exposed so tests can check a command line.
+/// Parses a command line against [`VERBS`] and checks its numeric bounds
+/// without running anything: the parse step of [`dispatch`], exposed so
+/// tests can check a command line.
 pub fn parse(raw: &[String]) -> Result<Args, ArgError> {
-    args::parse(VERBS, raw)
+    let args = args::parse(VERBS, raw)?;
+    for bound in BOUNDS {
+        args.check(bound)?;
+    }
+    Ok(args)
 }
+
+/// The numeric flags whose type does not bound them, with the values they
+/// admit. [`parse`] checks each once, for every verb that declares it.
+#[rustfmt::skip]
+const BOUNDS: &[Bound] = &[
+    Bound { flag: "threshold", admits: |t| t > 0.0, requirement: "must be positive" },
+    Bound { flag: "loss", admits: |p| (0.0..1.0).contains(&p), requirement: "must be in [0, 1)" },
+    Bound { flag: "queue-capacity", admits: |n| n >= 1.0, requirement: "must be at least 1" },
+    Bound { flag: "shards", admits: |k| k >= 1.0, requirement: "must be at least 1" },
+];
 
 fn load(args: &Args) -> Result<(Scenario, Deployment), CmdError> {
     let path = args.positional(0).ok_or("missing scenario file argument")?;

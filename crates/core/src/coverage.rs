@@ -72,6 +72,7 @@ use foces_sparse::{BasisCholesky, Capacitance, SparseFactor};
 
 use crate::error::FocesError;
 use crate::fcm::Fcm;
+use crate::json::json_str;
 use crate::shard::ShardedFcm;
 
 /// Severity of a coverage finding.
@@ -275,16 +276,12 @@ impl CoverageFinding {
         if self.score.is_finite() {
             s.push_str(&format!(",\"score\":{:.6}", self.score));
         }
-        s.push_str(",\"detail\":\"");
-        s.push_str(&json_escape(&self.detail));
-        s.push('"');
+        s.push_str(",\"detail\":");
+        s.push_str(&json_str(&self.detail));
         if let Some(cert) = &self.certificate {
-            s.push_str(",\"certificate\":\"");
-            s.push_str(&json_escape(&cert.to_string()));
-            s.push_str(&format!(
-                "\",\"certificate_residual\":{:.6e}",
-                cert.residual
-            ));
+            s.push_str(",\"certificate\":");
+            s.push_str(&json_str(&cert.to_string()));
+            s.push_str(&format!(",\"certificate_residual\":{:.6e}", cert.residual));
         }
         s.push('}');
         s
@@ -870,24 +867,6 @@ impl SwitchAnalysis<'_> {
         }
         sole
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars) —
-/// mirrors `foces-verify`'s report rendering.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

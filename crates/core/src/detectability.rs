@@ -299,29 +299,6 @@ pub fn undetectable_by_rank(fcm: &Fcm, deviated_history: &[RuleRef]) -> Result<b
     Ok(SpanOracle::new(fcm).contains_rows(&rows))
 }
 
-/// Convenience inverse of [`undetectable_by_rank`].
-///
-/// # Errors
-///
-/// [`FocesError::UnknownRule`] if the history references a rule the FCM
-/// does not know (the FCM is stale relative to the plane).
-///
-/// # Example
-///
-/// ```
-/// use foces::{is_detectable, testkit};
-///
-/// // Fig. 2 / Eq. (6): the same deviation against the Fig. 2 FCM is
-/// // detectable (rule r4 is otherwise unused).
-/// let fcm = testkit::paper_fig2_fcm();
-/// let r = fcm.rules();
-/// assert!(is_detectable(&fcm, &[r[0], r[1], r[3], r[4], r[5]])?);
-/// # Ok::<(), foces::FocesError>(())
-/// ```
-pub fn is_detectable(fcm: &Fcm, deviated_history: &[RuleRef]) -> Result<bool, FocesError> {
-    Ok(!undetectable_by_rank(fcm, deviated_history)?)
-}
-
 /// Theorem 2's graph condition, evaluated as a *necessary* test: returns
 /// `true` iff some switch's RBG with respect to `H̃ = H ∪ {deviated}`
 /// contains a (multigraph) loop.
@@ -358,7 +335,6 @@ mod tests {
     #[test]
     fn fig2_deviation_is_detectable() {
         let fcm = paper_fig2_fcm();
-        assert!(is_detectable(&fcm, &deviated(&fcm)).unwrap());
         assert!(!undetectable_by_rank(&fcm, &deviated(&fcm)).unwrap());
     }
 
@@ -398,7 +374,7 @@ mod tests {
         // cannot be explained by any benign combination.
         let fcm = paper_fig2_fcm();
         let r = fcm.rules();
-        assert!(is_detectable(&fcm, &[r[3]]).unwrap());
+        assert!(!undetectable_by_rank(&fcm, &[r[3]]).unwrap());
     }
 
     #[test]
@@ -412,7 +388,7 @@ mod tests {
         let r = fcm.rules();
         let dev = [r[3]];
         assert!(!rbg_loop_exists(&fcm, &dev));
-        assert!(is_detectable(&fcm, &dev).unwrap());
+        assert!(!undetectable_by_rank(&fcm, &dev).unwrap());
     }
 
     #[test]
@@ -427,7 +403,7 @@ mod tests {
         let r = fcm.rules();
         let dev = [r[0], r[3]];
         assert!(rbg_loop_exists(&fcm, &dev));
-        assert!(is_detectable(&fcm, &dev).unwrap());
+        assert!(!undetectable_by_rank(&fcm, &dev).unwrap());
     }
 
     #[test]

@@ -4,24 +4,6 @@ use crate::{
 use foces_dataplane::RuleRef;
 use std::fmt;
 
-/// The denominator of the anomaly index (ablation knob).
-///
-/// The paper uses the **median** of the error vector: under the
-/// "majority good" assumption most residuals are pure noise, and the
-/// median is immune to the few anomaly-inflated entries. The mean is the
-/// obvious alternative — cheaper conceptually but *not* robust: a single
-/// huge residual inflates the denominator and suppresses the index. The
-/// `granularity/statistic` benches quantify the difference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[non_exhaustive]
-pub enum IndexStatistic {
-    /// `Err_max / Err_med` — the paper's Algorithm 1.
-    #[default]
-    MaxOverMedian,
-    /// `Err_max / Err_mean` — ablation variant.
-    MaxOverMean,
-}
-
 /// The Threshold-based Detector of the FOCES architecture — Algorithm 1 of
 /// the paper.
 ///
@@ -56,19 +38,14 @@ pub enum IndexStatistic {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Detector {
     threshold: f64,
-    system: EquationSystem,
-    statistic: IndexStatistic,
+    backend: BackendKind,
 }
 
 impl Default for Detector {
-    /// The paper's configuration: threshold 4.5, automatic solver choice,
-    /// max/median index.
+    /// The paper's threshold 4.5 on the default ([`BackendKind::Sparse`])
+    /// backend.
     fn default() -> Self {
-        Detector {
-            threshold: DEFAULT_THRESHOLD,
-            system: EquationSystem::default(),
-            statistic: IndexStatistic::MaxOverMedian,
-        }
+        Detector::with_threshold(DEFAULT_THRESHOLD)
     }
 }
 
@@ -82,8 +59,7 @@ pub struct Verdict {
     pub anomaly_index: f64,
     /// Maximum of the error vector.
     pub err_max: f64,
-    /// The denominator statistic of the error vector (median by default,
-    /// mean under [`IndexStatistic::MaxOverMean`]).
+    /// Median of the error vector.
     pub err_med: f64,
     /// The rule with the largest residual — a hint for localization.
     pub worst_rule: Option<RuleRef>,
@@ -105,46 +81,25 @@ impl fmt::Display for Verdict {
 }
 
 impl Detector {
-    /// Creates a detector with an explicit threshold and solver.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is not positive.
-    pub fn new(threshold: f64, system: EquationSystem) -> Self {
-        assert!(threshold > 0.0, "threshold must be positive");
-        Detector {
-            threshold,
-            system,
-            statistic: IndexStatistic::MaxOverMedian,
-        }
-    }
-
-    /// Switches the anomaly-index denominator (ablation; see
-    /// [`IndexStatistic`]).
-    pub fn with_statistic(mut self, statistic: IndexStatistic) -> Self {
-        self.statistic = statistic;
-        self
-    }
-
-    /// Runs every solve of this detector on `backend` (see
-    /// [`EquationSystem::with_backend`]).
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.system = self.system.with_backend(backend);
-        self
-    }
-
-    /// The configured index statistic.
-    pub fn statistic(&self) -> IndexStatistic {
-        self.statistic
-    }
-
-    /// Creates a detector with the given threshold and the default solver.
+    /// Creates a detector with the given threshold on the default
+    /// backend.
     ///
     /// # Panics
     ///
     /// Panics if `threshold` is not positive.
     pub fn with_threshold(threshold: f64) -> Self {
-        Detector::new(threshold, EquationSystem::default())
+        assert!(threshold > 0.0, "threshold must be positive");
+        Detector {
+            threshold,
+            backend: BackendKind::default(),
+        }
+    }
+
+    /// Runs every solve of this detector on `backend` (see
+    /// [`EquationSystem::new`]).
+    pub fn with_backend(mut self, backend: BackendKind) -> Self {
+        self.backend = backend;
+        self
     }
 
     /// The detection threshold.
@@ -152,9 +107,9 @@ impl Detector {
         self.threshold
     }
 
-    /// The configured solver.
-    pub fn system(&self) -> EquationSystem {
-        self.system
+    /// The backend every solve of this detector runs on.
+    pub fn backend(&self) -> BackendKind {
+        self.backend
     }
 
     /// Runs Algorithm 1 on a counter snapshot.
@@ -164,7 +119,7 @@ impl Detector {
     /// Propagates [`FocesError`] from the equation-system solve (length
     /// mismatch, empty FCM, solver failure).
     pub fn detect(&self, fcm: &Fcm, counters: &[f64]) -> Result<Verdict, FocesError> {
-        let solve = self.system.solve(fcm, counters)?;
+        let solve = EquationSystem::new(self.backend).solve(fcm, counters)?;
         Ok(self.judge(fcm.rules(), counters, solve))
     }
 
@@ -225,10 +180,7 @@ impl Detector {
         solve: SolveOutcome,
     ) -> Verdict {
         let (err_max, worst_idx) = max_with_index(&solve.residual);
-        let err_med = match self.statistic {
-            IndexStatistic::MaxOverMedian => median(&solve.residual),
-            IndexStatistic::MaxOverMean => mean(&solve.residual),
-        };
+        let err_med = median(&solve.residual);
         let anomaly_index = anomaly_index(err_max, err_med, counters);
         Verdict {
             anomalous: anomaly_index > self.threshold,
@@ -247,18 +199,18 @@ pub(crate) fn noise_floor(counters: &[f64]) -> f64 {
     1e-7 * counters.iter().fold(1.0_f64, |m, v| m.max(v.abs()))
 }
 
-/// `AI = err_max / err_stat` above the [`noise_floor`] (0 when `err_max`
-/// is round-off, infinite when only `err_stat` is): without the floor a
+/// `AI = err_max / err_med` above the [`noise_floor`] (0 when `err_max`
+/// is round-off, infinite when only `err_med` is): without the floor a
 /// noiseless healthy network (median 1e-13, max 1e-11) would produce a
 /// huge spurious AI.
-pub(crate) fn anomaly_index(err_max: f64, err_stat: f64, counters: &[f64]) -> f64 {
+pub(crate) fn anomaly_index(err_max: f64, err_med: f64, counters: &[f64]) -> f64 {
     let eps = noise_floor(counters);
     if err_max <= eps {
         0.0
-    } else if err_stat <= eps {
+    } else if err_med <= eps {
         f64::INFINITY
     } else {
-        err_max / err_stat
+        err_max / err_med
     }
 }
 
@@ -273,14 +225,6 @@ pub(crate) fn max_with_index(v: &[f64]) -> (f64, Option<usize>) {
         }
     }
     (best, idx)
-}
-
-fn mean(v: &[f64]) -> f64 {
-    if v.is_empty() {
-        0.0
-    } else {
-        v.iter().sum::<f64>() / v.len() as f64
-    }
 }
 
 /// Median; averages the two central elements for even lengths. Returns 0
@@ -510,35 +454,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_threshold_rejected() {
         Detector::with_threshold(0.0);
-    }
-
-    #[test]
-    fn mean_statistic_is_less_robust_than_median() {
-        // With the anomaly inflating the denominator, max/mean yields a
-        // smaller index than max/median — the reason the paper uses the
-        // median. Verify the ordering on a real anomalous round.
-        let (fcm, mut dep) = setup(bcube(1, 4));
-        let mut rng = StdRng::seed_from_u64(21);
-        inject_random_anomaly(
-            &mut dep.dataplane,
-            AnomalyKind::PathDeviation,
-            &mut rng,
-            &[],
-        )
-        .unwrap();
-        let mut loss = LossModel::sampled(0.05, 5);
-        dep.replay_traffic(&mut loss);
-        let counters = dep.dataplane.collect_counters();
-        let med = Detector::default().detect(&fcm, &counters).unwrap();
-        let mean = Detector::default()
-            .with_statistic(IndexStatistic::MaxOverMean)
-            .detect(&fcm, &counters)
-            .unwrap();
-        assert!(med.anomaly_index > mean.anomaly_index, "{med} vs {mean}");
-        assert_eq!(
-            Detector::default().statistic(),
-            IndexStatistic::MaxOverMedian
-        );
     }
 
     #[test]

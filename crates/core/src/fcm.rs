@@ -364,7 +364,7 @@ impl Fcm {
     }
 
     /// Every flow's rules in path order, one list per column: the
-    /// histories the RBG analyses ([`crate::Rbg::build`]) read.
+    /// histories the RBG analyses ([`crate::rbg::Rbg::build`]) read.
     pub fn histories(&self) -> Vec<Vec<RuleRef>> {
         (0..self.flow_count())
             .map(|j| self.flow_rules(j).collect())
@@ -889,7 +889,7 @@ impl BasisSystem {
     ///
     /// [`foces_linalg::LinalgError::DimensionMismatch`] if `x_basis` is
     /// not one entry per basis column.
-    pub(crate) fn expand(
+    pub fn expand(
         &self,
         counters: &[f64],
         x_basis: Vec<f64>,

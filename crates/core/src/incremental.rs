@@ -21,7 +21,7 @@
 //! tolerance, so a verdict can never differ — is pinned by the property
 //! tests in `tests/incremental_props.rs`.
 
-use crate::{BasisSystem, EquationSystem, Fcm, FocesError, SolveOutcome, SolverKind};
+use crate::{BasisSystem, EquationSystem, Fcm, FocesError, SolveOutcome};
 use foces_controlplane::ControllerView;
 use foces_dataplane::RuleRef;
 use foces_net::HostId;
@@ -282,9 +282,9 @@ impl IncrementalSolver {
         self.last.is_some()
     }
 
-    /// Solves `min ‖H·X − Y'‖` like [`crate::EquationSystem::solve`] with
-    /// [`crate::SolverKind::DirectDense`] on the same backend. Returns the
-    /// outcome together with the [`SolvePath`] taken.
+    /// Solves `min ‖H·X − Y'‖` like [`crate::EquationSystem::solve`] on
+    /// the same backend. Returns the outcome together with the
+    /// [`SolvePath`] taken.
     ///
     /// # Errors
     ///
@@ -301,9 +301,7 @@ impl IncrementalSolver {
     ) -> Result<(SolveOutcome, SolvePath), FocesError> {
         if self.backend == BackendKind::Dense {
             self.last_iterations = 0;
-            let outcome = EquationSystem::new(SolverKind::DirectDense)
-                .with_backend(BackendKind::Dense)
-                .solve(fcm, counters)?;
+            let outcome = EquationSystem::new(BackendKind::Dense).solve(fcm, counters)?;
             return Ok((outcome, SolvePath::Cold));
         }
         crate::solver::check_counters(fcm, counters)?;

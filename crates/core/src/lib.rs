@@ -31,7 +31,7 @@
 //! compromised switch ([`localize`], the paper's future work).
 //!
 //! The theory lives in [`rbg`] and the detectability oracle
-//! ([`SpanOracle`], [`is_detectable`] / [`undetectable_by_rank`]): an anomaly is
+//! ([`SpanOracle`], [`undetectable_by_rank`]): an anomaly is
 //! undetectable iff the deviated flow column stays inside the FCM's column
 //! span (Theorem 1), which reduces to a loop in a per-switch rule bipartite
 //! graph (Theorem 2).
@@ -70,6 +70,7 @@ mod error;
 mod fcm;
 mod harden;
 mod incremental;
+mod json;
 mod localize;
 mod monitor;
 pub mod rbg;
@@ -91,22 +92,20 @@ pub use coverage::{
     CoverageFinding, CoverageKind, CoverageReport, CoverageSeverity, LooClass, ShardCoverage,
     SwitchCoverage,
 };
-pub use detectability::{
-    coverage_without, is_detectable, rbg_loop_exists, undetectable_by_rank, SpanOracle,
-};
-pub use detector::{Detector, IndexStatistic, Verdict};
+pub use detectability::{coverage_without, rbg_loop_exists, undetectable_by_rank, SpanOracle};
+pub use detector::{Detector, Verdict};
 pub use error::FocesError;
 pub use fcm::{BasisSystem, ColumnGroups, Fcm, MaskedFcm};
 pub use harden::{harden, HardeningOutcome};
 pub use incremental::{FcmDelta, IncrementalSolver, RankBudget, SolvePath};
-pub use localize::{localize, localize_differential, SwitchSuspicion};
+pub use json::{json_f64, json_str};
+pub use localize::{localize, SwitchSuspicion};
 pub use monitor::{
     AlarmMachine, AlarmState, AlarmTransition, HysteresisConfig, Monitor, MonitorReport,
 };
-pub use rbg::Rbg;
 pub use shard::{ShardUnionVerdict, ShardView, ShardedFcm};
 pub use slicing::{SlicedFcm, SlicedVerdict};
-pub use solver::{EquationSystem, SolveOutcome, SolverKind};
+pub use solver::{EquationSystem, SolveOutcome};
 pub use without::Removed;
 // Backend selection comes from the sparse engine crate; re-exported so
 // downstream crates (runtime, cluster, ingest, cli) need no direct

@@ -290,14 +290,8 @@ pub struct Monitor {
 impl Monitor {
     /// Creates a monitor with the default [`Detector`].
     pub fn new(fcm: Fcm) -> Self {
-        Monitor::with_detector(fcm, Detector::default())
-    }
-
-    /// Creates a monitor with an explicit detector (custom threshold or
-    /// solver).
-    pub fn with_detector(fcm: Fcm, detector: Detector) -> Self {
         Monitor {
-            detector,
+            detector: Detector::default(),
             sliced: SlicedFcm::from_fcm(&fcm),
             fcm,
             alarm: AlarmMachine::new(HysteresisConfig::default()),
@@ -320,16 +314,6 @@ impl Monitor {
     /// The retained verdict history, oldest first.
     pub fn history(&self) -> impl Iterator<Item = &Verdict> {
         self.history.iter()
-    }
-
-    /// Swaps in a new FCM (reactive flows arrived or departed, or the
-    /// configuration was hardened) without losing alarm state. The verdict
-    /// history is kept; slices are rebuilt. Remember that the
-    /// counter-vector layout follows the new FCM's rule universe from the
-    /// next [`Monitor::ingest`] on.
-    pub fn replace_fcm(&mut self, fcm: Fcm) {
-        self.sliced = SlicedFcm::from_fcm(&fcm);
-        self.fcm = fcm;
     }
 
     /// Ingests one counter snapshot and advances the alarm machine.
@@ -628,34 +612,6 @@ mod tests {
             m.ingest(&counters).unwrap();
         }
         assert_eq!(m.history().count(), HISTORY);
-    }
-
-    #[test]
-    fn replace_fcm_keeps_alarm_state() {
-        let (mut dep, fcm) = setup();
-        let mut m = Monitor::new(fcm);
-        m.ingest(&healthy_round(&mut dep, 0)).unwrap();
-        // Reactively add a flow; rebuild and swap the FCM.
-        let extra = foces_controlplane::FlowSpec {
-            src: foces_net::HostId(0),
-            dst: foces_net::HostId(9),
-            rate: 1000.0,
-        };
-        // The pair may exist already in all-pairs; remove it first from the
-        // monitor's perspective by just re-adding (idempotent rules).
-        let _ = dep.add_flow(extra);
-        let new_fcm = Fcm::from_view(&dep.view);
-        let expected_len = new_fcm.rule_count();
-        m.replace_fcm(new_fcm);
-        assert_eq!(m.state(), AlarmState::Normal);
-        assert_eq!(m.rounds(), 1, "history preserved");
-        // Next ingest must use the new layout.
-        dep.dataplane.reset_counters();
-        dep.replay_traffic(&mut LossModel::none());
-        let counters = dep.dataplane.collect_counters();
-        assert_eq!(counters.len(), expected_len);
-        let r = m.ingest(&counters).unwrap();
-        assert!(!r.verdict.anomalous);
     }
 
     #[test]

@@ -425,7 +425,8 @@ impl ShardView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Rbg, DEFAULT_THRESHOLD};
+    use crate::rbg::Rbg;
+    use crate::DEFAULT_THRESHOLD;
     use foces_controlplane::{provision, uniform_flows, RuleGranularity};
     use foces_dataplane::{inject_random_anomaly, AnomalyKind, LossModel, RuleRef};
     use foces_net::generators::{bcube, fattree};

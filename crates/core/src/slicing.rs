@@ -3,7 +3,7 @@
 //! A slice is the region shard of a one-switch region: [`SlicedFcm`] is a
 //! [`ShardedFcm`] over [`Partition::per_switch`], re-labelled by switch.
 //! The paper's definition of the slice rule set, the switch's RBG
-//! ([`Rbg::slicing_rules`](crate::Rbg::slicing_rules)), is the reference
+//! ([`Rbg::slicing_rules`](crate::rbg::Rbg::slicing_rules)), is the reference
 //! the shard constructor is tested against.
 
 use crate::{Detector, Fcm, FocesError, ShardedFcm, Verdict};

@@ -2,42 +2,11 @@ use crate::{Fcm, FocesError};
 use foces_linalg::{lstsq, lstsq_sparse, DenseMatrix, LinalgError, LstsqMethod};
 use foces_sparse::BackendKind;
 
-/// Strategy for solving the flow-counter equation system.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[non_exhaustive]
-pub enum SolverKind {
-    /// Direct solve of the normal equations (the paper's Eq. 4) over the
-    /// FCM's deduplicated basis, through the configured [`BackendKind`]:
-    /// the sparse engine on the FCM's memoized factor, or a per-call dense
-    /// factor with a QR fallback on numerically deficient input. Falls
-    /// back to CGLS when the Gram is singular.
-    #[default]
-    DirectDense,
-    /// Iterative sparse CGLS: `O(nnz)` per iteration, the scalability path
-    /// for large FCMs (paper Fig. 12's 12 K-flow regime).
-    IterativeSparse {
-        /// Relative convergence tolerance on the normal-equation residual.
-        tol: f64,
-        /// Iteration budget.
-        max_iter: usize,
-    },
-    /// The paper's Eq. (4) pipeline taken literally, with no structure
-    /// exploitation: densify the basis, form `HᵀH` by dense matmul,
-    /// explicitly invert it, then multiply. This is how the paper's
-    /// NumPy prototype computes a detection round, and it is what the
-    /// Fig. 12 scalability experiment times as "FOCES without slicing" —
-    /// [`SolverKind::DirectDense`] exploits the FCM's block structure and
-    /// would hide the `O(N³)` curve the paper reports.
-    DenseNaive,
-}
+/// CGLS tolerance of the fallback for a singular Gram.
+const CGLS_TOL: f64 = 1e-10;
 
-impl SolverKind {
-    /// Default CGLS tolerance.
-    pub const DEFAULT_TOL: f64 = 1e-10;
-
-    /// Default CGLS iteration budget.
-    pub const DEFAULT_MAX_ITER: usize = 5000;
-}
+/// CGLS iteration budget of the fallback for a singular Gram.
+const CGLS_MAX_ITER: usize = 5000;
 
 /// Result of one equation-system solve (one detection round's numerics).
 #[derive(Debug, Clone, PartialEq)]
@@ -57,10 +26,16 @@ pub struct SolveOutcome {
 /// given the FCM and a collected counter vector, produces the least-squares
 /// volume estimate and the residual.
 ///
+/// It solves the normal equations (the paper's Eq. 4) over the FCM's
+/// deduplicated basis through the configured [`BackendKind`]: the sparse
+/// engine on the FCM's memoized factor (the default), or a per-call dense
+/// factor with a QR fallback on numerically deficient input. A singular
+/// Gram falls back to CGLS on the full FCM.
+///
 /// # Example
 ///
 /// ```
-/// use foces::{EquationSystem, Fcm, SolverKind};
+/// use foces::{BackendKind, EquationSystem, Fcm};
 /// use foces_controlplane::{provision, uniform_flows, RuleGranularity};
 /// use foces_dataplane::LossModel;
 /// use foces_net::generators::fattree;
@@ -71,7 +46,7 @@ pub struct SolveOutcome {
 /// let mut dep = provision(topo, &flows, RuleGranularity::PerDestination)?;
 /// let fcm = Fcm::from_view(&dep.view);
 /// dep.replay_traffic(&mut LossModel::none());
-/// let outcome = EquationSystem::new(SolverKind::DirectDense)
+/// let outcome = EquationSystem::new(BackendKind::Sparse)
 ///     .solve(&fcm, &dep.dataplane.collect_counters())?;
 /// // Healthy, lossless network: residual is (numerically) zero.
 /// assert!(outcome.residual.iter().all(|r| r.abs() < 1e-6));
@@ -80,38 +55,16 @@ pub struct SolveOutcome {
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EquationSystem {
-    kind: SolverKind,
     backend: BackendKind,
 }
 
 impl EquationSystem {
-    /// Creates a solver with the given strategy and the default
-    /// ([`BackendKind::Sparse`]) backend, which solves on the factor
-    /// memoized on each FCM's basis.
-    pub fn new(kind: SolverKind) -> Self {
-        EquationSystem {
-            kind,
-            backend: BackendKind::default(),
-        }
-    }
-
-    /// Selects the solve backend: `Sparse` (the default: AMD + sparse
+    /// Creates a solver on `backend`: `Sparse` (the default: AMD + sparse
     /// Cholesky memoized per FCM, PCGLS fallback), `Auto` (the same), or
     /// `Dense`, which forms and factors the dense Gram on every call — the
     /// independent reference, refused past the dense allocation cap.
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// The configured strategy.
-    pub fn kind(&self) -> SolverKind {
-        self.kind
-    }
-
-    /// The configured storage backend.
-    pub fn backend(&self) -> BackendKind {
-        self.backend
+    pub fn new(backend: BackendKind) -> Self {
+        EquationSystem { backend }
     }
 
     /// Solves `min ‖H·X − Y'‖` and derives `Ŷ` and `Δ`.
@@ -129,28 +82,16 @@ impl EquationSystem {
     /// * [`FocesError::Solver`] if every solve path fails.
     pub fn solve(&self, fcm: &Fcm, counters: &[f64]) -> Result<SolveOutcome, FocesError> {
         check_counters(fcm, counters)?;
-        match self.kind {
-            SolverKind::DirectDense => match solve_direct(fcm, counters, self.backend) {
-                Ok(out) => Ok(out),
-                // Residual dependencies beyond duplicate columns: fall back
-                // to the iterative path, which tolerates rank deficiency.
-                Err(
-                    LinalgError::NotPositiveDefinite { .. }
-                    | LinalgError::SingularTriangular { .. }
-                    | LinalgError::RankDeficient { .. },
-                ) => solve_iterative(
-                    fcm,
-                    counters,
-                    SolverKind::DEFAULT_TOL,
-                    SolverKind::DEFAULT_MAX_ITER,
-                )
-                .map_err(FocesError::from),
-                Err(e) => Err(e.into()),
-            },
-            SolverKind::IterativeSparse { tol, max_iter } => {
-                solve_iterative(fcm, counters, tol, max_iter).map_err(FocesError::from)
-            }
-            SolverKind::DenseNaive => solve_naive(fcm, counters).map_err(FocesError::from),
+        match solve_direct(fcm, counters, self.backend) {
+            Ok(out) => Ok(out),
+            // Residual dependencies beyond duplicate columns: fall back to
+            // the iterative path, which tolerates rank deficiency.
+            Err(
+                LinalgError::NotPositiveDefinite { .. }
+                | LinalgError::SingularTriangular { .. }
+                | LinalgError::RankDeficient { .. },
+            ) => solve_iterative(fcm, counters).map_err(FocesError::from),
+            Err(e) => Err(e.into()),
         }
     }
 }
@@ -183,18 +124,6 @@ pub(crate) fn check_counters(fcm: &Fcm, counters: &[f64]) -> Result<(), FocesErr
         }),
         None => Ok(()),
     }
-}
-
-/// Paper-literal pipeline: `X̂ = (HᵀH)⁻¹ Hᵀ Y'` with dense, structure-blind
-/// operations throughout (see [`SolverKind::DenseNaive`]).
-fn solve_naive(fcm: &Fcm, counters: &[f64]) -> Result<SolveOutcome, LinalgError> {
-    let system = fcm.basis_system();
-    let h_basis = system.basis().try_to_dense()?;
-    let gram = h_basis.transpose().matmul(&h_basis)?;
-    let inv = foces_linalg::Cholesky::factor(&gram)?.inverse()?;
-    let rhs = h_basis.transpose_matvec(counters)?;
-    let x_basis = inv.matvec(&rhs)?;
-    system.expand(counters, x_basis)
 }
 
 /// Direct path: solve over the FCM's memoized deduplicated basis
@@ -245,13 +174,8 @@ fn solve_basis_cholesky(
 /// Iterative path: CGLS on the full sparse FCM. Duplicate columns are fine:
 /// starting from zero, CGLS converges to the minimum-norm least-squares
 /// solution, which splits duplicate-group volumes evenly by symmetry.
-fn solve_iterative(
-    fcm: &Fcm,
-    counters: &[f64],
-    tol: f64,
-    max_iter: usize,
-) -> Result<SolveOutcome, LinalgError> {
-    let sol = lstsq_sparse(fcm.sparse(), counters, tol, max_iter)?;
+fn solve_iterative(fcm: &Fcm, counters: &[f64]) -> Result<SolveOutcome, LinalgError> {
+    let sol = lstsq_sparse(fcm.sparse(), counters, CGLS_TOL, CGLS_MAX_ITER)?;
     let fitted = fcm.sparse().matvec(&sol.x)?;
     let residual: Vec<f64> = counters
         .iter()
@@ -285,9 +209,7 @@ mod tests {
     #[test]
     fn healthy_network_zero_residual_per_destination() {
         let (fcm, counters, _) = healthy_setup(RuleGranularity::PerDestination);
-        let out = EquationSystem::new(SolverKind::DirectDense)
-            .solve(&fcm, &counters)
-            .unwrap();
+        let out = EquationSystem::default().solve(&fcm, &counters).unwrap();
         assert!(out.residual.iter().all(|r| r.abs() < 1e-6));
         // Volume estimates must sum to the injected total per group; total
         // volume recovered equals total injected.
@@ -299,47 +221,9 @@ mod tests {
     #[test]
     fn healthy_network_recovers_exact_volumes_per_pair() {
         let (fcm, counters, _) = healthy_setup(RuleGranularity::PerFlowPair);
-        let out = EquationSystem::new(SolverKind::DirectDense)
-            .solve(&fcm, &counters)
-            .unwrap();
+        let out = EquationSystem::default().solve(&fcm, &counters).unwrap();
         for v in &out.volume_estimate {
             assert!((v - 1000.0).abs() < 1e-6, "volume {v}");
-        }
-    }
-
-    #[test]
-    fn direct_and_iterative_agree_on_residuals() {
-        let (fcm, mut counters, _) = healthy_setup(RuleGranularity::PerDestination);
-        counters[3] += 500.0; // perturb to make it inconsistent
-        let direct = EquationSystem::new(SolverKind::DirectDense)
-            .solve(&fcm, &counters)
-            .unwrap();
-        let iterative = EquationSystem::new(SolverKind::IterativeSparse {
-            tol: 1e-12,
-            max_iter: 20_000,
-        })
-        .solve(&fcm, &counters)
-        .unwrap();
-        for (a, b) in direct.residual.iter().zip(&iterative.residual) {
-            assert!((a - b).abs() < 1e-4, "direct {a} vs iterative {b}");
-        }
-    }
-
-    #[test]
-    fn naive_pipeline_matches_direct() {
-        let (fcm, mut counters, _) = healthy_setup(RuleGranularity::PerDestination);
-        counters[7] += 333.0;
-        let direct = EquationSystem::new(SolverKind::DirectDense)
-            .solve(&fcm, &counters)
-            .unwrap();
-        let naive = EquationSystem::new(SolverKind::DenseNaive)
-            .solve(&fcm, &counters)
-            .unwrap();
-        for (a, b) in direct.residual.iter().zip(&naive.residual) {
-            assert!((a - b).abs() < 1e-6, "direct {a} vs naive {b}");
-        }
-        for (a, b) in direct.volume_estimate.iter().zip(&naive.volume_estimate) {
-            assert!((a - b).abs() < 1e-6);
         }
     }
 
@@ -401,9 +285,7 @@ mod tests {
     fn single_flow_solves_on_every_path() {
         let fcm = single_flow_fcm();
         let counters = [5.0, 5.0, 0.0];
-        let direct = EquationSystem::new(SolverKind::DirectDense)
-            .solve(&fcm, &counters)
-            .unwrap();
+        let direct = EquationSystem::default().solve(&fcm, &counters).unwrap();
         assert!((direct.volume_estimate[0] - 5.0).abs() < 1e-9);
         assert!(direct.residual.iter().all(|r| r.abs() < 1e-9));
 
@@ -506,10 +388,9 @@ mod tests {
     fn oversized_basis_is_refused_typed_by_dense_and_solved_by_default() {
         // 6,000 distinct two-rule columns: their dense Gram exceeds the
         // dense allocation cap, so the dense backend refuses the system
-        // with a typed error instead of factoring it — at every size and
-        // from the default strategy too, never a silent switch to CGLS —
-        // while the default (sparse) backend never forms the dense Gram
-        // and solves it.
+        // with a typed error instead of factoring it — at every size, never
+        // a silent switch to CGLS — while the default (sparse) backend
+        // never forms the dense Gram and solves it.
         let (rules, cols) = (120, 6000);
         let mut h = DenseMatrix::zeros(rules, cols);
         let pairs = (0..rules).flat_map(|a| (a + 1..rules).map(move |b| (a, b)));
@@ -520,25 +401,17 @@ mod tests {
         let fcm = crate::testkit::fcm_from_dense(&h);
         assert_eq!(fcm.column_groups().basis.len(), cols);
         let counters = fcm.expected_counters(&vec![1.0; cols]);
-        for dense in [
-            EquationSystem::new(SolverKind::DirectDense),
-            EquationSystem::default(),
-        ] {
-            let err = dense
-                .with_backend(BackendKind::Dense)
-                .solve(&fcm, &counters)
-                .unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    FocesError::Solver(LinalgError::AllocationTooLarge { .. })
-                ),
-                "{err:?}"
-            );
-        }
-        let out = EquationSystem::new(SolverKind::DirectDense)
+        let err = EquationSystem::new(BackendKind::Dense)
             .solve(&fcm, &counters)
-            .unwrap();
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FocesError::Solver(LinalgError::AllocationTooLarge { .. })
+            ),
+            "{err:?}"
+        );
+        let out = EquationSystem::default().solve(&fcm, &counters).unwrap();
         let scale = counters.iter().fold(1.0_f64, |m, v| m.max(v.abs()));
         assert!(
             out.residual.iter().all(|r| r.abs() <= 1e-9 * scale),

@@ -159,7 +159,7 @@ impl Detector {
         }
         let y = zero_unobserved(counters, observed);
         crate::solver::check_counters(fcm, &y)?;
-        let kernel = match Kernel::of(fcm, observed, self.system().backend()) {
+        let kernel = match Kernel::of(fcm, observed, self.backend()) {
             Err(masked) => return Ok((self.detect_masked(&masked, &y)?, removed)),
             Ok(kernel) if kernel.blind() => return Err(FocesError::EmptyFcm),
             Ok(kernel) => kernel,

@@ -12,7 +12,7 @@
 //!
 //! 256 cases, per the regression battery's acceptance bar.
 
-use foces::{BackendKind, Detector, EquationSystem, Fcm, FcmDelta, IncrementalSolver, SolverKind};
+use foces::{BackendKind, Detector, EquationSystem, Fcm, FcmDelta, IncrementalSolver};
 use foces_controlplane::{provision, uniform_flows, Deployment, RuleGranularity};
 use foces_dataplane::LossModel;
 use foces_net::generators::ring;
@@ -80,7 +80,7 @@ fn fresh(fcm: &Fcm) -> Fcm {
 
 /// The cold reference: the per-call dense solve.
 fn dense_cold() -> EquationSystem {
-    EquationSystem::new(SolverKind::DirectDense).with_backend(BackendKind::Dense)
+    EquationSystem::new(BackendKind::Dense)
 }
 
 proptest! {

@@ -12,9 +12,7 @@
 //! reference on the row-masked sub-FCM against the default row-removal
 //! kernel ([`Detector::detect_without`]).
 
-use foces::{
-    k_resilient_verdict, localize, BackendKind, Detector, EquationSystem, Fcm, SolverKind,
-};
+use foces::{k_resilient_verdict, localize, BackendKind, Detector, EquationSystem, Fcm};
 use foces_controlplane::{provision, uniform_flows, Deployment, RuleGranularity};
 use foces_dataplane::LossModel;
 use foces_net::generators::{bcube, fattree, ring};
@@ -51,15 +49,11 @@ pub fn deployment(topo_pick: u8) -> Deployment {
     provision(topo, &flows, RuleGranularity::PerDestination).expect("testbed provisions")
 }
 
-fn system(backend: BackendKind) -> EquationSystem {
-    EquationSystem::new(SolverKind::DirectDense).with_backend(backend)
-}
-
 /// Per-switch localization scores from a sliced detection pass under the
 /// given backend, keyed by switch so tie-order differences cannot fail
 /// the comparison.
 fn suspicion_scores(fcm: &Fcm, counters: &[f64], backend: BackendKind) -> BTreeMap<SwitchId, f64> {
-    let detector = Detector::new(foces::DEFAULT_THRESHOLD, system(backend));
+    let detector = Detector::default().with_backend(backend);
     let sliced = foces::SlicedFcm::from_fcm(fcm);
     let sv = sliced.detect(&detector, counters).expect("sliced solve");
     localize(&sv)
@@ -98,8 +92,12 @@ pub fn check_case(case: Case) {
     let tol = 1e-9 * scale;
 
     // -- Full round: residuals and verdicts ------------------------------
-    let dense = system(BackendKind::Dense).solve(&fcm, &counters).unwrap();
-    let sparse = system(BackendKind::Sparse).solve(&fcm, &counters).unwrap();
+    let dense = EquationSystem::new(BackendKind::Dense)
+        .solve(&fcm, &counters)
+        .unwrap();
+    let sparse = EquationSystem::new(BackendKind::Sparse)
+        .solve(&fcm, &counters)
+        .unwrap();
     assert_eq!(dense.residual.len(), sparse.residual.len(), "{at}");
     for (i, (a, b)) in dense.residual.iter().zip(&sparse.residual).enumerate() {
         assert!(
@@ -107,8 +105,8 @@ pub fn check_case(case: Case) {
             "{at}: residual[{i}] dense {a} vs sparse {b} (tol {tol})"
         );
     }
-    let det_dense = Detector::new(foces::DEFAULT_THRESHOLD, system(BackendKind::Dense));
-    let det_sparse = Detector::new(foces::DEFAULT_THRESHOLD, system(BackendKind::Sparse));
+    let det_dense = Detector::default().with_backend(BackendKind::Dense);
+    let det_sparse = Detector::default().with_backend(BackendKind::Sparse);
     let v_dense = det_dense.detect(&fcm, &counters).unwrap();
     let v_sparse = det_sparse.detect(&fcm, &counters).unwrap();
     assert_eq!(v_dense.anomalous, v_sparse.anomalous, "{at}");

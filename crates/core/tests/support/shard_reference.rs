@@ -15,7 +15,8 @@
 //!   field, sub-FCMs included.
 
 use crate::fcm_reference::{assert_matches, ReferenceFcm};
-use foces::{Fcm, Rbg, ShardedFcm};
+use foces::rbg::Rbg;
+use foces::{Fcm, ShardedFcm};
 use foces_atpg::LogicalFlow;
 use foces_controlplane::ControllerView;
 use foces_dataplane::RuleRef;

@@ -22,9 +22,10 @@
 //! baseline is deliberately cubic); `FOCES_FULL=1` extends it to the
 //! paper's 12000-flow point (several minutes for the dense inversions).
 
-use foces::{Detector, EquationSystem, Fcm, SlicedFcm, SolverKind};
+use foces::{Detector, Fcm, SlicedFcm};
 use foces_controlplane::{provision, uniform_flows, FlowSpec, RuleGranularity};
 use foces_dataplane::LossModel;
+use foces_experiments::{solve_cgls, solve_dense_naive};
 use foces_net::generators::fattree;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -67,9 +68,8 @@ fn main() {
         let counters = dep.dataplane.collect_counters();
 
         // Paper baseline: the literal (HᵀH)⁻¹ dense pipeline of Eq. (4).
-        let naive_detector = Detector::new(4.5, EquationSystem::new(SolverKind::DenseNaive));
         let t0 = Instant::now();
-        let baseline_verdict = naive_detector.detect(&fcm, &counters).expect("solve");
+        let baseline_solve = solve_dense_naive(&fcm, &counters).expect("solve");
         let baseline = t0.elapsed();
 
         // Algorithm 2: per-switch slices (small sub-systems, default solver).
@@ -82,22 +82,21 @@ fn main() {
         // The baseline memoized the FCM's basis; the direct round times
         // its own on a copy without that memo.
         let fcm = fcm.unmemoized();
-        let direct_detector = Detector::new(4.5, EquationSystem::new(SolverKind::DirectDense));
         let t0 = Instant::now();
-        direct_detector.detect(&fcm, &counters).expect("solve");
+        let direct_verdict = detector.detect(&fcm, &counters).expect("solve");
         let direct_time = t0.elapsed();
-        let cgls_detector = Detector::new(
-            4.5,
-            EquationSystem::new(SolverKind::IterativeSparse {
-                tol: 1e-10,
-                max_iter: 5000,
-            }),
-        );
         let t0 = Instant::now();
-        cgls_detector.detect(&fcm, &counters).expect("solve");
+        solve_cgls(&fcm, &counters, 1e-10, 5000).expect("solve");
         let cgls_time = t0.elapsed();
 
-        assert!(!baseline_verdict.anomalous && !sliced_verdict.anomalous);
+        assert!(!direct_verdict.anomalous && !sliced_verdict.anomalous);
+        let baseline_agrees = (baseline_solve.residual.iter())
+            .zip(&direct_verdict.solve.residual)
+            .all(|(a, b)| (a - b).abs() < 1e-6);
+        assert!(
+            baseline_agrees,
+            "the baseline's residual left the default solve's"
+        );
         let unique = fcm.column_groups().basis.len();
         println!(
             "{n},{unique},{},{:.1},{:.1},{:.1},{:.1},{:.1},{:.1}",

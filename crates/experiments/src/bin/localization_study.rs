@@ -10,9 +10,10 @@
 //! the culprit **and its direct neighbors**; both strict (culprit only)
 //! and vicinity hit-rates are reported, at ranks 1 and 3.
 
-use foces::{localize, localize_differential};
+use foces::localize;
 use foces_controlplane::RuleGranularity;
 use foces_dataplane::LossModel;
+use foces_experiments::localize_differential;
 use foces_experiments::{paper_topologies, Testbed};
 use foces_net::{Node, SwitchId};
 use rand::rngs::StdRng;

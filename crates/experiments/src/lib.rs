@@ -13,10 +13,14 @@
 //! * anomalies injected by randomly rewriting rule actions, detection run
 //!   on freshly collected counters each round.
 
+mod baselines;
 mod golden;
+mod localize;
 mod report;
 
+pub use baselines::{solve_cgls, solve_dense_naive};
 pub use golden::{diff_csv, GoldenPolicy};
+pub use localize::localize_differential;
 pub use report::{column, parse_csv, AsciiChart, Series};
 
 use foces::{Detector, Fcm, SlicedFcm};

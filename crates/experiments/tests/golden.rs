@@ -105,3 +105,21 @@ fn fig12_matches_golden() {
         exact_ignoring_timings,
     );
 }
+
+#[test]
+fn granularity_study_matches_golden() {
+    check(
+        env!("CARGO_BIN_EXE_granularity_study"),
+        "granularity_study.csv",
+        exact,
+    );
+}
+
+#[test]
+fn localization_study_matches_golden() {
+    check(
+        env!("CARGO_BIN_EXE_localization_study"),
+        "localization_study.csv",
+        exact,
+    );
+}

@@ -179,11 +179,6 @@ impl IngestChannel {
         self.access_override.insert(switch, spec);
     }
 
-    /// Overrides one region's shared uplink spec.
-    pub fn set_uplink(&mut self, region: usize, spec: LinkSpec) {
-        self.uplinks[region] = LinkModel::new(spec);
-    }
-
     /// The access spec governing `switch`.
     pub fn access_spec(&self, switch: SwitchId) -> &LinkSpec {
         self.access_override

@@ -3,33 +3,22 @@
 //! Strategy: generate random tall 0/1 matrices shaped like real flow-counter
 //! matrices (more rules than flows, sparse-ish columns) plus random volume
 //! vectors, and check algebraic invariants that must hold for *any* input.
+//! The least-squares case bodies are `support/lstsq_cases.rs`; a fixed-seed
+//! slice of them runs in tier-1 in `tests/lstsq_reference.rs`.
 
-use foces_linalg::{
-    cgls, in_column_span, lstsq, rank, Cholesky, CsrMatrix, DenseMatrix, LstsqMethod, Qr,
-    DEFAULT_TOL,
-};
+use foces_linalg::{in_column_span, rank, Cholesky, CsrMatrix, DenseMatrix, Qr, DEFAULT_TOL};
 use proptest::prelude::*;
+
+#[path = "support/lstsq_cases.rs"]
+mod lstsq_cases;
 
 /// Strategy: a tall 0/1 matrix with `rows >= cols`, guaranteed full column
 /// rank by planting an identity block in the first `cols` rows.
 fn full_rank_binary_matrix() -> impl Strategy<Value = DenseMatrix> {
     (2usize..6, 0usize..5).prop_flat_map(|(cols, extra)| {
         let rows = cols + extra + 1;
-        proptest::collection::vec(proptest::bool::ANY, rows * cols).prop_map(move |bits| {
-            let mut m = DenseMatrix::zeros(rows, cols);
-            for j in 0..cols {
-                for i in 0..rows {
-                    if bits[j * rows + i] {
-                        m.set(i, j, 1.0);
-                    }
-                }
-                // Identity block guarantees independence.
-                for jj in 0..cols {
-                    m.set(j, jj, if j == jj { 1.0 } else { 0.0 });
-                }
-            }
-            m
-        })
+        proptest::collection::vec(proptest::bool::ANY, rows * cols)
+            .prop_map(move |bits| lstsq_cases::planted_matrix(cols, extra, &bits))
     })
 }
 
@@ -38,62 +27,29 @@ fn volume_vector(len: usize) -> impl Strategy<Value = Vec<f64>> {
 }
 
 proptest! {
-    /// For consistent systems (no anomaly, no noise) the least-squares
-    /// solution recovers the true volumes and the residual is zero —
-    /// this is exactly FOCES's "no anomaly ⇒ Δ = 0" guarantee.
+    /// For consistent systems the least-squares solution recovers the
+    /// true volumes and the residual is zero.
     #[test]
     fn consistent_system_has_zero_residual(h in full_rank_binary_matrix()) {
-        let x_true: Vec<f64> = (0..h.cols()).map(|i| (i + 1) as f64 * 3.5).collect();
-        let y = h.matvec(&x_true).unwrap();
-        let sol = lstsq(&h, &y, LstsqMethod::CholeskyThenQr).unwrap();
-        for (a, b) in sol.x.iter().zip(&x_true) {
-            prop_assert!((a - b).abs() < 1e-6);
-        }
-        let res = sol.residual(&h, &y);
-        prop_assert!(res.iter().all(|r| r.abs() < 1e-6));
+        lstsq_cases::consistent_system_has_zero_residual(&h);
     }
 
     /// The Cholesky (normal equations) and QR least-squares paths agree.
     #[test]
     fn cholesky_and_qr_agree(h in full_rank_binary_matrix(), seed in 0u64..1000) {
-        // Perturb the rhs so the system is inconsistent.
-        let x_true: Vec<f64> = (0..h.cols()).map(|i| (i + 2) as f64).collect();
-        let mut y = h.matvec(&x_true).unwrap();
-        let idx = (seed as usize) % y.len();
-        y[idx] += 7.0;
-        let a = lstsq(&h, &y, LstsqMethod::NormalCholesky).unwrap();
-        let b = lstsq(&h, &y, LstsqMethod::Qr).unwrap();
-        for (p, q) in a.x.iter().zip(&b.x) {
-            prop_assert!((p - q).abs() < 1e-6, "cholesky {p} vs qr {q}");
-        }
+        lstsq_cases::cholesky_and_qr_agree(&h, seed);
     }
 
     /// CGLS on the sparse form agrees with the dense direct solve.
     #[test]
     fn cgls_agrees_with_dense(h in full_rank_binary_matrix()) {
-        let x_true: Vec<f64> = (0..h.cols()).map(|i| (i + 1) as f64).collect();
-        let mut y = h.matvec(&x_true).unwrap();
-        y[0] += 3.0; // make inconsistent
-        let dense = lstsq(&h, &y, LstsqMethod::Qr).unwrap();
-        let sparse = CsrMatrix::from_dense(&h);
-        let iter = cgls(&sparse, &y, 1e-12, 10_000).unwrap();
-        for (p, q) in dense.x.iter().zip(&iter.x) {
-            prop_assert!((p - q).abs() < 1e-5, "dense {p} vs cgls {q}");
-        }
+        lstsq_cases::cgls_agrees_with_dense(&h);
     }
 
-    /// Least-squares residual is orthogonal to the column space:
-    /// Hᵀ(y - Hx̂) = 0.
+    /// Least-squares residual is orthogonal to the column space.
     #[test]
     fn residual_is_orthogonal_to_columns(h in full_rank_binary_matrix(), bump in 1.0f64..20.0) {
-        let x_true: Vec<f64> = vec![5.0; h.cols()];
-        let mut y = h.matvec(&x_true).unwrap();
-        let m = y.len();
-        y[m - 1] += bump;
-        let sol = lstsq(&h, &y, LstsqMethod::Qr).unwrap();
-        let r = sol.residual(&h, &y);
-        let proj = h.transpose_matvec(&r).unwrap();
-        prop_assert!(proj.iter().all(|v| v.abs() < 1e-6));
+        lstsq_cases::residual_is_orthogonal_to_columns(&h, bump);
     }
 
     /// The planted identity block guarantees full column rank.

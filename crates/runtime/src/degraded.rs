@@ -131,7 +131,7 @@ impl DegradedPipeline {
     /// coverage estimate). Every solve — full, masked and reconciled —
     /// runs on the detector's backend.
     pub fn new(view: &ControllerView, fcm: Fcm, detector: Detector, oracle_cap: usize) -> Self {
-        let backend = detector.system().backend();
+        let backend = detector.backend();
         DegradedPipeline::with_backend(view, fcm, detector, oracle_cap, backend)
     }
 

@@ -244,41 +244,9 @@ pub fn scrub_gauges(line: &str) -> String {
     format!("{}{}0{}", &line[..start], key, &line[end..])
 }
 
-/// Renders an `f64` as JSON (JSON has no NaN/Infinity; those become
-/// strings so a log line never goes unparseable).
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        // Trim trailing noise: integers render without a fraction.
-        if v.fract() == 0.0 && v.abs() < 1e15 {
-            format!("{}", v as i64)
-        } else {
-            format!("{v:.6}")
-        }
-    } else {
-        format!("\"{v}\"")
-    }
-}
-
-/// Escapes a string for embedding in a JSON value.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+/// The JSON scalar renderers, re-exported from the core so that
+/// `foces-ingest` and `foces-cluster` name one path for them.
+pub use foces::{json_f64, json_str};
 
 enum Sink {
     Memory,
@@ -362,13 +330,6 @@ mod tests {
         );
         // Lines without the gauge pass through untouched.
         assert_eq!(scrub_gauges("{\"epoch\":4}"), "{\"epoch\":4}");
-    }
-
-    #[test]
-    fn json_escaping_and_nonfinite_floats() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_f64(2.0), "2");
-        assert_eq!(json_f64(f64::INFINITY), "\"inf\"");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use crate::harness::ScheduleRun;
 use crate::oracle::Violation;
 use crate::SchedError;
-use foces::{Detector, EquationSystem, Fcm, ShardedFcm};
+use foces::{Detector, Fcm, ShardedFcm};
 use foces_cluster::{reconcile_shard_round, ShardRoundKind};
 use foces_controlplane::Deployment;
 use foces_net::{partition, PartitionSpec};
@@ -56,7 +56,7 @@ pub fn check_fanout(
         PartitionSpec::EdgeCut { k: shards },
     );
     let sharded = ShardedFcm::from_fcm(&fcm, &part);
-    let detector = Detector::new(threshold, EquationSystem::default());
+    let detector = Detector::with_threshold(threshold);
     let mut out = FanoutOutcome::default();
 
     for snap in &run.boundaries {

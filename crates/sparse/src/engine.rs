@@ -120,14 +120,14 @@ const PCGLS_MAX_ITER: usize = 50_000;
 /// without falling through to PCGLS. Far above round-off for a healthy
 /// factor, far below anything that could move a verdict (the detector's
 /// own noise floor is `1e-7·scale`).
-pub const ACCEPT_TOL: f64 = 1e-6;
+const ACCEPT_TOL: f64 = 1e-6;
 
 /// Solves `min ‖B x − counters‖` for a basis whose Gram factor is memoized
 /// on `basis`: the direct rung factors at most once per basis and every
 /// later call only solves. It holds nothing across calls; the factor on
 /// `basis` is the only state a later solve reads. Bases past `FILL_LIMIT`
 /// (10⁶ nonzeros), rank-deficient ones and solves that fail the
-/// [`ACCEPT_TOL`] check take PCGLS, with a Jacobi preconditioner built
+/// `ACCEPT_TOL` (1e-6) check take PCGLS, with a Jacobi preconditioner built
 /// from `basis` in one `O(nnz)` pass.
 ///
 /// # Errors

@@ -39,43 +39,6 @@ pub fn normal_residual(
     Ok((r, rel))
 }
 
-/// Per-row absolute residuals `|counters − H x|` — the paper's per-rule
-/// error vector that `judge()` ranks, computed without materializing H.
-///
-/// # Errors
-///
-/// [`LinalgError::DimensionMismatch`] on shape mismatch.
-pub fn abs_residual(h: &CsrMatrix, x: &[f64], counters: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    if counters.len() != h.rows() {
-        return Err(LinalgError::DimensionMismatch(format!(
-            "abs_residual: matrix is {}x{} but counters has length {}",
-            h.rows(),
-            h.cols(),
-            counters.len()
-        )));
-    }
-    let fitted = h.matvec(x)?;
-    Ok(counters
-        .iter()
-        .zip(&fitted)
-        .map(|(c, f)| (c - f).abs())
-        .collect())
-}
-
-/// Sums a per-row score into per-group totals via a row→group map
-/// (suspicion attribution: rows are rules, groups are switches).
-///
-/// Rows whose group id is `usize::MAX` are unattributed and skipped.
-pub fn per_group_mass(row_score: &[f64], group_of_row: &[usize], groups: usize) -> Vec<f64> {
-    let mut mass = vec![0.0f64; groups];
-    for (&score, &g) in row_score.iter().zip(group_of_row) {
-        if g != usize::MAX && g < groups {
-            mass[g] += score;
-        }
-    }
-    mass
-}
-
 /// `Hᵀ u_S` for an indicator vector over the given rows, gathered straight
 /// from CSR storage — the coverage analyzer's absorption right-hand side
 /// without allocating the m-length indicator.
@@ -653,22 +616,6 @@ mod tests {
         let rhs = h.transpose_matvec(&b).unwrap();
         let (_, rel) = normal_residual(&h, &x, &rhs).unwrap();
         assert!(rel < 1e-12);
-    }
-
-    #[test]
-    fn abs_residual_matches_manual_computation() {
-        let h = h();
-        let x = [1.0, 1.0];
-        let counters = [1.5, 2.0, 0.5, 2.0];
-        let r = abs_residual(&h, &x, &counters).unwrap();
-        assert_eq!(r, vec![0.5, 0.0, 0.5, 0.0]);
-        assert!(abs_residual(&h, &x, &[0.0; 3]).is_err());
-    }
-
-    #[test]
-    fn per_group_mass_skips_unattributed_rows() {
-        let mass = per_group_mass(&[1.0, 2.0, 4.0, 8.0], &[0, 1, usize::MAX, 0], 2);
-        assert_eq!(mass, vec![9.0, 2.0]);
     }
 
     #[test]

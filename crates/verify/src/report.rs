@@ -1,6 +1,7 @@
 //! Findings and reports: the machine-readable output of static
 //! verification.
 
+use foces::json_str;
 use foces_dataplane::RuleRef;
 use foces_headerspace::Wildcard;
 use foces_net::SwitchId;
@@ -240,28 +241,6 @@ impl VerifyReport {
         lines.extend(self.findings.iter().map(Finding::to_json));
         lines
     }
-}
-
-/// Escapes a string as a JSON value (kept local: `foces-runtime` depends
-/// on this crate, so we cannot borrow its helper without a cycle).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 
 use foces::{
     cross_validate, BackendKind, Detector, EquationSystem, Fcm, IncrementalSolver, LooSolver,
-    RankBudget, ShardedFcm, SlicedFcm, SolveOutcome, SolvePath, SolverKind, DEFAULT_THRESHOLD,
+    RankBudget, ShardedFcm, SlicedFcm, SolveOutcome, SolvePath, DEFAULT_THRESHOLD,
 };
 use foces_controlplane::{provision, uniform_flows, RuleGranularity};
 use foces_dataplane::{LossModel, RuleRef};
@@ -98,14 +98,14 @@ fn check_system(fcm: &Fcm, counters: &[f64], at: &str) {
     }
     for backend in BACKENDS {
         let at = format!("{at} {backend}");
-        let system = EquationSystem::new(SolverKind::DirectDense).with_backend(backend);
+        let system = EquationSystem::new(backend);
         let want = system.solve(&fresh(fcm), counters).unwrap();
         for round in 0..2 {
             let got = system.solve(fcm, counters).unwrap();
             assert_close(&got, &want, &format!("{at} direct round {round}"));
         }
 
-        let exact = EquationSystem::default().with_backend(backend);
+        let exact = EquationSystem::new(backend);
         let mut warm = IncrementalSolver::with_backend(RankBudget::default(), backend);
         let round = |warm: &mut IncrementalSolver, f: &Fcm, warm_expected: bool, what: &str| {
             let (got, path) = warm.solve(f, counters).unwrap();
@@ -190,7 +190,7 @@ fn memoized_solves_equal_fresh_solves_on_ring_and_line() {
 /// Direct solves on both backends, compared against a newly built FCM.
 fn check_against_fresh(fcm: &Fcm, counters: &[f64], at: &str) {
     for backend in BACKENDS {
-        let system = EquationSystem::new(SolverKind::DirectDense).with_backend(backend);
+        let system = EquationSystem::new(backend);
         let want = system.solve(&fresh(fcm), counters).unwrap();
         let got = system.solve(fcm, counters).unwrap();
         assert_close(&got, &want, &format!("{at} {backend}"));
@@ -200,7 +200,7 @@ fn check_against_fresh(fcm: &Fcm, counters: &[f64], at: &str) {
 #[test]
 fn structural_edits_after_a_solve_match_a_fresh_build() {
     let (full, _, counters) = plane(fattree(4), RuleGranularity::PerFlowPair);
-    let system = EquationSystem::new(SolverKind::DirectDense);
+    let system = EquationSystem::default();
 
     // remove_flows, then add_flows back: each edit drops the memo.
     let mut fcm = full.clone();
@@ -271,8 +271,7 @@ fn a_sweep_factors_once_unless_a_solve_memoized_the_factor() {
     assert_eq!(again.cold_factorizations, 1);
 
     // The dense backend keeps its own dense factor and memoizes none.
-    EquationSystem::new(SolverKind::DirectDense)
-        .with_backend(BackendKind::Dense)
+    EquationSystem::new(BackendKind::Dense)
         .solve(&fcm, &counters)
         .unwrap();
     let dense = cross_validate(&fcm, &counters, DEFAULT_THRESHOLD, &candidates).unwrap();
@@ -280,8 +279,7 @@ fn a_sweep_factors_once_unless_a_solve_memoized_the_factor() {
 
     // A sparse solve memoizes the factor; the next sweep borrows it and
     // factors nothing, with the same outcome.
-    EquationSystem::new(SolverKind::DirectDense)
-        .with_backend(BackendKind::Sparse)
+    EquationSystem::new(BackendKind::Sparse)
         .solve(&fcm, &counters)
         .unwrap();
     let second = cross_validate(&fcm, &counters, DEFAULT_THRESHOLD, &candidates).unwrap();

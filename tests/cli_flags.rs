@@ -108,6 +108,65 @@ fn an_alarm_window_below_the_raise_quorum_is_rejected() {
     assert!(err.contains("cannot read missing.foces"), "{err}");
 }
 
+/// A number outside what its flag admits is rejected at parse time, with
+/// the flag named, by every verb that declares the flag (exit 1), instead
+/// of panicking later (`--threshold 0`, `--loss 1.5`) or running as some
+/// other value (`--loss -0.5` as lossless, `--shards 0` as one shard).
+#[test]
+fn out_of_range_numbers_are_rejected_by_every_verb_that_takes_them() {
+    let cases: &[(&str, &[&str], &[&str], &str)] = &[
+        (
+            "threshold",
+            &["0", "-1", "NaN"],
+            &["0.5", "4.5"],
+            "must be positive",
+        ),
+        (
+            "loss",
+            &["1.5", "1", "-0.5", "NaN"],
+            &["0", "0.02", "0.99"],
+            "must be in [0, 1)",
+        ),
+        (
+            "queue-capacity",
+            &["0", "-2"],
+            &["1", "64"],
+            "must be at least 1",
+        ),
+        ("shards", &["0"], &["1", "4"], "must be at least 1"),
+    ];
+    for &(flag, bad, good, requirement) in cases {
+        let verbs: Vec<_> = VERBS
+            .iter()
+            .filter(|v| v.flag_specs().any(|(n, _)| n == flag))
+            .collect();
+        assert!(!verbs.is_empty(), "no verb declares --{flag}");
+        for verb in verbs {
+            let scenario = if verb.positionals.is_empty() {
+                ""
+            } else {
+                "s.foces"
+            };
+            for value in bad {
+                let line = format!("{} {scenario} --{flag} {value}", verb.name);
+                assert_rejects(&line, &format!("--{flag} {value}: {requirement}"));
+            }
+            for value in good {
+                let line = format!("{} {scenario} --{flag} {value}", verb.name);
+                parse_line(&line).unwrap_or_else(|e| panic!("`foces {line}`: {e}"));
+            }
+        }
+    }
+    // `dispatch` refuses them before it reads the scenario, like the
+    // alarm window above.
+    let err = foces_cli::commands::dispatch(&argv("detect missing.foces --threshold 0"))
+        .expect_err("a zero threshold ran");
+    assert!(
+        err.to_string().contains("--threshold 0: must be positive"),
+        "{err}"
+    );
+}
+
 /// Every declared partner pair of `verb` is rejected alone and accepted
 /// with its partner; returns the pairs so callers can pin them.
 fn check_needs(verb: &str) -> Vec<(&'static str, &'static str)> {

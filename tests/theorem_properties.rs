@@ -31,7 +31,7 @@ mod shard_union;
 mod span_parity;
 
 use foces::{
-    audit_deviations, is_detectable, rbg_loop_exists, testkit, Detector, Fcm, ShardedFcm,
+    audit_deviations, rbg_loop_exists, testkit, undetectable_by_rank, Detector, Fcm, ShardedFcm,
     SlicedFcm, SpanOracle,
 };
 use foces_controlplane::{provision, uniform_flows, Deployment, RuleGranularity};
@@ -128,7 +128,7 @@ proptest! {
         let mut canon = deviated.clone();
         canon.sort_unstable();
         canon.dedup();
-        let oracle_detectable = is_detectable(&fcm, &canon).unwrap();
+        let oracle_detectable = !undetectable_by_rank(&fcm, &canon).unwrap();
         prop_assert_eq!(
             verdict.anomalous,
             oracle_detectable,
