@@ -26,7 +26,7 @@
 //! smoke mode) it runs a scaled-down FatTree(4) configuration, keeps the
 //! assertions, and writes nothing.
 
-use foces_channel::{ControllerMsg, Delivery, FaultProfile, HonestAgent, Transport};
+use foces_channel::{ControllerMsg, Delivery, FaultProfile, HonestAgent};
 use foces_controlplane::{provision, uniform_flows, Deployment, RuleGranularity};
 use foces_ingest::{IngestChannel, LinkSpec, StreamConfig, StreamDriver};
 use foces_net::generators::fattree;

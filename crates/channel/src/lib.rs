@@ -16,17 +16,15 @@
 //!   stats requests/replies and table dumps, with strict decoding;
 //! * [`agent`] — per-switch endpoints: [`HonestAgent`] reports the truth,
 //!   [`ForgingAgent`] reports the controller's own expectations back at it;
-//! * [`collector`] — the controller side: polls every agent over the wire,
-//!   reassembles the network-wide counter vector in canonical (FCM row)
-//!   order, and can audit table dumps against the controller view —
-//!   demonstrating exactly why dump-auditing fails and counter analysis
-//!   (FOCES) is needed;
-//! * [`transport`] — the delivery-policy hook: every exchange goes through
-//!   a [`Transport`] ([`PerfectTransport`] by default), so fault models
-//!   (latency, loss, offline switches — see `foces-runtime`) plug in
-//!   without touching the codec or the agents. Event-driven consumers use
-//!   the timestamped surface ([`Transport::exchange_at`]) instead of the
-//!   blocking one;
+//! * [`transport`] — the delivery-policy hook: [`wire_exchange`] is one
+//!   full round-trip through the codec, and every lockstep exchange goes
+//!   through a [`Transport`] ([`PerfectTransport`] by default), so fault
+//!   models (latency, loss, offline switches — see `foces-runtime`) plug in
+//!   without touching the codec or the agents. The controller side of the
+//!   channel, the Statistics Collector of the paper's Fig. 6, lives in the
+//!   drivers: `foces_runtime::EpochScheduler` polls in lockstep and
+//!   `foces_ingest::IngestChannel` delivers event-driven replies;
+//! * [`collusion`] — how colluding liars plan consistent forgeries;
 //! * [`fault`] — the shared fault vocabulary: a per-switch
 //!   [`FaultProfile`] (latency/jitter/drop/reorder/offline windows) and
 //!   the seeded [`FaultModel`] sampler, consumed by both the lockstep
@@ -35,45 +33,49 @@
 //!
 //! # Example
 //!
+//! A forged table dump passes an audit against the controller's view,
+//! while the switch's true table no longer matches it (§II-B):
+//!
 //! ```
-//! use foces_channel::{ChannelCollector, HonestAgent, SwitchAgent};
+//! use foces_channel::{
+//!     wire_exchange, ControllerMsg, ForgingAgent, HonestAgent, SwitchAgent, SwitchMsg,
+//! };
 //! use foces_controlplane::{provision, uniform_flows, RuleGranularity};
-//! use foces_dataplane::LossModel;
-//! use foces_net::generators::ring;
+//! use foces_dataplane::{Action, RuleRef};
+//! use foces_net::{generators::ring, SwitchId};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let topo = ring(4);
 //! let flows = uniform_flows(&topo, 12_000.0);
 //! let mut dep = provision(topo, &flows, RuleGranularity::PerFlowPair)?;
-//! dep.replay_traffic(&mut LossModel::none());
+//! let sw = SwitchId(0);
+//! let original = dep.view.table(sw).iter().map(|(_, r)| r.clone()).collect();
+//! dep.dataplane
+//!     .modify_rule_action(RuleRef { switch: sw, index: 0 }, Action::Drop)?;
 //!
-//! // One honest agent per switch, polled over the wire.
-//! let agents: Vec<Box<dyn SwitchAgent>> = dep
-//!     .view
-//!     .topology()
-//!     .switches()
-//!     .map(|s| Box::new(HonestAgent::new(s)) as Box<dyn SwitchAgent>)
-//!     .collect();
-//! let collector = ChannelCollector::new(agents);
-//! let counters = collector.collect_counters(&dep.dataplane)?;
-//! assert_eq!(counters, dep.dataplane.collect_counters());
+//! // Each dump round-trips through the wire format both ways.
+//! let dump = ControllerMsg::TableDumpRequest { xid: 1 };
+//! let first_action = |agent: &dyn SwitchAgent| {
+//!     match wire_exchange(&dep.dataplane, agent, &dump) {
+//!         Ok(SwitchMsg::TableDumpReply { rules, .. }) => rules[0].action,
+//!         other => panic!("unexpected reply {other:?}"),
+//!     }
+//! };
+//! let expected = dep.view.table(sw).get(0).unwrap().action();
+//! assert_ne!(first_action(&HonestAgent::new(sw)), expected);
+//! assert_eq!(first_action(&ForgingAgent::new(sw, original)), expected);
 //! # Ok(())
 //! # }
 //! ```
 
 pub mod agent;
-pub mod collector;
 pub mod collusion;
 pub mod fault;
 pub mod message;
 pub mod transport;
 
 pub use agent::{ForgingAgent, HonestAgent, SwitchAgent};
-pub use collector::{
-    honest_collector, ChannelCollector, ChannelError, DeltaReport, DeltaTracker, DumpAudit,
-    StampedCounters,
-};
 pub use collusion::{plan_collusion, CollusionInputs, CollusionPlan, FakeStrategy, RuleFacts};
 pub use fault::{Fate, FaultModel, FaultProfile};
 pub use message::{ControllerMsg, SwitchMsg, WireError, WireRule};
-pub use transport::{wire_exchange, Delivery, PerfectTransport, TimedDelivery, Transport};
+pub use transport::{wire_exchange, ChannelError, Delivery, PerfectTransport, Transport};

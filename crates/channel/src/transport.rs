@@ -1,6 +1,6 @@
 //! Delivery-policy hook for the control channel.
 //!
-//! The collector and any runtime built on top of it talk to switches
+//! A lockstep poller (`foces_runtime::EpochScheduler`) talks to switches
 //! through a [`Transport`]: a policy deciding whether (and how late) each
 //! request/reply exchange completes. The wire codec is *not* negotiable —
 //! every delivered exchange still round-trips through
@@ -11,9 +11,35 @@
 //! `foces-runtime`, which owns the randomness.
 
 use crate::agent::SwitchAgent;
-use crate::collector::ChannelError;
-use crate::message::{ControllerMsg, SwitchMsg};
+use crate::message::{ControllerMsg, SwitchMsg, WireError};
 use foces_dataplane::DataPlane;
+use std::error::Error;
+use std::fmt;
+
+/// A protocol failure on the control channel: a request or reply that does
+/// not decode. Loss is not an error (see [`Delivery`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum ChannelError {
+    /// A wire decode failure.
+    Wire(WireError),
+}
+
+impl fmt::Display for ChannelError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ChannelError::Wire(e) => write!(f, "wire error: {e}"),
+        }
+    }
+}
+
+impl Error for ChannelError {}
+
+impl From<WireError> for ChannelError {
+    fn from(e: WireError) -> Self {
+        ChannelError::Wire(e)
+    }
+}
 
 /// Outcome of one attempted request/reply exchange.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,24 +57,6 @@ pub enum Delivery {
     /// The switch is offline (crashed or partitioned); retrying within the
     /// same epoch will not help.
     Offline,
-}
-
-/// A [`Delivery`] stamped with the simulated instant the reply lands.
-///
-/// The asynchronous face of the channel: an event-driven consumer sends a
-/// request at `now_ms`, gets back *when* the outcome materialises, and
-/// schedules a future event instead of blocking on the exchange. Lost and
-/// offline outcomes carry the instant the sender can *know* the attempt
-/// failed (i.e. when its local timeout machinery may fire), which for
-/// simulated channels is the send instant itself.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimedDelivery {
-    /// What happened to the exchange.
-    pub delivery: Delivery,
-    /// Absolute simulated time (ms) at which `delivery` is observable at
-    /// the controller: arrival time for a delivered reply, the send
-    /// instant for drops/offline.
-    pub at_ms: f64,
 }
 
 /// A delivery policy for controller ↔ switch exchanges.
@@ -69,32 +77,6 @@ pub trait Transport {
         agent: &dyn SwitchAgent,
         msg: &ControllerMsg,
     ) -> Result<Delivery, ChannelError>;
-
-    /// Timestamped exchange for event-driven consumers: the request is
-    /// sent at absolute simulated time `now_ms` and the returned
-    /// [`TimedDelivery`] says when its outcome lands. The default adapts
-    /// [`Transport::exchange`] by offsetting the sampled round-trip
-    /// latency from `now_ms`; transports modelling per-link serialization
-    /// or queueing override this to make arrival depend on channel state
-    /// at the send instant.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChannelError`] only for wire-level protocol violations.
-    fn exchange_at(
-        &mut self,
-        dp: &DataPlane,
-        agent: &dyn SwitchAgent,
-        msg: &ControllerMsg,
-        now_ms: f64,
-    ) -> Result<TimedDelivery, ChannelError> {
-        let delivery = self.exchange(dp, agent, msg)?;
-        let at_ms = match &delivery {
-            Delivery::Delivered { latency_ms, .. } => now_ms + latency_ms,
-            Delivery::Dropped | Delivery::Offline => now_ms,
-        };
-        Ok(TimedDelivery { delivery, at_ms })
-    }
 
     /// Advances simulated time to `epoch`. Time-dependent policies
     /// (offline windows, crash-restart cycles) override this; the default
@@ -177,26 +159,5 @@ mod tests {
             .map(|i| dep.dataplane.counter(sw, i))
             .collect();
         assert_eq!(counters, expected);
-    }
-
-    #[test]
-    fn default_exchange_at_offsets_latency_from_now() {
-        let topo = ring(3);
-        let flows = uniform_flows(&topo, 500.0);
-        let mut dep = provision(topo, &flows, RuleGranularity::PerFlowPair).unwrap();
-        dep.replay_traffic(&mut LossModel::none());
-        let agent = HonestAgent::new(foces_net::SwitchId(1));
-        let mut t = PerfectTransport;
-        let td = t
-            .exchange_at(
-                &dep.dataplane,
-                &agent,
-                &ControllerMsg::StatsRequest { xid: 9 },
-                123.5,
-            )
-            .unwrap();
-        // PerfectTransport has zero latency, so the reply lands at send time.
-        assert_eq!(td.at_ms, 123.5);
-        assert!(matches!(td.delivery, Delivery::Delivered { .. }));
     }
 }

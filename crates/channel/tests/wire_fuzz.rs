@@ -1,8 +1,13 @@
 //! Property tests for the wire format: arbitrary bytes never panic the
 //! decoders, and arbitrary well-formed messages round-trip bit-exactly.
 //! A control channel is a security boundary; its parser gets fuzzed.
+//!
+//! The case bodies are `support/wire_cases.rs`; a fixed-seed slice of them
+//! runs in tier-1 as `tests/wire_format.rs`.
 
-use bytes::Bytes;
+#[path = "support/wire_cases.rs"]
+mod wire_cases;
+
 use foces_channel::{ControllerMsg, SwitchMsg, WireRule};
 use foces_dataplane::Action;
 use foces_headerspace::Wildcard;
@@ -10,20 +15,8 @@ use foces_net::Port;
 use proptest::prelude::*;
 
 fn arbitrary_wildcard() -> impl Strategy<Value = Wildcard> {
-    (1usize..100, proptest::collection::vec(0u8..3, 100)).prop_map(|(width, tri)| {
-        let mut w = Wildcard::any(width);
-        for (pos, t) in tri.iter().take(width).enumerate() {
-            w.set_bit(
-                pos,
-                match t {
-                    0 => Some(false),
-                    1 => Some(true),
-                    _ => None,
-                },
-            );
-        }
-        w
-    })
+    (1usize..100, proptest::collection::vec(0u8..3, 100))
+        .prop_map(|(width, trits)| wire_cases::wildcard(width, &trits))
 }
 
 fn arbitrary_rule() -> impl Strategy<Value = WireRule> {
@@ -48,9 +41,7 @@ proptest! {
     /// Random bytes must decode to Err, never panic.
     #[test]
     fn random_bytes_never_panic(data in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let bytes = Bytes::from(data);
-        let _ = ControllerMsg::decode(bytes.clone());
-        let _ = SwitchMsg::decode(bytes);
+        wire_cases::random_bytes_never_panic(&data);
     }
 
     /// Bit-flipped valid messages must decode to Err or to a *different*
@@ -63,10 +54,7 @@ proptest! {
         flip_bit in 0u8..8,
     ) {
         let msg = SwitchMsg::StatsReply { xid: 7, generation, counters };
-        let mut bytes = msg.encode().to_vec();
-        let idx = flip_byte % bytes.len();
-        bytes[idx] ^= 1 << flip_bit;
-        let _ = SwitchMsg::decode(Bytes::from(bytes));
+        wire_cases::bit_flip_never_panics(&msg, flip_byte, flip_bit);
     }
 
     /// Arbitrary stats replies round-trip.
@@ -76,8 +64,7 @@ proptest! {
         generation in any::<u64>(),
         counters in proptest::collection::vec(0.0f64..1e15, 0..64),
     ) {
-        let msg = SwitchMsg::StatsReply { xid, generation, counters };
-        prop_assert_eq!(SwitchMsg::decode(msg.encode()).unwrap(), msg);
+        wire_cases::switch_msg_round_trips(&SwitchMsg::StatsReply { xid, generation, counters });
     }
 
     /// Arbitrary table dumps (arbitrary widths, priorities, actions)
@@ -87,8 +74,7 @@ proptest! {
         xid in any::<u32>(),
         rules in proptest::collection::vec(arbitrary_rule(), 0..8),
     ) {
-        let msg = SwitchMsg::TableDumpReply { xid, rules };
-        prop_assert_eq!(SwitchMsg::decode(msg.encode()).unwrap(), msg);
+        wire_cases::switch_msg_round_trips(&SwitchMsg::TableDumpReply { xid, rules });
     }
 
     /// Both controller → switch requests round-trip for every xid.
@@ -99,7 +85,7 @@ proptest! {
         } else {
             ControllerMsg::StatsRequest { xid }
         };
-        prop_assert_eq!(ControllerMsg::decode(msg.encode()).unwrap(), msg);
+        wire_cases::controller_msg_round_trips(&msg);
     }
 
     /// Every strict prefix of a valid encoding decodes to Err (a
@@ -111,12 +97,9 @@ proptest! {
         counters in proptest::collection::vec(0.0f64..1e15, 1..32),
         cut in any::<proptest::sample::Index>(),
     ) {
-        let full = SwitchMsg::StatsReply { xid, generation, counters }
-            .encode()
-            .to_vec();
-        let keep = cut.index(full.len()); // 0..len, always a strict prefix
-        let res = SwitchMsg::decode(Bytes::from(full[..keep].to_vec()));
-        prop_assert!(res.is_err(), "prefix of {keep}/{} bytes decoded", full.len());
+        let msg = SwitchMsg::StatsReply { xid, generation, counters };
+        let keep = cut.index(msg.encode().len()); // 0..len, always a strict prefix
+        wire_cases::truncated_switch_frame_is_err(&msg, keep);
     }
 
     /// Same for controller requests: truncation is always an error.
@@ -125,10 +108,9 @@ proptest! {
         xid in any::<u32>(),
         cut in any::<proptest::sample::Index>(),
     ) {
-        let full = ControllerMsg::TableDumpRequest { xid }.encode().to_vec();
-        let keep = cut.index(full.len());
-        let res = ControllerMsg::decode(Bytes::from(full[..keep].to_vec()));
-        prop_assert!(res.is_err(), "prefix of {keep}/{} bytes decoded", full.len());
+        let msg = ControllerMsg::TableDumpRequest { xid };
+        let keep = cut.index(msg.encode().len());
+        wire_cases::truncated_controller_frame_is_err(&msg, keep);
     }
 
     /// Cross-decoding: a switch reply fed to the controller-side decoder
@@ -139,9 +121,9 @@ proptest! {
         generation in any::<u64>(),
         counters in proptest::collection::vec(0.0f64..1e9, 0..16),
     ) {
-        let reply = SwitchMsg::StatsReply { xid, generation, counters }.encode();
-        let _ = ControllerMsg::decode(reply);
-        let request = ControllerMsg::StatsRequest { xid }.encode();
-        let _ = SwitchMsg::decode(request);
+        wire_cases::cross_direction_decoding_never_panics(
+            &SwitchMsg::StatsReply { xid, generation, counters },
+            &ControllerMsg::StatsRequest { xid },
+        );
     }
 }

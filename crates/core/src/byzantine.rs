@@ -671,6 +671,10 @@ pub struct LiarRound<'a> {
     pub cleared: bool,
     /// The switches this round may nominate or re-probe (`None`: all).
     pub scope: Option<&'a BTreeSet<SwitchId>>,
+    /// The region this round solved (`None`: the whole network). A switch
+    /// is re-probed only on rounds of the region whose round localized it,
+    /// the system its lie showed in.
+    pub region: Option<usize>,
 }
 
 /// Per-round increments of the Byzantine counters every driver's metrics
@@ -715,13 +719,16 @@ pub struct LiarOutcome {
 /// [`LiarLifecycle::withhold`] before solving, then
 /// [`LiarLifecycle::after_verdict`]. Re-probes rotate through the
 /// quarantined set in ascending order, so a switch that keeps lying cannot
-/// starve the release of one that has confessed.
+/// starve the release of one that has confessed. Each quarantined switch
+/// is re-probed only on rounds of the region that localized it; a probe
+/// that falls due on another region's round waits for the next one there.
 #[derive(Debug, Clone, Default)]
 pub struct LiarLifecycle {
     config: ByzantineConfig,
     suspicion: SuspicionTracker,
-    /// Switches whose counters are withheld from every solve.
-    quarantined: BTreeSet<SwitchId>,
+    /// Switches whose counters are withheld from every solve, each with
+    /// the region whose round localized it.
+    quarantined: BTreeMap<SwitchId, Option<usize>>,
     /// Consecutive quiet scored rounds since the last re-probe attempt.
     quiet_streak: u32,
     /// Alarm is up but leave-one-out could not pin a single liar.
@@ -750,8 +757,9 @@ impl LiarLifecycle {
         &self.suspicion
     }
 
-    /// Switches currently under counter quarantine, ascending.
-    pub fn quarantined(&self) -> &BTreeSet<SwitchId> {
+    /// Switches currently under counter quarantine, ascending, each with
+    /// the region whose round localized it.
+    pub fn quarantined(&self) -> &BTreeMap<SwitchId, Option<usize>> {
         &self.quarantined
     }
 
@@ -767,7 +775,7 @@ impl LiarLifecycle {
             return;
         }
         for (o, r) in observed.iter_mut().zip(rules) {
-            if self.quarantined.contains(&r.switch) {
+            if self.quarantined.contains_key(&r.switch) {
                 *o = false;
             }
         }
@@ -804,7 +812,7 @@ impl LiarLifecycle {
                 out.counts.loo_downdates = report.downdates as u64;
                 if let Some(liar) = report.localized {
                     out.localized = Some(liar);
-                    self.quarantined.insert(liar);
+                    self.quarantined.insert(liar, round.region);
                     self.suspicion.clear(liar);
                     out.counts.liars_localized = 1;
                     out.counts.switch_quarantines = 1;
@@ -838,11 +846,13 @@ impl LiarLifecycle {
         }
         // Liveness: after a quiet streak, tentatively re-admit one
         // quarantined switch's rows and release it if the system stays
-        // consistent (e.g. the switch confessed / was repaired).
+        // consistent (e.g. the switch confessed / was repaired). Only the
+        // region that localized a switch decides its release: another
+        // region's system may not show the lie at all.
         if !self.quarantined.is_empty() && round.verdict.is_some() {
             self.quiet_streak = if anomalous { 0 } else { self.quiet_streak + 1 };
             if self.quiet_streak >= self.config.reprobe_after {
-                if let Some(candidate) = self.next_probe(round.scope) {
+                if let Some(candidate) = self.next_probe(round.region, round.scope) {
                     self.quiet_streak = 0;
                     self.last_probed = Some(candidate);
                     if self.reprobe(round, candidate)? {
@@ -866,15 +876,19 @@ impl LiarLifecycle {
         ranked.filter(|s| in_scope(scope, s)).take(limit).collect()
     }
 
-    /// The next quarantined switch in `scope` after the one probed last,
-    /// wrapping around to the lowest id.
-    fn next_probe(&self, scope: Option<&BTreeSet<SwitchId>>) -> Option<SwitchId> {
+    /// The next quarantined switch localized on `region`'s rounds and in
+    /// `scope` after the one probed last, wrapping around to the lowest id.
+    fn next_probe(
+        &self,
+        region: Option<usize>,
+        scope: Option<&BTreeSet<SwitchId>>,
+    ) -> Option<SwitchId> {
         let after = self.last_probed.map_or(Bound::Unbounded, Bound::Excluded);
         self.quarantined
             .range((after, Bound::Unbounded))
             .chain(&self.quarantined)
-            .copied()
-            .find(|s| in_scope(scope, s))
+            .find(|&(s, &home)| home == region && in_scope(scope, s))
+            .map(|(&s, _)| s)
     }
 
     /// Whether the system stays consistent with `candidate`'s rows
@@ -1104,6 +1118,7 @@ mod tests {
         counters: &[f64],
         raised: bool,
         scope: Option<&BTreeSet<SwitchId>>,
+        region: Option<usize>,
     ) -> LiarOutcome {
         let detector = Detector::default();
         let verdict = detector.detect(fcm, counters).unwrap();
@@ -1120,6 +1135,7 @@ mod tests {
             raised,
             cleared: false,
             scope,
+            region,
         })
         .unwrap()
     }
@@ -1128,7 +1144,7 @@ mod tests {
     fn withhold_clears_exactly_the_quarantined_rows() {
         let fcm = two_row_switches();
         let mut lc = enabled();
-        lc.quarantined.insert(SwitchId(3));
+        lc.quarantined.insert(SwitchId(3), None);
         let mut observed = vec![true; fcm.rule_count()];
         observed[0] = false;
         lc.withhold(fcm.rules(), &mut observed);
@@ -1136,7 +1152,7 @@ mod tests {
         assert_eq!(cleared, vec![0, 6, 7], "row 0 was already unobserved");
         // A disabled layer withholds nothing, whatever it holds.
         let mut off = LiarLifecycle::default();
-        off.quarantined.insert(SwitchId(3));
+        off.quarantined.insert(SwitchId(3), None);
         let mut all = vec![true; fcm.rule_count()];
         off.withhold(fcm.rules(), &mut all);
         assert!(all.iter().all(|&o| o));
@@ -1147,15 +1163,16 @@ mod tests {
         let fcm = two_row_switches();
         let (_, forged) = two_row_counters(&fcm);
         let mut lc = enabled();
-        let out = alarmed_round(&mut lc, &fcm, &forged, true, None);
+        let out = alarmed_round(&mut lc, &fcm, &forged, true, None, Some(2));
         assert_eq!(out.localized, Some(SwitchId(3)));
         assert_eq!(out.counts.liars_localized, 1);
         assert_eq!(out.counts.suspicion_rounds, 1);
         assert!(out.counts.loo_solves > 0);
         assert_eq!(out.counts.resilience_probes, 1, "raise round probes");
         assert_eq!(
-            lc.quarantined().iter().copied().collect::<Vec<_>>(),
-            [SwitchId(3)]
+            lc.quarantined().iter().collect::<Vec<_>>(),
+            [(&SwitchId(3), &Some(2))],
+            "homed on the region that localized it"
         );
         assert!(!lc.unresolved());
     }
@@ -1167,7 +1184,7 @@ mod tests {
         // The liar's shard neighbours: every switch but s3.
         let scope: BTreeSet<SwitchId> = [0, 1, 2, 4, 5].into_iter().map(SwitchId).collect();
         let mut lc = enabled();
-        let out = alarmed_round(&mut lc, &fcm, &forged, true, Some(&scope));
+        let out = alarmed_round(&mut lc, &fcm, &forged, true, Some(&scope), None);
         let in_scope = lc
             .suspicion()
             .ranked()
@@ -1185,7 +1202,7 @@ mod tests {
         assert_eq!(s3.unwrap().flips_at, Some(1), "silencing s3 would flip it");
         // A scope with no suspect in it runs neither pass.
         let nobody: BTreeSet<SwitchId> = [SwitchId(99)].into_iter().collect();
-        let out = alarmed_round(&mut lc, &fcm, &forged, true, Some(&nobody));
+        let out = alarmed_round(&mut lc, &fcm, &forged, true, Some(&nobody), None);
         assert_eq!(out.counts.loo_solves, 0);
         assert_eq!(out.resilience, None);
     }
@@ -1195,20 +1212,39 @@ mod tests {
         let fcm = two_row_switches();
         let (honest, _) = two_row_counters(&fcm);
         let mut lc = enabled();
-        lc.quarantined.insert(SwitchId(3));
+        lc.quarantined.insert(SwitchId(3), None);
         let elsewhere: BTreeSet<SwitchId> = [SwitchId(0)].into_iter().collect();
         let reprobe_after = lc.config.reprobe_after;
         for _ in 0..reprobe_after + 2 {
-            let out = alarmed_round(&mut lc, &fcm, &honest, false, Some(&elsewhere));
+            let out = alarmed_round(&mut lc, &fcm, &honest, false, Some(&elsewhere), None);
             assert_eq!(out.released, None);
         }
         assert_eq!(lc.quiet_streak, reprobe_after + 2, "no probe, no reset");
         assert_eq!(lc.last_probed, None);
         // In scope, the clean switch is re-probed and released at once.
-        let out = alarmed_round(&mut lc, &fcm, &honest, false, None);
+        let out = alarmed_round(&mut lc, &fcm, &honest, false, None, None);
         assert_eq!(out.released, Some(SwitchId(3)));
         assert_eq!(out.counts.quarantine_releases, 1);
         assert_eq!(lc.quiet_streak, 0);
+        assert!(lc.quarantined().is_empty());
+    }
+
+    #[test]
+    fn only_the_localizing_region_reprobes() {
+        let fcm = two_row_switches();
+        let (honest, _) = two_row_counters(&fcm);
+        let mut lc = enabled();
+        lc.quarantined.insert(SwitchId(3), Some(1));
+        let reprobe_after = lc.config.reprobe_after;
+        // Region 0's quiet rounds count toward the streak but never probe
+        // s3, so the due probe waits for region 1.
+        for _ in 0..reprobe_after + 2 {
+            let out = alarmed_round(&mut lc, &fcm, &honest, false, None, Some(0));
+            assert_eq!(out.released, None);
+        }
+        assert_eq!(lc.last_probed, None);
+        let out = alarmed_round(&mut lc, &fcm, &honest, false, None, Some(1));
+        assert_eq!(out.released, Some(SwitchId(3)));
         assert!(lc.quarantined().is_empty());
     }
 
@@ -1219,13 +1255,18 @@ mod tests {
         let mut lc = enabled();
         // s1 is honest, s3 keeps lying; s5 is honest too.
         lc.quarantined
-            .extend([SwitchId(1), SwitchId(3), SwitchId(5)]);
+            .extend([1, 3, 5].map(|s| (SwitchId(s), None)));
         lc.last_probed = Some(SwitchId(1));
-        assert_eq!(lc.next_probe(None), Some(SwitchId(3)));
+        assert_eq!(lc.next_probe(None, None), Some(SwitchId(3)));
         let only_low: BTreeSet<SwitchId> = [SwitchId(1)].into_iter().collect();
-        assert_eq!(lc.next_probe(Some(&only_low)), Some(SwitchId(1)), "wraps");
+        assert_eq!(
+            lc.next_probe(None, Some(&only_low)),
+            Some(SwitchId(1)),
+            "wraps"
+        );
         lc.last_probed = Some(SwitchId(5));
-        assert_eq!(lc.next_probe(None), Some(SwitchId(1)), "wraps");
+        assert_eq!(lc.next_probe(None, None), Some(SwitchId(1)), "wraps");
+        assert_eq!(lc.next_probe(Some(0), None), None, "no switch homed there");
         // Withheld, s3's lie is invisible; probing it fails, and the next
         // period moves on to s5 instead of retrying s3.
         lc.last_probed = Some(SwitchId(1));
@@ -1253,11 +1294,12 @@ mod tests {
                     raised: false,
                     cleared: false,
                     scope: None,
+                    region: None,
                 })
                 .unwrap();
             released.extend(out.released);
         }
         assert_eq!(released, [SwitchId(5)]);
-        assert!(lc.quarantined().contains(&SwitchId(3)));
+        assert!(lc.quarantined().contains_key(&SwitchId(3)));
     }
 }

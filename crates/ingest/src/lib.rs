@@ -17,7 +17,7 @@
 //!   genuinely contend (and overflow genuinely drops).
 //!   [`IngestChannel`] composes access hops + uplinks with the
 //!   channel-level [`foces_channel::FaultModel`] vocabulary and serves
-//!   [`foces_channel::Transport::exchange_at`] — timestamped delivery.
+//!   [`IngestChannel::exchange_at`] — timestamped delivery.
 //! * [`cadence`] — [`PollCadence`], per-switch adaptive poll timers:
 //!   quiet switches back off geometrically toward a ceiling, any churn,
 //!   anomaly, or timeout snaps the interval back down.
@@ -42,7 +42,7 @@ pub mod stream;
 
 pub use cadence::{CadenceConfig, PollCadence};
 pub use event::{EventQueue, SimTime};
-pub use link::{IngestChannel, LinkModel, LinkSpec};
+pub use link::{IngestChannel, LinkModel, LinkSpec, TimedDelivery};
 pub use metrics::IngestMetrics;
 pub use stream::{
     StreamAction, StreamConfig, StreamDriver, StreamError, StreamEvent, StreamReport,

@@ -23,7 +23,7 @@
 
 use foces_channel::{
     wire_exchange, ChannelError, ControllerMsg, Delivery, Fate, FaultModel, FaultProfile,
-    SwitchAgent, SwitchMsg, TimedDelivery, Transport,
+    SwitchAgent, SwitchMsg,
 };
 use foces_dataplane::DataPlane;
 use foces_net::SwitchId;
@@ -109,16 +109,30 @@ impl LinkModel {
     }
 }
 
+/// A [`Delivery`] stamped with the simulated instant the reply lands.
+///
+/// The asynchronous face of the channel: an event-driven consumer sends a
+/// request at `now_ms`, gets back *when* the outcome materialises, and
+/// schedules a future event instead of blocking on the exchange. Lost and
+/// offline outcomes carry the instant the sender can *know* the attempt
+/// failed (i.e. when its local timeout machinery may fire), which for
+/// simulated channels is the send instant itself.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TimedDelivery {
+    /// What happened to the exchange.
+    pub delivery: Delivery,
+    /// Absolute simulated time (ms) at which `delivery` is observable at
+    /// the controller: arrival time for a delivered reply, the send
+    /// instant for drops/offline.
+    pub at_ms: f64,
+}
+
 /// The event-driven ingest transport: per-switch access hops into
 /// per-region shared uplinks, with per-switch [`FaultProfile`] behaviour.
 ///
-/// Implements [`Transport`], with [`Transport::exchange_at`] as the
-/// primary surface: the caller supplies the absolute send instant and
-/// gets back the absolute arrival instant, computed from channel state
-/// (uplink occupancy) *at that instant*. The blocking
-/// [`Transport::exchange`] remains usable (it reuses the last
-/// `exchange_at` clock), so collectors built against the lockstep
-/// surface still run.
+/// [`IngestChannel::exchange_at`] is its one surface: the caller supplies
+/// the absolute send instant and gets back the absolute arrival instant,
+/// computed from channel state (uplink occupancy) *at that instant*.
 #[derive(Debug, Clone)]
 pub struct IngestChannel {
     faults: FaultModel,
@@ -131,7 +145,6 @@ pub struct IngestChannel {
     /// Last fresh reply per switch, the stale-reorder buffer
     /// (same semantics as the lockstep `SimTransport`).
     stale: HashMap<SwitchId, SwitchMsg>,
-    clock_ms: f64,
 }
 
 impl IngestChannel {
@@ -164,7 +177,6 @@ impl IngestChannel {
                 .map(|_| LinkModel::new(uplink.clone()))
                 .collect(),
             stale: HashMap::new(),
-            clock_ms: 0.0,
         }
     }
 
@@ -194,26 +206,20 @@ impl IngestChannel {
     fn access_prop_ms(&mut self, switch: SwitchId) -> f64 {
         self.access_spec(switch).propagation_ms
     }
-}
 
-impl Transport for IngestChannel {
-    fn exchange(
-        &mut self,
-        dp: &DataPlane,
-        agent: &dyn SwitchAgent,
-        msg: &ControllerMsg,
-    ) -> Result<Delivery, ChannelError> {
-        Ok(self.exchange_at(dp, agent, msg, self.clock_ms)?.delivery)
-    }
-
-    fn exchange_at(
+    /// Sends `msg` to `agent` at absolute simulated time `now_ms` and
+    /// returns when its outcome lands at the controller.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ChannelError`] only for wire-level protocol violations.
+    pub fn exchange_at(
         &mut self,
         dp: &DataPlane,
         agent: &dyn SwitchAgent,
         msg: &ControllerMsg,
         now_ms: f64,
     ) -> Result<TimedDelivery, ChannelError> {
-        self.clock_ms = now_ms;
         let sw = agent.switch();
         let now = SimTime::from_ms(now_ms);
         // Whole simulated milliseconds are this transport's offline clock.

@@ -42,7 +42,7 @@ use foces::{
 };
 use foces_channel::{
     ChannelError, ControllerMsg, Delivery, FakeStrategy, FaultProfile, HonestAgent, SwitchAgent,
-    SwitchMsg, Transport,
+    SwitchMsg,
 };
 use foces_cluster::ShardCompletion;
 use foces_controlplane::Deployment;
@@ -455,7 +455,7 @@ impl StreamDriver {
 
     /// Switches currently under counter quarantine, ascending.
     pub fn quarantined_switches(&self) -> Vec<SwitchId> {
-        self.lifecycle.quarantined().iter().copied().collect()
+        self.lifecycle.quarantined().keys().copied().collect()
     }
 
     /// Whether the stream is in the unresolved-Byzantine state: the alarm
@@ -798,6 +798,7 @@ impl StreamDriver {
                 raised: transition.is_some_and(|t| t.raised),
                 cleared: transition.is_some_and(|t| t.cleared),
                 scope: Some(&in_shard),
+                region: Some(region),
             })?;
             self.metrics.add_liar_counts(&out.counts);
             localized = out.localized;

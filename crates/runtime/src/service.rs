@@ -363,7 +363,7 @@ impl RuntimeService {
 
     /// Switches currently under counter quarantine, ascending.
     pub fn quarantined_switches(&self) -> Vec<SwitchId> {
-        self.lifecycle.quarantined().iter().copied().collect()
+        self.lifecycle.quarantined().keys().copied().collect()
     }
 
     /// Whether the service is in the unresolved-Byzantine state: the alarm
@@ -507,6 +507,7 @@ impl RuntimeService {
                 raised: alarm_raised,
                 cleared: alarm_cleared,
                 scope: None,
+                region: None,
             })?;
             self.metrics.add_liar_counts(&out.counts);
             out

@@ -73,33 +73,13 @@ impl FromStr for BackendKind {
     }
 }
 
-/// How a [`BasisSolve`] was actually produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolveMethod {
-    /// Sparse Gram + AMD-ordered sparse Cholesky.
-    SparseCholesky,
-    /// Preconditioned CGLS (no Gram formed).
-    Pcgls,
-}
-
-impl fmt::Display for SolveMethod {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            SolveMethod::SparseCholesky => "sparse-cholesky",
-            SolveMethod::Pcgls => "pcgls",
-        })
-    }
-}
-
 /// Outcome of a [`solve_factored`] basis solve.
 #[derive(Debug, Clone)]
 pub struct BasisSolve {
     /// Least-squares solution over the basis columns.
     pub x: Vec<f64>,
-    /// Iterations spent (0 for direct methods).
+    /// PCGLS iterations spent; 0 on the direct rung.
     pub iterations: u64,
-    /// Which rung of the ladder produced the answer.
-    pub method: SolveMethod,
 }
 
 /// Nonzeros past which a basis takes PCGLS instead of the direct rung,
@@ -147,11 +127,7 @@ fn solve_within(
     let h = basis.basis();
     let rhs = h.transpose_matvec(counters)?;
     if let Some(x) = solve_direct(basis, &rhs, fill_limit)? {
-        return Ok(BasisSolve {
-            x,
-            iterations: 0,
-            method: SolveMethod::SparseCholesky,
-        });
+        return Ok(BasisSolve { x, iterations: 0 });
     }
     let out = pcgls(
         h,
@@ -163,7 +139,6 @@ fn solve_within(
     Ok(BasisSolve {
         x: out.x,
         iterations: out.iterations as u64,
-        method: SolveMethod::Pcgls,
     })
 }
 
@@ -236,7 +211,7 @@ mod tests {
             .solve(&h.transpose_matvec(&y).unwrap())
             .unwrap();
         let xs = solve_factored(&BasisCholesky::new(h), &y).unwrap();
-        assert_eq!(xs.method, SolveMethod::SparseCholesky);
+        assert_eq!(xs.iterations, 0, "the direct rung");
         for (a, b) in xd.iter().zip(&xs.x) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
@@ -247,7 +222,7 @@ mod tests {
         let basis = BasisCholesky::new(paper_h());
         let y = [3., 3., 4., 3., 8., 12.];
         let first = solve_factored(&basis, &y).unwrap();
-        assert_eq!(first.method, SolveMethod::SparseCholesky);
+        assert_eq!(first.iterations, 0, "the direct rung");
         let (_, factored_now) = basis.borrow_or_factor().unwrap();
         assert!(!factored_now, "the first solve memoized the factor");
         // A later solve reads the same factor: same answer, bit for bit.
@@ -264,7 +239,7 @@ mod tests {
         );
         let y = [2.0, 2.0, 4.0];
         let out = solve_factored(&BasisCholesky::new(h.clone()), &y).unwrap();
-        assert_eq!(out.method, SolveMethod::Pcgls);
+        assert!(out.iterations > 0, "the PCGLS rung");
         let fit = h.matvec(&out.x).unwrap();
         for (f, b) in fit.iter().zip(&y) {
             assert!((f - b).abs() < 1e-6);
@@ -287,7 +262,7 @@ mod tests {
         let h = BasisCholesky::new(CsrMatrix::from_triplets(n, n, &triplets).unwrap());
         let y: Vec<f64> = (0..n).map(|i| (i % 13) as f64).collect();
         let out = solve_factored(&h, &y).unwrap();
-        assert_eq!(out.method, SolveMethod::SparseCholesky);
+        assert_eq!(out.iterations, 0, "the direct rung");
         for (j, (x, b)) in out.x.iter().zip(&y).enumerate() {
             let want = b / (1.0 + (j % 7) as f64);
             assert!((x - want).abs() < 1e-9, "{x} vs {want}");
@@ -301,7 +276,7 @@ mod tests {
         let y: Vec<f64> = (0..h.basis().rows()).map(|i| (i % 5) as f64).collect();
         for _ in 0..3 {
             let out = solve_within(h, &y, limit).unwrap();
-            assert_eq!(out.method, SolveMethod::Pcgls);
+            assert!(out.iterations > 0, "the PCGLS rung");
             let normal = h.basis().transpose_matvec(&y).unwrap();
             let (_, rel) = normal_residual(h.basis(), &out.x, &normal).unwrap();
             assert!(rel < 1e-6, "least-squares fit, rel {rel}");

@@ -37,6 +37,6 @@ mod ordering;
 mod symbolic;
 
 pub use basis::BasisCholesky;
-pub use engine::{direct_factor, solve_factored, BackendKind, BasisSolve, SolveMethod};
+pub use engine::{direct_factor, solve_factored, BackendKind, BasisSolve};
 pub use kernels::{absorption_coefficients, Capacitance};
 pub use numeric::SparseFactor;

@@ -11,13 +11,17 @@
 //!   still raise the alarm, within the hysteresis bound (`raise_k`
 //!   anomalous shard rounds at the poll cadence ceiling) — reconciliation
 //!   absorbs updates and reordering, not attacks.
+//!
+//! A third test pins the stream's liar lifecycle: a lying switch is
+//! released only once it has confessed.
 
-use foces_channel::FaultProfile;
+use foces_channel::{FakeStrategy, FaultProfile};
+use foces_controlplane::scenario::Scenario;
 use foces_controlplane::{provision, uniform_flows, Deployment, RuleGranularity};
 use foces_dataplane::AnomalyKind;
 use foces_ingest::{CadenceConfig, StreamAction, StreamConfig, StreamDriver};
 use foces_net::generators::fattree;
-use foces_runtime::HysteresisConfig;
+use foces_runtime::{ByzantineConfig, HysteresisConfig};
 
 fn testbed() -> Deployment {
     let topo = fattree(4);
@@ -124,4 +128,77 @@ fn a_dropper_still_alarms_within_the_hysteresis_bound() {
         latency <= bound,
         "alarm took {latency:.1} ms, bound {bound:.1} ms: {m:?}"
     );
+}
+
+/// The value of `"key":` in one flat JSONL line.
+fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let start = line.find(&format!("\"{key}\":"))? + key.len() + 3;
+    let len = line[start..].find([',', '}'])?;
+    Some(&line[start..start + len])
+}
+
+/// The stream liar drill `foces stream scenarios/coverage_fattree4.foces
+/// --duration-ms 20000 --liars 1 --fake-at 3000 --confess-at 12000 --seed 3`
+/// for the default liar (s4) and `--liar-seed` 1 (s12) and 4 (s11). Each
+/// liar is localized once, stays quarantined while it lies, and is
+/// released once, after its confession. Boundary flows put some of a
+/// liar's rows into a neighbouring region's shard, whose system need not
+/// show the lie: a re-probe there used to release s4 and s12 25 times
+/// before the confession. Re-probes now run only on the region whose
+/// round localized the switch.
+#[test]
+fn a_stream_liar_is_released_once_and_only_after_it_confesses() {
+    let text = std::fs::read_to_string("scenarios/coverage_fattree4.foces").unwrap();
+    let scenario = Scenario::parse(&text).unwrap();
+    let (fake_at, confess_at) = (3_000.0, 12_000.0);
+    for liar_seed in [StreamConfig::default().liar_seed, 1, 4] {
+        let config = StreamConfig {
+            duration_ms: 20_000.0,
+            cadence: CadenceConfig::fixed(50.0),
+            seed: 3,
+            liar_seed,
+            byzantine: ByzantineConfig {
+                enabled: true,
+                ..ByzantineConfig::default()
+            },
+            ..StreamConfig::default()
+        };
+        let compromise = StreamAction::Compromise {
+            liars: 1,
+            strategy: FakeStrategy::Naive,
+            magnitude: 1.0,
+        };
+        let script = vec![(fake_at, compromise), (confess_at, StreamAction::Confess)];
+        let mut driver = StreamDriver::new(scenario.provision().unwrap(), config, script);
+        let m = driver.run().expect("stream must complete").metrics;
+        let counts = (
+            m.liars_localized,
+            m.switch_quarantines,
+            m.quarantine_releases,
+        );
+        assert_eq!(counts, (1, 1, 1), "liar seed {liar_seed}: {m:?}");
+        // Quarantine changes show as the round lines' `liars` count moving.
+        let mut changes = Vec::new();
+        let mut held = "0";
+        for line in driver.log().lines() {
+            let round = json_field(line, "region").and(json_field(line, "t_ms"));
+            let (Some(t), Some(liars)) = (round, json_field(line, "liars")) else {
+                continue;
+            };
+            if liars != held {
+                changes.push((t.parse::<f64>().unwrap(), liars.to_string()));
+                held = liars;
+            }
+        }
+        assert_eq!(changes.len(), 2, "liar seed {liar_seed}: {changes:?}");
+        let (localized_at, released_at) = (changes[0].0, changes[1].0);
+        assert!(
+            localized_at > fake_at && localized_at < confess_at,
+            "liar seed {liar_seed}: localized at {localized_at} ms"
+        );
+        assert!(
+            released_at > confess_at,
+            "liar seed {liar_seed}: released at {released_at} ms, before the confession"
+        );
+    }
 }

@@ -2,14 +2,20 @@
 //! the adversary rewrites forwarding, forges its table dumps, and forges
 //! its own counters — dump auditing passes, yet FOCES detects from the
 //! (partially forged) counter vector, because the adversary cannot forge
-//! *other* switches' counters.
+//! *other* switches' counters. Counters are polled the way `foces run`
+//! polls them (an [`EpochScheduler`] over a [`PerfectTransport`]), and
+//! table dumps are fetched over the same wire format.
 
 use foces::{Detector, Fcm};
-use foces_channel::{honest_collector, ForgingAgent};
-use foces_controlplane::{provision, uniform_flows, Deployment, RuleGranularity};
-use foces_dataplane::{Action, LossModel, Rule, RuleRef};
+use foces_channel::{
+    wire_exchange, ControllerMsg, ForgingAgent, HonestAgent, PerfectTransport, SwitchAgent,
+    SwitchMsg,
+};
+use foces_controlplane::{provision, uniform_flows, ControllerView, Deployment, RuleGranularity};
+use foces_dataplane::{Action, DataPlane, LossModel, Rule, RuleRef};
 use foces_net::generators::bcube;
 use foces_net::SwitchId;
+use foces_runtime::{EpochScheduler, PollPolicy};
 
 fn deployment() -> Deployment {
     let topo = bcube(1, 4);
@@ -38,6 +44,72 @@ fn pick_victim(dep: &Deployment) -> (RuleRef, Vec<Rule>) {
     panic!("no eligible rule");
 }
 
+/// The lockstep poller `foces run` drives: one honest agent per switch
+/// over the ideal channel.
+fn honest_scheduler(view: &ControllerView) -> EpochScheduler {
+    let agents: Vec<Box<dyn SwitchAgent>> = view
+        .topology()
+        .switches()
+        .map(|s| Box::new(HonestAgent::new(s)) as Box<dyn SwitchAgent>)
+        .collect();
+    EpochScheduler::new(agents, Box::new(PerfectTransport), PollPolicy::default())
+}
+
+/// Polls every switch once and assembles the replies in FCM row order.
+fn collect(sched: &mut EpochScheduler, dp: &DataPlane, fcm: &Fcm) -> Vec<f64> {
+    let sweep = sched.poll_epoch(dp, 0).unwrap();
+    let (counters, observed) = sweep.assemble(fcm.rules());
+    assert!(
+        observed.iter().all(|&o| o),
+        "a perfect channel loses nothing"
+    );
+    counters
+}
+
+/// Fetches `agent`'s table dump over the wire and lists the indices where
+/// it disagrees with the controller's view (match, priority or action);
+/// `usize::MAX` stands for a dump of the wrong length.
+fn dump_mismatches(dp: &DataPlane, view: &ControllerView, agent: &dyn SwitchAgent) -> Vec<usize> {
+    let reply = wire_exchange(dp, agent, &ControllerMsg::TableDumpRequest { xid: 1 }).unwrap();
+    let SwitchMsg::TableDumpReply { rules, .. } = reply else {
+        panic!("wrong reply type: {reply:?}");
+    };
+    let table = view.table(agent.switch());
+    if rules.len() != table.len() {
+        return vec![usize::MAX];
+    }
+    rules
+        .iter()
+        .zip(table.iter())
+        .filter(|(wire, (_, expected))| {
+            wire.match_fields != *expected.match_fields()
+                || wire.priority != expected.priority()
+                || wire.action != expected.action()
+        })
+        .map(|(_, (i, _))| i)
+        .collect()
+}
+
+/// Audits every switch's dump, with `forger` answering for its own switch
+/// and honest agents for the rest; returns each switch's mismatches.
+fn audit_dumps(
+    dp: &DataPlane,
+    view: &ControllerView,
+    forger: Option<&ForgingAgent>,
+) -> Vec<(SwitchId, Vec<usize>)> {
+    view.topology()
+        .switches()
+        .map(|s| {
+            let honest = HonestAgent::new(s);
+            let agent: &dyn SwitchAgent = match forger {
+                Some(f) if f.switch() == s => f,
+                _ => &honest,
+            };
+            (s, dump_mismatches(dp, view, agent))
+        })
+        .collect()
+}
+
 #[test]
 fn full_adversary_defeats_dump_audit_but_not_foces() {
     let mut dep = deployment();
@@ -56,24 +128,22 @@ fn full_adversary_defeats_dump_audit_but_not_foces() {
     dep_replayed.replay_traffic(&mut LossModel::none());
     let expected_victim_counter = dep_replayed.dataplane.counter(victim.switch, victim.index);
 
-    let mut collector = honest_collector(&dep.view);
     let mut agent = ForgingAgent::new(victim.switch, original_table);
     agent.forge_counter(victim.index, expected_victim_counter);
-    collector.replace_agent(Box::new(agent));
 
     // 1. Dump audit: every switch, including the compromised one, passes.
-    let audits = collector
-        .audit_dumps(&dep_replayed.dataplane, &dep.view)
-        .unwrap();
+    let audits = audit_dumps(&dep_replayed.dataplane, &dep.view, Some(&agent));
     assert!(
-        audits.iter().all(|a| a.consistent),
-        "forged dumps defeat table auditing"
+        audits.iter().all(|(_, m)| m.is_empty()),
+        "forged dumps defeat table auditing: {audits:?}"
     );
 
     // 2. FOCES over the channel-collected (forged) counters: detected
     //    anyway — the starved downstream rules are on switches the
     //    adversary does not control.
-    let counters = collector.collect_counters(&dep_replayed.dataplane).unwrap();
+    let mut sched = honest_scheduler(&dep.view);
+    assert!(sched.replace_agent(Box::new(agent)).is_some());
+    let counters = collect(&mut sched, &dep_replayed.dataplane, &fcm);
     let verdict = Detector::default().detect(&fcm, &counters).unwrap();
     assert!(verdict.anomalous, "{verdict}");
     // The adversary can forge its own counters but not its neighbours':
@@ -99,9 +169,10 @@ fn channel_counters_equal_direct_collection_with_honest_agents() {
     let mut dep = deployment();
     let mut loss = LossModel::sampled(0.03, 5);
     dep.replay_traffic(&mut loss);
-    let collector = honest_collector(&dep.view);
+    let fcm = Fcm::from_view(&dep.view);
+    let mut sched = honest_scheduler(&dep.view);
     assert_eq!(
-        collector.collect_counters(&dep.dataplane).unwrap(),
+        collect(&mut sched, &dep.dataplane, &fcm),
         dep.dataplane.collect_counters()
     );
 }
@@ -116,15 +187,15 @@ fn forging_other_switches_counters_is_out_of_reach() {
     let sw = SwitchId(3);
     let snapshot: Vec<Rule> = dep.view.table(sw).iter().map(|(_, r)| r.clone()).collect();
     let table_len = snapshot.len();
-    let mut collector = honest_collector(&dep.view);
+    let mut sched = honest_scheduler(&dep.view);
     let mut agent = ForgingAgent::new(sw, snapshot);
     for i in 0..table_len {
         agent.forge_counter(i, 0.0);
     }
-    collector.replace_agent(Box::new(agent));
-    let forged = collector.collect_counters(&dep.dataplane).unwrap();
-    // Positions outside s3's block are untouched.
+    assert!(sched.replace_agent(Box::new(agent)).is_some());
     let fcm = Fcm::from_view(&dep.view);
+    let forged = collect(&mut sched, &dep.dataplane, &fcm);
+    // Positions outside s3's block are untouched.
     for (i, r) in fcm.rules().iter().enumerate() {
         if r.switch == sw {
             assert_eq!(forged[i], 0.0);
@@ -132,4 +203,40 @@ fn forging_other_switches_counters_is_out_of_reach() {
             assert_eq!(forged[i], truth[i]);
         }
     }
+}
+
+#[test]
+fn honest_dump_exposes_a_naive_compromise() {
+    // A compromised switch that does NOT forge its dump is caught by dump
+    // auditing (which is why real adversaries forge).
+    let mut dep = deployment();
+    let (victim, _) = pick_victim(&dep);
+    dep.dataplane
+        .modify_rule_action(victim, Action::Drop)
+        .unwrap();
+    for (s, mismatches) in audit_dumps(&dep.dataplane, &dep.view, None) {
+        let expected = if s == victim.switch {
+            vec![victim.index]
+        } else {
+            vec![]
+        };
+        assert_eq!(mismatches, expected, "switch s{}", s.0);
+    }
+}
+
+#[test]
+fn forged_dump_defeats_auditing() {
+    // The paper's point: the adversary reports the original table, so dump
+    // auditing passes while forwarding is compromised.
+    let mut dep = deployment();
+    let (victim, original) = pick_victim(&dep);
+    dep.dataplane
+        .modify_rule_action(victim, Action::Drop)
+        .unwrap();
+    let forger = ForgingAgent::new(victim.switch, original);
+    let audits = audit_dumps(&dep.dataplane, &dep.view, Some(&forger));
+    assert!(
+        audits.iter().all(|(_, m)| m.is_empty()),
+        "forged dumps must pass the audit: {audits:?}"
+    );
 }
