@@ -198,8 +198,9 @@ fn source_of(host: HostId) -> u32 {
 
 /// The symbolic header injected at a host's port: the source field pinned
 /// to the host's own address (real traffic from the port carries it), and
-/// everything else wildcarded.
-fn source_region(host: HostId) -> Wildcard {
+/// everything else wildcarded. The ATPG tracer and `foces-verify`'s
+/// traversal both start from it.
+pub fn source_region(host: HostId) -> Wildcard {
     let source = source_of(host);
     let mut pos = Wildcard::any(HEADER_WIDTH);
     for bit in 0..SOURCE_BITS {
@@ -442,7 +443,7 @@ mod tests {
         use foces_dataplane::{dst_match, pair_match, FlowTable, Rule};
 
         let mut topo = Topology::new();
-        let s0 = topo.add_switch("s0");
+        let s0 = topo.add_switch();
         let h: Vec<HostId> = (0..3).map(|_| topo.add_host()).collect();
         let mut host_port = Vec::new();
         for &hh in &h {
@@ -474,7 +475,7 @@ mod tests {
         use foces_dataplane::{dst_match, FlowTable, Rule};
 
         let mut topo = Topology::new();
-        let s0 = topo.add_switch("s0");
+        let s0 = topo.add_switch();
         let h0 = topo.add_host();
         let h1 = topo.add_host();
         topo.connect(Node::Host(h0), Node::Switch(s0)).unwrap();
@@ -510,8 +511,8 @@ mod tests {
 
         // s0 <-> s1 bounce loop.
         let mut topo = Topology::new();
-        let s0 = topo.add_switch("s0");
-        let s1 = topo.add_switch("s1");
+        let s0 = topo.add_switch();
+        let s1 = topo.add_switch();
         let h0 = topo.add_host();
         topo.connect(Node::Switch(s0), Node::Switch(s1)).unwrap(); // port 0 each
         topo.connect(Node::Host(h0), Node::Switch(s0)).unwrap();

@@ -138,8 +138,8 @@ mod tests {
 
     fn plane() -> (DataPlane, SwitchId, foces_net::HostId) {
         let mut t = Topology::new();
-        let s0 = t.add_switch("s0");
-        let s1 = t.add_switch("s1");
+        let s0 = t.add_switch();
+        let s1 = t.add_switch();
         let h0 = t.add_host();
         let h1 = t.add_host();
         t.connect(Node::Switch(s0), Node::Switch(s1)).unwrap();

@@ -110,7 +110,7 @@ pub const VERBS: &[Verb] = &[
              magnitudes=L1,L2,... threshold=T seed=N liar-seed=N out=FILE.json"],
         needs: &[], conflicts: &[],
         about: "adversarial sweep (strategy x liar count x magnitude): detection latency, \
-                localization precision/recall and evasion cost, into BENCH_redteam.json" },
+                localization precision/recall and evasion cost, into --out (default redteam.json)" },
     Verb { name: "scale", positionals: "",
         flags: &["full out=FILE.json seed=N threshold=T ceiling=K flows-max=N"],
         needs: &[("ceiling", "full")], conflicts: &[],
@@ -210,7 +210,7 @@ fn coverage_refusal(
 }
 
 /// Writes the `byzantine:` summary line of `run` and `stream`, whose two
-/// metrics types carry the same liar-lifecycle counters.
+/// metrics types fold in the same round-core tally.
 macro_rules! write_byzantine {
     ($out:expr, $m:expr) => {
         writeln!(
@@ -1030,8 +1030,9 @@ fn redteam_cell(
 /// (strategy × liar count × fake magnitude λ), measuring detection
 /// latency, localization precision/recall, and the evasion cost (the
 /// smallest λ each strategy needs to stay above to be caught), and writes
-/// the whole grid to BENCH_redteam.json. Uses the FatTree(4) golden
-/// scenario when no file is given.
+/// the whole grid to `--out` (default `redteam.json`; the committed
+/// `BENCH_redteam.json` is the redteam bench's FatTree(8) golden, another
+/// schema). Uses the FatTree(4) golden scenario when no file is given.
 pub fn redteam(args: &Args) -> Result<CmdOutput, CmdError> {
     use foces_runtime::metrics::json_f64;
     let (scenario, scenario_name) = match args.positional(0) {
@@ -1057,7 +1058,7 @@ pub fn redteam(args: &Args) -> Result<CmdOutput, CmdError> {
     let strategies = args
         .list("strategies")?
         .unwrap_or_else(|| FakeStrategy::ALL.to_vec());
-    let out_path = args.opt("out").unwrap_or("BENCH_redteam.json").to_string();
+    let out_path = args.opt("out").unwrap_or("redteam.json").to_string();
 
     let mut out = String::new();
     writeln!(

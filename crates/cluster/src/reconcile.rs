@@ -45,9 +45,6 @@ pub struct ShardRound {
     pub kind: ShardRoundKind,
     /// The masked verdict, absent for blind rounds.
     pub verdict: Option<Verdict>,
-    /// The rules whose residuals may feed suspicion scoring — empty for
-    /// blind *and* reconciled rounds (mixed generations lie).
-    pub scored_rules: Vec<RuleRef>,
 }
 
 /// Scores one shard round whose counters mix rule generations (`churn`)
@@ -86,23 +83,17 @@ pub fn reconcile_shard_round(
             return Ok(ShardRound {
                 kind: ShardRoundKind::Blind,
                 verdict: None,
-                scored_rules: Vec::new(),
             })
         }
         Err(e) => return Err(e),
     };
-    if churn {
-        Ok(ShardRound {
-            kind: ShardRoundKind::Reconciled,
-            verdict: Some(verdict),
-            scored_rules: Vec::new(),
-        })
+    let kind = if churn {
+        ShardRoundKind::Reconciled
     } else {
-        let kept = view.sub_fcm.rules().iter().zip(&keep);
-        Ok(ShardRound {
-            kind: ShardRoundKind::Degraded,
-            verdict: Some(verdict),
-            scored_rules: kept.filter(|p| *p.1).map(|p| *p.0).collect(),
-        })
-    }
+        ShardRoundKind::Degraded
+    };
+    Ok(ShardRound {
+        kind,
+        verdict: Some(verdict),
+    })
 }

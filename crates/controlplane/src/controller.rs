@@ -1,6 +1,6 @@
 use crate::{DestinationTree, FlowSpec, RuleGranularity};
 use foces_dataplane::{dst_match, pair_match, Action, DataPlane, FlowTable, Rule, RuleRef};
-use foces_net::{HostId, SwitchId, Topology};
+use foces_net::{HostId, Node, SwitchId, Topology};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -208,6 +208,35 @@ impl ControllerView {
     /// Panics if the switch id is out of range.
     pub fn table(&self, switch: SwitchId) -> &FlowTable {
         &self.tables[switch.0]
+    }
+
+    /// Walks a concrete header through the installed tables from `start`,
+    /// appending each matched rule to `history`, for at most `max_hops`
+    /// lookups. Returns the host the packet is delivered to: `None` on a
+    /// drop, a table miss, a dangling port, or a spent hop budget (a
+    /// forwarding loop).
+    pub fn walk(
+        &self,
+        start: SwitchId,
+        header: u64,
+        max_hops: usize,
+        history: &mut Vec<RuleRef>,
+    ) -> Option<HostId> {
+        let mut sw = start;
+        for _ in 0..max_hops {
+            let (index, rule) = self.table(sw).lookup(header)?;
+            history.push(RuleRef { switch: sw, index });
+            match rule.action() {
+                Action::Drop => return None,
+                Action::Forward(port) => {
+                    match self.topo.adj(Node::Switch(sw)).get(port.0)?.neighbor {
+                        Node::Host(h) => return Some(h),
+                        Node::Switch(next) => sw = next,
+                    }
+                }
+            }
+        }
+        None
     }
 
     /// Iterates over every installed rule in canonical (switch-major,
@@ -986,7 +1015,7 @@ mod tests {
     #[test]
     fn unattached_host_is_rejected() {
         let mut topo = Topology::new();
-        topo.add_switch("s0");
+        topo.add_switch();
         let h0 = topo.add_host();
         let h1 = topo.add_host();
         let flows = [FlowSpec {
@@ -1003,8 +1032,8 @@ mod tests {
     #[test]
     fn partitioned_network_is_rejected() {
         let mut topo = Topology::new();
-        let s0 = topo.add_switch("s0");
-        let s1 = topo.add_switch("s1");
+        let s0 = topo.add_switch();
+        let s1 = topo.add_switch();
         let h0 = topo.add_host();
         let h1 = topo.add_host();
         topo.connect(Node::Host(h0), Node::Switch(s0)).unwrap();
@@ -1160,7 +1189,7 @@ mod tests {
     #[test]
     fn waypoint_unreachable_is_reported() {
         let mut topo = fattree(4);
-        let island = topo.add_switch("island");
+        let island = topo.add_switch();
         let hosts: Vec<HostId> = topo.hosts().collect();
         let mut dep = provision(topo, &[], RuleGranularity::PerFlowPair).unwrap();
         let spec = FlowSpec {
@@ -1178,7 +1207,7 @@ mod tests {
     #[test]
     fn add_flow_validates_endpoints() {
         let mut topo = Topology::new();
-        let s0 = topo.add_switch("s0");
+        let s0 = topo.add_switch();
         let h0 = topo.add_host();
         let h1 = topo.add_host();
         topo.connect(Node::Host(h0), Node::Switch(s0)).unwrap();

@@ -122,7 +122,7 @@ mod tests {
 
     fn line() -> (Topology, Vec<SwitchId>, Vec<HostId>) {
         let mut t = Topology::new();
-        let s: Vec<SwitchId> = (0..3).map(|i| t.add_switch(format!("s{i}"))).collect();
+        let s: Vec<SwitchId> = (0..3).map(|_| t.add_switch()).collect();
         let h = vec![t.add_host(), t.add_host()];
         t.connect(Node::Switch(s[0]), Node::Switch(s[1])).unwrap();
         t.connect(Node::Switch(s[1]), Node::Switch(s[2])).unwrap();
@@ -156,7 +156,7 @@ mod tests {
     #[test]
     fn unattached_destination_gives_none() {
         let mut t = Topology::new();
-        t.add_switch("s0");
+        t.add_switch();
         let h = t.add_host();
         assert!(DestinationTree::compute(&t, h).is_none());
     }
@@ -164,7 +164,7 @@ mod tests {
     #[test]
     fn unreachable_switch_has_no_egress() {
         let (mut t, _, h) = line();
-        let island = t.add_switch("island");
+        let island = t.add_switch();
         let tree = DestinationTree::compute(&t, h[1]).unwrap();
         assert_eq!(tree.egress_port(island), None);
         assert_eq!(tree.distance(island), None);

@@ -135,7 +135,7 @@ impl Scenario {
                     if switch_names.contains_key(name) {
                         return Err(err(line_no, format!("switch {name} redefined")));
                     }
-                    let id = custom.add_switch(name);
+                    let id = custom.add_switch();
                     switch_names.insert(name.to_string(), id);
                     used_custom = true;
                 }

@@ -88,8 +88,3 @@ pub fn plan_reroutes(dep: &Deployment, count: usize) -> Vec<ReroutePlan> {
     candidates.truncate(count);
     candidates
 }
-
-/// [`plan_reroutes`] for a single update — the common N=1 case.
-pub fn plan_reroute(dep: &Deployment) -> Option<ReroutePlan> {
-    plan_reroutes(dep, 1).pop()
-}

@@ -23,7 +23,7 @@
 use crate::detectability::{history_rows, SpanOracle};
 use crate::Fcm;
 use foces_controlplane::ControllerView;
-use foces_dataplane::{Action, RuleRef};
+use foces_dataplane::RuleRef;
 use foces_net::{Node, SwitchId};
 
 /// One candidate single-hop deviation.
@@ -75,42 +75,6 @@ impl DeviationAudit {
     }
 }
 
-/// Walks a concrete header through the controller's **view** tables from
-/// `start`, returning the matched rule history. Stops on delivery, drop,
-/// miss, or a hop budget (adversarial redirections can loop).
-fn trace_concrete(
-    view: &ControllerView,
-    start: SwitchId,
-    header: u64,
-    max_hops: usize,
-) -> (Vec<RuleRef>, Option<foces_net::HostId>) {
-    let topo = view.topology();
-    let mut history = Vec::new();
-    let mut current = start;
-    for _ in 0..max_hops {
-        let Some((idx, rule)) = view.table(current).lookup(header) else {
-            return (history, None);
-        };
-        history.push(RuleRef {
-            switch: current,
-            index: idx,
-        });
-        match rule.action() {
-            Action::Drop => return (history, None),
-            Action::Forward(port) => {
-                let Some(adj) = topo.adj(Node::Switch(current)).get(port.0) else {
-                    return (history, None);
-                };
-                match adj.neighbor {
-                    Node::Host(h) => return (history, Some(h)),
-                    Node::Switch(s) => current = s,
-                }
-            }
-        }
-    }
-    (history, None) // loop: never delivered
-}
-
 /// Enumerates and classifies every single-hop deviation of every flow.
 ///
 /// For flow `f` with path `S₁…Sₖ` and each position `i`, the adversary at
@@ -147,9 +111,9 @@ pub fn audit_deviations(view: &ControllerView, fcm: &Fcm, max_candidates: usize)
                 }
                 // Deviated history: rules up to and including this switch,
                 // then the benign trace from the redirection target.
+                // The hop budget stops adversarial redirections that loop.
                 let mut deviated: Vec<RuleRef> = history[..=pos].to_vec();
-                let (rest, delivered) = trace_concrete(view, target, header, 64);
-                deviated.extend(rest);
+                let delivered = view.walk(target, header, 64, &mut deviated);
                 // Skip "deviations" that reproduce the original history
                 // (e.g. redirecting into a switch that routes straight
                 // back): FA(h, h) is not an anomaly (Definition 1).

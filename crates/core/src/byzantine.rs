@@ -44,14 +44,18 @@
 //! so removal does not clear the alarm — that distinction is what the
 //! runtime reports as an *unresolved Byzantine alarm*.
 //!
-//! [`LiarLifecycle`] strings the three parts together, with counter
-//! quarantine and re-probe release, once for every detection driver.
+//! [`RoundCore`] strings the three parts together, with counter
+//! quarantine and re-probe release, behind the round's alarm decision,
+//! once for the `run` and `stream` drivers.
 
 use crate::detector::{anomaly_index, max_with_index, median, noise_floor};
 use crate::without::{zero_unobserved, Kernel};
-use crate::{AlarmState, Detector, Fcm, FocesError, Verdict};
+use crate::{
+    AlarmMachine, AlarmState, AlarmTransition, Detector, Fcm, FocesError, HysteresisConfig, Verdict,
+};
 use foces_dataplane::RuleRef;
 use foces_net::SwitchId;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -645,7 +649,7 @@ impl Default for ByzantineConfig {
     }
 }
 
-/// What one detection round hands [`LiarLifecycle::after_verdict`].
+/// What one detection round hands [`RoundCore::after_verdict`].
 #[derive(Debug, Clone, Copy)]
 pub struct LiarRound<'a> {
     /// The detector that produced the verdict.
@@ -656,31 +660,38 @@ pub struct LiarRound<'a> {
     pub counters: &'a [f64],
     /// The round's observed mask, with quarantined rows withheld.
     pub observed: &'a [bool],
-    /// The observed mask before [`LiarLifecycle::withhold`].
+    /// The observed mask before [`RoundCore::withhold`].
     pub collected: &'a [bool],
-    /// The rules whose residuals the verdict carries, in solve order;
-    /// empty when the round is not scorable.
-    pub scored: &'a [RuleRef],
-    /// The round's verdict (`None` on a blind round).
+    /// Whether the verdict's residuals attribute cleanly to switches: true
+    /// for full and row-masked (degraded) rounds, false for reconciled
+    /// rounds (their counters mix rule generations) and blind ones. The
+    /// scored rows are then the observed ones, in solve order.
+    pub scorable: bool,
+    /// The round's verdict (`None` on a blind round, which leaves the alarm
+    /// where it was).
     pub verdict: Option<&'a Verdict>,
-    /// The alarm state after this round was observed.
-    pub alarm: AlarmState,
-    /// This round raised the alarm.
-    pub raised: bool,
-    /// This round cleared the alarm.
-    pub cleared: bool,
-    /// The switches this round may nominate or re-probe (`None`: all).
-    pub scope: Option<&'a BTreeSet<SwitchId>>,
-    /// The region this round solved (`None`: the whole network). A switch
-    /// is re-probed only on rounds of the region whose round localized it,
-    /// the system its lie showed in.
+    /// The round witnessed a rule update, which arms the alarm's churn
+    /// suppression before the round is judged.
+    pub churn: bool,
+    /// The region this round solved (`None`: the whole network). A region's
+    /// round nominates and re-probes only the switches owning rows of its
+    /// `fcm`, and a switch is re-probed only on rounds of the region whose
+    /// round localized it, the system its lie showed in.
     pub region: Option<usize>,
 }
 
-/// Per-round increments of the Byzantine counters every driver's metrics
+/// Per-round increments of the detection counters every driver's metrics
 /// carry under the same names.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LiarCounts {
+pub struct RoundCounts {
+    /// Rounds whose verdict was anomalous (0 or 1).
+    pub anomalous_rounds: u64,
+    /// Alarm raise transitions (0 or 1).
+    pub alarms_raised: u64,
+    /// Alarm clear transitions (0 or 1).
+    pub alarms_cleared: u64,
+    /// Rounds where churn suppression held a raise quorum back (0 or 1).
+    pub suppressed_raises: u64,
     /// Rounds that fed the suspicion tracker (0 or 1).
     pub suspicion_rounds: u64,
     /// Leave-one-out candidate evaluations.
@@ -701,9 +712,11 @@ pub struct LiarCounts {
     pub resilience_flips: u64,
 }
 
-/// What [`LiarLifecycle::after_verdict`] decided this round.
+/// What [`RoundCore::after_verdict`] decided this round.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct LiarOutcome {
+pub struct RoundOutcome {
+    /// What the round did to the alarm (nothing on a blind round).
+    pub alarm: AlarmTransition,
     /// The liar leave-one-out localized (quarantined from the next round).
     pub localized: Option<SwitchId>,
     /// The switch a clean re-probe released from quarantine.
@@ -711,19 +724,23 @@ pub struct LiarOutcome {
     /// The k-resilience probe (alarm-raise rounds only).
     pub resilience: Option<ResilienceReport>,
     /// Counter increments for the driver's metrics.
-    pub counts: LiarCounts,
+    pub counts: RoundCounts,
 }
 
-/// The liar lifecycle: suspicion → leave-one-out → k-resilience →
-/// quarantine and re-probe. Each round a driver calls
-/// [`LiarLifecycle::withhold`] before solving, then
-/// [`LiarLifecycle::after_verdict`]. Re-probes rotate through the
-/// quarantined set in ascending order, so a switch that keeps lying cannot
-/// starve the release of one that has confessed. Each quarantined switch
-/// is re-probed only on rounds of the region that localized it; a probe
-/// that falls due on another region's round waits for the next one there.
-#[derive(Debug, Clone, Default)]
-pub struct LiarLifecycle {
+/// The round core the `run` and `stream` drivers judge every verdict
+/// with: after Algorithm 1's verdict it steps the k-of-n
+/// [`AlarmMachine`], then runs the liar lifecycle — suspicion →
+/// leave-one-out → k-resilience → quarantine and re-probe — and tallies
+/// the round. Each round a driver calls [`RoundCore::withhold`] before
+/// solving, then [`RoundCore::after_verdict`]. Re-probes rotate through
+/// the quarantined set in ascending order, so a switch that keeps lying
+/// cannot starve the release of one that has confessed. Each quarantined
+/// switch is re-probed only on rounds of the region that localized it; a
+/// probe that falls due on another region's round waits for the next one
+/// there.
+#[derive(Debug, Clone)]
+pub struct RoundCore {
+    alarm: AlarmMachine,
     config: ByzantineConfig,
     suspicion: SuspicionTracker,
     /// Switches whose counters are withheld from every solve, each with
@@ -737,19 +754,27 @@ pub struct LiarLifecycle {
     last_probed: Option<SwitchId>,
 }
 
-impl LiarLifecycle {
-    /// A lifecycle with nobody suspected or quarantined.
-    pub fn new(config: ByzantineConfig) -> Self {
-        LiarLifecycle {
-            config,
-            suspicion: SuspicionTracker::new(config.suspicion),
-            ..LiarLifecycle::default()
+impl RoundCore {
+    /// A core with the alarm normal and nobody suspected or quarantined.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hysteresis` fails [`HysteresisConfig::check`].
+    pub fn new(hysteresis: HysteresisConfig, byzantine: ByzantineConfig) -> Self {
+        RoundCore {
+            alarm: AlarmMachine::new(hysteresis),
+            config: byzantine,
+            suspicion: SuspicionTracker::new(byzantine.suspicion),
+            quarantined: BTreeMap::new(),
+            quiet_streak: 0,
+            unresolved: false,
+            last_probed: None,
         }
     }
 
-    /// Whether the Byzantine layer is on ([`ByzantineConfig::enabled`]).
-    pub fn enabled(&self) -> bool {
-        self.config.enabled
+    /// The alarm state after the latest judged round.
+    pub fn state(&self) -> AlarmState {
+        self.alarm.state()
     }
 
     /// The residual-attribution scores (empty while the layer is off).
@@ -768,41 +793,82 @@ impl LiarLifecycle {
         self.unresolved
     }
 
-    /// Clears the observed bit of every row a quarantined switch owns, which
-    /// routes the round through the sound row-masked path.
-    pub fn withhold(&self, rules: &[RuleRef], observed: &mut [bool]) {
+    /// The round's observed mask: `collected` with the bit of every row a
+    /// quarantined switch owns cleared, which routes the round through the
+    /// sound row-masked path. Borrows `collected` when nothing is withheld.
+    pub fn withhold<'a>(&self, rules: &[RuleRef], collected: &'a [bool]) -> Cow<'a, [bool]> {
         if !self.config.enabled || self.quarantined.is_empty() {
-            return;
+            return Cow::Borrowed(collected);
         }
-        for (o, r) in observed.iter_mut().zip(rules) {
-            if self.quarantined.contains_key(&r.switch) {
-                *o = false;
-            }
-        }
+        let quarantined = |r: &RuleRef| self.quarantined.contains_key(&r.switch);
+        Cow::Owned(
+            collected
+                .iter()
+                .zip(rules)
+                .map(|(&c, r)| c && !quarantined(r))
+                .collect(),
+        )
     }
 
-    /// Runs the lifecycle on one round's verdict.
+    /// Judges one round: steps the alarm on its verdict, then (with the
+    /// Byzantine layer on) runs the liar lifecycle. A blind round decides
+    /// nothing.
     ///
     /// # Errors
     ///
     /// Propagates solver failures from leave-one-out, the k-resilience
     /// probe and the re-probe solve.
-    pub fn after_verdict(&mut self, round: &LiarRound<'_>) -> Result<LiarOutcome, FocesError> {
-        let mut out = LiarOutcome::default();
-        let anomalous = round.verdict.is_some_and(|v| v.anomalous);
-        let scorable = !round.scored.is_empty();
-        if let (true, Some(v)) = (scorable, round.verdict) {
-            if round.scored.len() == v.solve.residual.len() {
-                self.suspicion
-                    .observe(round.scored, &v.solve.residual, v.anomalous);
-                out.counts.suspicion_rounds = 1;
-            }
+    pub fn after_verdict(&mut self, round: &LiarRound<'_>) -> Result<RoundOutcome, FocesError> {
+        let scope: Option<BTreeSet<SwitchId>> = (self.config.enabled && round.region.is_some())
+            .then(|| round.fcm.rules().iter().map(|r| r.switch).collect());
+        self.judge(round, scope.as_ref())
+    }
+
+    /// [`RoundCore::after_verdict`] with the switches the round may
+    /// nominate or re-probe (`None`: all).
+    fn judge(
+        &mut self,
+        round: &LiarRound<'_>,
+        scope: Option<&BTreeSet<SwitchId>>,
+    ) -> Result<RoundOutcome, FocesError> {
+        let Some(verdict) = round.verdict else {
+            return Ok(RoundOutcome::default());
+        };
+        let anomalous = verdict.anomalous;
+        let alarm = self.alarm.observe(anomalous, round.churn);
+        let mut out = RoundOutcome {
+            alarm,
+            counts: RoundCounts {
+                anomalous_rounds: u64::from(anomalous),
+                alarms_raised: u64::from(alarm.raised),
+                alarms_cleared: u64::from(alarm.cleared),
+                suppressed_raises: u64::from(alarm.suppressed),
+                ..RoundCounts::default()
+            },
+            ..RoundOutcome::default()
+        };
+        if !self.config.enabled {
+            return Ok(out);
+        }
+        let scored: Vec<RuleRef> = round
+            .fcm
+            .rules()
+            .iter()
+            .zip(round.observed)
+            .filter(|p| round.scorable && *p.1)
+            .map(|p| *p.0)
+            .collect();
+        let scorable = !scored.is_empty();
+        if scorable && scored.len() == verdict.solve.residual.len() {
+            self.suspicion
+                .observe(&scored, &verdict.solve.residual, anomalous);
+            out.counts.suspicion_rounds = 1;
         }
         // While the alarm is up, cross-validate the top suspects by leaving
         // each one's equations out (factor downdates, no cold
         // refactorization). Exactly one consistent removal = the liar.
-        if scorable && anomalous && round.alarm == AlarmState::Alarmed {
-            let candidates = self.ranked_in(round.scope, self.config.max_candidates);
+        if scorable && anomalous && self.alarm.state() == AlarmState::Alarmed {
+            let candidates = self.ranked_in(scope, self.config.max_candidates);
             if !candidates.is_empty() {
                 let threshold = round.detector.threshold();
                 let solver =
@@ -828,8 +894,8 @@ impl LiarLifecycle {
         }
         // On the raise round, probe whether the verdict survives silencing
         // the top suspects (k-resilience).
-        if scorable && round.raised && self.config.resilience_k > 0 {
-            let ranked = self.ranked_in(round.scope, usize::MAX);
+        if scorable && alarm.raised && self.config.resilience_k > 0 {
+            let ranked = self.ranked_in(scope, usize::MAX);
             if !ranked.is_empty() {
                 let report = k_resilient_verdict(
                     round.detector,
@@ -849,10 +915,10 @@ impl LiarLifecycle {
         // consistent (e.g. the switch confessed / was repaired). Only the
         // region that localized a switch decides its release: another
         // region's system may not show the lie at all.
-        if !self.quarantined.is_empty() && round.verdict.is_some() {
+        if !self.quarantined.is_empty() {
             self.quiet_streak = if anomalous { 0 } else { self.quiet_streak + 1 };
             if self.quiet_streak >= self.config.reprobe_after {
-                if let Some(candidate) = self.next_probe(round.region, round.scope) {
+                if let Some(candidate) = self.next_probe(round.region, scope) {
                     self.quiet_streak = 0;
                     self.last_probed = Some(candidate);
                     if self.reprobe(round, candidate)? {
@@ -864,7 +930,7 @@ impl LiarLifecycle {
                 }
             }
         }
-        if round.cleared {
+        if alarm.cleared {
             self.unresolved = false;
         }
         Ok(out)
@@ -1103,41 +1169,79 @@ mod tests {
         (honest, forged)
     }
 
-    fn enabled() -> LiarLifecycle {
-        LiarLifecycle::new(ByzantineConfig {
-            enabled: true,
-            ..ByzantineConfig::default()
-        })
+    /// A core with the Byzantine layer on whose alarm raises on the first
+    /// anomalous round.
+    fn enabled() -> RoundCore {
+        let hair_trigger = HysteresisConfig {
+            window: 1,
+            raise_k: 1,
+            ..HysteresisConfig::default()
+        };
+        RoundCore::new(
+            hair_trigger,
+            ByzantineConfig {
+                enabled: true,
+                ..ByzantineConfig::default()
+            },
+        )
     }
 
-    /// Feeds `lc` one full round of `counters` with the alarm up (raised
-    /// this round when `raised`).
-    fn alarmed_round(
-        lc: &mut LiarLifecycle,
+    /// Feeds `lc` one full round of `counters`.
+    fn full_round(
+        lc: &mut RoundCore,
         fcm: &Fcm,
         counters: &[f64],
-        raised: bool,
         scope: Option<&BTreeSet<SwitchId>>,
         region: Option<usize>,
-    ) -> LiarOutcome {
+    ) -> RoundOutcome {
         let detector = Detector::default();
         let verdict = detector.detect(fcm, counters).unwrap();
         let observed = vec![true; fcm.rule_count()];
-        lc.after_verdict(&LiarRound {
+        let round = LiarRound {
             detector: &detector,
             fcm,
             counters,
             observed: &observed,
             collected: &observed,
-            scored: fcm.rules(),
+            scorable: true,
             verdict: Some(&verdict),
-            alarm: AlarmState::Alarmed,
-            raised,
-            cleared: false,
-            scope,
+            churn: false,
             region,
-        })
-        .unwrap()
+        };
+        lc.judge(&round, scope).unwrap()
+    }
+
+    #[test]
+    fn the_alarm_steps_on_verdicts_only_and_tallies_without_the_layer() {
+        let fcm = two_row_switches();
+        let (_, forged) = two_row_counters(&fcm);
+        let mut off = RoundCore::new(HysteresisConfig::default(), ByzantineConfig::default());
+        let detector = Detector::default();
+        let observed = vec![true; fcm.rule_count()];
+        let blind = LiarRound {
+            detector: &detector,
+            fcm: &fcm,
+            counters: &forged,
+            observed: &observed,
+            collected: &observed,
+            scorable: false,
+            verdict: None,
+            churn: false,
+            region: None,
+        };
+        // Default quorum: two anomalous verdicts raise. Blind rounds in
+        // between neither count nor reset the window.
+        let first = full_round(&mut off, &fcm, &forged, None, None);
+        assert_eq!(off.state(), AlarmState::Suspected);
+        assert_eq!(off.after_verdict(&blind).unwrap(), RoundOutcome::default());
+        assert_eq!(off.state(), AlarmState::Suspected, "blind rounds freeze it");
+        let second = full_round(&mut off, &fcm, &forged, None, None);
+        assert!(second.alarm.raised);
+        assert_eq!(off.state(), AlarmState::Alarmed);
+        let tally = |c: RoundCounts| (c.anomalous_rounds, c.alarms_raised, c.suspicion_rounds);
+        assert_eq!(tally(first.counts), (1, 0, 0));
+        assert_eq!(tally(second.counts), (1, 1, 0), "the layer is off");
+        assert!(off.suspicion().ranked().is_empty());
     }
 
     #[test]
@@ -1145,17 +1249,16 @@ mod tests {
         let fcm = two_row_switches();
         let mut lc = enabled();
         lc.quarantined.insert(SwitchId(3), None);
-        let mut observed = vec![true; fcm.rule_count()];
-        observed[0] = false;
-        lc.withhold(fcm.rules(), &mut observed);
+        let mut collected = vec![true; fcm.rule_count()];
+        collected[0] = false;
+        let observed = lc.withhold(fcm.rules(), &collected);
         let cleared: Vec<usize> = (0..observed.len()).filter(|&i| !observed[i]).collect();
         assert_eq!(cleared, vec![0, 6, 7], "row 0 was already unobserved");
         // A disabled layer withholds nothing, whatever it holds.
-        let mut off = LiarLifecycle::default();
+        let mut off = RoundCore::new(HysteresisConfig::default(), ByzantineConfig::default());
         off.quarantined.insert(SwitchId(3), None);
-        let mut all = vec![true; fcm.rule_count()];
-        off.withhold(fcm.rules(), &mut all);
-        assert!(all.iter().all(|&o| o));
+        let all = vec![true; fcm.rule_count()];
+        assert!(off.withhold(fcm.rules(), &all).iter().all(|&o| o));
     }
 
     #[test]
@@ -1163,7 +1266,8 @@ mod tests {
         let fcm = two_row_switches();
         let (_, forged) = two_row_counters(&fcm);
         let mut lc = enabled();
-        let out = alarmed_round(&mut lc, &fcm, &forged, true, None, Some(2));
+        let out = full_round(&mut lc, &fcm, &forged, None, Some(2));
+        assert!(out.alarm.raised, "the forged round raises the alarm");
         assert_eq!(out.localized, Some(SwitchId(3)));
         assert_eq!(out.counts.liars_localized, 1);
         assert_eq!(out.counts.suspicion_rounds, 1);
@@ -1184,7 +1288,7 @@ mod tests {
         // The liar's shard neighbours: every switch but s3.
         let scope: BTreeSet<SwitchId> = [0, 1, 2, 4, 5].into_iter().map(SwitchId).collect();
         let mut lc = enabled();
-        let out = alarmed_round(&mut lc, &fcm, &forged, true, Some(&scope), None);
+        let out = full_round(&mut lc, &fcm, &forged, Some(&scope), None);
         let in_scope = lc
             .suspicion()
             .ranked()
@@ -1200,9 +1304,10 @@ mod tests {
         let silenced = [SwitchId(3)];
         let s3 = k_resilient_verdict(&Detector::default(), &fcm, &forged, &observed, &silenced, 1);
         assert_eq!(s3.unwrap().flips_at, Some(1), "silencing s3 would flip it");
-        // A scope with no suspect in it runs neither pass.
+        // On a raise round, a scope with no suspect in it runs neither pass.
         let nobody: BTreeSet<SwitchId> = [SwitchId(99)].into_iter().collect();
-        let out = alarmed_round(&mut lc, &fcm, &forged, true, Some(&nobody), None);
+        let out = full_round(&mut enabled(), &fcm, &forged, Some(&nobody), None);
+        assert!(out.alarm.raised);
         assert_eq!(out.counts.loo_solves, 0);
         assert_eq!(out.resilience, None);
     }
@@ -1216,13 +1321,13 @@ mod tests {
         let elsewhere: BTreeSet<SwitchId> = [SwitchId(0)].into_iter().collect();
         let reprobe_after = lc.config.reprobe_after;
         for _ in 0..reprobe_after + 2 {
-            let out = alarmed_round(&mut lc, &fcm, &honest, false, Some(&elsewhere), None);
+            let out = full_round(&mut lc, &fcm, &honest, Some(&elsewhere), None);
             assert_eq!(out.released, None);
         }
         assert_eq!(lc.quiet_streak, reprobe_after + 2, "no probe, no reset");
         assert_eq!(lc.last_probed, None);
         // In scope, the clean switch is re-probed and released at once.
-        let out = alarmed_round(&mut lc, &fcm, &honest, false, None, None);
+        let out = full_round(&mut lc, &fcm, &honest, None, None);
         assert_eq!(out.released, Some(SwitchId(3)));
         assert_eq!(out.counts.quarantine_releases, 1);
         assert_eq!(lc.quiet_streak, 0);
@@ -1239,11 +1344,11 @@ mod tests {
         // Region 0's quiet rounds count toward the streak but never probe
         // s3, so the due probe waits for region 1.
         for _ in 0..reprobe_after + 2 {
-            let out = alarmed_round(&mut lc, &fcm, &honest, false, None, Some(0));
+            let out = full_round(&mut lc, &fcm, &honest, None, Some(0));
             assert_eq!(out.released, None);
         }
         assert_eq!(lc.last_probed, None);
-        let out = alarmed_round(&mut lc, &fcm, &honest, false, None, Some(1));
+        let out = full_round(&mut lc, &fcm, &honest, None, Some(1));
         assert_eq!(out.released, Some(SwitchId(3)));
         assert!(lc.quarantined().is_empty());
     }
@@ -1271,14 +1376,12 @@ mod tests {
         // period moves on to s5 instead of retrying s3.
         lc.last_probed = Some(SwitchId(1));
         let reprobe_after = lc.config.reprobe_after;
-        let mut observed = vec![true; fcm.rule_count()];
-        lc.withhold(fcm.rules(), &mut observed);
+        let collected = vec![true; fcm.rule_count()];
+        let observed = lc.withhold(fcm.rules(), &collected);
         let detector = Detector::default();
         let masked = fcm.mask_rows(&observed);
         let verdict = detector.detect_masked(&masked, &forged).unwrap();
         assert!(!verdict.anomalous);
-        let scored: Vec<RuleRef> = masked.fcm().rules().to_vec();
-        let collected = vec![true; fcm.rule_count()];
         let mut released = Vec::new();
         for _ in 0..2 * reprobe_after {
             let out = lc
@@ -1288,12 +1391,9 @@ mod tests {
                     counters: &forged,
                     observed: &observed,
                     collected: &collected,
-                    scored: &scored,
+                    scorable: true,
                     verdict: Some(&verdict),
-                    alarm: AlarmState::Normal,
-                    raised: false,
-                    cleared: false,
-                    scope: None,
+                    churn: false,
                     region: None,
                 })
                 .unwrap();

@@ -83,9 +83,9 @@ mod without;
 
 pub use audit::{audit_deviations, DeviationAudit, DeviationCandidate};
 pub use byzantine::{
-    cross_validate, k_resilient_verdict, ByzantineConfig, ByzantineReport, LiarCounts,
-    LiarLifecycle, LiarOutcome, LiarRound, LooOutcome, LooSolver, LooStatus, ResilienceReport,
-    ResilienceStep, SuspicionConfig, SuspicionTracker,
+    cross_validate, k_resilient_verdict, ByzantineConfig, ByzantineReport, LiarRound, LooOutcome,
+    LooSolver, LooStatus, ResilienceReport, ResilienceStep, RoundCore, RoundCounts, RoundOutcome,
+    SuspicionConfig, SuspicionTracker,
 };
 pub use coverage::{
     analyze_cluster_coverage, analyze_coverage, AbsorptionCertificate, CoverageConfig,

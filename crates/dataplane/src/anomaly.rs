@@ -205,7 +205,7 @@ mod tests {
 
     fn plane() -> (DataPlane, Vec<SwitchId>, Vec<foces_net::HostId>) {
         let mut t = Topology::new();
-        let s: Vec<SwitchId> = (0..3).map(|i| t.add_switch(format!("s{i}"))).collect();
+        let s: Vec<SwitchId> = (0..3).map(|_| t.add_switch()).collect();
         let h = vec![t.add_host(), t.add_host()];
         t.connect(Node::Switch(s[0]), Node::Switch(s[1])).unwrap();
         t.connect(Node::Switch(s[0]), Node::Switch(s[2])).unwrap();
@@ -278,7 +278,7 @@ mod tests {
     #[test]
     fn no_eligible_rules_returns_none() {
         let mut t = Topology::new();
-        t.add_switch("s0");
+        t.add_switch();
         let mut dp = DataPlane::new(t);
         let mut rng = StdRng::seed_from_u64(4);
         assert!(inject_random_anomaly(&mut dp, AnomalyKind::EarlyDrop, &mut rng, &[]).is_none());

@@ -30,7 +30,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut topo = Topology::new();
-//! let s0 = topo.add_switch("s0");
+//! let s0 = topo.add_switch();
 //! let h0 = topo.add_host();
 //! let h1 = topo.add_host();
 //! topo.connect(Node::Host(h0), Node::Switch(s0))?;

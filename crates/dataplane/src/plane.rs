@@ -480,7 +480,7 @@ mod tests {
     /// tests.
     fn diamond() -> (DataPlane, Vec<SwitchId>, Vec<HostId>) {
         let mut t = Topology::new();
-        let s: Vec<SwitchId> = (0..3).map(|i| t.add_switch(format!("s{i}"))).collect();
+        let s: Vec<SwitchId> = (0..3).map(|_| t.add_switch()).collect();
         let h = vec![t.add_host(), t.add_host()];
         t.connect(Node::Switch(s[0]), Node::Switch(s[1])).unwrap(); // s0 p0 <-> s1 p0
         t.connect(Node::Switch(s[0]), Node::Switch(s[2])).unwrap(); // s0 p1 <-> s2 p0

@@ -98,8 +98,12 @@ pub struct IngestMetrics {
 }
 
 impl IngestMetrics {
-    /// Adds one round's Byzantine-lifecycle increments.
-    pub fn add_liar_counts(&mut self, c: &foces::LiarCounts) {
+    /// Adds one judged round's tally ([`foces::RoundCore::after_verdict`]).
+    pub fn add_round(&mut self, c: &foces::RoundCounts) {
+        self.anomalous_rounds += c.anomalous_rounds;
+        self.alarms_raised += c.alarms_raised;
+        self.alarms_cleared += c.alarms_cleared;
+        self.suppressed_raises += c.suppressed_raises;
         self.suspicion_rounds += c.suspicion_rounds;
         self.loo_solves += c.loo_solves;
         self.loo_downdates += c.loo_downdates;

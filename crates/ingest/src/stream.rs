@@ -37,7 +37,7 @@ use crate::link::{IngestChannel, LinkSpec};
 use crate::metrics::IngestMetrics;
 use foces::{
     analyze_cluster_coverage, AlarmState, BackendKind, CoverageConfig, CoverageReport, Detector,
-    Fcm, FocesError, IncrementalSolver, LiarLifecycle, LiarRound, RankBudget, ShardUnionVerdict,
+    Fcm, FocesError, IncrementalSolver, LiarRound, RankBudget, RoundCore, ShardUnionVerdict,
     ShardedFcm, SuspicionTracker,
 };
 use foces_channel::{
@@ -46,15 +46,13 @@ use foces_channel::{
 };
 use foces_cluster::ShardCompletion;
 use foces_controlplane::Deployment;
-use foces_dataplane::{inject_random_anomaly, AnomalyKind, AppliedAnomaly, LossModel, RuleRef};
+use foces_dataplane::{inject_random_anomaly, AnomalyKind, AppliedAnomaly, LossModel};
 use foces_net::{partition, Partition, PartitionSpec, SwitchId};
 use foces_runtime::metrics::{json_f64, json_str};
-use foces_runtime::{
-    rolling_update, Adversary, AlarmMachine, ByzantineConfig, EventLog, HysteresisConfig,
-};
+use foces_runtime::{rolling_update, Adversary, ByzantineConfig, EventLog, HysteresisConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Everything that can go wrong inside a stream run.
@@ -285,7 +283,6 @@ pub struct StreamDriver {
     solvers: HashMap<usize, IncrementalSolver>,
     cadence: HashMap<SwitchId, PollCadence>,
     outstanding: HashMap<SwitchId, Outstanding>,
-    alarm: AlarmMachine,
     inject_rng: StdRng,
     churn_rng: StdRng,
     applied: Option<AppliedAnomaly>,
@@ -296,8 +293,9 @@ pub struct StreamDriver {
     fired: Vec<bool>,
     last_verdict: HashMap<usize, bool>,
     first_inject_at: Option<f64>,
-    /// Byzantine layer: suspicion, leave-one-out, quarantine, re-probe.
-    lifecycle: LiarLifecycle,
+    /// Judges every shard verdict: the alarm, then suspicion,
+    /// leave-one-out, quarantine and re-probe.
+    core: RoundCore,
     /// Byzantine suspicion high-water mark from the previous scored round
     /// (drives the cadence suspicion trigger).
     last_suspicion: f64,
@@ -359,11 +357,10 @@ impl StreamDriver {
         let full = vec![0.0; fcm.rule_count()];
         let completion = ShardCompletion::new(members);
         let fcm_generation = dep.view.generation();
-        let alarm = AlarmMachine::new(config.hysteresis);
         let inject_rng = StdRng::seed_from_u64(config.anomaly_seed);
         let churn_rng = StdRng::seed_from_u64(config.churn_seed);
         let fired = vec![false; sharded.shard_count()];
-        let lifecycle = LiarLifecycle::new(config.byzantine);
+        let core = RoundCore::new(config.hysteresis, config.byzantine);
         let adversary = Adversary::new(config.liar_seed);
         let detector = Detector::default().with_backend(config.backend);
         // Pre-flight: score detectability and localization coverage of the
@@ -397,7 +394,6 @@ impl StreamDriver {
             solvers: HashMap::new(),
             cadence,
             outstanding: HashMap::new(),
-            alarm,
             inject_rng,
             churn_rng,
             applied: None,
@@ -407,7 +403,7 @@ impl StreamDriver {
             fired,
             last_verdict: HashMap::new(),
             first_inject_at: None,
-            lifecycle,
+            core,
             last_suspicion: 0.0,
             coverage,
             adversary,
@@ -444,7 +440,7 @@ impl StreamDriver {
 
     /// The Byzantine suspicion tracker (empty while the layer is off).
     pub fn suspicion(&self) -> &SuspicionTracker {
-        self.lifecycle.suspicion()
+        self.core.suspicion()
     }
 
     /// The latest pre-flight coverage analysis (`None` only for an empty
@@ -455,14 +451,14 @@ impl StreamDriver {
 
     /// Switches currently under counter quarantine, ascending.
     pub fn quarantined_switches(&self) -> Vec<SwitchId> {
-        self.lifecycle.quarantined().keys().copied().collect()
+        self.core.quarantined().keys().copied().collect()
     }
 
     /// Whether the stream is in the unresolved-Byzantine state: the alarm
     /// is up but leave-one-out found no single switch whose removal makes
     /// the system consistent. The CLI exits 2 when a run ends here.
     pub fn byzantine_unresolved(&self) -> bool {
-        self.lifecycle.unresolved()
+        self.core.unresolved()
     }
 
     /// The switches of the latest [`StreamAction::Compromise`] (empty
@@ -523,7 +519,7 @@ impl StreamDriver {
         stream_verdicts.sort_unstable();
         Ok(StreamReport {
             metrics: self.metrics,
-            alarm_state: self.alarm.state(),
+            alarm_state: self.core.state(),
             final_union,
             stream_verdicts,
         })
@@ -694,14 +690,14 @@ impl StreamDriver {
         // also carries closure rows on neighbouring regions' switches; any
         // of those not sampled yet are masked out (a sound projection),
         // never solved as fabricated zeros.
-        let mut sub_observed: Vec<bool> =
-            view.parent_rows.iter().map(|&i| self.observed[i]).collect();
+        let collected: Vec<bool> = view.parent_rows.iter().map(|&i| self.observed[i]).collect();
         // Quarantined switches' reports are withheld from every solve.
-        self.lifecycle
-            .withhold(view.sub_fcm.rules(), &mut sub_observed);
+        let sub_observed = self.core.withhold(view.sub_fcm.rules(), &collected);
         let complete = sub_observed.iter().all(|&o| o);
         self.metrics.shard_rounds += 1;
-        let (kind, verdict, scored_rules) = if churn || !complete {
+        // Full and degraded rounds' residuals attribute to switches;
+        // reconciled rounds mix rule generations, blind ones have none.
+        let (kind, verdict, scorable) = if churn || !complete {
             // Per-shard reconciliation, the PR-2 quarantine pattern on the
             // shard's sub-system — shared with the `foces-sched`
             // conformance harness so the checked round shape IS the
@@ -720,7 +716,8 @@ impl StreamDriver {
                 foces_cluster::ShardRoundKind::Reconciled => self.metrics.reconciled_rounds += 1,
                 foces_cluster::ShardRoundKind::Degraded => self.metrics.degraded_rounds += 1,
             }
-            (round.kind.label(), round.verdict, round.scored_rules)
+            let degraded = round.kind == foces_cluster::ShardRoundKind::Degraded;
+            (round.kind.label(), round.verdict, degraded)
         } else {
             // Warm: the region was already solved since the last rebuild.
             // The driver labels the round, not the solve path, so the
@@ -731,16 +728,15 @@ impl StreamDriver {
                 .solvers
                 .entry(region)
                 .or_insert_with(|| IncrementalSolver::with_backend(RankBudget::default(), backend));
-            let rules: Vec<RuleRef> = view.sub_fcm.rules().to_vec();
             let (v, _) = self
                 .detector
                 .detect_warm(view.sub_fcm, &sub_counters, solver)?;
             if warm {
                 self.metrics.warm_rounds += 1;
-                ("warm", Some(v), rules)
+                ("warm", Some(v), true)
             } else {
                 self.metrics.cold_rounds += 1;
-                ("cold", Some(v), rules)
+                ("cold", Some(v), true)
             }
         };
         let now_ms = now.as_ms();
@@ -753,55 +749,29 @@ impl StreamDriver {
                 self.metrics.ttav_ms = Some(now_ms);
             }
         }
-        let mut anomalous = false;
-        let mut ai = 0.0;
-        let mut transition = None;
-        if let Some(v) = &verdict {
-            anomalous = v.anomalous;
-            ai = v.anomaly_index;
-            if anomalous {
-                self.metrics.anomalous_rounds += 1;
-            }
-            let t = self.alarm.observe(anomalous, churn);
-            if t.raised {
-                self.metrics.alarms_raised += 1;
-                if self.metrics.alarm_latency_ms.is_none() {
-                    if let Some(at) = self.first_inject_at {
-                        self.metrics.alarm_latency_ms = Some(now_ms - at);
-                    }
-                }
-            }
-            if t.cleared {
-                self.metrics.alarms_cleared += 1;
-            }
-            if t.suppressed {
-                self.metrics.suppressed_raises += 1;
-            }
-            transition = Some(t);
+        // -- Judge: alarm, then the liar lifecycle on the shard's system -
+        let judged = self.core.after_verdict(&LiarRound {
+            detector: &self.detector,
+            fcm: view.sub_fcm,
+            counters: &sub_counters,
+            observed: &sub_observed,
+            collected: &collected,
+            scorable,
+            verdict: verdict.as_ref(),
+            churn,
+            region: Some(region),
+        })?;
+        self.metrics.add_round(&judged.counts);
+        let (anomalous, ai) = verdict
+            .as_ref()
+            .map_or((false, 0.0), |v| (v.anomalous, v.anomaly_index));
+        if verdict.is_some() {
             self.last_verdict.insert(region, anomalous);
         }
-        // -- Byzantine resilience (opt-in), on the shard's sub-system ----
-        let mut localized: Option<SwitchId> = None;
-        if self.lifecycle.enabled() {
-            let collected: Vec<bool> = view.parent_rows.iter().map(|&i| self.observed[i]).collect();
-            let in_shard: BTreeSet<SwitchId> =
-                view.sub_fcm.rules().iter().map(|r| r.switch).collect();
-            let out = self.lifecycle.after_verdict(&LiarRound {
-                detector: &self.detector,
-                fcm: view.sub_fcm,
-                counters: &sub_counters,
-                observed: &sub_observed,
-                collected: &collected,
-                scored: &scored_rules,
-                verdict: verdict.as_ref(),
-                alarm: self.alarm.state(),
-                raised: transition.is_some_and(|t| t.raised),
-                cleared: transition.is_some_and(|t| t.cleared),
-                scope: Some(&in_shard),
-                region: Some(region),
-            })?;
-            self.metrics.add_liar_counts(&out.counts);
-            localized = out.localized;
+        if judged.alarm.raised && self.metrics.alarm_latency_ms.is_none() {
+            if let Some(at) = self.first_inject_at {
+                self.metrics.alarm_latency_ms = Some(now_ms - at);
+            }
         }
         // Cadence: trouble anywhere in the shard tightens every member;
         // a clean quiet round lets them all drift toward the ceiling.
@@ -810,8 +780,8 @@ impl StreamDriver {
         // and halves the timers below the floor, so even a fixed cadence
         // accumulates its hysteresis quorum at a tightened poll rate
         // instead of paying one full interval per quorum round.
-        let s_max = self.lifecycle.suspicion().max_score();
-        let suspicious = (anomalous && self.alarm.state() != AlarmState::Normal)
+        let s_max = self.core.suspicion().max_score();
+        let suspicious = (anomalous && self.core.state() != AlarmState::Normal)
             || s_max > self.last_suspicion + 1e-9;
         self.last_suspicion = s_max;
         let active = churn || anomalous;
@@ -825,7 +795,7 @@ impl StreamDriver {
                 c.on_quiet();
             }
         }
-        let state = match self.alarm.state() {
+        let state = match self.core.state() {
             AlarmState::Normal => "Normal",
             AlarmState::Suspected => "Suspected",
             AlarmState::Alarmed => "Alarmed",
@@ -840,12 +810,12 @@ impl StreamDriver {
             json_f64(ai),
             stale.len(),
             json_str(state),
-            transition.is_some_and(|t| t.raised),
-            transition.is_some_and(|t| t.cleared),
+            judged.alarm.raised,
+            judged.alarm.cleared,
             json_f64(s_max),
-            self.lifecycle.quarantined().len(),
-            localized.map_or_else(|| "null".to_string(), |s| s.0.to_string()),
-            self.lifecycle.unresolved(),
+            self.core.quarantined().len(),
+            judged.localized.map_or_else(|| "null".to_string(), |s| s.0.to_string()),
+            self.core.unresolved(),
         );
         self.log.record(line);
         Ok(())

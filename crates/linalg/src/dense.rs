@@ -313,11 +313,6 @@ impl DenseMatrix {
         g
     }
 
-    /// The Frobenius norm `sqrt(Σ a_ij²)`.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute element, or 0.0 for an empty matrix.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
@@ -628,7 +623,6 @@ mod tests {
     #[test]
     fn norms() {
         let m = DenseMatrix::from_rows(&[&[3., 4.]]).unwrap();
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
         assert_eq!(m.max_abs(), 4.0);
         assert_eq!(DenseMatrix::default().max_abs(), 0.0);
     }

@@ -39,16 +39,16 @@ pub fn fattree(k: usize) -> Topology {
     let half = k / 2;
     let mut t = Topology::new();
     let cores: Vec<SwitchId> = (0..half * half)
-        .map(|i| t.add_switch_with_role(format!("core{i}"), SwitchRole::Core))
+        .map(|_| t.add_switch_with_role(SwitchRole::Core))
         .collect();
     let mut aggs = Vec::with_capacity(k * half);
     let mut edges = Vec::with_capacity(k * half);
-    for pod in 0..k {
+    for _ in 0..k {
         let pod_aggs: Vec<SwitchId> = (0..half)
-            .map(|i| t.add_switch_with_role(format!("agg{pod}_{i}"), SwitchRole::Aggregation))
+            .map(|_| t.add_switch_with_role(SwitchRole::Aggregation))
             .collect();
         let pod_edges: Vec<SwitchId> = (0..half)
-            .map(|i| t.add_switch_with_role(format!("edge{pod}_{i}"), SwitchRole::Edge))
+            .map(|_| t.add_switch_with_role(SwitchRole::Edge))
             .collect();
         // Full bipartite agg <-> edge within the pod.
         for &a in &pod_aggs {
@@ -101,8 +101,8 @@ pub fn bcube(level: usize, n: usize) -> Topology {
     let host_total = n.pow(level as u32 + 1);
     // Proxy switch + host per BCube server.
     let proxies: Vec<SwitchId> = (0..host_total)
-        .map(|i| {
-            let p = t.add_switch_with_role(format!("srv{i}"), SwitchRole::HostProxy);
+        .map(|_| {
+            let p = t.add_switch_with_role(SwitchRole::HostProxy);
             let h = t.add_host();
             t.connect(Node::Host(h), Node::Switch(p)).expect("fresh");
             p
@@ -114,7 +114,7 @@ pub fn bcube(level: usize, n: usize) -> Topology {
     for l in 0..=level {
         let stride_l = n.pow(l as u32);
         for s in 0..n.pow(level as u32) {
-            let sw = t.add_switch_with_role(format!("bcube_l{l}_{s}"), SwitchRole::Cell);
+            let sw = t.add_switch_with_role(SwitchRole::Cell);
             // Split s's digits around position l.
             let low = s % stride_l;
             let high = s / stride_l;
@@ -152,9 +152,9 @@ pub fn dcell(level: usize, n: usize) -> Topology {
     assert!(level <= 1, "dcell levels above 1 are not implemented");
     let mut t = Topology::new();
     if level == 0 {
-        let sw = t.add_switch_with_role("dcell0", SwitchRole::Cell);
-        for i in 0..n {
-            let p = t.add_switch_with_role(format!("srv{i}"), SwitchRole::HostProxy);
+        let sw = t.add_switch_with_role(SwitchRole::Cell);
+        for _ in 0..n {
+            let p = t.add_switch_with_role(SwitchRole::HostProxy);
             let h = t.add_host();
             t.connect(Node::Host(h), Node::Switch(p)).expect("fresh");
             t.connect(Node::Switch(p), Node::Switch(sw)).expect("fresh");
@@ -164,10 +164,10 @@ pub fn dcell(level: usize, n: usize) -> Topology {
     // level == 1: n+1 cells of n servers.
     let cells = n + 1;
     let mut proxies = vec![Vec::with_capacity(n); cells];
-    for (c, cell_proxies) in proxies.iter_mut().enumerate() {
-        let sw = t.add_switch_with_role(format!("cell{c}"), SwitchRole::Cell);
-        for i in 0..n {
-            let p = t.add_switch_with_role(format!("srv{c}_{i}"), SwitchRole::HostProxy);
+    for cell_proxies in &mut proxies {
+        let sw = t.add_switch_with_role(SwitchRole::Cell);
+        for _ in 0..n {
+            let p = t.add_switch_with_role(SwitchRole::HostProxy);
             let h = t.add_host();
             t.connect(Node::Host(h), Node::Switch(p)).expect("fresh");
             t.connect(Node::Switch(p), Node::Switch(sw)).expect("fresh");
@@ -204,12 +204,12 @@ pub fn dcell(level: usize, n: usize) -> Topology {
 pub fn stanford() -> Topology {
     let mut t = Topology::new();
     let cores: Vec<SwitchId> = (0..2)
-        .map(|i| t.add_switch_with_role(format!("bbr{i}"), SwitchRole::Core))
+        .map(|_| t.add_switch_with_role(SwitchRole::Core))
         .collect();
     t.connect(Node::Switch(cores[0]), Node::Switch(cores[1]))
         .expect("fresh");
     let backbones: Vec<SwitchId> = (0..10)
-        .map(|i| t.add_switch_with_role(format!("bb{i}"), SwitchRole::Backbone))
+        .map(|_| t.add_switch_with_role(SwitchRole::Backbone))
         .collect();
     for &b in &backbones {
         for &c in &cores {
@@ -217,7 +217,7 @@ pub fn stanford() -> Topology {
         }
     }
     let zones: Vec<SwitchId> = (0..14)
-        .map(|i| t.add_switch_with_role(format!("oz{i}"), SwitchRole::Edge))
+        .map(|_| t.add_switch_with_role(SwitchRole::Edge))
         .collect();
     for (i, &z) in zones.iter().enumerate() {
         // Dual-homed to two adjacent backbone routers.
@@ -252,7 +252,7 @@ pub fn linear(n: usize) -> Topology {
     assert!(n >= 1, "linear requires at least one switch");
     let mut t = Topology::new();
     let switches: Vec<SwitchId> = (0..n)
-        .map(|i| t.add_switch_with_role(format!("s{i}"), SwitchRole::Backbone))
+        .map(|_| t.add_switch_with_role(SwitchRole::Backbone))
         .collect();
     for w in switches.windows(2) {
         t.connect(Node::Switch(w[0]), Node::Switch(w[1]))
@@ -317,7 +317,7 @@ pub fn random_connected(n: usize, extra_links: usize, seed: u64) -> Topology {
     };
     let mut t = Topology::new();
     let switches: Vec<SwitchId> = (0..n)
-        .map(|i| t.add_switch_with_role(format!("s{i}"), SwitchRole::Unspecified))
+        .map(|_| t.add_switch_with_role(SwitchRole::Unspecified))
         .collect();
     for i in 1..n {
         let parent = (next() as usize) % i;

@@ -106,8 +106,8 @@ pub struct Adjacency {
 ///
 /// # fn main() -> Result<(), foces_net::TopologyError> {
 /// let mut t = Topology::new();
-/// let s0 = t.add_switch("s0");
-/// let s1 = t.add_switch("s1");
+/// let s0 = t.add_switch();
+/// let s1 = t.add_switch();
 /// let h0 = t.add_host();
 /// let h1 = t.add_host();
 /// t.connect(Node::Switch(s0), Node::Switch(s1))?;
@@ -120,7 +120,6 @@ pub struct Adjacency {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
-    switch_labels: Vec<String>,
     switch_roles: Vec<SwitchRole>,
     host_count: usize,
     /// adjacency per node: switches first (index = id), hosts after
@@ -135,19 +134,16 @@ impl Topology {
         Topology::default()
     }
 
-    /// Adds a switch with a human-readable label, returning its id.
-    pub fn add_switch(&mut self, label: impl Into<String>) -> SwitchId {
-        self.switch_labels.push(label.into());
-        self.switch_roles.push(SwitchRole::Unspecified);
-        self.switch_adj.push(Vec::new());
-        SwitchId(self.switch_labels.len() - 1)
+    /// Adds a switch, returning its id.
+    pub fn add_switch(&mut self) -> SwitchId {
+        self.add_switch_with_role(SwitchRole::Unspecified)
     }
 
     /// Adds a switch with an explicit role.
-    pub fn add_switch_with_role(&mut self, label: impl Into<String>, role: SwitchRole) -> SwitchId {
-        let id = self.add_switch(label);
-        self.switch_roles[id.0] = role;
-        id
+    pub fn add_switch_with_role(&mut self, role: SwitchRole) -> SwitchId {
+        self.switch_roles.push(role);
+        self.switch_adj.push(Vec::new());
+        SwitchId(self.switch_roles.len() - 1)
     }
 
     /// Adds a host, returning its id.
@@ -159,7 +155,7 @@ impl Topology {
 
     /// Number of switches.
     pub fn switch_count(&self) -> usize {
-        self.switch_labels.len()
+        self.switch_roles.len()
     }
 
     /// Number of hosts.
@@ -176,15 +172,6 @@ impl Topology {
             .map(Vec::len)
             .sum();
         deg / 2
-    }
-
-    /// The label of a switch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn switch_label(&self, id: SwitchId) -> &str {
-        &self.switch_labels[id.0]
     }
 
     /// The role of a switch.
@@ -405,7 +392,7 @@ mod tests {
     fn line3() -> (Topology, Vec<SwitchId>, Vec<HostId>) {
         // h0 - s0 - s1 - s2 - h1
         let mut t = Topology::new();
-        let s: Vec<SwitchId> = (0..3).map(|i| t.add_switch(format!("s{i}"))).collect();
+        let s: Vec<SwitchId> = (0..3).map(|_| t.add_switch()).collect();
         let h = vec![t.add_host(), t.add_host()];
         t.connect(Node::Switch(s[0]), Node::Switch(s[1])).unwrap();
         t.connect(Node::Switch(s[1]), Node::Switch(s[2])).unwrap();
@@ -415,12 +402,11 @@ mod tests {
     }
 
     #[test]
-    fn counts_and_labels() {
-        let (t, s, _) = line3();
+    fn counts() {
+        let (t, _, _) = line3();
         assert_eq!(t.switch_count(), 3);
         assert_eq!(t.host_count(), 2);
         assert_eq!(t.link_count(), 4);
-        assert_eq!(t.switch_label(s[1]), "s1");
     }
 
     #[test]
@@ -461,8 +447,8 @@ mod tests {
     fn hosts_do_not_transit() {
         // s0 - h - s1 would be the only path; must be unreachable.
         let mut t = Topology::new();
-        let s0 = t.add_switch("s0");
-        let s1 = t.add_switch("s1");
+        let s0 = t.add_switch();
+        let s1 = t.add_switch();
         let h = t.add_host();
         t.connect(Node::Switch(s0), Node::Host(h)).unwrap();
         // h is single-homed: cannot even connect to s1. Use a fresh host
@@ -479,7 +465,7 @@ mod tests {
     #[test]
     fn self_loop_rejected() {
         let mut t = Topology::new();
-        let s = t.add_switch("s");
+        let s = t.add_switch();
         assert!(matches!(
             t.connect(Node::Switch(s), Node::Switch(s)),
             Err(TopologyError::SelfLoop(_))
@@ -489,7 +475,7 @@ mod tests {
     #[test]
     fn unknown_node_rejected() {
         let mut t = Topology::new();
-        let s = t.add_switch("s");
+        let s = t.add_switch();
         assert!(t
             .connect(Node::Switch(s), Node::Switch(SwitchId(7)))
             .is_err());
@@ -525,8 +511,8 @@ mod tests {
     #[test]
     fn disconnected_hosts_detected() {
         let mut t = Topology::new();
-        let s0 = t.add_switch("s0");
-        let s1 = t.add_switch("s1");
+        let s0 = t.add_switch();
+        let s1 = t.add_switch();
         let h0 = t.add_host();
         let h1 = t.add_host();
         t.connect(Node::Host(h0), Node::Switch(s0)).unwrap();
@@ -539,7 +525,7 @@ mod tests {
         // Diamond: s0 -> {s1, s2} -> s3; BFS must always pick the neighbor
         // on the lower port (s1, connected first).
         let mut t = Topology::new();
-        let s: Vec<SwitchId> = (0..4).map(|i| t.add_switch(format!("s{i}"))).collect();
+        let s: Vec<SwitchId> = (0..4).map(|_| t.add_switch()).collect();
         t.connect(Node::Switch(s[0]), Node::Switch(s[1])).unwrap();
         t.connect(Node::Switch(s[0]), Node::Switch(s[2])).unwrap();
         t.connect(Node::Switch(s[1]), Node::Switch(s[3])).unwrap();

@@ -190,14 +190,6 @@ impl ScenarioDriver {
             .is_some_and(|p| p > 0 && epoch > 0 && epoch.is_multiple_of(p))
     }
 
-    /// Is `epoch` inside the anomaly window?
-    pub fn anomaly_active_at(&self, epoch: u64) -> bool {
-        self.scenario
-            .anomaly_window
-            .map(|(s, e)| s <= epoch && epoch < e)
-            .unwrap_or(false)
-    }
-
     /// Is `epoch` inside the fake (counter-forging) window?
     pub fn fake_active_at(&self, epoch: u64) -> bool {
         self.scenario.liars > 0
@@ -481,7 +473,6 @@ mod tests {
                 should_be_active,
                 "epoch {epoch}"
             );
-            assert_eq!(driver.anomaly_active_at(epoch), should_be_active);
         }
     }
 }

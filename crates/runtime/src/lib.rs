@@ -31,9 +31,9 @@
 //! * [`metrics`] — [`RuntimeMetrics`] counters plus a JSONL [`EventLog`]
 //!   of per-epoch records.
 //! * [`service`] — [`RuntimeService`] glues the layers into one
-//!   `run_epoch` loop and scores its rounds with a
-//!   [`foces::AlarmMachine`] (re-exported here); blind rounds freeze the
-//!   machine. Every reply carries the switch's rule-table generation; when a stamp (or the controller view's update journal)
+//!   `run_epoch` loop and judges its rounds with the
+//!   [`foces::RoundCore`]: the k-of-n alarm, then the liar lifecycle;
+//!   blind rounds freeze the alarm. Every reply carries the switch's rule-table generation; when a stamp (or the controller view's update journal)
 //!   outruns the FCM's build generation, the epoch is *reconciled* —
 //!   journaled rows masked, affected flows quarantined
 //!   ([`foces::Fcm::quarantine`]) — instead of failed, and the FCM is
@@ -57,8 +57,8 @@ pub mod transport;
 
 pub use adversary::{rolling_update, Adversary};
 pub use degraded::{DegradedPipeline, DetectionMode};
-// The Byzantine-layer tunables live with the liar lifecycle in core, and
-// the alarm machine with the monitor.
+// The Byzantine-layer tunables live with the round core, and the alarm
+// machine (which `foces-cluster` steps itself) with the monitor.
 pub use foces::{AlarmMachine, AlarmTransition, ByzantineConfig, HysteresisConfig};
 pub use harness::{FaultScenario, ScenarioDriver};
 pub use metrics::{peak_rss_bytes, scrub_gauges, EventLog, RuntimeMetrics};

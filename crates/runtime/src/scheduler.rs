@@ -110,14 +110,6 @@ impl EpochCollection {
             .collect()
     }
 
-    /// The generation stamp `switch` reported, if it was responsive.
-    pub fn generation_of(&self, switch: SwitchId) -> Option<u64> {
-        self.polls
-            .iter()
-            .find(|p| p.switch == switch)
-            .and_then(|p| p.generation)
-    }
-
     /// Assembles the sweep into a counter vector in FCM row order:
     /// `counters[i]` is the reading for `rules[i]` (0.0 when it never
     /// arrived) and `observed[i]` says whether it actually did. This is
@@ -370,7 +362,6 @@ mod tests {
         let stale = c1.stale_switches(0);
         assert!(!stale.is_empty());
         for s in &stale {
-            assert_eq!(c1.generation_of(*s), Some(1));
             assert_eq!(dep.dataplane.table_generation(*s), 1);
         }
         // Every stale switch hosts at least one journaled rule.

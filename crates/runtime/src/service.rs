@@ -2,8 +2,9 @@
 //!
 //! [`RuntimeService`] composes the scheduler (fault-tolerant collection),
 //! the degraded pipeline (row-masked detection + oracle), the parallel
-//! slice solver (localization evidence), and an [`AlarmMachine`]. A
-//! [`DetectionMode::Blind`] round *freezes* the machine — silence is not
+//! slice solver (localization evidence), and the [`RoundCore`] that
+//! judges each verdict: the k-of-n alarm and the liar lifecycle. A
+//! [`DetectionMode::Blind`] round *freezes* the alarm — silence is not
 //! evidence of health, so blind rounds neither raise nor clear anything.
 
 use crate::degraded::{DegradedPipeline, DetectionMode};
@@ -12,10 +13,10 @@ use crate::parallel::detect_parallel;
 use crate::scheduler::{EpochScheduler, PollPolicy};
 use crate::transport::SimTransport;
 use foces::{
-    analyze_coverage, localize, AlarmMachine, AlarmState, AlarmTransition, BackendKind,
-    ByzantineConfig, CoverageConfig, CoverageReport, Detector, Fcm, FcmDelta, FocesError,
-    HysteresisConfig, LiarLifecycle, LiarOutcome, LiarRound, ResilienceReport, SlicedFcm,
-    SlicedVerdict, SolvePath, SuspicionTracker, SwitchSuspicion, Verdict, DEFAULT_THRESHOLD,
+    analyze_coverage, localize, AlarmState, BackendKind, ByzantineConfig, CoverageConfig,
+    CoverageReport, Detector, Fcm, FcmDelta, FocesError, HysteresisConfig, LiarRound,
+    ResilienceReport, RoundCore, SlicedFcm, SlicedVerdict, SolvePath, SuspicionTracker,
+    SwitchSuspicion, Verdict, DEFAULT_THRESHOLD,
 };
 use foces_channel::{ChannelError, SwitchAgent, Transport};
 use foces_controlplane::ControllerView;
@@ -172,7 +173,6 @@ pub struct RuntimeService {
     config: RuntimeConfig,
     metrics: RuntimeMetrics,
     log: EventLog,
-    alarm: AlarmMachine,
     /// The controller-view generation the current FCM was built from.
     fcm_generation: u64,
     epoch: u64,
@@ -187,8 +187,9 @@ pub struct RuntimeService {
     /// statically-broken region must surface as a `static_violations`
     /// report, not as a forwarding-anomaly alarm.
     static_touched: Vec<RuleRef>,
-    /// Byzantine layer: suspicion, leave-one-out, quarantine, re-probe.
-    lifecycle: LiarLifecycle,
+    /// Judges every verdict: the alarm, then suspicion, leave-one-out,
+    /// quarantine and re-probe.
+    core: RoundCore,
     /// The most recent coverage analysis: the pre-flight pass at
     /// construction, refreshed after every FCM rebuild. `None` only when
     /// the FCM was empty or degenerate beyond analysis.
@@ -270,13 +271,12 @@ impl RuntimeService {
             config,
             metrics,
             log: EventLog::in_memory(),
-            alarm: AlarmMachine::new(config.hysteresis),
             fcm_generation: view.generation(),
             epoch: 0,
             verification,
             verifier,
             static_touched,
-            lifecycle: LiarLifecycle::new(config.byzantine),
+            core: RoundCore::new(config.hysteresis, config.byzantine),
             coverage,
         }
     }
@@ -313,7 +313,7 @@ impl RuntimeService {
 
     /// Current alarm state.
     pub fn state(&self) -> AlarmState {
-        self.alarm.state()
+        self.core.state()
     }
 
     /// The controller-view generation the current FCM was built from.
@@ -358,12 +358,12 @@ impl RuntimeService {
 
     /// The Byzantine suspicion tracker (empty while the layer is off).
     pub fn suspicion(&self) -> &SuspicionTracker {
-        self.lifecycle.suspicion()
+        self.core.suspicion()
     }
 
     /// Switches currently under counter quarantine, ascending.
     pub fn quarantined_switches(&self) -> Vec<SwitchId> {
-        self.lifecycle.quarantined().keys().copied().collect()
+        self.core.quarantined().keys().copied().collect()
     }
 
     /// Whether the service is in the unresolved-Byzantine state: the alarm
@@ -371,7 +371,7 @@ impl RuntimeService {
     /// inconsistency to any single switch. The `foces` CLI exits with
     /// status 2 when a run ends in this state.
     pub fn byzantine_unresolved(&self) -> bool {
-        self.lifecycle.unresolved()
+        self.core.unresolved()
     }
 
     /// Swaps in a new agent for its switch (compromise or restore a switch
@@ -421,9 +421,9 @@ impl RuntimeService {
             collection.assemble_checked(self.pipeline.fcm().rules());
         self.metrics.rejected_readings += rejected as u64;
         // Quarantined switches' reports are withheld from detection.
-        let mut observed = collected_observed.clone();
-        self.lifecycle
-            .withhold(self.pipeline.fcm().rules(), &mut observed);
+        let observed = self
+            .core
+            .withhold(self.pipeline.fcm().rules(), &collected_observed);
         self.metrics.build_secs += t1.elapsed().as_secs_f64();
 
         // -- Two-phase read: did this epoch witness a rule update? -------
@@ -470,49 +470,30 @@ impl RuntimeService {
         self.metrics.solve_backend = self.config.backend.code();
         self.metrics.peak_rss_bytes = crate::metrics::peak_rss_bytes();
 
-        // -- Alarm hysteresis (blind rounds freeze the machine) ----------
-        let anomalous = verdict.as_ref().map(|v| v.anomalous).unwrap_or(false);
-        let transition = if mode.is_blind() {
-            AlarmTransition::default()
-        } else {
-            self.alarm.observe(anomalous, churn)
-        };
-        let alarm_raised = transition.raised;
-        let alarm_cleared = transition.cleared;
-        self.metrics.suppressed_raises += u64::from(transition.suppressed);
+        // -- Judge: alarm, then the liar lifecycle -----------------------
+        // Residuals from full and row-masked rounds attribute cleanly to
+        // switches (row-masking preserves order); reconciled rounds mix
+        // generations and blind rounds have nothing, so neither is scored.
+        let judged = self.core.after_verdict(&LiarRound {
+            detector: self.pipeline.detector(),
+            fcm: self.pipeline.fcm(),
+            counters: &counters,
+            observed: &observed,
+            collected: &collected_observed,
+            scorable: matches!(mode, DetectionMode::Full | DetectionMode::Degraded { .. }),
+            verdict: verdict.as_ref(),
+            churn,
+            region: None,
+        })?;
+        self.metrics.add_round(&judged.counts);
+        let anomalous = verdict.as_ref().is_some_and(|v| v.anomalous);
+        let alarm_raised = judged.alarm.raised;
+        let alarm_cleared = judged.alarm.cleared;
 
         // -- Localize (full anomalous rounds) ----------------------------
         let suspects = match (&sliced, anomalous) {
             (Some(sv), true) => localize(sv),
             _ => Vec::new(),
-        };
-
-        // -- Byzantine resilience (opt-in) -------------------------------
-        let byz = if self.lifecycle.enabled() {
-            // Residuals from full and row-masked rounds attribute cleanly to
-            // switches (row-masking preserves order); reconciled rounds mix
-            // generations and blind rounds have nothing, so neither is scored.
-            let scorable = matches!(mode, DetectionMode::Full | DetectionMode::Degraded { .. });
-            let kept = self.pipeline.fcm().rules().iter().zip(&observed);
-            let scored: Vec<RuleRef> = kept.filter(|p| scorable && *p.1).map(|p| *p.0).collect();
-            let out = self.lifecycle.after_verdict(&LiarRound {
-                detector: self.pipeline.detector(),
-                fcm: self.pipeline.fcm(),
-                counters: &counters,
-                observed: &observed,
-                collected: &collected_observed,
-                scored: &scored,
-                verdict: verdict.as_ref(),
-                alarm: self.alarm.state(),
-                raised: alarm_raised,
-                cleared: alarm_cleared,
-                scope: None,
-                region: None,
-            })?;
-            self.metrics.add_liar_counts(&out.counts);
-            out
-        } else {
-            LiarOutcome::default()
         };
 
         // -- Account + log -----------------------------------------------
@@ -522,9 +503,6 @@ impl RuntimeService {
             DetectionMode::Reconciled { .. } => self.metrics.reconciled_rounds += 1,
             DetectionMode::Blind { .. } => self.metrics.blind_rounds += 1,
         }
-        self.metrics.anomalous_rounds += u64::from(anomalous);
-        self.metrics.alarms_raised += u64::from(alarm_raised);
-        self.metrics.alarms_cleared += u64::from(alarm_cleared);
 
         let (missing_count, quarantined, coverage) = match &mode {
             DetectionMode::Full => (0usize, 0usize, self.pipeline.full_coverage()),
@@ -581,10 +559,10 @@ impl RuntimeService {
         let solve_path_json = solve_path
             .map(|p| json_str(&p.to_string()))
             .unwrap_or_else(|| "null".to_string());
-        let suspicion_max = self.lifecycle.suspicion().max_score();
-        let implicated = self.lifecycle.suspicion().implicated();
-        let byz_unresolved = self.lifecycle.unresolved();
-        let localized_json = byz
+        let suspicion_max = self.core.suspicion().max_score();
+        let implicated = self.core.suspicion().implicated();
+        let byz_unresolved = self.core.unresolved();
+        let localized_json = judged
             .localized
             .map(|s| s.0.to_string())
             .unwrap_or_else(|| "null".to_string());
@@ -606,8 +584,8 @@ impl RuntimeService {
             self.metrics.peak_rss_bytes,
             json_f64(suspicion_max),
             implicated.len(),
-            self.lifecycle.quarantined().len(),
-            json_str(&self.alarm.state().to_string()),
+            self.core.quarantined().len(),
+            json_str(&self.core.state().to_string()),
             json_f64(collection.elapsed_ms),
         ));
         if verified {
@@ -623,7 +601,7 @@ impl RuntimeService {
             mode,
             verdict,
             sliced,
-            state: self.alarm.state(),
+            state: self.core.state(),
             alarm_raised,
             alarm_cleared,
             churn,
@@ -633,10 +611,10 @@ impl RuntimeService {
             static_violations,
             suspicion_max,
             implicated,
-            localized_liar: byz.localized,
+            localized_liar: judged.localized,
             quarantined_switches: self.quarantined_switches(),
-            quarantine_released: byz.released,
-            resilience: byz.resilience,
+            quarantine_released: judged.released,
+            resilience: judged.resilience,
             byz_unresolved,
         })
     }

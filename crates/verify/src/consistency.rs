@@ -15,8 +15,8 @@
 use crate::report::{Finding, FindingKind};
 use foces::Fcm;
 use foces_controlplane::ControllerView;
-use foces_dataplane::{Action, RuleRef};
-use foces_net::{HostId, Node, SwitchId};
+use foces_dataplane::RuleRef;
+use foces_net::SwitchId;
 use std::ops::Range;
 
 /// Checks an FCM against a controller view, returning one finding per
@@ -71,7 +71,11 @@ pub(crate) fn check_columns(
             });
             continue;
         };
-        let delivered = walk(view, first_switch, header, &mut walked);
+        // Bounded by the switch count, so a looping configuration ends
+        // with a too-long rule path, which never equals a (finite,
+        // loop-free) recorded column.
+        walked.clear();
+        let delivered = view.walk(first_switch, header, topo.switch_count() + 1, &mut walked);
         if delivered == Some(egress) && walked.iter().copied().eq(fcm.flow_rules(j)) {
             continue;
         }
@@ -109,45 +113,17 @@ pub(crate) fn check_columns(
     findings
 }
 
-/// Walks a concrete header through the view's tables from `start` into
-/// `walked` (cleared first), returning the host delivered to (if any).
-/// Bounded by the switch count, so a looping configuration terminates with
-/// a too-long rule path — which never equals a (finite, loop-free)
-/// recorded column.
-fn walk(
-    view: &ControllerView,
-    start: SwitchId,
-    header: u64,
-    walked: &mut Vec<RuleRef>,
-) -> Option<HostId> {
-    let topo = view.topology();
-    walked.clear();
-    let mut sw = start;
-    for _ in 0..=topo.switch_count() {
-        let (index, rule) = view.table(sw).lookup(header)?;
-        walked.push(RuleRef { switch: sw, index });
-        match rule.action() {
-            Action::Drop => return None,
-            Action::Forward(port) => match topo.adj(Node::Switch(sw)).get(port.0)?.neighbor {
-                Node::Host(h) => return Some(h),
-                Node::Switch(next) => sw = next,
-            },
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use foces_dataplane::{dst_match, FlowTable, Rule};
-    use foces_net::{Port, Topology};
+    use foces_dataplane::{dst_match, Action, FlowTable, Rule};
+    use foces_net::{Node, Port, Topology};
 
     /// h0 - s0 - s1 - h1 with per-destination rules both ways.
     fn clean_view() -> ControllerView {
         let mut topo = Topology::new();
-        let s0 = topo.add_switch("s0");
-        let s1 = topo.add_switch("s1");
+        let s0 = topo.add_switch();
+        let s1 = topo.add_switch();
         let h0 = topo.add_host();
         let h1 = topo.add_host();
         topo.connect(Node::Switch(s0), Node::Switch(s1)).unwrap();

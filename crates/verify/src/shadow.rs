@@ -122,7 +122,7 @@ mod tests {
 
     fn one_switch(table: FlowTable) -> ControllerView {
         let mut topo = Topology::new();
-        let s0 = topo.add_switch("s0");
+        let s0 = topo.add_switch();
         let h0 = topo.add_host();
         topo.connect(Node::Host(h0), Node::Switch(s0)).unwrap();
         ControllerView::from_parts(topo, vec![table])

@@ -29,7 +29,7 @@
 
 use crate::report::{Finding, FindingKind, VerifyReport};
 use foces_controlplane::ControllerView;
-use foces_dataplane::{Action, RuleRef, HEADER_WIDTH};
+use foces_dataplane::{Action, RuleRef};
 use foces_headerspace::Wildcard;
 use foces_net::{HostId, Node, SwitchId};
 use std::collections::HashSet;
@@ -113,13 +113,9 @@ pub(crate) fn trace_host(view: &ControllerView, ingress: HostId) -> HostTrace {
     };
     if let Some((first_switch, _)) = view.topology().host_attachment(ingress) {
         // Real traffic entering at this port carries the host's own source
-        // address; pin it, mirroring the ATPG tracer.
-        let mut pos = Wildcard::any(HEADER_WIDTH);
-        for bit in 0..16 {
-            pos.set_bit(bit, Some((ingress.0 >> (15 - bit)) & 1 == 1));
-        }
+        // address; pin it, as the ATPG tracer does.
         let region = Region {
-            pos,
+            pos: foces_atpg::source_region(ingress),
             negs: Vec::new(),
         };
         t.explore(first_switch, region);
@@ -269,8 +265,8 @@ mod tests {
     /// h0 - s0 - s1 - h1, tables installed by the caller.
     fn line2(t0: FlowTable, t1: FlowTable) -> ControllerView {
         let mut topo = Topology::new();
-        let s0 = topo.add_switch("s0");
-        let s1 = topo.add_switch("s1");
+        let s0 = topo.add_switch();
+        let s1 = topo.add_switch();
         let h0 = topo.add_host();
         let h1 = topo.add_host();
         topo.connect(Node::Switch(s0), Node::Switch(s1)).unwrap(); // port 0 each

@@ -22,10 +22,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Topology:   guest h0 ── s0 ──── s1(firewall) ──── s2 ──── s3 ── h1 server
     //                          └───────── bypass ────────┘
     let mut topo = Topology::new();
-    let s0 = topo.add_switch("edge-guest");
-    let s1 = topo.add_switch("firewall");
-    let s2 = topo.add_switch("core");
-    let s3 = topo.add_switch("edge-server");
+    let s0 = topo.add_switch(); // guest edge
+    let s1 = topo.add_switch(); // firewall
+    let s2 = topo.add_switch(); // core
+    let s3 = topo.add_switch(); // server edge
     let h0 = topo.add_host(); // guest
     let h1 = topo.add_host(); // server
     topo.connect(Node::Switch(s0), Node::Switch(s1))?; // s0 port 0

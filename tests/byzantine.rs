@@ -15,7 +15,7 @@
 //!   quarantines and zero unresolved-Byzantine epochs.
 //!
 //! Both the lockstep `run` driver and the event-driven `stream` driver go
-//! through the one [`foces::LiarLifecycle`]; the stream drill and the
+//! through the one [`foces::RoundCore`]; the stream drill and the
 //! two-liar re-probe rotation below exercise it from each side. Both also
 //! drive the one [`foces_runtime::Adversary`]: the pool and evasion drills
 //! below pin what it compromises, plants and reverts under `stream`, and

@@ -24,8 +24,8 @@ struct Scenario {
 
 fn build() -> Scenario {
     let mut topo = Topology::new();
-    let s: Vec<SwitchId> = (0..4).map(|i| topo.add_switch(format!("s{i}"))).collect();
-    let d = topo.add_switch("detour-stub");
+    let s: Vec<SwitchId> = (0..4).map(|_| topo.add_switch()).collect();
+    let d = topo.add_switch();
     let h0 = topo.add_host();
     let h1 = topo.add_host();
     let hd = topo.add_host();
